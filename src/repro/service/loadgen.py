@@ -18,6 +18,10 @@ into one merged, time-ordered request schedule:
   — a total order with a deterministic tie-break, so the request list
   is a pure function of ``(tenants, duration, seed)``.
 
+Generation costs O(requests): each tenant's accesses are drawn, rate
+limited and appended as final request tuples in one pass, and the
+per-tenant runs (each already in arrival order) are merged by one sort.
+
 A request is a plain tuple ``(arrival_ns, tenant_index, seq, is_write,
 global_page)`` — picklable, compact, and directly partitionable by the
 :class:`~repro.service.shard.ShardRouter`.
@@ -25,10 +29,9 @@ global_page)`` — picklable, compact, and directly partitionable by the
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..perf.sweep import derive_seed
 from ..workloads.uniform import UniformWorkload
@@ -53,10 +56,16 @@ class LoadGenerator:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
-        for tenant in tenants:
-            tenant.validate()
         if num_pages < 1:
             raise ValueError("need at least one page")
+        for tenant in tenants:
+            tenant.validate()
+            if (tenant.page_range is not None
+                    and tenant.page_range[1] > num_pages):
+                raise ValueError(
+                    f"tenant {tenant.name!r} page_range "
+                    f"{tenant.page_range} exceeds the {num_pages}-page "
+                    f"service space")
         if rate_overrides:
             unknown = set(rate_overrides) - set(names)
             if unknown:
@@ -144,9 +153,9 @@ class LoadGenerator:
 
     def _accesses(self, spec: TenantSpec, rng: random.Random,
                   page_seed: int, arrivals: List[int]
-                  ) -> List[Tuple[int, bool, int]]:
-        """Expand arrivals into ``(arrival_ns, is_write, page)`` rows."""
-        rows: List[Tuple[int, bool, int]] = []
+                  ) -> Iterator[Tuple[int, bool, int]]:
+        """Expand arrivals into ``(arrival_ns, is_write, page)`` rows,
+        drawn one at a time as the caller consumes them."""
         if spec.workload == "tpca":
             from ..workloads.tpca import TpcaWorkload
 
@@ -158,16 +167,12 @@ class LoadGenerator:
                 txn = workload.next_transaction()  # arrival time unused
                 for is_write, address in workload.accesses(txn):
                     page = min(address // self.page_bytes, last_page)
-                    rows.append((arrival, is_write, page))
-            return rows
+                    yield arrival, is_write, page
+            return
         base = 0
         span = self.num_pages
         if spec.page_range is not None:
             base, end = spec.page_range
-            if end > self.num_pages:
-                raise ValueError(
-                    f"tenant {spec.name!r} page_range {spec.page_range} "
-                    f"exceeds the {self.num_pages}-page service space")
             span = end - base
         write_fraction = spec.write_fraction
         if spec.workload in ("hammer", "squat", "clean_amp"):
@@ -190,8 +195,8 @@ class LoadGenerator:
                 for index, arrival in enumerate(arrivals):
                     is_write = rng.random() < write_fraction
                     page = base + (offset + index * stride) % span
-                    rows.append((arrival, is_write, page))
-                return rows
+                    yield arrival, is_write, page
+                return
             # hammer / squat: cycle over a contiguous run of
             # ``attack_pages`` pages.  Contiguous global pages stripe
             # round-robin across shards, so the run splits evenly into
@@ -205,8 +210,8 @@ class LoadGenerator:
             for index, arrival in enumerate(arrivals):
                 is_write = rng.random() < write_fraction
                 page = base + start + index % working_set
-                rows.append((arrival, is_write, page))
-            return rows
+                yield arrival, is_write, page
+            return
         if spec.workload == "zipf":
             pages = ZipfWorkload(span, skew=spec.skew, seed=page_seed,
                                  scatter=spec.scatter)
@@ -214,8 +219,7 @@ class LoadGenerator:
             pages = UniformWorkload(span, seed=page_seed)
         for arrival in arrivals:
             is_write = rng.random() < write_fraction
-            rows.append((arrival, is_write, base + pages.next_page()))
-        return rows
+            yield arrival, is_write, base + pages.next_page()
 
     # ------------------------------------------------------------------
     # Schedule
@@ -232,7 +236,7 @@ class LoadGenerator:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         end_ns = int(duration_s * 1e9)
-        streams: List[List[Request]] = []
+        schedule: List[Request] = []
         accounting: Dict[str, Dict[str, int]] = {}
         for index, spec in enumerate(self.tenants):
             arrival_rng = random.Random(derive_seed(self.seed, 2 * index))
@@ -247,18 +251,21 @@ class LoadGenerator:
             else:
                 bucket = spec.make_bucket()
             arrivals = self._arrivals(spec, arrival_rng, end_ns)
-            rows = self._accesses(spec, arrival_rng, page_seed, arrivals)
-            stream: List[Request] = []
+            admitted_before = len(schedule)
             throttled = 0
-            for seq, (arrival, is_write, page) in enumerate(rows):
+            for seq, (arrival, is_write, page) in enumerate(
+                    self._accesses(spec, arrival_rng, page_seed, arrivals)):
                 if bucket is not None and not bucket.allow(arrival):
                     throttled += 1
                     continue
-                stream.append((arrival, index, seq, is_write, page))
-            streams.append(stream)
+                schedule.append((arrival, index, seq, is_write, page))
             accounting[spec.name] = {
-                "offered": len(rows),
+                "offered": len(schedule) - admitted_before + throttled,
                 "throttled": throttled,
             }
-        merged = list(heapq.merge(*streams))
-        return merged, accounting
+        # Each tenant's run is already in arrival order and the keys
+        # (arrival, tenant, seq) are unique, so sorting the concatenation
+        # is the k-way merge: timsort finds the runs and never compares
+        # past seq.
+        schedule.sort()
+        return schedule, accounting

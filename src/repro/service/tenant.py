@@ -17,6 +17,7 @@ shared shard pool.  A tenant bundles three things:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -190,6 +191,8 @@ class TenantSpec:
             raise ValueError("tenant needs a name")
         if self.workload not in _HONEST_WORKLOADS + ATTACK_WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
+        if not math.isfinite(self.skew):
+            raise ValueError("skew must be finite")
         if self.attack_pages < 1:
             raise ValueError("attack_pages must be positive")
         if self.wear_budget is not None and self.wear_budget < 1:

@@ -11,17 +11,54 @@ Sampling uses the inverse-CDF over ranks with a precomputed cumulative
 table (exact, O(log n) per draw), and ranks are scattered over the page
 space with a fixed permutation so physical adjacency carries no hidden
 meaning.
+
+Both tables are pure functions of the workload's shape — the cumulative
+table of ``(num_pages, skew)``, the permutation of ``num_pages`` — so
+they are built once per shape and shared, as immutable tuples, by every
+instance with that shape.  A thousand-tenant fleet has a handful of
+shapes; building the tables per instance made schedule set-up
+O(tenants × pages) instead of O(requests).
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 import random
-from typing import Optional
+from typing import Optional, Tuple
 
 from .base import WriteWorkload
 
 __all__ = ["ZipfWorkload"]
+
+#: Shapes each memo keeps (least recently used dropped first).  A table
+#: costs ~32 bytes per page, so the bound is what keeps a sweep over
+#: many store sizes from pinning every size's tables for the life of
+#: the process; fleets cycle through fewer shapes than this.
+_MEMO_SHAPES = 8
+
+
+# typed: an int skew sums exact integer powers, a float skew goes
+# through libm pow — separate entries keep each bit-identical to what
+# its caller always got.
+@functools.lru_cache(maxsize=_MEMO_SHAPES, typed=True)
+def _cumulative_weights(num_pages: int, skew: float) -> Tuple[float, ...]:
+    """Running sum of ``1 / (rank+1)^skew``; the last entry is the total."""
+    cumulative = []
+    total = 0.0
+    for rank in range(num_pages):
+        total += 1.0 / (rank + 1) ** skew
+        cumulative.append(total)
+    return tuple(cumulative)
+
+
+@functools.lru_cache(maxsize=_MEMO_SHAPES)
+def _scatter_permutation(num_pages: int) -> Tuple[int, ...]:
+    """The fixed rank -> page permutation for a ``num_pages`` space."""
+    permutation = list(range(num_pages))
+    random.Random(0xC0FFEE).shuffle(permutation)
+    return tuple(permutation)
 
 
 class ZipfWorkload(WriteWorkload):
@@ -31,23 +68,16 @@ class ZipfWorkload(WriteWorkload):
                  seed: Optional[int] = None,
                  scatter: bool = True) -> None:
         super().__init__(num_pages, seed)
+        if not math.isfinite(skew):
+            raise ValueError("skew must be finite")
         if skew < 0:
             raise ValueError("skew cannot be negative")
         self.skew = skew
         self.label = f"zipf({skew:g})"
-        cumulative = []
-        total = 0.0
-        for rank in range(num_pages):
-            total += 1.0 / (rank + 1) ** skew
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._total = total
-        if scatter:
-            permutation = list(range(num_pages))
-            random.Random(0xC0FFEE).shuffle(permutation)
-            self._page_of_rank = permutation
-        else:
-            self._page_of_rank = None
+        self._cumulative = _cumulative_weights(num_pages, skew)
+        self._total = self._cumulative[-1]
+        self._page_of_rank = (_scatter_permutation(num_pages)
+                              if scatter else None)
 
     def next_page(self) -> int:
         point = self.rng.random() * self._total

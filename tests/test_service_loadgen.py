@@ -1,8 +1,14 @@
 """Tests for the deterministic multi-tenant load generator."""
 
+import hashlib
+import heapq
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import LoadGenerator, TenantSpec
+from repro.service.bench import scale_fleet
 
 PAGES = 512
 
@@ -53,6 +59,82 @@ class TestSchedule:
         # Poisson at 1e7/s over 1 ms -> ~10k arrivals (+-40% tolerance).
         assert 6000 < acct["a"]["offered"] < 14000
         assert len(schedule) == acct["a"]["offered"]
+
+
+class TestPinnedSchedule:
+    """The schedule is a contract: every recorded fidelity digest hangs
+    off it.  The digest below was recorded at the commit *before* the
+    single-pass / shared-table rewrite and must never be regenerated to
+    make a loadgen change pass."""
+
+    DURATION_S = 0.004
+    DIGEST = ("c567252179aac54d60640b5c1b5ed22f"
+              "4cc603539bbb733a2ff0e665af0fd1cd")
+
+    def fleet(self):
+        return [TenantSpec.from_spec(t)
+                for t in scale_fleet(60, self.DURATION_S)] + [
+            TenantSpec("uniform", rate_tps=4e5, workload="uniform",
+                       write_fraction=0.2),
+            TenantSpec("tpca", rate_tps=2e4, workload="tpca",
+                       rate_limit_tps=4e5, burst=32.0),
+            TenantSpec("closed", mode="closed", clients=4,
+                       think_ns=20_000, skew=1.2),
+            TenantSpec("hammer", rate_tps=3e5, workload="hammer",
+                       write_fraction=1.0, attack_pages=48),
+            TenantSpec("clean_amp", rate_tps=3e5, workload="clean_amp",
+                       write_fraction=0.9, page_range=(64, 448)),
+            TenantSpec("squat", rate_tps=3e5, workload="squat",
+                       write_fraction=0.8, attack_pages=96),
+            TenantSpec("ranged", rate_tps=4e5, skew=0.8, scatter=False,
+                       page_range=(128, 384)),
+            TenantSpec("limited", rate_tps=1e6, rate_limit_tps=2e5,
+                       burst=16.0),
+            TenantSpec("quarantined", rate_tps=1e6, workload="uniform",
+                       rate_limit_tps=5e5),
+        ]
+
+    def test_mixed_fleet_schedule_is_bit_identical(self):
+        generator = LoadGenerator(self.fleet(), PAGES, seed=11,
+                                  rate_overrides={"quarantined": 1e5})
+        schedule, accounting = generator.generate(self.DURATION_S)
+        # Every shape contributes, and all three throttles bite.
+        assert len(schedule) == 11870
+        for name in ("tpca", "limited", "quarantined"):
+            assert accounting[name]["throttled"] > 0
+        digest = hashlib.sha256(
+            repr((schedule, accounting)).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
+@st.composite
+def tenant_runs(draw):
+    """Per-tenant request runs as ``generate`` builds them: arrivals
+    non-decreasing (drawn from a narrow range, so ties within and
+    across tenants are the norm), ``seq`` strictly increasing with gaps
+    where the token bucket dropped a row."""
+    runs = []
+    for tenant in range(draw(st.integers(1, 6))):
+        arrivals = sorted(draw(st.lists(st.integers(0, 12), max_size=30)))
+        seq = -1
+        run = []
+        for arrival in arrivals:
+            seq += draw(st.integers(1, 3))
+            run.append((arrival, tenant, seq, draw(st.booleans()),
+                        draw(st.integers(0, 511))))
+        runs.append(run)
+    return runs
+
+
+class TestMerge:
+    @given(tenant_runs())
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sorting_the_concatenation_is_the_k_way_merge(self, runs):
+        """``heapq.merge`` is the reference the single sort replaced."""
+        concatenated = [row for run in runs for row in run]
+        concatenated.sort()
+        assert concatenated == list(heapq.merge(*runs))
 
 
 class TestRateLimit:
@@ -115,3 +197,19 @@ class TestValidation:
     def test_bad_duration_rejected(self):
         with pytest.raises(ValueError):
             gen([TenantSpec("a")]).generate(0.0)
+
+    def test_page_range_past_the_space_rejected_at_construction(self):
+        tenants = [TenantSpec("ok"),
+                   TenantSpec("wide", page_range=(256, PAGES + 1))]
+        with pytest.raises(ValueError, match=r"tenant 'wide' page_range "
+                           r"\(256, 513\) exceeds the 512-page"):
+            LoadGenerator(tenants, PAGES)
+        # The whole space is a legal range.
+        LoadGenerator([TenantSpec("full", page_range=(0, PAGES))], PAGES)
+
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_non_finite_skew_rejected(self, skew):
+        with pytest.raises(ValueError, match="skew must be finite"):
+            LoadGenerator([TenantSpec("a", skew=skew)], PAGES)
+        with pytest.raises(ValueError, match="skew must be finite"):
+            TenantSpec.parse(f"name=a,skew={skew}")

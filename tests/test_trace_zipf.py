@@ -1,12 +1,15 @@
 """Tests for trace record/replay and the Zipf workload."""
 
+import bisect
 import io
+import random
 
 import pytest
 
 from repro.cleaning import GreedyPolicy, PolicySimulator
 from repro.workloads import (TraceRecorder, TraceWorkload, UniformWorkload,
                              ZipfWorkload)
+from repro.workloads import zipf as zipf_module
 from repro.workloads.trace import TraceError
 
 
@@ -193,6 +196,14 @@ class TestZipfWorkload:
         with pytest.raises(ValueError):
             ZipfWorkload(10, skew=-1)
 
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_rejects_non_finite_skew(self, skew):
+        # nan < 0 is False: it used to slip through and collapse every
+        # draw onto one page.
+        with pytest.raises(ValueError):
+            ZipfWorkload(10, skew=skew)
+
     def test_access_share_validation(self):
         workload = ZipfWorkload(10, skew=1.0)
         with pytest.raises(ValueError):
@@ -200,3 +211,97 @@ class TestZipfWorkload:
 
     def test_label(self):
         assert ZipfWorkload(10, skew=0.8).label == "zipf(0.8)"
+
+
+def reference_tables(num_pages, skew):
+    """The per-instance build the shared tables replaced, kept as the
+    reference the memoised tuples must equal element for element."""
+    cumulative = []
+    total = 0.0
+    for rank in range(num_pages):
+        total += 1.0 / (rank + 1) ** skew
+        cumulative.append(total)
+    permutation = list(range(num_pages))
+    random.Random(0xC0FFEE).shuffle(permutation)
+    return cumulative, permutation
+
+
+class TestZipfSharedTables:
+    def test_equal_shapes_share_one_table(self):
+        first = ZipfWorkload(300, skew=0.9, seed=1)
+        second = ZipfWorkload(300, skew=0.9, seed=2)
+        assert first._cumulative is second._cumulative
+        assert first._page_of_rank is second._page_of_rank
+        # The permutation depends on the page count alone.
+        other_skew = ZipfWorkload(300, skew=1.1, seed=1)
+        assert other_skew._cumulative is not first._cumulative
+        assert other_skew._page_of_rank is first._page_of_rank
+
+    def test_tables_are_immutable(self):
+        workload = ZipfWorkload(50, skew=1.0, seed=1)
+        assert isinstance(workload._cumulative, tuple)
+        assert isinstance(workload._page_of_rank, tuple)
+        with pytest.raises(TypeError):
+            workload._cumulative[0] = 0.0
+        with pytest.raises(TypeError):
+            workload._page_of_rank[0] = 0
+
+    @pytest.mark.parametrize("skew", [0.0, 0.4, 1, 1.0, 1.2])
+    def test_tables_and_draws_match_the_per_instance_build(self, skew):
+        cumulative, permutation = reference_tables(257, skew)
+        workload = ZipfWorkload(257, skew=skew, seed=9)
+        assert list(workload._cumulative) == cumulative
+        assert list(workload._page_of_rank) == permutation
+        rng = random.Random(9)
+        expected = []
+        for _ in range(500):
+            rank = min(256, bisect.bisect_left(
+                cumulative, rng.random() * cumulative[-1]))
+            expected.append(permutation[rank])
+        assert list(workload.pages(500)) == expected
+
+    def test_scatter_off_skips_the_permutation(self):
+        workload = ZipfWorkload(120, skew=1.0, seed=3, scatter=False)
+        assert workload._page_of_rank is None
+        twin = ZipfWorkload(120, skew=1.0, seed=3, scatter=True)
+        assert [twin._page_of_rank[rank] for rank in workload.pages(200)] \
+            == list(twin.pages(200))
+
+    def test_reset_replays_the_stream(self):
+        workload = ZipfWorkload(200, skew=0.8, seed=6)
+        first = list(workload.pages(300))
+        workload.reset()
+        assert list(workload.pages(300)) == first
+
+    def test_sharing_does_not_couple_streams(self):
+        """Instances share tables, never RNG state."""
+        alone = list(ZipfWorkload(200, skew=0.8, seed=6).pages(100))
+        first = ZipfWorkload(200, skew=0.8, seed=6)
+        second = ZipfWorkload(200, skew=0.8, seed=7)
+        interleaved = []
+        for _ in range(100):
+            interleaved.append(first.next_page())
+            second.next_page()
+        assert interleaved == alone
+
+    def test_access_share_unchanged(self):
+        cumulative, _ = reference_tables(500, 1.0)
+        workload = ZipfWorkload(500, skew=1.0)
+        for fraction in (0.001, 0.1, 0.5, 1.0):
+            top = max(1, int(500 * fraction))
+            assert workload.access_share(fraction) == \
+                cumulative[top - 1] / cumulative[-1]
+
+    def test_memo_stays_bounded(self):
+        bound = zipf_module._MEMO_SHAPES
+        for pages in range(10, 10 + 4 * bound):
+            ZipfWorkload(pages, skew=0.5 + pages / 100)
+        weights = zipf_module._cumulative_weights.cache_info()
+        scatter = zipf_module._scatter_permutation.cache_info()
+        assert weights.maxsize == scatter.maxsize == bound
+        assert weights.currsize <= bound and scatter.currsize <= bound
+        # A shape that was evicted is rebuilt, identically.
+        cumulative, permutation = reference_tables(10, 0.6)
+        evicted = ZipfWorkload(10, skew=0.6)
+        assert list(evicted._cumulative) == cumulative
+        assert list(evicted._page_of_rank) == permutation
