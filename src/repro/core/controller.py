@@ -38,7 +38,7 @@ from ..obs.events import (CHECKPOINT_BEGIN, CHECKPOINT_COMMIT, EventBus,
                           WEAR_SWAP)
 from ..sram.buffer import WriteBuffer
 from ..sram.mmu import Mmu
-from ..sram.pagetable import Location, PageTable
+from ..sram.pagetable import SRAM, Location, PageTable
 from .binding import BoundStore
 from .config import EnvyConfig
 from .metrics import ControllerMetrics
@@ -155,8 +155,8 @@ class EnvyController:
         # millions of times, so bind them once (the config is frozen).
         self._page_bytes = cfg.page_bytes
         self._size_bytes = cfg.logical_bytes
+        self._num_pages = cfg.logical_pages
         self._bus_overhead_ns = cfg.bus_overhead_ns
-        self._sram_read_ns = cfg.sram.read_ns
         self._sram_write_ns = cfg.sram.write_ns
         # Through the backend's cost hook, not the config constant, so
         # a backend with its own timing (ONFI bus cycles, DRAM rates)
@@ -164,6 +164,10 @@ class EnvyController:
         # exactly cfg.flash.read_ns (degradation is attached later and
         # was never reflected in this scalar).
         self._flash_read_ns = self.array.read_time_ns()
+        # The two host-read costs on top of translation (read_page_ns).
+        self._sram_access_ns = self._bus_overhead_ns + cfg.sram.read_ns
+        self._flash_access_ns = (self._bus_overhead_ns + self._flash_read_ns
+                                 + self._ecc_check_ns)
         # --- crash-consistent metadata (repro.core.checkpoint) --------
         self.checkpointer = None
         self._flushes_since_checkpoint = 0
@@ -437,54 +441,74 @@ class EnvyController:
         data, _ = self.read_timed(address, length)
         return data
 
+    def read_page_ns(self, page: int) -> int:
+        """Cost and account one host read of logical ``page``; returns ns.
+
+        The one place a host page read is priced: bus overhead + a
+        page-table read on an MMU miss + one SRAM or Flash(+ECC) read
+        cycle — 160 ns in the common case (Section 5.1).  Timing only:
+        no payload is assembled, so replay drivers that discard the data
+        (the shard executor, the timed simulator) call this directly
+        with the page they already hold.  The cells are not sensed
+        either — a read that must pass through the array's fault/ECC
+        path is a :meth:`read_timed`.
+        """
+        if not 0 <= page < self._num_pages:
+            raise IndexError(
+                f"page {page} outside the {self._num_pages}-page array")
+        # Once per replayed read: Location.in_sram and metrics.charge
+        # are spelled out below to spare the two calls.
+        location, access_ns = self.mmu.translate_timed(page)
+        if location is not None and location[0] == SRAM:
+            access_ns += self._sram_access_ns
+        else:
+            access_ns += self._flash_access_ns
+        metrics = self.metrics
+        metrics.reads += 1
+        metrics.read_latency.record(access_ns)
+        busy = metrics.busy_ns
+        busy["read"] = busy.get("read", 0) + access_ns
+        bus = self.events
+        if bus.active:
+            bus.emit_span(HOST_READ, access_ns, {"page": page})
+        return access_ns
+
     def read_timed(self, address: int, length: int) -> Tuple[bytes, int]:
         """Read ``length`` bytes; returns (data, nanoseconds).
 
-        Accesses are accounted per page touched: each page access costs
-        bus overhead + (page-table read on MMU miss) + one SRAM or Flash
-        read cycle — 160 ns in the common case (Section 5.1).
+        Data assembly over :meth:`read_page_ns`: every page touched is
+        costed and accounted there, then its slice of the payload is
+        fetched from the write buffer or the array.
         """
-        if length < 0:
-            raise ValueError("length cannot be negative")
-        page_bytes = self._page_bytes
-        if address < 0 or address + length > self._size_bytes:
+        if length < 0 or address < 0 \
+                or address + length > self._size_bytes:
             self._check_range(address, length)
+        page_bytes = self._page_bytes
+        read_page_ns = self.read_page_ns
+        peek = self.buffer.peek
+        store_data = self.store_data
         pieces = []
         total_ns = 0
-        offset = address
+        page, page_offset = divmod(address, page_bytes)
         remaining = length
-        metrics = self.metrics
-        read_latency = metrics.read_latency
-        translate_timed = self.mmu.translate_timed
-        store_data = self.store_data
-        bus = self.events
         while remaining > 0:
-            page, page_offset = divmod(offset, page_bytes)
             chunk = remaining
             if chunk > page_bytes - page_offset:
                 chunk = page_bytes - page_offset
-            location, translate_ns = translate_timed(page)
-            access_ns = self._bus_overhead_ns + translate_ns
-            if location is not None and location.in_sram:
-                entry = self.buffer.peek(location.slot)
-                payload = entry.data if entry is not None else None
-                access_ns += self._sram_read_ns
+            total_ns += read_page_ns(page)
+            entry = peek(page)
+            if entry is not None:
+                payload = entry.data
             else:
                 payload = (self.store.read_page_data(page)
                            if store_data else None)
-                access_ns += self._flash_read_ns + self._ecc_check_ns
             if payload is None:
                 pieces.append(bytes(chunk))
             else:
                 pieces.append(bytes(payload[page_offset:page_offset + chunk]))
-            metrics.reads += 1
-            read_latency.record(access_ns)
-            metrics.charge("read", access_ns)
-            if bus.active:
-                bus.emit_span(HOST_READ, access_ns, {"page": page})
-            total_ns += access_ns
-            offset += chunk
             remaining -= chunk
+            page += 1
+            page_offset = 0
         return b"".join(pieces), total_ns
 
     # ------------------------------------------------------------------

@@ -18,7 +18,8 @@ arithmetic — no pointers needed to predict it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from functools import cached_property
+from typing import List, Tuple
 
 from ..core.config import TpcParams
 
@@ -43,7 +44,11 @@ class BTreeGeometry:
     def node_bytes(self) -> int:
         return NODE_HEADER_BYTES + self.fanout * ENTRY_BYTES
 
-    @property
+    # The geometry is immutable and the TPC-A generator asks for depth
+    # and level bases on every access: derive them once per instance
+    # (cached_property stores into __dict__, which frozen allows).
+
+    @cached_property
     def depth(self) -> int:
         """Number of levels (root inclusive); matches Figure 12."""
         if self.num_keys <= 1:
@@ -68,10 +73,19 @@ class BTreeGeometry:
     def total_bytes(self) -> int:
         return self.total_nodes * self.node_bytes
 
+    @cached_property
+    def _level_bases(self) -> Tuple[int, ...]:
+        bases = [self.base_address]
+        for level in range(self.depth):
+            bases.append(bases[-1]
+                         + self.nodes_in_level(level) * self.node_bytes)
+        return tuple(bases)
+
     def level_base(self, level: int) -> int:
         """Address of the first node of ``level`` (root stored first)."""
-        offset = sum(self.nodes_in_level(l) for l in range(level))
-        return self.base_address + offset * self.node_bytes
+        if not 0 <= level <= self.depth:
+            raise IndexError(f"no level {level} in a {self.depth}-level tree")
+        return self._level_bases[level]
 
     def node_address(self, level: int, index: int) -> int:
         return self.level_base(level) + index * self.node_bytes
@@ -162,22 +176,24 @@ class TpcaLayout:
             raise KeyError(f"{kind} {index} outside 0..{limit - 1}")
 
     # --- index trees ----------------------------------------------------
+    # Three immutable geometries per layout, built once: the trace
+    # generator asks for all three on every transaction.
 
-    @property
+    @cached_property
     def branch_tree(self) -> BTreeGeometry:
         base = (self.account_base
                 + self.params.num_accounts * self.params.record_bytes)
         return BTreeGeometry(base, self.params.num_branches,
                              self.params.btree_fanout)
 
-    @property
+    @cached_property
     def teller_tree(self) -> BTreeGeometry:
         branch = self.branch_tree
         return BTreeGeometry(branch.base_address + branch.total_bytes,
                              self.params.num_tellers,
                              self.params.btree_fanout)
 
-    @property
+    @cached_property
     def account_tree(self) -> BTreeGeometry:
         teller = self.teller_tree
         return BTreeGeometry(teller.base_address + teller.total_bytes,

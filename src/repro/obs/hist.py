@@ -78,23 +78,28 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def record(self, ns: int) -> None:
-        ns = int(ns)
-        if ns < 0:
-            ns = 0
+        # Called twice per simulated access (controller metric + driver
+        # stat) and every in-repo caller passes an int: coerce only what
+        # is not one (floats, bools, numpy integers).
+        if ns.__class__ is not int:
+            ns = int(ns)
+        # bucket_index(ns), inlined — the function-call overhead would
+        # dominate — with the negative clamp folded into its exact-value
+        # branch.
+        if ns < 2 * SUBBUCKETS:
+            if ns < 0:
+                ns = 0
+            index = ns
+        else:
+            shift = ns.bit_length() - (SUBBUCKET_BITS + 1)
+            index = (((shift + 1) << SUBBUCKET_BITS)
+                     + ((ns >> shift) - SUBBUCKETS))
         if self.count == 0 or ns < self._min_ns:
             self._min_ns = ns
         if ns > self._max_ns:
             self._max_ns = ns
         self.count += 1
         self.total_ns += ns
-        # bucket_index(ns), inlined: record() is called once per
-        # simulated access and the function-call overhead dominates it.
-        if ns < 2 * SUBBUCKETS:
-            index = ns
-        else:
-            shift = ns.bit_length() - (SUBBUCKET_BITS + 1)
-            index = (((shift + 1) << SUBBUCKET_BITS)
-                     + ((ns >> shift) - SUBBUCKETS))
         buckets = self.buckets
         buckets[index] = buckets.get(index, 0) + 1
 

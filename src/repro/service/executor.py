@@ -253,8 +253,15 @@ class ShardExecutor:
         soft_pages = int(capacity * self.soft_watermark)
         hard_pages = int(capacity * self.hard_watermark)
         write = controller.write
-        read_timed = controller.read_timed
+        read_page_ns = controller.read_page_ns
         base_hits = metrics.buffer_hits
+        # Constant for the whole replay: bind once, not once per row.
+        names = self.tenant_names
+        shard = self.shard_index
+        queue_capacity = self.queue_capacity
+        batch_pages = self.batch_pages
+        stamp_payloads = self.stamp_payloads
+        throttle_penalty_ns = self.throttle_penalty_ns
 
         per_tenant = {
             name: {"rejected": 0, "rejected_queue": 0, "rejected_shed": 0,
@@ -263,8 +270,12 @@ class ShardExecutor:
                    "cache_hits": 0, "cache_misses": 0,
                    "read_latency": LatencyHistogram(),
                    "write_latency": LatencyHistogram()}
-            for name in self.tenant_names
+            for name in names
         }
+        # The same slots by tenant index, recorders pre-bound.
+        slots = [per_tenant[name] for name in names]
+        record_read = [slot["read_latency"].record for slot in slots]
+        record_write = [slot["write_latency"].record for slot in slots]
         completions: deque = deque()
         clock = 0
         rejected_queue = 0
@@ -300,12 +311,10 @@ class ShardExecutor:
         prev_copy_listener = None
         if cache is not None:
             if self.cache_tenants is None:
-                cache_ok = [not name.startswith("__")
-                            for name in self.tenant_names]
+                cache_ok = [not name.startswith("__") for name in names]
             else:
                 cache_ok = [flag and not name.startswith("__")
-                            for flag, name in zip(self.cache_tenants,
-                                                  self.tenant_names)]
+                            for flag, name in zip(self.cache_tenants, names)]
             # A cleaner relocation physically moves a page's live copy;
             # a physically tagged cache entry is stale the moment that
             # happens, so hook the store's per-page relocation callback
@@ -315,18 +324,16 @@ class ShardExecutor:
             def _on_cleaner_copy(page: int) -> None:
                 if cache.invalidate(page) and bus.active:
                     bus.mark(CACHE_INVALIDATE,
-                             {"shard": self.shard_index, "page": page,
+                             {"shard": shard, "page": page,
                               "reason": "clean"})
-
-            store.copy_listener = _on_cleaner_copy
 
         if attributing:
             wear_slots = [
                 {"flushes": 0, "induced_clean_copies": 0,
                  "flush_segments": {}, "page_writes": {},
                  "residency_ns": 0, "residency_windows": []}
-                for _ in self.tenant_names]
-            current_window = [0] * len(self.tenant_names)
+                for _ in names]
+            current_window = [0] * len(names)
 
             def accrue(now: int) -> None:
                 # Integrate per-tenant buffered-page counts over
@@ -377,16 +384,6 @@ class ShardExecutor:
                                 metrics.clean_copies - clean_before
                 return ns
 
-            # Instance attribute shadows the bound method, so the
-            # stall path inside controller.write and the background
-            # flusher both route through the attribution wrapper.
-            if getattr(controller, "_wear_wrapped", False):
-                raise RuntimeError(
-                    "controller still carries a wear-attribution hook "
-                    "from an aborted run; rebuild the shard")
-            controller._wear_wrapped = True
-            controller.flush_one = attributed_flush
-
         # --- request tracing (repro.obs.trace) ------------------------
         tracing = self.trace
         trace_rows: List[Dict] = []
@@ -394,7 +391,7 @@ class ShardExecutor:
         children: List = []
         collecting = [False]
         busy = metrics.busy_ns
-        pseudo_mask = [name.startswith("__") for name in self.tenant_names]
+        pseudo_mask = [name.startswith("__") for name in names]
         track_pseudo = tracing and any(pseudo_mask)
         #: Service footprints of pseudo-tenant (redundancy / rebuild)
         #: rows, pruned as arrivals pass them — the exact overlap of a
@@ -422,28 +419,24 @@ class ShardExecutor:
                         slot_bg[0] += 1
                         slot_bg[1] += event.dur_ns
 
-            bus.subscribe(collect)
-
         def trace_reject(rid, name, is_write, arrival, orig_arrival,
                          attempt, outcome) -> None:
             trace_rows.append({
-                "rid": rid, "shard": self.shard_index, "tenant": name,
+                "rid": rid, "shard": shard, "tenant": name,
                 "op": "write" if is_write else "read",
                 "outcome": outcome, "arrival_ns": orig_arrival,
                 "start_ns": arrival, "end_ns": arrival, "latency_ns": 0,
                 "attempts": attempt, "components": {}})
 
         def close_batch() -> None:
+            # Callers only close an open batch (batch_len > 0).
             nonlocal batches, batch_len, max_batch
-            if batch_len == 0:
-                return
             batches += 1
             if batch_len > max_batch:
                 max_batch = batch_len
             if bus.active:
                 bus.emit_span(SERVICE_BATCH, max(0, clock - batch_start_ns),
-                              {"shard": self.shard_index,
-                               "pages": batch_len})
+                              {"shard": shard, "pages": batch_len})
             batch_len = 0
 
         explicit = self.stamp_mode == "explicit"
@@ -456,248 +449,276 @@ class ShardExecutor:
         retried = 0
         index = 0
         total = len(requests)
-        while index < total or retries:
-            if retries and (index >= total
-                            or retries[0][:3] <= (requests[index][0],
-                                                  requests[index][1],
-                                                  requests[index][2])):
-                (arrival, tenant_index, seq, is_write, page, stamp,
-                 orig_arrival, attempt, rid) = heapq.heappop(retries)
-            else:
-                request = requests[index]
-                rid = rids[index] if tracing else None
-                index += 1
-                arrival, tenant_index, seq, is_write, page = request[:5]
-                stamp = request[5] if explicit else None
-                orig_arrival = arrival
-                attempt = 0
-            name = self.tenant_names[tenant_index]
-            slot = per_tenant[name]
-            while completions and completions[0] <= arrival:
-                completions.popleft()
-            if arrival > clock:
-                close_batch()
-                if attributing:
-                    # Integrate the idle gap with pre-flush ownership;
-                    # background flushes then shrink the counts for the
-                    # stretch that follows.
-                    accrue(arrival)
-                self._background(arrival - clock)
-                clock = arrival
-                if bus.active:
-                    bus.sync(clock)
-            # Bounded queue: depth counts requests still waiting or in
-            # service when this one arrives.
-            if len(completions) >= self.queue_capacity:
-                if attempt < retry_limit:
-                    due = arrival + backoff_ns * (1 << attempt)
-                    heapq.heappush(retries,
-                                   (due, tenant_index, seq, is_write,
-                                    page, stamp, orig_arrival,
-                                    attempt + 1, rid))
-                    retried += 1
-                    slot["retried"] += 1
+        # The replay's three hooks go in together and — an interrupted
+        # replay included (repro.service.chaos cuts the power on
+        # purpose) — come out together in the finally below.
+        if cache is not None:
+            store.copy_listener = _on_cleaner_copy
+        if attributing:
+            # Instance attribute shadows the bound method, so the stall
+            # path inside controller.write and the background flusher
+            # both route through the attribution wrapper.
+            controller.flush_one = attributed_flush
+        if tracing:
+            bus.subscribe(collect)
+        try:
+            while index < total or retries:
+                if retries and (index >= total
+                                or retries[0][:3] <= (requests[index][0],
+                                                      requests[index][1],
+                                                      requests[index][2])):
+                    (arrival, tenant_index, seq, is_write, page, stamp,
+                     orig_arrival, attempt, rid) = heapq.heappop(retries)
+                else:
+                    request = requests[index]
+                    rid = rids[index] if tracing else None
+                    index += 1
+                    arrival, tenant_index, seq, is_write, page = request[:5]
+                    stamp = request[5] if explicit else None
+                    orig_arrival = arrival
+                    attempt = 0
+                name = names[tenant_index]
+                slot = slots[tenant_index]
+                while completions and completions[0] <= arrival:
+                    completions.popleft()
+                if arrival > clock:
+                    if batch_len:
+                        close_batch()
+                    if attributing:
+                        # Integrate the idle gap with pre-flush ownership;
+                        # background flushes then shrink the counts for
+                        # the stretch that follows.
+                        accrue(arrival)
+                    gap = arrival - clock
+                    overdraft = self._overdraft_ns
+                    if overdraft >= gap:
+                        # The whole gap goes to the flush chain already
+                        # in flight; nothing new can start.
+                        self._overdraft_ns = overdraft - gap
+                    elif overdraft or buffer.over_threshold:
+                        self._background(gap)
+                    clock = arrival
                     if bus.active:
-                        bus.mark(SERVICE_RETRY,
-                                 {"shard": self.shard_index,
-                                  "tenant": name,
-                                  "attempt": attempt + 1})
-                    continue
-                slot["rejected"] += 1
-                slot["rejected_queue"] += 1
-                rejected_queue += 1
-                if bus.active:
-                    bus.mark(SERVICE_REJECT,
-                             {"shard": self.shard_index, "tenant": name,
-                              "reason": "queue_full"})
-                if tracing:
-                    trace_reject(rid, name, is_write, arrival,
-                                 orig_arrival, attempt, "rejected_queue")
-                continue
-            # Wear budget: a tenant that has already spent its per-page
-            # write allowance gets this write rejected before it can
-            # touch SRAM, let alone Flash.
-            if is_write and budgets is not None:
-                budget = budgets[tenant_index]
-                if (budget is not None
-                        and budget_writes[tenant_index].get(page, 0)
-                        >= budget):
-                    slot["rejected_wear"] += 1
-                    rejected_wear += 1
-                    if bus.active:
-                        bus.mark(SERVICE_REJECT,
-                                 {"shard": self.shard_index, "tenant": name,
-                                  "reason": "wear_budget"})
-                    if tracing:
-                        trace_reject(rid, name, is_write, arrival,
-                                     orig_arrival, attempt,
-                                     "rejected_wear")
-                    continue
-            delay = 0
-            if is_write:
-                occupancy = len(buffer)
-                if occupancy >= hard_pages:
-                    # Cleaner debt at the hard watermark: shed the write.
+                        bus.sync(clock)
+                # Bounded queue: depth counts requests still waiting or in
+                # service when this one arrives.
+                if len(completions) >= queue_capacity:
+                    if attempt < retry_limit:
+                        due = arrival + backoff_ns * (1 << attempt)
+                        heapq.heappush(retries,
+                                       (due, tenant_index, seq, is_write,
+                                        page, stamp, orig_arrival,
+                                        attempt + 1, rid))
+                        retried += 1
+                        slot["retried"] += 1
+                        if bus.active:
+                            bus.mark(SERVICE_RETRY,
+                                     {"shard": shard, "tenant": name,
+                                      "attempt": attempt + 1})
+                        continue
                     slot["rejected"] += 1
-                    slot["rejected_shed"] += 1
-                    rejected_shed += 1
+                    slot["rejected_queue"] += 1
+                    rejected_queue += 1
                     if bus.active:
                         bus.mark(SERVICE_REJECT,
-                                 {"shard": self.shard_index, "tenant": name,
-                                  "reason": "cleaner_behind"})
+                                 {"shard": shard, "tenant": name,
+                                  "reason": "queue_full"})
                     if tracing:
                         trace_reject(rid, name, is_write, arrival,
                                      orig_arrival, attempt,
-                                     "rejected_shed")
+                                     "rejected_queue")
                     continue
-                if occupancy >= soft_pages:
-                    delay = self.throttle_penalty_ns
-                    slot["delayed"] += 1
-                    if bus.active:
-                        bus.mark(SERVICE_THROTTLE,
-                                 {"shard": self.shard_index, "tenant": name,
-                                  "delay_ns": delay})
-            if batch_len == 0:
-                batch_start_ns = clock
-            address = page * page_bytes
-            if tracing:
-                # Critical-path capture: snapshot the controller's busy
-                # buckets and the overdraft ledger around the access so
-                # every stalled nanosecond lands in exactly one
-                # component (see repro.obs.trace).
-                service_t0 = clock
-                wait_ns = clock - arrival
-                red_wait = 0
-                if track_pseudo and not pseudo_mask[tenant_index]:
-                    while pseudo_busy and pseudo_busy[0][1] <= arrival:
-                        pseudo_busy.popleft()
-                    for p_start, p_end in pseudo_busy:
-                        red_wait += p_end - max(p_start, arrival)
-                flush0 = busy.get("flush", 0)
-                clean0 = busy.get("clean", 0)
-                erase0 = busy.get("erase", 0)
-                retry0 = busy.get("retry", 0)
-                ckpt0 = busy.get("checkpoint", 0)
-                overdraft0 = self._overdraft_ns
-            clock += delay
-            if tracing:
-                collecting[0] = True
-                bus.sync(clock)
-            if attributing:
-                accrue(clock)
-            if is_write:
-                flushes_before = metrics.flushes
-                if self.stamp_payloads:
-                    if stamp is not None:
-                        payload = stamp.to_bytes(_WORD, "little")
-                    else:
-                        self._stamp += 1
-                        payload = self._stamp.to_bytes(_WORD, "little")
-                else:
-                    payload = _WORD_PAYLOAD
-                ns = write(address, payload)
-                if metrics.flushes != flushes_before:
-                    # The write stalled on a flush; it also waited for
-                    # the background operation already in flight.
-                    ns += self._overdraft_ns
-                    self._overdraft_ns = 0
-                clock += ns
-                slot["writes"] += 1
-                slot["write_latency"].record(clock - orig_arrival)
-                if cache is not None and cache.invalidate(page):
-                    # The write supersedes the cached copy (the live
-                    # version now sits in SRAM / a fresh Flash slot).
-                    if bus.active:
-                        bus.mark(CACHE_INVALIDATE,
-                                 {"shard": self.shard_index, "page": page,
-                                  "reason": "write"})
-                if budgets is not None:
-                    counts = budget_writes.get(tenant_index)
-                    if counts is not None:
-                        counts[page] = counts.get(page, 0) + 1
+                # Wear budget: a tenant that has already spent its per-page
+                # write allowance gets this write rejected before it can
+                # touch SRAM, let alone Flash.
+                if is_write and budgets is not None:
+                    budget = budgets[tenant_index]
+                    if (budget is not None
+                            and budget_writes[tenant_index].get(page, 0)
+                            >= budget):
+                        slot["rejected_wear"] += 1
+                        rejected_wear += 1
+                        if bus.active:
+                            bus.mark(SERVICE_REJECT,
+                                     {"shard": shard, "tenant": name,
+                                      "reason": "wear_budget"})
+                        if tracing:
+                            trace_reject(rid, name, is_write, arrival,
+                                         orig_arrival, attempt,
+                                         "rejected_wear")
+                        continue
+                delay = 0
+                if is_write:
+                    occupancy = len(buffer)
+                    if occupancy >= hard_pages:
+                        # Cleaner debt at the hard watermark: shed the
+                        # write.
+                        slot["rejected"] += 1
+                        slot["rejected_shed"] += 1
+                        rejected_shed += 1
+                        if bus.active:
+                            bus.mark(SERVICE_REJECT,
+                                     {"shard": shard, "tenant": name,
+                                      "reason": "cleaner_behind"})
+                        if tracing:
+                            trace_reject(rid, name, is_write, arrival,
+                                         orig_arrival, attempt,
+                                         "rejected_shed")
+                        continue
+                    if occupancy >= soft_pages:
+                        delay = throttle_penalty_ns
+                        slot["delayed"] += 1
+                        if bus.active:
+                            bus.mark(SERVICE_THROTTLE,
+                                     {"shard": shard, "tenant": name,
+                                      "delay_ns": delay})
+                if batch_len == 0:
+                    batch_start_ns = clock
+                if tracing:
+                    # Critical-path capture: snapshot the controller's
+                    # busy buckets and the overdraft ledger around the
+                    # access so every stalled nanosecond lands in exactly
+                    # one component (see repro.obs.trace).
+                    service_t0 = clock
+                    wait_ns = clock - arrival
+                    red_wait = 0
+                    if track_pseudo and not pseudo_mask[tenant_index]:
+                        while pseudo_busy and pseudo_busy[0][1] <= arrival:
+                            pseudo_busy.popleft()
+                        for p_start, p_end in pseudo_busy:
+                            red_wait += p_end - max(p_start, arrival)
+                    flush0 = busy.get("flush", 0)
+                    clean0 = busy.get("clean", 0)
+                    erase0 = busy.get("erase", 0)
+                    retry0 = busy.get("retry", 0)
+                    ckpt0 = busy.get("checkpoint", 0)
+                    overdraft0 = self._overdraft_ns
+                clock += delay
+                if tracing:
+                    collecting[0] = True
+                    bus.sync(clock)
                 if attributing:
-                    if page in buffer:
-                        prev = buffer_owner.get(page)
-                        if prev != tenant_index:
-                            if prev is not None:
-                                owner_count[prev] -= 1
-                                if not owner_count[prev]:
-                                    del owner_count[prev]
-                            buffer_owner[page] = tenant_index
-                            owner_count[tenant_index] = \
-                                owner_count.get(tenant_index, 0) + 1
-                    writes_map = wear_slots[tenant_index]["page_writes"]
-                    writes_map[page] = writes_map.get(page, 0) + 1
-            else:
-                if cache_ok is not None and cache_ok[tenant_index]:
-                    if cache.lookup(page) is not None:
-                        # DRAM hit: served host-side, never crosses the
-                        # eNVy bus or touches the array.
-                        ns = hit_ns
-                        slot["cache_hits"] += 1
-                        if bus.active:
-                            bus.mark(CACHE_HIT,
-                                     {"shard": self.shard_index,
-                                      "tenant": name, "page": page})
+                    accrue(clock)
+                if is_write:
+                    flushes_before = metrics.flushes
+                    if stamp_payloads:
+                        if stamp is not None:
+                            payload = stamp.to_bytes(_WORD, "little")
+                        else:
+                            self._stamp += 1
+                            payload = self._stamp.to_bytes(_WORD, "little")
                     else:
-                        _, ns = read_timed(address, _WORD)
-                        slot["cache_misses"] += 1
-                        victim = cache.admit(page, tenant_index)
+                        payload = _WORD_PAYLOAD
+                    ns = write(page * page_bytes, payload)
+                    if metrics.flushes != flushes_before:
+                        # The write stalled on a flush; it also waited for
+                        # the background operation already in flight.
+                        ns += self._overdraft_ns
+                        self._overdraft_ns = 0
+                    clock += ns
+                    slot["writes"] += 1
+                    record_write[tenant_index](clock - orig_arrival)
+                    if cache is not None and cache.invalidate(page):
+                        # The write supersedes the cached copy (the live
+                        # version now sits in SRAM / a fresh Flash slot).
                         if bus.active:
-                            bus.mark(CACHE_MISS,
-                                     {"shard": self.shard_index,
-                                      "tenant": name, "page": page})
-                            if victim is not None:
-                                bus.mark(CACHE_EVICT,
-                                         {"shard": self.shard_index,
-                                          "page": victim})
+                            bus.mark(CACHE_INVALIDATE,
+                                     {"shard": shard, "page": page,
+                                      "reason": "write"})
+                    if budgets is not None:
+                        counts = budget_writes.get(tenant_index)
+                        if counts is not None:
+                            counts[page] = counts.get(page, 0) + 1
+                    if attributing:
+                        if page in buffer:
+                            prev = buffer_owner.get(page)
+                            if prev != tenant_index:
+                                if prev is not None:
+                                    owner_count[prev] -= 1
+                                    if not owner_count[prev]:
+                                        del owner_count[prev]
+                                buffer_owner[page] = tenant_index
+                                owner_count[tenant_index] = \
+                                    owner_count.get(tenant_index, 0) + 1
+                        writes_map = wear_slots[tenant_index]["page_writes"]
+                        writes_map[page] = writes_map.get(page, 0) + 1
                 else:
-                    _, ns = read_timed(address, _WORD)
-                clock += ns
-                slot["reads"] += 1
-                slot["read_latency"].record(clock - orig_arrival)
-            if tracing:
-                collecting[0] = False
-                d_flush = busy.get("flush", 0) - flush0
-                d_clean = busy.get("clean", 0) - clean0
-                d_erase = busy.get("erase", 0) - erase0
-                d_retry = busy.get("retry", 0) - retry0
-                d_ckpt = busy.get("checkpoint", 0) - ckpt0
-                overdraft_paid = overdraft0 - self._overdraft_ns
-                stall = d_flush + d_clean + d_erase + d_retry + d_ckpt
-                op = "write" if is_write else "read"
-                components = {
-                    "queue": wait_ns - red_wait,
-                    "redundancy": red_wait,
-                    "retry_wait": arrival - orig_arrival,
-                    "throttle": delay,
-                    "flush_stall": d_flush + d_ckpt + overdraft_paid,
-                    "clean_stall": d_clean + d_erase,
-                    "fault_retry": d_retry,
-                    "service": (clock - service_t0) - delay
-                               - overdraft_paid - stall,
-                }
-                trace_rows.append({
-                    "rid": rid, "shard": self.shard_index,
-                    "tenant": name, "op": op, "outcome": "served",
-                    "arrival_ns": orig_arrival,
-                    "start_ns": service_t0, "end_ns": clock,
-                    "latency_ns": clock - orig_arrival,
-                    "attempts": attempt, "components": components,
-                    "children": list(children)})
-                children.clear()
-                bus.emit(ObsEvent(
-                    SERVICE_REQUEST, service_t0, clock - service_t0,
-                    {"rid": rid, "tenant": name,
-                     "shard": self.shard_index, "op": op,
-                     **components}))
-                if track_pseudo and pseudo_mask[tenant_index]:
-                    pseudo_busy.append((service_t0, clock))
-            completions.append(clock)
-            batch_len += 1
-            if batch_len >= self.batch_pages:
+                    if cache_ok is not None and cache_ok[tenant_index]:
+                        if cache.lookup(page) is not None:
+                            # DRAM hit: served host-side, never crosses
+                            # the eNVy bus or touches the array.
+                            ns = hit_ns
+                            slot["cache_hits"] += 1
+                            if bus.active:
+                                bus.mark(CACHE_HIT,
+                                         {"shard": shard, "tenant": name,
+                                          "page": page})
+                        else:
+                            ns = read_page_ns(page)
+                            slot["cache_misses"] += 1
+                            victim = cache.admit(page, tenant_index)
+                            if bus.active:
+                                bus.mark(CACHE_MISS,
+                                         {"shard": shard, "tenant": name,
+                                          "page": page})
+                                if victim is not None:
+                                    bus.mark(CACHE_EVICT,
+                                             {"shard": shard,
+                                              "page": victim})
+                    else:
+                        ns = read_page_ns(page)
+                    clock += ns
+                    slot["reads"] += 1
+                    record_read[tenant_index](clock - orig_arrival)
+                if tracing:
+                    collecting[0] = False
+                    d_flush = busy.get("flush", 0) - flush0
+                    d_clean = busy.get("clean", 0) - clean0
+                    d_erase = busy.get("erase", 0) - erase0
+                    d_retry = busy.get("retry", 0) - retry0
+                    d_ckpt = busy.get("checkpoint", 0) - ckpt0
+                    overdraft_paid = overdraft0 - self._overdraft_ns
+                    stall = d_flush + d_clean + d_erase + d_retry + d_ckpt
+                    op = "write" if is_write else "read"
+                    components = {
+                        "queue": wait_ns - red_wait,
+                        "redundancy": red_wait,
+                        "retry_wait": arrival - orig_arrival,
+                        "throttle": delay,
+                        "flush_stall": d_flush + d_ckpt + overdraft_paid,
+                        "clean_stall": d_clean + d_erase,
+                        "fault_retry": d_retry,
+                        "service": (clock - service_t0) - delay
+                                   - overdraft_paid - stall,
+                    }
+                    trace_rows.append({
+                        "rid": rid, "shard": shard,
+                        "tenant": name, "op": op, "outcome": "served",
+                        "arrival_ns": orig_arrival,
+                        "start_ns": service_t0, "end_ns": clock,
+                        "latency_ns": clock - orig_arrival,
+                        "attempts": attempt, "components": components,
+                        "children": list(children)})
+                    children.clear()
+                    bus.emit(ObsEvent(
+                        SERVICE_REQUEST, service_t0, clock - service_t0,
+                        {"rid": rid, "tenant": name, "shard": shard,
+                         "op": op, **components}))
+                    if track_pseudo and pseudo_mask[tenant_index]:
+                        pseudo_busy.append((service_t0, clock))
+                completions.append(clock)
+                batch_len += 1
+                if batch_len >= batch_pages:
+                    close_batch()
+            if batch_len:
                 close_batch()
-        close_batch()
+        finally:
+            if cache is not None:
+                store.copy_listener = prev_copy_listener
+            if attributing:
+                del controller.flush_one  # restore the bound method
+            if tracing:
+                bus.unsubscribe(collect)
 
         if attributing:
             accrue(clock)
@@ -707,19 +728,14 @@ class ShardExecutor:
                 for t_index, slot_wear in enumerate(wear_slots):
                     slot_wear["residency_windows"].append(
                         current_window[t_index])
-            del controller.flush_one  # restore the bound method
-            controller._wear_wrapped = False
-            for t_index, name in enumerate(self.tenant_names):
-                per_tenant[name]["wear"] = wear_slots[t_index]
-
-        if cache is not None:
-            store.copy_listener = prev_copy_listener
+            for slot, slot_wear in zip(slots, wear_slots):
+                slot["wear"] = slot_wear
 
         for slot in per_tenant.values():
             slot["read_latency"] = slot["read_latency"].state_dict()
             slot["write_latency"] = slot["write_latency"].state_dict()
         result = {
-            "shard": self.shard_index,
+            "shard": shard,
             "clock_ns": clock,
             "tenants": per_tenant,
             "rejected_queue": rejected_queue,
@@ -741,7 +757,6 @@ class ShardExecutor:
             result["segment_programs"] = segment_programs
             result["buffer_capacity_pages"] = capacity
         if tracing:
-            bus.unsubscribe(collect)
             result["trace"] = {"rows": trace_rows,
                                "background": background_spans}
         return result

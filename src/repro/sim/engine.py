@@ -210,7 +210,9 @@ class TimedSimulator:
         metrics = controller.metrics
         busy_ns = metrics.busy_ns
         write = controller.write
-        read_timed = controller.read_timed
+        read_page_ns = controller.read_page_ns
+        page_bytes = controller.config.page_bytes
+        last_word = page_bytes - _WORD
         record_read = stats.read_latency.record if stats is not None else None
         record_write = (stats.write_latency.record if stats is not None
                         else None)
@@ -248,7 +250,13 @@ class TimedSimulator:
                     if ns > 1000:
                         stats.host_stall_ns += ns
             else:
-                _, ns = read_timed(address, 8)
+                page, offset = divmod(address, page_bytes)
+                if offset <= last_word:
+                    ns = read_page_ns(page)
+                else:
+                    # The word straddles a page boundary (TPC-A's
+                    # 100-byte records do): both pages are charged.
+                    ns = controller.read_timed(address, _WORD)[1]
                 total = wait + ns
                 if record_read is not None:
                     record_read(total)
@@ -256,7 +264,8 @@ class TimedSimulator:
         return clock
 
 
-_WORD_PAYLOAD = b"\x00" * 8
+_WORD = 8
+_WORD_PAYLOAD = b"\x00" * _WORD
 
 
 def build_tpca_system(num_segments: int = 128,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cleaning import make_policy
 from repro.core import EnvyConfig, EnvySystem
+from repro.obs.events import HOST_READ
 
 
 def small_system(policy="hybrid", segments=8, pages=32, **overrides):
@@ -226,3 +227,126 @@ class TestStatelessMode:
         assert ns > 0
         assert system.read(0, 4) == bytes(4)  # no payloads kept
         system.check_consistency()
+
+
+# ----------------------------------------------------------------------
+# read_page_ns: the one place a host page read is costed
+# ----------------------------------------------------------------------
+
+def reference_read_timed(system, address, length):
+    """``read_timed`` as it stood before ``read_page_ns`` existed: the
+    cost arithmetic, accounting and payload slicing in one loop.  Kept
+    here as the reference the primitive is compared against."""
+    if length < 0:
+        raise ValueError("length cannot be negative")
+    system._check_range(address, length)
+    cfg = system.config
+    page_bytes = cfg.page_bytes
+    pieces, total_ns = [], 0
+    offset, remaining = address, length
+    metrics = system.metrics
+    while remaining > 0:
+        page, page_offset = divmod(offset, page_bytes)
+        chunk = min(remaining, page_bytes - page_offset)
+        location, translate_ns = system.mmu.translate_timed(page)
+        access_ns = cfg.bus_overhead_ns + translate_ns
+        if location is not None and location.in_sram:
+            entry = system.buffer.peek(location.slot)
+            payload = entry.data if entry is not None else None
+            access_ns += cfg.sram.read_ns
+        else:
+            payload = (system.store.read_page_data(page)
+                       if system.store_data else None)
+            access_ns += system.array.read_time_ns() + system._ecc_check_ns
+        pieces.append(bytes(chunk) if payload is None
+                      else bytes(payload[page_offset:page_offset + chunk]))
+        metrics.reads += 1
+        metrics.read_latency.record(access_ns)
+        metrics.charge("read", access_ns)
+        if system.events.active:
+            system.events.emit_span(HOST_READ, access_ns, {"page": page})
+        total_ns += access_ns
+        offset += chunk
+        remaining -= chunk
+    return b"".join(pieces), total_ns
+
+
+class TestReadPageNs:
+    @staticmethod
+    def triplet(store_data):
+        """Three identically driven controllers with a 4-entry MMU (so
+        translations miss) and part of the array sitting in SRAM."""
+        systems = []
+        for _ in range(3):
+            config = EnvyConfig.small(num_segments=8, pages_per_segment=32,
+                                      cleaning_policy="hybrid")
+            system = EnvySystem(config, store_data=store_data)
+            system.mmu.capacity = 4
+            rng = random.Random(17)
+            for _ in range(400):
+                address = rng.randrange(system.size_bytes - 8)
+                system.write(address, bytes([rng.randrange(1, 256)]) * 8)
+            systems.append(system)
+        return systems
+
+    @staticmethod
+    def observed(system):
+        metrics = system.metrics
+        return (metrics.reads, metrics.read_latency.state_dict(),
+                dict(metrics.busy_ns), system.mmu.hits, system.mmu.misses)
+
+    @pytest.mark.parametrize("store_data", [True, False])
+    def test_matches_reference_read_timed(self, store_data):
+        reference, rewritten, paged = self.triplet(store_data)
+        logs = []
+        for system in (reference, rewritten, paged):
+            log = []
+            system.events.subscribe(
+                lambda event, log=log: log.append(
+                    (event.kind, event.t_ns, event.dur_ns,
+                     dict(event.data))),
+                prefix=HOST_READ)
+            logs.append(log)
+        assert any(page in reference.buffer for page in range(8 * 32))
+        page_bytes = reference.config.page_bytes
+        size = reference.size_bytes
+        rng = random.Random(29)
+        cases = [(0, 0), (size, 0), (size - 1, 1), (size - 8, 8),
+                 (page_bytes - 3, 8), (page_bytes - 8, 8), (5, 0),
+                 (page_bytes - 1, 2 * page_bytes + 2)]
+        for _ in range(300):
+            address = rng.randrange(size)
+            length = rng.choice((0, 1, 8, 8, 8, 100, page_bytes,
+                                 3 * page_bytes))
+            cases.append((address, min(length, size - address)))
+        for address, length in cases:
+            expected, expected_ns = reference_read_timed(reference, address,
+                                                         length)
+            data, ns = rewritten.read_timed(address, length)
+            assert (data, ns) == (expected, expected_ns)
+            first = address // page_bytes
+            last = (address + length - 1) // page_bytes
+            paged_ns = sum(paged.read_page_ns(page)
+                           for page in range(first, last + 1)) \
+                if length else 0
+            assert paged_ns == expected_ns
+        assert reference.metrics.reads > len(cases)   # straddles counted
+        assert reference.mmu.misses > 100
+        assert self.observed(rewritten) == self.observed(reference)
+        assert self.observed(paged) == self.observed(reference)
+        assert logs[0] and logs[1] == logs[0] and logs[2] == logs[0]
+
+    def test_page_range_checked(self, system):
+        num_pages = system.config.logical_pages
+        assert system.read_page_ns(num_pages - 1) > 0
+        for page in (-1, num_pages):
+            with pytest.raises(IndexError):
+                system.read_page_ns(page)
+        assert system.metrics.reads == 1
+
+    def test_read_timed_checks_before_accounting(self, system):
+        with pytest.raises(ValueError):
+            system.read_timed(0, -1)
+        with pytest.raises(IndexError):
+            system.read_timed(system.size_bytes - 4, 8)
+        assert system.metrics.reads == 0

@@ -88,6 +88,41 @@ class TestBTreeGeometry:
         geometry = BTreeGeometry(0, 5000, 32)
         assert geometry.child_slot(37, geometry.depth - 1) == 37 % 32
 
+    def test_cached_depth_and_level_bases_match_the_sums(self):
+        # depth and the level bases are derived once per (frozen)
+        # instance; they must equal the sums they replaced.
+        for keys, fanout, base in [(1, 32, 0), (20, 32, 64), (1000, 32, 0),
+                                   (5000, 32, 4096), (33, 2, 8),
+                                   (15_500_000, 32, 1 << 20)]:
+            geometry = BTreeGeometry(base, keys, fanout)
+            levels, capacity = 1, fanout
+            while capacity < keys:
+                capacity *= fanout
+                levels += 1
+            assert geometry.depth == levels
+            for level in range(levels + 1):
+                nodes = sum(geometry.nodes_in_level(l)
+                            for l in range(level))
+                assert geometry.level_base(level) == \
+                    base + nodes * geometry.node_bytes
+            assert geometry.level_base(levels) == \
+                base + geometry.total_bytes
+            for level in (-1, levels + 1):
+                with pytest.raises(IndexError):
+                    geometry.level_base(level)
+
+    def test_caches_do_not_leak_into_identity(self):
+        import dataclasses
+
+        warm = BTreeGeometry(0, 5000, 32)
+        warm.search_path(1234)            # fills the caches
+        cold = BTreeGeometry(0, 5000, 32)
+        assert warm == cold and hash(warm) == hash(cold)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.num_keys = 10
+        moved = dataclasses.replace(warm, base_address=4096, num_keys=20)
+        assert moved.depth == 1 and moved.level_base(0) == 4096
+
     def test_probe_offsets_bisect(self):
         addresses = BTreeGeometry.probe_offsets(0, 5, 32)
         # log2(32) = 5 probes, all inside the entry area.

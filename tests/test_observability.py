@@ -9,6 +9,8 @@ simulated results as an uninstrumented one.
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import EnvyConfig, EnvySystem
 from repro.core.metrics import ControllerMetrics, LatencyStat
@@ -53,6 +55,23 @@ class TestBuckets:
             low, high = bucket_bounds(index)
             assert low == prev_high + 1
             prev_high = high
+
+
+def reference_record(samples):
+    """What ``LatencyHistogram.record`` must leave behind, written the
+    slow, obvious way: coerce, clamp, then count the sample's bucket."""
+    state = {"count": 0, "total_ns": 0, "min_ns": 0, "max_ns": 0,
+             "buckets": {}}
+    for sample in samples:
+        ns = max(0, int(sample))
+        if state["count"] == 0 or ns < state["min_ns"]:
+            state["min_ns"] = ns
+        state["max_ns"] = max(state["max_ns"], ns)
+        state["count"] += 1
+        state["total_ns"] += ns
+        index = bucket_index(ns)
+        state["buckets"][index] = state["buckets"].get(index, 0) + 1
+    return state
 
 
 class TestHistogram:
@@ -121,6 +140,35 @@ class TestHistogram:
         hist = LatencyHistogram()
         hist.record(-5)
         assert hist.min_ns == 0
+
+    def test_record_coerces_what_is_not_an_int(self):
+        # record() skips int() for plain ints only; everything else is
+        # still truncated and clamped as before.
+        np = pytest.importorskip("numpy")
+        for sample, stored in [(2.9, 2), (-0.5, 0), (-7, 0), (True, 1),
+                               (False, 0), (np.int64(52_000_000),
+                                            52_000_000),
+                               (np.int32(-3), 0), (np.uint8(31), 31),
+                               (1e6, 1_000_000)]:
+            hist = LatencyHistogram()
+            hist.record(sample)
+            assert hist.state_dict() == reference_record([sample])
+            assert (hist.min_ns, hist.max_ns, hist.total_ns) == \
+                (stored, stored, stored)
+            assert type(hist.total_ns) is int
+            assert all(type(key) is int for key in hist.buckets)
+        with pytest.raises(ValueError):
+            LatencyHistogram().record(float("nan"))
+
+    @given(st.lists(st.one_of(
+        st.integers(min_value=-(1 << 20), max_value=1 << 62),
+        st.floats(min_value=-1e6, max_value=1e15, allow_nan=False),
+        st.booleans()), max_size=60))
+    def test_record_equals_reference_record(self, samples):
+        hist = LatencyHistogram()
+        for sample in samples:
+            hist.record(sample)
+        assert hist.state_dict() == reference_record(samples)
 
     def test_latencystat_is_histogram(self):
         # The compat shim: old call sites keep working, gain percentiles.

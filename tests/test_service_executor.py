@@ -1,0 +1,188 @@
+"""ShardExecutor.run: pinned replays and hook hygiene.
+
+``TestPinnedReplay`` holds one sha256 per executor feature set, taken
+over the full result dict plus the controller state the replay leaves
+behind.  The digests were **recorded at the commit before the replay
+loop was rewritten** (page-granular reads, hoisted per-run constants,
+inline overdraft path) — they pin that rewrite to the old loop's
+behaviour and are never regenerated.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from repro.core.chaos import KillSwitch
+from repro.core.config import EnvyConfig
+from repro.core.controller import EnvyController
+from repro.core.recovery import SimulatedPowerFailure
+from repro.service.executor import ShardExecutor, prewarm_shard
+
+TENANTS = ["alpha", "beta", "gamma"]
+
+
+def make_controller(store_data=False):
+    config = EnvyConfig.scaled(num_segments=8, pages_per_segment=32)
+    controller = EnvyController(config, store_data=store_data)
+    prewarm_shard(controller, 2.0, seed=11)
+    return controller
+
+
+def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45,
+                stamped=False):
+    """Bursts, short gaps and long idle gaps over a hot/cold page mix.
+
+    Bursts overrun a shallow queue, sustained writes push the buffer
+    through both watermarks, long gaps let the flusher run (and overdraw
+    its budget), and the hot set keeps coalescing and wear caps busy.
+    """
+    rng = random.Random(seed)
+    out = []
+    seqs = [0] * tenants
+    now = 0
+    for _ in range(rows):
+        shape = rng.random()
+        if shape < 0.60:
+            now += rng.randrange(0, 120)
+        elif shape < 0.93:
+            now += rng.randrange(200, 4000)
+        else:
+            now += rng.randrange(8000, 90000)
+        tenant = rng.randrange(tenants)
+        page = (rng.randrange(12) if rng.random() < 0.5
+                else rng.randrange(pages))
+        is_write = rng.random() < write_share
+        row = (now, tenant, seqs[tenant], is_write, page)
+        if stamped:
+            row += (rng.randrange(1, 1 << 40),)
+        seqs[tenant] += 1
+        out.append(row)
+    return out
+
+
+def replay_digest(executor, requests, rids=None):
+    """sha256 over the result dict and the state the replay leaves."""
+    result = executor.run(requests, rids=rids)
+    controller = executor.controller
+    state = {
+        "result": result,
+        "metrics": controller.metrics.state_dict(),
+        "mmu": [controller.mmu.hits, controller.mmu.misses],
+        "buffered": len(controller.buffer),
+        "overdraft_ns": executor._overdraft_ns,
+        "stamp": executor._stamp,
+    }
+    blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: name -> (executor kwargs, slice kwargs, tenant names, store_data)
+FEATURE_SETS = {
+    "plain": ({}, {}, TENANTS, False),
+    "cache_caps": (
+        {"cache_pages": 24, "cache_tenants": [True, True, False],
+         "cache_tenant_caps": [6, None, None]},
+        {"write_share": 0.2}, TENANTS, False),
+    "retry_queue4": (
+        {"queue_capacity": 4, "retry_limit": 2, "retry_backoff_ns": 700},
+        {}, TENANTS, False),
+    "wear_budgets": (
+        {"wear_budgets": [3, None, 40]}, {}, TENANTS, False),
+    "attribute_wear": (
+        {"attribute_wear": True, "attribution_window_ns": 20_000},
+        {}, TENANTS, False),
+    "trace_pseudo": (
+        {"trace": True, "queue_capacity": 6},
+        {"tenants": 4}, TENANTS + ["__redundancy__"], False),
+    "stamp_explicit": (
+        {"stamp_payloads": True, "stamp_mode": "explicit"},
+        {"stamped": True}, TENANTS, True),
+}
+
+#: Recorded at the parent commit of the replay-loop rewrite.  Never
+#: regenerate: a mismatch means the replay changed behaviour.
+PINNED = {
+    "attribute_wear":
+        "5a546fe5d315a5329fbe0624e743ba1cb74141b7f238fd24889d1449b8e6f47c",
+    "cache_caps":
+        "6c5aa4b6ab230e3ff20eb3134c54864e24c059e6550f3d5ce9c3d654e83b6ad4",
+    "plain":
+        "aac472bb4b1ae112fb0cfdd97ac42ced36d8f478a8931f0f12c574a1463180ec",
+    "retry_queue4":
+        "97c2fb43f180a98e42af281101490d5af73c7c8497c33e6e90b87dc075424634",
+    "stamp_explicit":
+        "efbf820ea604459560b6c18e2d071709bc880f333fb2452a15ea96865e8b4f21",
+    "trace_pseudo":
+        "25753cb3ffba17bbd7a275efabf7c09b5eeab423282df1f5c0f3e6ed3c6f3616",
+    "wear_budgets":
+        "c27eb215dc786646a50d19668eaa449c948aafad48bbf77aca76e5454ca712bc",
+}
+
+
+def feature_replay(name):
+    """The pinned (executor, slice) of one feature set."""
+    kwargs, slice_kwargs, names, store_data = FEATURE_SETS[name]
+    executor = ShardExecutor(make_controller(store_data), 3,
+                             tenant_names=names, **kwargs)
+    return executor, mixed_slice(20260928, **slice_kwargs)
+
+
+class TestPinnedReplay:
+    @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
+    def test_result_matches_parent_commit(self, name):
+        executor, requests = feature_replay(name)
+        rids = None
+        if executor.trace:
+            rids = [7 * i + 1 for i in range(len(requests))]
+        assert replay_digest(executor, requests, rids) == PINNED[name]
+
+    def test_slices_exercise_what_they_pin(self):
+        """The pinned slices are not vacuous: each reaches its feature."""
+        def run(name):
+            executor, requests = feature_replay(name)
+            return executor.run(requests)
+
+        plain = run("plain")
+        assert plain["flushes"] and plain["clean_copies"] and plain["erases"]
+        assert plain["coalesced_writes"] and plain["batches"] > 10
+        assert any(t["delayed"] for t in plain["tenants"].values())
+        cached = run("cache_caps")
+        assert cached["cache"]["hits"] and cached["cache"]["evictions"]
+        assert cached["cache"]["invalidations"]
+        retried = run("retry_queue4")
+        assert retried["retried"] and retried["rejected_queue"]
+        assert run("wear_budgets")["rejected_wear"]
+        attributed = run("attribute_wear")
+        assert attributed["segment_programs"]
+        assert attributed["tenants"]["alpha"]["wear"]["flushes"]
+        traced = run("trace_pseudo")
+        assert traced["trace"]["background"]
+        assert any(row["components"].get("redundancy")
+                   for row in traced["trace"]["rows"])
+
+
+class TestInterruptedReplay:
+    """A replay cut short by a power failure must not leak its hooks."""
+
+    def test_power_failure_restores_all_three_hooks(self):
+        controller = make_controller(store_data=True)
+        store, bus = controller.store, controller.events
+        listener_before = store.copy_listener
+        kwargs = {"cache_pages": 16, "attribute_wear": True, "trace": True}
+        requests = mixed_slice(5, rows=1200, write_share=0.8)
+        switch = KillSwitch(controller.array, kill_at=40)
+        with pytest.raises(SimulatedPowerFailure):
+            ShardExecutor(controller, 0, tenant_names=TENANTS,
+                          **kwargs).run(requests)
+        switch.detach()
+        assert store.copy_listener is listener_before
+        assert "flush_one" not in controller.__dict__
+        assert bus.subscriber_count() == 0 and not bus.active
+        # A second attributed executor is not refused by a stale hook.
+        try:
+            ShardExecutor(controller, 0, tenant_names=TENANTS,
+                          **kwargs).run(requests[:50])
+        except RuntimeError as exc:  # pragma: no cover - the regression
+            pytest.fail(f"stale hook survived the interrupted run: {exc}")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import build_tpca_system, simulate_tpca
+from repro.sim.tracker import SimStats
 
 # Small, fast configuration shared by most tests.
 FAST = dict(num_segments=32, pages_per_segment=256, duration_s=0.05,
@@ -125,3 +126,28 @@ class TestSimulatorMechanics:
         simulator.prewarm(2)
         simulator.run(0.02)
         simulator.controller.store.check_invariants()
+
+    def test_word_read_across_a_page_boundary_charges_both_pages(self):
+        # TPC-A's 100-byte records straddle 256-byte pages, so _execute
+        # must cost two page reads for such a word, not one.
+        simulator = build_tpca_system(num_segments=32,
+                                      pages_per_segment=256)
+        controller = simulator.controller
+        page_bytes = controller.config.page_bytes
+
+        class OneTransaction:
+            def __init__(self, addresses):
+                self.addresses = addresses
+
+            def accesses(self, txn):
+                return [(False, address) for address in self.addresses]
+
+        aligned = [0, page_bytes - 8, 3 * page_bytes + 40]
+        straddling = [page_bytes - 7, 2 * page_bytes - 1]
+        simulator.workload = OneTransaction(aligned + straddling)
+        stats = SimStats(requested_tps=1.0)
+        clock = simulator._execute(None, 0, False, stats)
+        assert controller.metrics.reads == len(aligned) + 2 * len(straddling)
+        assert stats.read_latency.count == len(aligned) + len(straddling)
+        assert clock == controller.metrics.busy_ns["read"]
+        assert stats.read_latency.max_ns >= 2 * 160
