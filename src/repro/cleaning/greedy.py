@@ -48,9 +48,8 @@ class GreedyPolicy(CleaningPolicy):
 
     def _clean_next(self) -> None:
         store = self._store
-        # Most invalidated space == fewest live pages; the store's
-        # bucket index answers that in O(1) with the same lowest-index
-        # tie-break as the original full scan.
+        # Most invalidated space == fewest live pages, lowest index
+        # winning ties.
         best = store.min_live_position(exclude=self._active)
         if (best is None
                 or store.positions[best].live_count

@@ -112,9 +112,12 @@ class HybridPolicy(CleaningPolicy):
     # ------------------------------------------------------------------
 
     def flush(self, logical_page: int, origin: int) -> int:
-        store = self._store
-        part = self.partition_of(origin)
-        if store.positions[part.active].free_slots == 0:
+        # Once per flushed page: no property or helper calls on the way
+        # to append (``_store`` only runs, and raises, when unattached).
+        store = self.store or self._store
+        part = self.partitions[origin // self.partition_segments]
+        pos = store.positions[part.active]
+        if len(pos.slots) >= pos.capacity:
             self._clean_partition(part)
         store.append(part.active, logical_page)
         return part.active

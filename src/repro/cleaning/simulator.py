@@ -28,7 +28,8 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from itertools import repeat, starmap
+from typing import Iterable, Optional
 
 from ..workloads.base import WriteWorkload
 from .base import CleaningPolicy
@@ -86,8 +87,7 @@ class PolicySimulator:
 
     __slots__ = ("policy", "utilization", "store", "buffer_pages",
                  "buffer_policy", "_buffer", "buffer_hits", "host_writes",
-                 "leveler", "_store_buffer_page", "_policy_flush",
-                 "_maybe_level")
+                 "leveler")
 
     def __init__(self, policy: CleaningPolicy, num_segments: int = 128,
                  pages_per_segment: int = 256, utilization: float = 0.80,
@@ -132,57 +132,75 @@ class PolicySimulator:
         self.host_writes = 0
         self.leveler = (WearLeveler(wear_threshold) if wear_leveling
                         else None)
-        # Bound-method caches for the per-write hot path: the store and
-        # policy never change after construction.
-        self._store_buffer_page = self.store.buffer_page
-        self._policy_flush = self.policy.flush
-        self._maybe_level = (self.leveler.maybe_level
-                             if self.leveler is not None else None)
 
     # ------------------------------------------------------------------
 
     def write(self, logical_page: int) -> None:
         """Apply one host write (word writes collapse to page writes)."""
-        self.host_writes += 1
-        if self.buffer_pages == 0:
-            origin = self._store_buffer_page(logical_page)
-            if origin is None:
-                raise RuntimeError(
-                    f"page {logical_page} has no initial placement; "
-                    f"populate the store before writing")
-            self._policy_flush(logical_page, origin)
-            if self._maybe_level is not None:
-                self._maybe_level(self.store)
-            return
-        buffer = self._buffer
-        if logical_page in buffer:
-            # Coalesced: the page is already in SRAM; update in place.
-            self.buffer_hits += 1
-            if self.buffer_policy == "lru":
-                buffer.move_to_end(logical_page)
-            return
-        if len(buffer) >= self.buffer_pages:
-            self._flush_one()
-        origin = self._store_buffer_page(logical_page)
-        if origin is None:
-            raise RuntimeError(
-                f"page {logical_page} has no initial placement; "
-                f"populate the store before writing")
-        buffer[logical_page] = origin
+        self._replay((logical_page,))
 
-    def _flush_one(self) -> None:
-        """Flush the FIFO tail through the cleaning policy."""
+    def _replay(self, pages: Iterable[int]) -> None:
+        """Apply a stream of host writes: the one copy of the buffer
+        hit / copy-on-write / flush logic, shared by every entry point.
+
+        The wear leveler is polled after a flush only if the flush
+        erased something (or the previous poll swapped, which matters
+        when the cooldown is 0): its cooldown and the wear spread are
+        functions of erase state alone, so every skipped poll would
+        have returned False.
+        """
+        store = self.store
         buffer = self._buffer
-        page, origin = next(iter(buffer.items()))
-        del buffer[page]
-        self._policy_flush(page, origin)
-        if self._maybe_level is not None:
-            self._maybe_level(self.store)
+        capacity = self.buffer_pages
+        lru = self.buffer_policy == "lru"
+        popitem = buffer.popitem
+        copy_on_write = store.buffer_page
+        flush = self.policy.flush
+        level = self.leveler.maybe_level if self.leveler else None
+        polled_erases = -1
+        writes = hits = 0
+        try:
+            for page in pages:
+                writes += 1
+                if page in buffer:
+                    # Coalesced: already in SRAM; update in place.
+                    hits += 1
+                    if lru:
+                        buffer.move_to_end(page)
+                    continue
+                if capacity and len(buffer) >= capacity:
+                    # The FIFO tail leaves before the new page's old
+                    # copy is invalidated.
+                    victim, origin = popitem(last=False)
+                    flush(victim, origin)
+                    if level and store.erase_count != polled_erases:
+                        polled_erases = (-1 if level(store)
+                                         else store.erase_count)
+                origin = copy_on_write(page)
+                if origin is None:
+                    raise RuntimeError(
+                        f"page {page} has no initial placement; "
+                        f"populate the store before writing")
+                if capacity:
+                    buffer[page] = origin
+                    continue
+                # No SRAM buffer: the write flushes straight through.
+                flush(page, origin)
+                if level and store.erase_count != polled_erases:
+                    polled_erases = (-1 if level(store)
+                                     else store.erase_count)
+        finally:
+            self.host_writes += writes
+            self.buffer_hits += hits
 
     def drain(self) -> None:
         """Flush every buffered page (used at the end of experiments)."""
-        while self._buffer:
-            self._flush_one()
+        buffer = self._buffer
+        while buffer:
+            page, origin = buffer.popitem(last=False)
+            self.policy.flush(page, origin)
+            if self.leveler is not None:
+                self.leveler.maybe_level(self.store)
 
     # ------------------------------------------------------------------
 
@@ -197,13 +215,14 @@ class PolicySimulator:
             raise ValueError(
                 f"workload covers {workload.num_pages} pages but the "
                 f"store exposes {self.store.num_logical_pages}")
-        write = self.write
+        for name, count in (("num_writes", num_writes),
+                            ("warmup_writes", warmup_writes)):
+            if count < 0:
+                raise ValueError(f"{name} cannot be negative: {count}")
         next_page = workload.next_page
-        for _ in range(warmup_writes):
-            write(next_page())
+        self._replay(starmap(next_page, repeat((), warmup_writes)))
         self.reset_counters()
-        for _ in range(num_writes):
-            write(next_page())
+        self._replay(starmap(next_page, repeat((), num_writes)))
         return self.result(workload.label)
 
     def reset_counters(self) -> None:

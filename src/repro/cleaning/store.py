@@ -31,6 +31,7 @@ amount) callbacks so the timed simulator can charge wall-clock time.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Position", "SegmentStore", "StoreError"]
@@ -96,9 +97,21 @@ Observer = Callable[[str, int, int], None]
 #: page_location value meaning "the live copy is in the SRAM buffer".
 IN_BUFFER: Tuple[int, int] = (-1, -1)
 
+_LIVE_COUNT = attrgetter("live_count")
+
 
 class SegmentStore:
-    """N logical positions over N+1 physical segments (one spare)."""
+    """N logical positions over N+1 physical segments (one spare).
+
+    Override points: a subclass that mirrors placement onto real media
+    (:class:`repro.core.binding.BoundStore`) overrides ``_kill``,
+    ``append``, ``buffer_page``, ``pop_live``, ``receive`` and ``clean``.
+    This class and the cleaning policies reach those six only through
+    ``self``/the store, never inlined into one another: every Flash copy
+    superseded by ``append`` or ``buffer_page`` is announced by exactly
+    one ``_kill``, and every copy detached for a transfer by exactly one
+    ``pop_live``, so the mirror can invalidate the matching Flash page.
+    """
 
     def __init__(self, num_positions: int, pages_per_segment: int,
                  num_logical_pages: int,
@@ -150,20 +163,11 @@ class SegmentStore:
         #: Smoothing constant for per-position clean intervals.
         self.interval_alpha = 0.15
         # --- derived accounting, maintained incrementally --------------
-        # Running totals and a live-count bucket index make live_pages()
-        # and greedy victim selection O(1) instead of O(positions).  Any
-        # code that mutates position/physical state directly (recovery,
+        # Running totals make live_pages()/occupancy() O(1).  Any code
+        # that mutates position/physical state directly (recovery,
         # snapshot restore) must call rebuild_derived() afterwards.
         self._live_total = 0
         self._slot_total = 0
-        #: _live_buckets[k] = indices of positions with exactly k live
-        #: pages.  Greedy's victim (max dead+free = min live) is the
-        #: lowest index in the lowest occupied bucket.
-        self._live_buckets: List[set] = [set()
-                                         for _ in range(pages_per_segment + 1)]
-        self._live_buckets[0].update(range(num_positions))
-        #: Lazy floor: no occupied bucket exists below this live count.
-        self._min_live = 0
         #: Bumped whenever the active-segment membership may have
         #: changed; keys the active_phys()/wear_spread() caches.
         self._derived_version = 0
@@ -221,62 +225,27 @@ class SegmentStore:
     # Primitive operations
     # ------------------------------------------------------------------
 
-    def _live_delta(self, pos: Position, delta: int) -> None:
-        """Adjust a position's live count, keeping the bucket index and
-        running total consistent."""
-        buckets = self._live_buckets
-        live = pos.live_count
-        buckets[live].discard(pos.index)
-        live += delta
-        pos.live_count = live
-        buckets[live].add(pos.index)
-        self._live_total += delta
-        if live < self._min_live:
-            self._min_live = live
-
     def min_live_position(self, exclude: int = -1) -> Optional[int]:
         """Lowest-indexed position with the fewest live pages.
 
         This is greedy's victim: most dead+free space == fewest live
-        pages, ties broken by position index (matching the original
-        first-wins scan).  ``exclude`` skips one position (the active
-        segment).  Returns None when every position is excluded.
+        pages, ties broken by position index (``min`` keeps the first).
+        ``exclude`` skips one position (the active segment).  Returns
+        None when every position is excluded.  A plain scan: it runs
+        once per greedy clean, i.e. once per segment's worth of flushes,
+        over eNVy's few, large segments.
         """
-        buckets = self._live_buckets
-        n = len(buckets)
-        live = self._min_live
-        while live < n and not buckets[live]:
-            live += 1
-        self._min_live = min(live, n - 1) if n else 0
-        while live < n:
-            bucket = buckets[live]
-            if bucket:
-                if len(bucket) == 1 and exclude in bucket:
-                    live += 1
-                    continue
-                best = min(bucket)
-                if best == exclude:
-                    best = min(i for i in bucket if i != exclude)
-                return best
-            live += 1
-        return None
+        best = min((pos for pos in self.positions if pos.index != exclude),
+                   key=_LIVE_COUNT, default=None)
+        return None if best is None else best.index
 
     def rebuild_derived(self) -> None:
         """Recompute the incrementally maintained accounting from the
         positions.  Must be called after any direct mutation of position
         slots/live counts or the physical membership sets (recovery,
         snapshot restore)."""
-        buckets = [set() for _ in range(self.pages_per_segment + 1)]
-        live_total = 0
-        slot_total = 0
-        for pos in self.positions:
-            buckets[pos.live_count].add(pos.index)
-            live_total += pos.live_count
-            slot_total += len(pos.slots)
-        self._live_buckets = buckets
-        self._live_total = live_total
-        self._slot_total = slot_total
-        self._min_live = 0
+        self._live_total = sum(pos.live_count for pos in self.positions)
+        self._slot_total = sum(len(pos.slots) for pos in self.positions)
         self._derived_version += 1
         self._active_key = None
         self._wear_key = None
@@ -303,15 +272,19 @@ class SegmentStore:
         the cleaning cost) from cleaner-initiated copies.
         """
         pos = self.positions[pos_index]
-        if len(pos.slots) >= pos.capacity:
+        slots = pos.slots
+        slot = len(slots)
+        if slot >= pos.capacity:
             raise StoreError(f"position {pos_index} has no free slots")
-        old = self.page_location[logical_page]
+        page_location = self.page_location
+        old = page_location[logical_page]
         if old is not None and old != IN_BUFFER:
             self._kill(old)
-        pos.slots.append(logical_page)
+        page_location[logical_page] = (pos_index, slot)
+        slots.append(logical_page)
         self._slot_total += 1
-        self._live_delta(pos, 1)
-        self.page_location[logical_page] = (pos_index, len(pos.slots) - 1)
+        pos.live_count += 1
+        self._live_total += 1
         if pos.demoted:
             # A rewritten page is hot again; cancel any pending demotion.
             pos.demoted.discard(logical_page)
@@ -339,7 +312,8 @@ class SegmentStore:
         pos = self.positions[loc[0]]
         if pos.live_count <= 0:
             raise StoreError(f"negative live count in position {loc[0]}")
-        self._live_delta(pos, -1)
+        pos.live_count -= 1
+        self._live_total -= 1
 
     # ------------------------------------------------------------------
     # Cleaning
@@ -392,7 +366,8 @@ class SegmentStore:
                     f"position {pos_index} cannot absorb {len(prepend)} "
                     f"prepended pages")
             pos.slots = list(prepend) + survivors
-            self._live_delta(pos, len(prepend))
+            pos.live_count += len(prepend)
+            self._live_total += len(prepend)
             self.clean_copy_count += len(prepend)
             self.transfer_count += len(prepend)
             if self.observer is not None:
@@ -444,7 +419,8 @@ class SegmentStore:
         for slot in indices:
             page = pos.slots[slot]
             if self.page_location[page] == (pos_index, slot):
-                self._live_delta(pos, -1)
+                pos.live_count -= 1
+                self._live_total -= 1
                 self.page_location[page] = None
                 if pos.demoted:
                     pos.demoted.discard(page)
@@ -471,7 +447,8 @@ class SegmentStore:
             raise StoreError(f"position {pos_index} cannot receive: full")
         pos.slots.append(logical_page)
         self._slot_total += 1
-        self._live_delta(pos, 1)
+        pos.live_count += 1
+        self._live_total += 1
         self.page_location[logical_page] = (pos_index, len(pos.slots) - 1)
         self._notify_copies((logical_page,))
         if demote:
@@ -665,15 +642,6 @@ class SegmentStore:
                 f"actual={sum(live_seen)}")
         if self._slot_total != sum(len(p.slots) for p in self.positions):
             raise StoreError("slot total drift")
-        for live, bucket in enumerate(self._live_buckets):
-            for index in bucket:
-                if self.positions[index].live_count != live:
-                    raise StoreError(
-                        f"bucket drift: position {index} in bucket {live} "
-                        f"but live_count="
-                        f"{self.positions[index].live_count}")
-        if sum(len(b) for b in self._live_buckets) != self.num_positions:
-            raise StoreError("bucket index does not partition positions")
         phys_in_use = [p.phys for p in self.positions] + [self.spare_phys]
         if sorted(phys_in_use) != self.active_phys():
             raise StoreError("physical segment mapping is not a bijection "

@@ -44,6 +44,9 @@ class WearLeveler:
         """
         if threshold_cycles < 1:
             raise ValueError("threshold_cycles must be positive")
+        if cooldown_erases < 0:
+            raise ValueError(f"cooldown_erases cannot be negative: "
+                             f"{cooldown_erases}")
         self.threshold_cycles = threshold_cycles
         self.cooldown_erases = cooldown_erases
         self.swap_count = 0

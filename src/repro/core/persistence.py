@@ -172,7 +172,7 @@ def load_system(source: Union[str, BinaryIO]) -> EnvyController:
     for name, value in state["counters"].items():
         setattr(store, name, value)
     # Positions and counters were poked directly; refresh the store's
-    # incrementally maintained totals/bucket index and caches.
+    # incrementally maintained totals and caches.
     store.rebuild_derived()
     for segment, saved in zip(system.array.segments, state["segments"]):
         segment.states = [PageState(v) for v in saved["states"]]

@@ -13,7 +13,23 @@ import abc
 import random
 from typing import Iterator, Optional
 
-__all__ = ["WriteWorkload"]
+__all__ = ["WriteWorkload", "randbelow"]
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """Uniform integer in ``[0, n)`` for ``n >= 1``.
+
+    This is the rejection loop ``random.Random.randrange(n)`` itself runs
+    (``_randbelow_with_getrandbits``) without the argument checking in
+    front of it, so for the same generator state it consumes the same
+    bits and returns the same value; ``randrange(a, b)`` is
+    ``a + randbelow(getrandbits, b - a)``.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class WriteWorkload(abc.ABC):

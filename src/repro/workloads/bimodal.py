@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Tuple
 
-from .base import WriteWorkload
+from .base import WriteWorkload, randbelow
 
 __all__ = ["BimodalWorkload", "parse_locality"]
 
@@ -74,9 +74,11 @@ class BimodalWorkload(WriteWorkload):
 
     def next_page(self) -> int:
         rng = self.rng
+        hot_pages = self.hot_pages
         if rng.random() < self.hot_access_fraction:
-            return rng.randrange(self.hot_pages)
-        return rng.randrange(self.hot_pages, self.num_pages)
+            return randbelow(rng.getrandbits, hot_pages)
+        return hot_pages + randbelow(rng.getrandbits,
+                                     self.num_pages - hot_pages)
 
     def is_hot(self, page: int) -> bool:
         return page < self.hot_pages

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .base import WriteWorkload
+from .base import WriteWorkload, randbelow
 
 __all__ = ["UniformWorkload"]
 
@@ -14,13 +12,5 @@ class UniformWorkload(WriteWorkload):
 
     label = "uniform"
 
-    def __init__(self, num_pages: int, seed: Optional[int] = None) -> None:
-        super().__init__(num_pages, seed)
-        self._randrange = self.rng.randrange
-
     def next_page(self) -> int:
-        return self._randrange(self.num_pages)
-
-    def reset(self) -> None:
-        super().reset()
-        self._randrange = self.rng.randrange
+        return randbelow(self.rng.getrandbits, self.num_pages)

@@ -1,5 +1,8 @@
 """Behavioural tests for the four cleaning policies (Section 4)."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.cleaning import (FifoPolicy, GreedyPolicy, HybridPolicy,
@@ -269,6 +272,31 @@ class TestSimulatorBuffer:
         with pytest.raises(ValueError):
             sim.run(UniformWorkload(10), 5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_writes": -1}, {"num_writes": 5, "warmup_writes": -3}])
+    def test_negative_run_lengths_rejected(self, kwargs):
+        sim = PolicySimulator(GreedyPolicy(), num_segments=8,
+                              pages_per_segment=32)
+        workload = UniformWorkload(sim.store.num_logical_pages, seed=1)
+        with pytest.raises(ValueError, match="-[13]"):
+            sim.run(workload, **kwargs)
+        assert sim.host_writes == 0
+
+    def test_write_and_run_share_one_path(self):
+        """Page-at-a-time ``write`` and bulk ``run`` end in the same state."""
+        sims = [PolicySimulator(HybridPolicy(4), num_segments=8,
+                                pages_per_segment=32, buffer_pages=16,
+                                wear_threshold=3, layout_seed=5)
+                for _ in range(2)]
+        live = sims[0].store.num_logical_pages
+        sims[0].run(BimodalWorkload(live, seed=3), 4000)
+        stream = BimodalWorkload(live, seed=3)
+        for _ in range(4000):
+            sims[1].write(stream.next_page())
+        assert sims[0].result() == sims[1].result()
+        assert sims[0].result().wear_swaps > 0
+        assert sims[0].store.page_location == sims[1].store.page_location
+
     def test_result_fields(self):
         result = measure_cleaning_cost(GreedyPolicy(), "50/50",
                                        num_segments=8, pages_per_segment=32,
@@ -278,3 +306,113 @@ class TestSimulatorBuffer:
         assert result.flushes > 0
         assert result.write_amplification == pytest.approx(
             1 + result.cleaning_cost)
+
+
+# ----------------------------------------------------------------------
+# Pinned replay: full end state of seeded runs, recorded before the
+# write-path rewrite (PR 14's parent commit).  NEVER regenerate — a
+# mismatch means a seeded output moved.
+# ----------------------------------------------------------------------
+
+#: (policy, buffer_pages, buffer_policy, wear_leveling) -> sha256
+PINNED_DIGESTS = {
+    ("greedy", 0, "fifo", True):
+        "3bcbc0a1e7bcf7948d6f320e84edaf60330d233f0ccc63a3f20fa09a8d55a2cd",
+    ("greedy", 0, "fifo", False):
+        "664b0e220846755699648bd9dd487c78705131ae957981a494af936f96cbfe78",
+    ("greedy", 0, "lru", True):
+        "3bcbc0a1e7bcf7948d6f320e84edaf60330d233f0ccc63a3f20fa09a8d55a2cd",
+    ("greedy", 0, "lru", False):
+        "664b0e220846755699648bd9dd487c78705131ae957981a494af936f96cbfe78",
+    ("greedy", None, "fifo", True):
+        "8c2affe7a20ef1ce3358c8962e96e466fcd686cd7e8c2ca47da395d08f729ce4",
+    ("greedy", None, "fifo", False):
+        "abbe4c346c260ed74e0556cd2abde5a024529e9080eb31f3478e65b63e456af8",
+    ("greedy", None, "lru", True):
+        "25ec9b307282b20b492214b7a2319945b0ab48782e49e38104afff3744c7c478",
+    ("greedy", None, "lru", False):
+        "ddc1257302a57cd968e858eeb4b224ae3a9b0a4ad3335a1ca1072b4dfd98a97d",
+    ("fifo", 0, "fifo", True):
+        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
+    ("fifo", 0, "fifo", False):
+        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
+    ("fifo", 0, "lru", True):
+        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
+    ("fifo", 0, "lru", False):
+        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
+    ("fifo", None, "fifo", True):
+        "3861fb7e5be8c83b490caf2a066ff42dcc100850287bca20957ae8d159e7a778",
+    ("fifo", None, "fifo", False):
+        "3861fb7e5be8c83b490caf2a066ff42dcc100850287bca20957ae8d159e7a778",
+    ("fifo", None, "lru", True):
+        "5b306c0fee0a542e44cec4020fb284987979f7382ac01d06e3377802b37fc804",
+    ("fifo", None, "lru", False):
+        "5b306c0fee0a542e44cec4020fb284987979f7382ac01d06e3377802b37fc804",
+    ("locality", 0, "fifo", True):
+        "7439bb9b6dcbb45ef77a10add5c0a9824eadf2d8fd30116565c99c2fe08b5268",
+    ("locality", 0, "fifo", False):
+        "adf5d6def53a67086e013c733010c337d3ef790c26c362fa5e650b819e4e01fc",
+    ("locality", 0, "lru", True):
+        "7439bb9b6dcbb45ef77a10add5c0a9824eadf2d8fd30116565c99c2fe08b5268",
+    ("locality", 0, "lru", False):
+        "adf5d6def53a67086e013c733010c337d3ef790c26c362fa5e650b819e4e01fc",
+    ("locality", None, "fifo", True):
+        "d07030528e86da988403ae7021ae2b50333d821db192158d0e41b3ad303614e7",
+    ("locality", None, "fifo", False):
+        "e0b8dd2c658b07369365f5d1178c069bd885f0c1a69eedaacebde125c02a773f",
+    ("locality", None, "lru", True):
+        "d277d44b8d0d5996d5b30a72c5e0503fb7dc0be13209b7353a5f889547474bda",
+    ("locality", None, "lru", False):
+        "dc9f4e00fa9418ce4afc5c02a54ffac2e6b272a6f0970c2c72199d48d4433319",
+    ("hybrid", 0, "fifo", True):
+        "a484d3c1392a72902b1a3a2e58d375973d76b5f8785f7bc7f322223dd54b9c82",
+    ("hybrid", 0, "fifo", False):
+        "3abcbcfa7394a34eafb4cb8748ac6e7e7bbbe5395fb18cb444652eb76207970d",
+    ("hybrid", 0, "lru", True):
+        "a484d3c1392a72902b1a3a2e58d375973d76b5f8785f7bc7f322223dd54b9c82",
+    ("hybrid", 0, "lru", False):
+        "3abcbcfa7394a34eafb4cb8748ac6e7e7bbbe5395fb18cb444652eb76207970d",
+    ("hybrid", None, "fifo", True):
+        "aa1510375ef704727d1aee101ee70d2d232a536c62993f4291f39f8fc1236e47",
+    ("hybrid", None, "fifo", False):
+        "f6ce353b6b69caabf706d326e96c6ffcf34acdbbc1f0a9bd9c15a9a2ec80a4e3",
+    ("hybrid", None, "lru", True):
+        "400a5e75c8156dd1d6cda5383f19ec93e89efa1d2d59238802938ee5a950273c",
+    ("hybrid", None, "lru", False):
+        "d4b3ad50e9be906860f67335479870e11d098de3948c52093e3ef6e4c6c4f055",
+}
+
+
+class TestPinnedStoreRun:
+    @staticmethod
+    def run_slice(policy, buffer_pages, buffer_policy, wear_leveling):
+        kwargs = {"partition_segments": 4} if policy == "hybrid" else {}
+        sim = PolicySimulator(make_policy(policy, **kwargs), num_segments=16,
+                              pages_per_segment=32, utilization=0.8,
+                              buffer_pages=buffer_pages,
+                              wear_leveling=wear_leveling, wear_threshold=6,
+                              buffer_policy=buffer_policy, layout_seed=99)
+        live = sim.store.num_logical_pages
+        workload = BimodalWorkload.from_label(live, "10/90", seed=2024)
+        return sim, sim.run(workload, live * 12, warmup_writes=live * 3)
+
+    @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr),
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_end_state_digest(self, key):
+        policy, buffer_pages, _, wear_leveling = key
+        sim, result = self.run_slice(*key)
+        store = sim.store
+        state = (sorted(dataclasses.asdict(result).items()),
+                 store.page_location,
+                 [(p.slots, p.phys, sorted(p.demoted))
+                  for p in store.positions],
+                 store.phys_erase_counts)
+        # The slice exercises what it is meant to.
+        assert result.erases > 0 and result.clean_copies > 0
+        assert (result.transfers > 0) == (policy in ("locality", "hybrid"))
+        assert (result.buffer_hits > 0) == (buffer_pages is None)
+        # FIFO wears evenly by construction; the others must level.
+        assert (result.wear_swaps > 0) == (wear_leveling
+                                           and policy != "fifo")
+        assert hashlib.sha256(repr(state).encode()).hexdigest() == \
+            PINNED_DIGESTS[key]

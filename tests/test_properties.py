@@ -7,6 +7,7 @@ that plagues real flash-management code.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.cleaning import (GreedyPolicy, HybridPolicy,
                             LocalityGatheringPolicy, PolicySimulator,
-                            cleaning_cost, utilization_for_cost)
+                            WearLeveler, cleaning_cost, utilization_for_cost)
 from repro.core import EnvyConfig, EnvySystem
 from repro.db import BTree
 from repro.flash import FlashChip, ProgramError
@@ -135,6 +136,88 @@ class TestStoreProperties:
             simulator.write(value % live)
         buffered = len(simulator._buffer)
         assert simulator.store.live_pages() + buffered == live
+
+
+def _poll_every_flush(simulator, pages):
+    """Reference replay: the wear leveler is polled after *every* flush,
+    as the simulator did before polls were gated on erases."""
+    store, policy = simulator.store, simulator.policy
+    leveler, buffer = simulator.leveler, simulator._buffer
+    for page in pages:
+        simulator.host_writes += 1
+        if page in buffer:
+            simulator.buffer_hits += 1
+            continue
+        if simulator.buffer_pages == 0:
+            policy.flush(page, store.buffer_page(page))
+            leveler.maybe_level(store)
+            continue
+        if len(buffer) >= simulator.buffer_pages:
+            victim, origin = buffer.popitem(last=False)
+            policy.flush(victim, origin)
+            leveler.maybe_level(store)
+        buffer[page] = store.buffer_page(page)
+
+
+class TestWearPollGating:
+    POLICIES = (GreedyPolicy, LocalityGatheringPolicy,
+                lambda: HybridPolicy(partition_segments=4))
+
+    def pair(self, policy_index, buffer_pages, threshold, cooldown, seed):
+        pair = []
+        for _ in range(2):
+            simulator = PolicySimulator(self.POLICIES[policy_index](),
+                                        num_segments=8, pages_per_segment=16,
+                                        buffer_pages=buffer_pages,
+                                        layout_seed=seed)
+            simulator.leveler = WearLeveler(threshold, cooldown)
+            pair.append(simulator)
+        return pair
+
+    @staticmethod
+    def end_state(simulator):
+        store = simulator.store
+        return (simulator.result(), simulator.leveler.swap_count,
+                store.page_location, store.phys_erase_counts,
+                [(p.slots, p.phys, sorted(p.demoted))
+                 for p in store.positions])
+
+    @given(policy_index=st.integers(0, 2),
+           buffer_pages=st.sampled_from([0, 4]),
+           threshold=st.integers(1, 3),
+           cooldown=st.sampled_from([0, 1, 16]),
+           hot_pages=st.integers(1, 12),
+           count=st.integers(200, 1200),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, **COMMON)
+    def test_gated_polls_equal_polling_every_flush(
+            self, policy_index, buffer_pages, threshold, cooldown,
+            hot_pages, count, seed):
+        gated, reference = self.pair(policy_index, buffer_pages, threshold,
+                                     cooldown, seed)
+        live = gated.store.num_logical_pages
+        rng = random.Random(seed)
+        # A small hot set wears a few segments fast, so swaps fire.
+        pages = [rng.randrange(hot_pages) if rng.random() < 0.9
+                 else rng.randrange(live) for _ in range(count)]
+        split = count // 3
+        gated._replay(iter(pages[:split]))
+        gated._replay(iter(pages[split:]))
+        _poll_every_flush(reference, pages)
+        assert self.end_state(gated) == self.end_state(reference)
+        gated.store.check_invariants()
+
+    @pytest.mark.parametrize("cooldown", [0, 1, 16])
+    def test_swaps_fire_under_every_cooldown(self, cooldown):
+        """Non-vacuity for the property above, including the cooldown-0
+        case where a poll right after a swap may swap again."""
+        gated, reference = self.pair(1, 0, 1, cooldown, seed=9)
+        rng = random.Random(9)
+        pages = [rng.randrange(6) for _ in range(3000)]
+        gated._replay(iter(pages))
+        _poll_every_flush(reference, pages)
+        assert gated.leveler.swap_count > 3
+        assert self.end_state(gated) == self.end_state(reference)
 
 
 class TestControllerProperties:

@@ -1,8 +1,10 @@
 """Tests for the SegmentStore state machine behind the cleaning policies."""
 
+import random
+
 import pytest
 
-from repro.cleaning import IN_BUFFER, SegmentStore, StoreError
+from repro.cleaning import IN_BUFFER, SegmentStore, StoreError, make_policy
 
 
 def make_store(positions=4, pages=8, logical=None):
@@ -341,3 +343,112 @@ class TestCopyListeners:
         store.buffer_page(0)
         store.append(1, 0)
         assert events == []
+
+
+class MirrorStore(SegmentStore):
+    """Tracks which slots hold a valid Flash copy, BoundStore-style: only
+    through the documented override points, never by reading liveness."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.valid = [[] for _ in range(self.num_positions)]
+        self.kills = []
+
+    def _kill(self, loc):
+        position, slot = loc
+        assert self.valid[position][slot], f"double kill at {loc}"
+        self.valid[position][slot] = False
+        self.kills.append(loc)
+        super()._kill(loc)
+
+    def append(self, pos_index, logical_page, count_as_flush=True):
+        super().append(pos_index, logical_page, count_as_flush)
+        self.valid[pos_index].append(True)
+
+    def receive(self, pos_index, logical_page, demote=False):
+        super().receive(pos_index, logical_page, demote)
+        self.valid[pos_index].append(True)
+
+    def pop_live(self, pos_index, from_end):
+        page = super().pop_live(pos_index, from_end)
+        if page is not None:
+            slots = self.positions[pos_index].slots
+            order = reversed(range(len(slots))) if from_end \
+                else range(len(slots))
+            slot = next(s for s in order if self.valid[pos_index][s])
+            assert slots[slot] == page
+            self.valid[pos_index][slot] = False
+        return page
+
+    def clean(self, pos_index, prepend=None):
+        # Every superseded copy must have been announced by now.
+        assert sum(self.valid[pos_index]) == \
+            self.positions[pos_index].live_count
+        copies = super().clean(pos_index, prepend)
+        self.valid[pos_index] = [True] * len(self.positions[pos_index].slots)
+        return copies
+
+    def assert_mirror_matches(self):
+        for pos in self.positions:
+            assert self.valid[pos.index] == [
+                self.is_live_slot(pos.index, slot)
+                for slot in range(len(pos.slots))]
+
+
+class TestOverridePoints:
+    """The base class and the policies reach ``_kill``/``append``/
+    ``buffer_page``/``pop_live``/``receive``/``clean`` only by dispatch,
+    so a mirroring subclass hears of every superseded Flash copy once."""
+
+    def make_mirror(self, layout="populate_sequential"):
+        store = MirrorStore(8, 16, 96)
+        getattr(store, layout)()
+        return store
+
+    def test_buffer_page_kills_the_flash_copy_once(self):
+        store = self.make_mirror()
+        old = store.page_location[5]
+        store.buffer_page(5)
+        assert store.kills == [old]
+        store.buffer_page(5)  # already in SRAM: nothing to supersede
+        assert store.kills == [old]
+        store.append(7, 5)    # flushing a buffered page kills nothing
+        assert store.kills == [old]
+        store.assert_mirror_matches()
+
+    def test_reappend_kills_the_old_copy_once(self):
+        store = self.make_mirror()
+        old = store.page_location[5]
+        store.append(7, 5)
+        assert store.kills == [old]
+        store.append(7, 5)
+        assert store.kills == [old, (7, 0)]
+        store.assert_mirror_matches()
+
+    @pytest.mark.parametrize("name,kwargs,layout", [
+        ("greedy", {}, "populate_sequential"),
+        ("fifo", {}, "populate_sequential"),
+        ("locality", {}, "populate_contiguous"),
+        ("hybrid", {"partition_segments": 2}, "populate_contiguous"),
+    ])
+    def test_policy_paths_announce_every_superseded_copy(self, name, kwargs,
+                                                         layout):
+        store = self.make_mirror(layout)
+        policy = make_policy(name, **kwargs)
+        policy.attach(store)
+        rng = random.Random(17)
+        writes = 1500
+        for _ in range(writes):
+            # 10/90-style skew so locality/hybrid actually transfer.
+            page = (rng.randrange(10) if rng.random() < 0.9
+                    else rng.randrange(10, 96))
+            origin = store.buffer_page(page)
+            policy.flush(page, origin)
+        # One kill per host write (each superseded exactly one Flash
+        # copy); cleans and transfers relocate without killing.
+        assert len(store.kills) == writes
+        assert store.erase_count > 0
+        if name in ("locality", "hybrid"):
+            assert store.transfer_count > 0
+        store.assert_mirror_matches()
+        store.check_invariants()

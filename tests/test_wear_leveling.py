@@ -47,6 +47,11 @@ class TestWearLeveler:
                   if store.page_location[page] == (backed[0].index, slot)}
         assert landed <= cold_data
 
+    def test_negative_cooldown_rejected(self):
+        with pytest.raises(ValueError, match="-2"):
+            WearLeveler(threshold_cycles=3, cooldown_erases=-2)
+        assert WearLeveler(3, cooldown_erases=0).cooldown_erases == 0
+
     def test_cooldown_prevents_swap_storm(self):
         store = SegmentStore(4, 8, 16)
         store.populate_contiguous()
