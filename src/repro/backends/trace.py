@@ -244,6 +244,19 @@ class RunRecorder:
         self.trace.record_read(address, length)
         return self.controller.read_timed(address, length)
 
+    # Page-granular reads (the replay drivers' entry points) carry no
+    # address: each is recorded as one word at the start of its page.
+
+    def read_page_ns(self, page: int) -> int:
+        self.trace.record_read(page * self.trace.page_bytes, _WORD)
+        return self.controller.read_page_ns(page)
+
+    def read_run_ns(self, page: int, count: int) -> Tuple[int, int]:
+        address = page * self.trace.page_bytes
+        for _ in range(count):
+            self.trace.record_read(address, _WORD)
+        return self.controller.read_run_ns(page, count)
+
     def __getattr__(self, name):
         return getattr(self.controller, name)
 

@@ -47,7 +47,22 @@ __all__ = ["EnvyController", "EnvySystem"]
 
 
 class EnvyController:
-    """Services host reads/writes and runs the Flash maintenance work."""
+    """Services host reads/writes and runs the Flash maintenance work.
+
+    Host reads have three entry points over one pricing path:
+
+    * :meth:`read_page_ns` prices and accounts one read of one logical
+      page (range check, MMU translation, SRAM or Flash cost).  Timing
+      only; the shard executor calls it once per served row.
+    * :meth:`read_run_ns` is ``count`` of those back to back on one
+      page: the head goes through :meth:`read_page_ns`, the repeats are
+      accounted in bulk.  The timed simulator calls it once per run of
+      same-page word reads.
+    * :meth:`read_timed` (and :meth:`read`) assembles the bytes, pricing
+      every page it touches through :meth:`read_page_ns`: applications,
+      trace replay, and the timed simulator for a word that straddles a
+      page boundary.
+    """
 
     def __init__(self, config: Optional[EnvyConfig] = None,
                  policy: Optional[CleaningPolicy] = None,
@@ -448,10 +463,10 @@ class EnvyController:
         page-table read on an MMU miss + one SRAM or Flash(+ECC) read
         cycle — 160 ns in the common case (Section 5.1).  Timing only:
         no payload is assembled, so replay drivers that discard the data
-        (the shard executor, the timed simulator) call this directly
-        with the page they already hold.  The cells are not sensed
-        either — a read that must pass through the array's fault/ECC
-        path is a :meth:`read_timed`.
+        call this with the page they already hold (the shard executor
+        directly, the timed simulator through :meth:`read_run_ns`).  The
+        cells are not sensed either — a read that must pass through the
+        array's fault/ECC path is a :meth:`read_timed`.
         """
         if not 0 <= page < self._num_pages:
             raise IndexError(
@@ -472,6 +487,40 @@ class EnvyController:
         if bus.active:
             bus.emit_span(HOST_READ, access_ns, {"page": page})
         return access_ns
+
+    def read_run_ns(self, page: int, count: int) -> Tuple[int, int]:
+        """Cost and account ``count`` back-to-back host reads of ``page``.
+
+        Returns ``(first_ns, repeat_ns)``: what the head read cost and
+        what each of the ``count - 1`` repeats cost.  Leaves behind
+        exactly what ``count`` :meth:`read_page_ns` calls would.  The
+        head is one (range check, MMU miss); nothing can move the page
+        between reads of one run, so every repeat is an MMU hit on the
+        entry the head just installed and the lot is accounted in bulk.
+        With a subscriber on the bus, or an unmapped page (never cached,
+        so every repeat misses again), each repeat goes through
+        :meth:`read_page_ns` too.
+        """
+        if count < 1:
+            raise ValueError(f"a read run has at least one read, "
+                             f"not {count}")
+        first_ns = repeat_ns = self.read_page_ns(page)
+        rest = count - 1
+        if rest:
+            location = (None if self.events.active
+                        else self.mmu.hit_again(page, rest))
+            if location is None:
+                read_page_ns = self.read_page_ns
+                for _ in range(rest):
+                    repeat_ns = read_page_ns(page)
+            else:
+                repeat_ns = (self._sram_access_ns if location[0] == SRAM
+                             else self._flash_access_ns)
+                metrics = self.metrics
+                metrics.reads += rest
+                metrics.read_latency.record_n(repeat_ns, rest)
+                metrics.busy_ns["read"] += repeat_ns * rest
+        return first_ns, repeat_ns
 
     def read_timed(self, address: int, length: int) -> Tuple[bytes, int]:
         """Read ``length`` bytes; returns (data, nanoseconds).

@@ -25,6 +25,9 @@ from ..obs.events import FAULT_PREFIX
 
 __all__ = ["AccessRecord", "AccessTrace", "TracingController"]
 
+#: Bytes of the host word a page-granular read stands for.
+_WORD = 8
+
 
 @dataclass(frozen=True)
 class AccessRecord:
@@ -153,24 +156,41 @@ class TracingController:
 
     # ------------------------------------------------------------------
 
+    def _record(self, op: str, address: int, length: int, ns: int) -> None:
+        if self.enabled:
+            self.trace.append(op, address, length, ns)
+            if self._on_access is not None:
+                self._on_access(op, address, length, ns)
+
     def read(self, address: int, length: int) -> bytes:
         data, _ = self.read_timed(address, length)
         return data
 
     def read_timed(self, address: int, length: int) -> Tuple[bytes, int]:
         data, ns = self._controller.read_timed(address, length)
-        if self.enabled:
-            self.trace.append("r", address, length, ns)
-            if self._on_access is not None:
-                self._on_access("r", address, length, ns)
+        self._record("r", address, length, ns)
         return data, ns
+
+    # The page-granular entry points the replay drivers use carry no
+    # address or length: each read is recorded as one word at the start
+    # of its page, so the trace keeps one row per host access.
+
+    def read_page_ns(self, page: int) -> int:
+        ns = self._controller.read_page_ns(page)
+        self._record("r", page * self.trace.page_bytes, _WORD, ns)
+        return ns
+
+    def read_run_ns(self, page: int, count: int) -> Tuple[int, int]:
+        first_ns, repeat_ns = self._controller.read_run_ns(page, count)
+        address = page * self.trace.page_bytes
+        self._record("r", address, _WORD, first_ns)
+        for _ in range(count - 1):
+            self._record("r", address, _WORD, repeat_ns)
+        return first_ns, repeat_ns
 
     def write(self, address: int, data: bytes) -> int:
         ns = self._controller.write(address, data)
-        if self.enabled:
-            self.trace.append("w", address, len(data), ns)
-            if self._on_access is not None:
-                self._on_access("w", address, len(data), ns)
+        self._record("w", address, len(data), ns)
         return ns
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ arithmetic — no pointers needed to predict it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 from ..core.config import TpcParams
@@ -30,6 +30,29 @@ ENTRY_BYTES = 16
 #: Node header: entry count (2), leaf flag (1), padding (13) = 16 bytes.
 NODE_HEADER_BYTES = 16
 WORD_BYTES = 8
+#: Distinct ``(target_slot, entries)`` pairs of a 32-entry node.
+_PROBE_SHAPES = 32 * 32
+
+
+@lru_cache(maxsize=_PROBE_SHAPES)
+def _relative_probes(target_slot: int, entries: int) -> Tuple[int, ...]:
+    """Byte offsets, from the node's address, of the key words a binary
+    search for ``target_slot`` reads.  A pure function of its two small
+    arguments, so every node of every tree shares the memoised tuple."""
+    if entries <= 0:
+        return ()
+    lo, hi = 0, entries
+    probes = []
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        probes.append(mid)
+        if target_slot < mid:
+            hi = mid
+        else:
+            lo = mid
+    if lo not in probes:
+        probes.append(lo)
+    return tuple(NODE_HEADER_BYTES + p * ENTRY_BYTES for p in probes)
 
 
 @dataclass(frozen=True)
@@ -114,21 +137,8 @@ class BTreeGeometry:
         lands on the target slot.  These are the word reads the host
         issues while walking a node (about log2(32) + 1 of them).
         """
-        if entries <= 0:
-            return []
-        lo, hi = 0, entries
-        probes = []
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            probes.append(mid)
-            if target_slot < mid:
-                hi = mid
-            else:
-                lo = mid
-        if lo not in probes:
-            probes.append(lo)
-        return [node_address + NODE_HEADER_BYTES + p * ENTRY_BYTES
-                for p in probes]
+        return [node_address + offset
+                for offset in _relative_probes(target_slot, entries)]
 
     def child_slot(self, key: int, level: int) -> int:
         """Child/entry index followed for ``key`` at ``level``."""

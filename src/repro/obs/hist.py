@@ -103,6 +103,38 @@ class LatencyHistogram:
         buckets = self.buckets
         buckets[index] = buckets.get(index, 0) + 1
 
+    def record_n(self, ns: int, n: int) -> None:
+        """Exactly ``n`` calls of ``record(ns)``; ``n == 0`` is a no-op.
+
+        A run of back-to-back reads of one page costs the same every
+        time (an MMU hit on the entry the head installed), so the read
+        path prices the run once and accounts the repeats here.
+        ``record`` keeps its own copy of the arithmetic: delegating
+        would put a second call on every single-sample record.
+        """
+        if n <= 0:
+            if n < 0:
+                raise ValueError(f"cannot record {n} samples")
+            return
+        if ns.__class__ is not int:
+            ns = int(ns)
+        if ns < 2 * SUBBUCKETS:
+            if ns < 0:
+                ns = 0
+            index = ns
+        else:
+            shift = ns.bit_length() - (SUBBUCKET_BITS + 1)
+            index = (((shift + 1) << SUBBUCKET_BITS)
+                     + ((ns >> shift) - SUBBUCKETS))
+        if self.count == 0 or ns < self._min_ns:
+            self._min_ns = ns
+        if ns > self._max_ns:
+            self._max_ns = ns
+        self.count += n
+        self.total_ns += ns * n
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + n
+
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` in; exactly equivalent to recording its
         samples here (bucket counts are additive)."""

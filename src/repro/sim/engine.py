@@ -30,6 +30,7 @@ simulated seconds stay cheap; the access trace itself comes from
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Optional
 
 from ..core.config import EnvyConfig
@@ -106,6 +107,8 @@ class TimedSimulator:
         """Simulate ``duration_s`` seconds (after ``warmup_s`` warm-up)."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
+        if warmup_s < 0:
+            raise ValueError(f"warm-up cannot be negative, got {warmup_s}")
         stats = SimStats(requested_tps=self.workload.rate_tps)
         warmup_ns = int(warmup_s * 1e9)
         end_ns = warmup_ns + int(duration_s * 1e9)
@@ -210,18 +213,53 @@ class TimedSimulator:
         metrics = controller.metrics
         busy_ns = metrics.busy_ns
         write = controller.write
-        read_page_ns = controller.read_page_ns
+        read_run_ns = controller.read_run_ns
         page_bytes = controller.config.page_bytes
         last_word = page_bytes - _WORD
-        record_read = stats.read_latency.record if stats is not None else None
-        record_write = (stats.write_latency.record if stats is not None
-                        else None)
-        suspend = (self.rng.randrange(self.suspend_max_ns)
-                   if busy_at_arrival and self.suspend_max_ns else 0)
-        first = True
-        for is_write, address in self.workload.accesses(txn):
-            wait = suspend if first else 0
-            first = False
+        if stats is not None:
+            record_read = stats.read_latency.record
+            record_reads = stats.read_latency.record_n
+            record_write = stats.write_latency.record
+        else:
+            record_read = record_reads = record_write = None
+        # Suspension delay, paid by the transaction's first access only.
+        wait = (self.rng.randrange(self.suspend_max_ns)
+                if busy_at_arrival and self.suspend_max_ns else 0)
+        # A run of back-to-back word reads inside one page (a B-tree
+        # node's probes, a record's words) is priced once.  Anything
+        # else — a write, another page, a word straddling a page
+        # boundary, the end of the transaction — closes the open run.
+        run_page = -1
+        run_len = 0
+        for is_write, address in chain(self.workload.accesses(txn),
+                                       _END_OF_TRANSACTION):
+            opens_run = False
+            if not is_write:
+                page, offset = divmod(address, page_bytes)
+                if offset <= last_word:
+                    if page == run_page:
+                        run_len += 1
+                        continue
+                    opens_run = True
+            if run_len:
+                first_ns, repeat_ns = read_run_ns(run_page, run_len)
+                total = wait + first_ns
+                if record_read is not None:
+                    if total == repeat_ns:
+                        record_reads(total, run_len)
+                    else:
+                        record_read(total)
+                        record_reads(repeat_ns, run_len - 1)
+                clock += total + repeat_ns * (run_len - 1)
+                wait = 0
+                run_page = -1
+                run_len = 0
+            if opens_run:
+                run_page = page
+                run_len = 1
+                continue
+            if address is None:
+                break
             if is_write:
                 erase_before = busy_ns.get("erase", 0)
                 flushes_before = metrics.flushes
@@ -250,22 +288,20 @@ class TimedSimulator:
                     if ns > 1000:
                         stats.host_stall_ns += ns
             else:
-                page, offset = divmod(address, page_bytes)
-                if offset <= last_word:
-                    ns = read_page_ns(page)
-                else:
-                    # The word straddles a page boundary (TPC-A's
-                    # 100-byte records do): both pages are charged.
-                    ns = controller.read_timed(address, _WORD)[1]
-                total = wait + ns
+                # The word straddles a page boundary (TPC-A's 100-byte
+                # records do): both pages are charged.
+                total = wait + controller.read_timed(address, _WORD)[1]
                 if record_read is not None:
                     record_read(total)
             clock += total
+            wait = 0
         return clock
 
 
 _WORD = 8
 _WORD_PAYLOAD = b"\x00" * _WORD
+#: Sentinel access that closes a transaction's last read run.
+_END_OF_TRANSACTION = ((True, None),)
 
 
 def build_tpca_system(num_segments: int = 128,

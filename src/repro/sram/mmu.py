@@ -75,6 +75,23 @@ class Mmu:
                 cache.popitem(last=False)
         return location, self.page_table.read_ns
 
+    def hit_again(self, logical_page: int,
+                  count: int) -> Optional[Location]:
+        """Account ``count`` more translations of a page, if cached.
+
+        The bulk form of ``count`` :meth:`translate_timed` hits: the
+        entry becomes most recent and ``hits`` grows by ``count``.
+        Returns None, with nothing accounted, when the page is not
+        cached — each of those translations would be a miss, which only
+        :meth:`translate_timed` prices.
+        """
+        cache = self._cache
+        cached = cache.get(logical_page)
+        if cached is not None:
+            cache.move_to_end(logical_page)
+            self.hits += count
+        return cached
+
     # ------------------------------------------------------------------
     # Coherence
     # ------------------------------------------------------------------

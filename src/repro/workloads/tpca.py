@@ -68,6 +68,23 @@ class TpcaWorkload:
         self.mean_interarrival_ns = 1e9 / rate_tps
         self.rng = random.Random(seed)
         self._clock_ns = 0.0
+        # The layout is frozen, and its shape (branches, tellers, record
+        # bases) is re-derived property by property on every read: take
+        # what each transaction needs once.
+        params = self.params
+        self._num_accounts = params.num_accounts
+        self._accounts_per_teller = params.accounts_per_teller
+        self._last_teller = params.num_tellers - 1
+        self._tellers_per_branch = params.tellers_per_branch
+        self._record_bytes = params.record_bytes
+        self._record_word_offsets = tuple(range(
+            0, -(-params.record_bytes // WORD_BYTES) * WORD_BYTES,
+            WORD_BYTES))
+        #: (index tree, record array base) in the order a transaction
+        #: visits them: account, teller, branch.
+        self._tables = ((layout.account_tree, layout.account_base),
+                        (layout.teller_tree, layout.teller_base),
+                        (layout.branch_tree, layout.branch_base))
 
     # ------------------------------------------------------------------
     # Transaction stream
@@ -76,12 +93,12 @@ class TpcaWorkload:
     def next_transaction(self) -> TpcaTransaction:
         """Draw the next transaction (uniform account, Poisson arrivals)."""
         rng = self.rng
-        account = rng.randrange(self.params.num_accounts)
+        account = rng.randrange(self._num_accounts)
         # The account's home teller and branch (1 branch : 10 tellers :
         # 100,000 accounts).
-        teller = min(account // self.params.accounts_per_teller,
-                     self.params.num_tellers - 1)
-        branch = teller // self.params.tellers_per_branch
+        teller = min(account // self._accounts_per_teller,
+                     self._last_teller)
+        branch = teller // self._tellers_per_branch
         self._clock_ns += rng.expovariate(1.0) * self.mean_interarrival_ns
         return TpcaTransaction(account, teller, branch,
                                int(self._clock_ns))
@@ -103,20 +120,15 @@ class TpcaWorkload:
         teller and branch, matching the real database.
         """
         trace: List[Access] = []
-        work = (
-            (self.layout.account_tree, txn.account,
-             self.layout.account_address(txn.account)),
-            (self.layout.teller_tree, txn.teller,
-             self.layout.teller_address(txn.teller)),
-            (self.layout.branch_tree, txn.branch,
-             self.layout.branch_address(txn.branch)),
-        )
-        record_bytes = self.params.record_bytes
-        record_words = -(-record_bytes // WORD_BYTES)
-        for tree, key, record_address in work:
+        record_bytes = self._record_bytes
+        word_offsets = self._record_word_offsets
+        for (tree, base), key in zip(self._tables, (txn.account, txn.teller,
+                                                    txn.branch)):
+            # search_path refuses a key outside the table.
             self._tree_search_accesses(tree, key, trace)
-            for word in range(record_words):
-                trace.append((READ, record_address + word * WORD_BYTES))
+            record_address = base + key * record_bytes
+            for offset in word_offsets:
+                trace.append((READ, record_address + offset))
             trace.append((WRITE, record_address + BALANCE_OFFSET))
         return trace
 

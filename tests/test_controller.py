@@ -350,3 +350,82 @@ class TestReadPageNs:
         with pytest.raises(IndexError):
             system.read_timed(system.size_bytes - 4, 8)
         assert system.metrics.reads == 0
+
+
+# ----------------------------------------------------------------------
+# read_run_ns: a run of reads of one page, priced once
+# ----------------------------------------------------------------------
+
+class TestReadRunNs:
+    UNMAPPED = 7
+
+    @staticmethod
+    def twins():
+        """Two identically driven controllers, part of the array in
+        SRAM, one page unmapped (as a recovered controller can have)."""
+        systems = []
+        for _ in range(2):
+            # The ECC check makes a Flash read dearer than an SRAM one.
+            system = small_system(ecc_enabled=True, ecc_check_ns=30)
+            system.mmu.capacity = 4
+            rng = random.Random(23)
+            for _ in range(300):
+                address = rng.randrange(system.size_bytes - 8)
+                system.write(address, b"\x01" * 8)
+            system.page_table._entries[TestReadRunNs.UNMAPPED] = None
+            system.mmu.invalidate(TestReadRunNs.UNMAPPED)
+            systems.append(system)
+        return systems
+
+    @staticmethod
+    def observed(system):
+        metrics = system.metrics
+        return (metrics.reads, metrics.read_latency.state_dict(),
+                dict(metrics.busy_ns), system.mmu.hits, system.mmu.misses,
+                list(system.mmu._cache), system.page_table.lookups)
+
+    @pytest.mark.parametrize("subscribed", [False, True])
+    def test_equals_that_many_page_reads(self, subscribed):
+        reference, run = self.twins()
+        logs = []
+        for system in (reference, run):
+            log = []
+            if subscribed:
+                system.events.subscribe(
+                    lambda event, log=log: log.append(
+                        (event.t_ns, event.dur_ns, event.data["page"])),
+                    prefix=HOST_READ)
+            logs.append(log)
+        num_pages = reference.config.logical_pages
+        buffered = [page for page in range(num_pages)
+                    if page in reference.buffer]
+        in_flash = [page for page in range(num_pages)
+                    if page not in reference.buffer
+                    and page != self.UNMAPPED]
+        assert buffered and in_flash
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(400):
+            page = rng.choice((rng.choice(buffered), rng.choice(in_flash),
+                               rng.choice(in_flash), self.UNMAPPED))
+            count = rng.choice((1, 1, 2, 3, 9))
+            each = [reference.read_page_ns(page) for _ in range(count)]
+            first_ns, repeat_ns = run.read_run_ns(page, count)
+            assert [first_ns] + [repeat_ns] * (count - 1) == each
+            kinds.add((first_ns, repeat_ns))
+            assert self.observed(run) == self.observed(reference)
+        # SRAM and Flash pages with heads that hit and heads that
+        # missed, and the unmapped page whose repeats miss again.
+        assert kinds >= {(160, 160), (260, 160), (190, 190), (290, 190),
+                         (290, 290)}
+        assert logs[1] == logs[0] and bool(logs[0]) is subscribed
+
+    @pytest.mark.parametrize("page, count, error", [
+        (-1, 3, IndexError), (8 * 32, 1, IndexError),
+        (0, 0, ValueError), (0, -2, ValueError), (-1, 0, ValueError)])
+    def test_checks_before_accounting(self, system, page, count, error):
+        with pytest.raises(error):
+            system.read_run_ns(page, count)
+        assert system.metrics.reads == 0
+        assert system.mmu.hits == system.mmu.misses == 0
+        assert system.metrics.busy_ns == {}

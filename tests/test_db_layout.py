@@ -139,6 +139,38 @@ class TestBTreeGeometry:
     def test_probe_offsets_empty_node(self):
         assert BTreeGeometry.probe_offsets(0, 0, 0) == []
 
+    def test_memoised_probe_offsets_match_the_bisection(self):
+        def bisection(node_address, target_slot, entries):
+            """``probe_offsets`` as it stood before the memo."""
+            if entries <= 0:
+                return []
+            lo, hi = 0, entries
+            probes = []
+            while lo < hi - 1:
+                mid = (lo + hi) // 2
+                probes.append(mid)
+                if target_slot < mid:
+                    hi = mid
+                else:
+                    lo = mid
+            if lo not in probes:
+                probes.append(lo)
+            return [node_address + NODE_HEADER_BYTES + p * ENTRY_BYTES
+                    for p in probes]
+
+        # Twice over, so the second pass is answered from the memo, and
+        # at two node addresses, so the memo cannot hold absolute ones.
+        for node_address in (0, 528 * 7, 0):
+            for entries in range(-2, 33):
+                for slot in range(0, max(entries, 1)):
+                    got = BTreeGeometry.probe_offsets(node_address, slot,
+                                                      entries)
+                    assert got == bisection(node_address, slot, entries)
+                    assert type(got) is list
+        first = BTreeGeometry.probe_offsets(0, 5, 32)
+        first.append(-1)                   # callers own the list
+        assert BTreeGeometry.probe_offsets(0, 5, 32)[-1] != -1
+
 
 class TestSizedFor:
     def test_fits_within_budget(self):

@@ -74,6 +74,13 @@ def reference_record(samples):
     return state
 
 
+#: Everything ``record`` accepts: ints, floats, bools, negatives.
+_SAMPLES = st.one_of(
+    st.integers(min_value=-(1 << 20), max_value=1 << 62),
+    st.floats(min_value=-1e6, max_value=1e15, allow_nan=False),
+    st.booleans())
+
+
 class TestHistogram:
     def test_empty_str(self):
         assert str(LatencyHistogram()) == "n=0 (empty)"
@@ -160,15 +167,35 @@ class TestHistogram:
         with pytest.raises(ValueError):
             LatencyHistogram().record(float("nan"))
 
-    @given(st.lists(st.one_of(
-        st.integers(min_value=-(1 << 20), max_value=1 << 62),
-        st.floats(min_value=-1e6, max_value=1e15, allow_nan=False),
-        st.booleans()), max_size=60))
+    @given(st.lists(_SAMPLES, max_size=60))
     def test_record_equals_reference_record(self, samples):
         hist = LatencyHistogram()
         for sample in samples:
             hist.record(sample)
         assert hist.state_dict() == reference_record(samples)
+
+    @given(st.lists(_SAMPLES, max_size=12), _SAMPLES,
+           st.sampled_from([0, 1, 2, 7, 1000]))
+    def test_record_n_equals_n_records(self, before, sample, n):
+        bulk, each = LatencyHistogram(), LatencyHistogram()
+        for hist in (bulk, each):
+            for earlier in before:
+                hist.record(earlier)
+        bulk.record_n(sample, n)
+        for _ in range(n):
+            each.record(sample)
+        assert bulk.state_dict() == each.state_dict()
+        assert list(bulk.buckets) == list(each.buckets)   # same order
+        assert type(bulk.total_ns) is int
+
+    def test_record_n_refuses_a_negative_count(self):
+        hist = LatencyHistogram()
+        hist.record(160)
+        before = hist.state_dict()
+        with pytest.raises(ValueError, match="-1"):
+            hist.record_n(160, -1)
+        hist.record_n(float("nan"), 0)       # n == 0 touches nothing
+        assert hist.state_dict() == before
 
     def test_latencystat_is_histogram(self):
         # The compat shim: old call sites keep working, gain percentiles.

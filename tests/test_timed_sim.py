@@ -1,7 +1,13 @@
 """Tests for the timed simulator (Figures 13-15 behaviour)."""
 
+import hashlib
+import json
+import random
+from collections import OrderedDict
+
 import pytest
 
+from repro.obs.events import HOST_READ
 from repro.sim import build_tpca_system, simulate_tpca
 from repro.sim.tracker import SimStats
 
@@ -98,6 +104,14 @@ class TestSimulatorMechanics:
         with pytest.raises(ValueError):
             simulator.run(0)
 
+    def test_negative_warmup_rejected(self):
+        # Was accepted, and silently shortened the measured window.
+        simulator = build_tpca_system(num_segments=32,
+                                      pages_per_segment=256)
+        with pytest.raises(ValueError, match="-0.01"):
+            simulator.run(0.05, warmup_s=-0.01)
+        assert simulator.controller.metrics.reads == 0
+
     def test_stats_row_renders(self, light_load):
         row = light_load.row()
         assert str(round(light_load.cleaning_cost, 2)) in row or row
@@ -151,3 +165,141 @@ class TestSimulatorMechanics:
         assert stats.read_latency.count == len(aligned) + len(straddling)
         assert clock == controller.metrics.busy_ns["read"]
         assert stats.read_latency.max_ns >= 2 * 160
+
+
+# ----------------------------------------------------------------------
+# Pinned runs: the read path may be re-cut, its outputs may not move
+# ----------------------------------------------------------------------
+
+def run_shape(workload, end_ns, page_bytes, mmu_capacity):
+    """Classify the reads a twin ``workload`` offers before ``end_ns``.
+
+    Returns ``(long_runs, straddles, cold_heads)``: same-page read runs
+    longer than one, words straddling a page boundary, and heads of such
+    runs whose page is not among the last ``mmu_capacity`` distinct
+    pages touched — a superset of what the MMU can hold (it only ever
+    gains an entry through a host translation), so those heads miss.
+    """
+    recent = OrderedDict()
+
+    def touch(page):
+        recent[page] = None
+        recent.move_to_end(page)
+        if len(recent) > mmu_capacity:
+            recent.popitem(last=False)
+
+    long_runs = straddles = cold_heads = 0
+    while True:
+        txn = workload.next_transaction()
+        if txn.arrival_ns >= end_ns:
+            return long_runs, straddles, cold_heads
+        run_page, run_cold, run_len = None, False, 0
+        for is_write, address in workload.accesses(txn):
+            page, offset = divmod(address, page_bytes)
+            straddle = offset > page_bytes - 8
+            if not is_write and not straddle and page == run_page:
+                run_len += 1
+                if run_len == 2:
+                    long_runs += 1
+                    cold_heads += run_cold
+                continue
+            run_page, run_len = None, 0
+            if not is_write and not straddle:
+                run_page, run_cold, run_len = page, page not in recent, 1
+            touch(page)
+            if straddle:
+                straddles += not is_write
+                touch(page + 1)
+
+
+class TestPinnedTpcaRun:
+    """sha256 of everything a timed TPC-A run reports and leaves behind,
+    **recorded at the commit before run-length reads (read_run_ns) —
+    never regenerate**: a mismatch means the read path's simulated
+    outputs moved, which no wall-clock change may do."""
+
+    GEOMETRY = dict(num_segments=16, pages_per_segment=64)
+    SEED = 11
+    #: name -> (rate_tps, duration_s, warmup_s, mmu_capacity, subscribe)
+    SLICES = {
+        "unsaturated": (2_000.0, 0.02, 0.0, 64, False),
+        "saturated": (150_000.0, 0.004, 0.0, 64, False),
+        "warmup": (20_000.0, 0.004, 0.002, 64, False),
+        "mmu2": (20_000.0, 0.004, 0.0, 2, False),
+        "subscriber": (20_000.0, 0.002, 0.0, 64, True),
+    }
+    PINNED = {
+        "mmu2": "1fb6ec667fba35b09e578ba80959f2dd"
+                "c45500792f0550823b9fd06ee399e294",
+        "saturated": "cfd834e0fc740fe45856ee9ec9949114"
+                     "eafde0c5fb01ab061559bc90c25daa0d",
+        "subscriber": "eec5d8aa6cd59564f765858308295fbf"
+                      "b61d9a307d004b065b2d155d923ae1cf",
+        "unsaturated": "d4a51ccbb90ddaaf29c40ada99b0104f"
+                       "140f48eb8a5061576b86d2a415f05f21",
+        "warmup": "0a23a3b99b713daacbc6ac12337b2565"
+                  "b1a0e7da633597ff797e4aedfc36ae36",
+    }
+
+    def build(self, rate_tps):
+        simulator = build_tpca_system(rate_tps=rate_tps, seed=self.SEED,
+                                      **self.GEOMETRY)
+        simulator.prewarm(3)
+        return simulator
+
+    @pytest.mark.parametrize("name", sorted(SLICES))
+    def test_pinned(self, name):
+        rate_tps, duration_s, warmup_s, capacity, subscribe = \
+            self.SLICES[name]
+        simulator = self.build(rate_tps)
+        controller = simulator.controller
+        controller.mmu.capacity = capacity
+        spans = []
+        if subscribe:
+            controller.events.subscribe(
+                lambda event: spans.append(
+                    (event.t_ns, event.dur_ns, event.data["page"])),
+                prefix=HOST_READ)
+        stats = simulator.run(duration_s, warmup_s)
+
+        # Non-vacuity: the slice exercises what it is here to pin.
+        end_ns = int(warmup_s * 1e9) + int(duration_s * 1e9)
+        long_runs, straddles, cold_heads = run_shape(
+            self.build(rate_tps).workload, end_ns,
+            controller.config.page_bytes, capacity)
+        assert long_runs >= 1 and straddles >= 1 and cold_heads >= 1
+        assert controller.mmu.misses >= cold_heads
+        suspended = (simulator.rng.getstate()
+                     != random.Random(self.SEED + 1).getstate())
+        if name == "saturated":
+            assert suspended and stats.host_stall_ns > 0
+        if name == "warmup":
+            assert controller.metrics.reads > stats.read_latency.count
+        if name == "mmu2":
+            assert cold_heads > stats.transactions_completed
+        if subscribe:
+            assert len(spans) == controller.metrics.reads
+            assert any(a[2] == b[2] and a[1] > b[1]      # head missed,
+                       for a, b in zip(spans, spans[1:]))  # repeat hit
+
+        observed = {
+            "stats": {
+                "simulated_ns": stats.simulated_ns,
+                "offered": stats.transactions_offered,
+                "completed": stats.transactions_completed,
+                "reads": stats.read_latency.state_dict(),
+                "writes": stats.write_latency.state_dict(),
+                "pages_flushed": stats.pages_flushed,
+                "clean_copies": stats.clean_copies,
+                "erases": stats.erases,
+                "busy_ns": stats.busy_ns,
+                "host_stall_ns": stats.host_stall_ns,
+            },
+            "metrics": controller.metrics.state_dict(),
+            "mmu": [controller.mmu.hits, controller.mmu.misses,
+                    list(controller.mmu._cache)],
+            "host_reads": spans,
+        }
+        digest = hashlib.sha256(
+            json.dumps(observed, sort_keys=True).encode()).hexdigest()
+        assert digest == self.PINNED[name], digest

@@ -109,3 +109,65 @@ class TestTraceToSimulatorLoop:
         result = simulator.run(workload, len(page_writes))
         assert result.host_writes == len(page_writes)
         simulator.store.check_invariants()
+
+
+class TestReplayDriversAreRecorded:
+    """The timed simulator reads through the page-granular entry points
+    (``read_page_ns`` / ``read_run_ns``); a wrapper that lets those fall
+    through ``__getattr__`` records only the page-straddling words."""
+
+    @staticmethod
+    def run_wrapped(wrap):
+        from repro.sim import build_tpca_system
+
+        simulator = build_tpca_system(num_segments=16, pages_per_segment=64,
+                                      rate_tps=20_000.0, seed=3)
+        simulator.prewarm(2)
+        inner = simulator.controller
+        simulator.controller = wrap(inner)
+        stats = simulator.run(0.01)
+        return simulator.controller, inner, stats
+
+    def test_tracing_controller_has_one_row_per_host_access(self):
+        traced, inner, stats = self.run_wrapped(TracingController)
+        reads, writes = traced.trace.reads(), traced.trace.writes()
+        assert len(reads) == stats.read_latency.count > 1000
+        assert len(writes) == stats.write_latency.count > 0
+        # A straddling word is one row that cost two page reads.
+        assert len(reads) < inner.metrics.reads
+        assert sum(record.ns for record in reads) == \
+            inner.metrics.busy_ns["read"]
+        page_bytes = inner.config.page_bytes
+        assert all(record.length == 8 for record in reads)
+        assert any(record.address % page_bytes == 0 for record in reads)
+
+    def test_run_recorder_has_one_row_per_host_access(self):
+        from repro.backends.trace import RunRecorder
+
+        recorder, _, stats = self.run_wrapped(RunRecorder)
+        assert recorder.trace.reads == stats.read_latency.count > 1000
+        assert recorder.trace.writes == stats.write_latency.count > 0
+
+    def test_read_run_is_recorded_read_by_read(self, traced):
+        page_bytes = traced.config.page_bytes
+        first_ns, repeat_ns = traced.read_run_ns(3, 4)
+        assert first_ns > repeat_ns            # head missed the MMU
+        assert traced.read_page_ns(3) == repeat_ns
+        assert [(r.op, r.address, r.length, r.ns)
+                for r in traced.trace.records] == \
+            [("r", 3 * page_bytes, 8, first_ns)] \
+            + [("r", 3 * page_bytes, 8, repeat_ns)] * 4
+        assert traced.metrics.reads == 5
+
+    def test_run_recorder_records_a_run_read_by_read(self):
+        from repro.backends.trace import RunRecorder
+
+        system = EnvySystem(EnvyConfig.small(num_segments=8,
+                                             pages_per_segment=32))
+        recorder = RunRecorder(system)
+        page_bytes = system.config.page_bytes
+        recorder.read_run_ns(3, 4)
+        recorder.read_page_ns(5)
+        assert recorder.trace.ops == [("r", 3 * page_bytes, 8)] * 4 \
+            + [("r", 5 * page_bytes, 8)]
+        assert system.metrics.reads == 5
