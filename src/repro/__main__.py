@@ -93,25 +93,6 @@ def cmd_policies(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    from .perf.bench import main as perf_main
-
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.jobs is not None:
-        argv += ["--jobs", str(args.jobs)]
-    argv += ["--output", args.output,
-             "--max-regression", str(args.max_regression)]
-    if args.compare:
-        argv += ["--compare", args.compare]
-    if args.seed_baseline:
-        argv += ["--seed-baseline", args.seed_baseline]
-    if args.no_scaling:
-        argv.append("--no-scaling")
-    return perf_main(argv)
-
-
 def cmd_tpca(args: argparse.Namespace) -> int:
     from .sim import simulate_tpca
 
@@ -1147,26 +1128,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="self_profile",
                          help="profile the host cost of simulated time")
 
-    perf = sub.add_parser(
-        "perf", help="perf-regression bench: throughput + BENCH_PERF.json")
-    perf.add_argument("--smoke", action="store_true",
-                      help="small scenarios for CI")
-    perf.add_argument("--jobs", type=int, default=None,
-                      help="parallel sweep workers (default: ENVY_JOBS "
-                           "or CPU count)")
-    perf.add_argument("--output", default="BENCH_PERF.json",
-                      help="JSON report path (default: %(default)s)")
-    perf.add_argument("--compare", metavar="BASELINE",
-                      help="fail on regression vs this committed report")
-    perf.add_argument("--max-regression", type=float, default=0.25,
-                      dest="max_regression")
-    perf.add_argument("--seed-baseline", metavar="REPORT",
-                      dest="seed_baseline",
-                      help="embed a pre-optimization report for speedups")
-    perf.add_argument("--no-scaling", action="store_true",
-                      dest="no_scaling",
-                      help="skip the parallel scaling probe")
-
     serve = sub.add_parser(
         "serve", help="sharded multi-tenant eNVy storage service")
     serve.add_argument("--shards", type=int, default=4,
@@ -1345,7 +1306,6 @@ COMMANDS = {
     "faults": cmd_faults,
     "recover": cmd_recover,
     "observe": cmd_observe,
-    "perf": cmd_perf,
     "serve": cmd_serve,
     "trace": cmd_trace,
     "backends": cmd_backends,

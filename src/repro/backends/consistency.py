@@ -14,9 +14,7 @@ operation stream.  This harness makes the promise executable:
 3. compare :func:`~repro.backends.trace.state_digest` across all runs.
 
 ``python -m repro backends --check`` and the ``backend-matrix`` CI job
-drive :func:`consistency_report`; the bench harness
-(:mod:`repro.backends.bench`) embeds the same check as its fidelity
-gate.
+drive :func:`consistency_report`.
 """
 
 from __future__ import annotations

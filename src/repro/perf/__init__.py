@@ -1,14 +1,13 @@
-"""Performance layer: parallel sweep runner and perf-regression bench.
+"""Performance layer: parallel sweep runner and machine calibration.
 
 The paper's figures are grids of independent simulation points;
 :func:`run_sweep` fans them out across processes with results identical
 to a serial loop (see :mod:`repro.perf.sweep` for the determinism
-contract).  :mod:`repro.perf.bench` is the harness behind
-``benchmarks/bench_perf.py`` and ``python -m repro perf``, which track
-simulator throughput over time in ``BENCH_PERF.json``.
+contract).  :mod:`repro.perf.bench` holds the machine-speed score the
+repo's benchmark (``BENCHMARK.json``, ``benchmarks/e2e/``) normalises
+its wall-clock throughputs by.
 """
 
-from .bench import SCENARIOS, compare_reports, run_bench
 from .points import cleaning_cost_point, tpca_point
 from .sweep import derive_seed, resolve_jobs, run_sweep
 
@@ -18,7 +17,4 @@ __all__ = [
     "derive_seed",
     "cleaning_cost_point",
     "tpca_point",
-    "run_bench",
-    "compare_reports",
-    "SCENARIOS",
 ]

@@ -39,9 +39,7 @@ service:
   (:mod:`repro.service.adversary`).
 
 Drive it from the CLI with ``python -m repro serve`` (see
-``--redundancy`` / ``--kill-bank``) and benchmark it with
-``benchmarks/bench_service.py`` and ``benchmarks/bench_redundancy.py``;
-docs/SERVICE.md is the guide.
+``--redundancy`` / ``--kill-bank``); docs/SERVICE.md is the guide.
 """
 
 from .admission import ADMISSION_STATES, AdmissionController

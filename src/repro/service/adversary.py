@@ -446,7 +446,7 @@ def run_attack_scenario(config: ServiceConfig,
 
     Returns one JSON-friendly dict with per-phase tenant summaries,
     lifetime projections and the security reports — the raw material
-    for ``bench_attack``'s gates.
+    for the detection and containment gates.
     """
     detector_kwargs = detector_kwargs or {}
     honest = list(honest)

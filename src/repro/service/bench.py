@@ -1,180 +1,15 @@
-"""Service benchmark: throughput and tails vs shard count and skew.
+"""The deterministic 1000-tenant churn fleet.
 
-``benchmarks/bench_service.py`` and the CI ``service-smoke`` job land
-here.  The harness runs the canonical multi-tenant scenarios against
-the sharded service at increasing shard counts under **strong scaling**
-— a fixed total Flash budget (``total_segments``) divided across the
-shards — and reports two families of numbers:
-
-* **Simulated throughput** (served accesses per *simulated* second) and
-  per-tenant latency tails from the :mod:`repro.obs` histograms.  These
-  are machine-independent, deterministic per seed, and carry the
-  headline claim: the canonical zipf scenario must serve at least
-  ``--min-scaling`` (default 2.5×) more simulated accesses/s at 4
-  shards than at 1 — N independent banks really do behave as N servers,
-  even with a zipf-skewed tenant, because the router stripes the hot
-  head across shards.
-* **Wall-clock throughput** (served accesses per host second), the perf
-  trajectory number.  As in :mod:`repro.perf.bench` it is compared to a
-  committed baseline only after normalizing by the calibration score,
-  so CI runners of different speeds share one baseline; the seeded
-  simulated outputs must match the baseline *exactly*.
+One tenant list shared by the ``svc_fleet_1k`` benchmark workload
+(``benchmarks/e2e/``) and the ``service/service_scale`` fidelity
+scenario (``tests/test_scenario_fidelity.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import platform
-import sys
-import time
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List
 
-from ..perf.bench import calibrate
-from .frontend import EnvyService, ServiceConfig
-from .tenant import TenantSpec
-
-__all__ = ["SCENARIOS", "scale_fleet", "run_bench", "check_gates",
-           "compare_reports", "main"]
-
-SCHEMA = "envy-bench-service/1"
-
-#: Canonical service scenarios in (full, smoke) variants.  Each runs at
-#: every shard count in ``shard_counts`` with ``total_segments`` divided
-#: evenly, so the Flash budget — not the shard count — is held fixed.
-SCENARIOS: Dict[str, Dict[str, Dict[str, Any]]] = {
-    # The headline scenario: one saturating zipf tenant plus a
-    # rate-limited background tenant; carries the >=2.5x @ 4 shards gate.
-    "zipf_canonical": {
-        "full": dict(
-            total_segments=64, pages_per_segment=128, shard_counts=[1, 2, 4],
-            duration_s=0.001, seed=1234,
-            tenants=[
-                dict(name="hot", rate_tps=4e7, skew=1.0,
-                     write_fraction=0.3),
-                dict(name="limited", rate_tps=4e6, workload="uniform",
-                     rate_limit_tps=1e6),
-            ]),
-        "smoke": dict(
-            total_segments=32, pages_per_segment=64, shard_counts=[1, 2, 4],
-            duration_s=0.0002, seed=1234,
-            tenants=[
-                dict(name="hot", rate_tps=4e7, skew=1.0,
-                     write_fraction=0.3),
-                dict(name="limited", rate_tps=4e6, workload="uniform",
-                     rate_limit_tps=1e6),
-            ]),
-    },
-    # Tenant-skew sensitivity: the same offered load at mild and heavy
-    # zipf skew, fixed 4 shards — striping should keep the served
-    # throughput close while the tails move.
-    "skew_spread": {
-        "full": dict(
-            total_segments=64, pages_per_segment=128, shard_counts=[4],
-            duration_s=0.001, seed=99,
-            tenants=[
-                dict(name="mild", rate_tps=1.5e7, skew=0.6,
-                     write_fraction=0.3),
-                dict(name="heavy", rate_tps=1.5e7, skew=1.3,
-                     write_fraction=0.3),
-            ]),
-        "smoke": dict(
-            total_segments=32, pages_per_segment=64, shard_counts=[4],
-            duration_s=0.0002, seed=99,
-            tenants=[
-                dict(name="mild", rate_tps=1.5e7, skew=0.6,
-                     write_fraction=0.3),
-                dict(name="heavy", rate_tps=1.5e7, skew=1.3,
-                     write_fraction=0.3),
-            ]),
-    },
-    # The DRAM read-tier claim: the same saturating read-only zipf
-    # tenant (skew 0.99) with the cache off and on.  Carries the >=2x
-    # cached-read speedup gate (relaxed in smoke, where the short run
-    # is dominated by cold-start misses).
-    "cached_zipf": {
-        "full": dict(
-            kind="cached", total_segments=128, pages_per_segment=64,
-            shard_counts=[4], duration_s=0.002, seed=4242,
-            cache_pages=1024, min_read_speedup=2.0,
-            tenants=[
-                dict(name="reader", rate_tps=6e7, skew=0.99,
-                     write_fraction=0.0),
-            ]),
-        "smoke": dict(
-            kind="cached", total_segments=128, pages_per_segment=64,
-            shard_counts=[4], duration_s=0.0005, seed=4242,
-            cache_pages=1024, min_read_speedup=1.2,
-            tenants=[
-                dict(name="reader", rate_tps=6e7, skew=0.99,
-                     write_fraction=0.0),
-            ]),
-    },
-    # O(10^3)-tenant churn: a generated fleet with staggered arrivals
-    # and departures, bursty and SLO-bearing cohorts, the DRAM tier and
-    # closed-loop admission all enabled; two back-to-back runs so the
-    # admission ladder acts on the first run's burn rates.  Gates on
-    # aggregate simulated throughput and the fleet SLO-violation rate.
-    "service_scale": {
-        "full": dict(
-            kind="scale", total_segments=128, pages_per_segment=64,
-            shard_counts=[4], duration_s=0.01, seed=2026, runs=2,
-            fleet=1000, cache_pages=512, cache_tenant_cap=0.25,
-            admission=True,
-            min_accesses_per_s=1e6, max_slo_violation_rate=0.05),
-        "smoke": dict(
-            kind="scale", total_segments=128, pages_per_segment=64,
-            shard_counts=[4], duration_s=0.002, seed=2026, runs=2,
-            fleet=1000, cache_pages=512, cache_tenant_cap=0.25,
-            admission=True,
-            min_accesses_per_s=1e6, max_slo_violation_rate=0.05),
-    },
-    # Transactional tenant mixed with a zipf tenant (rates are
-    # transactions/s for tpca: one transaction is ~17 accesses).
-    "tpca_mix": {
-        "full": dict(
-            total_segments=64, pages_per_segment=128, shard_counts=[2, 4],
-            duration_s=0.001, seed=7,
-            tenants=[
-                dict(name="zipf", rate_tps=1e7, skew=1.0,
-                     write_fraction=0.3),
-                dict(name="tpca", rate_tps=1e6, workload="tpca"),
-            ]),
-        "smoke": dict(
-            total_segments=32, pages_per_segment=64, shard_counts=[2, 4],
-            duration_s=0.0002, seed=7,
-            tenants=[
-                dict(name="zipf", rate_tps=1e7, skew=1.0,
-                     write_fraction=0.3),
-                dict(name="tpca", rate_tps=1e6, workload="tpca"),
-            ]),
-    },
-}
-
-
-def _service_for(spec: Dict[str, Any], num_shards: int) -> EnvyService:
-    if spec["total_segments"] % num_shards:
-        raise ValueError(
-            f"total_segments={spec['total_segments']} does not divide "
-            f"across {num_shards} shards")
-    config = ServiceConfig(
-        num_shards=num_shards,
-        num_segments=spec["total_segments"] // num_shards,
-        pages_per_segment=spec["pages_per_segment"],
-        seed=spec["seed"],
-        redundancy=spec.get("redundancy", "none"),
-        placement=spec.get("placement", "striped"),
-        retry_limit=spec.get("retry_limit", 0),
-        retry_backoff_ns=spec.get("retry_backoff_ns", 4000),
-        cache_pages=spec.get("cache_pages", 0),
-        cache_policy=spec.get("cache_policy", "clock"),
-        cache_hit_ns=spec.get("cache_hit_ns"),
-        cache_tenant_cap=spec.get("cache_tenant_cap", 1.0),
-        admission=spec.get("admission", False))
-    tenants = [TenantSpec.from_spec(kwargs) for kwargs in spec["tenants"]]
-    return EnvyService(config, tenants)
+__all__ = ["scale_fleet"]
 
 
 def scale_fleet(count: int, duration_s: float) -> List[Dict[str, Any]]:
@@ -212,389 +47,3 @@ def scale_fleet(count: int, duration_s: float) -> List[Dict[str, Any]]:
             tenant["cache"] = False
         tenants.append(tenant)
     return tenants
-
-
-def _measure(spec: Dict[str, Any], num_shards: int,
-             jobs: Optional[int]) -> Dict[str, Any]:
-    """One service run -> the standard (wall, served, fidelity) point."""
-    service = _service_for(spec, num_shards)
-    start = time.perf_counter()
-    stats = service.run(spec["duration_s"], jobs=jobs)
-    wall_s = time.perf_counter() - start
-    return {
-        "wall_s": round(wall_s, 4),
-        "served": stats.accesses_served,
-        "served_per_wall_s": round(stats.accesses_served / wall_s, 1),
-        # Everything below is machine-independent (exact fidelity).
-        "fidelity": {
-            "requests_admitted": stats.requests_admitted,
-            "requests_throttled": stats.requests_throttled,
-            "requests_rejected_queue": stats.requests_rejected_queue,
-            "requests_rejected_shed": stats.requests_rejected_shed,
-            "accesses_served": stats.accesses_served,
-            "simulated_ns": stats.simulated_ns,
-            "accesses_per_simulated_s": round(
-                stats.accesses_per_simulated_s, 1),
-            "tenants": {name: tstats.as_dict()
-                        for name, tstats in stats.tenants.items()},
-        },
-    }
-
-
-def _run_scenario(spec: Dict[str, Any],
-                  jobs: Optional[int]) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {"shard_counts": {}}
-    sim_tput: Dict[int, float] = {}
-    for num_shards in spec["shard_counts"]:
-        point = _measure(spec, num_shards, jobs)
-        sim_tput[num_shards] = point["fidelity"][
-            "accesses_per_simulated_s"]
-        entry["shard_counts"][str(num_shards)] = point
-    if 1 in sim_tput and 4 in sim_tput and sim_tput[1]:
-        entry["scaling_4x"] = round(sim_tput[4] / sim_tput[1], 3)
-    return entry
-
-
-def _run_cached_scenario(spec: Dict[str, Any],
-                         jobs: Optional[int]) -> Dict[str, Any]:
-    """The same read-only zipf load with the cache off and on.
-
-    The speedup is the ratio of *simulated* read throughput (the
-    workload is pure reads, so served accesses/simulated second is read
-    throughput) — machine-independent and exact per seed.
-    """
-    num_shards = spec["shard_counts"][0]
-    uncached = _measure(dict(spec, cache_pages=0), num_shards, jobs)
-    cached = _measure(spec, num_shards, jobs)
-    entry: Dict[str, Any] = {
-        "variants": {"uncached": uncached, "cached": cached},
-        "cache_pages_per_shard": spec["cache_pages"],
-        "min_read_speedup": spec["min_read_speedup"],
-    }
-    base = uncached["fidelity"]["accesses_per_simulated_s"]
-    tiered = cached["fidelity"]["accesses_per_simulated_s"]
-    entry["read_speedup_cached"] = round(tiered / base, 3) if base else 0.0
-    hits = sum(t["cache_hits"]
-               for t in cached["fidelity"]["tenants"].values())
-    misses = sum(t["cache_misses"]
-                 for t in cached["fidelity"]["tenants"].values())
-    probes = hits + misses
-    entry["cache_hit_rate"] = round(hits / probes, 6) if probes else 0.0
-    return entry
-
-
-def _run_scale_scenario(spec: Dict[str, Any],
-                        jobs: Optional[int]) -> Dict[str, Any]:
-    """The O(10^3)-tenant churn fleet with cache + admission enabled.
-
-    Runs the same service ``runs`` times back to back so the closed
-    admission loop reacts to the first run's burn rates, then gates on
-    the final run's aggregate simulated throughput and the fleet-wide
-    SLO-violation rate.  Per-tenant stats are folded into a sha256
-    digest (1000 tenants would bloat the committed baseline) — the
-    digest still fails the exact-fidelity compare on any drift.
-    """
-    spec = dict(spec, tenants=scale_fleet(spec["fleet"],
-                                          spec["duration_s"]))
-    num_shards = spec["shard_counts"][0]
-    service = _service_for(spec, num_shards)
-    start = time.perf_counter()
-    per_run: List[Dict[str, Any]] = []
-    stats = None
-    for _ in range(spec.get("runs", 2)):
-        stats = service.run(spec["duration_s"], jobs=jobs)
-        per_run.append({
-            "requests_admitted": stats.requests_admitted,
-            "requests_throttled": stats.requests_throttled,
-            "requests_rejected_queue": stats.requests_rejected_queue,
-            "requests_rejected_shed": stats.requests_rejected_shed,
-            "accesses_served": stats.accesses_served,
-            "simulated_ns": stats.simulated_ns,
-            "accesses_per_simulated_s": round(
-                stats.accesses_per_simulated_s, 1),
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-        })
-    wall_s = time.perf_counter() - start
-    tenant_dicts = {name: tstats.as_dict()
-                    for name, tstats in stats.tenants.items()}
-    digest = hashlib.sha256(
-        json.dumps(tenant_dicts, sort_keys=True).encode()).hexdigest()
-    slo_report = service.slo.report()
-    requests = sum(t.get("last_requests", 0)
-                   for t in slo_report.values())
-    violations = sum(t.get("last_violations", 0)
-                     for t in slo_report.values())
-    admission = service.admission.report() if service.admission else {}
-    states: Dict[str, int] = {}
-    for state in admission.get("states", {}).values():
-        states[state] = states.get(state, 0) + 1
-    served = sum(run["accesses_served"] for run in per_run)
-    point = {
-        "wall_s": round(wall_s, 4),
-        "served": served,
-        "served_per_wall_s": round(served / wall_s, 1),
-        "fidelity": {
-            "runs": per_run,
-            "tenants_digest": digest,
-            "slo_requests": requests,
-            "slo_violations": violations,
-            "admission_states": states,
-        },
-    }
-    entry: Dict[str, Any] = {
-        "shard_counts": {str(num_shards): point},
-        "fleet": spec["fleet"],
-        "accesses_per_simulated_s": per_run[-1][
-            "accesses_per_simulated_s"],
-        "slo_violation_rate": (round(violations / requests, 6)
-                               if requests else 0.0),
-        "min_accesses_per_s": spec["min_accesses_per_s"],
-        "max_slo_violation_rate": spec["max_slo_violation_rate"],
-    }
-    return entry
-
-
-_RUNNERS = {
-    None: _run_scenario,
-    "cached": _run_cached_scenario,
-    "scale": _run_scale_scenario,
-}
-
-
-def run_bench(smoke: bool = False, jobs: Optional[int] = None,
-              scenarios: Optional[List[str]] = None) -> Dict[str, Any]:
-    """Run every scenario (or just ``scenarios``) and build the report."""
-    mode = "smoke" if smoke else "full"
-    if scenarios:
-        unknown = sorted(set(scenarios) - set(SCENARIOS))
-        if unknown:
-            raise ValueError(f"unknown scenario(s): {', '.join(unknown)} "
-                             f"(known: {', '.join(sorted(SCENARIOS))})")
-    report: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "mode": mode,
-        "timestamp": int(time.time()),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpu_count": os.cpu_count() or 1,
-        "calibration_ops_per_s": round(calibrate(), 1),
-        "scenarios": {},
-    }
-    for name, variants in SCENARIOS.items():
-        if scenarios and name not in scenarios:
-            continue
-        spec = variants[mode]
-        runner = _RUNNERS[spec.get("kind")]
-        report["scenarios"][name] = runner(spec, jobs)
-    return report
-
-
-def check_scaling(report: Dict[str, Any],
-                  min_scaling: float = 2.5) -> List[str]:
-    """The shard-scaling gate: 4 shards must beat 1 by ``min_scaling``."""
-    failures = []
-    for name, entry in report.get("scenarios", {}).items():
-        scaling = entry.get("scaling_4x")
-        if scaling is not None and scaling < min_scaling:
-            failures.append(
-                f"{name}: 4-shard simulated throughput is only "
-                f"{scaling:.2f}x the 1-shard run (need {min_scaling}x)")
-    return failures
-
-
-def check_gates(report: Dict[str, Any]) -> List[str]:
-    """Per-scenario gates the runners embed in their entries.
-
-    * ``cached`` scenarios: the cached run must beat the cache-disabled
-      run by ``min_read_speedup`` in simulated read throughput.
-    * ``scale`` scenarios: the final churn run must sustain
-      ``min_accesses_per_s`` aggregate simulated throughput and keep
-      the fleet SLO-violation rate under ``max_slo_violation_rate``.
-    """
-    failures = []
-    for name, entry in report.get("scenarios", {}).items():
-        needed = entry.get("min_read_speedup")
-        if needed is not None:
-            speedup = entry.get("read_speedup_cached", 0.0)
-            if speedup < needed:
-                failures.append(
-                    f"{name}: cached read throughput is only "
-                    f"{speedup:.2f}x the cache-disabled run "
-                    f"(need {needed}x)")
-        floor = entry.get("min_accesses_per_s")
-        if floor is not None:
-            tput = entry.get("accesses_per_simulated_s", 0.0)
-            if tput < floor:
-                failures.append(
-                    f"{name}: aggregate simulated throughput "
-                    f"{tput:,.0f}/s is under the {floor:,.0f}/s floor")
-        ceiling = entry.get("max_slo_violation_rate")
-        if ceiling is not None:
-            rate = entry.get("slo_violation_rate", 0.0)
-            if rate > ceiling:
-                failures.append(
-                    f"{name}: fleet SLO-violation rate {rate:.4f} "
-                    f"exceeds the {ceiling} ceiling")
-    return failures
-
-
-def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
-                    max_regression: float = 0.25,
-                    only: Optional[Set[str]] = None) -> List[str]:
-    """Regression check vs a committed report; returns failures.
-
-    Wall throughput is calibration-normalized (slow runners do not read
-    as regressions); simulated outputs must match exactly — the service
-    is deterministic per seed, so *any* drift is a correctness bug.
-    ``only`` restricts the check to those baseline scenarios (the
-    ``--scenario`` CI jobs compare a partial run against the full
-    committed baseline).
-    """
-    failures: List[str] = []
-    if current.get("mode") != baseline.get("mode"):
-        failures.append(
-            f"mode mismatch: current={current.get('mode')} "
-            f"baseline={baseline.get('mode')} (run with the same --smoke "
-            f"setting as the committed baseline)")
-        return failures
-    cur_calib = current.get("calibration_ops_per_s") or 1.0
-    base_calib = baseline.get("calibration_ops_per_s") or 1.0
-
-    def compare_point(label: str, base_point: Dict[str, Any],
-                      cur_point: Optional[Dict[str, Any]]) -> None:
-        if cur_point is None:
-            failures.append(f"{label} missing")
-            return
-        cur_norm = cur_point["served_per_wall_s"] / cur_calib
-        base_norm = base_point["served_per_wall_s"] / base_calib
-        ratio = cur_norm / base_norm if base_norm else 0.0
-        if ratio < 1.0 - max_regression:
-            failures.append(
-                f"{label}: normalized throughput fell "
-                f"to {ratio:.0%} of baseline "
-                f"({cur_point['served_per_wall_s']:,.0f}/s vs "
-                f"{base_point['served_per_wall_s']:,.0f}/s)")
-        if cur_point["fidelity"] != base_point["fidelity"]:
-            failures.append(
-                f"{label}: seeded service outputs "
-                f"changed — determinism break")
-
-    for name, base_entry in baseline.get("scenarios", {}).items():
-        if only is not None and name not in only:
-            continue
-        cur_entry = current.get("scenarios", {}).get(name)
-        if cur_entry is None:
-            failures.append(f"scenario {name!r} missing from current run")
-            continue
-        for count, base_point in base_entry.get("shard_counts",
-                                                {}).items():
-            compare_point(f"{name}@{count} shards", base_point,
-                          cur_entry.get("shard_counts", {}).get(count))
-        for variant, base_point in base_entry.get("variants",
-                                                  {}).items():
-            compare_point(f"{name}/{variant}", base_point,
-                          cur_entry.get("variants", {}).get(variant))
-    return failures
-
-
-def _format_report(report: Dict[str, Any]) -> str:
-    lines = [f"service bench ({report['mode']}, python "
-             f"{report['python']}, {report['cpu_count']} cpus, "
-             f"calibration {report['calibration_ops_per_s']:,.0f} ops/s)"]
-    for name, entry in report["scenarios"].items():
-        points = [(f"{count:>2} shard(s)", point)
-                  for count, point in entry.get("shard_counts",
-                                                {}).items()]
-        points += [(f"{variant:>9}", point)
-                   for variant, point in entry.get("variants",
-                                                   {}).items()]
-        for label, point in points:
-            fid = point["fidelity"]
-            if "tenants" in fid:
-                detail = ", ".join(
-                    f"{tn} p99 r{t['read_p99_ns']:,}"
-                    f"/w{t['write_p99_ns']:,}ns"
-                    for tn, t in fid["tenants"].items())
-                sim = fid["accesses_per_simulated_s"]
-            else:
-                detail = (f"{entry.get('fleet', '?')} tenants, "
-                          f"slo violation rate "
-                          f"{entry.get('slo_violation_rate', 0.0):.4f}")
-                sim = fid["runs"][-1]["accesses_per_simulated_s"]
-            lines.append(
-                f"  {name:<15} {label} "
-                f"{sim:>14,.0f} acc/sim-s "
-                f"{point['served_per_wall_s']:>12,.0f} acc/wall-s  "
-                f"[{detail}]")
-        if "scaling_4x" in entry:
-            lines.append(f"  {name:<15} scaling 4 vs 1 shard: "
-                         f"{entry['scaling_4x']:.2f}x")
-        if "read_speedup_cached" in entry:
-            lines.append(
-                f"  {name:<15} cached vs uncached reads: "
-                f"{entry['read_speedup_cached']:.2f}x "
-                f"(hit rate {entry['cache_hit_rate']:.1%}, "
-                f"need {entry['min_read_speedup']}x)")
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bench_service",
-        description="eNVy sharded-service benchmark "
-                    "(throughput/p99 vs shard count and tenant skew)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small scenarios for CI")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="shard fan-out workers (default: ENVY_JOBS "
-                             "or CPU count); never changes results")
-    parser.add_argument("--output", default="BENCH_SERVICE.json",
-                        help="write the JSON report here "
-                             "(default: %(default)s)")
-    parser.add_argument("--compare", metavar="BASELINE",
-                        help="fail on regression vs this committed report")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="tolerated normalized-throughput drop "
-                             "(default: %(default)s)")
-    parser.add_argument("--min-scaling", type=float, default=2.5,
-                        dest="min_scaling",
-                        help="required 4-shard/1-shard simulated-"
-                             "throughput ratio (default: %(default)s)")
-    parser.add_argument("--scenario", action="append", dest="scenarios",
-                        metavar="NAME", choices=sorted(SCENARIOS),
-                        help="run only this scenario (repeatable; "
-                             "--compare then checks just these against "
-                             "the committed baseline)")
-    args = parser.parse_args(argv)
-
-    report = run_bench(smoke=args.smoke, jobs=args.jobs,
-                       scenarios=args.scenarios)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(_format_report(report))
-    print(f"report written to {args.output}")
-
-    failures = check_scaling(report, args.min_scaling)
-    failures += check_gates(report)
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        failures += compare_reports(report, baseline,
-                                    max_regression=args.max_regression,
-                                    only=(set(args.scenarios)
-                                          if args.scenarios else None))
-    if failures:
-        print("\nSERVICE BENCH FAILURES:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    if args.compare:
-        print(f"no regression vs {args.compare} "
-              f"(tolerance {args.max_regression:.0%})")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

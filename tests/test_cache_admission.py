@@ -18,7 +18,7 @@ from repro.obs.export import service_prometheus_text
 from repro.service import (AdmissionController, EnvyService, PageCache,
                            ServiceConfig, TenantSpec, attack_tenant,
                            run_attack_scenario)
-from repro.service.bench import check_gates, scale_fleet
+from repro.service.bench import scale_fleet
 from repro.service.chaos import run_redundancy_chaos, run_service_chaos
 from repro.service.loadgen import LoadGenerator
 
@@ -486,18 +486,3 @@ class TestBenchScale:
         assert sum(1 for t in fleet if t.get("cache") is False) == 40
         for kwargs in fleet[:50]:
             TenantSpec.from_spec(dict(kwargs)).validate()
-
-    def test_check_gates(self):
-        report = {"scenarios": {
-            "cached": {"min_read_speedup": 2.0,
-                       "read_speedup_cached": 1.4},
-            "scale": {"min_accesses_per_s": 1e6,
-                      "accesses_per_simulated_s": 5e5,
-                      "max_slo_violation_rate": 0.05,
-                      "slo_violation_rate": 0.2},
-            "fine": {"min_read_speedup": 2.0,
-                     "read_speedup_cached": 2.4},
-        }}
-        failures = check_gates(report)
-        assert len(failures) == 3
-        assert not check_gates({"scenarios": {"plain": {}}})

@@ -23,7 +23,6 @@ from repro.flash.array import WearStats
 from repro.flash.segment import FlashSegment
 from repro.perf import (cleaning_cost_point, derive_seed, resolve_jobs,
                         run_sweep)
-from repro.perf.bench import compare_reports
 from repro.sim.engine import build_tpca_system
 
 GOLDEN = json.loads(
@@ -344,46 +343,3 @@ def test_oob_stamping_never_changes_metrics():
     assert controller_on.store.wear_spread() == \
         controller_off.store.wear_spread()
 
-
-# ----------------------------------------------------------------------
-# Regression harness plumbing
-# ----------------------------------------------------------------------
-
-def _fake_report(aps, calibration, cost=1.5, mode="smoke"):
-    return {
-        "schema": "envy-bench-perf/1",
-        "mode": mode,
-        "calibration_ops_per_s": calibration,
-        "scenarios": {
-            "cleaning_greedy": {
-                "wall_s": 1.0,
-                "accesses_per_s": aps,
-                "fidelity": {"cleaning_cost": cost},
-            },
-        },
-    }
-
-
-def test_compare_reports_regression_gate():
-    baseline = _fake_report(aps=100_000.0, calibration=1_000_000.0)
-    # Same speed: clean.
-    assert compare_reports(_fake_report(100_000.0, 1_000_000.0),
-                           baseline) == []
-    # 2x slower machine, same normalized throughput: clean.
-    assert compare_reports(_fake_report(50_000.0, 500_000.0),
-                           baseline) == []
-    # Real 40% regression: caught.
-    failures = compare_reports(_fake_report(60_000.0, 1_000_000.0),
-                               baseline)
-    assert failures and "cleaning_greedy" in failures[0]
-    # Within the 25% tolerance: clean.
-    assert compare_reports(_fake_report(80_000.0, 1_000_000.0),
-                           baseline) == []
-    # Seeded output drift fails even when faster.
-    failures = compare_reports(_fake_report(200_000.0, 1_000_000.0,
-                                            cost=1.6), baseline)
-    assert failures and "determinism" in failures[0]
-    # Mode mismatch is refused outright.
-    failures = compare_reports(_fake_report(100_000.0, 1_000_000.0,
-                                            mode="full"), baseline)
-    assert failures and "mode mismatch" in failures[0]

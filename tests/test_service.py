@@ -239,52 +239,3 @@ class TestDirectAccess:
     def test_cross_shard_error_is_a_value_error(self):
         assert issubclass(CrossShardError, ValueError)
 
-
-class TestServiceBench:
-    """Gate logic of the service benchmark (no full bench run)."""
-
-    @staticmethod
-    def report(served_per_wall_s=100.0, scaling=4.0, calib=1e6,
-               fidelity=None):
-        return {
-            "mode": "smoke",
-            "calibration_ops_per_s": calib,
-            "scenarios": {
-                "zipf_canonical": {
-                    "shard_counts": {
-                        "1": {"served_per_wall_s": served_per_wall_s,
-                              "fidelity": fidelity or {"served": 10}},
-                    },
-                    "scaling_4x": scaling,
-                },
-            },
-        }
-
-    def test_scaling_gate(self):
-        from repro.service.bench import check_scaling
-        assert check_scaling(self.report(scaling=4.0)) == []
-        failures = check_scaling(self.report(scaling=1.4))
-        assert failures and "zipf_canonical" in failures[0]
-
-    def test_compare_normalizes_by_calibration(self):
-        from repro.service.bench import compare_reports
-        baseline = self.report(served_per_wall_s=100.0, calib=1e6)
-        # Half the raw speed on a half-speed machine: no regression.
-        current = self.report(served_per_wall_s=50.0, calib=5e5)
-        assert compare_reports(current, baseline) == []
-        # Half the raw speed on the same machine: regression.
-        slow = self.report(served_per_wall_s=50.0, calib=1e6)
-        assert compare_reports(slow, baseline)
-
-    def test_compare_flags_fidelity_drift(self):
-        from repro.service.bench import compare_reports
-        baseline = self.report(fidelity={"served": 10})
-        drifted = self.report(fidelity={"served": 11})
-        failures = compare_reports(drifted, baseline)
-        assert failures and "determinism" in failures[0]
-
-    def test_compare_flags_mode_mismatch(self):
-        from repro.service.bench import compare_reports
-        baseline = self.report()
-        current = dict(self.report(), mode="full")
-        assert compare_reports(current, baseline)
