@@ -134,6 +134,9 @@ class EnvyController:
         #: The attached :class:`~repro.obs.hub.ObservabilityHub`, if any
         #: (set by the hub itself); health_report folds in its views.
         self.observability = None
+        #: Called as ``(page, clean_copies_before)`` at the end of every
+        #: :meth:`flush_one`, e.g. by per-tenant wear attribution.
+        self.flush_listener = None
         self.page_table = PageTable(cfg.logical_pages,
                                     entry_bytes=cfg.page_table_entry_bytes,
                                     read_ns=cfg.sram.read_ns,
@@ -650,6 +653,7 @@ class EnvyController:
         """
         entry = self.buffer.pop_tail()
         before = self._pending_work_ns
+        clean_before = self.metrics.clean_copies
         page = entry.logical_page
         journal = self.store.journal
         if journal is not None:
@@ -675,6 +679,8 @@ class EnvyController:
             if self._flushes_since_checkpoint >= \
                     self.config.checkpoint_interval_flushes:
                 self.checkpoint_now()
+        if self.flush_listener is not None:
+            self.flush_listener(page, clean_before)
         return self._pending_work_ns - before
 
     def checkpoint_now(self) -> int:

@@ -2,7 +2,9 @@
 
 One :class:`ShardExecutor` owns one :class:`~repro.core.controller.
 EnvyController` and replays that shard's slice of the service schedule
-as a single-server queue on the simulated clock:
+as a single-server queue on the simulated clock — whole (``run``) or a
+stretch at a time as the schedule streams in (``start`` / ``feed`` /
+``finish``; any split replays identically):
 
 * **bounded queue** — a request arriving while ``queue_capacity``
   earlier requests are still waiting or in service is rejected
@@ -213,6 +215,7 @@ class ShardExecutor:
         self.trace = trace
         self._overdraft_ns = 0
         self._stamp = 0
+        self._replay = None
 
     # ------------------------------------------------------------------
 
@@ -244,6 +247,33 @@ class ShardExecutor:
         request's index in the merged schedule; replica rows share the
         originating request's id) — defaults to the slice index.
         """
+        self.start()
+        self.feed(requests, rids)
+        return self.finish()
+
+    def start(self) -> None:
+        """Open a replay: install its hooks and wait for :meth:`feed`."""
+        self._replay = self._replay_rows()
+        next(self._replay)
+
+    def feed(self, rows: Sequence[Request],
+             rids: Optional[Sequence[int]] = None) -> None:
+        """Replay the next stretch of the slice.  Retries due past its
+        last row stay pending, so any split replays as the whole."""
+        self._replay.send((rows, rids))
+
+    def finish(self) -> Dict:
+        """Drain pending retries, remove the hooks, return the stats."""
+        replay, self._replay = self._replay, None
+        try:
+            replay.send(None)
+        except StopIteration as done:
+            return done.value
+
+    def _replay_rows(self):
+        """The replay as a coroutine: each ``yield`` waits for the next
+        ``(rows, rids)`` stretch (``None`` ends the slice), so queue,
+        batch, retry heap and trace state live across feeds as locals."""
         controller = self.controller
         metrics = controller.metrics
         bus = controller.events
@@ -301,7 +331,6 @@ class ShardExecutor:
         window_ns = self.attribution_window_ns
         current_window: List[int] = []
         accrue_clock = 0
-        orig_flush = controller.flush_one
         store = controller.store
 
         # --- DRAM read-cache tier -------------------------------------
@@ -355,34 +384,26 @@ class ShardExecutor:
                                 current_window[t_index])
                             current_window[t_index] = 0
 
-            def attributed_flush() -> int:
-                # The FIFO tail is the page about to flush; attribute
-                # the program — and any cleaning it sets off — to the
-                # tenant whose write put it in SRAM.
-                entry = buffer.tail()
-                owner = None
-                if entry is not None:
-                    owner = buffer_owner.pop(entry.logical_page, None)
+            def on_flush(page: int, clean_before: int) -> None:
+                # Attribute the program — and any cleaning it set off —
+                # to the tenant whose write put the page in SRAM.
+                owner = buffer_owner.pop(page, None)
+                if owner is not None:
+                    owner_count[owner] -= 1
+                    if not owner_count[owner]:
+                        del owner_count[owner]
+                location = store.page_location[page]
+                if location is not None and location[0] >= 0:
+                    phys = store.positions[location[0]].phys
+                    segment_programs[phys] = \
+                        segment_programs.get(phys, 0) + 1
                     if owner is not None:
-                        owner_count[owner] -= 1
-                        if not owner_count[owner]:
-                            del owner_count[owner]
-                clean_before = metrics.clean_copies
-                ns = orig_flush()
-                if entry is not None:
-                    location = store.page_location[entry.logical_page]
-                    if location is not None and location[0] >= 0:
-                        phys = store.positions[location[0]].phys
-                        segment_programs[phys] = \
-                            segment_programs.get(phys, 0) + 1
-                        if owner is not None:
-                            slot_wear = wear_slots[owner]
-                            slot_wear["flushes"] += 1
-                            segments = slot_wear["flush_segments"]
-                            segments[phys] = segments.get(phys, 0) + 1
-                            slot_wear["induced_clean_copies"] += \
-                                metrics.clean_copies - clean_before
-                return ns
+                        slot_wear = wear_slots[owner]
+                        slot_wear["flushes"] += 1
+                        segments = slot_wear["flush_segments"]
+                        segments[phys] = segments.get(phys, 0) + 1
+                        slot_wear["induced_clean_copies"] += \
+                            metrics.clean_copies - clean_before
 
         # --- request tracing (repro.obs.trace) ------------------------
         tracing = self.trace
@@ -399,9 +420,6 @@ class ShardExecutor:
         pseudo_busy: deque = deque()
 
         if tracing:
-            if rids is None:
-                rids = range(len(requests))
-
             def collect(event: ObsEvent) -> None:
                 # Controller spans inside the current request window
                 # become its children; spans between requests (idle-gap
@@ -447,22 +465,35 @@ class ShardExecutor:
         # (time, tenant, seq) so the replay order is schedule-determined.
         retries: List = []
         retried = 0
-        index = 0
-        total = len(requests)
+        requests = rids = None
+        index = total = fed = 0
+        feeding = True
         # The replay's three hooks go in together and — an interrupted
-        # replay included (repro.service.chaos cuts the power on
-        # purpose) — come out together in the finally below.
+        # or abandoned replay included (repro.service.chaos cuts the
+        # power on purpose) — come out together in the finally below.
         if cache is not None:
             store.copy_listener = _on_cleaner_copy
         if attributing:
-            # Instance attribute shadows the bound method, so the stall
-            # path inside controller.write and the background flusher
-            # both route through the attribution wrapper.
-            controller.flush_one = attributed_flush
+            # Stall-path and background flushes alike report here.
+            prev_flush_listener = controller.flush_listener
+            controller.flush_listener = on_flush
         if tracing:
             bus.subscribe(collect)
         try:
-            while index < total or retries:
+            while True:
+                if index >= total:
+                    if feeding:
+                        requests = None  # replayed: free it while waiting
+                        requests, rids = (yield) or (None, None)
+                        feeding = requests is not None
+                        if feeding:
+                            index, total = 0, len(requests)
+                            if tracing and rids is None:
+                                rids = range(fed, fed + total)
+                            fed += total
+                        continue
+                    if not retries:
+                        break
                 if retries and (index >= total
                                 or retries[0][:3] <= (requests[index][0],
                                                       requests[index][1],
@@ -716,7 +747,7 @@ class ShardExecutor:
             if cache is not None:
                 store.copy_listener = prev_copy_listener
             if attributing:
-                del controller.flush_one  # restore the bound method
+                controller.flush_listener = prev_flush_listener
             if tracing:
                 bus.unsubscribe(collect)
 
@@ -799,9 +830,16 @@ def service_shard_point(point: Mapping) -> Dict:
     processes import it fresh; the point carries everything the shard
     needs and the return value is the executor's picklable stats dict.
     """
+    return shard_executor(point).run(point["requests"],
+                                     rids=point.get("rids"))
+
+
+def shard_executor(point: Mapping) -> ShardExecutor:
+    """One shard, built and prewarmed from its sweep point, ready to
+    :meth:`~ShardExecutor.run` or to be fed window by window."""
     shard_index = point["shard_index"]
     controller = build_shard_controller(point, shard_index)
-    executor = ShardExecutor(
+    return ShardExecutor(
         controller, shard_index,
         tenant_names=point["tenant_names"],
         queue_capacity=point["queue_capacity"],
@@ -822,4 +860,3 @@ def service_shard_point(point: Mapping) -> Dict:
         cache_hit_ns=point.get("cache_hit_ns"),
         cache_tenants=point.get("cache_tenants"),
         cache_tenant_caps=point.get("cache_tenant_caps"))
-    return executor.run(point["requests"], rids=point.get("rids"))

@@ -11,22 +11,23 @@ per-shard queue bounds and cleaner-debt backpressure at each bank).
 Execution model — determinism before everything
 -----------------------------------------------
 
-A run has two phases with a clean cut between them:
+A run is a one-way pipeline, one window (an arrival-time range of the
+schedule, :meth:`LoadGenerator.stream`) at a time:
 
-1. **Schedule** (always in-process, serial): the load generator builds
-   the merged request schedule and applies tenant rate limits.  The
-   schedule is a pure function of ``(tenants, duration, seed)``.
-2. **Execute** (parallelizable): the schedule is partitioned by shard —
-   shards share no pages, so their slices are independent — and each
-   slice runs through :func:`~repro.service.executor.
-   service_shard_point` via :func:`~repro.perf.run_sweep`.  Results
-   come back in shard order and merge by exact histogram addition.
+1. **Generate** (in-process, serial): the load generator draws the next
+   window and applies tenant rate limits.  The schedule is a pure
+   function of ``(tenants, duration, seed)`` — never of execution.
+2. **Route + execute**: the window is partitioned by shard — shards
+   share no pages, so their slices are independent — and each slice is
+   fed to that shard's :class:`~repro.service.executor.ShardExecutor`
+   (live in this process for a serial run; collected and shipped whole
+   through :func:`~repro.perf.run_sweep` for a parallel one).  Results
+   merge in shard order by exact histogram addition.
 
-Because phase 2's inputs are fully determined by phase 1 and shards
-never interact, the service-level metrics are identical for any
-``jobs`` setting (``ENVY_JOBS`` honoured, as everywhere else) and for
-repeated runs with the same seed — including every admission-control
-rejection, which :meth:`EnvyService.health_report` counts.
+Nothing flows back from stage 2 and shards never interact, so the
+service-level metrics — every admission-control rejection in
+:meth:`EnvyService.health_report` included — are identical for any
+``jobs`` setting (``ENVY_JOBS`` honoured), any window size and reruns.
 
 The service front-end publishes ``service.*`` events on its own
 :class:`~repro.obs.events.EventBus` (schedule-time throttling, per-shard
@@ -64,9 +65,10 @@ from ..obs.events import (ADMISSION_DECISION, CACHE_INVALIDATE,
                           EventBus)
 from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
-from ..perf.sweep import derive_seed, run_sweep
+from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
 from .admission import AdmissionController
 from .cache import CACHE_POLICIES, DRAM_READ_NS, PageCache
+from .executor import shard_executor
 from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, ParityPolicy, RebuildScheduler,
@@ -443,7 +445,6 @@ class EnvyService:
         self._dead_shards: Dict[int, EnvyController] = {}
         self._rebuilds: Dict[int, RebuildScheduler] = {}
         self._last_expansion: Optional[Dict[str, int]] = None
-        self._stamp_oracle: Optional[Dict[int, int]] = None
         self._inject_rebuild_ns = 0
         self._last_chaos: Optional[dict] = None
         #: Quarantined tenants: name -> degraded token-bucket rate,
@@ -487,18 +488,17 @@ class EnvyService:
         return all(state == BANK_HEALTHY for state in self._bank_states)
 
     def partition(self, requests: Sequence[Request],
-                  stamped: bool = False,
-                  with_rids: bool = False) -> List[List[Request]]:
-        """Split the schedule into per-shard slices with local pages.
+                  with_rids: bool = False,
+                  rid_base: int = 0) -> List[List[Request]]:
+        """Split the schedule (or one window of it, whose first row is
+        request ``rid_base``) into per-shard slices with local pages.
 
         With redundancy, remapping, degraded banks or an active
         rebuild, each logical request expands into its placement set
         (replica programs, parity maintenance, degraded redirections,
         rebuild copy traffic) with overhead rows attributed to pseudo
         tenants — every extra flash operation is charged through the
-        same cost model as foreground traffic.  ``stamped`` appends a
-        per-logical-write stamp to every row (identical across copies)
-        and records the write oracle for the chaos drills.
+        same cost model as foreground traffic.
 
         ``with_rids`` threads request ids (the request's index in the
         merged schedule) through the split: every row a logical request
@@ -510,33 +510,25 @@ class EnvyService:
         """
         num_shards = self.router.num_shards
         slices: List[List[Request]] = [[] for _ in range(num_shards)]
-        if not stamped and self._plain_routing():
+        if self._plain_routing():
             self._last_expansion = None
-            if with_rids:
-                rid_slices: List[List[int]] = [[] for _ in
-                                               range(num_shards)]
-                for rid, (arrival, tenant, seq, is_write,
-                          page) in enumerate(requests):
-                    shard, local = page % num_shards, page // num_shards
-                    slices[shard].append((arrival, tenant, seq,
-                                          is_write, local))
-                    rid_slices[shard].append(rid)
-                self._last_rids = rid_slices
-                return slices
-            self._last_rids = None
-            for arrival, tenant, seq, is_write, page in requests:
-                shard, local = page % num_shards, page // num_shards
+            rid_slices = self._last_rids = (
+                [[] for _ in range(num_shards)] if with_rids else None)
+            for rid, (arrival, tenant, seq, is_write,
+                      page) in enumerate(requests, rid_base):
+                shard = page % num_shards
                 slices[shard].append((arrival, tenant, seq, is_write,
-                                      local))
+                                      page // num_shards))
+                if with_rids:
+                    rid_slices[shard].append(rid)
             return slices
-        return self._partition_expanded(requests, slices, stamped,
-                                        with_rids)
+        return self._partition_expanded(requests, slices, with_rids,
+                                        rid_base)
 
     def _partition_expanded(self, requests: Sequence[Request],
                             slices: List[List[Request]],
-                            stamped: bool,
-                            with_rids: bool = False
-                            ) -> List[List[Request]]:
+                            with_rids: bool = False,
+                            rid_base: int = 0) -> List[List[Request]]:
         router = self.router
         states = self._bank_states
         num_shards = router.num_shards
@@ -546,19 +538,13 @@ class EnvyService:
         pseudo_reb = pseudo_red + 1          # __rebuild__
         counters = {"degraded_reads": 0, "degraded_writes": 0,
                     "replica_accesses": 0, "rebuild_accesses": 0}
-        oracle: Optional[Dict[int, int]] = {} if stamped else None
-        stamp = 0
         bus = self.events
 
         cur_rid = 0
 
         def emit(bank: int, tenant_index: int, seq: int, is_write: bool,
-                 local: int, row_stamp: int) -> None:
-            if stamped:
-                row = (arrival, tenant_index, seq, is_write, local,
-                       row_stamp)
-            else:
-                row = (arrival, tenant_index, seq, is_write, local)
+                 local: int) -> None:
+            row = (arrival, tenant_index, seq, is_write, local)
             if with_rids:
                 # rid rides as the last tuple element so a later sort
                 # co-sorts rows and rids; stripped before dispatch.
@@ -566,16 +552,13 @@ class EnvyService:
             slices[bank].append(row)
 
         for cur_rid, (arrival, tenant, seq, is_write,
-                      page) in enumerate(requests):
+                      page) in enumerate(requests, rid_base):
             if redundant:
                 placements = router.placements(page)
             else:
                 placements = [router.route(page)]
             primary_bank, primary_local = placements[0]
             if is_write:
-                if stamped:
-                    stamp += 1
-                    oracle[page] = stamp
                 live = [slot for slot in placements
                         if states[slot[0]] != BANK_DEAD]
                 if not live:
@@ -601,31 +584,31 @@ class EnvyService:
                                 continue
                             counters["replica_accesses"] += 1
                             emit(peer, pseudo_red, seq, False,
-                                 primary_local, 0)
+                                 primary_local)
                     elif len(live) > 1:
                         # RAID small write: read old data + old parity
                         # before programming both.
                         for bank, local in live:
                             counters["replica_accesses"] += 1
-                            emit(bank, pseudo_red, seq, False, local, 0)
+                            emit(bank, pseudo_red, seq, False, local)
                 first = True
                 for bank, local in live:
                     if first:
-                        emit(bank, tenant, seq, True, local, stamp)
+                        emit(bank, tenant, seq, True, local)
                         first = False
                         continue
                     counters["replica_accesses"] += 1
                     if bus.active:
                         bus.mark(REDUNDANCY_REPLICA,
                                  {"bank": bank, "kind": "program"})
-                    emit(bank, pseudo_red, seq, True, local, stamp)
+                    emit(bank, pseudo_red, seq, True, local)
                 continue
             # Reads: primary if healthy, else the first fully-healthy
             # fallback group (one mirror slot, or a whole parity
             # stripe XORed together).  A rebuilding bank takes writes
             # but is not trusted for reads until its rebuild verifies.
             if states[primary_bank] == BANK_HEALTHY:
-                emit(primary_bank, tenant, seq, False, primary_local, 0)
+                emit(primary_bank, tenant, seq, False, primary_local)
                 continue
             served = False
             for group in (router.read_groups(page) if redundant else []):
@@ -640,11 +623,11 @@ class EnvyService:
                 first = True
                 for bank, local in group:
                     if first:
-                        emit(bank, tenant, seq, False, local, 0)
+                        emit(bank, tenant, seq, False, local)
                         first = False
                         continue
                     counters["replica_accesses"] += 1
-                    emit(bank, pseudo_red, seq, False, local, 0)
+                    emit(bank, pseudo_red, seq, False, local)
                 served = True
                 break
             if not served:
@@ -654,7 +637,7 @@ class EnvyService:
                     f"exhausted")
 
         needs_sort = self._inject_rebuild(slices, states, pseudo_reb,
-                                          counters, stamped, with_rids)
+                                          counters, with_rids)
         if needs_sort:
             for entry in slices:
                 entry.sort()
@@ -666,16 +649,14 @@ class EnvyService:
         else:
             self._last_rids = None
         self._last_expansion = counters
-        self._stamp_oracle = oracle
         return slices
 
     def _inject_rebuild(self, slices: List[List[Request]],
                         states: List[str], pseudo_reb: int,
                         counters: Dict[str, int],
-                        stamped: bool,
                         with_rids: bool = False) -> bool:
         """Charge rate-limited rebuild copy traffic into the slices."""
-        if stamped or not self._inject_rebuild_ns:
+        if not self._inject_rebuild_ns:
             return False
         gap_ns = max(1, int(1e9 / self.config.rebuild_rate_pps))
         budget = self._inject_rebuild_ns // gap_ns
@@ -746,20 +727,22 @@ class EnvyService:
                                   self.config.page_bytes,
                                   seed=self.config.seed,
                                   rate_overrides=overrides or None)
-        schedule, accounting = generator.generate(duration_s)
         bus = self.events
-        if bus.active:
-            bus.mark(SERVICE_RUN, {"requests": len(schedule),
-                                   "shards": self.router.num_shards,
-                                   "tenants": len(self.tenants)})
-        self._inject_rebuild_ns = int(duration_s * 1e9)
-        try:
-            slices = self.partition(schedule, with_rids=trace)
-        finally:
-            self._inject_rebuild_ns = 0
-        expansion = self._last_expansion
+        expanded = not self._plain_routing()
+        if expanded or bus.active:
+            # One window: the expander carries counters and rebuild
+            # injection across rows, and SERVICE_RUN announces the
+            # admitted count before the first shard event.
+            schedule, accounting = generator.generate(duration_s)
+            windows = (schedule,)
+            if bus.active:
+                bus.mark(SERVICE_RUN, {"requests": len(schedule),
+                                       "shards": self.router.num_shards,
+                                       "tenants": len(self.tenants)})
+        else:
+            windows, accounting = generator.stream(duration_s)
         tenant_names = [t.name for t in self.tenants]
-        if expansion is not None:
+        if expanded:
             tenant_names = tenant_names + [_REDUNDANCY_TENANT,
                                            _REBUILD_TENANT]
         base = self.config.shard_point_base()
@@ -778,14 +761,41 @@ class EnvyService:
             caps = self._cache_tenant_caps(tenant_names)
             if caps is not None:
                 base["cache_tenant_caps"] = caps
-        points = [dict(base, shard_index=index, requests=slices[index],
-                       tenant_names=tenant_names)
-                  for index in range(self.router.num_shards)]
-        if trace:
-            for index, point in enumerate(points):
-                point["trace"] = True
-                point["rids"] = self._last_rids[index]
-        results = run_sweep(_SHARD_WORKER, points, jobs=jobs)
+        num_shards = self.router.num_shards
+        points = [dict(base, shard_index=index, tenant_names=tenant_names,
+                       trace=trace, requests=[],
+                       rids=[] if trace else None)
+                  for index in range(num_shards)]
+        # A serial run feeds live executors; a parallel one collects the
+        # slices: shipping one to another process needs it whole.
+        live = min(resolve_jobs(jobs), num_shards) == 1
+        if live:
+            executors = [shard_executor(point) for point in points]
+            for executor in executors:
+                executor.start()
+        admitted = 0
+        self._inject_rebuild_ns = int(duration_s * 1e9)
+        try:
+            for window in windows:
+                slices = self.partition(window, with_rids=trace,
+                                        rid_base=admitted)
+                admitted += len(window)
+                for shard, rows in enumerate(slices):
+                    rids = self._last_rids[shard] if trace else None
+                    if live:
+                        executors[shard].feed(rows, rids)
+                    else:
+                        points[shard]["requests"] += rows
+                        if trace:
+                            points[shard]["rids"] += rids
+                del window, slices, rows, rids  # peak: one window, not two
+        finally:
+            self._inject_rebuild_ns = 0
+        expansion = self._last_expansion if expanded else None
+        if live:
+            results = [executor.finish() for executor in executors]
+        else:
+            results = run_sweep(_SHARD_WORKER, points, jobs=jobs)
 
         stats = ServiceStats(num_shards=self.router.num_shards,
                              duration_s=duration_s)
@@ -798,7 +808,7 @@ class EnvyService:
                                      for t in stats.tenants.values())
         stats.requests_throttled = sum(t.throttled
                                        for t in stats.tenants.values())
-        stats.requests_admitted = len(schedule)
+        stats.requests_admitted = admitted
         for shard_result in results:
             shard = shard_result["shard"]
             for name, slice_stats in shard_result["tenants"].items():

@@ -1,9 +1,14 @@
 """Tests for the sharded service core: router, tenants, determinism."""
 
+import tracemalloc
+from unittest import mock
+
 import pytest
 
 from repro.service import (CrossShardError, EnvyService, ServiceConfig,
                            ShardRouter, TenantSpec, TokenBucket)
+
+from .test_service_loadgen import windowed
 
 SMALL = ServiceConfig(num_shards=2, num_segments=8, pages_per_segment=32,
                       seed=13)
@@ -208,6 +213,89 @@ class TestServiceRun:
         service.run(DURATION, jobs=1)
         assert "service.run" in kinds
         assert kinds.count("service.shard") == SMALL.num_shards
+
+
+def run_counting_windows(config, tenants=TENANTS, subscribe=False,
+                         **run_kwargs):
+    """One fresh service run; also how many windows it partitioned."""
+    service = EnvyService(config, tenants)
+    kinds = []
+    if subscribe:
+        service.events.subscribe(lambda e: kinds.append((e.kind, e.data)))
+    with mock.patch.object(EnvyService, "partition", autospec=True,
+                           side_effect=EnvyService.partition) as partition:
+        stats = service.run(DURATION, **run_kwargs)
+    return service, stats, partition.call_count, kinds
+
+
+class TestStreamedRun:
+    """generate -> route -> execute by windows: same results whatever
+    the window size, however many processes run the shards."""
+
+    BUSY = ServiceConfig(num_shards=2, num_segments=8, pages_per_segment=32,
+                         seed=13, retry_limit=2, queue_capacity=8,
+                         cache_pages=32, attribute_wear=True)
+
+    def test_windows_and_jobs_never_change_results_or_traces(self):
+        with windowed(10 ** 9):
+            whole, expected, windows, _ = run_counting_windows(
+                self.BUSY, jobs=1, trace=True)
+        assert windows == 1
+        assert expected.requests_retried and expected.cache_hits
+        for jobs in (1, 2):
+            with windowed(128):
+                service, stats, windows, _ = run_counting_windows(
+                    self.BUSY, jobs=jobs, trace=True)
+            assert windows >= 3
+            assert stats.as_dict() == expected.as_dict()
+            assert stats.segment_programs == expected.segment_programs
+            # Same rows in the same order, request ids included.
+            assert service.last_trace.to_jsonl() == \
+                whole.last_trace.to_jsonl()
+        rids = [row["rid"] for row in whole.last_trace.rows]
+        assert sorted(set(rids)) == list(range(expected.requests_admitted))
+
+    def test_expanded_routing_and_bus_subscribers_take_one_window(self):
+        mirror = ServiceConfig(num_shards=2, num_segments=8,
+                               pages_per_segment=32, seed=13,
+                               redundancy="mirror")
+        with windowed(128):
+            _, plain, windows, _ = run_counting_windows(SMALL, jobs=1)
+            assert windows >= 3
+            _, stats, windows, _ = run_counting_windows(mirror, jobs=1)
+            assert windows == 1 and stats.replica_accesses
+            _, stats, windows, kinds = run_counting_windows(
+                SMALL, subscribe=True, jobs=1)
+        assert windows == 1 and stats.as_dict() == plain.as_dict()
+        # The admitted count is announced before any shard reports.
+        assert kinds[0][0] == "service.run"
+        assert kinds[0][1]["requests"] == stats.requests_admitted
+
+    def test_peak_memory_does_not_scale_with_run_length(self):
+        """Doubling the run doubles the rows but not the peak: what is
+        live is the shards, one window, and 8 bytes per arrival (a row
+        held as tuples, as the whole schedule used to be, is ~300)."""
+        config = ServiceConfig(num_shards=4, num_segments=16,
+                               pages_per_segment=64, seed=13)
+        heavy = [TenantSpec("reader", rate_tps=2.5e7, write_fraction=0.0)]
+
+        def peak(duration_s):
+            service = EnvyService(config, heavy)
+            tracemalloc.start()
+            try:
+                stats = service.run(duration_s, jobs=1)
+                return tracemalloc.get_traced_memory()[1], stats
+            finally:
+                tracemalloc.stop()
+
+        with windowed(1024):
+            peak(0.0001)  # shared Zipf tables are built (and kept) once
+            short, stats = peak(0.0004)
+            long, doubled = peak(0.0008)
+        extra_rows = doubled.requests_admitted - stats.requests_admitted
+        assert extra_rows > 9_000
+        assert long <= 1.3 * short
+        assert long - short <= 32 * extra_rows
 
 
 class TestDirectAccess:

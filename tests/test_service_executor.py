@@ -1,4 +1,4 @@
-"""ShardExecutor.run: pinned replays and hook hygiene.
+"""ShardExecutor: pinned replays, feed split-invariance, hook hygiene.
 
 ``TestPinnedReplay`` holds one sha256 per executor feature set, taken
 over the full result dict plus the controller state the replay leaves
@@ -8,6 +8,7 @@ inline overdraft path) — they pin that rewrite to the old loop's
 behaviour and are never regenerated.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -62,9 +63,17 @@ def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45,
     return out
 
 
-def replay_digest(executor, requests, rids=None):
-    """sha256 over the result dict and the state the replay leaves."""
-    result = executor.run(requests, rids=rids)
+def replay_digest(executor, requests, rids=None, cuts=None):
+    """sha256 over the result dict and the state the replay leaves;
+    ``cuts`` replays the slice as that many-plus-one feeds instead."""
+    if cuts is None:
+        result = executor.run(requests, rids=rids)
+    else:
+        executor.start()
+        for begin, end in zip([0] + cuts, cuts + [len(requests)]):
+            executor.feed(requests[begin:end],
+                          None if rids is None else rids[begin:end])
+        result = executor.finish()
     controller = executor.controller
     state = {
         "result": result,
@@ -138,6 +147,35 @@ class TestPinnedReplay:
             rids = [7 * i + 1 for i in range(len(requests))]
         assert replay_digest(executor, requests, rids) == PINNED[name]
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
+    def test_any_split_into_feeds_is_the_same_replay(self, name, seed):
+        """start / feed x N / finish at random cut points — empty
+        stretches, cuts inside a burst of retries and inside a run of
+        equal arrivals included — is ``run`` of the whole slice."""
+        executor, requests = feature_replay(name)
+        rng = random.Random(seed)
+        cuts = sorted(rng.randrange(len(requests) + 1)
+                      for _ in range((3, 25, 120)[seed]))
+        if seed == 0:
+            cuts = [0] + cuts + [cuts[-1], len(requests)]
+        rids = None
+        if executor.trace:
+            rids = [7 * i + 1 for i in range(len(requests))]
+        assert replay_digest(executor, requests, rids, cuts) == PINNED[name]
+
+    def test_default_rids_number_rows_across_feeds(self):
+        """Without explicit rids a traced replay numbers rows by their
+        running offset, however the slice was cut."""
+        whole, requests = feature_replay("trace_pseudo")
+        expected = whole.run(requests)["trace"]["rows"]
+        assert [row["rid"] for row in expected[:3]] == [0, 1, 2]
+        split, _ = feature_replay("trace_pseudo")
+        split.start()
+        for begin in range(0, len(requests), 700):
+            split.feed(requests[begin:begin + 700])
+        assert split.finish()["trace"]["rows"] == expected
+
     def test_slices_exercise_what_they_pin(self):
         """The pinned slices are not vacuous: each reaches its feature."""
         def run(name):
@@ -178,6 +216,7 @@ class TestInterruptedReplay:
                           **kwargs).run(requests)
         switch.detach()
         assert store.copy_listener is listener_before
+        assert controller.flush_listener is None
         assert "flush_one" not in controller.__dict__
         assert bus.subscriber_count() == 0 and not bus.active
         # A second attributed executor is not refused by a stale hook.
@@ -186,3 +225,42 @@ class TestInterruptedReplay:
                           **kwargs).run(requests[:50])
         except RuntimeError as exc:  # pragma: no cover - the regression
             pytest.fail(f"stale hook survived the interrupted run: {exc}")
+
+    HOOKED = {"cache_pages": 16, "attribute_wear": True, "trace": True}
+
+    def hooked_replay(self):
+        """A started three-hook replay with one stretch already fed."""
+        controller = make_controller(store_data=True)
+        executor = ShardExecutor(controller, 0, tenant_names=TENANTS,
+                                 **self.HOOKED)
+        requests = mixed_slice(5, rows=1200, write_share=0.8)
+        executor.start()
+        executor.feed(requests[:300])
+        assert controller.store.copy_listener is not None
+        assert controller.flush_listener is not None
+        assert controller.events.subscriber_count() == 1
+        return controller, executor, requests
+
+    def assert_unhooked(self, controller):
+        assert controller.store.copy_listener is None
+        assert controller.flush_listener is None
+        assert controller.events.subscriber_count() == 0
+        assert not controller.events.active
+
+    def test_power_failure_inside_a_later_feed_restores_the_hooks(self):
+        controller, executor, requests = self.hooked_replay()
+        switch = KillSwitch(controller.array, kill_at=40)
+        with pytest.raises(SimulatedPowerFailure):
+            executor.feed(requests[300:])
+        switch.detach()
+        self.assert_unhooked(controller)
+
+    def test_finish_and_abandonment_both_remove_the_hooks(self):
+        controller, executor, requests = self.hooked_replay()
+        executor.feed(requests[300:])
+        assert executor.finish()["flushes"]
+        self.assert_unhooked(controller)
+        controller, executor, _ = self.hooked_replay()
+        del executor  # never finished: the open replay is closed for it
+        gc.collect()
+        self.assert_unhooked(controller)

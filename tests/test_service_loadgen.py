@@ -2,12 +2,15 @@
 
 import hashlib
 import heapq
+import random
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import LoadGenerator, TenantSpec
+from repro.service import LoadGenerator, TenantSpec, loadgen
 from repro.service.bench import scale_fleet
 
 PAGES = 512
@@ -213,3 +216,114 @@ class TestValidation:
             LoadGenerator([TenantSpec("a", skew=skew)], PAGES)
         with pytest.raises(ValueError, match="skew must be finite"):
             TenantSpec.parse(f"name=a,skew={skew}")
+
+
+def windowed(rows):
+    """Shrink (or blow up) the stream's windows for one ``with`` block."""
+    return mock.patch.multiple(loadgen, WINDOW_ROWS=rows, TENANT_ROWS=0)
+
+
+@st.composite
+def tenant_mixes(draw):
+    """A steady anchor tenant (so windows are never all empty) plus up to
+    four tenants over every workload kind, arrival mode, churn, bursts,
+    token buckets and rate overrides."""
+    duration_s = 0.0004
+    specs = [TenantSpec("anchor", rate_tps=1e6, write_fraction=0.3)]
+    overrides = {}
+    for index in range(draw(st.integers(0, 4))):
+        name = f"t{index}"
+        kind = draw(st.sampled_from(["zipf", "uniform", "tpca", "hammer",
+                                     "squat", "clean_amp"]))
+        kwargs = dict(workload=kind,
+                      rate_tps=draw(st.sampled_from([3e5, 1e6, 3e6])),
+                      write_fraction=draw(st.sampled_from([0.0, 0.4, 1.0])))
+        if kind == "tpca":
+            kwargs["rate_tps"] = draw(st.sampled_from([2e4, 1e5]))
+        elif draw(st.booleans()):
+            start = draw(st.integers(0, PAGES - 64))
+            kwargs["page_range"] = (start, start + draw(
+                st.integers(1, PAGES - start)))
+        if draw(st.booleans()):
+            kwargs.update(mode="closed", clients=draw(st.integers(1, 4)),
+                          think_ns=draw(st.sampled_from([4_000, 30_000])))
+        elif draw(st.booleans()):
+            kwargs.update(burst_every_s=duration_s / 3,
+                          burst_s=duration_s / 12,
+                          burst_x=draw(st.sampled_from([0.5, 4.0])))
+        if draw(st.booleans()):
+            kwargs.update(rate_limit_tps=draw(st.sampled_from([1e5, 1e6])),
+                          burst=draw(st.sampled_from([1.0, 16.0])))
+        churn = draw(st.sampled_from(["stay", "late", "early", "both"]))
+        if churn in ("late", "both"):
+            kwargs["arrive_s"] = duration_s * draw(
+                st.sampled_from([0.2, 0.5]))
+        if churn in ("early", "both"):
+            kwargs["depart_s"] = duration_s * draw(
+                st.sampled_from([0.6, 0.9]))
+        if draw(st.booleans()):
+            overrides[name] = draw(st.sampled_from([5e4, 5e5]))
+        specs.append(TenantSpec(name, **kwargs))
+    return specs, overrides, duration_s, draw(st.integers(0, 2 ** 20))
+
+
+class TestStream:
+    @given(tenant_mixes(), st.sampled_from([16, 50, 128]))
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_windows_concatenate_to_the_one_window_schedule(self, mix, rows):
+        specs, overrides, duration_s, seed = mix
+
+        def make():
+            return LoadGenerator(specs, PAGES, seed=seed,
+                                 rate_overrides=overrides or None)
+
+        with windowed(10 ** 9):
+            # One window: every tenant drawn to the end, one sort.
+            schedule, accounting = make().generate(duration_s)
+        with windowed(rows):
+            stream, streamed_accounting = make().stream(duration_s)
+            windows = list(stream)
+        assert len(windows) >= 3
+        assert [row for window in windows for row in window] == schedule
+        assert streamed_accounting == accounting
+        for window in windows:
+            assert window and window == sorted(window)
+        # Windows are arrival-time ranges: equal instants never straddle.
+        for before, after in zip(windows, windows[1:]):
+            assert before[-1][0] < after[0][0]
+
+    def test_accounting_grows_with_the_windows(self):
+        spec = TenantSpec("lim", rate_tps=4e6, rate_limit_tps=1e6)
+        with windowed(64):
+            windows, accounting = gen([spec]).stream(0.0005)
+            assert accounting == {"lim": {"offered": 0, "throttled": 0}}
+            seen = len(next(windows))
+            counts = accounting["lim"]
+            assert counts["offered"] - counts["throttled"] == seen
+            seen += sum(len(window) for window in windows)
+        assert counts["offered"] - counts["throttled"] == seen
+        assert counts["throttled"] > 0
+
+    def test_window_size_scales_with_the_tenants_that_have_traffic(self):
+        """Every window visits every tenant with arrivals, so a fleet's
+        windows hold at least TENANT_ROWS rows per such tenant."""
+        fleet = [TenantSpec(f"t{i}", rate_tps=2e5) for i in range(100)]
+        idle = [TenantSpec(f"late{i}", rate_tps=2e5, arrive_s=1.0)
+                for i in range(300)]
+        with mock.patch.object(loadgen, "WINDOW_ROWS", 100):
+            windows = list(gen(fleet + idle).stream(0.002)[0])
+        sizes = [len(window) for window in windows]
+        target = 100 * loadgen.TENANT_ROWS
+        assert len(sizes) >= 3
+        assert 0.7 * target < sum(sizes) / len(sizes) < 1.3 * target
+
+    def test_arrivals_are_packed(self):
+        generator = gen([TenantSpec("a")])
+        for spec in (TenantSpec("open", rate_tps=1e6),
+                     TenantSpec("closed", mode="closed", clients=3,
+                                think_ns=5_000)):
+            arrivals = generator._arrivals(spec, random.Random(1), 400_000)
+            assert isinstance(arrivals, array) and arrivals.typecode == "q"
+            assert len(arrivals) > 50
+            assert list(arrivals) == sorted(arrivals)
