@@ -4,10 +4,10 @@
 "The state of the cleaning process is kept in persistent memory so the
 controller can recover quickly after a failure."
 
-This demo arms a crash injector that cuts the power in the middle of
-Flash operations — during page copies, between a clean's commit and its
-erase, mid-flush — then runs recovery and proves no committed byte was
-lost, over and over.
+This demo subscribes a kill switch to the Flash array's pre-operation
+hooks and arms it to cut the power in the middle of Flash operations —
+during page copies, between a clean's commit and its erase, mid-flush —
+then runs recovery and proves no committed byte was lost, over and over.
 
 Run:  python examples/crash_recovery.py
 """
@@ -15,18 +15,23 @@ Run:  python examples/crash_recovery.py
 import random
 
 from repro import EnvyConfig, EnvySystem
-from repro.core.recovery import (CleanPhase, CrashInjector,
-                                 SimulatedPowerFailure, attach_journal,
-                                 recover)
+from repro.core.chaos import KillSwitch
+from repro.core.recovery import (CleanPhase, SimulatedPowerFailure,
+                                 attach_journal, recover)
 
 
 def main() -> None:
     system = EnvySystem(EnvyConfig.small(num_segments=8,
                                          pages_per_segment=16))
     journal = attach_journal(system)
-    injector = CrashInjector(system, journal)
     rng = random.Random(2024)
+    # Whoever attaches an instrument detaches it: the switch stays
+    # subscribed for exactly this block.
+    with KillSwitch(system.array) as injector:
+        run_demo(system, journal, injector, rng)
 
+
+def run_demo(system, journal, injector, rng) -> None:
     # Build up committed state.
     shadow = {}
     for _ in range(1200):

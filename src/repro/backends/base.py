@@ -29,6 +29,19 @@ Page and segment operations
     :class:`~repro.flash.errors.BadBlockError` on permanent failure so
     the caller can retire the block.
 
+Pre-operation hooks
+    ``pre_op_hooks`` — a public list (``append`` to subscribe,
+    ``remove`` to unsubscribe) whose callbacks run as ``(kind, segment,
+    data, oob)``, in registration order, at the top of every
+    ``program_page`` (kind ``"program"``) and ``erase_segment``
+    (``"erase"``), before the operation validates, counts or touches
+    anything: a hook that raises — the chaos harness's
+    :class:`~repro.core.chaos.KillSwitch` cutting the power — must
+    leave the medium, its counters and any write-through image exactly
+    as they were.  Subclasses of ``FlashArray`` inherit this by doing
+    their medium work after ``super()`` returns and by treating only
+    :class:`~repro.flash.errors.FlashError` as a device failure.
+
 Per-operation cost hooks
     ``read_time_ns``/``program_time_ns``/``erase_time_ns(segment)`` —
     the controller charges every host access and every piece of
@@ -88,6 +101,8 @@ class StorageBackend(abc.ABC):
     pages_per_segment: int
     page_bytes: int
     store_data: bool
+    #: Pre-operation hook list (see the module docstring).
+    pre_op_hooks: list
 
     @abc.abstractmethod
     def segment(self, index: int):

@@ -36,6 +36,7 @@ from collections import deque
 from typing import List, Optional, Tuple
 
 from ..flash.array import FlashArray
+from ..flash.errors import FlashError
 from ..flash.oob import OOB_BYTES
 from .registry import register_backend
 
@@ -164,7 +165,9 @@ class OnfiBackend(FlashArray):
                      oob: Optional[bytes] = None) -> Tuple[int, int]:
         try:
             page, ns = super().program_page(segment, data, oob)
-        except Exception:
+        except FlashError:
+            # Device failures only: a power cut raised by a pre-op hook
+            # never reached the part, so it leaves no status behind.
             self.status_register = STATUS_FAIL
             raise
         self.bus.sequence("program",
@@ -191,7 +194,7 @@ class OnfiBackend(FlashArray):
     def erase_segment(self, segment: int) -> int:
         try:
             ns = super().erase_segment(segment)
-        except Exception:
+        except FlashError:
             # The erase still consumed bus cycles; the status poll is
             # how the controller learns it failed (SR[0]=FAIL).
             self.bus.sequence("erase",

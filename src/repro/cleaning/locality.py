@@ -98,13 +98,6 @@ class LocalityGatheringPolicy(CleaningPolicy):
     # Redistribution heuristic
     # ------------------------------------------------------------------
 
-    def _average_product(self) -> float:
-        products = [p.product for p in self._store.positions
-                    if p.product is not None]
-        if not products:
-            return 0.0
-        return sum(products) / len(products)
-
     def _clean_and_gather(self, index: int) -> None:
         """Clean ``index``, then push pages toward lower-product neighbours.
 

@@ -143,17 +143,14 @@ class SegmentStore:
         self.page_location: List[Optional[Tuple[int, int]]] = (
             [None] * num_logical_pages)
         self.observer = observer
-        #: Primary relocation callback (see the copy_listener property);
-        #: a read-cache tier hooks this to invalidate entries whose
-        #: backing copy moved.  The observer cannot serve that purpose
-        #: because it only reports (operation, position, amount), never
-        #: page identity.
-        self._copy_listener: Optional[Callable[[int], None]] = None
-        #: Additional relocation listeners (add_copy_listener); they
-        #: fire after the primary, in registration order, so several
-        #: consumers (cache invalidation + trace recording) can watch
-        #: the same store without displacing each other.
-        self._copy_listeners: List[Callable[[int], None]] = []
+        #: Relocation listeners: each is called with every logical page
+        #: whose live Flash copy the cleaner physically moved (clean
+        #: survivors, prepended transfers, receive()), in registration
+        #: order; ``append`` to subscribe, ``remove`` to unsubscribe.  A
+        #: read-cache tier invalidates entries through this.  The
+        #: observer cannot serve that purpose because it only reports
+        #: (operation, position, amount), never page identity.
+        self.copy_listeners: List[Callable[[int], None]] = []
         # --- global counters (the cleaning-cost numerator/denominator) -
         self.flush_count = 0
         self.clean_copy_count = 0
@@ -176,50 +173,12 @@ class SegmentStore:
         self._wear_key = None
         self._wear_value = 0
 
-    # ------------------------------------------------------------------
-    # Copy listeners
-    # ------------------------------------------------------------------
-
-    @property
-    def copy_listener(self) -> Optional[Callable[[int], None]]:
-        """The primary relocation callback (single-listener slot).
-
-        Kept as a plain read/write property for the existing consumers
-        that save-and-restore it (the DRAM read cache, the transaction
-        executor); code that must coexist with them registers through
-        :meth:`add_copy_listener` instead.
-        """
-        return self._copy_listener
-
-    @copy_listener.setter
-    def copy_listener(self,
-                      callback: Optional[Callable[[int], None]]) -> None:
-        self._copy_listener = callback
-
-    def add_copy_listener(self,
-                          callback: Callable[[int], None]) -> None:
-        """Register an additional relocation listener.
-
-        Fires with each logical page whose live Flash copy the cleaner
-        physically relocated (clean survivors, prepended transfers,
-        receive()), after the primary listener.
-        """
-        self._copy_listeners.append(callback)
-
-    def remove_copy_listener(self,
-                             callback: Callable[[int], None]) -> None:
-        self._copy_listeners.remove(callback)
-
     def _notify_copies(self, pages) -> None:
-        listener = self._copy_listener
-        extras = self._copy_listeners
-        if listener is None and not extras:
-            return
-        for page in pages:
-            if listener is not None:
-                listener(page)
-            for extra in extras:
-                extra(page)
+        listeners = self.copy_listeners
+        if listeners:
+            for page in pages:
+                for listener in listeners:
+                    listener(page)
 
     # ------------------------------------------------------------------
     # Primitive operations

@@ -16,8 +16,8 @@ from .persistence import load_system, save_system
 from .prototype import (PrototypeController, PrototypeTimings,
                         narrow_path_timings, prototype_config)
 from .tracing import AccessRecord, AccessTrace, TracingController
-from .recovery import (CleaningJournal, CleanPhase, CrashInjector,
-                       RecoveryError, RecoveryMismatch, RecoveryReport,
+from .recovery import (CleaningJournal, CleanPhase, RecoveryError,
+                       RecoveryMismatch, RecoveryReport,
                        SimulatedPowerFailure, attach_journal, recover,
                        recover_from_flash, verify_against_scan)
 from .checkpoint import (CheckpointError, CheckpointManager,
@@ -49,7 +49,6 @@ __all__ = [
     "narrow_path_timings",
     "CleaningJournal",
     "CleanPhase",
-    "CrashInjector",
     "SimulatedPowerFailure",
     "attach_journal",
     "recover",

@@ -80,10 +80,12 @@ class BoundStore(SegmentStore):
         #: Stamping switch; on by default (stamps are free in the timing
         #: model — the OOB shares the program cycle).
         self.stamp_oob = True
-        #: Optional callback ``(logical_page, position, slot, epoch)``
-        #: fired after a host flush lands in flash; the controller uses
-        #: it to mirror epochs into the SRAM page table.
-        self.program_listener = None
+        #: Callbacks ``(logical_page, position, slot, epoch)`` fired, in
+        #: registration order, after a stamped host flush has landed in
+        #: flash and its bookkeeping is done; the controller mirrors
+        #: epochs into the SRAM page table here, the chaos harness's
+        #: commit oracle records the committed bytes.
+        self.program_listeners: List = []
         #: Crash-consistent mode: keep the last *flushed* copy of a
         #: buffered page alive in flash until its successor flushes.
         #: Without this, cleaning a segment can destroy the only durable
@@ -180,9 +182,9 @@ class BoundStore(SegmentStore):
         self.flush_shadows.pop(logical_page, None)
         if self.stamp_oob:
             self.page_epochs[logical_page] = epoch
-            if self.program_listener is not None:
-                slot = len(self.positions[pos_index].slots) - 1
-                self.program_listener(logical_page, pos_index, slot, epoch)
+            slot = len(self.positions[pos_index].slots) - 1
+            for listener in self.program_listeners:
+                listener(logical_page, pos_index, slot, epoch)
 
     def _kill(self, loc) -> None:
         position, slot = loc

@@ -19,6 +19,7 @@ fault plan, same kill point gives byte-identical outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from .config import EnvyConfig
@@ -27,7 +28,8 @@ from .recovery import (RecoveryReport, SimulatedPowerFailure,
                        recover_from_flash)
 
 __all__ = ["ChaosResult", "KillSwitch", "run_chaos", "chaos_sweep",
-           "attach_commit_oracle", "recovered_page_bytes"]
+           "sweep_kill_points", "attach_commit_oracle",
+           "recovered_page_bytes"]
 
 #: Bytes written per TPC-A balance update in the replay.
 _WORD = 8
@@ -62,12 +64,17 @@ class ChaosResult:
 class KillSwitch:
     """Counts Flash programs/erases and cuts the power at one of them.
 
-    ``kill_at`` is 1-based over the operations issued after arming.  A
-    plain kill raises :class:`SimulatedPowerFailure` *before* the
-    operation touches the array (a clean cut between cycles); with
-    ``tear=True`` a killed program first writes a corrupted payload
-    under the original OOB stamp — the torn page a mid-cycle power loss
-    leaves behind, detected at recovery by the payload-CRC mismatch.
+    The one power-cut injector: it subscribes to the array's
+    ``pre_op_hooks``, so it sees every program and erase of any backend
+    before the operation touches the medium, and coexists with any other
+    subscriber.  ``kill_at`` is 1-based over the operations seen since
+    construction; :meth:`arm` sets it relative to those already seen.  A
+    plain kill raises :class:`SimulatedPowerFailure` from the hook (a
+    clean cut between cycles); with ``tear=True`` a killed program first
+    writes a corrupted payload under the original OOB stamp — the torn
+    page a mid-cycle power loss leaves behind, detected at recovery by
+    the payload-CRC mismatch.  A fired switch is inert until re-armed,
+    and whoever builds one detaches it (:meth:`detach`, or ``with``).
 
     ``bus`` is an optional :class:`~repro.obs.events.EventBus`; a firing
     kill publishes a ``chaos.kill`` mark so the power cut appears on the
@@ -81,69 +88,66 @@ class KillSwitch:
         self.tear = tear
         self.bus = bus
         self.ops = 0
-        self._program = array.program_page
-        self._erase = array.erase_segment
-        array.program_page = self._wrap_program
-        array.erase_segment = self._wrap_erase
+        array.pre_op_hooks.append(self._on_op)
 
-    def _fire(self) -> bool:
+    def arm(self, after_operations: int) -> None:
+        """Cut the power on the Nth upcoming program/erase (1-based)."""
+        if after_operations < 1:
+            raise ValueError("must allow at least one operation")
+        if self._on_op not in self.array.pre_op_hooks:
+            raise RuntimeError("a detached switch sees no operations")
+        self.kill_at = self.ops + after_operations
+
+    def disarm(self) -> None:
+        self.kill_at = None
+
+    def _on_op(self, kind: str, segment: int, data, oob) -> None:
         self.ops += 1
-        return self.kill_at is not None and self.ops == self.kill_at
-
-    def _mark_kill(self, op: str) -> None:
+        if self.ops != self.kill_at:
+            return
+        self.kill_at = None
+        if self.tear and kind == "program" and data is not None:
+            # The torn program is a real one — through the public entry,
+            # so a write-through backend persists it — but not one this
+            # switch should count or fire on: unsubscribe first.
+            self.detach()
+            torn = bytes([data[0] ^ 0xFF]) + bytes(data[1:])
+            self.array.program_page(segment, torn, oob=oob)
         if self.bus is not None and self.bus.active:
             from ..obs.events import CHAOS_KILL
 
-            self.bus.mark(CHAOS_KILL, {"op": self.ops, "kind": op,
+            self.bus.mark(CHAOS_KILL, {"op": self.ops, "kind": kind,
                                        "tear": self.tear})
-
-    def _wrap_program(self, segment, data=None, oob=None):
-        if self._fire():
-            if self.tear and data is not None:
-                torn = bytes([data[0] ^ 0xFF]) + bytes(data[1:])
-                self._program(segment, torn, oob=oob)
-            self._mark_kill("program")
-            raise SimulatedPowerFailure(
-                f"power lost at flash op {self.ops} (program)")
-        return self._program(segment, data, oob=oob)
-
-    def _wrap_erase(self, segment):
-        if self._fire():
-            self._mark_kill("erase")
-            raise SimulatedPowerFailure(
-                f"power lost at flash op {self.ops} (erase)")
-        return self._erase(segment)
+        raise SimulatedPowerFailure(
+            f"power lost at flash op {self.ops} ({kind})")
 
     def detach(self) -> None:
-        self.array.__dict__.pop("program_page", None)
-        self.array.__dict__.pop("erase_segment", None)
+        """Unsubscribe from the array (idempotent)."""
+        if self._on_op in self.array.pre_op_hooks:
+            self.array.pre_op_hooks.remove(self._on_op)
+
+    def __enter__(self) -> "KillSwitch":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.detach()
 
 
-def attach_commit_oracle(ctrl: EnvyController
-                         ) -> Dict[int, Optional[bytes]]:
+def attach_commit_oracle(ctrl: EnvyController) -> Dict[int, bytes]:
     """Record every committed flush's payload, keyed by logical page.
 
-    Wraps ``store.append`` so the payload is logged only after the
-    program (and the bookkeeping behind it) completed — a killed or
-    torn program never commits.
+    Subscribes to the store's ``program_listeners``, which fire only
+    after the program (and the bookkeeping behind it) completed — a
+    killed or torn program never commits.  The bytes are read back from
+    the slot the flush just landed in.
     """
-    store = ctrl.store
-    committed: Dict[int, Optional[bytes]] = {}
-    original = store.append
+    committed: Dict[int, bytes] = {}
 
-    def logged(pos_index, logical_page, count_as_flush=True, data=None):
-        payload = data if data is not None \
-            else store._pending_data.get(logical_page)
-        original(pos_index, logical_page, count_as_flush, data)
-        committed[logical_page] = (bytes(payload) if payload is not None
-                                   else None)
+    def logged(page: int, position: int, slot: int, epoch: int) -> None:
+        committed[page] = recovered_page_bytes(ctrl, page)
 
-    store.append = logged
+    ctrl.store.program_listeners.append(logged)
     return committed
-
-
-#: Backwards-compatible private aliases (pre-service-layer names).
-_attach_oracle = attach_commit_oracle
 
 
 def recovered_page_bytes(ctrl: EnvyController, page: int) -> bytes:
@@ -156,9 +160,6 @@ def recovered_page_bytes(ctrl: EnvyController, page: int) -> bytes:
     phys = ctrl.store.positions[position].phys
     data = ctrl.array.segment(phys).read_page(slot)
     return bytes(data) if data is not None else zeros
-
-
-_page_bytes = recovered_page_bytes
 
 
 def _replay(ctrl: EnvyController, layout,
@@ -201,15 +202,14 @@ def run_chaos(config: EnvyConfig, transactions: int = 20,
     ctrl.store.preserve_flushed_copies = True
     layout = TpcaLayout.sized_for(config.logical_bytes)
     committed = attach_commit_oracle(ctrl)
-    switch = KillSwitch(ctrl.array, kill_at=kill_at, tear=tear,
-                        bus=ctrl.events)
     result = ChaosResult(kill_at=kill_at, tear=tear)
-    try:
-        _replay(ctrl, layout, transactions, seed)
-        ctrl.drain()
-    except SimulatedPowerFailure:
-        result.interrupted = True
-    switch.detach()
+    with KillSwitch(ctrl.array, kill_at=kill_at, tear=tear,
+                    bus=ctrl.events) as switch:
+        try:
+            _replay(ctrl, layout, transactions, seed)
+            ctrl.drain()
+        except SimulatedPowerFailure:
+            result.interrupted = True
     result.ops_seen = switch.ops
     result.committed_pages = len(committed)
     result.health = ctrl.health_report()
@@ -230,19 +230,29 @@ def run_chaos(config: EnvyConfig, transactions: int = 20,
     return result
 
 
+def sweep_kill_points(run, stride: int = 1, clean_loss: bool = False,
+                      **dry_run) -> list:
+    """The kill-point sweep every chaos driver shares.
+
+    ``run(kill_at=None, **dry_run)`` is the dry run whose ``ops_seen``
+    sizes the sweep; the result is ``run(kill_at=k)`` for every
+    ``stride``-th operation ``k`` of it, plus — with ``clean_loss`` —
+    one point just past the last operation.  The dry run itself is not
+    included.
+    """
+    ops = run(kill_at=None, **dry_run).ops_seen
+    points = list(range(1, ops + 1, max(1, stride)))
+    if clean_loss:
+        points.append(ops + 1)
+    return [run(kill_at=kill_at) for kill_at in points]
+
+
 def chaos_sweep(config: EnvyConfig, transactions: int = 20,
                 stride: int = 1, tear: bool = False, seed: int = 0,
                 policy=None) -> List[ChaosResult]:
-    """Kill the same seeded run at every ``stride``-th Flash operation.
-
-    Returns one :class:`ChaosResult` per kill point (all of which
-    should satisfy ``result.ok``); the dry run that sized the sweep is
-    not included.
-    """
-    dry = run_chaos(config, transactions, kill_at=None, tear=False,
-                    seed=seed, policy=policy, recover=False)
-    results = []
-    for kill_at in range(1, dry.ops_seen + 1, max(1, stride)):
-        results.append(run_chaos(config, transactions, kill_at=kill_at,
-                                 tear=tear, seed=seed, policy=policy))
-    return results
+    """Kill the same seeded run at every ``stride``-th Flash operation;
+    every :class:`ChaosResult` should satisfy ``result.ok``."""
+    return sweep_kill_points(
+        partial(run_chaos, config, transactions, tear=tear, seed=seed,
+                policy=policy),
+        stride, recover=False)

@@ -27,6 +27,7 @@ out the background work against idle bus time themselves via
 
 from __future__ import annotations
 
+import random
 from typing import Optional, Tuple
 
 from ..cleaning import CleaningPolicy, WearLeveler, make_policy
@@ -134,9 +135,10 @@ class EnvyController:
         #: The attached :class:`~repro.obs.hub.ObservabilityHub`, if any
         #: (set by the hub itself); health_report folds in its views.
         self.observability = None
-        #: Called as ``(page, clean_copies_before)`` at the end of every
-        #: :meth:`flush_one`, e.g. by per-tenant wear attribution.
-        self.flush_listener = None
+        #: Callbacks fired as ``(page, clean_copies_before)`` at the end
+        #: of every :meth:`flush_one`, in registration order (per-tenant
+        #: wear attribution subscribes for the length of a replay).
+        self.flush_listeners = []
         self.page_table = PageTable(cfg.logical_pages,
                                     entry_bytes=cfg.page_table_entry_bytes,
                                     read_ns=cfg.sram.read_ns,
@@ -150,7 +152,7 @@ class EnvyController:
             observer=self._on_store_event, bad_blocks=self.bad_blocks,
             checkpoint_segments=cfg.effective_checkpoint_segments,
             epoch_source=self.page_table.next_epoch)
-        self.store.program_listener = self._on_flush_program
+        self.store.program_listeners.append(self._on_flush_program)
         self.store.preserve_flushed_copies = \
             cfg.checkpoint_interval_flushes is not None
         # Lazy OOB stamping: skip packing self-description records when
@@ -679,8 +681,8 @@ class EnvyController:
             if self._flushes_since_checkpoint >= \
                     self.config.checkpoint_interval_flushes:
                 self.checkpoint_now()
-        if self.flush_listener is not None:
-            self.flush_listener(page, clean_before)
+        for listener in self.flush_listeners:
+            listener(page, clean_before)
         return self._pending_work_ns - before
 
     def checkpoint_now(self) -> int:
@@ -738,6 +740,41 @@ class EnvyController:
         while len(self.buffer):
             done += self.flush_one()
         return done
+
+    def prewarm(self, free_space_turnovers: float = 3.0,
+                seed: int = 5) -> None:
+        """Bring the Flash array to cleaning steady state, untimed.
+
+        A freshly formatted array holds 20% erased space, so the cleaner
+        would stay idle for the first few simulated seconds — far longer
+        than an affordable timed warm-up.  This replays the flush
+        traffic's page-level effect directly (uniform page overwrites:
+        account pages dominate the real flush stream because the hot
+        teller/branch pages coalesce in the buffer) until the free space
+        has been written through several times, then resets the metrics.
+        The one prewarm: the timed simulator and the service's shard
+        builder both start from here.
+        """
+        store = self.store
+        rng = random.Random(seed)
+        total_free = sum(p.free_slots for p in store.positions)
+        flushes = int(total_free * free_space_turnovers)
+        num_pages = store.num_logical_pages
+        buffer_page = store.buffer_page
+        flush = self.policy.flush
+        for _ in range(flushes):
+            page = rng.randrange(num_pages)
+            flush(page, buffer_page(page))
+        # The buffer also idles at its threshold in steady state (the
+        # controller only flushes while above it) — fill it so the run
+        # starts with flush traffic flowing at the insert rate.
+        page_bytes = self._page_bytes
+        while len(self.buffer) < self.buffer.threshold_pages:
+            page = rng.randrange(num_pages)
+            if page not in self.buffer:
+                self.write(page * page_bytes, b"\x00")
+        self.mmu.flush()
+        self.metrics.reset()
 
     # ------------------------------------------------------------------
     # Power failure / recovery (Section 3.2: battery-backed SRAM)

@@ -17,11 +17,12 @@ which phase a clean is in:
   is outstanding.  Recovery finishes the erase (the new copies are
   already the live ones).
 
-:class:`CrashInjector` arms a countdown over Flash operations and raises
-:class:`SimulatedPowerFailure` mid-clean; :func:`recover` brings the
-system back to a consistent state from the journal, exactly as the
-controller's firmware would at power-on.  The property tests crash at
-every reachable point and verify no data is ever lost.
+:class:`~repro.core.chaos.KillSwitch` counts Flash operations through
+the array's ``pre_op_hooks`` and raises :class:`SimulatedPowerFailure`
+at the armed one; :func:`recover` brings the system back to a
+consistent state from the journal, exactly as the controller's firmware
+would at power-on.  The property tests crash at every reachable point
+and verify no data is ever lost.
 
 Beyond the paper: full recovery from Flash alone
 ------------------------------------------------
@@ -65,15 +66,14 @@ from ..flash.oob import unpack_oob, payload_crc
 from ..flash.segment import PageState
 from .controller import EnvyController
 
-__all__ = ["CleanPhase", "CleaningJournal", "CrashInjector",
-           "SimulatedPowerFailure", "JournalledStore", "recover",
-           "attach_journal", "RecoveryReport", "RecoveryError",
+__all__ = ["CleanPhase", "CleaningJournal", "SimulatedPowerFailure",
+           "recover", "attach_journal", "RecoveryReport", "RecoveryError",
            "RecoveryMismatch", "recover_from_flash", "recover_banks",
            "verify_against_scan"]
 
 
 class SimulatedPowerFailure(Exception):
-    """Raised by the crash injector at the armed Flash operation."""
+    """Raised by the kill switch at the armed Flash operation."""
 
 
 class CleanPhase(Enum):
@@ -121,60 +121,13 @@ class CleaningJournal:
 
 
 def attach_journal(system: EnvyController) -> CleaningJournal:
-    """Enable journalled cleaning on a controller.
-
-    Returns the journal (creating and instrumenting on first call).
-    The store's ``clean`` records its phase transitions, and every Flash
-    program/erase first calls ``system.crash_hook`` (if set) so an
-    injector can cut the power at any operation.
-    """
+    """Enable journalled cleaning on a controller; returns the journal
+    (created on first call).  From here on the store's ``clean`` and the
+    controller's ``flush_one`` record their phase transitions in it."""
     store = system.store
-    if store.journal is not None:
-        return store.journal
-    journal = CleaningJournal()
-    store.journal = journal
-    array = store.array
-    # Instrument the array so every program/erase can crash first.
-    for name in ("program_page", "erase_segment"):
-        original = getattr(array, name)
-
-        def instrumented(*args, _original=original, **kwargs):
-            hook = getattr(system, "crash_hook", None)
-            if hook is not None:
-                hook()
-            return _original(*args, **kwargs)
-
-        setattr(array, name, instrumented)
-    return journal
-
-
-class CrashInjector:
-    """Cuts the power after a chosen number of Flash operations."""
-
-    def __init__(self, system: EnvyController,
-                 journal: Optional[CleaningJournal] = None) -> None:
-        self.system = system
-        self.journal = journal if journal is not None \
-            else attach_journal(system)
-        self._countdown: Optional[int] = None
-        system.crash_hook = self._tick
-
-    def arm(self, after_operations: int) -> None:
-        """Crash on the Nth upcoming Flash program/erase (1-based)."""
-        if after_operations < 1:
-            raise ValueError("must allow at least one operation")
-        self._countdown = after_operations
-
-    def disarm(self) -> None:
-        self._countdown = None
-
-    def _tick(self) -> None:
-        if self._countdown is None:
-            return
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = None
-            raise SimulatedPowerFailure("power lost mid-operation")
+    if store.journal is None:
+        store.journal = CleaningJournal()
+    return store.journal
 
 
 def recover(system: EnvyController,
@@ -270,18 +223,6 @@ def _requeue_orphans(system: EnvyController,
     journal.clear_flush()
 
 
-def crash_points_in_clean(system: EnvyController,
-                          position: int) -> List[int]:
-    """How many Flash operations the next clean of ``position`` makes.
-
-    Handy for tests that want to crash at every reachable point: a clean
-    performs one program per (prepended + surviving) page plus one
-    erase.
-    """
-    pos = system.store.positions[position]
-    return list(range(1, pos.live_count + 2))
-
-
 # ======================================================================
 # Full recovery from Flash alone (no surviving SRAM)
 # ======================================================================
@@ -339,17 +280,6 @@ class RecoveryReport:
 
 #: One parsed data slot: (logical_page, epoch, seq, position, payload_ok).
 _SlotRec = Tuple[int, int, int, int, bool]
-
-
-def _strip_instrumentation(array) -> None:
-    """Remove per-instance wrappers (journal hooks, chaos kill points).
-
-    They close over the dead controller; recovery must talk to the raw
-    array.  Popping the instance attributes re-exposes the class
-    methods.
-    """
-    for name in ("program_page", "erase_segment"):
-        array.__dict__.pop(name, None)
 
 
 def _scan_segment(array, phys: int, cached: Optional[dict],
@@ -489,7 +419,7 @@ def recover_from_flash(array, config, policy=None,
     is present (the benchmark uses this to measure the cadence/scan
     trade-off).
     """
-    _strip_instrumentation(array)
+    # The dead controller's fault subscription goes with it.
     array.fault_listeners.clear()
     cfg = config
     if store_data is None:

@@ -130,15 +130,9 @@ class TracingController:
         # Record device fault events (ECC corrections, retries, bad
         # blocks) alongside the accesses that triggered them.  They
         # arrive over the controller's event bus as ``fault.*`` marks —
-        # the same channel every other observer uses — with a direct
-        # array subscription only as a fallback for bus-less wrappees.
-        events = getattr(controller, "events", None)
-        if events is not None:
-            events.subscribe(self._record_fault_event, prefix=FAULT_PREFIX)
-        else:
-            array = getattr(controller, "array", None)
-            if array is not None and hasattr(array, "fault_listeners"):
-                array.fault_listeners.append(self._record_fault)
+        # the same channel every other observer uses.
+        controller.events.subscribe(self._record_fault_event,
+                                    prefix=FAULT_PREFIX)
 
     def _record_fault_event(self, event) -> None:
         """Rebuild the typed FaultEvent from a ``fault.*`` bus mark."""
@@ -149,10 +143,6 @@ class TracingController:
                 int(data.get("segment", -1)),
                 int(data.get("op_index", 0)),
                 str(data.get("detail", ""))))
-
-    def _record_fault(self, event) -> None:
-        if self.enabled:
-            self.trace.faults.append(event)
 
     # ------------------------------------------------------------------
 

@@ -130,6 +130,13 @@ class FlashArray:
         self.fault_stats = FaultStats()
         #: Callbacks receiving every :class:`FaultEvent` (tracing).
         self.fault_listeners: List = []
+        #: Callbacks fired as ``(kind, segment, data, oob)`` at the top
+        #: of every :meth:`program_page` (``"program"``) and
+        #: :meth:`erase_segment` (``"erase"``, no data or oob), in
+        #: registration order, before anything is checked or touched: a
+        #: hook that raises leaves the medium exactly as it was.
+        #: ``append`` to subscribe, ``remove`` to unsubscribe.
+        self.pre_op_hooks: List = []
         #: Raise :class:`EnduranceExceeded` past rated cycles instead of
         #: recording the overshoot.
         self.strict_endurance = False
@@ -243,6 +250,8 @@ class FlashArray:
         observer) up to the bounded retry budget, after which
         :class:`TransientProgramError` escapes to the caller.
         """
+        for hook in self.pre_op_hooks:
+            hook("program", segment, data, oob)
         seg = self.segment(segment)
         injector = self._fault_injector
         if injector is not None:
@@ -338,6 +347,8 @@ class FlashArray:
         grown-bad verdict marks the segment bad and raises
         :class:`BadBlockError` so the caller can retire it.
         """
+        for hook in self.pre_op_hooks:
+            hook("erase", segment, None, None)
         seg = self.segment(segment)
         if seg.erase_count >= self.params.endurance_cycles:
             if self.strict_endurance:

@@ -49,7 +49,7 @@ from .cache import CACHE_POLICIES, PageCache
 from .chaos import (RedundancyChaosReport, ServiceChaosReport,
                     redundancy_chaos_sweep, run_redundancy_chaos,
                     run_service_chaos, service_chaos_sweep)
-from .executor import ShardExecutor, prewarm_shard, service_shard_point
+from .executor import ShardExecutor, service_shard_point
 from .frontend import (EnvyService, ServiceConfig, ServiceStats,
                        ServiceTransaction)
 from .loadgen import LoadGenerator, Request
@@ -69,7 +69,6 @@ __all__ = [
     "LoadGenerator",
     "Request",
     "ShardExecutor",
-    "prewarm_shard",
     "service_shard_point",
     "PageCache",
     "CACHE_POLICIES",

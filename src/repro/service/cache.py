@@ -20,8 +20,8 @@ without crossing the eNVy bus at all.
   (see repro.service.adversary).
 * **Physical tagging** — entries are keyed by logical page but track
   the *Flash copy* of that page: a host write or a cleaner relocation
-  invalidates the entry (the executor hooks
-  ``SegmentStore.copy_listener`` for the latter).  This keeps the
+  invalidates the entry (the executor subscribes to
+  ``SegmentStore.copy_listeners`` for the latter).  This keeps the
   cache honest as a hardware model; semantic transparency is proved
   by the property tests in tests/test_cache_admission.py.
 * **Optional payloads** — the shard executors only need presence (the

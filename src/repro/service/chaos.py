@@ -37,12 +37,14 @@ its peers, and return to full health with every byte intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.chaos import KillSwitch, attach_commit_oracle
+from ..core.chaos import (KillSwitch, attach_commit_oracle,
+                          sweep_kill_points)
 from ..core.controller import EnvyController
 from ..core.recovery import SimulatedPowerFailure, recover_banks
-from .executor import ShardExecutor, prewarm_shard
+from .executor import ShardExecutor
 from .frontend import EnvyService, ServiceConfig
 from .loadgen import LoadGenerator
 from .redundancy import DegradedModeError
@@ -140,7 +142,7 @@ def run_service_chaos(config: Optional[ServiceConfig] = None,
         ctrl = EnvyController(shard_config, store_data=True)
         ctrl.store.preserve_flushed_copies = True
         if config.prewarm_turnovers > 0:
-            prewarm_shard(ctrl, config.prewarm_turnovers)
+            ctrl.prewarm(config.prewarm_turnovers)
         oracles.append(attach_commit_oracle(ctrl))
         controllers.append(ctrl)
 
@@ -149,23 +151,19 @@ def run_service_chaos(config: Optional[ServiceConfig] = None,
         executor = ShardExecutor(
             ctrl, index, tenant_names,
             queue_capacity=config.queue_capacity,
-            batch_pages=config.batch_pages,
             soft_watermark=config.soft_watermark,
             hard_watermark=config.hard_watermark,
-            throttle_penalty_ns=config.throttle_penalty_ns,
             stamp_payloads=True,
             cache_pages=config.cache_pages,
-            cache_policy=config.cache_policy,
-            cache_hit_ns=config.cache_hit_ns)
-        switch = KillSwitch(
-            ctrl.array,
-            kill_at=kill_at if index == kill_shard else None,
-            tear=tear, bus=ctrl.events)
-        try:
-            executor.run(slices[index])
-        except SimulatedPowerFailure:
-            report.interrupted = True
-        switch.detach()
+            cache_policy=config.cache_policy)
+        with KillSwitch(
+                ctrl.array,
+                kill_at=kill_at if index == kill_shard else None,
+                tear=tear, bus=ctrl.events) as switch:
+            try:
+                executor.run(slices[index])
+            except SimulatedPowerFailure:
+                report.interrupted = True
         if index == kill_shard:
             report.ops_seen = switch.ops
     if not recover:
@@ -196,15 +194,10 @@ def service_chaos_sweep(config: Optional[ServiceConfig] = None,
                         tear: bool = False) -> List[ServiceChaosReport]:
     """Kill the same seeded service run at every ``stride``-th Flash
     operation of ``kill_shard``; every report should satisfy ``ok``."""
-    dry = run_service_chaos(config, tenants, duration_s,
-                            kill_shard=kill_shard, kill_at=None,
-                            recover=False)
-    reports = []
-    for kill_at in range(1, dry.ops_seen + 1, max(1, stride)):
-        reports.append(run_service_chaos(
-            config, tenants, duration_s, kill_shard=kill_shard,
-            kill_at=kill_at, tear=tear))
-    return reports
+    return sweep_kill_points(
+        partial(run_service_chaos, config, tenants, duration_s,
+                kill_shard=kill_shard, tear=tear),
+        stride, recover=False)
 
 
 # ----------------------------------------------------------------------
@@ -334,9 +327,6 @@ def run_redundancy_chaos(config: Optional[ServiceConfig] = None,
         ctrl = service.shard(bank)
         ctrl.store.preserve_flushed_copies = True
         oracles.append(attach_commit_oracle(ctrl))
-    switch = KillSwitch(service.shard(victim).array, kill_at=kill_at,
-                        tear=tear, bus=service.events)
-
     generator = LoadGenerator(specs, router.num_pages, page_bytes,
                               seed=config.seed)
     schedule, _ = generator.generate(duration_s)
@@ -348,33 +338,34 @@ def run_redundancy_chaos(config: Optional[ServiceConfig] = None,
 
     expected: Dict[int, bytes] = {}
     stamp = 0
-    for _, _, _, is_write, page in schedule:
-        if is_write:
-            stamp += 1
-            payload = stamp.to_bytes(_WORD, "little")
-            try:
-                service.write_page(page, payload)
-            except SimulatedPowerFailure:
-                report.interrupted = True
-                switch.detach()
-                report.ops_seen = switch.ops
-                service.kill_bank(victim)
-                # Re-issue the torn logical write through the degraded
-                # path.  If the victim held its primary, nothing else
-                # changed before the cut (the primary is programmed
-                # first), so the write simply never happened; if the
-                # victim held a replica / the parity slot, the
-                # surviving copies already carry the new bytes and
-                # re-folding the identical delta is exact.
-                service.write_page(page, payload)
-            expected[page] = payload
-        else:
-            if service.read_page(page) != full_page(expected.get(page)):
+    with KillSwitch(service.shard(victim).array, kill_at=kill_at,
+                    tear=tear, bus=service.events) as switch:
+        for _, _, _, is_write, page in schedule:
+            if is_write:
+                stamp += 1
+                payload = stamp.to_bytes(_WORD, "little")
+                try:
+                    service.write_page(page, payload)
+                except SimulatedPowerFailure:
+                    report.interrupted = True
+                    service.kill_bank(victim)
+                    # Re-issue the torn logical write through the
+                    # degraded path.  If the victim held its primary,
+                    # nothing else changed before the cut (the primary
+                    # is programmed first), so the write simply never
+                    # happened; if the victim held a replica / the
+                    # parity slot, the surviving copies already carry
+                    # the new bytes and re-folding the identical delta
+                    # is exact.
+                    service.write_page(page, payload)
+                expected[page] = payload
+            elif service.read_page(page) != full_page(expected.get(page)):
                 report.serving_mismatches.append(page)
+    # A dead bank issues no further Flash operations, so the count
+    # stands where the cut left it.
+    report.ops_seen = switch.ops
     report.stamped_writes = stamp
     if not report.interrupted:
-        switch.detach()
-        report.ops_seen = switch.ops
         if kill_at is None:
             # Dry run: size the kill-point space, verify healthy state.
             for page in range(router.num_pages):
@@ -462,13 +453,7 @@ def redundancy_chaos_sweep(config: Optional[ServiceConfig] = None,
     """Lose the same bank at every ``stride``-th of its Flash
     operations (plus one clean post-batch loss); every report should
     satisfy ``ok``."""
-    dry = run_redundancy_chaos(config, tenants, duration_s,
-                               victim=victim, kill_at=None)
-    kill_points = list(range(1, dry.ops_seen + 1, max(1, stride)))
-    kill_points.append(dry.ops_seen + 1)  # the clean whole-bank loss
-    reports = []
-    for kill_at in kill_points:
-        reports.append(run_redundancy_chaos(
-            config, tenants, duration_s, victim=victim,
-            kill_at=kill_at, tear=tear, rebuild=rebuild))
-    return reports
+    return sweep_kill_points(
+        partial(run_redundancy_chaos, config, tenants, duration_s,
+                victim=victim, tear=tear, rebuild=rebuild),
+        stride, clean_loss=True)

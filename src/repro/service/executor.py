@@ -21,7 +21,7 @@ stretch at a time as the schedule streams in (``start`` / ``feed`` /
   (Section 3.2): back-to-back writes coalesce in SRAM and flush as
   segment-sized programs.  The executor counts batch boundaries (a
   batch is a maximal run of requests served without an idle gap,
-  capped at ``batch_pages``) and emits ``service.batch`` spans, and
+  capped at ``BATCH_PAGES``) and emits ``service.batch`` spans, and
   reports how many writes coalesced into already-buffered pages.
 * **background work** — idle gaps between arrivals go to the
   controller's flusher/cleaner exactly as in :class:`~repro.sim.
@@ -46,7 +46,6 @@ results must cross a process boundary and merge deterministically.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -60,39 +59,16 @@ from ..perf.sweep import derive_seed
 from .cache import DRAM_READ_NS, PageCache
 from .loadgen import Request
 
-__all__ = ["ShardExecutor", "prewarm_shard", "service_shard_point"]
+__all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
+           "THROTTLE_PENALTY_NS"]
 
 _WORD = 8
 _WORD_PAYLOAD = b"\x00" * _WORD
 
-
-def prewarm_shard(controller: EnvyController,
-                  free_space_turnovers: float = 3.0,
-                  seed: int = 5) -> None:
-    """Bring one shard to cleaning steady state, untimed.
-
-    Same procedure as :meth:`repro.sim.engine.TimedSimulator.prewarm`:
-    replay the flush traffic's page-level effect until the free space
-    has turned over a few times, settle the buffer at its threshold,
-    then reset the metrics so measurement starts clean.
-    """
-    store = controller.store
-    rng = random.Random(seed)
-    total_free = sum(p.free_slots for p in store.positions)
-    flushes = int(total_free * free_space_turnovers)
-    num_pages = store.num_logical_pages
-    buffer_page = store.buffer_page
-    flush = controller.policy.flush
-    for _ in range(flushes):
-        page = rng.randrange(num_pages)
-        flush(page, buffer_page(page))
-    page_bytes = controller.config.page_bytes
-    while len(controller.buffer) < controller.buffer.threshold_pages:
-        page = rng.randrange(num_pages)
-        if page not in controller.buffer:
-            controller.write(page * page_bytes, b"\x00")
-    controller.mmu.flush()
-    controller.metrics.reset()
+#: Batch-boundary cap of the write-batching accounting, in requests.
+BATCH_PAGES = 16
+#: Delay charged to each write admitted past the soft watermark.
+THROTTLE_PENALTY_NS = 2000
 
 
 class ShardExecutor:
@@ -101,10 +77,8 @@ class ShardExecutor:
     def __init__(self, controller: EnvyController, shard_index: int,
                  tenant_names: Sequence[str],
                  queue_capacity: int = 256,
-                 batch_pages: int = 16,
                  soft_watermark: float = 0.85,
                  hard_watermark: float = 0.97,
-                 throttle_penalty_ns: int = 2000,
                  stamp_payloads: bool = False,
                  stamp_mode: str = "counter",
                  retry_limit: int = 0,
@@ -115,14 +89,11 @@ class ShardExecutor:
                  trace: bool = False,
                  cache_pages: int = 0,
                  cache_policy: str = "clock",
-                 cache_hit_ns: Optional[int] = None,
                  cache_tenants: Optional[Sequence[bool]] = None,
                  cache_tenant_caps: Optional[Sequence[Optional[int]]]
                  = None) -> None:
         if queue_capacity < 1:
             raise ValueError("queue needs capacity for at least one request")
-        if batch_pages < 1:
-            raise ValueError("batches need at least one page")
         if not 0.0 < soft_watermark <= hard_watermark <= 1.0:
             raise ValueError(
                 "watermarks must satisfy 0 < soft <= hard <= 1")
@@ -136,10 +107,8 @@ class ShardExecutor:
         self.shard_index = shard_index
         self.tenant_names = list(tenant_names)
         self.queue_capacity = queue_capacity
-        self.batch_pages = batch_pages
         self.soft_watermark = soft_watermark
         self.hard_watermark = hard_watermark
-        self.throttle_penalty_ns = throttle_penalty_ns
         #: Write a distinct 8-byte stamp per write (the chaos oracle
         #: needs distinguishable committed payloads).  ``counter`` mode
         #: stamps a per-executor running counter; ``explicit`` mode
@@ -185,8 +154,8 @@ class ShardExecutor:
             raise ValueError(
                 "cache_tenant_caps must align with tenant_names")
         #: DRAM read-cache tier (repro.service.cache): reads probing it
-        #: serve hits at ``cache_hit_ns`` (Figure 1 DRAM access time by
-        #: default — a hit never crosses the eNVy bus) and admit misses;
+        #: serve hits at ``DRAM_READ_NS`` (Figure 1 DRAM access time —
+        #: a hit never crosses the eNVy bus) and admit misses;
         #: host writes and cleaner relocations invalidate.  The cache
         #: holds page *presence*, not bytes — data still lives in the
         #: simulated array, so transparency is structural.
@@ -196,10 +165,6 @@ class ShardExecutor:
                                         cache_tenant_caps or ())
                                     if cap is not None})
                       if cache_pages > 0 else None)
-        self.cache_hit_ns = (DRAM_READ_NS if cache_hit_ns is None
-                             else cache_hit_ns)
-        if self.cache_hit_ns < 0:
-            raise ValueError("cache_hit_ns cannot be negative")
         #: Per-tenant cache-tier membership (aligned with tenant_names;
         #: None = every real tenant).  Pseudo-tenants (redundancy /
         #: rebuild traffic) are always excluded so replica reads and
@@ -289,9 +254,9 @@ class ShardExecutor:
         names = self.tenant_names
         shard = self.shard_index
         queue_capacity = self.queue_capacity
-        batch_pages = self.batch_pages
+        batch_pages = BATCH_PAGES
         stamp_payloads = self.stamp_payloads
-        throttle_penalty_ns = self.throttle_penalty_ns
+        throttle_penalty_ns = THROTTLE_PENALTY_NS
 
         per_tenant = {
             name: {"rejected": 0, "rejected_queue": 0, "rejected_shed": 0,
@@ -336,8 +301,7 @@ class ShardExecutor:
         # --- DRAM read-cache tier -------------------------------------
         cache = self.cache
         cache_ok: Optional[List[bool]] = None
-        hit_ns = self.cache_hit_ns
-        prev_copy_listener = None
+        hit_ns = DRAM_READ_NS
         if cache is not None:
             if self.cache_tenants is None:
                 cache_ok = [not name.startswith("__") for name in names]
@@ -346,9 +310,8 @@ class ShardExecutor:
                             for flag, name in zip(self.cache_tenants, names)]
             # A cleaner relocation physically moves a page's live copy;
             # a physically tagged cache entry is stale the moment that
-            # happens, so hook the store's per-page relocation callback
-            # for the duration of the replay.
-            prev_copy_listener = store.copy_listener
+            # happens, so subscribe to the store's per-page relocation
+            # notification for the duration of the replay.
 
             def _on_cleaner_copy(page: int) -> None:
                 if cache.invalidate(page) and bus.active:
@@ -468,15 +431,15 @@ class ShardExecutor:
         requests = rids = None
         index = total = fed = 0
         feeding = True
-        # The replay's three hooks go in together and — an interrupted
-        # or abandoned replay included (repro.service.chaos cuts the
-        # power on purpose) — come out together in the finally below.
+        # The replay's three subscriptions go in together and — an
+        # interrupted or abandoned replay included (repro.service.chaos
+        # cuts the power on purpose) — come out together in the finally
+        # below.
         if cache is not None:
-            store.copy_listener = _on_cleaner_copy
+            store.copy_listeners.append(_on_cleaner_copy)
         if attributing:
             # Stall-path and background flushes alike report here.
-            prev_flush_listener = controller.flush_listener
-            controller.flush_listener = on_flush
+            controller.flush_listeners.append(on_flush)
         if tracing:
             bus.subscribe(collect)
         try:
@@ -745,9 +708,9 @@ class ShardExecutor:
                 close_batch()
         finally:
             if cache is not None:
-                store.copy_listener = prev_copy_listener
+                store.copy_listeners.remove(_on_cleaner_copy)
             if attributing:
-                controller.flush_listener = prev_flush_listener
+                controller.flush_listeners.remove(on_flush)
             if tracing:
                 bus.unsubscribe(collect)
 
@@ -817,8 +780,8 @@ def build_shard_controller(spec: Mapping, shard_index: int,
     controller = EnvyController(config, store_data=store_data)
     turnovers = spec.get("prewarm_turnovers", 3.0)
     if turnovers > 0:
-        prewarm_shard(controller, turnovers,
-                      seed=derive_seed(spec["seed"], 1000 + shard_index))
+        controller.prewarm(turnovers,
+                           seed=derive_seed(spec["seed"], 1000 + shard_index))
     return controller
 
 
@@ -843,10 +806,8 @@ def shard_executor(point: Mapping) -> ShardExecutor:
         controller, shard_index,
         tenant_names=point["tenant_names"],
         queue_capacity=point["queue_capacity"],
-        batch_pages=point["batch_pages"],
         soft_watermark=point["soft_watermark"],
         hard_watermark=point["hard_watermark"],
-        throttle_penalty_ns=point["throttle_penalty_ns"],
         stamp_payloads=point.get("stamp_payloads", False),
         stamp_mode=point.get("stamp_mode", "counter"),
         retry_limit=point.get("retry_limit", 0),
@@ -857,6 +818,5 @@ def shard_executor(point: Mapping) -> ShardExecutor:
         trace=point.get("trace", False),
         cache_pages=point.get("cache_pages", 0),
         cache_policy=point.get("cache_policy", "clock"),
-        cache_hit_ns=point.get("cache_hit_ns"),
         cache_tenants=point.get("cache_tenants"),
         cache_tenant_caps=point.get("cache_tenant_caps"))

@@ -123,14 +123,10 @@ class ServiceConfig:
     #: Requests a shard will hold (waiting + in service) before
     #: rejecting new arrivals.
     queue_capacity: int = 256
-    #: Batch-boundary cap for the write-batching accounting.
-    batch_pages: int = 16
     #: Write-buffer occupancy (fraction) past which writes are delayed.
     soft_watermark: float = 0.85
     #: Occupancy at which writes are shed outright (cleaner has lost).
     hard_watermark: float = 0.97
-    #: Delay applied to each soft-throttled write, in nanoseconds.
-    throttle_penalty_ns: int = 2000
     #: Free-space turnovers of untimed prewarm per shard (0 = none).
     prewarm_turnovers: float = 3.0
     #: Shards keep page payloads (needed for transactions and chaos).
@@ -171,8 +167,6 @@ class ServiceConfig:
     cache_pages: int = 0
     #: Cache replacement policy: ``clock`` (default) or ``lru``.
     cache_policy: str = "clock"
-    #: Override the cache hit latency (ns); None = DRAM_READ_NS.
-    cache_hit_ns: Optional[int] = None
     #: Per-tenant occupancy cap as a fraction of one shard's cache
     #: (1.0 = uncapped) — the squat defence: a tenant cycling a huge
     #: footprint evicts its own pages, never the whole tier.
@@ -207,8 +201,6 @@ class ServiceConfig:
             raise ValueError(f"unknown cache policy "
                              f"{self.cache_policy!r}; choose from "
                              f"{CACHE_POLICIES}")
-        if self.cache_hit_ns is not None and self.cache_hit_ns < 0:
-            raise ValueError("cache_hit_ns cannot be negative")
         if not 0.0 < self.cache_tenant_cap <= 1.0:
             raise ValueError("cache_tenant_cap must be in (0, 1]")
         # Raises on malformed redundancy specs / placements, and on
@@ -250,10 +242,8 @@ class ServiceConfig:
             "utilization": self.utilization,
             "policy": self.policy,
             "queue_capacity": self.queue_capacity,
-            "batch_pages": self.batch_pages,
             "soft_watermark": self.soft_watermark,
             "hard_watermark": self.hard_watermark,
-            "throttle_penalty_ns": self.throttle_penalty_ns,
             "prewarm_turnovers": self.prewarm_turnovers,
             "store_data": self.store_data,
             "seed": self.seed,
@@ -263,7 +253,6 @@ class ServiceConfig:
             "attribution_window_ns": self.attribution_window_ns,
             "cache_pages": self.cache_pages,
             "cache_policy": self.cache_policy,
-            "cache_hit_ns": self.cache_hit_ns,
         }
 
 
@@ -1274,9 +1263,7 @@ class EnvyService:
             cache_section = {
                 "pages_per_shard": self.config.cache_pages,
                 "policy": self.config.cache_policy,
-                "hit_ns": (self.config.cache_hit_ns
-                           if self.config.cache_hit_ns is not None
-                           else DRAM_READ_NS),
+                "hit_ns": DRAM_READ_NS,
                 "tenant_cap": self.config.cache_tenant_cap,
             }
             if self.last_stats is not None:
@@ -1398,7 +1385,7 @@ class EnvyService:
                             {"bank": bank, "page": page,
                              "reason": "clean"})
 
-        controller.store.copy_listener = on_copy
+        controller.store.copy_listeners.append(on_copy)
 
     def _invalidate_cached(self, page: int, reason: str) -> None:
         """Drop one page from the front-door byte cache (no-op when

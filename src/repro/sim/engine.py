@@ -67,38 +67,8 @@ class TimedSimulator:
 
     def prewarm(self, free_space_turnovers: float = 3.0,
                 seed: int = 5) -> None:
-        """Bring the Flash array to cleaning steady state, untimed.
-
-        A freshly formatted array holds 20% erased space, so the cleaner
-        would stay idle for the first few simulated seconds — far longer
-        than an affordable timed warm-up.  This replays the flush
-        traffic's page-level effect directly (uniform page overwrites:
-        account pages dominate the real flush stream because the hot
-        teller/branch pages coalesce in the buffer) until the free space
-        has been written through several times, then resets the metrics.
-        """
-        controller = self.controller
-        store = controller.store
-        rng = random.Random(seed)
-        total_free = sum(p.free_slots for p in store.positions)
-        flushes = int(total_free * free_space_turnovers)
-        num_pages = store.num_logical_pages
-        buffer_page = store.buffer_page
-        flush = controller.policy.flush
-        for _ in range(flushes):
-            page = rng.randrange(num_pages)
-            origin = buffer_page(page)
-            flush(page, origin)
-        # The buffer also idles at its threshold in steady state (the
-        # controller only flushes while above it) — fill it so the run
-        # starts with flush traffic flowing at the insert rate.
-        page_bytes = controller.config.page_bytes
-        while len(controller.buffer) < controller.buffer.threshold_pages:
-            page = rng.randrange(num_pages)
-            if page not in controller.buffer:
-                controller.write(page * page_bytes, b"\x00")
-        controller.mmu.flush()
-        controller.metrics.reset()
+        """:meth:`EnvyController.prewarm`, then a clean debt ledger."""
+        self.controller.prewarm(free_space_turnovers, seed)
         self._debt_ns = 0
         self._overdraft_ns = 0
 

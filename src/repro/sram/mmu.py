@@ -46,14 +46,6 @@ class Mmu:
                 self._cache.popitem(last=False)
         return location
 
-    def translate_cost_ns(self, logical_page: int) -> int:
-        """Latency contribution of the last translation's table access.
-
-        Callers use :meth:`translate` then this helper is unnecessary;
-        the controller instead calls :meth:`translate_timed` to get both.
-        """
-        return 0 if logical_page in self._cache else self.page_table.read_ns
-
     def translate_timed(self, logical_page: int
                         ) -> "tuple[Optional[Location], int]":
         """Translate and report the added latency (0 on a cache hit).

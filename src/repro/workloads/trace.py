@@ -257,14 +257,6 @@ class TraceWorkload(WriteWorkload):
         buffer.seek(0)
         return type(self).load_jsonl(buffer)
 
-    @classmethod
-    def from_workload(cls, workload: WriteWorkload,
-                      count: int) -> "TraceWorkload":
-        """Capture ``count`` references of any workload as a trace."""
-        recorder = TraceRecorder(workload)
-        recorder.record(count)
-        return recorder.as_workload()
-
     def roundtrip(self) -> "TraceWorkload":
         """Save to memory and reload (used by tests)."""
         buffer = io.BytesIO()

@@ -91,6 +91,9 @@ class TestHarnessMechanics:
         with pytest.raises(SimulatedPowerFailure):
             ctrl.array.program_page(0, bytes(config.page_bytes))
         switch.detach()
+        switch.detach()  # idempotent
+        assert ctrl.array.pre_op_hooks == []
+        # Nothing was ever assigned over the array's methods.
         assert "program_page" not in ctrl.array.__dict__
         assert "erase_segment" not in ctrl.array.__dict__
 
@@ -163,6 +166,48 @@ class TestBackendChaosParity:
         results = chaos_sweep(config, transactions=4, stride=2, seed=0)
         assert results
         assert failures(results) == []
+
+    @pytest.mark.parametrize("kind", ["program", "erase"])
+    @pytest.mark.parametrize("backend", ["file", "onfi", "ramdisk"])
+    def test_cut_operation_never_reaches_the_medium(self, backend, kind,
+                                                    tmp_path):
+        """The kill switch hooks the base class, inside the backend's
+        override: the cut must still land before the medium — no bus
+        sequence, no FAIL status, no device write, no image byte."""
+        from dataclasses import replace
+
+        image = tmp_path / "cut.img"
+        spec = f"file:path={image}" if backend == "file" else backend
+        ctrl = EnvyController(replace(EnvyConfig.small(**CONFIG_KW),
+                                      backend=spec))
+        array = ctrl.array
+
+        def medium():
+            state = dict(array.media_report(),
+                         status=getattr(array, "status_register", None))
+            if backend == "file":
+                state["image"] = image.read_bytes()
+            elif backend == "ramdisk":
+                state["image"] = bytes(array.image.data)
+            return state
+
+        found = []
+
+        def arm_on_kind(op_kind, segment, data, oob):
+            # Registered before the switch, so it runs first: arming
+            # here makes the switch cut this very operation.
+            if op_kind == kind and switch.ops >= 20 and not found:
+                found.append(medium())
+                switch.arm(1)
+
+        array.pre_op_hooks.append(arm_on_kind)
+        page_bytes = ctrl.config.page_bytes
+        with KillSwitch(array) as switch, \
+                pytest.raises(SimulatedPowerFailure):
+            for stamp in range(10_000):
+                page = (stamp * 7) % ctrl.config.logical_pages
+                ctrl.write(page * page_bytes, stamp.to_bytes(8, "little"))
+        assert found and medium() == found[0]
 
     def test_backend_kill_points_match_default(self, tmp_path):
         # Placement is backend-independent, so the kill-point space

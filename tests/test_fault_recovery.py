@@ -14,8 +14,9 @@ import random
 import pytest
 
 from repro.core import EnvyConfig, EnvySystem
-from repro.core.recovery import (CrashInjector, SimulatedPowerFailure,
-                                 attach_journal, recover)
+from repro.core.chaos import KillSwitch
+from repro.core.recovery import (SimulatedPowerFailure, attach_journal,
+                                 recover)
 from repro.faults import FaultPlan
 
 #: Erases fail transiently 60% of the time; the generous retry budget
@@ -29,7 +30,7 @@ def loaded_system(plan, seed=3, writes=1500, **config_overrides):
         fault_plan=plan, reserve_segments=2, erase_retries=40,
         **config_overrides))
     journal = attach_journal(system)
-    injector = CrashInjector(system, journal)
+    injector = KillSwitch(system.array)
     rng = random.Random(seed)
     shadow = {}
     for _ in range(writes):
@@ -55,8 +56,8 @@ class TestCrashEveryPointUnderFlakyErases:
     def test_every_crash_point_with_transient_erase_failures(self):
         """Cut power at each Flash operation of a fault-afflicted clean.
 
-        The journal instrumentation counts outer program/erase calls, so
-        the final point covers the erase — including its retry storm.
+        The kill switch counts outer program/erase calls, so the final
+        point covers the erase — including its retry storm.
         """
         probe, _, _, _ = loaded_system(FLAKY_ERASES)
         probe.drain()

@@ -13,9 +13,10 @@ import pytest
 
 from repro.core import (EnvyConfig, EnvySystem, PrototypeController,
                         TpcParams)
+from repro.core.chaos import KillSwitch
 from repro.core.persistence import roundtrip
-from repro.core.recovery import (CrashInjector, SimulatedPowerFailure,
-                                 attach_journal, recover)
+from repro.core.recovery import (SimulatedPowerFailure, attach_journal,
+                                 recover)
 from repro.db import TpcaDatabase
 from repro.ext import TransactionManager
 from repro.flash.endurance import DegradationCurve
@@ -94,7 +95,7 @@ class TestSnapshotsCompose:
         system = EnvySystem(EnvyConfig.small(num_segments=8,
                                              pages_per_segment=16))
         journal = attach_journal(system)
-        injector = CrashInjector(system, journal)
+        injector = KillSwitch(system.array)
         rng = random.Random(10)
         system.write(0, b"anchor!!")
         injector.arm(5)
@@ -130,7 +131,7 @@ class TestFilesystemUnderStress:
         system = EnvySystem(EnvyConfig.small(num_segments=8,
                                              pages_per_segment=64))
         journal = attach_journal(system)
-        injector = CrashInjector(system, journal)
+        injector = KillSwitch(system.array)
         filesystem = FileSystem(BlockDevice(system, block_bytes=512))
         filesystem.format()
         filesystem.write_file("stable", b"written before any crash")

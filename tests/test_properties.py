@@ -256,8 +256,8 @@ class TestCrashRecoveryProperties:
             self, operations, crash_schedule, policy_index):
         """Crash at arbitrary Flash operations; recovery keeps every
         committed write readable."""
-        from repro.core.recovery import (CrashInjector,
-                                         SimulatedPowerFailure,
+        from repro.core.chaos import KillSwitch
+        from repro.core.recovery import (SimulatedPowerFailure,
                                          attach_journal, recover)
 
         policy = ("greedy", "hybrid")[policy_index]
@@ -265,7 +265,7 @@ class TestCrashRecoveryProperties:
                                              pages_per_segment=16,
                                              cleaning_policy=policy))
         journal = attach_journal(system)
-        injector = CrashInjector(system, journal)
+        injector = KillSwitch(system.array)
         # Align writes to 8-byte slots so each is single-page atomic;
         # a crashed multi-page write may legitimately half-commit, which
         # is the application's problem (transactions), not recovery's.

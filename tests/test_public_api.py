@@ -32,3 +32,21 @@ def test_key_entry_points_are_top_level():
     for name in ("EnvySystem", "EnvyConfig", "simulate_tpca",
                  "measure_cleaning_cost", "TpcaDatabase", "FileSystem"):
         assert name in repro.__all__, name
+
+
+def _repro_modules():
+    import pkgutil
+
+    return sorted(info.name for info in pkgutil.walk_packages(
+        repro.__path__, prefix="repro."))
+
+
+@pytest.mark.parametrize("module_name", _repro_modules())
+def test_every_module_all_resolves(module_name):
+    """``from <module> import *`` must not raise: every name a module
+    lists in ``__all__`` exists (``repro.core.recovery`` once listed a
+    ``JournalledStore`` that did not)."""
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", [])
+               if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ lists {missing}"

@@ -12,9 +12,9 @@ import pytest
 
 from repro.cleaning import make_policy
 from repro.core import EnvyConfig, EnvySystem
-from repro.core.recovery import (CleanPhase, CrashInjector,
-                                 SimulatedPowerFailure, attach_journal,
-                                 recover)
+from repro.core.chaos import KillSwitch
+from repro.core.recovery import (CleanPhase, SimulatedPowerFailure,
+                                 attach_journal, recover)
 
 
 def loaded_system(policy="greedy", seed=0, writes=1500):
@@ -22,7 +22,7 @@ def loaded_system(policy="greedy", seed=0, writes=1500):
                                          pages_per_segment=16,
                                          cleaning_policy=policy))
     journal = attach_journal(system)
-    injector = CrashInjector(system, journal)
+    injector = KillSwitch(system.array)
     rng = random.Random(seed)
     shadow = {}
     for _ in range(writes):

@@ -277,20 +277,20 @@ class TestMetricsAndInvariants:
 
 
 class TestCopyListeners:
-    """Several consumers can watch relocations at once (PR-10).
+    """Several consumers can watch relocations at once.
 
-    The primary ``copy_listener`` slot stays a plain property (the DRAM
-    cache and the transaction executor save-and-restore it); extra
-    listeners registered with ``add_copy_listener`` fire after it, in
-    registration order, for every physically relocated live copy.
+    ``copy_listeners`` is a plain list: ``append`` subscribes, ``remove``
+    unsubscribes, and every subscriber fires, in registration order, for
+    every physically relocated live copy.
     """
 
     def make_watched_store(self):
         store = make_store(4, 8, logical=8)
         store.populate_sequential()  # all live pages in position 0
         events = []
-        store.copy_listener = lambda page: events.append(("cache", page))
-        store.add_copy_listener(
+        store.copy_listeners.append(
+            lambda page: events.append(("cache", page)))
+        store.copy_listeners.append(
             lambda page: events.append(("trace", page)))
         return store, events
 
@@ -303,7 +303,7 @@ class TestCopyListeners:
         trace = [page for kind, page in events if kind == "trace"]
         assert cache == trace == list(range(8))
 
-    def test_primary_fires_before_extras_for_each_page(self):
+    def test_listeners_fire_in_registration_order_for_each_page(self):
         store, events = self.make_watched_store()
         store.clean(0)
         for first, second in zip(events[::2], events[1::2]):
@@ -318,23 +318,28 @@ class TestCopyListeners:
         store.receive(1, page)
         assert events == [("cache", page), ("trace", page)]
 
-    def test_extra_listeners_survive_primary_swap(self):
-        # The executor's save/restore of the primary slot must not
-        # disturb independently registered listeners.
+    def test_unsubscribing_one_listener_leaves_the_others(self):
+        # A replay that subscribes and unsubscribes its own listener
+        # (the shard executor's cache tier) must not disturb
+        # independently registered ones, and can come back afterwards.
         store, events = self.make_watched_store()
-        saved = store.copy_listener
-        store.copy_listener = None
+        cache_listener = store.copy_listeners[0]
+        store.copy_listeners.remove(cache_listener)
         store.clean(0)
         assert all(kind == "trace" for kind, _ in events)
         assert len(events) == 8
-        store.copy_listener = saved
+        store.copy_listeners.append(cache_listener)
+        del events[:]
+        store.clean(0)
+        assert [kind for kind, _ in events[:2]] == ["trace", "cache"]
 
     def test_remove_copy_listener(self):
         store, events = self.make_watched_store()
-        extra = store._copy_listeners[0]
-        store.remove_copy_listener(extra)
+        store.copy_listeners.remove(store.copy_listeners[1])
         store.clean(0)
         assert all(kind == "cache" for kind, _ in events)
+        with pytest.raises(ValueError):
+            store.copy_listeners.remove(print)  # never subscribed
 
     def test_flush_does_not_notify(self):
         # Listeners watch *relocations* (cleaner copies), not host

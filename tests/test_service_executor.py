@@ -19,7 +19,7 @@ from repro.core.chaos import KillSwitch
 from repro.core.config import EnvyConfig
 from repro.core.controller import EnvyController
 from repro.core.recovery import SimulatedPowerFailure
-from repro.service.executor import ShardExecutor, prewarm_shard
+from repro.service.executor import ShardExecutor
 
 TENANTS = ["alpha", "beta", "gamma"]
 
@@ -27,7 +27,7 @@ TENANTS = ["alpha", "beta", "gamma"]
 def make_controller(store_data=False):
     config = EnvyConfig.scaled(num_segments=8, pages_per_segment=32)
     controller = EnvyController(config, store_data=store_data)
-    prewarm_shard(controller, 2.0, seed=11)
+    controller.prewarm(2.0, seed=11)
     return controller
 
 
@@ -207,16 +207,20 @@ class TestInterruptedReplay:
     def test_power_failure_restores_all_three_hooks(self):
         controller = make_controller(store_data=True)
         store, bus = controller.store, controller.events
-        listener_before = store.copy_listener
+
+        def bystander(page):
+            """Someone else's relocation listener."""
+
+        store.copy_listeners.append(bystander)
         kwargs = {"cache_pages": 16, "attribute_wear": True, "trace": True}
         requests = mixed_slice(5, rows=1200, write_share=0.8)
-        switch = KillSwitch(controller.array, kill_at=40)
-        with pytest.raises(SimulatedPowerFailure):
+        with KillSwitch(controller.array, kill_at=40), \
+                pytest.raises(SimulatedPowerFailure):
             ShardExecutor(controller, 0, tenant_names=TENANTS,
                           **kwargs).run(requests)
-        switch.detach()
-        assert store.copy_listener is listener_before
-        assert controller.flush_listener is None
+        assert store.copy_listeners == [bystander]
+        assert controller.flush_listeners == []
+        assert controller.array.pre_op_hooks == []
         assert "flush_one" not in controller.__dict__
         assert bus.subscriber_count() == 0 and not bus.active
         # A second attributed executor is not refused by a stale hook.
@@ -236,23 +240,22 @@ class TestInterruptedReplay:
         requests = mixed_slice(5, rows=1200, write_share=0.8)
         executor.start()
         executor.feed(requests[:300])
-        assert controller.store.copy_listener is not None
-        assert controller.flush_listener is not None
+        assert len(controller.store.copy_listeners) == 1
+        assert len(controller.flush_listeners) == 1
         assert controller.events.subscriber_count() == 1
         return controller, executor, requests
 
     def assert_unhooked(self, controller):
-        assert controller.store.copy_listener is None
-        assert controller.flush_listener is None
+        assert controller.store.copy_listeners == []
+        assert controller.flush_listeners == []
         assert controller.events.subscriber_count() == 0
         assert not controller.events.active
 
     def test_power_failure_inside_a_later_feed_restores_the_hooks(self):
         controller, executor, requests = self.hooked_replay()
-        switch = KillSwitch(controller.array, kill_at=40)
-        with pytest.raises(SimulatedPowerFailure):
+        with KillSwitch(controller.array, kill_at=40), \
+                pytest.raises(SimulatedPowerFailure):
             executor.feed(requests[300:])
-        switch.detach()
         self.assert_unhooked(controller)
 
     def test_finish_and_abandonment_both_remove_the_hooks(self):
