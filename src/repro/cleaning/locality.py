@@ -89,8 +89,10 @@ class LocalityGatheringPolicy(CleaningPolicy):
             self._clean_and_gather(origin)
             if pos.free_slots == 0:
                 # The segment is packed solid with live data; shed pages
-                # unconditionally so the flush can land.
+                # unconditionally, then clean again: shedding only kills
+                # slots, and it takes an erase to reclaim them.
                 self._force_shed(origin, self._reserve)
+                store.clean(origin)
         store.append(origin, logical_page)
         return origin
 

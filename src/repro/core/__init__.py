@@ -11,7 +11,7 @@ from .controller import EnvyController, EnvySystem
 from .costmodel import TECHNOLOGIES, EnvyCostBreakdown, system_cost
 from .lifetime import LifetimeEstimate, estimate_lifetime, paper_example
 from .memview import EnvyMemoryView
-from .metrics import ControllerMetrics, LatencyStat
+from .metrics import ControllerMetrics
 from .persistence import load_system, save_system
 from .prototype import (PrototypeController, PrototypeTimings,
                         narrow_path_timings, prototype_config)
@@ -34,7 +34,6 @@ __all__ = [
     "EnvySystem",
     "BoundStore",
     "ControllerMetrics",
-    "LatencyStat",
     "TECHNOLOGIES",
     "EnvyCostBreakdown",
     "system_cost",

@@ -11,7 +11,6 @@ Latencies are kept as full log-bucketed histograms
 paper reports averages, but the phenomena this reproduction models —
 cleaning stalls, buffer saturation, retry storms — live in the tails,
 so every consumer of a latency stat gets p50/p90/p99/p999 for free.
-:class:`LatencyStat` remains as a compatibility name for the histogram.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Dict
 
 from ..obs.hist import LatencyHistogram
 
-__all__ = ["LatencyStat", "ControllerMetrics", "wear_concentration"]
+__all__ = ["ControllerMetrics", "wear_concentration"]
 
 
 def wear_concentration(counts) -> float:
@@ -46,18 +45,6 @@ def wear_concentration(counts) -> float:
     return hhi * len(counts)
 
 
-class LatencyStat(LatencyHistogram):
-    """Compatibility shim: the old min/max/mean stat, now a histogram.
-
-    Every site that consumed a ``LatencyStat`` (controller metrics,
-    ``health_report``, the timed simulator, benchmarks) transparently
-    gained percentiles; the original ``record`` / ``merge`` / ``count``
-    / ``total_ns`` / ``min_ns`` / ``max_ns`` / ``mean_ns`` contract is
-    unchanged, and empty stats now print ``n=0 (empty)`` instead of a
-    misleading ``min_ns=0``.
-    """
-
-
 @dataclass
 class ControllerMetrics:
     """Counters the eNVy controller maintains while servicing a host."""
@@ -78,8 +65,8 @@ class ControllerMetrics:
     bad_blocks_retired: int = 0
     #: Flash-resident metadata checkpoints written (repro.core.checkpoint).
     checkpoints_written: int = 0
-    read_latency: LatencyStat = field(default_factory=LatencyStat)
-    write_latency: LatencyStat = field(default_factory=LatencyStat)
+    read_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    write_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Controller time by activity, nanoseconds (Section 5.3 breakdown).
     busy_ns: Dict[str, int] = field(default_factory=dict)
 
@@ -120,8 +107,8 @@ class ControllerMetrics:
         self.erase_retries = 0
         self.bad_blocks_retired = 0
         self.checkpoints_written = 0
-        self.read_latency = LatencyStat()
-        self.write_latency = LatencyStat()
+        self.read_latency = LatencyHistogram()
+        self.write_latency = LatencyHistogram()
         self.busy_ns = {}
 
     # ------------------------------------------------------------------
@@ -145,9 +132,9 @@ class ControllerMetrics:
             if hasattr(self, name):
                 setattr(self, name, value)
         self.busy_ns = dict(state["busy_ns"])
-        self.read_latency = LatencyStat()
+        self.read_latency = LatencyHistogram()
         self.read_latency.load_state(state["read_latency"])
-        self.write_latency = LatencyStat()
+        self.write_latency = LatencyHistogram()
         self.write_latency.load_state(state["write_latency"])
 
     # ------------------------------------------------------------------

@@ -57,7 +57,7 @@ from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
 from ..obs.hist import LatencyHistogram
 from ..perf.sweep import derive_seed
 from .cache import DRAM_READ_NS, PageCache
-from .loadgen import Request
+from .loadgen import WINDOW_ROWS, Request
 
 __all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
            "THROTTLE_PENALTY_NS"]
@@ -213,7 +213,11 @@ class ShardExecutor:
         originating request's id) — defaults to the slice index.
         """
         self.start()
-        self.feed(requests, rids)
+        # Window-sized stretches, so a collected slice (``jobs > 1``)
+        # holds no more pending latencies than a streamed one.
+        for begin in range(0, len(requests), WINDOW_ROWS):
+            end = begin + WINDOW_ROWS
+            self.feed(requests[begin:end], rids and rids[begin:end])
         return self.finish()
 
     def start(self) -> None:
@@ -267,10 +271,21 @@ class ShardExecutor:
                    "write_latency": LatencyHistogram()}
             for name in names
         }
-        # The same slots by tenant index, recorders pre-bound.
+        # The same slots by tenant index.  Nobody reads the histograms
+        # before finish(): served latencies queue per tenant and fold in
+        # bulk at the end of every feed.  ``pending`` alternates a tenant's
+        # (read histogram, list) and (write histogram, list).
         slots = [per_tenant[name] for name in names]
-        record_read = [slot["read_latency"].record for slot in slots]
-        record_write = [slot["write_latency"].record for slot in slots]
+        pending = [(slot[key], []) for slot in slots
+                   for key in ("read_latency", "write_latency")]
+        served_read = [latencies.append for _, latencies in pending[0::2]]
+        served_write = [latencies.append for _, latencies in pending[1::2]]
+
+        def fold() -> None:
+            for histogram, latencies in pending:
+                if latencies:
+                    histogram.record_many(latencies)
+                    latencies.clear()
         completions: deque = deque()
         clock = 0
         rejected_queue = 0
@@ -303,6 +318,7 @@ class ShardExecutor:
         cache_ok: Optional[List[bool]] = None
         hit_ns = DRAM_READ_NS
         if cache is not None:
+            lookup = cache.lookup
             if self.cache_tenants is None:
                 cache_ok = [not name.startswith("__") for name in names]
             else:
@@ -400,14 +416,18 @@ class ShardExecutor:
                         slot_bg[0] += 1
                         slot_bg[1] += event.dur_ns
 
-        def trace_reject(rid, name, is_write, arrival, orig_arrival,
+        def trace_reject(rid, tenant_index, is_write, arrival, orig_arrival,
                          attempt, outcome) -> None:
             trace_rows.append({
-                "rid": rid, "shard": shard, "tenant": name,
+                "rid": rid, "shard": shard, "tenant": names[tenant_index],
                 "op": "write" if is_write else "read",
                 "outcome": outcome, "arrival_ns": orig_arrival,
                 "start_ns": arrival, "end_ns": arrival, "latency_ns": 0,
                 "attempts": attempt, "components": {}})
+
+        def tenant_mark(kind: str, tenant_index: int, **fields) -> None:
+            bus.mark(kind, {"shard": shard, "tenant": names[tenant_index],
+                            **fields})
 
         def close_batch() -> None:
             # Callers only close an open batch (batch_len > 0).
@@ -428,7 +448,7 @@ class ShardExecutor:
         # (time, tenant, seq) so the replay order is schedule-determined.
         retries: List = []
         retried = 0
-        requests = rids = None
+        requests = rids = rid = stamp = None
         index = total = fed = 0
         feeding = True
         # The replay's three subscriptions go in together and — an
@@ -446,6 +466,7 @@ class ShardExecutor:
             while True:
                 if index >= total:
                     if feeding:
+                        fold()
                         requests = None  # replayed: free it while waiting
                         requests, rids = (yield) or (None, None)
                         feeding = requests is not None
@@ -464,15 +485,17 @@ class ShardExecutor:
                     (arrival, tenant_index, seq, is_write, page, stamp,
                      orig_arrival, attempt, rid) = heapq.heappop(retries)
                 else:
-                    request = requests[index]
-                    rid = rids[index] if tracing else None
+                    if explicit:
+                        (arrival, tenant_index, seq, is_write, page,
+                         stamp) = requests[index]
+                    else:
+                        (arrival, tenant_index, seq, is_write,
+                         page) = requests[index]
+                    if tracing:
+                        rid = rids[index]
                     index += 1
-                    arrival, tenant_index, seq, is_write, page = request[:5]
-                    stamp = request[5] if explicit else None
                     orig_arrival = arrival
                     attempt = 0
-                name = names[tenant_index]
-                slot = slots[tenant_index]
                 while completions and completions[0] <= arrival:
                     completions.popleft()
                 if arrival > clock:
@@ -504,21 +527,20 @@ class ShardExecutor:
                                         page, stamp, orig_arrival,
                                         attempt + 1, rid))
                         retried += 1
-                        slot["retried"] += 1
+                        slots[tenant_index]["retried"] += 1
                         if bus.active:
-                            bus.mark(SERVICE_RETRY,
-                                     {"shard": shard, "tenant": name,
-                                      "attempt": attempt + 1})
+                            tenant_mark(SERVICE_RETRY, tenant_index,
+                                        attempt=attempt + 1)
                         continue
+                    slot = slots[tenant_index]
                     slot["rejected"] += 1
                     slot["rejected_queue"] += 1
                     rejected_queue += 1
                     if bus.active:
-                        bus.mark(SERVICE_REJECT,
-                                 {"shard": shard, "tenant": name,
-                                  "reason": "queue_full"})
+                        tenant_mark(SERVICE_REJECT, tenant_index,
+                                    reason="queue_full")
                     if tracing:
-                        trace_reject(rid, name, is_write, arrival,
+                        trace_reject(rid, tenant_index, is_write, arrival,
                                      orig_arrival, attempt,
                                      "rejected_queue")
                     continue
@@ -530,14 +552,13 @@ class ShardExecutor:
                     if (budget is not None
                             and budget_writes[tenant_index].get(page, 0)
                             >= budget):
-                        slot["rejected_wear"] += 1
+                        slots[tenant_index]["rejected_wear"] += 1
                         rejected_wear += 1
                         if bus.active:
-                            bus.mark(SERVICE_REJECT,
-                                     {"shard": shard, "tenant": name,
-                                      "reason": "wear_budget"})
+                            tenant_mark(SERVICE_REJECT, tenant_index,
+                                        reason="wear_budget")
                         if tracing:
-                            trace_reject(rid, name, is_write, arrival,
+                            trace_reject(rid, tenant_index, is_write, arrival,
                                          orig_arrival, attempt,
                                          "rejected_wear")
                         continue
@@ -547,25 +568,24 @@ class ShardExecutor:
                     if occupancy >= hard_pages:
                         # Cleaner debt at the hard watermark: shed the
                         # write.
+                        slot = slots[tenant_index]
                         slot["rejected"] += 1
                         slot["rejected_shed"] += 1
                         rejected_shed += 1
                         if bus.active:
-                            bus.mark(SERVICE_REJECT,
-                                     {"shard": shard, "tenant": name,
-                                      "reason": "cleaner_behind"})
+                            tenant_mark(SERVICE_REJECT, tenant_index,
+                                        reason="cleaner_behind")
                         if tracing:
-                            trace_reject(rid, name, is_write, arrival,
+                            trace_reject(rid, tenant_index, is_write, arrival,
                                          orig_arrival, attempt,
                                          "rejected_shed")
                         continue
                     if occupancy >= soft_pages:
                         delay = throttle_penalty_ns
-                        slot["delayed"] += 1
+                        slots[tenant_index]["delayed"] += 1
                         if bus.active:
-                            bus.mark(SERVICE_THROTTLE,
-                                     {"shard": shard, "tenant": name,
-                                      "delay_ns": delay})
+                            tenant_mark(SERVICE_THROTTLE, tenant_index,
+                                        delay_ns=delay)
                 if batch_len == 0:
                     batch_start_ns = clock
                 if tracing:
@@ -610,8 +630,7 @@ class ShardExecutor:
                         ns += self._overdraft_ns
                         self._overdraft_ns = 0
                     clock += ns
-                    slot["writes"] += 1
-                    record_write[tenant_index](clock - orig_arrival)
+                    served_write[tenant_index](clock - orig_arrival)
                     if cache is not None and cache.invalidate(page):
                         # The write supersedes the cached copy (the live
                         # version now sits in SRAM / a fresh Flash slot).
@@ -638,23 +657,19 @@ class ShardExecutor:
                         writes_map[page] = writes_map.get(page, 0) + 1
                 else:
                     if cache_ok is not None and cache_ok[tenant_index]:
-                        if cache.lookup(page) is not None:
+                        if lookup(page) is not None:
                             # DRAM hit: served host-side, never crosses
                             # the eNVy bus or touches the array.
                             ns = hit_ns
-                            slot["cache_hits"] += 1
                             if bus.active:
-                                bus.mark(CACHE_HIT,
-                                         {"shard": shard, "tenant": name,
-                                          "page": page})
+                                tenant_mark(CACHE_HIT, tenant_index, page=page)
                         else:
                             ns = read_page_ns(page)
-                            slot["cache_misses"] += 1
+                            slots[tenant_index]["cache_misses"] += 1
                             victim = cache.admit(page, tenant_index)
                             if bus.active:
-                                bus.mark(CACHE_MISS,
-                                         {"shard": shard, "tenant": name,
-                                          "page": page})
+                                tenant_mark(CACHE_MISS, tenant_index,
+                                            page=page)
                                 if victim is not None:
                                     bus.mark(CACHE_EVICT,
                                              {"shard": shard,
@@ -662,8 +677,7 @@ class ShardExecutor:
                     else:
                         ns = read_page_ns(page)
                     clock += ns
-                    slot["reads"] += 1
-                    record_read[tenant_index](clock - orig_arrival)
+                    served_read[tenant_index](clock - orig_arrival)
                 if tracing:
                     collecting[0] = False
                     d_flush = busy.get("flush", 0) - flush0
@@ -674,6 +688,7 @@ class ShardExecutor:
                     overdraft_paid = overdraft0 - self._overdraft_ns
                     stall = d_flush + d_clean + d_erase + d_retry + d_ckpt
                     op = "write" if is_write else "read"
+                    name = names[tenant_index]
                     components = {
                         "queue": wait_ns - red_wait,
                         "redundancy": red_wait,
@@ -706,6 +721,7 @@ class ShardExecutor:
                     close_batch()
             if batch_len:
                 close_batch()
+            fold()
         finally:
             if cache is not None:
                 store.copy_listeners.remove(_on_cleaner_copy)
@@ -725,6 +741,13 @@ class ShardExecutor:
             for slot, slot_wear in zip(slots, wear_slots):
                 slot["wear"] = slot_wear
 
+        for t_index, slot in enumerate(slots):
+            slot["reads"] = slot["read_latency"].count
+            slot["writes"] = slot["write_latency"].count
+            if cache_ok is not None and cache_ok[t_index]:
+                # Each read of a cache-tier tenant probed the tier once,
+                # and only the misses were counted row by row.
+                slot["cache_hits"] = slot["reads"] - slot["cache_misses"]
         for slot in per_tenant.values():
             slot["read_latency"] = slot["read_latency"].state_dict()
             slot["write_latency"] = slot["write_latency"].state_dict()

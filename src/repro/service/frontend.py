@@ -542,12 +542,12 @@ class EnvyService:
 
         for cur_rid, (arrival, tenant, seq, is_write,
                       page) in enumerate(requests, rid_base):
-            if redundant:
-                placements = router.placements(page)
-            else:
-                placements = [router.route(page)]
-            primary_bank, primary_local = placements[0]
             if is_write:
+                # Only a write needs every slot it must program; a read
+                # routes to its primary (below).
+                placements = (router.placements(page) if redundant
+                              else [router.route(page)])
+                primary_bank, primary_local = placements[0]
                 live = [slot for slot in placements
                         if states[slot[0]] != BANK_DEAD]
                 if not live:
@@ -596,6 +596,7 @@ class EnvyService:
             # fallback group (one mirror slot, or a whole parity
             # stripe XORed together).  A rebuilding bank takes writes
             # but is not trusted for reads until its rebuild verifies.
+            primary_bank, primary_local = router.route(page)
             if states[primary_bank] == BANK_HEALTHY:
                 emit(primary_bank, tenant, seq, False, primary_local)
                 continue

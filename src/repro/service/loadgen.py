@@ -21,11 +21,12 @@ into one merged, time-ordered request schedule:
 The schedule is a **stream** (:meth:`LoadGenerator.stream`): equal-width
 arrival-time windows of about :data:`WINDOW_ROWS` rows, each sorted by
 that key, so their concatenation (:meth:`LoadGenerator.generate`) is the
-whole sorted schedule.  Every tenant keeps its row generator alive
-across windows; a ``bisect`` on its arrival instants (one packed
-``array('q')``, the only structure that grows with the run) says how
-many rows the next window takes.  Generation costs O(requests) time and
-O(window + 8 B per arrival) memory.
+whole sorted schedule.  A ``bisect`` on a tenant's arrival instants (one
+packed ``array('q')``, the only structure that grows with the run) says
+how many rows the next window takes; the tenant draws that many as
+*columns* (is-write flags, pages: one comprehension each) and ``zip``
+builds the row tuples, so no Python statement runs per row.  Generation
+costs O(requests) time and O(window + 8 B per arrival) memory.
 
 A request is a plain tuple ``(arrival_ns, tenant_index, seq, is_write,
 global_page)`` — picklable, compact, and directly partitionable by the
@@ -38,8 +39,9 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from itertools import chain, islice
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, compress, count, repeat
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..perf.sweep import derive_seed
 from ..workloads.uniform import UniformWorkload
@@ -141,8 +143,10 @@ class LoadGenerator:
                 burst_every = int(spec.burst_every_s * 1e9)
                 burst_len = int(spec.burst_s * 1e9)
             clock = float(start_ns)
+            uniform, log, append = rng.random, math.log, arrivals.append
             while True:
-                gap = rng.expovariate(1.0) * mean_ns
+                # rng.expovariate(1.0), spelt out to save its call.
+                gap = -log(1.0 - uniform()) * mean_ns
                 if burst_every and \
                         (int(clock) - start_ns) % burst_every < burst_len:
                     # Inside a burst window the offered rate is
@@ -151,7 +155,7 @@ class LoadGenerator:
                 clock += gap
                 if clock >= stop_ns:
                     break
-                arrivals.append(int(clock))
+                append(int(clock))
         else:
             # Closed loop: each client alternates think time and a fixed
             # service-time estimate.  The estimate (not execution
@@ -171,31 +175,42 @@ class LoadGenerator:
             arrivals.extend(sorted(instants))
         return arrivals
 
-    def _accesses(self, spec: TenantSpec, rng: random.Random,
-                  page_seed: int, arrivals: Sequence[int]) -> Iterator:
-        """Expand arrivals into ``(arrival_ns, is_write, page)`` rows,
-        drawn one arrival at a time as the caller consumes them.  A
-        TPC-A arrival is a whole transaction, so that shape yields one
-        *list* of rows per arrival (see :meth:`stream`)."""
+    def _columns(self, spec: TenantSpec, rng: random.Random,
+                 page_seed: int, arrivals: array) -> Callable:
+        """The tenant's rows, a window at a time and as *columns*:
+        ``draw(start, stop)`` returns ``(stamps, writes, pages)`` for
+        ``arrivals[start:stop]``.  ``stamps`` is that slice itself, except
+        that a TPC-A arrival is a whole transaction and repeats its
+        instant once per access.  Is-write draws come from ``rng`` and
+        page draws from a generator seeded with ``page_seed``, so drawing
+        a window of one and then a window of the other consumes both
+        streams exactly as one row at a time would."""
         if spec.workload == "tpca":
             from ..workloads.tpca import TpcaWorkload
 
-            layout = self._tpca_layout()
-            workload = TpcaWorkload(layout, rate_tps=max(spec.rate_tps, 1.0),
+            workload = TpcaWorkload(self._tpca_layout(),
+                                    rate_tps=max(spec.rate_tps, 1.0),
                                     seed=page_seed)
+            transaction, accesses = (workload.next_transaction,
+                                     workload.accesses)
             page_bytes, last_page = self.page_bytes, self.num_pages - 1
-            for arrival in arrivals:
-                txn = workload.next_transaction()  # arrival time unused
-                yield [(arrival, is_write,
-                        min(address // page_bytes, last_page))
-                       for is_write, address in workload.accesses(txn)]
-            return
+
+            def draw_transactions(start: int, stop: int):
+                # The transactions' own arrival times are unused.
+                traces = [accesses(transaction())
+                          for _ in range(stop - start)]
+                stamps = list(chain.from_iterable(map(
+                    repeat, arrivals[start:stop], map(len, traces))))
+                writes, addresses = zip(*chain.from_iterable(traces))
+                return stamps, writes, [min(address // page_bytes, last_page)
+                                        for address in addresses]
+            return draw_transactions
         base = 0
         span = self.num_pages
         if spec.page_range is not None:
             base, end = spec.page_range
             span = end - base
-        write_fraction = spec.write_fraction
+        coin, write_fraction = rng.random, spec.write_fraction
         if spec.workload in ("hammer", "squat", "clean_amp"):
             # Attack shapes are pure functions of the access index plus
             # one seeded placement draw, so an attack replays
@@ -212,35 +227,44 @@ class LoadGenerator:
                 stride = max(1, round(span * 0.6180339887498949))
                 while math.gcd(stride, span) != 1:
                     stride += 1
+                first, cycle = base, span
                 offset = placement_rng.randrange(span)
-                for index, arrival in enumerate(arrivals):
-                    is_write = rng.random() < write_fraction
-                    page = base + (offset + index * stride) % span
-                    yield arrival, is_write, page
-                return
-            # hammer / squat: cycle over a contiguous run of
-            # ``attack_pages`` pages.  Contiguous global pages stripe
-            # round-robin across shards, so the run splits evenly into
-            # per-shard working sets: sized just past one buffer's
-            # coalescing reach it becomes targeted wear-out (every
-            # write misses SRAM and flushes back toward the same few
-            # segments); sized to the buffer capacity itself it becomes
-            # occupancy squatting (the cycle pins every FIFO slot).
-            working_set = max(1, min(spec.attack_pages, span))
-            start = placement_rng.randrange(span - working_set + 1)
-            for index, arrival in enumerate(arrivals):
-                is_write = rng.random() < write_fraction
-                page = base + start + index % working_set
-                yield arrival, is_write, page
-            return
-        if spec.workload == "zipf":
-            pages = ZipfWorkload(span, skew=spec.skew, seed=page_seed,
-                                 scatter=spec.scatter)
+            else:
+                # hammer / squat: cycle over a contiguous run of
+                # ``attack_pages`` pages.  Contiguous global pages stripe
+                # round-robin across shards, so the run splits evenly into
+                # per-shard working sets: sized just past one buffer's
+                # coalescing reach it becomes targeted wear-out (every
+                # write misses SRAM and flushes back toward the same few
+                # segments); sized to the buffer capacity itself it becomes
+                # occupancy squatting (the cycle pins every FIFO slot).
+                stride, offset = 1, 0
+                cycle = max(1, min(spec.attack_pages, span))
+                first = base + placement_rng.randrange(span - cycle + 1)
+
+            def next_pages(start: int, stop: int) -> List[int]:
+                return [first + (offset + index * stride) % cycle
+                        for index in range(start, stop)]
         else:
-            pages = UniformWorkload(span, seed=page_seed)
-        for arrival in arrivals:
-            is_write = rng.random() < write_fraction
-            yield arrival, is_write, base + pages.next_page()
+            if spec.workload == "zipf":
+                pages = ZipfWorkload(span, skew=spec.skew, seed=page_seed,
+                                     scatter=spec.scatter)
+            else:
+                pages = UniformWorkload(span, seed=page_seed)
+
+            def next_pages(start: int, stop: int) -> List[int]:
+                drawn = pages.next_pages(stop - start)
+                return [base + page for page in drawn] if base else drawn
+
+        def draw(start: int, stop: int):
+            if 0.0 < write_fraction < 1.0:
+                writes = [coin() < write_fraction
+                          for _ in range(stop - start)]
+            else:
+                # Every coin agrees, and nothing else reads this stream.
+                writes = repeat(write_fraction > 0.0)
+            return arrivals[start:stop], writes, next_pages(start, stop)
+        return draw
 
     # ------------------------------------------------------------------
     # Schedule
@@ -284,12 +308,11 @@ class LoadGenerator:
             counts = accounting[spec.name] = {"offered": 0, "throttled": 0}
             if not arrivals:
                 continue
-            by_txn = spec.workload == "tpca"
-            expected += len(arrivals) * (TPCA_TXN_ROWS if by_txn else 1)
-            rows = self._accesses(spec, arrival_rng, page_seed, arrivals)
-            # [next arrival, tenant, arrivals, rows, bucket, counts, by_txn]
-            cursors.append([0, index, arrivals, rows, bucket, counts,
-                            by_txn])
+            expected += len(arrivals) * (
+                TPCA_TXN_ROWS if spec.workload == "tpca" else 1)
+            draw = self._columns(spec, arrival_rng, page_seed, arrivals)
+            # [next arrival, tenant, arrivals, draw, bucket, counts]
+            cursors.append([0, index, arrivals, draw, bucket, counts])
         return self._windows(cursors, end_ns, expected), accounting
 
     def _windows(self, cursors: List[list], end_ns: int, expected: int
@@ -299,24 +322,21 @@ class LoadGenerator:
         for edge_ns in range(width, end_ns + width, width):
             window: List[Request] = []
             for cursor in cursors:
-                start, index, arrivals, rows, bucket, counts, by_txn = cursor
+                start, index, arrivals, draw, bucket, counts = cursor
                 stop = bisect_left(arrivals, edge_ns, start)
                 if stop == start:
                     continue
                 cursor[0] = stop
-                source = islice(rows, stop - start)
-                if by_txn:
-                    source = chain.from_iterable(source)
-                admitted_before = len(window)
-                throttled = 0
-                for seq, (arrival, is_write, page) in enumerate(
-                        source, counts["offered"]):
-                    if bucket is not None and not bucket.allow(arrival):
-                        throttled += 1
-                        continue
-                    window.append((arrival, index, seq, is_write, page))
-                counts["offered"] += len(window) - admitted_before + throttled
-                counts["throttled"] += throttled
+                stamps, writes, pages = draw(start, stop)
+                # A throttled row is dropped with the seq it consumed.
+                rows = zip(stamps, repeat(index), count(counts["offered"]),
+                           writes, pages)
+                counts["offered"] += len(pages)
+                if bucket is None:
+                    window += rows
+                else:
+                    window += compress(rows, map(bucket.allow, stamps))
+                    counts["throttled"] = bucket.throttled
             if window:
                 # Each tenant's run is in arrival order and the (arrival,
                 # tenant, seq) keys are unique: sorting the concatenation

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..core.metrics import LatencyStat
+from ..obs.hist import LatencyHistogram
 
 __all__ = ["SimStats"]
 
@@ -24,8 +24,8 @@ class SimStats:
     simulated_ns: int = 0
     transactions_completed: int = 0
     transactions_offered: int = 0
-    read_latency: LatencyStat = field(default_factory=LatencyStat)
-    write_latency: LatencyStat = field(default_factory=LatencyStat)
+    read_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    write_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
     pages_flushed: int = 0
     clean_copies: int = 0
     erases: int = 0

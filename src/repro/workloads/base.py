@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 __all__ = ["WriteWorkload", "randbelow"]
 
@@ -45,6 +45,11 @@ class WriteWorkload(abc.ABC):
     @abc.abstractmethod
     def next_page(self) -> int:
         """The next logical page to write (0 <= page < num_pages)."""
+
+    def next_pages(self, count: int) -> List[int]:
+        """The next ``count`` pages: ``count`` calls of :meth:`next_page`
+        (subclasses that override it draw the same values in bulk)."""
+        return [self.next_page() for _ in range(count)]
 
     def pages(self, count: int) -> Iterator[int]:
         """Yield ``count`` page references."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import List
+
 from .base import WriteWorkload, randbelow
 
 __all__ = ["UniformWorkload"]
@@ -14,3 +16,7 @@ class UniformWorkload(WriteWorkload):
 
     def next_page(self) -> int:
         return randbelow(self.rng.getrandbits, self.num_pages)
+
+    def next_pages(self, count: int) -> List[int]:
+        getrandbits, num_pages = self.rng.getrandbits, self.num_pages
+        return [randbelow(getrandbits, num_pages) for _ in range(count)]

@@ -26,7 +26,7 @@ import bisect
 import functools
 import math
 import random
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .base import WriteWorkload
 
@@ -87,6 +87,17 @@ class ZipfWorkload(WriteWorkload):
         if self._page_of_rank is None:
             return rank
         return self._page_of_rank[rank]
+
+    def next_pages(self, count: int) -> List[int]:
+        uniform, total = self.rng.random, self._total
+        cumulative, search = self._cumulative, bisect.bisect_left
+        ranks = [search(cumulative, uniform() * total) for _ in range(count)]
+        last = self.num_pages - 1
+        if ranks and max(ranks) > last:
+            ranks = [min(rank, last) for rank in ranks]
+        if self._page_of_rank is None:
+            return ranks
+        return list(map(self._page_of_rank.__getitem__, ranks))
 
     def access_share(self, top_fraction: float) -> float:
         """Fraction of accesses hitting the most popular pages.

@@ -1,25 +1,26 @@
-"""Tests for the metrics plumbing (LatencyStat, ControllerMetrics,
+"""Tests for the metrics plumbing (LatencyHistogram, ControllerMetrics,
 SimStats)."""
 
 import pytest
 
-from repro.core.metrics import ControllerMetrics, LatencyStat
+from repro.core.metrics import ControllerMetrics
+from repro.obs.hist import LatencyHistogram
 from repro.sim.tracker import SimStats
 
 
 class TestLatencyStat:
     def test_empty(self):
-        stat = LatencyStat()
+        stat = LatencyHistogram()
         assert stat.mean_ns == 0.0
         assert stat.count == 0
 
     def test_single_sample(self):
-        stat = LatencyStat()
+        stat = LatencyHistogram()
         stat.record(100)
         assert (stat.min_ns, stat.max_ns, stat.mean_ns) == (100, 100, 100)
 
     def test_running_extremes(self):
-        stat = LatencyStat()
+        stat = LatencyHistogram()
         for value in (50, 200, 100):
             stat.record(value)
         assert stat.min_ns == 50
@@ -27,8 +28,8 @@ class TestLatencyStat:
         assert stat.mean_ns == pytest.approx(350 / 3)
 
     def test_merge(self):
-        a = LatencyStat()
-        b = LatencyStat()
+        a = LatencyHistogram()
+        b = LatencyHistogram()
         for value in (10, 20):
             a.record(value)
         for value in (5, 100):
@@ -39,16 +40,16 @@ class TestLatencyStat:
         assert a.max_ns == 100
 
     def test_merge_empty_operands(self):
-        a = LatencyStat()
-        b = LatencyStat()
+        a = LatencyHistogram()
+        b = LatencyHistogram()
         b.record(7)
-        a.merge(LatencyStat())
+        a.merge(LatencyHistogram())
         assert a.count == 0
         a.merge(b)
         assert (a.min_ns, a.max_ns) == (7, 7)
 
     def test_str(self):
-        stat = LatencyStat()
+        stat = LatencyHistogram()
         stat.record(42)
         assert "42" in str(stat)
 

@@ -9,18 +9,19 @@ simulated results as an uninstrumented one.
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core import EnvyConfig, EnvySystem
-from repro.core.metrics import ControllerMetrics, LatencyStat
+from repro.core.metrics import ControllerMetrics
 from repro.core.persistence import roundtrip
 from repro.core.tracing import TracingController
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import (EventBus, LatencyHistogram, ObsEvent,
                        ObservabilityHub)
 from repro.obs.export import chrome_trace, events_jsonl, prometheus_text
-from repro.obs.hist import RELATIVE_ERROR, bucket_bounds, bucket_index
+from repro.obs.hist import (BULK_MIN, RELATIVE_ERROR, SUBBUCKETS,
+                            bucket_bounds, bucket_index)
 from repro.sim import build_tpca_system
 
 
@@ -84,7 +85,6 @@ _SAMPLES = st.one_of(
 class TestHistogram:
     def test_empty_str(self):
         assert str(LatencyHistogram()) == "n=0 (empty)"
-        assert str(LatencyStat()) == "n=0 (empty)"
 
     def test_exact_extremes_and_mean(self):
         hist = LatencyHistogram()
@@ -197,12 +197,33 @@ class TestHistogram:
         hist.record_n(float("nan"), 0)       # n == 0 touches nothing
         assert hist.state_dict() == before
 
-    def test_latencystat_is_histogram(self):
-        # The compat shim: old call sites keep working, gain percentiles.
-        stat = LatencyStat()
-        stat.record(100)
-        assert isinstance(stat, LatencyHistogram)
-        assert stat.p50 == 100
+    @given(st.lists(_SAMPLES, max_size=12),
+           st.lists(st.one_of(
+               _SAMPLES, st.integers(1 << 63, 1 << 70),
+               st.sampled_from([0, 2 * SUBBUCKETS - 1, 2 * SUBBUCKETS,
+                                2 * SUBBUCKETS + 1])),
+               max_size=3 * BULK_MIN))
+    @example(before=[], samples=[])
+    @example(before=[7], samples=[-3, -2.5] * BULK_MIN)
+    @example(before=[], samples=[0] * BULK_MIN)
+    @example(before=[40], samples=[1 << 64, True, 31.9] + [33] * BULK_MIN)
+    def test_record_many_equals_each_recorded(self, before, samples):
+        """Either side of BULK_MIN: the sample loop and the bulk folds."""
+        bulk, each = LatencyHistogram(), LatencyHistogram()
+        for hist in (bulk, each):
+            for earlier in before:
+                hist.record(earlier)
+        bulk.record_many(samples)
+        for sample in samples:
+            each.record(sample)
+        assert bulk.state_dict() == each.state_dict()
+        assert list(bulk.buckets) == list(each.buckets)   # same order
+        assert type(bulk.total_ns) is int
+        assert all(type(key) is int for key in bulk.buckets)
+
+    def test_record_many_refuses_what_record_refuses(self):
+        with pytest.raises(ValueError):
+            LatencyHistogram().record_many([160.0, float("nan")] * BULK_MIN)
 
 
 class TestMetricsPersistence:

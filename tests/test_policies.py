@@ -157,6 +157,28 @@ class TestLocalityGathering:
         written = policy.flush(9, origin)
         assert written == origin
 
+    def test_flush_lands_on_a_position_packed_solid_with_live_pages(self):
+        """Shedding only turns slots dead; the flush needs a second clean
+        to reclaim them (it used to raise "no free slots", always)."""
+        store = SegmentStore(3, 8, 21)
+        for position, pages in enumerate((range(8, 14), range(8),
+                                          range(14, 20))):
+            for page in pages:
+                store.append(position, page)
+        policy = LocalityGatheringPolicy(gather_pages=0)
+        policy.attach(store)
+        solid = store.positions[1]
+        assert solid.live_count == solid.capacity
+        erases = store.erase_count
+        assert policy.flush(20, 1) == 1
+        # One page shed to a neighbour, the flushed one in its place.
+        assert store.page_location[20] == (1, solid.capacity - 1)
+        assert store.transfer_count == 1
+        assert store.erase_count == erases + 2      # the honest cost
+        assert sorted(page for position in store.positions
+                      for page in position.slots) == list(range(21))
+        store.check_invariants()
+
     def test_long_run_keeps_invariants(self):
         sim = simulate(LocalityGatheringPolicy(), label="10/90")
         sim.store.check_invariants()

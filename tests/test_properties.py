@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cleaning import (GreedyPolicy, HybridPolicy,
@@ -189,6 +189,10 @@ class TestWearPollGating:
            hot_pages=st.integers(1, 12),
            count=st.integers(200, 1200),
            seed=st.integers(0, 2 ** 16))
+    # Locality flush onto a position still solid after its clean: the
+    # forced shed freed no slot and the append raised (both simulators).
+    @example(policy_index=1, buffer_pages=4, threshold=1, cooldown=16,
+             hot_pages=1, count=983, seed=1)
     @settings(max_examples=40, **COMMON)
     def test_gated_polls_equal_polling_every_flush(
             self, policy_index, buffer_pages, threshold, cooldown,

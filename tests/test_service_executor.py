@@ -8,10 +8,12 @@ inline overdraft path) — they pin that rewrite to the old loop's
 behaviour and are never regenerated.
 """
 
+import collections
 import gc
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.config import EnvyConfig
 from repro.core.controller import EnvyController
 from repro.core.recovery import SimulatedPowerFailure
 from repro.service.executor import ShardExecutor
+from repro.service.loadgen import WINDOW_ROWS
 
 TENANTS = ["alpha", "beta", "gamma"]
 
@@ -176,6 +179,48 @@ class TestPinnedReplay:
             split.feed(requests[begin:begin + 700])
         assert split.finish()["trace"]["rows"] == expected
 
+    @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
+    def test_read_and_write_counts_are_the_histogram_counts(self, name):
+        """Served latencies queue per tenant and fold feed by feed; the
+        per-tenant counts are read off the folded histograms."""
+        executor, requests = feature_replay(name)
+        executor.start()
+        for begin in range(0, len(requests), 500):
+            executor.feed(requests[begin:begin + 500])
+        result = executor.finish()
+        offered = collections.Counter((row[1], row[3]) for row in requests)
+        for index, tenant in enumerate(executor.tenant_names):
+            stats = result["tenants"][tenant]
+            assert stats["reads"] == stats["read_latency"]["count"]
+            assert stats["writes"] == stats["write_latency"]["count"]
+            assert stats["reads"] <= offered[index, False]
+            assert 0 < stats["writes"] <= offered[index, True]
+            # A cache-tier tenant's reads each probed the tier once.
+            cached = FEATURE_SETS[name][0].get("cache_tenants")
+            assert stats["cache_hits"] + stats["cache_misses"] == \
+                (stats["reads"] if cached and cached[index] else 0)
+            # Every row was served or refused, exactly once.
+            assert (stats["reads"] + stats["writes"] + stats["rejected"]
+                    + stats["rejected_wear"]) == \
+                offered[index, False] + offered[index, True]
+
+    def test_run_is_window_sized_feeds_of_the_whole_slice(self):
+        """``run`` cuts a collected slice into WINDOW_ROWS stretches (the
+        pending latencies of a ``jobs > 1`` shard stay bounded too)."""
+        requests = mixed_slice(3, rows=2 * WINDOW_ROWS + 100)
+        whole = ShardExecutor(make_controller(), 0, tenant_names=TENANTS,
+                              trace=True)
+        whole.start()
+        whole.feed(requests)
+        cut = ShardExecutor(make_controller(), 0, tenant_names=TENANTS,
+                            trace=True)
+        with mock.patch.object(ShardExecutor, "feed", autospec=True,
+                               side_effect=ShardExecutor.feed) as feed:
+            result = cut.run(requests)
+        assert [len(call.args[1]) for call in feed.call_args_list] == \
+            [WINDOW_ROWS, WINDOW_ROWS, 100]
+        assert result == whole.finish()
+
     def test_slices_exercise_what_they_pin(self):
         """The pinned slices are not vacuous: each reaches its feature."""
         def run(name):
@@ -257,6 +302,8 @@ class TestInterruptedReplay:
                 pytest.raises(SimulatedPowerFailure):
             executor.feed(requests[300:])
         self.assert_unhooked(controller)
+        # The dead replay took its unfolded latencies with it.
+        assert executor._replay.gi_frame is None
 
     def test_finish_and_abandonment_both_remove_the_hooks(self):
         controller, executor, requests = self.hooked_replay()

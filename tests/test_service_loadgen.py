@@ -97,14 +97,33 @@ class TestPinnedSchedule:
                        rate_limit_tps=5e5),
         ]
 
+    def generator(self):
+        return LoadGenerator(self.fleet(), PAGES, seed=11,
+                             rate_overrides={"quarantined": 1e5})
+
     def test_mixed_fleet_schedule_is_bit_identical(self):
-        generator = LoadGenerator(self.fleet(), PAGES, seed=11,
-                                  rate_overrides={"quarantined": 1e5})
-        schedule, accounting = generator.generate(self.DURATION_S)
+        schedule, accounting = self.generator().generate(self.DURATION_S)
         # Every shape contributes, and all three throttles bite.
         assert len(schedule) == 11870
         for name in ("tpca", "limited", "quarantined"):
             assert accounting[name]["throttled"] > 0
+        digest = hashlib.sha256(
+            repr((schedule, accounting)).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+    @pytest.mark.parametrize("rows", [1, 7, 10 ** 9])
+    def test_any_window_size_draws_the_pinned_schedule(self, rows):
+        """Columns drawn a row, seven rows or the whole run at a time
+        concatenate to the same schedule with the same accounting."""
+        with windowed(rows):
+            windows, accounting = self.generator().stream(self.DURATION_S)
+            sizes, schedule = [], []
+            for window in windows:
+                sizes.append(len(window))
+                schedule += window
+        assert (len(sizes) == 1) == (rows == 10 ** 9)
+        # A window is an arrival-time range, so `rows` is its mean size.
+        assert rows == 10 ** 9 or sum(sizes) / len(sizes) < 4 * rows
         digest = hashlib.sha256(
             repr((schedule, accounting)).encode()).hexdigest()
         assert digest == self.DIGEST

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import BimodalWorkload, UniformWorkload, parse_locality
-from repro.workloads.base import randbelow
+from repro.workloads import (BimodalWorkload, UniformWorkload, ZipfWorkload,
+                             parse_locality)
+from repro.workloads.base import WriteWorkload, randbelow
 
 #: n = 1, powers of two and their neighbours: the rejection loop's edges.
 EDGE_SIZES = sorted({1} | {2 ** k + d for k in range(1, 70)
@@ -57,6 +58,60 @@ class TestRandbelow:
 
         assert list(workload.pages(2000)) == \
             [predecessor() for _ in range(2000)]
+
+
+def clamped_zipf(seed):
+    """A table whose total overshoots its last entry (what float
+    round-off could do): a third of the draws land past the last rank."""
+    workload = ZipfWorkload(7, skew=1.0, seed=seed)
+    workload._total *= 1.5
+    return workload
+
+
+#: 97 pages: not a power of two, so the uniform rejection loop rejects.
+BULK_SHAPES = {
+    "zipf_float_skew": lambda seed: ZipfWorkload(97, skew=0.99, seed=seed),
+    "zipf_int_skew": lambda seed: ZipfWorkload(97, skew=1, seed=seed),
+    "zipf_unscattered": lambda seed: ZipfWorkload(97, skew=1.2, seed=seed,
+                                                  scatter=False),
+    "zipf_clamped": clamped_zipf,
+    "uniform": lambda seed: UniformWorkload(97, seed=seed),
+    "base_default": lambda seed: BimodalWorkload.from_label(97, "10/90",
+                                                            seed=seed),
+}
+
+
+class TestNextPages:
+    """``next_pages(n)`` is ``n`` calls of ``next_page()``: same values,
+    same RNG consumption, for any split and any interleaving."""
+
+    @given(shape=st.sampled_from(sorted(BULK_SHAPES)),
+           seed=st.integers(0, 2 ** 32),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 40)),
+                          max_size=8))
+    @example(shape="zipf_clamped", seed=3, steps=[(True, 40), (False, 5),
+                                                  (True, 0), (True, 17)])
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_equals_single_draws(self, shape, seed, steps):
+        bulk, twin = BULK_SHAPES[shape](seed), BULK_SHAPES[shape](seed)
+        for in_bulk, count in steps:
+            expected = [twin.next_page() for _ in range(count)]
+            if in_bulk:
+                assert bulk.next_pages(count) == expected
+            else:
+                assert [bulk.next_page() for _ in range(count)] == expected
+        assert bulk.rng.random() == twin.rng.random()
+
+    def test_shapes_exercise_what_they_name(self):
+        assert BimodalWorkload.next_pages is WriteWorkload.next_pages
+        for cls in (ZipfWorkload, UniformWorkload):
+            assert cls.next_pages is not WriteWorkload.next_pages
+        assert isinstance(BULK_SHAPES["zipf_int_skew"](0).skew, int)
+        pages = clamped_zipf(3).next_pages(200)
+        scattered_last = clamped_zipf(3)._page_of_rank[6]
+        # Far more than the last rank's own 5% share: the clamp fired.
+        assert pages.count(scattered_last) > 50
+        assert all(0 <= page < 7 for page in pages)
 
 
 class TestUniform:
