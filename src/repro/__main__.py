@@ -992,7 +992,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .backends import RunTrace, replay_trace, run_consistency
-    from .workloads.trace import TraceError
+    from .core.tracing import TraceError
 
     try:
         trace = RunTrace.load(args.trace)

@@ -35,9 +35,8 @@ from .registry import (BackendInfo, RegistryError, WorkloadInfo,
                        backend_info, backend_names, create_backend,
                        create_workload, parse_spec, register_backend,
                        register_workload, workload_info, workload_names)
-from .trace import (ReplayResult, RunRecorder, RunTrace, config_digest,
-                    record_tpca, record_workload, replay_trace,
-                    state_digest)
+from .trace import (ReplayResult, RunTrace, config_digest, record_tpca,
+                    record_workload, replay_trace, state_digest)
 
 __all__ = [
     "StorageBackend",
@@ -49,7 +48,7 @@ __all__ = [
     "FileBackend", "FileStoreError",
     "OnfiBackend", "OnfiBus",
     "RamdiskBackend", "RamImage",
-    "RunTrace", "RunRecorder", "ReplayResult",
+    "RunTrace", "ReplayResult",
     "config_digest", "state_digest",
     "record_tpca", "record_workload", "replay_trace",
     "run_consistency", "consistency_report",

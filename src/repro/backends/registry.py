@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.tracing import RunTrace, TraceError
+
 __all__ = [
     "BackendInfo", "WorkloadInfo", "RegistryError",
     "register_backend", "register_workload",
@@ -233,15 +235,20 @@ def _register_builtin_workloads() -> None:
     def _zipf(num_pages, seed, skew=1.0):
         return ZipfWorkload(num_pages, skew=skew, seed=seed)
 
-    @register_workload("trace", "replay a recorded page-write trace",
-                       options="path=<file> (.jsonl or binary)")
+    @register_workload("trace", "replay the page writes of a run trace",
+                       options="path=<run trace .jsonl>")
     def _trace(num_pages, seed, path=None):
         if path is None:
             raise TypeError("trace workload needs path=<file>")
-        if str(path).endswith(".jsonl"):
-            return TraceWorkload.load_jsonl(
-                str(path), expect_num_pages=num_pages)
-        return TraceWorkload.load(str(path))
+        pages = RunTrace.load(str(path)).page_writes()
+        if not pages:
+            raise TraceError(f"{path}: the trace records no writes")
+        if max(pages) >= num_pages:
+            raise TraceError(
+                f"{path}: geometry mismatch — the trace writes up to "
+                f"page {max(pages)}, this system has {num_pages} "
+                f"logical pages")
+        return TraceWorkload(num_pages, pages)
 
 
 _register_builtin_workloads()

@@ -15,7 +15,7 @@ from .metrics import ControllerMetrics
 from .persistence import load_system, save_system
 from .prototype import (PrototypeController, PrototypeTimings,
                         narrow_path_timings, prototype_config)
-from .tracing import AccessRecord, AccessTrace, TracingController
+from .tracing import RunTrace
 from .recovery import (CleaningJournal, CleanPhase, RecoveryError,
                        RecoveryMismatch, RecoveryReport,
                        SimulatedPowerFailure, attach_journal, recover,
@@ -66,7 +66,5 @@ __all__ = [
     "attach_commit_oracle",
     "recovered_page_bytes",
     "EnvyMemoryView",
-    "TracingController",
-    "AccessTrace",
-    "AccessRecord",
+    "RunTrace",
 ]

@@ -46,23 +46,23 @@ from .metrics import ControllerMetrics
 
 __all__ = ["EnvyController", "EnvySystem"]
 
+#: Bytes of the host word a page-granular read stands for.
+_WORD = 8
+
 
 class EnvyController:
     """Services host reads/writes and runs the Flash maintenance work.
 
-    Host reads have three entry points over one pricing path:
+    One method prices and accounts a host read: :meth:`read_run_ns`
+    (range check, MMU translation, SRAM or Flash cost), ``count`` reads
+    of one logical page at a time, timing only.  The shard executor
+    calls it once per served row, the timed simulator once per run of
+    same-page word reads.  :meth:`read_timed` (and :meth:`read`)
+    assembles the bytes on top of it, pricing every page it touches
+    there: applications, trace replay, and the timed simulator for a
+    word that straddles a page boundary.
 
-    * :meth:`read_page_ns` prices and accounts one read of one logical
-      page (range check, MMU translation, SRAM or Flash cost).  Timing
-      only; the shard executor calls it once per served row.
-    * :meth:`read_run_ns` is ``count`` of those back to back on one
-      page: the head goes through :meth:`read_page_ns`, the repeats are
-      accounted in bulk.  The timed simulator calls it once per run of
-      same-page word reads.
-    * :meth:`read_timed` (and :meth:`read`) assembles the bytes, pricing
-      every page it touches through :meth:`read_page_ns`: applications,
-      trace replay, and the timed simulator for a word that straddles a
-      page boundary.
+    The host boundary is observable through :attr:`access_listeners`.
     """
 
     def __init__(self, config: Optional[EnvyConfig] = None,
@@ -139,6 +139,14 @@ class EnvyController:
         #: of every :meth:`flush_one`, in registration order (per-tenant
         #: wear attribution subscribes for the length of a replay).
         self.flush_listeners = []
+        #: Callbacks fired once per host call, in registration order:
+        #: :meth:`write` as ``("w", address, payload, ns, 1)``,
+        #: :meth:`read_timed` as ``("r", address, length, ns, 1)``,
+        #: :meth:`read_run_ns` as ``("r", page start, 8, ns, count)`` —
+        #: twice (head, then repeats) when the head cost more than a
+        #: repeat, never ``count`` times.  A recording
+        #: :class:`~repro.core.tracing.RunTrace` subscribes here.
+        self.access_listeners = []
         self.page_table = PageTable(cfg.logical_pages,
                                     entry_bytes=cfg.page_table_entry_bytes,
                                     read_ns=cfg.sram.read_ns,
@@ -184,7 +192,7 @@ class EnvyController:
         # exactly cfg.flash.read_ns (degradation is attached later and
         # was never reflected in this scalar).
         self._flash_read_ns = self.array.read_time_ns()
-        # The two host-read costs on top of translation (read_page_ns).
+        # The two host-read costs on top of translation (read_run_ns).
         self._sram_access_ns = self._bus_overhead_ns + cfg.sram.read_ns
         self._flash_access_ns = (self._bus_overhead_ns + self._flash_read_ns
                                  + self._ecc_check_ns)
@@ -461,76 +469,83 @@ class EnvyController:
         data, _ = self.read_timed(address, length)
         return data
 
-    def read_page_ns(self, page: int) -> int:
-        """Cost and account one host read of logical ``page``; returns ns.
-
-        The one place a host page read is priced: bus overhead + a
-        page-table read on an MMU miss + one SRAM or Flash(+ECC) read
-        cycle — 160 ns in the common case (Section 5.1).  Timing only:
-        no payload is assembled, so replay drivers that discard the data
-        call this with the page they already hold (the shard executor
-        directly, the timed simulator through :meth:`read_run_ns`).  The
-        cells are not sensed either — a read that must pass through the
-        array's fault/ECC path is a :meth:`read_timed`.
-        """
-        if not 0 <= page < self._num_pages:
-            raise IndexError(
-                f"page {page} outside the {self._num_pages}-page array")
-        # Once per replayed read: Location.in_sram and metrics.charge
-        # are spelled out below to spare the two calls.
-        location, access_ns = self.mmu.translate_timed(page)
-        if location is not None and location[0] == SRAM:
-            access_ns += self._sram_access_ns
-        else:
-            access_ns += self._flash_access_ns
-        metrics = self.metrics
-        metrics.reads += 1
-        metrics.read_latency.record(access_ns)
-        busy = metrics.busy_ns
-        busy["read"] = busy.get("read", 0) + access_ns
-        bus = self.events
-        if bus.active:
-            bus.emit_span(HOST_READ, access_ns, {"page": page})
-        return access_ns
-
-    def read_run_ns(self, page: int, count: int) -> Tuple[int, int]:
+    def read_run_ns(self, page: int, count: int = 1,
+                    _heard: bool = True) -> Tuple[int, int]:
         """Cost and account ``count`` back-to-back host reads of ``page``.
 
-        Returns ``(first_ns, repeat_ns)``: what the head read cost and
-        what each of the ``count - 1`` repeats cost.  Leaves behind
-        exactly what ``count`` :meth:`read_page_ns` calls would.  The
-        head is one (range check, MMU miss); nothing can move the page
-        between reads of one run, so every repeat is an MMU hit on the
-        entry the head just installed and the lot is accounted in bulk.
-        With a subscriber on the bus, or an unmapped page (never cached,
-        so every repeat misses again), each repeat goes through
-        :meth:`read_page_ns` too.
+        The one place a host read is priced: bus overhead + a page-table
+        read on an MMU miss + one SRAM or Flash(+ECC) read cycle — 160 ns
+        in the common case (Section 5.1).  Returns ``(first_ns,
+        repeat_ns)``: what the head read cost and what each of the
+        ``count - 1`` repeats cost.  Nothing can move the page between
+        reads of one run, so every repeat is an MMU hit on the entry the
+        head just installed (or, for an unmapped page, which is never
+        cached, the head's miss again) and the repeats are accounted in
+        bulk; a subscriber on the bus still gets one span per read.
+
+        Timing only: no payload is assembled and the cells are not
+        sensed, so a fault plan that corrupts reads leaves the ECC
+        counters alone here; the nanoseconds and every other metric are
+        those of the :meth:`read_timed` that does sense them.
+        ``_heard=False`` is :meth:`read_timed` pricing its pages: that
+        call fires the access listeners itself, once.
         """
         if count < 1:
             raise ValueError(f"a read run has at least one read, "
                              f"not {count}")
-        first_ns = repeat_ns = self.read_page_ns(page)
+        if not 0 <= page < self._num_pages:
+            raise IndexError(
+                f"page {page} outside the {self._num_pages}-page array")
+        mmu = self.mmu
+        location, first_ns = mmu.translate_timed(page)
+        # Location.in_sram and metrics.charge are spelled out to spare
+        # two calls per replayed read.
+        if location is not None and location[0] == SRAM:
+            repeat_ns = self._sram_access_ns
+        else:
+            repeat_ns = self._flash_access_ns
+        first_ns += repeat_ns
+        metrics = self.metrics
+        metrics.reads += count
+        metrics.read_latency.record(first_ns)
+        busy = metrics.busy_ns
+        bus = self.events
+        heard = _heard and self.access_listeners
+        if count == 1:
+            busy["read"] = busy.get("read", 0) + first_ns
+            if bus.active:
+                bus.emit_span(HOST_READ, first_ns, {"page": page})
+            if heard:
+                self._hear_reads(page, first_ns, 1)
+            return first_ns, first_ns
         rest = count - 1
-        if rest:
-            location = (None if self.events.active
-                        else self.mmu.hit_again(page, rest))
-            if location is None:
-                read_page_ns = self.read_page_ns
-                for _ in range(rest):
-                    repeat_ns = read_page_ns(page)
+        if mmu.hit_again(page, rest) is None:
+            for _ in range(rest):
+                mmu.translate_timed(page)
+            repeat_ns = first_ns
+        metrics.read_latency.record_n(repeat_ns, rest)
+        busy["read"] = busy.get("read", 0) + first_ns + repeat_ns * rest
+        if bus.active:
+            bus.emit_span(HOST_READ, first_ns, {"page": page})
+            for _ in range(rest):
+                bus.emit_span(HOST_READ, repeat_ns, {"page": page})
+        if heard:
+            if first_ns == repeat_ns:
+                self._hear_reads(page, first_ns, count)
             else:
-                repeat_ns = (self._sram_access_ns if location[0] == SRAM
-                             else self._flash_access_ns)
-                metrics = self.metrics
-                metrics.reads += rest
-                metrics.read_latency.record_n(repeat_ns, rest)
-                metrics.busy_ns["read"] += repeat_ns * rest
+                self._hear_reads(page, first_ns, 1)
+                self._hear_reads(page, repeat_ns, rest)
         return first_ns, repeat_ns
+
+    def _hear_reads(self, page: int, ns: int, count: int) -> None:
+        address = page * self._page_bytes
+        for listener in self.access_listeners:
+            listener("r", address, _WORD, ns, count)
 
     def read_timed(self, address: int, length: int) -> Tuple[bytes, int]:
         """Read ``length`` bytes; returns (data, nanoseconds).
 
-        Data assembly over :meth:`read_page_ns`: every page touched is
+        Data assembly over :meth:`read_run_ns`: every page touched is
         costed and accounted there, then its slice of the payload is
         fetched from the write buffer or the array.
         """
@@ -538,7 +553,7 @@ class EnvyController:
                 or address + length > self._size_bytes:
             self._check_range(address, length)
         page_bytes = self._page_bytes
-        read_page_ns = self.read_page_ns
+        read_run_ns = self.read_run_ns
         peek = self.buffer.peek
         store_data = self.store_data
         pieces = []
@@ -549,7 +564,7 @@ class EnvyController:
             chunk = remaining
             if chunk > page_bytes - page_offset:
                 chunk = page_bytes - page_offset
-            total_ns += read_page_ns(page)
+            total_ns += read_run_ns(page, 1, False)[0]
             entry = peek(page)
             if entry is not None:
                 payload = entry.data
@@ -563,7 +578,10 @@ class EnvyController:
             remaining -= chunk
             page += 1
             page_offset = 0
-        return b"".join(pieces), total_ns
+        data = b"".join(pieces)
+        for listener in self.access_listeners:
+            listener("r", address, length, total_ns, 1)
+        return data, total_ns
 
     # ------------------------------------------------------------------
     # Host writes
@@ -583,7 +601,8 @@ class EnvyController:
         page_bytes = self._page_bytes
         total_ns = 0
         offset = address
-        view = memoryview(bytes(data))
+        payload = bytes(data)
+        view = memoryview(payload)
         consumed = 0
         bus = self.events
         while consumed < len(data):
@@ -604,6 +623,8 @@ class EnvyController:
             total_ns += access_ns
             offset += chunk
             consumed += chunk
+        for listener in self.access_listeners:
+            listener("w", address, payload, total_ns, 1)
         return total_ns
 
     def _write_page(self, page: int, page_offset: int, chunk) -> int:

@@ -1,13 +1,11 @@
 """Typed event bus: the single spine every subsystem publishes to.
 
 Before this module each layer reported through its own side channel —
-the store's ``observer`` callback, the array's ``fault_listeners``, the
-tracing proxy's access list — and anything that wanted a global picture
-had to subscribe to all of them and reconcile clocks.  The bus unifies
-them: the controller owns one :class:`EventBus`, every subsystem
+the store's ``observer`` callback, the array's ``fault_listeners`` — and
+anything that wanted a global picture had to subscribe to all of them
+and reconcile clocks.  The bus unifies them: the controller owns one :class:`EventBus`, every subsystem
 publishes :class:`ObsEvent` records onto it, and consumers (the
-observability hub, the tracing proxy, exporters) subscribe by kind
-prefix.
+observability hub, exporters) subscribe by kind prefix.
 
 Zero overhead when disabled
 ---------------------------

@@ -80,7 +80,6 @@ class ShardExecutor:
                  soft_watermark: float = 0.85,
                  hard_watermark: float = 0.97,
                  stamp_payloads: bool = False,
-                 stamp_mode: str = "counter",
                  retry_limit: int = 0,
                  retry_backoff_ns: int = 4000,
                  attribute_wear: bool = False,
@@ -97,8 +96,6 @@ class ShardExecutor:
         if not 0.0 < soft_watermark <= hard_watermark <= 1.0:
             raise ValueError(
                 "watermarks must satisfy 0 < soft <= hard <= 1")
-        if stamp_mode not in ("counter", "explicit"):
-            raise ValueError(f"unknown stamp_mode {stamp_mode!r}")
         if retry_limit < 0:
             raise ValueError("retry_limit cannot be negative")
         if retry_limit and retry_backoff_ns < 1:
@@ -110,13 +107,9 @@ class ShardExecutor:
         self.soft_watermark = soft_watermark
         self.hard_watermark = hard_watermark
         #: Write a distinct 8-byte stamp per write (the chaos oracle
-        #: needs distinguishable committed payloads).  ``counter`` mode
-        #: stamps a per-executor running counter; ``explicit`` mode
-        #: takes the stamp from the request's sixth field, so replica
-        #: copies of one logical write carry identical bytes on every
-        #: bank (the redundancy chaos drills depend on that).
+        #: needs distinguishable committed payloads): a per-executor
+        #: running counter.
         self.stamp_payloads = stamp_payloads
-        self.stamp_mode = stamp_mode
         #: Queue-full rejections each request may absorb as deferred
         #: retries before it is surfaced as rejected (0 = off).
         self.retry_limit = retry_limit
@@ -252,7 +245,7 @@ class ShardExecutor:
         soft_pages = int(capacity * self.soft_watermark)
         hard_pages = int(capacity * self.hard_watermark)
         write = controller.write
-        read_page_ns = controller.read_page_ns
+        read_run_ns = controller.read_run_ns
         base_hits = metrics.buffer_hits
         # Constant for the whole replay: bind once, not once per row.
         names = self.tenant_names
@@ -440,15 +433,14 @@ class ShardExecutor:
                               {"shard": shard, "pages": batch_len})
             batch_len = 0
 
-        explicit = self.stamp_mode == "explicit"
         retry_limit = self.retry_limit
         backoff_ns = self.retry_backoff_ns
-        # Deferred retries: (due_ns, tenant, seq, is_write, page, stamp,
-        # original_arrival, attempt), merged with the arrival stream by
+        # Deferred retries: (due_ns, tenant, seq, is_write, page,
+        # original_arrival, attempt, rid), merged with the arrival stream by
         # (time, tenant, seq) so the replay order is schedule-determined.
         retries: List = []
         retried = 0
-        requests = rids = rid = stamp = None
+        requests = rids = rid = None
         index = total = fed = 0
         feeding = True
         # The replay's three subscriptions go in together and — an
@@ -482,15 +474,11 @@ class ShardExecutor:
                                 or retries[0][:3] <= (requests[index][0],
                                                       requests[index][1],
                                                       requests[index][2])):
-                    (arrival, tenant_index, seq, is_write, page, stamp,
+                    (arrival, tenant_index, seq, is_write, page,
                      orig_arrival, attempt, rid) = heapq.heappop(retries)
                 else:
-                    if explicit:
-                        (arrival, tenant_index, seq, is_write, page,
-                         stamp) = requests[index]
-                    else:
-                        (arrival, tenant_index, seq, is_write,
-                         page) = requests[index]
+                    (arrival, tenant_index, seq, is_write,
+                     page) = requests[index]
                     if tracing:
                         rid = rids[index]
                     index += 1
@@ -524,8 +512,8 @@ class ShardExecutor:
                         due = arrival + backoff_ns * (1 << attempt)
                         heapq.heappush(retries,
                                        (due, tenant_index, seq, is_write,
-                                        page, stamp, orig_arrival,
-                                        attempt + 1, rid))
+                                        page, orig_arrival, attempt + 1,
+                                        rid))
                         retried += 1
                         slots[tenant_index]["retried"] += 1
                         if bus.active:
@@ -616,11 +604,8 @@ class ShardExecutor:
                 if is_write:
                     flushes_before = metrics.flushes
                     if stamp_payloads:
-                        if stamp is not None:
-                            payload = stamp.to_bytes(_WORD, "little")
-                        else:
-                            self._stamp += 1
-                            payload = self._stamp.to_bytes(_WORD, "little")
+                        self._stamp += 1
+                        payload = self._stamp.to_bytes(_WORD, "little")
                     else:
                         payload = _WORD_PAYLOAD
                     ns = write(page * page_bytes, payload)
@@ -664,7 +649,7 @@ class ShardExecutor:
                             if bus.active:
                                 tenant_mark(CACHE_HIT, tenant_index, page=page)
                         else:
-                            ns = read_page_ns(page)
+                            ns = read_run_ns(page)[0]
                             slots[tenant_index]["cache_misses"] += 1
                             victim = cache.admit(page, tenant_index)
                             if bus.active:
@@ -675,7 +660,7 @@ class ShardExecutor:
                                              {"shard": shard,
                                               "page": victim})
                     else:
-                        ns = read_page_ns(page)
+                        ns = read_run_ns(page)[0]
                     clock += ns
                     served_read[tenant_index](clock - orig_arrival)
                 if tracing:
@@ -832,7 +817,6 @@ def shard_executor(point: Mapping) -> ShardExecutor:
         soft_watermark=point["soft_watermark"],
         hard_watermark=point["hard_watermark"],
         stamp_payloads=point.get("stamp_payloads", False),
-        stamp_mode=point.get("stamp_mode", "counter"),
         retry_limit=point.get("retry_limit", 0),
         retry_backoff_ns=point.get("retry_backoff_ns", 4000),
         attribute_wear=point.get("attribute_wear", False),

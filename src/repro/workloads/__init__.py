@@ -6,7 +6,7 @@ from .mixture import MixtureWorkload
 from .sequential import SequentialWorkload, StridedWorkload
 from .timed import SyntheticTimedWorkload
 from .tpca import TpcaTransaction, TpcaWorkload
-from .trace import TraceRecorder, TraceWorkload
+from .trace import TraceWorkload
 from .uniform import UniformWorkload
 from .zipf import ZipfWorkload
 
@@ -19,7 +19,6 @@ __all__ = [
     "MixtureWorkload",
     "ZipfWorkload",
     "TraceWorkload",
-    "TraceRecorder",
     "TpcaWorkload",
     "TpcaTransaction",
     "SyntheticTimedWorkload",

@@ -25,10 +25,10 @@ from repro.backends.onfi import STATUS_FAIL, STATUS_READY
 from repro.cleaning import StoreError
 from repro.core import EnvyConfig, EnvyController, recover_from_flash
 from repro.core.costmodel import DRAM_READ_NS, DRAM_WRITE_NS
+from repro.core.tracing import TraceError
 from repro.faults.badblocks import BadBlockTable
 from repro.flash.array import FlashArray
 from repro.flash.errors import BadBlockError
-from repro.workloads.trace import TraceError
 
 
 def small_config(**overrides):
@@ -99,22 +99,27 @@ class TestRegistry:
         pages = {workload.next_page() for _ in range(50)}
         assert pages <= set(range(64))
 
-    def test_trace_workload_from_jsonl(self, tmp_path):
-        from repro.workloads import TraceWorkload
+    @staticmethod
+    def recorded_run(tmp_path):
+        config = small_config()
+        trace, _ = record_tpca(config, transactions=4, seed=1)
+        path = str(tmp_path / "run.jsonl")
+        trace.save(path)
+        return config, trace, path
 
-        path = tmp_path / "refs.jsonl"
-        TraceWorkload(16, [3, 1, 4, 1, 5]).save_jsonl(str(path))
-        workload = create_workload(f"trace:path={path}", 16)
-        assert [workload.next_page() for _ in range(5)] == \
-            [3, 1, 4, 1, 5]
+    def test_trace_workload_from_jsonl(self, tmp_path):
+        """The file ``backends --check --record`` writes is the file
+        ``trace:path=`` replays: the page writes of a TPC-A run."""
+        config, trace, path = self.recorded_run(tmp_path)
+        workload = create_workload(f"trace:path={path}",
+                                   config.logical_pages)
+        assert workload.next_pages(len(workload)) == trace.page_writes()
+        assert len(workload) == trace.writes > 0
 
     def test_trace_workload_geometry_checked(self, tmp_path):
-        from repro.workloads import TraceWorkload
-
-        path = tmp_path / "refs.jsonl"
-        TraceWorkload(16, [3, 1, 4]).save_jsonl(str(path))
-        with pytest.raises(TraceError, match="16 logical pages"):
-            create_workload(f"trace:path={path}", 64)
+        _, trace, path = self.recorded_run(tmp_path)
+        with pytest.raises(TraceError, match="has 16 logical pages"):
+            create_workload(f"trace:path={path}", 16)
 
 
 class TestRunTrace:
@@ -130,11 +135,11 @@ class TestRunTrace:
     def test_header_versioned(self):
         trace = RunTrace(256, seed=0, config_digest="abcd")
         buffer = io.StringIO()
-        trace.record_write(0, b"\x01" * 8)
+        trace.record("w", 0, b"\x01" * 8)
         trace.save(buffer)
         header = json.loads(buffer.getvalue().splitlines()[0])
         assert header["format"] == "envy-run-trace"
-        assert header["version"] == 1
+        assert header["version"] == 2
         assert header["page_bytes"] == 256
 
     def test_wrong_version_rejected(self):

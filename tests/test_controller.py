@@ -230,11 +230,11 @@ class TestStatelessMode:
 
 
 # ----------------------------------------------------------------------
-# read_page_ns: the one place a host page read is costed
+# read_run_ns(page): the one place a host page read is costed
 # ----------------------------------------------------------------------
 
 def reference_read_timed(system, address, length):
-    """``read_timed`` as it stood before ``read_page_ns`` existed: the
+    """``read_timed`` as it stood before the priced read existed: the
     cost arithmetic, accounting and payload slicing in one loop.  Kept
     here as the reference the primitive is compared against."""
     if length < 0:
@@ -326,7 +326,7 @@ class TestReadPageNs:
             assert (data, ns) == (expected, expected_ns)
             first = address // page_bytes
             last = (address + length - 1) // page_bytes
-            paged_ns = sum(paged.read_page_ns(page)
+            paged_ns = sum(paged.read_run_ns(page)[0]
                            for page in range(first, last + 1)) \
                 if length else 0
             assert paged_ns == expected_ns
@@ -338,10 +338,11 @@ class TestReadPageNs:
 
     def test_page_range_checked(self, system):
         num_pages = system.config.logical_pages
-        assert system.read_page_ns(num_pages - 1) > 0
+        first_ns, repeat_ns = system.read_run_ns(num_pages - 1)
+        assert first_ns == repeat_ns > 0
         for page in (-1, num_pages):
             with pytest.raises(IndexError):
-                system.read_page_ns(page)
+                system.read_run_ns(page)
         assert system.metrics.reads == 1
 
     def test_read_timed_checks_before_accounting(self, system):
@@ -386,6 +387,7 @@ class TestReadRunNs:
 
     @pytest.mark.parametrize("subscribed", [False, True])
     def test_equals_that_many_page_reads(self, subscribed):
+        """A run of ``count`` leaves behind what ``count`` runs of one do."""
         reference, run = self.twins()
         logs = []
         for system in (reference, run):
@@ -409,7 +411,7 @@ class TestReadRunNs:
             page = rng.choice((rng.choice(buffered), rng.choice(in_flash),
                                rng.choice(in_flash), self.UNMAPPED))
             count = rng.choice((1, 1, 2, 3, 9))
-            each = [reference.read_page_ns(page) for _ in range(count)]
+            each = [reference.read_run_ns(page)[0] for _ in range(count)]
             first_ns, repeat_ns = run.read_run_ns(page, count)
             assert [first_ns] + [repeat_ns] * (count - 1) == each
             kinds.add((first_ns, repeat_ns))

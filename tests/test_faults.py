@@ -15,8 +15,9 @@ import random
 
 import pytest
 
+from repro.backends import RunTrace
 from repro.cleaning.store import StoreError
-from repro.core import EnvyConfig, EnvySystem, TracingController
+from repro.core import EnvyConfig, EnvySystem
 from repro.faults import (BadBlockTable, FaultInjector, FaultPlan, SecDed,
                           secded_for)
 from repro.flash import (EnduranceExceeded, FlashArray, FlashChip,
@@ -352,12 +353,13 @@ class TestControllerUnderFaults:
         assert digests[0] != digests[1]
 
     def test_tracer_records_fault_events(self):
-        system = TracingController(EnvySystem(faulty_config()))
-        run_workload(system, writes=5000, seed=1)
-        assert system.trace.faults
-        counts = system.trace.fault_counts()
+        system = EnvySystem(faulty_config())
+        with RunTrace.of(system).recording(system) as trace:
+            run_workload(system, writes=5000, seed=1)
+        assert trace.faults
+        counts = trace.fault_counts()
         assert counts.get("transient_program_failure", 0) > 0
-        assert "faults:" in system.trace.summary()
+        assert "faults:" in trace.summary()
 
     def test_ecc_check_time_is_charged(self):
         base = faulty_config()

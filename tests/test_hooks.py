@@ -136,7 +136,7 @@ class TestKillPointSpaceUnchanged:
 # Subscribe / unsubscribe / fire over every listener list
 # ----------------------------------------------------------------------
 
-POINTS = ["pre_op", "copy", "flush", "program"]
+POINTS = ["pre_op", "copy", "flush", "program", "access"]
 
 
 class HookLists(RuleBasedStateMachine):
@@ -160,7 +160,8 @@ class HookLists(RuleBasedStateMachine):
         self.lists = {"pre_op": self.array.pre_op_hooks,
                       "copy": self.store.copy_listeners,
                       "flush": self.system.flush_listeners,
-                      "program": self.system.store.program_listeners}
+                      "program": self.system.store.program_listeners,
+                      "access": self.system.access_listeners}
         #: Subscribers that were there first (the controller's own).
         self.residents = {name: list(real)
                           for name, real in self.lists.items()}
@@ -235,9 +236,22 @@ class HookLists(RuleBasedStateMachine):
         assert flushes >= 1
         flush_ids, program_ids = self.model["flush"], self.model["program"]
         log, self.log = self.log, []
-        # Per flush: the program lands first, the flush ends after it.
-        expected = (program_ids + flush_ids) * flushes
+        # The host write is heard once; then, per flush, the program
+        # lands first and the flush ends after it.
+        expected = self.model["access"] + (program_ids + flush_ids) * flushes
         assert [ident for ident, _ in log] == expected
+
+    @rule(pick=st.integers(0, 1 << 16), count=st.integers(1, 5))
+    def fire_access_reads(self, pick, count):
+        system = self.system
+        page_bytes = system.config.page_bytes
+        page = pick % (system.config.logical_pages - 1)
+        first_ns, repeat_ns = system.read_run_ns(page, count)
+        # A run is one event, two when its head cost more than a repeat.
+        self.fired("access", 1 + (first_ns != repeat_ns))
+        # One call over two pages is one event, not one per page priced.
+        system.read_timed((page + 1) * page_bytes - 4, 8)
+        self.fired("access", 1)
 
     # --- a raising pre-op hook ----------------------------------------
 

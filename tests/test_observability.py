@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core import EnvyConfig, EnvySystem
 from repro.core.metrics import ControllerMetrics
 from repro.core.persistence import roundtrip
-from repro.core.tracing import TracingController
+from repro.backends import RunTrace
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import (EventBus, LatencyHistogram, ObsEvent,
                        ObservabilityHub)
@@ -310,16 +310,18 @@ class TestTypedFaults:
             num_segments=8, pages_per_segment=32,
             fault_plan=FaultPlan(seed=13, transient_erase_rate=0.6),
             reserve_segments=2, erase_retries=40))
-        traced = TracingController(system)
         pages = system.size_bytes // 256
-        for i in range(3000):
-            traced.write((i % pages) * 256, b"y" * 256)
-        assert traced.trace.faults, "fault plan produced no events"
-        for fault in traced.trace.faults:
+        with RunTrace.of(system).recording(system) as trace:
+            for i in range(3000):
+                system.write((i % pages) * 256, b"y" * 256)
+        assert trace.faults, "fault plan produced no events"
+        for fault in trace.faults:
             assert isinstance(fault, FaultEvent)
-        kinds = {fault.kind for fault in traced.trace.faults}
+        kinds = {fault.kind for fault in trace.faults}
         assert "transient_erase_failure" in kinds
-        assert traced.trace.faults[0].as_dict()["kind"] in kinds
+        assert trace.faults[0].as_dict()["kind"] in kinds
+        # Recording leaves the bus dormant.
+        assert not system.events.active
 
 
 # ----------------------------------------------------------------------

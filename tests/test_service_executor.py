@@ -34,8 +34,7 @@ def make_controller(store_data=False):
     return controller
 
 
-def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45,
-                stamped=False):
+def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45):
     """Bursts, short gaps and long idle gaps over a hot/cold page mix.
 
     Bursts overrun a shallow queue, sustained writes push the buffer
@@ -58,11 +57,8 @@ def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45,
         page = (rng.randrange(12) if rng.random() < 0.5
                 else rng.randrange(pages))
         is_write = rng.random() < write_share
-        row = (now, tenant, seqs[tenant], is_write, page)
-        if stamped:
-            row += (rng.randrange(1, 1 << 40),)
+        out.append((now, tenant, seqs[tenant], is_write, page))
         seqs[tenant] += 1
-        out.append(row)
     return out
 
 
@@ -108,9 +104,6 @@ FEATURE_SETS = {
     "trace_pseudo": (
         {"trace": True, "queue_capacity": 6},
         {"tenants": 4}, TENANTS + ["__redundancy__"], False),
-    "stamp_explicit": (
-        {"stamp_payloads": True, "stamp_mode": "explicit"},
-        {"stamped": True}, TENANTS, True),
 }
 
 #: Recorded at the parent commit of the replay-loop rewrite.  Never
@@ -124,8 +117,6 @@ PINNED = {
         "aac472bb4b1ae112fb0cfdd97ac42ced36d8f478a8931f0f12c574a1463180ec",
     "retry_queue4":
         "97c2fb43f180a98e42af281101490d5af73c7c8497c33e6e90b87dc075424634",
-    "stamp_explicit":
-        "efbf820ea604459560b6c18e2d071709bc880f333fb2452a15ea96865e8b4f21",
     "trace_pseudo":
         "25753cb3ffba17bbd7a275efabf7c09b5eeab423282df1f5c0f3e6ed3c6f3616",
     "wear_budgets":

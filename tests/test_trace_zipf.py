@@ -2,15 +2,32 @@
 
 import bisect
 import io
+import json
+import os
 import random
 
 import pytest
 
+from repro.backends import (RunTrace, create_workload, default_config,
+                            record_workload, replay_trace)
 from repro.cleaning import GreedyPolicy, PolicySimulator
-from repro.workloads import (TraceRecorder, TraceWorkload, UniformWorkload,
-                             ZipfWorkload)
+from repro.core.tracing import TraceError
+from repro.workloads import TraceWorkload, UniformWorkload, ZipfWorkload
 from repro.workloads import zipf as zipf_module
-from repro.workloads.trace import TraceError
+
+
+def write_trace(pages, page_bytes=256, **header):
+    """A run trace of one one-byte write per page of ``pages``."""
+    trace = RunTrace(page_bytes, **header)
+    for page in pages:
+        trace.record("w", page * page_bytes, b"\x01")
+    return trace
+
+
+def saved(trace, tmp_path):
+    path = str(tmp_path / "writes.jsonl")
+    trace.save(path)
+    return path
 
 
 class TestTraceWorkload:
@@ -23,10 +40,25 @@ class TestTraceWorkload:
         assert [trace.next_page() for _ in range(5)] == [7, 8, 7, 8, 7]
 
     def test_non_cycling_exhausts(self):
-        trace = TraceWorkload(10, [1], cycle=False)
-        trace.next_page()
-        with pytest.raises(StopIteration):
+        trace = TraceWorkload(10, [1, 2], cycle=False)
+        assert trace.next_pages(2) == [1, 2]
+        with pytest.raises(TraceError, match="all 2 references"):
             trace.next_page()
+        trace.reset()
+        with pytest.raises(TraceError, match="all 2 references"):
+            trace.next_pages(3)
+
+    def test_exhausted_trace_fails_the_run_instead_of_truncating_it(self):
+        """``PolicySimulator.run`` draws through ``starmap``, which took
+        the ``StopIteration`` this used to raise for the end of its own
+        iteration: 500 writes asked, 50 done, no error."""
+        simulator = PolicySimulator(GreedyPolicy(), num_segments=8,
+                                    pages_per_segment=16, buffer_pages=4)
+        live = simulator.store.num_logical_pages
+        workload = TraceWorkload(live, range(50), cycle=False)
+        with pytest.raises(TraceError, match="all 50 references"):
+            simulator.run(workload, 500)
+        assert simulator.host_writes == 50
 
     def test_reset(self):
         trace = TraceWorkload(10, [1, 2, 3])
@@ -40,118 +72,142 @@ class TestTraceWorkload:
         with pytest.raises(ValueError):
             TraceWorkload(10, [])
 
-    def test_file_round_trip(self):
-        trace = TraceWorkload(100, [5, 50, 99, 0])
-        loaded = trace.roundtrip()
-        assert loaded.trace == trace.trace
-        assert loaded.num_pages == 100
+    def test_file_round_trip(self, tmp_path):
+        """The file a recorder writes is the file ``trace:path=`` replays."""
+        path = saved(write_trace([5, 50, 99, 0]), tmp_path)
+        loaded = create_workload(f"trace:path={path}", 100)
+        assert loaded.trace == [5, 50, 99, 0]
+        assert loaded.num_pages == 100 and loaded.cycle
 
-    def test_load_rejects_garbage(self):
-        with pytest.raises(TraceError):
-            TraceWorkload.load(io.BytesIO(b"not a trace at all!!"))
+    def test_load_rejects_garbage(self, tmp_path):
+        path = tmp_path / "garbage.jsonl"
+        path.write_bytes(b"not a trace at all!!")
+        with pytest.raises(TraceError, match="malformed header"):
+            create_workload(f"trace:path={path}", 100)
 
-    def test_load_rejects_truncated(self):
-        buffer = io.BytesIO()
-        TraceWorkload(10, [1, 2, 3]).save(buffer)
-        clipped = io.BytesIO(buffer.getvalue()[:-2])
-        with pytest.raises(TraceError):
-            TraceWorkload.load(clipped)
+    def test_load_rejects_truncated(self, tmp_path):
+        path = saved(write_trace([1, 2, 3]), tmp_path)
+        with open(path, "rb+") as handle:
+            handle.truncate(os.path.getsize(path) - 2)
+        with pytest.raises(TraceError, match="malformed record"):
+            create_workload(f"trace:path={path}", 100)
 
 
 class TestTraceWorkloadJsonl:
-    def test_jsonl_round_trip_preserves_refs_and_header(self):
-        trace = TraceWorkload(100, [5, 50, 99, 0])
-        loaded = trace.roundtrip_jsonl(page_bytes=256, seed=7,
-                                       config_digest="abcd1234")
-        assert loaded.trace == trace.trace
-        assert loaded.num_pages == 100
-        assert loaded.header["format"] == "envy-trace"
-        assert loaded.header["version"] == 1
-        assert loaded.header["page_bytes"] == 256
-        assert loaded.header["seed"] == 7
-        assert loaded.header["config_digest"] == "abcd1234"
+    """``trace:path=`` and replay over the one on-disk format."""
 
-    def test_jsonl_loader_rejects_wrong_num_pages(self):
+    def test_jsonl_round_trip_preserves_refs_and_header(self):
+        trace = write_trace([5, 50, 99, 0], seed=7, config_digest="abcd1234")
+        trace.record("r", 512, 8, 160, 4)
         buffer = io.StringIO()
-        TraceWorkload(64, [1, 2]).save_jsonl(buffer)
-        buffer.seek(0)
-        with pytest.raises(TraceError, match="64 logical pages.*128"):
-            TraceWorkload.load_jsonl(buffer, expect_num_pages=128)
+        trace.save(buffer)
+        header = json.loads(buffer.getvalue().splitlines()[0])
+        assert header == {"format": "envy-run-trace", "version": 2,
+                          "page_bytes": 256, "seed": 7,
+                          "config_digest": "abcd1234"}
+        loaded = trace.roundtrip()
+        assert loaded.ops == trace.ops
+        assert loaded.page_writes() == [5, 50, 99, 0]
+        assert (loaded.page_bytes, loaded.seed, loaded.config_digest) \
+            == (256, 7, "abcd1234")
+
+    def test_jsonl_loader_rejects_wrong_num_pages(self, tmp_path):
+        path = saved(write_trace([1, 63]), tmp_path)
+        assert create_workload(f"trace:path={path}", 64).trace == [1, 63]
+        with pytest.raises(TraceError, match="up to page 63.*has 32 logical"):
+            create_workload(f"trace:path={path}", 32)
 
     def test_jsonl_loader_rejects_wrong_page_bytes(self):
-        buffer = io.StringIO()
-        TraceWorkload(64, [1, 2]).save_jsonl(buffer, page_bytes=512)
-        buffer.seek(0)
+        # Page numbers carry no byte size, so it is a replay onto a
+        # controller (which has one) that refuses.
+        config = default_config()
+        trace = write_trace([1, 2], page_bytes=2 * config.page_bytes)
         with pytest.raises(TraceError, match="512-byte pages.*256"):
-            TraceWorkload.load_jsonl(buffer, expect_page_bytes=256)
+            replay_trace(trace, config)
 
     def test_jsonl_loader_rejects_wrong_config(self):
-        buffer = io.StringIO()
-        TraceWorkload(64, [1]).save_jsonl(buffer, config_digest="aaaa")
-        buffer.seek(0)
+        trace = write_trace([1], config_digest="aaaa")
         with pytest.raises(TraceError, match="config mismatch"):
-            TraceWorkload.load_jsonl(buffer,
-                                     expect_config_digest="bbbb")
+            replay_trace(trace, default_config())
 
-    def test_jsonl_loader_tolerates_absent_header_fields(self):
-        # A minimal trace (no page_bytes/config_digest) replays against
-        # any system: there is nothing recorded to contradict.
-        buffer = io.StringIO()
-        TraceWorkload(64, [1, 2]).save_jsonl(buffer)
-        buffer.seek(0)
-        loaded = TraceWorkload.load_jsonl(buffer, expect_page_bytes=256,
-                                          expect_config_digest="bbbb")
-        assert loaded.trace == [1, 2]
+    def test_jsonl_loader_rejects_a_trace_past_the_array(self):
+        config = default_config()
+        trace = write_trace([config.logical_pages])
+        with pytest.raises(TraceError,
+                           match=f"ends at {config.logical_bytes}"):
+            replay_trace(trace, config)
+
+    def test_jsonl_loader_tolerates_absent_header_fields(self, tmp_path):
+        # A minimal trace (no seed/config_digest) replays against any
+        # system of its page size: there is nothing to contradict.
+        trace = write_trace([1, 2]).roundtrip()
+        assert trace.seed is None and trace.config_digest is None
+        assert replay_trace(trace, default_config()).writes == 2
+        path = saved(trace, tmp_path)
+        assert create_workload(f"trace:path={path}", 64).trace == [1, 2]
 
     def test_jsonl_loader_rejects_wrong_version(self):
-        buffer = io.StringIO('{"format": "envy-trace", "version": 9, '
-                             '"num_pages": 4}\n{"p": 1}\n')
+        buffer = io.StringIO('{"format": "envy-run-trace", "version": 9, '
+                             '"page_bytes": 256}\n')
         with pytest.raises(TraceError, match="version 9"):
-            TraceWorkload.load_jsonl(buffer)
+            RunTrace.load(buffer)
 
-    def test_jsonl_loader_rejects_garbage(self):
-        with pytest.raises(TraceError, match="not an eNVy JSONL"):
-            TraceWorkload.load_jsonl(io.StringIO('{"nope": 1}\n'))
-        with pytest.raises(TraceError, match="malformed record"):
-            TraceWorkload.load_jsonl(io.StringIO(
-                '{"format": "envy-trace", "version": 1, '
-                '"num_pages": 4}\nbroken line\n'))
+    def test_jsonl_loader_rejects_garbage(self, tmp_path):
+        with pytest.raises(TraceError, match="not an eNVy run trace"):
+            RunTrace.load(io.StringIO('{"nope": 1}\n'))
+        # The page-only format this replaces is not silently accepted.
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"format": "envy-trace", "version": 1, '
+                       '"num_pages": 4}\n{"p": 1}\n')
+        with pytest.raises(TraceError, match="not an eNVy run trace"):
+            create_workload(f"trace:path={old}", 4)
+        reads_only = write_trace([])
+        reads_only.record("r", 0, 8)
+        with pytest.raises(TraceError, match="records no writes"):
+            create_workload(
+                f"trace:path={saved(reads_only, tmp_path)}", 4)
 
 
 class TestTraceRecorder:
+    """Page sequences are recorded where everything else is: as the
+    writes of a run trace (``record_workload``)."""
+
     def test_records_what_it_yields(self):
-        recorder = TraceRecorder(UniformWorkload(50, seed=3))
-        pages = recorder.record(100)
-        replay = recorder.as_workload()
+        config = default_config()
+        trace, _ = record_workload(config, "uniform", writes=100, seed=3)
+        pages = UniformWorkload(config.logical_pages, seed=3).next_pages(100)
+        assert trace.page_writes() == pages
+        replay = TraceWorkload(config.logical_pages, trace.page_writes())
         assert [replay.next_page() for _ in range(100)] == pages
 
-    def test_replay_reproduces_simulation_exactly(self):
+    def test_replay_reproduces_simulation_exactly(self, tmp_path):
         """Two simulators fed the same trace agree on every counter."""
-        recorder = TraceRecorder(UniformWorkload(8 * 16 * 4 // 5, seed=5))
-        recorder.record(2000)
+        trace, _ = record_workload(default_config(), "uniform",
+                                   writes=2000, seed=5)
+        live = 8 * 16 * 4 // 5
+        path = saved(write_trace([page % live
+                                  for page in trace.page_writes()]),
+                     tmp_path)
         results = []
         for _ in range(2):
             simulator = PolicySimulator(GreedyPolicy(), num_segments=8,
                                         pages_per_segment=16,
                                         buffer_pages=4)
-            workload = recorder.as_workload()
-            workload.num_pages = simulator.store.num_logical_pages
+            assert simulator.store.num_logical_pages == live
             result = simulator.run(
-                TraceWorkload(simulator.store.num_logical_pages,
-                              [p % simulator.store.num_logical_pages
-                               for p in recorder.pages]),
-                2000)
+                create_workload(f"trace:path={path}", live), 2000)
             results.append((result.flushes, result.clean_copies,
                             result.erases))
-        assert results[0] == results[1]
+        assert results[0] == results[1] and results[0][2] > 0
 
-    def test_save_delegates(self):
-        recorder = TraceRecorder(UniformWorkload(10, seed=1))
-        recorder.record(5)
-        buffer = io.BytesIO()
-        recorder.save(buffer)
-        buffer.seek(0)
-        assert TraceWorkload.load(buffer).trace == recorder.pages
+    def test_save_delegates(self, tmp_path):
+        """What ``--record`` saves, ``--workload trace:path=`` loads."""
+        config = default_config()
+        trace, _ = record_workload(config, "zipf:skew=1.1", writes=40,
+                                   seed=1)
+        workload = create_workload(
+            f"trace:path={saved(trace, tmp_path)}", config.logical_pages)
+        assert workload.trace == trace.page_writes() and len(workload) == 40
 
 
 class TestZipfWorkload:
