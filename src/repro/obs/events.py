@@ -50,8 +50,9 @@ Event taxonomy (kind strings, hierarchical by prefix):
 ``checkpoint.disabled`` checkpointing shut itself off (instant)
 ``wear.swap``           wear-leveling segment swap (instant)
 ``chaos.kill``          simulated power cut fired (instant)
-``service.run``         service run started (instant; data: requests,
-                        shards, tenants)
+``service.run``         service run started, before any window is drawn
+                        (instant; data: shards, tenants — the admitted
+                        count is ``ServiceStats.requests_admitted``)
 ``service.shard``       one shard's run summary (instant)
 ``service.batch``       a coalesced write batch closed (span; data:
                         shard, pages)

@@ -11,18 +11,22 @@ per-shard queue bounds and cleaner-debt backpressure at each bank).
 Execution model — determinism before everything
 -----------------------------------------------
 
-A run is a one-way pipeline, one window (an arrival-time range of the
-schedule, :meth:`LoadGenerator.stream`) at a time:
+Every run — plain, mirrored, parity, remapped, with a dead or a
+rebuilding bank, traced, bus-subscribed — is a one-way pipeline, one
+window (an arrival-time range of the schedule,
+:meth:`LoadGenerator.stream`) at a time:
 
 1. **Generate** (in-process, serial): the load generator draws the next
    window and applies tenant rate limits.  The schedule is a pure
    function of ``(tenants, duration, seed)`` — never of execution.
-2. **Route + execute**: the window is partitioned by shard — shards
-   share no pages, so their slices are independent — and each slice is
-   fed to that shard's :class:`~repro.service.executor.ShardExecutor`
-   (live in this process for a serial run; collected and shipped whole
-   through :func:`~repro.perf.run_sweep` for a parallel one).  Results
-   merge in shard order by exact histogram addition.
+2. **Route + execute**: the window is partitioned by shard — expanded
+   first into its replica, parity, degraded and rebuild rows when the
+   routing asks for them; what that carries across windows (counters,
+   rebuild cursors) belongs to the run — and each slice is fed to that
+   shard's :class:`~repro.service.executor.ShardExecutor` (live in this
+   process for a serial run; collected and shipped whole through
+   :func:`~repro.perf.run_sweep` for a parallel one).  Results merge in
+   shard order by exact histogram addition.
 
 Nothing flows back from stage 2 and shards never interact, so the
 service-level metrics — every admission-control rejection in
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import EnvyConfig
@@ -83,6 +88,15 @@ __all__ = ["ServiceConfig", "ServiceStats", "EnvyService",
 #: through the shard executors without polluting tenant accounting.
 _REDUNDANCY_TENANT = "__redundancy__"
 _REBUILD_TENANT = "__rebuild__"
+
+
+def _rebuild_sources(entry: dict, states: Sequence[str]) -> list:
+    """The live peer slots one rebuild plan entry reads: every surviving
+    stripe member for an XOR, any one surviving copy for a mirror."""
+    sources = [slot for slot in entry["sources"]
+               if states[slot[0]] != BANK_DEAD]
+    return sources[:1] if entry["op"] == "copy" else sources
+
 
 #: Dotted worker name resolved inside each sweep process.
 _SHARD_WORKER = "repro.service.executor:service_shard_point"
@@ -434,7 +448,10 @@ class EnvyService:
         self._dead_shards: Dict[int, EnvyController] = {}
         self._rebuilds: Dict[int, RebuildScheduler] = {}
         self._last_expansion: Optional[Dict[str, int]] = None
-        self._inject_rebuild_ns = 0
+        # What the expander carries from window to window of one run()
+        # (counters, rebuild cursors); None outside a run, so a bare
+        # partition() starts from zero.
+        self._run_expansion: Optional[dict] = None
         self._last_chaos: Optional[dict] = None
         #: Quarantined tenants: name -> degraded token-bucket rate,
         #: applied at schedule time by the load generator.
@@ -496,6 +513,10 @@ class EnvyService:
         per-shard rid lists land in ``self._last_rids`` aligned with
         the returned slices.  Rebuild copy rows get unique negative
         rids (they serve no foreground request).
+
+        Inside :meth:`run` the expansion counters and rebuild cursors
+        carry from window to window; called on its own, every call
+        starts from zero and charges no rebuild traffic.
         """
         num_shards = self.router.num_shards
         slices: List[List[Request]] = [[] for _ in range(num_shards)]
@@ -524,9 +545,9 @@ class EnvyService:
         redundant = isinstance(router, RedundantRouter)
         parity = redundant and isinstance(router.policy, ParityPolicy)
         pseudo_red = len(self.tenants)       # __redundancy__
-        pseudo_reb = pseudo_red + 1          # __rebuild__
-        counters = {"degraded_reads": 0, "degraded_writes": 0,
-                    "replica_accesses": 0, "rebuild_accesses": 0}
+        # Outside a run: fresh counters and no rebuild to charge.
+        run = self._run_expansion or self._begin_expansion(0.0)
+        counters = run["counters"]
         bus = self.events
 
         cur_rid = 0
@@ -626,9 +647,13 @@ class EnvyService:
                     f"and no fallback group survives — redundancy "
                     f"exhausted")
 
-        needs_sort = self._inject_rebuild(slices, states, pseudo_reb,
-                                          counters, with_rids)
-        if needs_sort:
+        if run["cursors"]:
+            self._inject_rebuild(
+                slices, run, requests[-1][0] if requests else None,
+                with_rids)
+            # Sorting is a property of the run, not of the window: a run
+            # that charges a rebuild sorts every slice of every window
+            # (what one sort of the whole slice did), any other run none.
             for entry in slices:
                 entry.sort()
         if with_rids:
@@ -641,54 +666,64 @@ class EnvyService:
         self._last_expansion = counters
         return slices
 
-    def _inject_rebuild(self, slices: List[List[Request]],
-                        states: List[str], pseudo_reb: int,
-                        counters: Dict[str, int],
-                        with_rids: bool = False) -> bool:
-        """Charge rate-limited rebuild copy traffic into the slices."""
-        if not self._inject_rebuild_ns:
-            return False
+    def _begin_expansion(self, duration_s: float) -> dict:
+        """What one run's expansion carries across its windows: the
+        counters, and a ``[bank, scheduler, entries taken, next rid]``
+        cursor per bank whose rebuild the run charges at
+        ``rebuild_rate_pps``.  Rebuild rows serve no foreground request:
+        unique negative rids, numbered bank by bank, keep them out of
+        the trace's cross-shard flow links."""
         gap_ns = max(1, int(1e9 / self.config.rebuild_rate_pps))
-        budget = self._inject_rebuild_ns // gap_ns
+        budget = int(duration_s * 1e9) // gap_ns
+        states = self._bank_states
+        cursors, rid = [], -1
+        for bank, scheduler in sorted(self._rebuilds.items()):
+            if scheduler.done or not budget:
+                continue
+            cursors.append([bank, scheduler, 0, rid])
+            start = scheduler.position
+            rid -= sum(len(_rebuild_sources(entry, states)) + 1
+                       for entry in scheduler.plan[start:start + budget])
+        return {"counters": {"degraded_reads": 0, "degraded_writes": 0,
+                             "replica_accesses": 0, "rebuild_accesses": 0},
+                "gap_ns": gap_ns, "budget": budget, "cursors": cursors}
+
+    def _inject_rebuild(self, slices: List[List[Request]], run: dict,
+                        until_ns: Optional[int],
+                        with_rids: bool = False) -> None:
+        """Charge into the slices the rebuild copy rows due by
+        ``until_ns`` (``None``: the rest of the run's budget, and the
+        one ``REDUNDANCY_REBUILD`` mark per bank with the run totals)."""
+        gap_ns, due = run["gap_ns"], run["budget"]
+        if until_ns is not None:
+            due = min(due, until_ns // gap_ns + 1)
+        counters = run["counters"]
+        states = self._bank_states
+        pseudo_reb = len(self.tenants) + 1   # __rebuild__
         bus = self.events
-        injected = False
-        # Rebuild rows serve no foreground request: unique negative
-        # rids keep them out of the trace's cross-shard flow links.
-        reb_rid = -1
-        for bank in range(len(states)):
-            if states[bank] != BANK_REBUILDING:
-                continue
-            scheduler = self._rebuilds.get(bank)
-            if scheduler is None or scheduler.done:
-                continue
-            entries = scheduler.take(budget)
-            for index, entry in enumerate(entries):
+        for cursor in run["cursors"]:
+            bank, scheduler, taken, rid = cursor
+            entries = scheduler.take(due - taken)
+            for index, entry in enumerate(entries, taken):
                 arrival = index * gap_ns
-                for src_bank, src_local in entry["sources"]:
-                    if states[src_bank] == BANK_DEAD:
-                        continue
-                    counters["rebuild_accesses"] += 1
-                    row = (arrival, pseudo_reb, index, False, src_local)
+                rows = [(src_bank, (arrival, pseudo_reb, index, False,
+                                    src_local))
+                        for src_bank, src_local
+                        in _rebuild_sources(entry, states)]
+                rows.append((bank, (arrival, pseudo_reb, index, True,
+                                    entry["local"])))
+                counters["rebuild_accesses"] += len(rows)
+                for row_bank, row in rows:
                     if with_rids:
-                        row += (reb_rid,)
-                        reb_rid -= 1
-                    slices[src_bank].append(row)
-                    if entry["op"] == "copy":
-                        break  # any one mirror copy suffices
-                counters["rebuild_accesses"] += 1
-                row = (arrival, pseudo_reb, index, True, entry["local"])
-                if with_rids:
-                    row += (reb_rid,)
-                    reb_rid -= 1
-                slices[bank].append(row)
-            if entries:
-                injected = True
-                if bus.active:
-                    bus.mark(REDUNDANCY_REBUILD,
-                             {"bank": bank, "pages": len(entries),
-                              "done": scheduler.position,
-                              "total": scheduler.total})
-        return injected
+                        row += (rid,)
+                        rid -= 1
+                    slices[row_bank].append(row)
+            cursor[2:] = (taken + len(entries), rid)
+            if until_ns is None and bus.active:
+                bus.mark(REDUNDANCY_REBUILD,
+                         {"bank": bank, "pages": cursor[2],
+                          "done": scheduler.position,
+                          "total": scheduler.total})
 
     def run(self, duration_s: float,
             jobs: Optional[int] = None,
@@ -718,19 +753,14 @@ class EnvyService:
                                   seed=self.config.seed,
                                   rate_overrides=overrides or None)
         bus = self.events
+        if bus.active:
+            # First service event of the run.  The admitted count is not
+            # known until the token buckets have run over every window:
+            # it is ServiceStats.requests_admitted.
+            bus.mark(SERVICE_RUN, {"shards": self.router.num_shards,
+                                   "tenants": len(self.tenants)})
+        windows, accounting = generator.stream(duration_s)
         expanded = not self._plain_routing()
-        if expanded or bus.active:
-            # One window: the expander carries counters and rebuild
-            # injection across rows, and SERVICE_RUN announces the
-            # admitted count before the first shard event.
-            schedule, accounting = generator.generate(duration_s)
-            windows = (schedule,)
-            if bus.active:
-                bus.mark(SERVICE_RUN, {"requests": len(schedule),
-                                       "shards": self.router.num_shards,
-                                       "tenants": len(self.tenants)})
-        else:
-            windows, accounting = generator.stream(duration_s)
         tenant_names = [t.name for t in self.tenants]
         if expanded:
             tenant_names = tenant_names + [_REDUNDANCY_TENANT,
@@ -764,9 +794,12 @@ class EnvyService:
             for executor in executors:
                 executor.start()
         admitted = 0
-        self._inject_rebuild_ns = int(duration_s * 1e9)
+        run = self._run_expansion = self._begin_expansion(duration_s)
+        # Rebuild copy rows due after the last arrival ride in one more,
+        # empty, window.
+        tail = [()] if run["cursors"] else []
         try:
-            for window in windows:
+            for window in chain(windows, tail):
                 slices = self.partition(window, with_rids=trace,
                                         rid_base=admitted)
                 admitted += len(window)
@@ -780,8 +813,7 @@ class EnvyService:
                             points[shard]["rids"] += rids
                 del window, slices, rows, rids  # peak: one window, not two
         finally:
-            self._inject_rebuild_ns = 0
-        expansion = self._last_expansion if expanded else None
+            self._run_expansion = None
         if live:
             results = [executor.finish() for executor in executors]
         else:
@@ -846,11 +878,8 @@ class EnvyService:
                 bus.mark(SERVICE_SHARD, dict(summary))
         stats.accesses_served = sum(t.served
                                     for t in stats.tenants.values())
-        if expansion is not None:
-            stats.degraded_reads = expansion["degraded_reads"]
-            stats.degraded_writes = expansion["degraded_writes"]
-            stats.replica_accesses = expansion["replica_accesses"]
-            stats.rebuild_accesses = expansion["rebuild_accesses"]
+        for name, count in run["counters"].items():
+            setattr(stats, name, count)  # all zero under plain routing
         if trace:
             rows, background = merge_shard_traces(
                 result.get("trace") for result in results)
@@ -1068,9 +1097,9 @@ class EnvyService:
         generator = LoadGenerator(self.tenants, router.num_pages,
                                   self.config.page_bytes,
                                   seed=self.config.seed)
-        schedule, _ = generator.generate(duration_s)
+        windows, _ = generator.stream(duration_s)
         page_loads: Dict[int, int] = {}
-        for _, _, _, _, page in schedule:
+        for _, _, _, _, page in chain.from_iterable(windows):
             page_loads[page] = page_loads.get(page, 0) + 1
 
         def bank_loads() -> List[int]:

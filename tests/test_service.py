@@ -4,9 +4,12 @@ import tracemalloc
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.service import (CrossShardError, EnvyService, ServiceConfig,
-                           ShardRouter, TenantSpec, TokenBucket)
+from repro.service import (CrossShardError, EnvyService, LoadGenerator,
+                           ServiceConfig, ShardRouter, TenantSpec,
+                           TokenBucket)
 
 from .test_service_loadgen import windowed
 
@@ -216,9 +219,11 @@ class TestServiceRun:
 
 
 def run_counting_windows(config, tenants=TENANTS, subscribe=False,
-                         **run_kwargs):
+                         prepare=None, **run_kwargs):
     """One fresh service run; also how many windows it partitioned."""
     service = EnvyService(config, tenants)
+    if prepare is not None:
+        prepare(service)
     kinds = []
     if subscribe:
         service.events.subscribe(lambda e: kinds.append((e.kind, e.data)))
@@ -226,6 +231,39 @@ def run_counting_windows(config, tenants=TENANTS, subscribe=False,
                            side_effect=EnvyService.partition) as partition:
         stats = service.run(DURATION, **run_kwargs)
     return service, stats, partition.call_count, kinds
+
+
+def three_banks(**knobs):
+    return ServiceConfig(num_shards=3, num_segments=8, pages_per_segment=32,
+                         seed=13, attribute_wear=True, **knobs)
+
+
+def lose_bank(service):
+    service.kill_bank(1)
+
+
+def replace_lost_bank(service):
+    service.kill_bank(1)
+    service.replace_bank(1)
+
+
+#: Every routing the expander serves, plus plain routing (the subscriber
+#: alone used to cost the stream): name -> (config, set-up before run).
+ROUTINGS = {
+    "plain": (three_banks(), None),
+    "mirror": (three_banks(redundancy="mirror"), None),
+    "parity": (three_banks(redundancy="parity"), None),
+    "ranged-remapped": (three_banks(placement="ranged"),
+                        lambda service: service.router.swap(3, 200)),
+    "dead-bank": (three_banks(redundancy="mirror"), lose_bank),
+    # 204 plan entries: at 5e6 pages/s the rebuild is over a fifth of the
+    # way into the run, at the default 2e5 the run's budget is 40 entries.
+    "rebuild-finishes": (three_banks(redundancy="parity",
+                                     rebuild_rate_pps=5e6),
+                         replace_lost_bank),
+    "rebuild-outlasts-run": (three_banks(redundancy="parity"),
+                             replace_lost_bank),
+}
 
 
 class TestStreamedRun:
@@ -255,21 +293,152 @@ class TestStreamedRun:
         rids = [row["rid"] for row in whole.last_trace.rows]
         assert sorted(set(rids)) == list(range(expected.requests_admitted))
 
-    def test_expanded_routing_and_bus_subscribers_take_one_window(self):
-        mirror = ServiceConfig(num_shards=2, num_segments=8,
-                               pages_per_segment=32, seed=13,
-                               redundancy="mirror")
-        with windowed(128):
-            _, plain, windows, _ = run_counting_windows(SMALL, jobs=1)
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    def test_expanded_routing_and_bus_subscribers_stream(self, routing,
+                                                         trace):
+        config, prepare = ROUTINGS[routing]
+        with windowed(10 ** 9):
+            whole, expected, windows, events = run_counting_windows(
+                config, subscribe=True, prepare=prepare, jobs=1, trace=trace)
+        rebuilding = routing.startswith("rebuild")
+        assert windows == 1 + rebuilding    # the rebuild's tail window
+        # service.run comes first, and no longer announces a count that
+        # is only known once every window has met the token buckets.
+        assert events[0] == ("service.run", {"shards": 3, "tenants": 2})
+        assert [kind for kind, _ in events[-3:]] == ["service.shard"] * 3
+        if routing == "dead-bank":
+            assert expected.degraded_reads and expected.degraded_writes
+        if rebuilding:
+            (progress,) = whole.rebuild_status().values()
+            done, total = progress["pages_done"], progress["pages_total"]
+            assert (done == total) == (routing == "rebuild-finishes")
+            assert 0 < done and expected.rebuild_accesses == 3 * done
+            assert ("redundancy.rebuild",
+                    {"bank": 1, "pages": done, "done": done,
+                     "total": total}) in events
+        if trace:
+            copies = [row["rid"] for row in whole.last_trace.rows
+                      if row["rid"] < 0]
+            assert len(set(copies)) == len(copies) \
+                == expected.rebuild_accesses
+        for jobs in (1, 2):
+            with windowed(128):
+                service, stats, windows, streamed = run_counting_windows(
+                    config, subscribe=True, prepare=prepare, jobs=jobs,
+                    trace=trace)
             assert windows >= 3
-            _, stats, windows, _ = run_counting_windows(mirror, jobs=1)
-            assert windows == 1 and stats.replica_accesses
-            _, stats, windows, kinds = run_counting_windows(
-                SMALL, subscribe=True, jobs=1)
-        assert windows == 1 and stats.as_dict() == plain.as_dict()
-        # The admitted count is announced before any shard reports.
-        assert kinds[0][0] == "service.run"
-        assert kinds[0][1]["requests"] == stats.requests_admitted
+            assert stats.as_dict() == expected.as_dict()
+            assert stats.segment_programs == expected.segment_programs
+            assert service.rebuild_status() == whole.rebuild_status()
+            assert streamed == events
+            if trace:
+                assert service.last_trace.to_jsonl() == \
+                    whole.last_trace.to_jsonl()
+
+    def test_two_rebuilds_number_their_copy_rows_the_same_in_any_window(
+            self):
+        """Copy-row rids are numbered bank by bank, so each bank's cursor
+        starts where the banks before it will have stopped."""
+        config = three_banks(redundancy="mirror:3", rebuild_rate_pps=2e6)
+
+        def lose_two(service):
+            for bank in (1, 2):
+                service.kill_bank(bank)
+                service.replace_bank(bank)
+
+        with windowed(10 ** 9):
+            whole, expected, _, _ = run_counting_windows(
+                config, prepare=lose_two, jobs=1, trace=True)
+        with windowed(128):
+            service, stats, _, _ = run_counting_windows(
+                config, prepare=lose_two, jobs=1, trace=True)
+        assert stats.as_dict() == expected.as_dict()
+        assert service.last_trace.to_jsonl() == whole.last_trace.to_jsonl()
+        copies = sorted(row["rid"] for row in service.last_trace.rows
+                        if row["rid"] < 0)
+        assert copies == list(range(-expected.rebuild_accesses, 0))
+
+    def test_expansion_carry_ends_with_the_run(self):
+        """The counters and cursors a run carries across its windows
+        reach neither the next run nor a bare ``partition()``."""
+        config, _ = ROUTINGS["parity"]
+        service = EnvyService(config, TENANTS)
+        with windowed(128):
+            first = service.run(DURATION, jobs=1)
+            second = service.run(DURATION, jobs=1)
+            fresh = EnvyService(config, TENANTS).run(DURATION, jobs=1)
+        assert (first.replica_accesses == second.replica_accesses
+                == fresh.replica_accesses > 0)
+        assert second.as_dict() == fresh.as_dict()
+        schedule, _ = LoadGenerator(TENANTS, service.router.num_pages,
+                                    seed=config.seed).generate(DURATION)
+        for _ in range(2):
+            slices = service.partition(schedule[:64], with_rids=True)
+            counted = service._last_expansion["replica_accesses"]
+            assert 0 < counted == sum(map(len, slices)) - 64
+            assert {rid for rids in service._last_rids
+                    for rid in rids} == set(range(64))
+
+    @given(st.sampled_from([16, 50, 128]),
+           st.sampled_from(
+               [("ranged", "remapped")]
+               + [(redundancy, bank_state)
+                  for redundancy in ("mirror", "mirror:3", "parity")
+                  for bank_state in ("healthy", "dead", "rebuilding")]),
+           st.integers(0, 2 ** 20))
+    @settings(max_examples=40)
+    def test_window_slices_concatenate_to_the_one_window_slices(
+            self, rows, routing, seed):
+        redundancy, bank_state = routing
+        if redundancy == "ranged":
+            service = EnvyService(three_banks(placement="ranged"), TENANTS)
+            service.router.swap(3, 200)
+        else:
+            service = EnvyService(three_banks(redundancy=redundancy),
+                                  TENANTS)
+        if bank_state in ("dead", "rebuilding"):
+            service.kill_bank(1)
+            if bank_state == "rebuilding":
+                service.replace_bank(1)
+        generator = LoadGenerator(TENANTS, service.router.num_pages,
+                                  seed=seed)
+        with windowed(10 ** 9):
+            schedule, _ = generator.generate(DURATION)
+        expected = service.partition(schedule, with_rids=True)
+        expected_rids = service._last_rids
+        totals = service._last_expansion
+        with windowed(rows):
+            windows = list(generator.stream(DURATION)[0])
+        assert len(windows) >= 3
+        slices = [[] for _ in expected]
+        rids = [[] for _ in expected]
+        counters = dict.fromkeys(totals, 0)
+        admitted = 0
+        for window in windows:
+            parts = service.partition(window, with_rids=True,
+                                      rid_base=admitted)
+            admitted += len(window)
+            for shard, part in enumerate(parts):
+                slices[shard] += part
+                rids[shard] += service._last_rids[shard]
+            for name, count in service._last_expansion.items():
+                counters[name] += count
+        assert (slices, rids, counters) == (expected, expected_rids, totals)
+
+    @staticmethod
+    def peak_memory(config, tenants, duration_s, prepare=None):
+        """tracemalloc's peak over one serial run, and the run's stats."""
+        service = EnvyService(config, tenants)
+        if prepare is not None:
+            prepare(service)
+        tracemalloc.start()
+        try:
+            stats = service.run(duration_s, jobs=1)
+            return tracemalloc.get_traced_memory()[1], stats
+        finally:
+            tracemalloc.stop()
 
     def test_peak_memory_does_not_scale_with_run_length(self):
         """Doubling the run doubles the rows but not the peak: what is
@@ -278,24 +447,34 @@ class TestStreamedRun:
         config = ServiceConfig(num_shards=4, num_segments=16,
                                pages_per_segment=64, seed=13)
         heavy = [TenantSpec("reader", rate_tps=2.5e7, write_fraction=0.0)]
-
-        def peak(duration_s):
-            service = EnvyService(config, heavy)
-            tracemalloc.start()
-            try:
-                stats = service.run(duration_s, jobs=1)
-                return tracemalloc.get_traced_memory()[1], stats
-            finally:
-                tracemalloc.stop()
-
         with windowed(1024):
-            peak(0.0001)  # shared Zipf tables are built (and kept) once
-            short, stats = peak(0.0004)
-            long, doubled = peak(0.0008)
+            # Shared Zipf tables are built (and kept) once.
+            self.peak_memory(config, heavy, 0.0001)
+            short, stats = self.peak_memory(config, heavy, 0.0004)
+            long, doubled = self.peak_memory(config, heavy, 0.0008)
         extra_rows = doubled.requests_admitted - stats.requests_admitted
         assert extra_rows > 9_000
         assert long <= 1.3 * short
         assert long - short <= 32 * extra_rows
+
+    @pytest.mark.parametrize("knobs, prepare", [
+        ({"redundancy": "parity"}, None),
+        ({"redundancy": "mirror"}, lose_bank),
+        ({}, lambda service: service.events.subscribe(lambda event: None)),
+    ], ids=["parity", "mirror-dead-bank", "bus-subscriber"])
+    def test_peak_memory_does_not_scale_with_run_length_off_the_plain_path(
+            self, knobs, prepare):
+        """The runs that held the whole schedule and its expansion until
+        the expander took windows: each was O(requests)."""
+        config = ServiceConfig(num_shards=4, num_segments=16,
+                               pages_per_segment=64, seed=13, **knobs)
+        mixed = [TenantSpec("mixed", rate_tps=2.5e7, write_fraction=0.05)]
+        with windowed(1024):
+            self.peak_memory(config, mixed, 0.0001, prepare)
+            short, stats = self.peak_memory(config, mixed, 0.0004, prepare)
+            long, doubled = self.peak_memory(config, mixed, 0.0008, prepare)
+        assert doubled.requests_admitted - stats.requests_admitted > 9_000
+        assert long <= 1.3 * short
 
 
 class TestDirectAccess:

@@ -426,6 +426,34 @@ class TestHostileTraceFiles:
         # Only a cut at a line end (or in its trailing newline) loads.
         assert loaded == 2 * len(trace) + 1 < len(text) // 10
 
+    def test_every_single_bit_flip(self):
+        trace, text, config = corpus()
+        reference = replay_trace(trace, config).digest
+        raw = text.encode()
+        unchanged = changed = 0
+        for position in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[position] ^= 1 << bit
+                # Decoded as the path loader decodes a file on disk.
+                verdict, loaded = outcome(
+                    flipped.decode("utf-8", errors="replace"), config)
+                if verdict == "refused":
+                    continue
+                digest = replay_trace(loaded, config).digest
+                if loaded.ops == trace.ops:
+                    # A header key nobody reads, or a hex digit's case.
+                    unchanged += 1
+                    assert digest == reference
+                else:
+                    # Another valid trace: it replays to what a trace
+                    # built from its rows replays to.
+                    changed += 1
+                    rebuilt = RunTrace(loaded.page_bytes,
+                                       ops=list(loaded.ops))
+                    assert digest == replay_trace(rebuilt, config).digest
+        assert 0 < unchanged < changed < len(raw)
+
     BAD_VALUES = ["x", 1.5, True, None, [], {}, -1]
 
     @pytest.mark.parametrize("key", ["a", "n", "c", "ns", "d"])
