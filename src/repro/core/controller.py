@@ -481,12 +481,18 @@ class EnvyController:
         reads of one run, so every repeat is an MMU hit on the entry the
         head just installed (or, for an unmapped page, which is never
         cached, the head's miss again) and the repeats are accounted in
-        bulk; a subscriber on the bus still gets one span per read.
+        bulk; a subscriber on the bus gets at most two ``HOST_READ``
+        spans per run — the head, then the repeats as one span whose
+        ``data["count"]`` says how many and whose ``dur_ns`` is their
+        total.
 
         Timing only: no payload is assembled and the cells are not
         sensed, so a fault plan that corrupts reads leaves the ECC
-        counters alone here; the nanoseconds and every other metric are
-        those of the :meth:`read_timed` that does sense them.
+        counters alone here.  ECC retries are stated, not priced: under
+        every :class:`~repro.faults.plan.FaultPlan` the repo ships, a
+        run of ``count`` costs what ``count`` word :meth:`read_timed`
+        calls of the page cost, in nanoseconds and in every metric but
+        the ECC counters.
         ``_heard=False`` is :meth:`read_timed` pricing its pages: that
         call fires the access listeners itself, once.
         """
@@ -527,8 +533,8 @@ class EnvyController:
         busy["read"] = busy.get("read", 0) + first_ns + repeat_ns * rest
         if bus.active:
             bus.emit_span(HOST_READ, first_ns, {"page": page})
-            for _ in range(rest):
-                bus.emit_span(HOST_READ, repeat_ns, {"page": page})
+            bus.emit_span(HOST_READ, repeat_ns * rest,
+                          {"page": page, "count": rest})
         if heard:
             if first_ns == repeat_ns:
                 self._hear_reads(page, first_ns, count)

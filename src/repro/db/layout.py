@@ -83,10 +83,15 @@ class BTreeGeometry:
             levels += 1
         return levels
 
+    @cached_property
+    def _level_spans(self) -> Tuple[int, ...]:
+        """Keys under one entry of a node, per level (1 at the leaves)."""
+        return tuple(self.fanout ** (self.depth - 1 - level)
+                     for level in range(self.depth))
+
     def nodes_in_level(self, level: int) -> int:
         """Nodes in ``level`` (0 = root, depth-1 = leaves)."""
-        span = self.fanout ** (self.depth - 1 - level)
-        return -(-self.num_keys // (span * self.fanout)) if span else 0
+        return -(-self.num_keys // (self._level_spans[level] * self.fanout))
 
     @property
     def total_nodes(self) -> int:
@@ -113,20 +118,26 @@ class BTreeGeometry:
     def node_address(self, level: int, index: int) -> int:
         return self.level_base(level) + index * self.node_bytes
 
-    def search_path(self, key: int) -> List[int]:
-        """Node addresses visited looking up ``key`` (root to leaf)."""
+    def search_nodes(self, key: int) -> List[Tuple[int, int, int]]:
+        """``(node address, slot followed, entries held)`` for each node
+        visited looking up ``key``, root to leaf.  Interior nodes are
+        fully packed; the last leaf holds whatever keys are left."""
         if not 0 <= key < self.num_keys:
             raise KeyError(f"key {key} outside 0..{self.num_keys - 1}")
-        path = []
-        for level in range(self.depth):
-            span = self.fanout ** (self.depth - 1 - level) * self.fanout
-            index = key // span if span else key
-            path.append(self.node_address(level, index))
-        return path
+        fanout = self.fanout
+        node_bytes = self.node_bytes
+        nodes = []
+        for base, span in zip(self._level_bases, self._level_spans):
+            index, slot = divmod(key // span, fanout)
+            nodes.append((base + index * node_bytes, slot, fanout))
+        leaf_keys = self.num_keys - index * fanout
+        if leaf_keys < fanout:
+            nodes[-1] = (nodes[-1][0], slot, leaf_keys)
+        return nodes
 
-    def slot_in_leaf(self, key: int) -> int:
-        """Entry index of ``key`` within its leaf node."""
-        return key % self.fanout
+    def search_path(self, key: int) -> List[int]:
+        """Node addresses visited looking up ``key`` (root to leaf)."""
+        return [address for address, _, _ in self.search_nodes(key)]
 
     @staticmethod
     def probe_offsets(node_address: int, target_slot: int,
@@ -139,11 +150,6 @@ class BTreeGeometry:
         """
         return [node_address + offset
                 for offset in _relative_probes(target_slot, entries)]
-
-    def child_slot(self, key: int, level: int) -> int:
-        """Child/entry index followed for ``key`` at ``level``."""
-        span = self.fanout ** (self.depth - 1 - level)
-        return (key // span) % self.fanout
 
 
 @dataclass(frozen=True)

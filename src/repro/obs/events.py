@@ -36,7 +36,10 @@ reads it.
 Event taxonomy (kind strings, hierarchical by prefix):
 
 ======================  ================================================
-``host.read/.write``    one host page access (span; data: page)
+``host.read/.write``    one host page access (span; data: page); a
+                        ``host.read`` with ``count`` stands for that
+                        many equal back-to-back reads of the page (a
+                        run's repeats), ``dur_ns`` being their total
 ``buffer.flush``        write-buffer pages programmed to Flash (span)
 ``clean.copy``          cleaner survivor copies during a clean (span)
 ``clean.transfer``      pages migrated between positions (span)

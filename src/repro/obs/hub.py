@@ -61,12 +61,15 @@ class ObservabilityHub:
 
     def _on_event(self, event: ObsEvent) -> None:
         kind = event.kind
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
+        # A counted span (HOST_READ repeats) stands for ``count`` equal
+        # back-to-back spans.
+        count = event.data.get("count", 1) if event.data else 1
+        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
         if event.dur_ns > 0:
             hist = self.span_histograms.get(kind)
             if hist is None:
                 hist = self.span_histograms[kind] = LatencyHistogram()
-            hist.record(event.dur_ns)
+            hist.record_n(event.dur_ns // count, count)
         if self.keep_events:
             if len(self.events) < self.max_events:
                 self.events.append(event)

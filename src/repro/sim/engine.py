@@ -23,20 +23,22 @@ Two interactions give the curves their shape:
 
 The host issues accesses through a real :class:`~repro.core.controller.
 EnvyController` running in placement-only mode (``store_data=False``) so
-simulated seconds stay cheap; the access trace itself comes from
+simulated seconds stay cheap.  The workload protocol is ``rate_tps``,
+``next_transaction()`` and ``runs(txn, page_bytes)``: a transaction
+arrives already grouped into page runs (:func:`~repro.workloads.tpca.
+page_runs`), the unit a 256-byte-wide transfer serves —
 :class:`~repro.workloads.tpca.TpcaWorkload` or any compatible generator.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import Optional
 
 from ..core.config import EnvyConfig
 from ..core.controller import EnvyController
-from ..db.layout import TpcaLayout
-from ..workloads.tpca import TpcaWorkload
+from ..db.layout import WORD_BYTES, TpcaLayout
+from ..workloads.tpca import WORD_WRITE, TpcaWorkload
 from .tracker import SimStats
 
 __all__ = ["TimedSimulator", "simulate_tpca", "build_tpca_system"]
@@ -59,7 +61,7 @@ class TimedSimulator:
         #: Deferred background work (erases triggered during host stalls).
         self._debt_ns = 0
         #: Time of the background operation currently in flight beyond
-        #: the idle budget that started it (a flush chain is atomic:
+        #: the idle budget that started it (a flush sequence is atomic:
         #: once started it runs to completion across gaps).
         self._overdraft_ns = 0
 
@@ -147,7 +149,7 @@ class TimedSimulator:
         """Spend idle bus time on pending and new background work.
 
         Order: finish the operation already in flight (overdraft), pay
-        deferred erases, then start new flushes.  A flush chain started
+        deferred erases, then start new flushes.  A flush sequence started
         near the end of a gap overdraws the budget; the excess is
         carried to the next gap (or charged to a stalling host write),
         so background work never outruns simulated time.
@@ -184,8 +186,6 @@ class TimedSimulator:
         busy_ns = metrics.busy_ns
         write = controller.write
         read_run_ns = controller.read_run_ns
-        page_bytes = controller.config.page_bytes
-        last_word = page_bytes - _WORD
         if stats is not None:
             record_read = stats.read_latency.record
             record_reads = stats.read_latency.record_n
@@ -195,46 +195,25 @@ class TimedSimulator:
         # Suspension delay, paid by the transaction's first access only.
         wait = (self.rng.randrange(self.suspend_max_ns)
                 if busy_at_arrival and self.suspend_max_ns else 0)
-        # A run of back-to-back word reads inside one page (a B-tree
-        # node's probes, a record's words) is priced once.  Anything
-        # else — a write, another page, a word straddling a page
-        # boundary, the end of the transaction — closes the open run.
-        run_page = -1
-        run_len = 0
-        for is_write, address in chain(self.workload.accesses(txn),
-                                       _END_OF_TRANSACTION):
-            opens_run = False
-            if not is_write:
-                page, offset = divmod(address, page_bytes)
-                if offset <= last_word:
-                    if page == run_page:
-                        run_len += 1
-                        continue
-                    opens_run = True
-            if run_len:
-                first_ns, repeat_ns = read_run_ns(run_page, run_len)
+        for where, count in self.workload.runs(txn,
+                                               controller.config.page_bytes):
+            if count > 0:
+                # Back-to-back word reads inside one page (a B-tree
+                # node's probes, a record's words): priced once.
+                first_ns, repeat_ns = read_run_ns(where, count)
                 total = wait + first_ns
                 if record_read is not None:
                     if total == repeat_ns:
-                        record_reads(total, run_len)
+                        record_reads(total, count)
                     else:
                         record_read(total)
-                        record_reads(repeat_ns, run_len - 1)
-                clock += total + repeat_ns * (run_len - 1)
-                wait = 0
-                run_page = -1
-                run_len = 0
-            if opens_run:
-                run_page = page
-                run_len = 1
-                continue
-            if address is None:
-                break
-            if is_write:
+                        record_reads(repeat_ns, count - 1)
+                clock += repeat_ns * (count - 1)
+            elif count == WORD_WRITE:
                 erase_before = busy_ns.get("erase", 0)
                 flushes_before = metrics.flushes
                 cleans_before = metrics.clean_copies
-                ns = write(address, _WORD_PAYLOAD)
+                ns = write(where, _WORD_PAYLOAD)
                 # Erase time triggered by a stalled flush is deferred:
                 # the host only waits for the program(s).  But a *clean*
                 # needs the spare segment erased first, so any erase
@@ -258,9 +237,9 @@ class TimedSimulator:
                     if ns > 1000:
                         stats.host_stall_ns += ns
             else:
-                # The word straddles a page boundary (TPC-A's 100-byte
-                # records do): both pages are charged.
-                total = wait + controller.read_timed(address, _WORD)[1]
+                # STRADDLING_READ: the word crosses a page boundary
+                # (TPC-A's 100-byte records do); both pages are charged.
+                total = wait + controller.read_timed(where, WORD_BYTES)[1]
                 if record_read is not None:
                     record_read(total)
             clock += total
@@ -268,10 +247,7 @@ class TimedSimulator:
         return clock
 
 
-_WORD = 8
-_WORD_PAYLOAD = b"\x00" * _WORD
-#: Sentinel access that closes a transaction's last read run.
-_END_OF_TRANSACTION = ((True, None),)
+_WORD_PAYLOAD = b"\x00" * WORD_BYTES
 
 
 def build_tpca_system(num_segments: int = 128,

@@ -5,7 +5,7 @@ from .bimodal import BimodalWorkload, parse_locality
 from .mixture import MixtureWorkload
 from .sequential import SequentialWorkload, StridedWorkload
 from .timed import SyntheticTimedWorkload
-from .tpca import TpcaTransaction, TpcaWorkload
+from .tpca import TpcaTransaction, TpcaWorkload, page_runs
 from .trace import TraceWorkload
 from .uniform import UniformWorkload
 from .zipf import ZipfWorkload
@@ -23,4 +23,5 @@ __all__ = [
     "TpcaTransaction",
     "SyntheticTimedWorkload",
     "parse_locality",
+    "page_runs",
 ]

@@ -1,9 +1,12 @@
 """Generic timed workloads for the event-driven simulator.
 
-The timed simulator needs three things from a workload: a request rate,
-a stream of arrival-stamped operations, and each operation's storage
-accesses.  :class:`~repro.workloads.tpca.TpcaWorkload` provides the
-paper's workload; this module provides a configurable synthetic one so
+The timed simulator's workload protocol is three things: a request rate
+(``rate_tps``), a stream of arrival-stamped operations
+(``next_transaction()``), and each operation's storage accesses grouped
+into page runs (``runs(txn, page_bytes)``, see
+:func:`~repro.workloads.tpca.page_runs`).
+:class:`~repro.workloads.tpca.TpcaWorkload` provides the paper's
+workload; this module provides a configurable synthetic one so
 the Figure 13-15 methodology can be pointed at any read/write mix —
 key-value traffic, logging, analytics scans — without building a full
 application model first.
@@ -20,7 +23,7 @@ import random
 from typing import List, Optional, Tuple
 
 from .base import WriteWorkload
-from .tpca import READ, WRITE, Access, TpcaTransaction
+from .tpca import READ, WRITE, Access, Run, TpcaTransaction, page_runs
 
 __all__ = ["SyntheticTimedWorkload"]
 
@@ -29,7 +32,7 @@ class SyntheticTimedWorkload:
     """Poisson-arriving operations with a configurable access mix.
 
     Satisfies the timed simulator's workload protocol (``rate_tps``,
-    ``next_transaction()``, ``accesses(txn)``).
+    ``next_transaction()``, ``runs(txn, page_bytes)``).
     """
 
     def __init__(self, address_space_bytes: int, rate_tps: float,
@@ -51,6 +54,7 @@ class SyntheticTimedWorkload:
         self.page_bytes = page_bytes
         self.word_bytes = word_bytes
         self.num_pages = address_space_bytes // page_bytes
+        self._words_per_page = max(1, page_bytes // word_bytes)
         if page_workload is None:
             from .uniform import UniformWorkload
 
@@ -75,8 +79,7 @@ class SyntheticTimedWorkload:
 
     def _word_address(self) -> int:
         page = self.page_workload.next_page()
-        words_per_page = max(1, self.page_bytes // self.word_bytes)
-        offset = self.rng.randrange(words_per_page) * self.word_bytes
+        offset = self.rng.randrange(self._words_per_page) * self.word_bytes
         return page * self.page_bytes + offset
 
     def accesses(self, txn: TpcaTransaction) -> List[Access]:
@@ -86,6 +89,9 @@ class SyntheticTimedWorkload:
         for _ in range(self.writes_per_op):
             trace.append((WRITE, self._word_address()))
         return trace
+
+    def runs(self, txn: TpcaTransaction, page_bytes: int) -> List[Run]:
+        return page_runs(self.accesses(txn), page_bytes)
 
     def accesses_per_transaction(self) -> int:
         return self.reads_per_op + self.writes_per_op

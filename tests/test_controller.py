@@ -357,6 +357,16 @@ class TestReadPageNs:
 # read_run_ns: a run of reads of one page, priced once
 # ----------------------------------------------------------------------
 
+def per_read_spans(event):
+    """The ``(t_ns, dur_ns, page)`` of every read a ``host.read`` event
+    stands for: a counted span (a run's repeats) expands back into
+    ``count`` equal back-to-back reads."""
+    count = event.data.get("count", 1)
+    each = event.dur_ns // count
+    return [(event.t_ns + done * each, each, event.data["page"])
+            for done in range(count)]
+
+
 class TestReadRunNs:
     UNMAPPED = 7
 
@@ -394,8 +404,8 @@ class TestReadRunNs:
             log = []
             if subscribed:
                 system.events.subscribe(
-                    lambda event, log=log: log.append(
-                        (event.t_ns, event.dur_ns, event.data["page"])),
+                    lambda event, log=log: log.extend(
+                        per_read_spans(event)),
                     prefix=HOST_READ)
             logs.append(log)
         num_pages = reference.config.logical_pages

@@ -84,9 +84,17 @@ class TestBTreeGeometry:
         with pytest.raises(KeyError):
             geometry.search_path(100)
 
-    def test_child_slot_at_leaf_is_key_mod_fanout(self):
+    def test_search_nodes_name_the_slot_followed_and_the_entries_held(self):
         geometry = BTreeGeometry(0, 5000, 32)
-        assert geometry.child_slot(37, geometry.depth - 1) == 37 % 32
+        nodes = geometry.search_nodes(37)
+        assert [address for address, _, _ in nodes] \
+            == geometry.search_path(37)
+        # 37 is under root entry 0, level-1 entry 1, leaf slot 37 % 32.
+        assert [(slot, entries) for _, slot, entries in nodes] \
+            == [(0, 32), (1, 32), (5, 32)]
+        # The last leaf holds the 5000 % 32 keys that are left.
+        assert geometry.search_nodes(4999)[-1][1:] == (4999 % 32, 5000 % 32)
+        assert BTreeGeometry(0, 64, 32).search_nodes(63)[-1][1:] == (31, 32)
 
     def test_cached_depth_and_level_bases_match_the_sums(self):
         # depth and the level bases are derived once per (frozen)

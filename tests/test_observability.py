@@ -7,6 +7,7 @@ simulated results as an uninstrumented one.
 """
 
 import json
+import os
 
 import pytest
 from hypothesis import example, given
@@ -394,6 +395,45 @@ class TestHub:
         assert spans == sorted(spans, reverse=True)
 
 
+class TestCountedHostReads:
+    """A hub-attached TPC-A slice hears a read run as at most two
+    ``host.read`` events, and accounts it read by read."""
+
+    WINDOWS = os.path.join(os.path.dirname(__file__), "data",
+                           "tpca_hub_windows.json")
+
+    def test_fewer_events_same_accounting(self):
+        simulator = build_tpca_system(num_segments=16, pages_per_segment=64,
+                                      rate_tps=20_000.0, seed=11)
+        simulator.prewarm(3)
+        controller = simulator.controller
+        hub = ObservabilityHub(controller, sample_interval_ns=250_000)
+        simulator.run(0.002)
+        hub.close()
+        metrics = controller.metrics
+        heard = [event for event in hub.events if event.kind == "host.read"]
+        assert any(event.data.get("count", 1) > 1 for event in heard)
+        assert len(heard) < 0.45 * metrics.reads
+        assert hub.kind_counts["host.read"] == metrics.reads
+        assert hub.span_histograms["host.read"].state_dict() \
+            == metrics.read_latency.state_dict()
+        assert hub.time_by_kind()["host.read"] == metrics.busy_ns["read"]
+        # The window list of the commit before HOST_READ carried a
+        # count (per-read spans) — never regenerate.
+        with open(self.WINDOWS) as handle:
+            assert hub.sampler.as_dicts() == json.load(handle)
+
+    def test_counted_span_exports_parse(self):
+        events = [ObsEvent("host.read", 100, 260, {"page": 4}),
+                  ObsEvent("host.read", 360, 480, {"page": 4, "count": 3})]
+        row = json.loads(chrome_trace(events))["traceEvents"][-1]
+        assert (row["ph"], row["dur"], row["args"]) \
+            == ("X", 0.48, {"page": 4, "count": 3})
+        assert json.loads(events_jsonl(events).splitlines()[-1]) == {
+            "kind": "host.read", "t_ns": 360, "dur_ns": 480, "page": 4,
+            "count": 3}
+
+
 class TestExporters:
     def test_chrome_trace_tracks(self, observed):
         _, hub, _ = observed
@@ -428,7 +468,9 @@ class TestExporters:
     def test_events_jsonl(self, observed):
         _, hub, _ = observed
         lines = hub.events_jsonl().splitlines()
-        assert len(lines) == hub.total_events()
+        # A counted host.read row stands for ``count`` reads.
+        assert sum(json.loads(line).get("count", 1) for line in lines) \
+            == hub.total_events() > len(lines)
         row = json.loads(lines[0])
         assert {"kind", "t_ns", "dur_ns"} <= set(row)
 

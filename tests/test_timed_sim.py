@@ -6,11 +6,19 @@ import random
 from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.core import TpcParams
 from repro.core.tracing import RunTrace
+from repro.db import TpcaLayout
 from repro.obs.events import HOST_READ
 from repro.sim import build_tpca_system, simulate_tpca
 from repro.sim.tracker import SimStats
+from repro.workloads import TpcaTransaction, TpcaWorkload, page_runs
+from repro.workloads.tpca import STRADDLING_READ
+
+from .test_controller import per_read_spans
 
 # Small, fast configuration shared by most tests.
 FAST = dict(num_segments=32, pages_per_segment=256, duration_s=0.05,
@@ -154,8 +162,9 @@ class TestSimulatorMechanics:
             def __init__(self, addresses):
                 self.addresses = addresses
 
-            def accesses(self, txn):
-                return [(False, address) for address in self.addresses]
+            def runs(self, txn, page_bytes):
+                return page_runs([(False, address)
+                                  for address in self.addresses], page_bytes)
 
         aligned = [0, page_bytes - 8, 3 * page_bytes + 40]
         straddling = [page_bytes - 7, 2 * page_bytes - 1]
@@ -213,6 +222,50 @@ def run_shape(workload, end_ns, page_bytes, mmu_capacity):
                 touch(page + 1)
 
 
+class TestRunsAreTheAccessesGrouped:
+    """``TpcaWorkload.runs`` places memoised patterns by layout
+    arithmetic; ``page_runs`` over ``accesses()`` is its oracle."""
+
+    @given(accounts=st.integers(1, 150_000),
+           page_bytes=st.sampled_from((128, 256, 512, 4096)),
+           picks=st.lists(st.floats(0, 1), max_size=6),
+           seed=st.integers(0, 2**16))
+    # Only a page of 1 KiB or more holds the end of one segment and the
+    # start of the next: the cross-segment merge.
+    @example(accounts=5, page_bytes=4096, picks=[], seed=0)
+    @example(accounts=33, page_bytes=512, picks=[], seed=0)
+    def test_runs_equal_page_runs_of_accesses(self, accounts, page_bytes,
+                                              picks, seed):
+        params = TpcParams().scaled_to_accounts(accounts)
+        workload, twin = (TpcaWorkload(TpcaLayout(params), 50_000.0, seed)
+                          for _ in range(2))
+        # First and last key, first key of the (maybe partial) last
+        # leaf, and wherever the draw lands.
+        keys = {0, accounts - 1, (accounts - 1) // 32 * 32}
+        keys.update(int(pick * (accounts - 1)) for pick in picks)
+        for account in sorted(keys):
+            teller = min(account // params.accounts_per_teller,
+                         params.num_tellers - 1)
+            txn = TpcaTransaction(account, teller,
+                                  teller // params.tellers_per_branch, 0)
+            assert workload.runs(txn, page_bytes) \
+                == page_runs(workload.accesses(txn), page_bytes)
+        # Run totals against the classifier the pins use, which reads
+        # ``accesses()`` and never sees a run.
+        end_ns = 1_000_000
+        long_runs = straddles = 0
+        while True:
+            txn = workload.next_transaction()
+            if txn.arrival_ns >= end_ns:
+                break
+            runs = workload.runs(txn, page_bytes)
+            long_runs += sum(1 for _, count in runs if count > 1)
+            straddles += sum(1 for _, count in runs
+                             if count == STRADDLING_READ)
+        assert (long_runs, straddles) \
+            == run_shape(twin, end_ns, page_bytes, 64)[:2]
+
+
 class TestPinnedTpcaRun:
     """sha256 of everything a timed TPC-A run reports and leaves behind,
     **recorded at the commit before run-length reads (read_run_ns) —
@@ -266,9 +319,9 @@ class TestPinnedTpcaRun:
         controller.mmu.capacity = capacity
         spans = []
         if subscribe:
+            # The pin is of per-read spans: a counted span is expanded.
             controller.events.subscribe(
-                lambda event: spans.append(
-                    (event.t_ns, event.dur_ns, event.data["page"])),
+                lambda event: spans.extend(per_read_spans(event)),
                 prefix=HOST_READ)
         if not record:
             stats = simulator.run(duration_s, warmup_s)

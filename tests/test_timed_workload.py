@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import EnvyConfig, EnvyController
 from repro.sim import TimedSimulator
-from repro.workloads import BimodalWorkload
+from repro.workloads import BimodalWorkload, page_runs
 from repro.workloads.timed import SyntheticTimedWorkload
+from repro.workloads.tpca import STRADDLING_READ, WORD_WRITE
 
 
 def build(rate=5_000, reads=8, writes=2, seed=3, **workload_kwargs):
@@ -39,6 +40,21 @@ class TestProtocol:
             for _, address in workload.accesses(
                     workload.next_transaction()):
                 assert 0 <= address < (1 << 16)
+
+    def test_runs_are_the_accesses_grouped_by_page(self):
+        hot = BimodalWorkload(64, 0.05, 0.95, seed=6)   # same-page repeats
+        workload = SyntheticTimedWorkload(1 << 14, 100, page_workload=hot,
+                                          seed=6)
+        traces = [workload.accesses(workload.next_transaction())
+                  for _ in range(40)]
+        workload.reset(seed=6)
+        runs = [workload.runs(workload.next_transaction(), 256)
+                for _ in traces]
+        assert runs == [page_runs(trace, 256) for trace in traces]
+        assert any(count > 1 for txn_runs in runs for _, count in txn_runs)
+        assert page_runs([(False, 0), (False, 248), (False, 249),
+                          (True, 8), (False, 256), (False, 264)], 256) \
+            == [(0, 2), (249, STRADDLING_READ), (8, WORD_WRITE), (1, 2)]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
 """Tests for the TPC-A database, workload generator, and their agreement."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import EnvyConfig, EnvySystem, TpcParams
 from repro.db import TpcaDatabase, TpcaLayout
+from repro.sim import build_tpca_system
 from repro.workloads.tpca import READ, WRITE, TpcaWorkload
 
 
@@ -139,6 +143,31 @@ class TestWorkloadGenerator:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             self.make_workload(rate=0)
+
+    def test_access_stream_pinned(self):
+        """sha256 of 200 transactions and their word accesses, recorded
+        at the commit before ``runs()`` shared a segment walker with
+        ``accesses()`` — never regenerate."""
+        workload = build_tpca_system(num_segments=16, pages_per_segment=64,
+                                     rate_tps=20_000.0, seed=11).workload
+        digest = hashlib.sha256()
+        for txn in workload.transactions(200):
+            digest.update(json.dumps(
+                [txn.account, txn.teller, txn.branch, txn.arrival_ns,
+                 workload.accesses(txn)]).encode())
+        assert digest.hexdigest() == ("7fd86ec60aabae55c2e35b4c6423776c"
+                                      "33aee2974184432482e433e85728eaaa")
+
+    def test_reset_replays_the_stream_and_keeps_the_run_patterns(self):
+        workload = self.make_workload()
+        first = [workload.runs(txn, 256)
+                 for txn in workload.transactions(20)]
+        patterns = dict(workload._run_patterns)
+        assert patterns
+        workload.reset(seed=3)
+        assert workload._run_patterns == patterns
+        assert [workload.runs(txn, 256)
+                for txn in workload.transactions(20)] == first
 
 
 class TestTraceMatchesRealDatabase:

@@ -298,16 +298,16 @@ class TestReplayDriversAreRecorded:
         assert trace.total_ns() == system.metrics.busy_ns["read"]
 
     def test_run_recorder_records_a_run_read_by_read(self, system, trace):
-        """A subscriber on the bus hears a run read by read (one
-        ``host.read`` span each); the record holds it as at most two
-        rows, and they add up to the spans."""
+        """A subscriber on the bus and the record both hold a run as at
+        most two entries (head; counted repeats) that stand for it read
+        by read."""
         spans = []
         system.events.subscribe(spans.append, prefix="host.read")
         first_ns, repeat_ns = system.read_run_ns(3, 4)
         system.read_run_ns(5)
         page_bytes = system.config.page_bytes
-        assert [span.dur_ns for span in spans] \
-            == [first_ns] + [repeat_ns] * 3 + [first_ns]
+        assert [(span.dur_ns, span.data.get("count", 1)) for span in spans] \
+            == [(first_ns, 1), (3 * repeat_ns, 3), (first_ns, 1)]
         assert trace.ops == [("r", 3 * page_bytes, 8, first_ns, 1),
                              ("r", 3 * page_bytes, 8, repeat_ns, 3),
                              ("r", 5 * page_bytes, 8, first_ns, 1)]
@@ -557,5 +557,47 @@ class TestTimingOnlyReadsPriceLikeSensingReads:
         differing = {name for name in quiet if quiet[name] != sensed[name]}
         assert differing == {"read_bit_flips", "ecc_corrected_reads",
                              "ecc_corrected_bits"}
+        assert (timing_only.mmu.hits, timing_only.mmu.misses) \
+            == (sensing.mmu.hits, sensing.mmu.misses)
+
+    #: Every plan the repo ships, and the flip-heavy one from above.
+    PLANS = {"none": FaultPlan.none(), "light": FaultPlan.light(3),
+             "harsh": FaultPlan.harsh(3),
+             "flips": FaultPlan(seed=3, read_flip_rate=2e-4)}
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_a_counted_run_prices_like_that_many_sensing_reads(self, name):
+        """ROADMAP 3(c), stated rather than priced: ``read_run_ns(page,
+        n)`` is ``n`` word ``read_timed`` calls in nanoseconds and in
+        every metric except the ECC counters."""
+        twins = [small_system(fault_plan=self.PLANS[name],
+                              reserve_segments=2) for _ in range(2)]
+        page_bytes = twins[0].config.page_bytes
+        pages = range(0, twins[0].config.logical_pages, 3)
+        for twin in twins:
+            for page in pages:
+                twin.write(page * page_bytes, bytes([page % 251]) * page_bytes)
+            twin.drain()
+            twin.mmu.capacity = 4
+            twin.mmu.flush()
+        timing_only, sensing = twins
+        for count in (1, 2, 5):
+            for page in pages:
+                first_ns, repeat_ns = timing_only.read_run_ns(page, count)
+                sensed = [sensing.read_timed(page * page_bytes, 8)
+                          for _ in range(count)]
+                assert first_ns + repeat_ns * (count - 1) \
+                    == sum(ns for _, ns in sensed)
+                assert first_ns > repeat_ns or count == 1
+                assert all(data == bytes([page % 251]) * 8
+                           for data, _ in sensed)
+        states = [twin.metrics.state_dict() for twin in twins]
+        ecc = [{counter: state["counters"].pop(counter)
+                for counter in ("ecc_corrected", "ecc_uncorrectable")}
+               for state in states]
+        assert states[0] == states[1]
+        assert ecc[0] == {"ecc_corrected": 0, "ecc_uncorrectable": 0}
+        assert ecc[1]["ecc_uncorrectable"] == 0
+        assert (ecc[1]["ecc_corrected"] > 0) is (name == "flips")
         assert (timing_only.mmu.hits, timing_only.mmu.misses) \
             == (sensing.mmu.hits, sensing.mmu.misses)
