@@ -22,12 +22,30 @@ estimates are bucket-quantized.  ``merge`` is exact bucket addition, so
 merging shard histograms equals recording every sample into one — a
 property the test suite checks, and the reason per-worker histograms can
 be combined after a parallel run.
+
+A sample is a tally entry until someone reads it.  The simulator prices
+a host access from a few fixed parts (bus overhead, one 160 ns SRAM or
+Flash cycle, a page-table read on an MMU miss), so its samples repeat
+heavily: a timed TPC-A run records 1.4 M of them over 44 distinct
+values.  ``record``, ``record_n`` and short ``record_many`` lists
+therefore only count the exact value, and every reader first calls
+``_fold``, which buckets each distinct value once.  The tally folds on
+its own once it holds as many values as there are buckets, so it never
+outgrows them, and all tallies key a common value by one shared int
+(``_shared``), so many histograms cost little more than their bucket
+dicts would.  Long ``record_many`` lists (at least ``BULK_MIN``
+samples) are mostly distinct values and skip the tally: ``_bucket``,
+the one place samples are bucketed, takes the list itself in C-level
+folds, faster than a dict of its values is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, Sequence, Tuple
+from fractions import Fraction
+from operator import mul
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 __all__ = ["LatencyHistogram", "SUBBUCKETS", "RELATIVE_ERROR", "BULK_MIN"]
 
@@ -36,9 +54,11 @@ SUBBUCKET_BITS = 4
 SUBBUCKETS = 1 << SUBBUCKET_BITS
 #: Worst-case relative bucket width for values >= ``2 * SUBBUCKETS``.
 RELATIVE_ERROR = 1 / SUBBUCKETS
-#: Samples from which ``record_many`` folds in bulk (measured crossover
-#: against ``record`` in a loop: 190 vs 280 ns a sample past it, 2-5x
-#: slower below 16).
+#: Samples from which ``record_many`` buckets the list in bulk instead
+#: of tallying it sample by sample.  Per sample, the read included, at
+#: 64: bulk 192 vs tally 136 ns over 4 distinct values, 214 vs 205 over
+#: 64, 282 vs 419 when every value is new; below 16 the bulk path's
+#: fixed cost loses everywhere (CPython 3.11, one core).
 BULK_MIN = 64
 
 
@@ -59,6 +79,27 @@ def bucket_bounds(index: int) -> Tuple[int, int]:
     return mantissa << shift, ((mantissa + 1) << shift) - 1
 
 
+#: Distinct values the tally holds before it folds: the number of
+#: buckets a 64-bit latency can land in.
+_TALLY_MAX = bucket_index(2**63 - 1) + 1
+
+#: The int object tallies key a value by, for the first ``_TALLY_MAX``
+#: distinct values recorded in the process.  A latency is a fresh int
+#: each time it is computed, and a tally keeps the first one it sees:
+#: a service run's thousands of per-tenant histograms would otherwise
+#: hold their own copy of every common latency until they are read.
+_SHARED_VALUES: Dict[int, int] = {}
+
+
+def _shared(ns: int) -> int:
+    value = _SHARED_VALUES.get(ns)
+    if value is None:
+        if len(_SHARED_VALUES) >= _TALLY_MAX:
+            return ns
+        value = _SHARED_VALUES[ns] = ns
+    return value
+
+
 class LatencyHistogram:
     """Streaming histogram of non-negative integer samples (nanoseconds).
 
@@ -68,15 +109,25 @@ class LatencyHistogram:
     new.
     """
 
-    __slots__ = ("count", "total_ns", "_min_ns", "_max_ns", "buckets")
+    __slots__ = ("_count", "_total_ns", "_min_ns", "_max_ns", "_buckets",
+                 "_tally")
 
     def __init__(self) -> None:
-        self.count = 0
-        self.total_ns = 0
+        self.reset()
+
+    def reset(self) -> None:
+        # The folded part: exact summaries of every bucketed sample ...
+        self._count = 0
+        self._total_ns = 0
         self._min_ns = 0
         self._max_ns = 0
-        #: Sparse bucket counts: bucket index -> samples.
-        self.buckets: Dict[int, int] = {}
+        #: Sparse bucket counts (bucket index -> samples).
+        self._buckets: Optional[Dict[int, int]] = None
+        # ... and the samples not bucketed yet: exact value -> samples.
+        # Both dicts are created on first use: a service run holds
+        # thousands of per-tenant histograms, many never recorded into
+        # or read, and an aggregate is only ever merged into.
+        self._tally: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -84,29 +135,25 @@ class LatencyHistogram:
 
     def record(self, ns: int) -> None:
         # Called twice per simulated access (controller metric + driver
-        # stat) and every in-repo caller passes an int: coerce only what
-        # is not one (floats, bools, numpy integers).
+        # stat), over a few dozen distinct values: count the value and
+        # leave bucketing, the clamp and the summaries to ``_fold``.
+        # Every in-repo caller passes an int; coerce only what is not
+        # one (floats, bools, numpy integers — NaN raises here).
         if ns.__class__ is not int:
             ns = int(ns)
-        # bucket_index(ns), inlined — the function-call overhead would
-        # dominate — with the negative clamp folded into its exact-value
-        # branch.
-        if ns < 2 * SUBBUCKETS:
-            if ns < 0:
-                ns = 0
-            index = ns
+        tally = self._tally
+        try:
+            seen = tally.get(ns)
+        except AttributeError:          # nothing tallied since the fold
+            self._tally = {_shared(ns): 1}
+            return
+        if seen is not None:
+            tally[ns] = seen + 1
+        elif len(tally) < _TALLY_MAX:
+            tally[_shared(ns)] = 1
         else:
-            shift = ns.bit_length() - (SUBBUCKET_BITS + 1)
-            index = (((shift + 1) << SUBBUCKET_BITS)
-                     + ((ns >> shift) - SUBBUCKETS))
-        if self.count == 0 or ns < self._min_ns:
-            self._min_ns = ns
-        if ns > self._max_ns:
-            self._max_ns = ns
-        self.count += 1
-        self.total_ns += ns
-        buckets = self.buckets
-        buckets[index] = buckets.get(index, 0) + 1
+            self._fold()
+            self._tally = {_shared(ns): 1}
 
     def record_n(self, ns: int, n: int) -> None:
         """Exactly ``n`` calls of ``record(ns)``; ``n == 0`` is a no-op.
@@ -114,7 +161,7 @@ class LatencyHistogram:
         A run of back-to-back reads of one page costs the same every
         time (an MMU hit on the entry the head installed), so the read
         path prices the run once and accounts the repeats here.
-        ``record`` keeps its own copy of the arithmetic: delegating
+        ``record`` keeps its own copy of the tally update: delegating
         would put a second call on every single-sample record.
         """
         if n <= 0:
@@ -123,105 +170,146 @@ class LatencyHistogram:
             return
         if ns.__class__ is not int:
             ns = int(ns)
-        if ns < 2 * SUBBUCKETS:
-            if ns < 0:
-                ns = 0
-            index = ns
+        tally = self._tally
+        try:
+            seen = tally.get(ns)
+        except AttributeError:
+            self._tally = {_shared(ns): n}
+            return
+        if seen is not None:
+            tally[ns] = seen + n
+        elif len(tally) < _TALLY_MAX:
+            tally[_shared(ns)] = n
         else:
-            shift = ns.bit_length() - (SUBBUCKET_BITS + 1)
-            index = (((shift + 1) << SUBBUCKET_BITS)
-                     + ((ns >> shift) - SUBBUCKETS))
-        if self.count == 0 or ns < self._min_ns:
-            self._min_ns = ns
-        if ns > self._max_ns:
-            self._max_ns = ns
-        self.count += n
-        self.total_ns += ns * n
-        buckets = self.buckets
-        buckets[index] = buckets.get(index, 0) + n
+            self._fold()
+            self._tally = {_shared(ns): n}
 
     def record_many(self, values: Sequence[int]) -> None:
-        """Exactly ``record(ns)`` for each of ``values``, as C-level folds
-        over the whole sequence (a consumer that reads its histogram only
-        at the end of a stretch collects the stretch and accounts it
-        here).  The folds cost ~2.5 us before the first sample, so a
-        short sequence is recorded one sample at a time."""
+        """Exactly ``record(ns)`` for each of ``values``.
+
+        A short sequence goes through the tally one sample at a time.
+        One of ``BULK_MIN`` samples or more (a consumer that reads its
+        histogram only at the end of a stretch collects the stretch and
+        accounts it here) is mostly distinct values, and ``_bucket``
+        takes it whole, in C-level folds that cost ~2.5 us before the
+        first sample."""
         if len(values) < BULK_MIN:
             for ns in values:
                 self.record(ns)
             return
-        values = [ns if ns.__class__ is int else int(ns) for ns in values]
+        self._fold()
+        self._bucket([ns if ns.__class__ is int else int(ns)
+                      for ns in values])
+
+    def _fold(self) -> Dict[int, int]:
+        """Bucket the tallied samples; every reader calls this first.
+        Returns the bucket dict."""
+        if self._buckets is None:
+            self._buckets = {}
+        tally = self._tally
+        if tally is not None:
+            self._tally = None
+            self._bucket(list(tally), list(tally.values()))
+        return self._buckets
+
+    def _bucket(self, values: List[int],
+                counts: Optional[List[int]] = None) -> None:
+        """Account ``values`` (seen ``counts`` times each, else once),
+        negatives clamped to 0, as C-level folds over the list: the one
+        place samples are bucketed."""
         low, high = min(values), max(values)
         if low < 0:
             values = [ns if ns > 0 else 0 for ns in values]
             low, high = 0, max(high, 0)
-        if self.count == 0 or low < self._min_ns:
+        # bucket_index(ns) with its two terms of SUBBUCKETS cancelled.
+        exact, bits = 2 * SUBBUCKETS, SUBBUCKET_BITS
+        indices = [
+            ns if ns < exact else
+            ((shift := ns.bit_length() - bits - 1) << bits) + (ns >> shift)
+            for ns in values]
+        if counts is None:
+            self._add(len(values), sum(values), low, high,
+                      Counter(indices).items())
+        else:
+            self._add(sum(counts), sum(map(mul, values, counts)), low, high,
+                      zip(indices, counts))
+
+    def _add(self, count: int, total_ns: int, low: int, high: int,
+             bucket_counts: Iterable[Tuple[int, int]]) -> None:
+        """Account ``count`` bucketed samples (after a ``_fold``)."""
+        if self._count == 0 or low < self._min_ns:
             self._min_ns = low
         if high > self._max_ns:
             self._max_ns = high
-        self.count += len(values)
-        self.total_ns += sum(values)
-        # bucket_index(ns) with its two terms of SUBBUCKETS cancelled.
-        exact, bits = 2 * SUBBUCKETS, SUBBUCKET_BITS
-        buckets = self.buckets
-        for index, n in Counter([
-                ns if ns < exact else
-                ((shift := ns.bit_length() - bits - 1) << bits)
-                + (ns >> shift) for ns in values]).items():
+        self._count += count
+        self._total_ns += total_ns
+        buckets = self._buckets
+        for index, n in bucket_counts:
             buckets[index] = buckets.get(index, 0) + n
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` in; exactly equivalent to recording its
         samples here (bucket counts are additive)."""
-        if other.count == 0:
-            return
-        if self.count == 0 or other._min_ns < self._min_ns:
-            self._min_ns = other._min_ns
-        if other._max_ns > self._max_ns:
-            self._max_ns = other._max_ns
-        self.count += other.count
-        self.total_ns += other.total_ns
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total_ns = 0
-        self._min_ns = 0
-        self._max_ns = 0
-        self.buckets = {}
+        theirs = other._fold()
+        if other._count:
+            self._fold()
+            self._add(other._count, other._total_ns, other._min_ns,
+                      other._max_ns, theirs.items())
 
     # ------------------------------------------------------------------
     # Summary statistics
     # ------------------------------------------------------------------
 
     @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total_ns(self) -> int:
+        self._fold()
+        return self._total_ns
+
+    @property
+    def buckets(self) -> Dict[int, int]:
+        """Sparse bucket counts: bucket index -> samples."""
+        return self._fold()
+
+    @property
     def min_ns(self) -> int:
-        return self._min_ns if self.count else 0
+        self._fold()
+        return self._min_ns if self._count else 0
 
     @property
     def max_ns(self) -> int:
+        self._fold()
         return self._max_ns
 
     @property
     def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
+        self._fold()
+        return self._total_ns / self._count if self._count else 0.0
 
     def percentile(self, p: float) -> int:
         """Upper bound of the bucket holding the p-th percentile sample.
 
-        Exact for values below ``2 * SUBBUCKETS``; otherwise within
-        ``1/SUBBUCKETS`` (6.25%) above the true sample.  Monotone
-        non-decreasing in ``p`` and clamped to ``[min_ns, max_ns]``.
+        The sample is the nearest-rank one, rank ``ceil(count * p /
+        100)`` computed exactly from ``p`` as written (99.9 is 999/10,
+        not the nearest float).  Exact for values below
+        ``2 * SUBBUCKETS``; otherwise within ``1/SUBBUCKETS`` (6.25%)
+        above the true sample.  Monotone non-decreasing in ``p`` and
+        clamped to ``[min_ns, max_ns]``.
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError("percentile must be in [0, 100]")
-        if self.count == 0:
+        buckets = self._fold()
+        if self._count == 0:
             return 0
-        target = max(1, -(-self.count * p // 100))  # ceil
+        share = p if p.__class__ is int else Fraction(str(p))
+        target = max(1, -(-self._count * share // 100))  # ceil
         running = 0
-        for index in sorted(self.buckets):
-            running += self.buckets[index]
+        for index in sorted(buckets):
+            running += buckets[index]
             if running >= target:
                 high = bucket_bounds(index)[1]
                 return min(max(high, self._min_ns), self._max_ns)
@@ -254,9 +342,10 @@ class LatencyHistogram:
 
     def iter_buckets(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(low_ns, high_ns, count)`` for occupied buckets."""
-        for index in sorted(self.buckets):
+        buckets = self._fold()
+        for index in sorted(buckets):
             low, high = bucket_bounds(index)
-            yield low, high, self.buckets[index]
+            yield low, high, buckets[index]
 
     def octaves(self) -> List[Tuple[int, int, int]]:
         """Bucket counts coarsened to power-of-two octaves.
@@ -265,10 +354,11 @@ class LatencyHistogram:
         rendering; empty octaves between occupied ones are included so
         bar charts keep a log-linear x axis.
         """
-        if not self.buckets:
+        buckets = self._fold()
+        if not buckets:
             return []
         per_octave: Dict[int, int] = {}
-        for index, count in self.buckets.items():
+        for index, count in buckets.items():
             low, _ = bucket_bounds(index)
             octave = low.bit_length() - 1 if low else 0
             per_octave[octave] = per_octave.get(octave, 0) + count
@@ -283,22 +373,45 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """A plain, JSON/pickle-friendly snapshot of the histogram."""
+        """A plain, pickle-friendly snapshot of the histogram (bucket
+        keys are ints: a JSON round trip must restore them)."""
+        buckets = self._fold()
         return {
-            "count": self.count,
-            "total_ns": self.total_ns,
+            "count": self._count,
+            "total_ns": self._total_ns,
             "min_ns": self._min_ns,
             "max_ns": self._max_ns,
-            "buckets": {int(k): int(v) for k, v in self.buckets.items()},
+            "buckets": dict(buckets),
         }
 
     def load_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self.total_ns = int(state["total_ns"])
-        self._min_ns = int(state["min_ns"])
-        self._max_ns = int(state["max_ns"])
-        self.buckets = {int(k): int(v)
-                        for k, v in state["buckets"].items()}
+        """Restore a ``state_dict``; raises ``ValueError``, leaving the
+        histogram as it was, on a state no recording could produce
+        (snapshot files reach here)."""
+        try:
+            count, total, low, high = (state["count"], state["total_ns"],
+                                       state["min_ns"], state["max_ns"])
+            buckets = dict(state["buckets"])
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(f"histogram state: {error!r}") from None
+        sizes = buckets.values()
+        if {type(count), type(total), type(low), type(high),
+                *map(type, buckets), *map(type, sizes)} != {int}:
+            raise ValueError("histogram state: a count, bound, bucket "
+                             "index or bucket size is not an int")
+        if (sum(sizes) != count
+                or buckets and (min(buckets) < 0 or min(sizes) < 1)):
+            raise ValueError(f"histogram state: the buckets do not hold "
+                             f"count = {count} samples")
+        # Non-negative count, total and max follow from these.
+        if not (0 <= low <= high and count * low <= total <= count * high
+                if count else total == low == high == 0):
+            raise ValueError(f"histogram state: min {low}, max {high} and "
+                             f"total {total} do not fit {count} samples")
+        self._count, self._total_ns = count, total
+        self._min_ns, self._max_ns = low, high
+        self._buckets = buckets
+        self._tally = None
 
     @classmethod
     def from_state(cls, state: dict) -> "LatencyHistogram":

@@ -7,7 +7,10 @@ simulated results as an uninstrumented one.
 """
 
 import json
+import math
 import os
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -20,9 +23,10 @@ from repro.backends import RunTrace
 from repro.faults import FaultEvent, FaultPlan
 from repro.obs import (EventBus, LatencyHistogram, ObsEvent,
                        ObservabilityHub)
+import repro.obs.hist as hist_module
 from repro.obs.export import chrome_trace, events_jsonl, prometheus_text
-from repro.obs.hist import (BULK_MIN, RELATIVE_ERROR, SUBBUCKETS,
-                            bucket_bounds, bucket_index)
+from repro.obs.hist import (_TALLY_MAX, BULK_MIN, RELATIVE_ERROR,
+                            SUBBUCKETS, bucket_bounds, bucket_index)
 from repro.sim import build_tpca_system
 
 
@@ -81,6 +85,11 @@ _SAMPLES = st.one_of(
     st.integers(min_value=-(1 << 20), max_value=1 << 62),
     st.floats(min_value=-1e6, max_value=1e15, allow_nan=False),
     st.booleans())
+
+#: Readers the fold-on-read property interleaves with recording.
+_READERS = ["count", "total_ns", "min_ns", "max_ns", "mean_ns", "buckets",
+            "p50", "p999", "percentiles", "iter_buckets", "octaves",
+            "state_dict", "__str__"]
 
 
 class TestHistogram:
@@ -225,6 +234,162 @@ class TestHistogram:
     def test_record_many_refuses_what_record_refuses(self):
         with pytest.raises(ValueError):
             LatencyHistogram().record_many([160.0, float("nan")] * BULK_MIN)
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("record"), _SAMPLES),
+        st.tuples(st.just("record_n"), _SAMPLES,
+                  st.sampled_from([0, 1, 3, 1000])),
+        st.tuples(st.just("record_many"),
+                  st.lists(_SAMPLES, max_size=BULK_MIN - 1)),
+        st.tuples(st.just("record_many"),
+                  st.lists(_SAMPLES, min_size=BULK_MIN,
+                           max_size=BULK_MIN + 8)),
+        st.tuples(st.just("merge"), st.lists(_SAMPLES, max_size=8)),
+        st.tuples(st.just("read"), st.sampled_from(_READERS))),
+        max_size=20))
+    @example(ops=[("record", 5), ("read", "count"),
+                  ("record_many", [-1] + [1 << 40] * BULK_MIN),
+                  ("merge", [7, 7, -3]), ("record_n", 5, 3)])
+    def test_fold_on_read_is_exact(self, ops):
+        """Reads at any point fold the tally; none changes what the
+        histogram ends up holding."""
+        hist, samples = LatencyHistogram(), []
+        for op, *args in ops:
+            if op == "record":
+                hist.record(args[0])
+                samples.append(args[0])
+            elif op == "record_n":
+                hist.record_n(*args)
+                samples += [args[0]] * args[1]
+            elif op == "record_many":
+                hist.record_many(args[0])
+                samples += args[0]
+            elif op == "merge":
+                other = LatencyHistogram()       # merged unfolded
+                for sample in args[0]:
+                    other.record(sample)
+                hist.merge(other)
+                samples += args[0]
+            else:
+                value = getattr(hist, args[0])
+                if callable(value):
+                    list(value())
+            assert len(hist._tally or ()) <= _TALLY_MAX
+        assert hist.state_dict() == reference_record(samples)
+
+    def test_distinct_values_never_outgrow_the_buckets(self):
+        hist = LatencyHistogram()
+        for value in range(3 * _TALLY_MAX):
+            hist.record(value * 1_000_003)
+            assert len(hist._tally or ()) <= _TALLY_MAX
+        for value in range(3 * _TALLY_MAX):
+            hist.record_n(-value, 2)
+            assert len(hist._tally or ()) <= _TALLY_MAX
+        assert hist.count == 9 * _TALLY_MAX
+        assert hist.min_ns == 0 and not hist._tally
+
+    def test_tallies_key_a_value_by_one_shared_int(self):
+        fresh = [int(str(10**6 + 7)) for _ in range(3)]   # equal, not same
+        with mock.patch.dict(hist_module._SHARED_VALUES, clear=True):
+            tallies = [LatencyHistogram() for _ in fresh]
+            for hist, value in zip(tallies, fresh):
+                hist.record(value)
+            keys = [next(iter(hist._tally)) for hist in tallies]
+            assert keys[0] is keys[1] is keys[2]
+            hist_module._SHARED_VALUES.update(
+                (n, n) for n in range(_TALLY_MAX - 1))  # full: no sharing
+            hist = LatencyHistogram()
+            hist.record(fresh[0] + 1)
+            assert len(hist_module._SHARED_VALUES) == _TALLY_MAX
+            assert hist.state_dict() == reference_record([fresh[0] + 1])
+
+    def test_p999_rank_is_exact(self):
+        # 41 000 * 99.9 / 100 is 40 959 exactly; in floats it rounds up
+        # and took the first of the 41 slow samples.
+        hist = LatencyHistogram()
+        hist.record_n(0, 40_959)
+        hist.record_n(10**6, 41)
+        assert hist.p999 == 0
+        hist.record(10**6)                      # rank 40 960 now
+        assert hist.p999 == 10**6
+        for p in (0.1, 12.5, 33.3, 99.9, 99.99):
+            rank = Fraction(str(p)) / 100
+            for n in (1, 7, 1000, 41_000, 82_000, 1_000_000):
+                hist = LatencyHistogram()
+                target = max(1, math.ceil(n * rank))
+                hist.record_n(1, target - 1)    # exact buckets: the rank
+                hist.record_n(2, n - target + 1)  # is the first 2
+                assert hist.percentile(p) == 2, (p, n)
+
+
+def _valid_state():
+    hist = LatencyHistogram()
+    for value in (1, 160, 4000, 52_000_000):
+        hist.record(value)
+    return hist.state_dict()
+
+
+def _edited(**changes):
+    state = _valid_state()
+    state.update(changes)
+    return state
+
+
+_VALID = _valid_state()
+_HOSTILE_STATES = {
+    "not a mapping": [1, 2, 3],
+    "negative count": _edited(count=-4),
+    "float count": _edited(count=4.0),
+    "bool count": _edited(count=True),
+    "string count": _edited(count="4"),
+    "negative total": _edited(total_ns=-1),
+    "none min": _edited(min_ns=None),
+    "buckets a list": _edited(buckets=[1, 2]),
+    "string bucket key": _edited(buckets={
+        str(k): v for k, v in _VALID["buckets"].items()}),
+    "negative bucket key": _edited(buckets={-1: 4}, min_ns=0, max_ns=0,
+                                   total_ns=0),
+    "float bucket count": _edited(buckets={
+        k: float(v) for k, v in _VALID["buckets"].items()}),
+    "negative bucket count": _edited(buckets={1: 5, 160: -1}),
+    "empty bucket": _edited(buckets={**_VALID["buckets"], 40: 0}),
+    "buckets short of count": _edited(count=5),
+    "buckets over count": _edited(count=3),
+    "min above max": _edited(min_ns=52_000_000, max_ns=1),
+    "total above count * max": _edited(total_ns=4 * 52_000_000 + 1),
+    "total below count * min": _edited(min_ns=160, total_ns=639,
+                                       buckets={bucket_index(160): 2,
+                                                bucket_index(4000): 1,
+                                                bucket_index(52_000_000):
+                                                1}),
+    "negative min": _edited(min_ns=-1),
+    "empty with a max": {"count": 0, "total_ns": 0, "min_ns": 0,
+                         "max_ns": 7, "buckets": {}},
+    **{f"truncated at {key}": {k: v for k, v in _VALID.items() if k != key}
+       for key in _VALID},
+}
+
+
+class TestHostileHistogramState:
+    """``load_state`` refuses what no recording produces: snapshot
+    files feed it (``core/persistence.py``)."""
+
+    def test_a_valid_state_loads(self):
+        hist = LatencyHistogram.from_state(_valid_state())
+        assert hist.state_dict() == _valid_state()
+        assert LatencyHistogram.from_state(
+            LatencyHistogram().state_dict()).count == 0
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_STATES))
+    def test_hostile_state_is_refused(self, name):
+        with pytest.raises(ValueError, match="histogram state"):
+            LatencyHistogram.from_state(_HOSTILE_STATES[name])
+        hist = LatencyHistogram()
+        hist.record(33)
+        before = hist.state_dict()
+        with pytest.raises(ValueError):
+            hist.load_state(_HOSTILE_STATES[name])
+        assert hist.state_dict() == before
 
 
 class TestMetricsPersistence:
