@@ -41,7 +41,7 @@ from ..flash.array import FlashArray
 from ..flash.errors import BadBlockError
 from ..flash.oob import OOB_BYTES
 from ..flash.segment import PageState
-from .registry import register_backend
+from .registry import RegistryError, register_backend
 
 __all__ = ["FileBackend", "FileStoreError", "make_file_backend"]
 
@@ -256,6 +256,8 @@ class FileBackend(FlashArray):
     options="path=<image file> (required), fsync=<bool>")
 def make_file_backend(config, store_data, spare_segments,
                       path=None, fsync=False):
+    if path in (None, ""):
+        raise RegistryError("file backend needs path=<image file>")
     return FileBackend(config.flash, config.page_bytes,
                        store_data=store_data,
                        spare_segments=spare_segments,

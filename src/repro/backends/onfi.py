@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 from ..flash.array import FlashArray
 from ..flash.errors import FlashError
 from ..flash.oob import OOB_BYTES
-from .registry import register_backend
+from .registry import RegistryError, register_backend
 
 __all__ = ["OnfiBus", "OnfiBackend", "make_onfi_backend"]
 
@@ -229,6 +229,10 @@ class OnfiBackend(FlashArray):
     options="cycle_ns=25, addr_cycles=5, factory_bad=0, bb_seed=0")
 def make_onfi_backend(config, store_data, spare_segments, cycle_ns=25,
                       addr_cycles=5, factory_bad=0, bb_seed=0):
+    if cycle_ns < 0 or addr_cycles < 1 or factory_bad < 0:
+        raise RegistryError(
+            f"onfi: need cycle_ns >= 0, addr_cycles >= 1, factory_bad >= 0 "
+            f"(got {cycle_ns}, {addr_cycles}, {factory_bad})")
     return OnfiBackend(config.flash, config.page_bytes,
                        store_data=store_data,
                        spare_segments=spare_segments,

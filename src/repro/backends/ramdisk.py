@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from ..core.costmodel import DRAM_READ_NS, DRAM_WRITE_NS
 from ..flash.array import FlashArray
 from ..ramdisk.blockdev import BlockDevice
-from .registry import register_backend
+from .registry import RegistryError, register_backend
 
 __all__ = ["RamImage", "RamdiskBackend", "make_ramdisk_backend"]
 
@@ -151,6 +151,8 @@ class RamdiskBackend(FlashArray):
     options="block_bytes=<divides page size; default page_bytes>")
 def make_ramdisk_backend(config, store_data, spare_segments,
                          block_bytes=None):
+    if block_bytes is not None and block_bytes < 1:
+        raise RegistryError(f"ramdisk: block_bytes={block_bytes} must be >= 1")
     return RamdiskBackend(config.flash, config.page_bytes,
                           store_data=store_data,
                           spare_segments=spare_segments,

@@ -24,6 +24,7 @@ Third-party code registers with the decorators::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -108,7 +109,10 @@ def parse_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
                 raise RegistryError(
                     f"malformed option {chunk!r} in spec {spec!r} "
                     f"(expected key=value)")
-            options[key.strip()] = _coerce(value.strip())
+            coerced = _coerce(value.strip())
+            if isinstance(coerced, float) and not math.isfinite(coerced):
+                raise RegistryError(f"non-finite option {chunk!r} in {spec!r}")
+            options[key.strip()] = coerced
     return name, options
 
 

@@ -191,8 +191,9 @@ class TenantSpec:
             raise ValueError("tenant needs a name")
         if self.workload not in _HONEST_WORKLOADS + ATTACK_WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}")
-        if not math.isfinite(self.skew):
-            raise ValueError("skew must be finite")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.attack_pages < 1:
             raise ValueError("attack_pages must be positive")
         if self.wear_budget is not None and self.wear_budget < 1:
@@ -256,19 +257,28 @@ class TenantSpec:
         raise ValueError(f"bad boolean {value!r} (use true/false)")
 
     @staticmethod
+    def _int(value: str) -> int:
+        """``int(float(value))``, so ``clients=1e2`` works; ``inf`` and
+        ``1e400`` are a ValueError, not an OverflowError."""
+        try:
+            return int(float(value))
+        except OverflowError:
+            raise ValueError(f"{value.strip()!r} is not finite") from None
+
+    @staticmethod
     def _parse_range(value: str) -> Tuple[int, int]:
         start, sep, end = value.strip().partition(":")
         if not sep:
             raise ValueError(
                 f"bad page_range {value!r} (use 'start:end', e.g. 0:256)")
-        return int(float(start)), int(float(end))
+        return TenantSpec._int(start), TenantSpec._int(end)
 
     @classmethod
     def _coercers(cls) -> Dict[str, object]:
         coercers: Dict[str, object] = {}
         for spec_field in fields(cls):
             if spec_field.type in ("int", "Optional[int]"):
-                coercers[spec_field.name] = int
+                coercers[spec_field.name] = cls._int
             elif spec_field.type in ("float", "Optional[float]"):
                 coercers[spec_field.name] = float
             elif spec_field.type in ("bool", "Optional[bool]"):
@@ -307,9 +317,9 @@ class TenantSpec:
                         f"bad slo spec {value!r} "
                         f"(use READ[:WRITE[:TARGET]])")
                 if bounds[0] not in ("", "-"):
-                    kwargs["slo_read_p99_ns"] = int(float(bounds[0]))
+                    kwargs["slo_read_p99_ns"] = cls._int(bounds[0])
                 if len(bounds) > 1 and bounds[1] not in ("", "-"):
-                    kwargs["slo_write_p99_ns"] = int(float(bounds[1]))
+                    kwargs["slo_write_p99_ns"] = cls._int(bounds[1])
                 if len(bounds) > 2 and bounds[2] not in ("", "-"):
                     kwargs["slo_target"] = float(bounds[2])
                 continue
@@ -317,9 +327,7 @@ class TenantSpec:
                 raise ValueError(
                     f"bad tenant spec item {part!r}; keys: "
                     f"{', '.join(sorted(coercers))}, slo")
-            coerce = coercers[key]
-            kwargs[key] = coerce(float(value)) if coerce is int else \
-                coerce(value.strip())
+            kwargs[key] = coercers[key](value.strip())
         if isinstance(kwargs.get("workload"), str):
             kwargs["workload"] = kwargs["workload"].replace("-", "_")
         tenant = cls(**kwargs)

@@ -4,7 +4,12 @@ and none is failed by a slow box (``deadline=None``).  Known regressions
 are carried by explicit ``@example``\\ s, not by luck of the draw.
 
 CI jobs that run only Hypothesis-free test files do not install it.
+
+``--update-fidelity`` rewrites the fidelity-ledger cases a run produces
+instead of checking them (``tests/fidelity.py``).
 """
+
+from .fidelity import LEDGER
 
 try:
     from hypothesis import settings
@@ -13,3 +18,18 @@ except ImportError:
 else:
     settings.register_profile("tier1", derandomize=True, deadline=None)
     settings.load_profile("tier1")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--update-fidelity", action="store_true",
+                     help="rewrite the tests/data/fidelity.json cases this "
+                          "run produces instead of checking them")
+
+
+def pytest_configure(config):
+    LEDGER.update = config.getoption("update_fidelity")
+
+
+def pytest_sessionfinish():
+    if LEDGER.update:
+        LEDGER.save()

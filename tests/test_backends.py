@@ -9,6 +9,7 @@ boundary, nothing below that boundary influences placement (same trace
 
 import io
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,7 @@ from repro.core.tracing import TraceError
 from repro.faults.badblocks import BadBlockTable
 from repro.flash.array import FlashArray
 from repro.flash.errors import BadBlockError
+from repro.service import TenantSpec
 
 
 def small_config(**overrides):
@@ -67,6 +69,30 @@ class TestSpecParsing:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(RegistryError, match="already registered"):
             register_backend("flash")(lambda *a, **k: None)
+
+
+
+#: Spec strings that once hung the load generator, raised OverflowError,
+#: silently disabled a rate limit or charged negative simulated time.
+HOSTILE_SPECS = [
+    (TenantSpec.parse, ValueError, f"name=a,{option}") for option in (
+        "rate_tps=inf", "rate_tps=nan", "rate_limit_tps=nan", "burst=nan",
+        "clients=inf", "slo=inf", "page_range=inf:5", "attack_pages=1e400",
+        "arrive_s=nan", "burst_x=nan")] + [
+    (lambda spec: create_backend(spec, small_config()), RegistryError, spec)
+    for spec in ("onfi:cycle_ns=-5", "onfi:cycle_ns=-500",
+                 "onfi:cycle_ns=nan", "onfi:addr_cycles=inf",
+                 "onfi:factory_bad=-1", "ramdisk:block_bytes=0",
+                 "file:path=")]
+
+
+@pytest.mark.parametrize("parse, error, spec", HOSTILE_SPECS,
+                         ids=[spec for _, _, spec in HOSTILE_SPECS])
+def test_hostile_spec_is_refused_in_bounded_time(parse, error, spec):
+    started = time.monotonic()
+    with pytest.raises(error):
+        parse(spec)
+    assert time.monotonic() - started < 1.0
 
 
 class TestRegistry:

@@ -8,7 +8,6 @@ simulated results as an uninstrumented one.
 
 import json
 import math
-import os
 from fractions import Fraction
 from unittest import mock
 
@@ -28,6 +27,8 @@ from repro.obs.export import chrome_trace, events_jsonl, prometheus_text
 from repro.obs.hist import (_TALLY_MAX, BULK_MIN, RELATIVE_ERROR,
                             SUBBUCKETS, bucket_bounds, bucket_index)
 from repro.sim import build_tpca_system
+
+from .fidelity import LEDGER
 
 
 # ----------------------------------------------------------------------
@@ -564,9 +565,6 @@ class TestCountedHostReads:
     """A hub-attached TPC-A slice hears a read run as at most two
     ``host.read`` events, and accounts it read by read."""
 
-    WINDOWS = os.path.join(os.path.dirname(__file__), "data",
-                           "tpca_hub_windows.json")
-
     def test_fewer_events_same_accounting(self):
         simulator = build_tpca_system(num_segments=16, pages_per_segment=64,
                                       rate_tps=20_000.0, seed=11)
@@ -584,9 +582,9 @@ class TestCountedHostReads:
             == metrics.read_latency.state_dict()
         assert hub.time_by_kind()["host.read"] == metrics.busy_ns["read"]
         # The window list of the commit before HOST_READ carried a
-        # count (per-read spans) — never regenerate.
-        with open(self.WINDOWS) as handle:
-            assert hub.sampler.as_dicts() == json.load(handle)
+        # count (per-read spans) — never update.
+        LEDGER.check("hub_windows/tpca_20k",
+                     {"windows": hub.sampler.as_dicts()})
 
     def test_counted_span_exports_parse(self):
         events = [ObsEvent("host.read", 100, 260, {"page": 4}),

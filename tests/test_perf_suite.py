@@ -1,21 +1,18 @@
 """Determinism and correctness suite for the performance layer.
 
 The fast-path rewrite (running totals, cached aggregates, lazy OOB
-stamping) and the parallel sweep runner are
-only admissible if they are *invisible*: with fixed seeds, every metric
-must match the pre-rewrite golden values byte for byte, and a parallel
-sweep must return exactly what the serial loop returns.
-``tests/data/golden_perf.json`` was captured on the pre-rewrite tree and
-committed; these tests replay its scenarios against the current code.
+stamping) and the parallel sweep runner are only admissible if they are
+*invisible*: a parallel sweep must return exactly what the serial loop
+returns, and the hot-path structures must agree with their reference
+implementations.  The seeded values captured on the pre-rewrite tree
+are ``perf/*`` cases of the fidelity ledger.
 """
 
-import json
 import random
-from pathlib import Path
 
 import pytest
 
-from repro.cleaning import make_policy, measure_cleaning_cost
+from repro.cleaning import make_policy
 from repro.cleaning.store import SegmentStore
 from repro.core import EnvyConfig, EnvySystem
 from repro.core.persistence import roundtrip
@@ -25,74 +22,32 @@ from repro.perf import (cleaning_cost_point, derive_seed, resolve_jobs,
                         run_sweep)
 from repro.sim.engine import build_tpca_system
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_perf.json").read_text())
+from .fidelity import LEDGER
+from .test_scenario_fidelity import block
 
 
 # ----------------------------------------------------------------------
-# Golden values: the rewrite must be bit-identical to the old code
+# The pre-rewrite goldens: runs of the perf scenarios, checked once
 # ----------------------------------------------------------------------
 
-def _untimed_result(key):
-    policy_name, locality = key.split(":")
-    kwargs = {"partition_segments": 8} if policy_name == "hybrid8" else {}
-    policy = make_policy("hybrid" if policy_name == "hybrid8"
-                         else policy_name, **kwargs)
-    return measure_cleaning_cost(policy, locality, num_segments=32,
-                                 pages_per_segment=64, utilization=0.8,
-                                 turnovers=2.0, warmup_turnovers=2.0,
-                                 seed=1234)
+#: The pre-rewrite golden run names and the ledger case each became.
+GOLDEN_RUNS = {
+    "greedy:10/90": "perf/cleaning_greedy_10_90",
+    "greedy:50/50": "perf/cleaning_greedy",
+    "hybrid8:10/90": "perf/cleaning_hybrid8_10_90",
+    "hybrid8:50/50": "perf/cleaning_hybrid8_50_50",
+    "locality:10/90": "perf/cleaning_locality",
+    "locality:50/50": "perf/cleaning_locality_50_50",
+}
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN["untimed"]))
-def test_untimed_golden(key):
-    result = _untimed_result(key)
-    got = {"cleaning_cost": result.cleaning_cost,
-           "flushes": result.flushes,
-           "clean_copies": result.clean_copies,
-           "transfers": result.transfers,
-           "erases": result.erases,
-           "wear_spread": result.wear_spread,
-           "wear_swaps": result.wear_swaps,
-           "buffer_hits": result.buffer_hits,
-           "host_writes": result.host_writes}
-    for field, want in GOLDEN["untimed"][key].items():
-        assert got[field] == want, f"{key}.{field}"
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_untimed_golden(run):
+    LEDGER.check(GOLDEN_RUNS[run], block(GOLDEN_RUNS[run]))
 
 
 def test_tpca_golden():
-    simulator = build_tpca_system(num_segments=16, pages_per_segment=128,
-                                  rate_tps=20000.0, seed=7)
-    simulator.prewarm(5.0)
-    stats = simulator.run(0.03, 0.01)
-    controller = simulator.controller
-    wear = controller.array.wear_stats()
-    got = {
-        "transactions_completed": stats.transactions_completed,
-        "pages_flushed": stats.pages_flushed,
-        "clean_copies": stats.clean_copies,
-        "erases": stats.erases,
-        "simulated_ns": stats.simulated_ns,
-        "read_p50": stats.read_latency.p50,
-        "read_p99": stats.read_latency.p99,
-        "read_count": stats.read_latency.count,
-        "read_total_ns": stats.read_latency.total_ns,
-        "write_p50": stats.write_latency.p50,
-        "write_p99": stats.write_latency.p99,
-        "write_count": stats.write_latency.count,
-        "write_total_ns": stats.write_latency.total_ns,
-        "host_stall_ns": stats.host_stall_ns,
-        "wear_spread": controller.store.wear_spread(),
-        "wear_total_erases": wear.total_erases,
-        "wear_total_programs": wear.total_programs,
-        "metrics_flushes": controller.metrics.flushes,
-        "metrics_writes": controller.metrics.writes,
-        "metrics_reads": controller.metrics.reads,
-        # Cumulative since prewarm reset (not the windowed stats value).
-        "busy_ns": dict(sorted(controller.metrics.busy_ns.items())),
-    }
-    for field, want in GOLDEN["tpca"].items():
-        assert got[field] == want, field
+    LEDGER.check("perf/tpca_prewarmed", block("perf/tpca_prewarmed"))
 
 
 # ----------------------------------------------------------------------

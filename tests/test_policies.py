@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.cleaning import (FifoPolicy, GreedyPolicy, HybridPolicy,
                             LocalityGatheringPolicy, PolicySimulator,
                             SegmentStore, make_policy, measure_cleaning_cost)
 from repro.workloads import BimodalWorkload, UniformWorkload
+
+from .fidelity import LEDGER
 
 
 def simulate(policy, label="50/50", segs=16, pages=64, writes_factor=4,
@@ -332,77 +335,14 @@ class TestSimulatorBuffer:
 
 # ----------------------------------------------------------------------
 # Pinned replay: full end state of seeded runs, recorded before the
-# write-path rewrite (PR 14's parent commit).  NEVER regenerate — a
-# mismatch means a seeded output moved.
+# write-path rewrite, as the ``store_run/<name>`` cases of the fidelity
+# ledger.  NEVER update them — a mismatch means a seeded output moved.
 # ----------------------------------------------------------------------
 
-#: (policy, buffer_pages, buffer_policy, wear_leveling) -> sha256
-PINNED_DIGESTS = {
-    ("greedy", 0, "fifo", True):
-        "3bcbc0a1e7bcf7948d6f320e84edaf60330d233f0ccc63a3f20fa09a8d55a2cd",
-    ("greedy", 0, "fifo", False):
-        "664b0e220846755699648bd9dd487c78705131ae957981a494af936f96cbfe78",
-    ("greedy", 0, "lru", True):
-        "3bcbc0a1e7bcf7948d6f320e84edaf60330d233f0ccc63a3f20fa09a8d55a2cd",
-    ("greedy", 0, "lru", False):
-        "664b0e220846755699648bd9dd487c78705131ae957981a494af936f96cbfe78",
-    ("greedy", None, "fifo", True):
-        "8c2affe7a20ef1ce3358c8962e96e466fcd686cd7e8c2ca47da395d08f729ce4",
-    ("greedy", None, "fifo", False):
-        "abbe4c346c260ed74e0556cd2abde5a024529e9080eb31f3478e65b63e456af8",
-    ("greedy", None, "lru", True):
-        "25ec9b307282b20b492214b7a2319945b0ab48782e49e38104afff3744c7c478",
-    ("greedy", None, "lru", False):
-        "ddc1257302a57cd968e858eeb4b224ae3a9b0a4ad3335a1ca1072b4dfd98a97d",
-    ("fifo", 0, "fifo", True):
-        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
-    ("fifo", 0, "fifo", False):
-        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
-    ("fifo", 0, "lru", True):
-        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
-    ("fifo", 0, "lru", False):
-        "72697995559d3fd1511a686cb9add620ed26b8bdc4d3bfe8dd027e897fa0eecf",
-    ("fifo", None, "fifo", True):
-        "3861fb7e5be8c83b490caf2a066ff42dcc100850287bca20957ae8d159e7a778",
-    ("fifo", None, "fifo", False):
-        "3861fb7e5be8c83b490caf2a066ff42dcc100850287bca20957ae8d159e7a778",
-    ("fifo", None, "lru", True):
-        "5b306c0fee0a542e44cec4020fb284987979f7382ac01d06e3377802b37fc804",
-    ("fifo", None, "lru", False):
-        "5b306c0fee0a542e44cec4020fb284987979f7382ac01d06e3377802b37fc804",
-    ("locality", 0, "fifo", True):
-        "7439bb9b6dcbb45ef77a10add5c0a9824eadf2d8fd30116565c99c2fe08b5268",
-    ("locality", 0, "fifo", False):
-        "adf5d6def53a67086e013c733010c337d3ef790c26c362fa5e650b819e4e01fc",
-    ("locality", 0, "lru", True):
-        "7439bb9b6dcbb45ef77a10add5c0a9824eadf2d8fd30116565c99c2fe08b5268",
-    ("locality", 0, "lru", False):
-        "adf5d6def53a67086e013c733010c337d3ef790c26c362fa5e650b819e4e01fc",
-    ("locality", None, "fifo", True):
-        "d07030528e86da988403ae7021ae2b50333d821db192158d0e41b3ad303614e7",
-    ("locality", None, "fifo", False):
-        "e0b8dd2c658b07369365f5d1178c069bd885f0c1a69eedaacebde125c02a773f",
-    ("locality", None, "lru", True):
-        "d277d44b8d0d5996d5b30a72c5e0503fb7dc0be13209b7353a5f889547474bda",
-    ("locality", None, "lru", False):
-        "dc9f4e00fa9418ce4afc5c02a54ffac2e6b272a6f0970c2c72199d48d4433319",
-    ("hybrid", 0, "fifo", True):
-        "a484d3c1392a72902b1a3a2e58d375973d76b5f8785f7bc7f322223dd54b9c82",
-    ("hybrid", 0, "fifo", False):
-        "3abcbcfa7394a34eafb4cb8748ac6e7e7bbbe5395fb18cb444652eb76207970d",
-    ("hybrid", 0, "lru", True):
-        "a484d3c1392a72902b1a3a2e58d375973d76b5f8785f7bc7f322223dd54b9c82",
-    ("hybrid", 0, "lru", False):
-        "3abcbcfa7394a34eafb4cb8748ac6e7e7bbbe5395fb18cb444652eb76207970d",
-    ("hybrid", None, "fifo", True):
-        "aa1510375ef704727d1aee101ee70d2d232a536c62993f4291f39f8fc1236e47",
-    ("hybrid", None, "fifo", False):
-        "f6ce353b6b69caabf706d326e96c6ffcf34acdbbc1f0a9bd9c15a9a2ec80a4e3",
-    ("hybrid", None, "lru", True):
-        "400a5e75c8156dd1d6cda5383f19ec93e89efa1d2d59238802938ee5a950273c",
-    ("hybrid", None, "lru", False):
-        "d4b3ad50e9be906860f67335479870e11d098de3948c52093e3ef6e4c6c4f055",
-}
+#: name -> (policy, buffer_pages, buffer_policy, wear_leveling)
+STORE_RUNS = {"-".join(map(str, key)): key for key in itertools.product(
+    ("greedy", "fifo", "locality", "hybrid"), (0, None), ("fifo", "lru"),
+    (True, False))}
 
 
 class TestPinnedStoreRun:
@@ -418,10 +358,9 @@ class TestPinnedStoreRun:
         workload = BimodalWorkload.from_label(live, "10/90", seed=2024)
         return sim, sim.run(workload, live * 12, warmup_writes=live * 3)
 
-    @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS, key=repr),
-                             ids=lambda key: "-".join(map(str, key)))
-    def test_end_state_digest(self, key):
-        policy, buffer_pages, _, wear_leveling = key
+    @pytest.mark.parametrize("name", STORE_RUNS)
+    def test_end_state_digest(self, name):
+        policy, buffer_pages, _, wear_leveling = key = STORE_RUNS[name]
         sim, result = self.run_slice(*key)
         store = sim.store
         state = (sorted(dataclasses.asdict(result).items()),
@@ -436,5 +375,6 @@ class TestPinnedStoreRun:
         # FIFO wears evenly by construction; the others must level.
         assert (result.wear_swaps > 0) == (wear_leveling
                                            and policy != "fifo")
-        assert hashlib.sha256(repr(state).encode()).hexdigest() == \
-            PINNED_DIGESTS[key]
+        LEDGER.check(f"store_run/{name}", dict(
+            dataclasses.asdict(result), cleaning_cost=result.cleaning_cost,
+            sha256=hashlib.sha256(repr(state).encode()).hexdigest()))

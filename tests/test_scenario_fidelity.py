@@ -7,12 +7,13 @@ scenarios of the six retired bench suites (perf, service, attack,
 redundancy, backends, obs), runs each once with ``jobs=1`` and checks
 two things:
 
-* the ``fidelity`` dict each scenario point produces equals its block
-  in ``tests/data/golden_scenarios.json`` — whole-dict equality, so a
-  missing or an extra key fails as loudly as a changed value.  The
-  golden file is a copy of the 28 ``fidelity`` blocks of the committed
-  ``BENCH_*.smoke.json`` baselines; **never regenerate it** to make a
-  failure go away — a diff here is a determinism break;
+* the ``fidelity`` dict each scenario point produces is its case of the
+  fidelity ledger (``tests/fidelity.py``) — whole-dict, so a missing or
+  an extra key fails as loudly as a changed value.  The cases are copies
+  of the 28 ``fidelity`` blocks of the last committed
+  ``BENCH_*.smoke.json`` baselines and of the pre-rewrite cleaning-cost
+  and TPC-A goldens; **never update them** to make a failure go away —
+  a diff here is a determinism break;
 * the simulated-time gates the harnesses enforced (shard scaling,
   cached-read speed-up, fleet SLO rate, attack detection and
   containment, redundancy drills, backend parity, zero-perturbation
@@ -26,7 +27,6 @@ import functools
 import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -42,23 +42,7 @@ from repro.service.frontend import EnvyService, ServiceConfig
 from repro.service.tenant import TenantSpec
 from repro.sim import build_tpca_system
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_scenarios.json").read_text())
-
-
-def mismatch(produced, golden, path="fidelity"):
-    """Paths at which ``produced`` differs from ``golden``; ``[]`` iff ==."""
-    if isinstance(produced, dict) and isinstance(golden, dict):
-        found = [f"{path}.{key}: missing from the run"
-                 for key in golden.keys() - produced.keys()]
-        found += [f"{path}.{key}: not in the golden block"
-                  for key in produced.keys() - golden.keys()]
-        for key in golden.keys() & produced.keys():
-            found += mismatch(produced[key], golden[key], f"{path}.{key}")
-        return sorted(found)
-    if produced == golden:
-        return []
-    return [f"{path}: {produced!r} != golden {golden!r}"]
+from .fidelity import LEDGER, mismatch
 
 
 # ----------------------------------------------------------------------
@@ -108,18 +92,39 @@ def _config(spec, **overrides):
 
 def run_cleaning(spec):
     result = cleaning_cost_point(spec)
-    return {"": {
-        "cleaning_cost": result.cleaning_cost,
-        "flushes": result.flushes,
-        "clean_copies": result.clean_copies,
-        "erases": result.erases,
-        "wear_spread": result.wear_spread,
-        "wear_swaps": result.wear_swaps,
-    }}
+    fidelity = {field: getattr(result, field) for field in (
+        "flushes", "clean_copies", "transfers", "erases", "wear_spread",
+        "wear_swaps", "buffer_hits", "host_writes")}
+    return {"": dict(fidelity, cleaning_cost=result.cleaning_cost)}
 
 
 def run_tpca_point(spec):
     return {"": _tpca_fidelity(tpca_point(spec))}
+
+
+def run_tpca_prewarmed(spec):
+    """A prewarmed TPC-A run, down to the controller's cumulative
+    counters and per-subsystem busy time."""
+    simulator = build_tpca_system(**spec["system"])
+    simulator.prewarm(spec["prewarm_s"])
+    stats = simulator.run(spec["duration_s"], spec["warmup_s"])
+    controller = simulator.controller
+    metrics, wear = controller.metrics, controller.array.wear_stats()
+    fidelity = {key: getattr(stats, key) for key in (
+        "transactions_completed", "pages_flushed", "clean_copies", "erases",
+        "simulated_ns", "host_stall_ns")}
+    for op in ("read", "write"):
+        latency = getattr(stats, f"{op}_latency")
+        fidelity.update({f"{op}_{key}": getattr(latency, key)
+                         for key in ("p50", "p99", "count", "total_ns")})
+    return {"": dict(
+        fidelity, wear_spread=controller.store.wear_spread(),
+        wear_total_erases=wear.total_erases,
+        wear_total_programs=wear.total_programs,
+        metrics_flushes=metrics.flushes, metrics_writes=metrics.writes,
+        metrics_reads=metrics.reads,
+        # Cumulative since the prewarm reset, not the windowed stats value.
+        busy_ns=metrics.busy_ns)}
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +414,7 @@ def run_traced_service(spec):
 
 _CLEANING = dict(num_segments=32, pages_per_segment=64, utilization=0.80,
                  turnovers=2.0, warmup_turnovers=2.0, seed=1234)
+_HYBRID8 = dict(policy="hybrid", policy_kwargs={"partition_segments": 8})
 _SERVICE_32x64 = dict(total_segments=32, pages_per_segment=64,
                       duration_s=0.0002)
 _SERVICE_128x64 = dict(total_segments=128, pages_per_segment=64,
@@ -429,9 +435,20 @@ SCENARIOS = {
         _CLEANING, policy="greedy", locality="50/50")),
     "perf/cleaning_locality": (run_cleaning, dict(
         _CLEANING, policy="locality", locality="10/90")),
+    "perf/cleaning_greedy_10_90": (run_cleaning, dict(
+        _CLEANING, policy="greedy", locality="10/90")),
+    "perf/cleaning_locality_50_50": (run_cleaning, dict(
+        _CLEANING, policy="locality", locality="50/50")),
+    "perf/cleaning_hybrid8_10_90": (run_cleaning, dict(
+        _CLEANING, **_HYBRID8, locality="10/90")),
+    "perf/cleaning_hybrid8_50_50": (run_cleaning, dict(
+        _CLEANING, **_HYBRID8, locality="50/50")),
     "perf/tpca_hybrid": (run_tpca_point, dict(
         rate_tps=20_000.0, num_segments=16, pages_per_segment=128,
         duration_s=0.04, warmup_s=0.01, prewarm_turnovers=3.0, seed=7)),
+    "perf/tpca_prewarmed": (run_tpca_prewarmed, dict(
+        _OBS_TPCA, system=dict(_OBS_TPCA["system"], rate_tps=20_000.0),
+        duration_s=0.03, warmup_s=0.01)),
 
     # One saturating zipf tenant plus a rate-limited background tenant;
     # carries the >= 2.5x @ 4 shards gate.
@@ -513,6 +530,10 @@ SCENARIOS = {
         rate_tps=4e6, duration_s=0.0004, seed=0)),
 }
 
+#: The scenario suites' cases of the fidelity ledger.
+GOLDEN = sorted(case for case in LEDGER.cases if case.split("/")[0]
+                in {scenario.split("/")[0] for scenario in SCENARIOS})
+
 
 @functools.lru_cache(maxsize=None)
 def produced(scenario):
@@ -530,9 +551,9 @@ def block(case):
 # (a) exact fidelity
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
+@pytest.mark.parametrize("case", GOLDEN)
 def test_fidelity_matches_golden(case):
-    assert mismatch(block(case), GOLDEN[case]) == []
+    LEDGER.check(case, block(case))
 
 
 def test_every_scenario_point_is_pinned():
@@ -541,21 +562,14 @@ def test_every_scenario_point_is_pinned():
 
 
 def test_changed_missing_or_extra_key_is_a_mismatch():
-    golden = GOLDEN["perf/cleaning_greedy"]
-    assert mismatch(dict(golden), golden) == []
-    assert mismatch(dict(golden, erases=golden["erases"] + 1), golden) == [
-        f"fidelity.erases: {golden['erases'] + 1} != golden "
-        f"{golden['erases']}"]
-    dropped = {key: value for key, value in golden.items()
-               if key != "wear_swaps"}
-    assert mismatch(dropped, golden) == [
-        "fidelity.wear_swaps: missing from the run"]
-    assert mismatch(dict(golden, extra=0), golden) == [
-        "fidelity.extra: not in the golden block"]
-    nested = GOLDEN["service/zipf_canonical/1"]
-    pruned = dict(nested, tenants={"hot": nested["tenants"]["hot"]})
+    nested = LEDGER.cases["service/zipf_canonical/1"]
+    pruned = dict(nested, extra=0, simulated_ns=-1,
+                  tenants={"hot": nested["tenants"]["hot"]})
     assert mismatch(pruned, nested) == [
-        "fidelity.tenants.limited: missing from the run"]
+        "fidelity.extra: produced, not in the ledger",
+        f"fidelity.simulated_ns: produced -1 != ledger "
+        f"{nested['simulated_ns']}",
+        "fidelity.tenants.limited: in the ledger, not produced"]
 
 
 # ----------------------------------------------------------------------

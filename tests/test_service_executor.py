@@ -1,11 +1,12 @@
 """ShardExecutor: pinned replays, feed split-invariance, hook hygiene.
 
-``TestPinnedReplay`` holds one sha256 per executor feature set, taken
+``TestPinnedReplay`` pins one sha256 per executor feature set, taken
 over the full result dict plus the controller state the replay leaves
-behind.  The digests were **recorded at the commit before the replay
+behind, as the ``executor_replay/<feature set>`` cases of the fidelity
+ledger.  The digests were **recorded at the commit before the replay
 loop was rewritten** (page-granular reads, hoisted per-run constants,
 inline overdraft path) — they pin that rewrite to the old loop's
-behaviour and are never regenerated.
+behaviour and are never updated.
 """
 
 import collections
@@ -23,6 +24,8 @@ from repro.core.controller import EnvyController
 from repro.core.recovery import SimulatedPowerFailure
 from repro.service.executor import ShardExecutor
 from repro.service.loadgen import WINDOW_ROWS
+
+from .fidelity import LEDGER
 
 TENANTS = ["alpha", "beta", "gamma"]
 
@@ -106,24 +109,6 @@ FEATURE_SETS = {
         {"tenants": 4}, TENANTS + ["__redundancy__"], False),
 }
 
-#: Recorded at the parent commit of the replay-loop rewrite.  Never
-#: regenerate: a mismatch means the replay changed behaviour.
-PINNED = {
-    "attribute_wear":
-        "5a546fe5d315a5329fbe0624e743ba1cb74141b7f238fd24889d1449b8e6f47c",
-    "cache_caps":
-        "6c5aa4b6ab230e3ff20eb3134c54864e24c059e6550f3d5ce9c3d654e83b6ad4",
-    "plain":
-        "aac472bb4b1ae112fb0cfdd97ac42ced36d8f478a8931f0f12c574a1463180ec",
-    "retry_queue4":
-        "97c2fb43f180a98e42af281101490d5af73c7c8497c33e6e90b87dc075424634",
-    "trace_pseudo":
-        "25753cb3ffba17bbd7a275efabf7c09b5eeab423282df1f5c0f3e6ed3c6f3616",
-    "wear_budgets":
-        "c27eb215dc786646a50d19668eaa449c948aafad48bbf77aca76e5454ca712bc",
-}
-
-
 def feature_replay(name):
     """The pinned (executor, slice) of one feature set."""
     kwargs, slice_kwargs, names, store_data = FEATURE_SETS[name]
@@ -139,7 +124,8 @@ class TestPinnedReplay:
         rids = None
         if executor.trace:
             rids = [7 * i + 1 for i in range(len(requests))]
-        assert replay_digest(executor, requests, rids) == PINNED[name]
+        LEDGER.check(f"executor_replay/{name}",
+                     {"sha256": replay_digest(executor, requests, rids)})
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
@@ -156,7 +142,8 @@ class TestPinnedReplay:
         rids = None
         if executor.trace:
             rids = [7 * i + 1 for i in range(len(requests))]
-        assert replay_digest(executor, requests, rids, cuts) == PINNED[name]
+        LEDGER.check(f"executor_replay/{name}", {
+            "sha256": replay_digest(executor, requests, rids, cuts)})
 
     def test_default_rids_number_rows_across_feeds(self):
         """Without explicit rids a traced replay numbers rows by their

@@ -18,6 +18,7 @@ from repro.sim.tracker import SimStats
 from repro.workloads import TpcaTransaction, TpcaWorkload, page_runs
 from repro.workloads.tpca import STRADDLING_READ
 
+from .fidelity import LEDGER
 from .test_controller import per_read_spans
 
 # Small, fast configuration shared by most tests.
@@ -267,10 +268,12 @@ class TestRunsAreTheAccessesGrouped:
 
 
 class TestPinnedTpcaRun:
-    """sha256 of everything a timed TPC-A run reports and leaves behind,
-    **recorded at the commit before run-length reads (read_run_ns) —
-    never regenerate**: a mismatch means the read path's simulated
-    outputs moved, which no wall-clock change may do."""
+    """Everything a timed TPC-A run reports and leaves behind — its
+    headline numbers in plain and a sha256 of the rest, the
+    ``tpca_run/<slice>`` cases of the fidelity ledger — **recorded at the
+    commit before run-length reads (read_run_ns); never update**: a
+    mismatch means the read path's simulated outputs moved, which no
+    wall-clock change may do."""
 
     GEOMETRY = dict(num_segments=16, pages_per_segment=64)
     SEED = 11
@@ -282,18 +285,6 @@ class TestPinnedTpcaRun:
         "mmu2": (20_000.0, 0.004, 0.0, 2, False),
         "subscriber": (20_000.0, 0.002, 0.0, 64, True),
     }
-    PINNED = {
-        "mmu2": "1fb6ec667fba35b09e578ba80959f2dd"
-                "c45500792f0550823b9fd06ee399e294",
-        "saturated": "cfd834e0fc740fe45856ee9ec9949114"
-                     "eafde0c5fb01ab061559bc90c25daa0d",
-        "subscriber": "eec5d8aa6cd59564f765858308295fbf"
-                      "b61d9a307d004b065b2d155d923ae1cf",
-        "unsaturated": "d4a51ccbb90ddaaf29c40ada99b0104f"
-                       "140f48eb8a5061576b86d2a415f05f21",
-        "warmup": "0a23a3b99b713daacbc6ac12337b2565"
-                  "b1a0e7da633597ff797e4aedfc36ae36",
-    }
 
     def build(self, rate_tps):
         simulator = build_tpca_system(rate_tps=rate_tps, seed=self.SEED,
@@ -303,15 +294,15 @@ class TestPinnedTpcaRun:
 
     @pytest.mark.parametrize("name", sorted(SLICES))
     def test_pinned(self, name):
-        assert self.digest(name) == self.PINNED[name]
+        LEDGER.check(f"tpca_run/{name}", self.pinned(name))
 
     @pytest.mark.parametrize("name", sorted(SLICES))
     def test_pinned_with_a_recorder_subscribed(self, name):
         """Recording is observational: a ``RunTrace`` on
         ``access_listeners`` moves nothing the pin covers."""
-        assert self.digest(name, record=True) == self.PINNED[name]
+        LEDGER.check(f"tpca_run/{name}", self.pinned(name, record=True))
 
-    def digest(self, name, record=False):
+    def pinned(self, name, record=False):
         rate_tps, duration_s, warmup_s, capacity, subscribe = \
             self.SLICES[name]
         simulator = self.build(rate_tps)
@@ -373,5 +364,13 @@ class TestPinnedTpcaRun:
                     list(controller.mmu._cache)],
             "host_reads": spans,
         }
-        return hashlib.sha256(
-            json.dumps(observed, sort_keys=True).encode()).hexdigest()
+        return {
+            "transactions_completed": stats.transactions_completed,
+            "read_p50_ns": stats.read_latency.p50,
+            "read_p99_ns": stats.read_latency.p99,
+            "write_p50_ns": stats.write_latency.p50,
+            "write_p99_ns": stats.write_latency.p99,
+            "host_stall_ns": stats.host_stall_ns,
+            "sha256": hashlib.sha256(json.dumps(
+                observed, sort_keys=True).encode()).hexdigest(),
+        }

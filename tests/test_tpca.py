@@ -10,6 +10,8 @@ from repro.db import TpcaDatabase, TpcaLayout
 from repro.sim import build_tpca_system
 from repro.workloads.tpca import READ, WRITE, TpcaWorkload
 
+from .fidelity import LEDGER
+
 
 @pytest.fixture(scope="module")
 def loaded_db():
@@ -145,9 +147,10 @@ class TestWorkloadGenerator:
             self.make_workload(rate=0)
 
     def test_access_stream_pinned(self):
-        """sha256 of 200 transactions and their word accesses, recorded
-        at the commit before ``runs()`` shared a segment walker with
-        ``accesses()`` — never regenerate."""
+        """sha256 of 200 transactions and their word accesses
+        (``tpca_stream/first_200`` in the fidelity ledger), recorded at the
+        commit before ``runs()`` shared a segment walker with
+        ``accesses()`` — never update."""
         workload = build_tpca_system(num_segments=16, pages_per_segment=64,
                                      rate_tps=20_000.0, seed=11).workload
         digest = hashlib.sha256()
@@ -155,8 +158,7 @@ class TestWorkloadGenerator:
             digest.update(json.dumps(
                 [txn.account, txn.teller, txn.branch, txn.arrival_ns,
                  workload.accesses(txn)]).encode())
-        assert digest.hexdigest() == ("7fd86ec60aabae55c2e35b4c6423776c"
-                                      "33aee2974184432482e433e85728eaaa")
+        LEDGER.check("tpca_stream/first_200", {"sha256": digest.hexdigest()})
 
     def test_reset_replays_the_stream_and_keeps_the_run_patterns(self):
         workload = self.make_workload()

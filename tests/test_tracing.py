@@ -19,6 +19,8 @@ from repro.db import TpcaDatabase
 from repro.faults import FaultPlan
 from repro.workloads import TraceWorkload
 
+from .fidelity import LEDGER
+
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                           "run_trace_v1.jsonl")
 
@@ -351,16 +353,15 @@ class TestReplay:
     def test_v1_fixture_loads_and_replays_to_the_parents_results(self):
         """``tests/data/run_trace_v1.jsonl`` was written by the commit
         before ``c`` / ``ns`` existed (``record_tpca(default_config(),
-        transactions=3, seed=11)``), which replayed it to this digest
-        and total."""
+        transactions=3, seed=11)``), which replayed it to the digest and
+        total of ``trace_v1/default_config`` in the fidelity ledger."""
         trace = RunTrace.load(V1_FIXTURE)
         assert len(trace) == 181 and trace.seed == 11
         assert all(row[3] is None and row[4] == 1 for row in trace.ops)
         assert trace.total_ns() == 0
         result = replay_trace(trace, default_config())
-        assert result.digest == ("b545b7f22e51af72d23b15d89945d170"
-                                 "691a0b2f651f4a88f6acc54cee397da1")
-        assert result.total_ns == 30960
+        LEDGER.check("trace_v1/default_config",
+                     {"digest": result.digest, "total_ns": result.total_ns})
         # Saved again it is a version 2 file with the same rows.
         assert trace.roundtrip().ops == trace.ops
 
