@@ -38,16 +38,16 @@ def run_experiment():
     unleveled = run_case(wear_leveling=False)
     leveled = run_case(wear_leveling=True)
     rows = [
-        ["wear leveling off", unleveled.wear_spread, unleveled.wear_swaps,
-         f"{unleveled.cleaning_cost:.2f}"],
-        ["wear leveling on", leveled.wear_spread, leveled.wear_swaps,
-         f"{leveled.cleaning_cost:.2f}"],
-    ]
+        [label, result.wear_spread, result.wear_swaps,
+         f"{result.cleaning_cost:.2f}",
+         f"{result.wear_cleans / result.flushes:.2f}"]
+        for label, result in (("wear leveling off", unleveled),
+                              ("wear leveling on", leveled))]
     report = "\n".join([
         banner(f"Section 4.3: wear leveling under a 5/95 workload "
                f"(swap threshold {THRESHOLD} cycles)"),
         format_table(["Configuration", "Erase-cycle spread", "Swaps",
-                      "Cleaning cost"], rows),
+                      "Cleaning cost", "Swap copies/flush"], rows),
         "",
         "Paper: swapping the oldest and youngest segments' data bounds",
         "the age spread, evening out wear across the array.",
@@ -65,5 +65,5 @@ def test_sec43_wear_leveling(benchmark, record):
     # ...and the swap mechanism reins the spread in.
     assert leveled.wear_swaps > 0
     assert leveled.wear_spread < unleveled.wear_spread
-    # Leveling costs little extra cleaning.
-    assert leveled.cleaning_cost < unleveled.cleaning_cost + 1.0
+    # Leveling costs little extra cleaning, its swap copies included.
+    assert leveled.write_amplification < unleveled.write_amplification + 1.0

@@ -41,11 +41,6 @@ class GreedyPolicy(CleaningPolicy):
                 return
         self._clean_next()
 
-    def _recoverable(self, index: int) -> int:
-        """Space a clean of ``index`` would make writable."""
-        pos = self._store.positions[index]
-        return pos.dead_slots + pos.free_slots
-
     def _clean_next(self) -> None:
         store = self._store
         # Most invalidated space == fewest live pages, lowest index

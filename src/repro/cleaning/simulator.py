@@ -56,18 +56,23 @@ class SimulationResult:
     erases: int
     wear_spread: int
     wear_swaps: int
+    #: Cleaner page copies made by wear-leveling swaps, kept out of
+    #: ``clean_copies`` (the cleaning policy's own copies).
+    wear_cleans: int = 0
 
     @property
     def cleaning_cost(self) -> float:
-        """Cleaner programs per flushed page (the Figure 8 metric)."""
+        """The policy's cleaner programs per flushed page (the Figure 8
+        metric; wear-leveling swaps are ``wear_cleans``)."""
         if self.flushes == 0:
             return 0.0
         return self.clean_copies / self.flushes
 
     @property
     def write_amplification(self) -> float:
-        """Total Flash programs per flushed page (1 + cleaning cost)."""
-        return 1.0 + self.cleaning_cost
+        """Total Flash programs per flushed page (swap copies too)."""
+        return 1.0 + (self.clean_copies + self.wear_cleans) / max(
+            1, self.flushes)
 
     @property
     def buffer_hit_rate(self) -> float:
@@ -209,7 +214,8 @@ class PolicySimulator:
         """Drive ``num_writes`` measured writes (after optional warm-up).
 
         Warm-up writes bring the array to steady state; counters reset
-        before measurement so transients do not bias the cost.
+        before measurement so transients do not bias the cost, and the
+        wear leveler forgets its warm-up swaps with them.
         """
         if workload.num_pages != self.store.num_logical_pages:
             raise ValueError(
@@ -227,11 +233,15 @@ class PolicySimulator:
 
     def reset_counters(self) -> None:
         self.store.reset_counters()
+        if self.leveler is not None:
+            self.leveler.reset()
         self.buffer_hits = 0
         self.host_writes = 0
 
     def result(self, workload_label: str = "") -> SimulationResult:
         store = self.store
+        leveler = self.leveler
+        wear_cleans = leveler.swap_copies if leveler else 0
         return SimulationResult(
             policy=self.policy.name,
             workload=workload_label,
@@ -241,11 +251,12 @@ class PolicySimulator:
             host_writes=self.host_writes,
             buffer_hits=self.buffer_hits,
             flushes=store.flush_count,
-            clean_copies=store.clean_copy_count,
+            clean_copies=store.clean_copy_count - wear_cleans,
             transfers=store.transfer_count,
             erases=store.erase_count,
             wear_spread=store.wear_spread(),
-            wear_swaps=self.leveler.swap_count if self.leveler else 0,
+            wear_swaps=leveler.swap_count if leveler else 0,
+            wear_cleans=wear_cleans,
         )
 
 

@@ -15,8 +15,9 @@ The swap itself is implemented as two back-to-back cleaning operations:
 clean the position on the worn segment (its data lands on the spare, the
 worn segment is erased and becomes the spare), then clean the position on
 the young segment (its cold data lands on the worn segment, and the young
-segment becomes the new spare, rejoining the rotation).  Both copies are
-charged to the cleaning cost, like any other cleaner work.
+segment becomes the new spare, rejoining the rotation).  The leveler
+counts both cleans' copies (``swap_copies``): the untimed simulator
+reports them beside the cleaning policy's cost, not inside it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ class WearLeveler:
                              f"{cooldown_erases}")
         self.threshold_cycles = threshold_cycles
         self.cooldown_erases = cooldown_erases
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every swap, with the store's counters: the next poll
+        decides as a fresh leveler handed the same store would."""
         self.swap_count = 0
+        self.swap_copies = 0
         self._last_swap_erase_count = -(10 ** 9)
 
     # ------------------------------------------------------------------
@@ -85,6 +92,7 @@ class WearLeveler:
         young_position = self._position_on(store, youngest)
         if worn_position is None and young_position is None:
             return False
+        copies_before = store.clean_copy_count
         if worn_position is not None:
             # Data off the worn segment; worn segment becomes the spare.
             store.clean(worn_position)
@@ -93,5 +101,6 @@ class WearLeveler:
             # segment becomes the spare and rejoins the rotation.
             store.clean(young_position)
         self.swap_count += 1
+        self.swap_copies += store.clean_copy_count - copies_before
         self._last_swap_erase_count = store.erase_count
         return True

@@ -221,9 +221,6 @@ class TpcaLayout:
         tree = self.account_tree
         return tree.base_address + tree.total_bytes
 
-    def fits_in(self, logical_bytes: int) -> bool:
-        return self.total_bytes <= logical_bytes
-
     @classmethod
     def sized_for(cls, logical_bytes: int,
                   params: TpcParams = None,

@@ -59,11 +59,6 @@ class SecDed:
 
     # ------------------------------------------------------------------
 
-    @property
-    def code_bits(self) -> int:
-        """Bits of the stored check word (Hamming bits + overall parity)."""
-        return self.num_check_bits + 1
-
     def encode(self, data: bytes) -> int:
         """Check word for ``data``: r Hamming parities + overall parity."""
         if len(data) != self.data_bytes:

@@ -17,13 +17,13 @@ flat physical page number ``segment * pages_per_segment + page``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.config import FlashParams
 from ..faults.plan import FaultEvent, FaultStats
 from .errors import (AddressError, BadBlockError, EnduranceExceeded,
                      TransientProgramError)
-from .segment import FlashSegment, PageState
+from .segment import FlashSegment
 
 __all__ = ["FlashArray", "WearStats"]
 
@@ -442,9 +442,6 @@ class FlashArray:
 
     def erased_segments(self) -> List[int]:
         return [s.segment_id for s in self.segments if s.is_erased]
-
-    def iter_states(self, segment: int) -> Iterator[PageState]:
-        return iter(self.segment(segment).states)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FlashArray({self.num_segments} segments x "

@@ -80,11 +80,6 @@ def _track_of(kind: str, data: Optional[dict] = None) -> int:
     return _DEFAULT_TID
 
 
-def _tid_of(kind: str) -> int:
-    """Back-compat shim: track of a kind with no payload context."""
-    return _track_of(kind, None)
-
-
 def _track_name(tid: int) -> str:
     if tid >= SHARD_TRACK_BASE:
         return f"shard{tid - SHARD_TRACK_BASE}"

@@ -41,13 +41,15 @@ Everything the executor returns is a plain picklable dict, because
 :func:`service_shard_point` is the ``"module:function"`` worker
 :func:`~repro.perf.sweep.run_sweep` dispatches to processes — shard
 results must cross a process boundary and merge deterministically.
+Latencies are not in it: they fold into the histogram pairs the
+executor is handed (:meth:`ShardExecutor.start`).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.controller import EnvyController
 from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
@@ -69,6 +71,9 @@ _WORD_PAYLOAD = b"\x00" * _WORD
 BATCH_PAGES = 16
 #: Delay charged to each write admitted past the soft watermark.
 THROTTLE_PENALTY_NS = 2000
+
+#: One tenant's served-latency histograms: (reads, writes).
+LatencyPair = Tuple[LatencyHistogram, LatencyHistogram]
 
 
 class ShardExecutor:
@@ -171,6 +176,8 @@ class ShardExecutor:
         #: Purely observational — the replay and every simulation metric
         #: are bit-identical with tracing on or off.
         self.trace = trace
+        #: Per tenant, the (read, write) histograms replays fold into.
+        self.latency: List[LatencyPair] = []
         self._overdraft_ns = 0
         self._stamp = 0
         self._replay = None
@@ -213,8 +220,18 @@ class ShardExecutor:
             self.feed(requests[begin:end], rids and rids[begin:end])
         return self.finish()
 
-    def start(self) -> None:
-        """Open a replay: install its hooks and wait for :meth:`feed`."""
+    def start(self, latency: Optional[Sequence[LatencyPair]] = None
+              ) -> None:
+        """Open a replay: install its hooks and wait for :meth:`feed`.
+        Served latencies fold into ``latency`` (one ``(read, write)``
+        pair per tenant name; fresh pairs by default), :attr:`latency`
+        from here on."""
+        if latency is None:
+            latency = [(LatencyHistogram(), LatencyHistogram())
+                       for _ in self.tenant_names]
+        elif len(latency) != len(self.tenant_names):
+            raise ValueError("latency must align with tenant_names")
+        self.latency = list(latency)
         self._replay = self._replay_rows()
         next(self._replay)
 
@@ -259,31 +276,30 @@ class ShardExecutor:
             name: {"rejected": 0, "rejected_queue": 0, "rejected_shed": 0,
                    "delayed": 0, "reads": 0, "writes": 0,
                    "retried": 0, "rejected_wear": 0,
-                   "cache_hits": 0, "cache_misses": 0,
-                   "read_latency": LatencyHistogram(),
-                   "write_latency": LatencyHistogram()}
+                   "cache_hits": 0, "cache_misses": 0}
             for name in names
         }
-        # The same slots by tenant index.  Nobody reads the histograms
-        # before finish(): served latencies queue per tenant and fold in
-        # bulk at the end of every feed.  ``pending`` alternates a tenant's
-        # (read histogram, list) and (write histogram, list).
+        # The same slots by tenant index.  Served latencies queue per
+        # tenant and fold into its histograms, and its counts, per feed.
         slots = [per_tenant[name] for name in names]
-        pending = [(slot[key], []) for slot in slots
-                   for key in ("read_latency", "write_latency")]
-        served_read = [latencies.append for _, latencies in pending[0::2]]
-        served_write = [latencies.append for _, latencies in pending[1::2]]
+        sinks = [(slot, read_hist, [], write_hist, [])
+                 for slot, (read_hist, write_hist)
+                 in zip(slots, self.latency)]
+        served_read = [sink[2].append for sink in sinks]
+        served_write = [sink[4].append for sink in sinks]
 
         def fold() -> None:
-            for histogram, latencies in pending:
-                if latencies:
-                    histogram.record_many(latencies)
-                    latencies.clear()
+            for slot, read_hist, reads, write_hist, writes in sinks:
+                if reads:
+                    slot["reads"] += len(reads)
+                    read_hist.record_many(reads)
+                    reads.clear()
+                if writes:
+                    slot["writes"] += len(writes)
+                    write_hist.record_many(writes)
+                    writes.clear()
         completions: deque = deque()
         clock = 0
-        rejected_queue = 0
-        rejected_shed = 0
-        rejected_wear = 0
         batches = 0
         batch_len = 0
         batch_start_ns = 0
@@ -409,18 +425,27 @@ class ShardExecutor:
                         slot_bg[0] += 1
                         slot_bg[1] += event.dur_ns
 
-        def trace_reject(rid, tenant_index, is_write, arrival, orig_arrival,
-                         attempt, outcome) -> None:
-            trace_rows.append({
-                "rid": rid, "shard": shard, "tenant": names[tenant_index],
-                "op": "write" if is_write else "read",
-                "outcome": outcome, "arrival_ns": orig_arrival,
-                "start_ns": arrival, "end_ns": arrival, "latency_ns": 0,
-                "attempts": attempt, "components": {}})
-
         def tenant_mark(kind: str, tenant_index: int, **fields) -> None:
             bus.mark(kind, {"shard": shard, "tenant": names[tenant_index],
                             **fields})
+
+        def reject(outcome, reason, tenant_index, is_write, arrival,
+                   orig_arrival, attempt, rid) -> None:
+            # ``outcome`` is the tenant counter; a wear-budget refusal is
+            # not counted as ``rejected``.
+            slot = slots[tenant_index]
+            slot[outcome] += 1
+            if outcome != "rejected_wear":
+                slot["rejected"] += 1
+            if bus.active:
+                tenant_mark(SERVICE_REJECT, tenant_index, reason=reason)
+            if tracing:
+                trace_rows.append({
+                    "rid": rid, "shard": shard, "tenant": names[tenant_index],
+                    "op": "write" if is_write else "read",
+                    "outcome": outcome, "arrival_ns": orig_arrival,
+                    "start_ns": arrival, "end_ns": arrival, "latency_ns": 0,
+                    "attempts": attempt, "components": {}})
 
         def close_batch() -> None:
             # Callers only close an open batch (batch_len > 0).
@@ -439,7 +464,6 @@ class ShardExecutor:
         # original_arrival, attempt, rid), merged with the arrival stream by
         # (time, tenant, seq) so the replay order is schedule-determined.
         retries: List = []
-        retried = 0
         requests = rids = rid = None
         index = total = fed = 0
         feeding = True
@@ -514,23 +538,13 @@ class ShardExecutor:
                                        (due, tenant_index, seq, is_write,
                                         page, orig_arrival, attempt + 1,
                                         rid))
-                        retried += 1
                         slots[tenant_index]["retried"] += 1
                         if bus.active:
                             tenant_mark(SERVICE_RETRY, tenant_index,
                                         attempt=attempt + 1)
                         continue
-                    slot = slots[tenant_index]
-                    slot["rejected"] += 1
-                    slot["rejected_queue"] += 1
-                    rejected_queue += 1
-                    if bus.active:
-                        tenant_mark(SERVICE_REJECT, tenant_index,
-                                    reason="queue_full")
-                    if tracing:
-                        trace_reject(rid, tenant_index, is_write, arrival,
-                                     orig_arrival, attempt,
-                                     "rejected_queue")
+                    reject("rejected_queue", "queue_full", tenant_index,
+                           is_write, arrival, orig_arrival, attempt, rid)
                     continue
                 # Wear budget: a tenant that has already spent its per-page
                 # write allowance gets this write rejected before it can
@@ -540,15 +554,8 @@ class ShardExecutor:
                     if (budget is not None
                             and budget_writes[tenant_index].get(page, 0)
                             >= budget):
-                        slots[tenant_index]["rejected_wear"] += 1
-                        rejected_wear += 1
-                        if bus.active:
-                            tenant_mark(SERVICE_REJECT, tenant_index,
-                                        reason="wear_budget")
-                        if tracing:
-                            trace_reject(rid, tenant_index, is_write, arrival,
-                                         orig_arrival, attempt,
-                                         "rejected_wear")
+                        reject("rejected_wear", "wear_budget", tenant_index,
+                               is_write, arrival, orig_arrival, attempt, rid)
                         continue
                 delay = 0
                 if is_write:
@@ -556,17 +563,9 @@ class ShardExecutor:
                     if occupancy >= hard_pages:
                         # Cleaner debt at the hard watermark: shed the
                         # write.
-                        slot = slots[tenant_index]
-                        slot["rejected"] += 1
-                        slot["rejected_shed"] += 1
-                        rejected_shed += 1
-                        if bus.active:
-                            tenant_mark(SERVICE_REJECT, tenant_index,
-                                        reason="cleaner_behind")
-                        if tracing:
-                            trace_reject(rid, tenant_index, is_write, arrival,
-                                         orig_arrival, attempt,
-                                         "rejected_shed")
+                        reject("rejected_shed", "cleaner_behind",
+                               tenant_index, is_write, arrival, orig_arrival,
+                               attempt, rid)
                         continue
                     if occupancy >= soft_pages:
                         delay = throttle_penalty_ns
@@ -726,23 +725,19 @@ class ShardExecutor:
             for slot, slot_wear in zip(slots, wear_slots):
                 slot["wear"] = slot_wear
 
-        for t_index, slot in enumerate(slots):
-            slot["reads"] = slot["read_latency"].count
-            slot["writes"] = slot["write_latency"].count
-            if cache_ok is not None and cache_ok[t_index]:
-                # Each read of a cache-tier tenant probed the tier once,
-                # and only the misses were counted row by row.
-                slot["cache_hits"] = slot["reads"] - slot["cache_misses"]
-        for slot in per_tenant.values():
-            slot["read_latency"] = slot["read_latency"].state_dict()
-            slot["write_latency"] = slot["write_latency"].state_dict()
+        if cache_ok is not None:
+            for slot, ok in zip(slots, cache_ok):
+                if ok:
+                    # Each read of a cache-tier tenant probed the tier
+                    # once, and only the misses were counted row by row.
+                    slot["cache_hits"] = slot["reads"] - slot["cache_misses"]
         result = {
             "shard": shard,
             "clock_ns": clock,
             "tenants": per_tenant,
-            "rejected_queue": rejected_queue,
-            "rejected_shed": rejected_shed,
-            "retried": retried,
+            # Shard totals of the per-tenant refusal and retry counts.
+            **{key: sum(slot[key] for slot in slots)
+               for key in ("rejected_queue", "rejected_shed", "retried")},
             "batches": batches,
             "max_batch_pages": max_batch,
             "coalesced_writes": metrics.buffer_hits - base_hits,
@@ -752,7 +747,8 @@ class ShardExecutor:
             "wear_swaps": metrics.wear_swaps,
         }
         if budgets is not None:
-            result["rejected_wear"] = rejected_wear
+            result["rejected_wear"] = sum(slot["rejected_wear"]
+                                          for slot in slots)
         if cache is not None:
             result["cache"] = cache.stats()
         if attributing:
@@ -799,10 +795,13 @@ def service_shard_point(point: Mapping) -> Dict:
     Dispatched by dotted name
     (``"repro.service.executor:service_shard_point"``) so worker
     processes import it fresh; the point carries everything the shard
-    needs and the return value is the executor's picklable stats dict.
+    needs and the return value is the executor's picklable stats dict,
+    plus its per-tenant histogram pairs under ``"latency"``.
     """
-    return shard_executor(point).run(point["requests"],
-                                     rids=point.get("rids"))
+    executor = shard_executor(point)
+    result = executor.run(point["requests"], rids=point.get("rids"))
+    result["latency"] = executor.latency
+    return result
 
 
 def shard_executor(point: Mapping) -> ShardExecutor:

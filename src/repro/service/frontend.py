@@ -56,7 +56,7 @@ pretending otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,6 +68,7 @@ from ..obs.events import (ADMISSION_DECISION, CACHE_INVALIDATE,
                           REDUNDANCY_REPLICA, SECURITY_QUARANTINE,
                           SECURITY_REMAP, SERVICE_RUN, SERVICE_SHARD,
                           EventBus)
+from ..obs.hist import LatencyHistogram
 from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
 from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
@@ -331,33 +332,15 @@ class ServiceStats:
         Two runs with the same seed (any ``jobs``) produce identical
         dicts — the determinism tests compare exactly this.
         """
-        return {
-            "num_shards": self.num_shards,
-            "duration_s": self.duration_s,
-            "requests_offered": self.requests_offered,
-            "requests_throttled": self.requests_throttled,
-            "requests_admitted": self.requests_admitted,
-            "requests_rejected_queue": self.requests_rejected_queue,
-            "requests_rejected_shed": self.requests_rejected_shed,
-            "accesses_served": self.accesses_served,
-            "simulated_ns": self.simulated_ns,
-            "accesses_per_simulated_s": round(
-                self.accesses_per_simulated_s, 1),
-            "requests_retried": self.requests_retried,
-            "degraded_reads": self.degraded_reads,
-            "degraded_writes": self.degraded_writes,
-            "replica_accesses": self.replica_accesses,
-            "rebuild_accesses": self.rebuild_accesses,
-            "requests_rejected_wear": self.requests_rejected_wear,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_invalidations": self.cache_invalidations,
-            "cache_hit_rate": round(self.cache_hit_rate, 6),
-            "tenants": {name: stats.as_dict()
-                        for name, stats in self.tenants.items()},
-            "shards": [dict(summary) for summary in self.shards],
-        }
+        summary = {spec.name: getattr(self, spec.name)
+                   for spec in fields(self) if spec.type in ("int", "float")}
+        summary.update(
+            accesses_per_simulated_s=round(self.accesses_per_simulated_s, 1),
+            cache_hit_rate=round(self.cache_hit_rate, 6),
+            tenants={name: stats.as_dict()
+                     for name, stats in self.tenants.items()},
+            shards=[dict(shard) for shard in self.shards])
+        return summary
 
 
 class ServiceTransaction:
@@ -786,13 +769,21 @@ class EnvyService:
                        trace=trace, requests=[],
                        rids=[] if trace else None)
                   for index in range(num_shards)]
-        # A serial run feeds live executors; a parallel one collects the
-        # slices: shipping one to another process needs it whole.
+        stats = ServiceStats(num_shards=num_shards, duration_s=duration_s)
+        for spec in self.tenants:
+            stats.tenants[spec.name] = TenantStats(spec.name)
+        latency = [(tstats.read_latency, tstats.write_latency)
+                   for tstats in stats.tenants.values()]
+        # A serial run feeds live executors, which record into these
+        # histograms; a parallel one collects the slices: shipping one
+        # to another process needs it whole.
         live = min(resolve_jobs(jobs), num_shards) == 1
         if live:
             executors = [shard_executor(point) for point in points]
             for executor in executors:
-                executor.start()
+                # Pseudo-tenants' latencies are never read.
+                executor.start(latency + [(LatencyHistogram(),) * 2] * (
+                    len(tenant_names) - len(latency)))
         admitted = 0
         run = self._run_expansion = self._begin_expansion(duration_s)
         # Rebuild copy rows due after the last arrival ride in one more,
@@ -818,14 +809,16 @@ class EnvyService:
             results = [executor.finish() for executor in executors]
         else:
             results = run_sweep(_SHARD_WORKER, points, jobs=jobs)
+            # The one histogram merge left: the workers' pairs.
+            for result in results:
+                for (reads, writes), (read_hist, write_hist) in zip(
+                        latency, result.pop("latency")):
+                    reads.merge(read_hist)
+                    writes.merge(write_hist)
 
-        stats = ServiceStats(num_shards=self.router.num_shards,
-                             duration_s=duration_s)
-        for spec in self.tenants:
-            tstats = TenantStats(spec.name)
-            tstats.offered = accounting[spec.name]["offered"]
-            tstats.throttled = accounting[spec.name]["throttled"]
-            stats.tenants[spec.name] = tstats
+        for name, tstats in stats.tenants.items():
+            tstats.offered = accounting[name]["offered"]
+            tstats.throttled = accounting[name]["throttled"]
         stats.requests_offered = sum(t.offered
                                      for t in stats.tenants.values())
         stats.requests_throttled = sum(t.throttled
@@ -833,9 +826,13 @@ class EnvyService:
         stats.requests_admitted = admitted
         for shard_result in results:
             shard = shard_result["shard"]
+            served = {True: 0, False: 0}   # by "is a pseudo-tenant"
             for name, slice_stats in shard_result["tenants"].items():
-                if name.startswith("__"):
-                    continue  # overhead pseudo-tenants, counted below
+                overhead = name.startswith("__")
+                served[overhead] += slice_stats["reads"] + slice_stats[
+                    "writes"]
+                if overhead:
+                    continue
                 wear = slice_stats.get("wear")
                 if wear is not None:
                     self._globalize_wear(wear, shard)
@@ -856,14 +853,8 @@ class EnvyService:
                                    "max_batch_pages", "coalesced_writes",
                                    "flushes", "clean_copies", "erases",
                                    "wear_swaps")}
-            summary["accesses"] = sum(
-                s["reads"] + s["writes"]
-                for name, s in shard_result["tenants"].items()
-                if not name.startswith("__"))
-            summary["overhead_accesses"] = sum(
-                s["reads"] + s["writes"]
-                for name, s in shard_result["tenants"].items()
-                if name.startswith("__"))
+            summary["accesses"] = served[False]
+            summary["overhead_accesses"] = served[True]
             cache_summary = shard_result.get("cache")
             if cache_summary is not None:
                 stats.cache_hits += cache_summary["hits"]

@@ -40,6 +40,7 @@ import random
 from array import array
 from bisect import bisect_left
 from itertools import chain, compress, count, repeat
+from operator import itemgetter
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -338,8 +339,10 @@ class LoadGenerator:
                     window += compress(rows, map(bucket.allow, stamps))
                     counts["throttled"] = bucket.throttled
             if window:
-                # Each tenant's run is in arrival order and the (arrival,
-                # tenant, seq) keys are unique: sorting the concatenation
-                # is the k-way merge, and never compares past seq.
-                window.sort()
+                # The window is the tenants' runs concatenated in tenant
+                # index order, each run in seq order and so in arrival
+                # order.  A stable sort on the arrival alone is therefore
+                # the (arrival, tenant, seq) k-way merge: ties keep that
+                # order, and the sort compares ints, never tuples.
+                window.sort(key=itemgetter(0))
                 yield window

@@ -11,8 +11,8 @@ shared shard pool.  A tenant bundles three things:
   per-tenant throttle, driven purely by simulated arrival time so the
   decision sequence is a deterministic function of the schedule;
 * **accounting** (:class:`TenantStats`) — per-tenant
-  :class:`~repro.obs.hist.LatencyHistogram`\\ s and counters, merged
-  exactly across shards (histogram merge is exact bucket addition).
+  :class:`~repro.obs.hist.LatencyHistogram`\\ s, which every shard
+  records into, and counters, merged exactly across shards.
 """
 
 from __future__ import annotations
@@ -373,12 +373,15 @@ def _merge_tree(dst: Dict, src: Mapping) -> Dict:
 class TenantStats:
     """One tenant's service-level view of a run (mergeable).
 
+    Every shard records into the one pair of latency histograms (a
+    parallel run merges its workers' pairs in).
+
     :meth:`merge_shard` is **field-complete and order-independent**: it
-    folds in *every* key of a shard's per-tenant slice — named counters
-    onto their attributes, ``*_latency`` histogram states by exact
-    bucket addition, the ``wear`` attribution tree recursively, and any
-    key this class has never heard of into :attr:`extra` — rather than
-    reading a fixed key list.  A counter that exists on only one side
+    folds in *every* key of a shard's per-tenant counter slice — named
+    counters onto their attributes, the ``wear`` attribution tree
+    recursively, and any key this class has never heard of into
+    :attr:`extra` — rather than reading a fixed key list.  A counter
+    that exists on only one side
     (a tenant confined to one bank via ``page_range``, a shard that
     never retried) merges as if the other side reported zero, and any
     permutation of the shard results yields the same aggregate.
@@ -427,19 +430,13 @@ class TenantStats:
 
     def merge_shard(self, shard_stats: Mapping) -> None:
         """Fold one shard's per-tenant slice into the aggregate."""
+        counters = self._COUNTERS
         for key, value in shard_stats.items():
-            if key in self._COUNTERS:
-                setattr(self, key, getattr(self, key) + value)
-            elif key in ("read_latency", "write_latency"):
-                getattr(self, key).merge(
-                    LatencyHistogram.from_state(value))
+            if key in counters:
+                if value:
+                    setattr(self, key, getattr(self, key) + value)
             elif key == "wear":
                 self.wear = _merge_tree(self.wear or {}, value)
-            elif key.endswith("_latency"):
-                hist = self.extra.get(key)
-                if hist is None:
-                    hist = self.extra[key] = LatencyHistogram()
-                hist.merge(LatencyHistogram.from_state(value))
             elif isinstance(value, (Mapping, list)):
                 merged = _merge_tree({key: self.extra.get(key)}
                                      if self.extra.get(key) is not None
@@ -477,9 +474,7 @@ class TenantStats:
             }
         for key in sorted(self.extra):
             value = self.extra[key]
-            if isinstance(value, LatencyHistogram):
-                summary[key[:-len("_latency")] + "_p99_ns"] = value.p99
-            elif isinstance(value, dict):
+            if isinstance(value, dict):
                 summary[key] = {str(k): value[k] for k in sorted(value)}
             else:
                 summary[key] = value

@@ -149,11 +149,6 @@ class PageTable:
         self._check(logical_page)
         self._epochs[logical_page] = epoch
 
-    def epoch_of(self, logical_page: int) -> int:
-        """Write epoch of the page's last stamped flash copy."""
-        self._check(logical_page)
-        return self._epochs[logical_page]
-
     def clear(self, logical_page: int) -> None:
         """Unmap a logical page (used by the trim/deallocate extension)."""
         self._check(logical_page)

@@ -473,6 +473,37 @@ class TestReporting:
 
 
 class TestBenchScale:
+    def test_serial_and_parallel_fleet_runs_agree(self):
+        """A serial run records into the tenants' own histograms; a
+        ``jobs=2`` run merges its workers' shipped pairs into them.  Two
+        back-to-back runs (the second under the first's admission
+        decisions, which a noisy neighbour makes nontrivial) agree down
+        to every histogram bucket."""
+        def serve(jobs):
+            config = ServiceConfig(num_shards=2, num_segments=8,
+                                   pages_per_segment=32, seed=13,
+                                   cache_pages=64, cache_tenant_cap=0.25,
+                                   admission=True)
+            service = EnvyService(config, [
+                TenantSpec.from_spec(spec)
+                for spec in scale_fleet(40, 0.004) + [dict(
+                    name="noisy", rate_tps=5e6, write_fraction=0.3)]])
+            runs = []
+            for _ in range(2):
+                stats = service.run(0.004, jobs=jobs)
+                runs.append((stats.as_dict(), {
+                    name: (t.read_latency.state_dict(),
+                           t.write_latency.state_dict())
+                    for name, t in stats.tenants.items()}))
+            return runs, service.admission.report()["states"]
+
+        serial, parallel = serve(1), serve(2)
+        assert serial == parallel
+        runs, states = serial
+        assert len(set(states.values())) > 1
+        assert all(reads["count"] + writes["count"]
+                   for reads, writes in runs[1][1].values())
+
     def test_fleet_is_pure_and_shaped(self):
         fleet = scale_fleet(1000, 0.002)
         assert fleet == scale_fleet(1000, 0.002)

@@ -218,15 +218,29 @@ class TestHistogram:
     @example(before=[7], samples=[-3, -2.5] * BULK_MIN)
     @example(before=[], samples=[0] * BULK_MIN)
     @example(before=[40], samples=[1 << 64, True, 31.9] + [33] * BULK_MIN)
+    # Short lists: one that crosses _TALLY_MAX (the tally folds midway),
+    # bools and floats, and a NaN after samples that stay recorded.
+    @example(before=list(range(_TALLY_MAX - 5)),
+             samples=[3, 7] + list(range(10**6, 10**6 + 20)) + [3, 10**6])
+    @example(before=[3], samples=[True, False, 2.5, 7.0, True, 1e3, -0.5])
+    @example(before=[], samples=[160, 2.0, 160, float("nan"), 5])
     def test_record_many_equals_each_recorded(self, before, samples):
-        """Either side of BULK_MIN: the sample loop and the bulk folds."""
+        """Either side of BULK_MIN: the tally loop and the bulk folds."""
         bulk, each = LatencyHistogram(), LatencyHistogram()
         for hist in (bulk, each):
             for earlier in before:
                 hist.record(earlier)
-        bulk.record_many(samples)
-        for sample in samples:
-            each.record(sample)
+        refused = []
+        try:
+            bulk.record_many(samples)
+        except ValueError:
+            refused.append("bulk")
+        try:
+            for sample in samples:
+                each.record(sample)
+        except ValueError:
+            refused.append("each")
+        assert refused in ([], ["bulk", "each"])
         assert bulk.state_dict() == each.state_dict()
         assert list(bulk.buckets) == list(each.buckets)   # same order
         assert type(bulk.total_ns) is int

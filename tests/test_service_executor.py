@@ -22,6 +22,7 @@ from repro.core.chaos import KillSwitch
 from repro.core.config import EnvyConfig
 from repro.core.controller import EnvyController
 from repro.core.recovery import SimulatedPowerFailure
+from repro.obs.hist import LatencyHistogram
 from repro.service.executor import ShardExecutor
 from repro.service.loadgen import WINDOW_ROWS
 
@@ -65,6 +66,12 @@ def mixed_slice(seed, rows=2400, tenants=3, pages=192, write_share=0.45):
     return out
 
 
+def states(latency):
+    """Every (read, write) histogram pair as state dicts."""
+    return [(reads.state_dict(), writes.state_dict())
+            for reads, writes in latency]
+
+
 def replay_digest(executor, requests, rids=None, cuts=None):
     """sha256 over the result dict and the state the replay leaves;
     ``cuts`` replays the slice as that many-plus-one feeds instead."""
@@ -76,9 +83,15 @@ def replay_digest(executor, requests, rids=None, cuts=None):
             executor.feed(requests[begin:end],
                           None if rids is None else rids[begin:end])
         result = executor.finish()
+    # The executor folds latencies into its histogram pairs; the pinned
+    # blob still carries them where the result dict once did.
+    tenants = {name: dict(slot, read_latency=reads.state_dict(),
+                          write_latency=writes.state_dict())
+               for (name, slot), (reads, writes)
+               in zip(result["tenants"].items(), executor.latency)}
     controller = executor.controller
     state = {
-        "result": result,
+        "result": dict(result, tenants=tenants),
         "metrics": controller.metrics.state_dict(),
         "mmu": [controller.mmu.hits, controller.mmu.misses],
         "buffered": len(controller.buffer),
@@ -159,8 +172,9 @@ class TestPinnedReplay:
 
     @pytest.mark.parametrize("name", sorted(FEATURE_SETS))
     def test_read_and_write_counts_are_the_histogram_counts(self, name):
-        """Served latencies queue per tenant and fold feed by feed; the
-        per-tenant counts are read off the folded histograms."""
+        """Served latencies queue per tenant and fold feed by feed into
+        the tenant's histogram pair; the per-tenant counts are the
+        lengths of what was folded."""
         executor, requests = feature_replay(name)
         executor.start()
         for begin in range(0, len(requests), 500):
@@ -169,8 +183,9 @@ class TestPinnedReplay:
         offered = collections.Counter((row[1], row[3]) for row in requests)
         for index, tenant in enumerate(executor.tenant_names):
             stats = result["tenants"][tenant]
-            assert stats["reads"] == stats["read_latency"]["count"]
-            assert stats["writes"] == stats["write_latency"]["count"]
+            reads, writes = executor.latency[index]
+            assert stats["reads"] == reads.count
+            assert stats["writes"] == writes.count
             assert stats["reads"] <= offered[index, False]
             assert 0 < stats["writes"] <= offered[index, True]
             # A cache-tier tenant's reads each probed the tier once.
@@ -198,6 +213,37 @@ class TestPinnedReplay:
         assert [len(call.args[1]) for call in feed.call_args_list] == \
             [WINDOW_ROWS, WINDOW_ROWS, 100]
         assert result == whole.finish()
+        assert states(cut.latency) == states(whole.latency)
+
+    def test_folds_into_the_pairs_it_is_given(self):
+        """Handed histograms already holding samples, the replay adds
+        exactly its own to them: the pairs a fresh start builds, merged
+        in.  The result dict carries no histogram."""
+        fresh, requests = feature_replay("plain")
+        fresh.run(requests)
+        given, _ = feature_replay("plain")
+        pairs = [(LatencyHistogram(), LatencyHistogram()) for _ in TENANTS]
+        for reads, writes in pairs:
+            reads.record(5)
+            writes.record_many([7, 7, 90_000])
+        expected = states(pairs)
+        given.start(pairs)
+        given.feed(requests)
+        result = given.finish()
+        assert all(mine is theirs for mine, theirs
+                   in zip(given.latency, pairs))
+        for (read_state, write_state), (reads, writes) in zip(
+                expected, fresh.latency):
+            for state, hist in ((read_state, reads), (write_state, writes)):
+                merged = LatencyHistogram.from_state(state)
+                merged.merge(hist)
+                state.update(merged.state_dict())
+        assert states(pairs) == expected
+        assert not any(key.endswith("_latency")
+                       for slot in result["tenants"].values()
+                       for key in slot)
+        with pytest.raises(ValueError, match="align"):
+            given.start(pairs[:2])
 
     def test_slices_exercise_what_they_pin(self):
         """The pinned slices are not vacuous: each reaches its feature."""

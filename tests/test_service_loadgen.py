@@ -1,5 +1,6 @@
 """Tests for the deterministic multi-tenant load generator."""
 
+import collections
 import hashlib
 import heapq
 import random
@@ -38,6 +39,28 @@ class TestSchedule:
         keys = [(arrival, tenant, seq)
                 for arrival, tenant, seq, _, _ in schedule]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("rows", [64, 10**9])
+    def test_arrival_ties_keep_tenant_then_seq_order(self, rows):
+        """Windows sort on the arrival alone; a stable sort over runs
+        concatenated in tenant order keeps ties in (tenant, seq) order.
+        Twin closed-loop tenants with no think time emit identical
+        instants, and a TPC-A tenant repeats its stamp per access."""
+        twin = dict(rate_tps=1.0, mode="closed", clients=3, think_ns=0,
+                    service_estimate_ns=500)
+        tenants = [TenantSpec("t", rate_tps=5e4, workload="tpca"),
+                   TenantSpec("a", **twin), TenantSpec("b", **twin)]
+        with windowed(rows):
+            schedule, _ = gen(tenants).generate(0.0002)
+        owners = collections.defaultdict(set)
+        rows_at = collections.Counter()
+        for arrival, tenant, _, _, _ in schedule:
+            owners[arrival].add(tenant)
+            rows_at[arrival, tenant] += 1
+        assert sum(len(tenants) > 1 for tenants in owners.values()) > 100
+        assert max(count for (_, tenant), count in rows_at.items()
+                   if tenant == 0) > 10
+        assert schedule == sorted(schedule)
 
     def test_pages_within_service_space(self):
         tenants = [TenantSpec("z", rate_tps=5e6, skew=1.2),
