@@ -49,6 +49,8 @@ def build_drained_store(num_segments, pages_per_segment, cadence):
         ctrl.write(page * page_bytes,
                    rng.randrange(256).to_bytes(1, "little") * 8)
     ctrl.drain()
+    if cadence is not None:
+        assert ctrl.checkpointer.enabled, ctrl.checkpointer.failure_reason
     return config, ctrl
 
 

@@ -77,6 +77,7 @@ class FileBackend(FlashArray):
         self._slot_size = _SLOT_HEADER.size + page_bytes + OOB_BYTES
         self._seg_size = (_SEG_HEADER.size
                           + self.pages_per_segment * self._slot_size)
+        self._image_size = _HEADER.size + self.num_segments * self._seg_size
         if create:
             self._fh = open(self.path, "w+b")
             self._format_file()
@@ -160,6 +161,10 @@ class FileBackend(FlashArray):
             raise FileStoreError(
                 f"{self.path}: OOB size mismatch ({o_bytes} != "
                 f"{OOB_BYTES})")
+        size = self._fh.seek(0, os.SEEK_END)
+        if size != self._image_size:
+            raise FileStoreError(f"{self.path}: image is {size} bytes, its "
+                                 f"geometry needs {self._image_size}")
         for segment in range(self.num_segments):
             seg = self.segments[segment]
             self._fh.seek(self._seg_offset(segment))
@@ -175,6 +180,10 @@ class FileBackend(FlashArray):
                 oob = self._fh.read(OOB_BYTES)
                 if state == int(PageState.ERASED):
                     continue
+                if state > int(PageState.INVALID):
+                    raise FileStoreError(
+                        f"{self.path}: segment {segment} page {page} has "
+                        f"unknown slot state {state}")
                 seg.states[page] = PageState(state)
                 if self.store_data and has_data:
                     seg.data[page] = bytes(payload)
@@ -241,8 +250,7 @@ class FileBackend(FlashArray):
         return {
             "medium": "file",
             "path": self.path,
-            "image_bytes": _HEADER.size
-            + self.num_segments * self._seg_size,
+            "image_bytes": self._image_size,
             "media_writes": self.media_writes,
             "media_bytes_written": self.media_bytes_written,
             "fsync": self.fsync,

@@ -156,7 +156,6 @@ class SegmentStore:
         self.clean_copy_count = 0
         self.transfer_count = 0
         self.erase_count = 0
-        self.host_write_count = 0
         #: Smoothing constant for per-position clean intervals.
         self.interval_alpha = 0.15
         # --- derived accounting, maintained incrementally --------------
@@ -488,7 +487,6 @@ class SegmentStore:
         self.clean_copy_count = 0
         self.transfer_count = 0
         self.erase_count = 0
-        self.host_write_count = 0
         # wear_spread() keys its cache on erase_count; resetting the
         # counter would otherwise reuse stale entries.
         self._derived_version += 1
@@ -548,21 +546,25 @@ class SegmentStore:
     def restore_layout(self, position_slots: List[List[int]],
                        position_phys: List[int],
                        page_location: List[Optional[Tuple[int, int]]],
-                       spare_phys: int) -> None:
-        """Install a layout reconstructed by a recovery scan.
+                       spare_phys: int, retired_phys, reserve_phys,
+                       phys_erase_counts: List[int]) -> None:
+        """Install a layout reconstructed by a recovery scan or read
+        from a snapshot.
 
-        Replaces the slot runs, position ↔ physical mapping, and page
-        locations wholesale; live counts are recomputed from the page
-        locations (liveness is lazy, so they are the single source of
-        truth).  Counters, cleaning statistics, and the retirement /
-        reserve / metadata sets are left for the caller to set — a scan
-        recovers layout, not history.
+        Replaces the slot runs, position ↔ physical mapping, page
+        locations, retirement and reserve sets and physical erase counts
+        wholesale; live counts are recomputed from the page locations
+        (liveness is lazy, so they are the single source of truth).
+        Counters, cleaning statistics and the metadata set are left for
+        the caller to set — a scan recovers layout, not history.
         """
         if len(position_slots) != self.num_positions or \
                 len(position_phys) != self.num_positions:
             raise StoreError("layout does not match the position count")
         if len(page_location) != self.num_logical_pages:
             raise StoreError("layout does not match the logical page count")
+        if len(phys_erase_counts) != len(self.phys_erase_counts):
+            raise StoreError("layout does not match the segment count")
         self.page_location = list(page_location)
         for pos, slots, phys in zip(self.positions, position_slots,
                                     position_phys):
@@ -575,6 +577,9 @@ class SegmentStore:
                 1 for slot, page in enumerate(pos.slots)
                 if self.page_location[page] == (pos.index, slot))
         self.spare_phys = spare_phys
+        self.retired_phys = set(retired_phys)
+        self.reserve_phys = list(reserve_phys)
+        self.phys_erase_counts = list(phys_erase_counts)
         self.rebuild_derived()
 
     def check_invariants(self) -> None:

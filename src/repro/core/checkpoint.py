@@ -12,19 +12,25 @@ programs issued after the last checkpoint.
 Contents and format
 -------------------
 
-A checkpoint is a zlib-compressed pickle of a plain dict capturing
+A checkpoint is :func:`capture`'s record, as zlib-compressed JSON
+(:func:`encode_state`; snapshots use the same record and encoding):
 
 * the write-epoch and program-sequence counters,
-* per-physical-segment slot records ``(kind, page, epoch, seq,
-  position)`` — exactly the information stamped in each page's OOB
-  region, cached so recovery does not have to re-read pages programmed
-  before the checkpoint,
+* per-physical-segment slot records, one column per OOB field (kind 0
+  for an unparseable OOB) — exactly the information stamped in each
+  page's OOB region, cached so recovery does not have to re-read pages
+  programmed before the checkpoint,
 * each segment's erase count and write pointer at capture time (the
   roll-forward bounds: a segment whose erase count changed is rescanned
   in full, otherwise only slots past the recorded write pointer are
   read),
 * the cleaning-position statistics, policy registers, wear-leveler
   state and store counters, which a bare scan could not reconstruct.
+
+Bytes read back out of Flash are outside input (under the file backend
+an editable image): :func:`decode_state` runs no code, and any failure
+to inflate, parse or match the record's shape is a
+:class:`CheckpointError`.
 
 The blob is chunked into pages and programmed into one metadata segment;
 each chunk's OOB carries ``kind=CHECKPOINT``, the chunk index as its
@@ -46,7 +52,7 @@ complete checkpoint intact — the write is atomic at the granularity of
 
 from __future__ import annotations
 
-import pickle
+import json
 import zlib
 from typing import Dict, Optional, Tuple
 
@@ -54,23 +60,135 @@ from ..flash.array import FlashArray
 from ..flash.errors import FlashError
 from ..flash.oob import CHECKPOINT, OobRecord, pack_oob, payload_crc, unpack_oob
 
-__all__ = ["CheckpointManager", "CheckpointError", "read_latest_checkpoint"]
+__all__ = ["CheckpointManager", "CheckpointError", "capture", "decode_state",
+           "encode_state", "read_latest_checkpoint"]
 
 
 class CheckpointError(RuntimeError):
-    """Raised when a checkpoint cannot be captured or placed."""
+    """Raised when a checkpoint cannot be placed, or encoded state cannot
+    be decoded into a record."""
 
 
-def _capture_positions(store) -> list:
-    from .persistence import _position_state
+#: Bound on an inflated state (a crafted blob must not exhaust memory).
+MAX_STATE_BYTES = 1 << 27
+#: Store counters a record carries: the cleaning-cost numerator and
+#: denominators, and the flushed-copy rescues.
+COUNTERS = ("flush_count", "clean_copy_count", "transfer_count",
+            "erase_count", "rescue_count")
+#: Cleaning statistics of a position (locality gathering's inputs).
+POSITION_STATS = ("clean_count", "last_clean_seq", "avg_clean_interval",
+                  "last_clean_utilization", "product")
+#: Persistent registers of a hybrid partition.
+PARTITION_STATE = ("active", "next_victim", "clean_count",
+                   "last_clean_seq", "avg_clean_interval", "product")
+#: Persistent registers of the greedy and FIFO policies.
+REGISTERS = ("_active", "_next_victim")
+#: One column per OOB field of a slot record.
+COLUMNS = ("kind", "page", "epoch", "seq", "position")
 
-    return [_position_state(p) for p in store.positions]
+_INT = (int,)
+_NUM = (int, float, type(None))
+#: The shape of a record: a dict gives the shape of each key it requires
+#: (a snapshot adds keys), a one-item list the shape of every element, a
+#: tuple the types a value may have.
+RECORD_SHAPE = {
+    **dict.fromkeys(("checkpoint_id", "write_epoch", "seq_counter",
+                     "spare_phys"), _INT),
+    **dict.fromkeys(("retired_phys", "reserve_phys", "metadata_phys",
+                     "phys_erase_counts"), [_INT]),
+    "counters": dict.fromkeys(COUNTERS, _INT),
+    "segments": [{"erase_count": _INT, "write_pointer": _INT,
+                  **dict.fromkeys(COLUMNS, [_INT])}],
+    "positions": [{"phys": _INT, "demoted": [_INT],
+                   **dict.fromkeys(POSITION_STATS, _NUM)}],
+    "policy": {"name": (str,), "registers": [_INT],
+               "partitions": [dict.fromkeys(PARTITION_STATE, _NUM)]},
+    "leveler": {"swap_count": _INT, "last_swap": _INT},
+}
 
 
-def _capture_policy(policy) -> dict:
-    from .persistence import _policy_state
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return (isinstance(value, dict) and value.keys() >= shape.keys()
+                and all(_fits(value[key], sub)
+                        for key, sub in shape.items()))
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(item, shape[0])
+                                               for item in value)
+    return type(value) in shape
 
-    return _policy_state(policy)
+
+def encode_state(state: dict) -> bytes:
+    """A record (plain dicts, lists, ints, floats, strings) as bytes."""
+    return zlib.compress(json.dumps(state, sort_keys=True,
+                                    separators=(",", ":")).encode())
+
+
+def decode_state(blob: bytes) -> dict:
+    """Inverse of :func:`encode_state` for a record of RECORD_SHAPE (a
+    snapshot adds keys); raises :class:`CheckpointError` on anything
+    else."""
+    inflater = zlib.decompressobj()
+    try:
+        text = inflater.decompress(blob, MAX_STATE_BYTES)
+        if inflater.unconsumed_tail or not inflater.eof:
+            raise CheckpointError(
+                f"state truncated or over {MAX_STATE_BYTES} bytes")
+        state = json.loads(text)
+    except (zlib.error, ValueError, RecursionError) as error:
+        raise CheckpointError(f"undecodable state: {error}") from None
+    if not _fits(state, RECORD_SHAPE):
+        raise CheckpointError("state does not have the shape of a record")
+    return state
+
+
+def capture(ctrl) -> dict:
+    """The controller's SRAM metadata as one record.
+
+    The slot records are parsed from the array's stored OOB images —
+    information the controller equivalently holds in SRAM, so the
+    capture itself is a memory dump and costs no Flash reads.  Sets
+    become sorted lists so the record encodes as JSON.
+    """
+    store, policy = ctrl.store, ctrl.policy
+    segments = []
+    for seg in ctrl.array.segments:
+        rows = [(0,) * len(COLUMNS) if rec is None else
+                (rec.kind, rec.logical_page, rec.epoch, rec.seq,
+                 rec.position)
+                for rec in map(unpack_oob, seg.oob[:seg.write_pointer])]
+        columns = list(zip(*rows)) or [()] * len(COLUMNS)
+        segments.append({"erase_count": seg.erase_count,
+                         "write_pointer": seg.write_pointer,
+                         **{name: list(column)
+                            for name, column in zip(COLUMNS, columns)}})
+    return {
+        "checkpoint_id": (0 if ctrl.checkpointer is None
+                          else ctrl.checkpointer.checkpoint_id),
+        "write_epoch": ctrl.page_table.write_epoch,
+        "seq_counter": store.seq_counter,
+        "segments": segments,
+        "spare_phys": store.spare_phys,
+        "retired_phys": sorted(store.retired_phys),
+        "reserve_phys": list(store.reserve_phys),
+        "metadata_phys": sorted(store.metadata_phys),
+        "phys_erase_counts": list(store.phys_erase_counts),
+        "counters": {name: getattr(store, name) for name in COUNTERS},
+        "positions": [{"phys": pos.phys,
+                       "demoted": sorted(pos.demoted),
+                       **{name: getattr(pos, name)
+                          for name in POSITION_STATS}}
+                      for pos in store.positions],
+        "policy": {
+            "name": policy.name,
+            "registers": [getattr(policy, name, 0) for name in REGISTERS],
+            "partitions": [{name: getattr(part, name)
+                            for name in PARTITION_STATE}
+                           for part in getattr(policy, "partitions", ())],
+        },
+        "leveler": {"swap_count": ctrl.leveler.swap_count,
+                    "last_swap": ctrl.leveler._last_swap_erase_count},
+    }
 
 
 class CheckpointManager:
@@ -90,61 +208,7 @@ class CheckpointManager:
         #: Why checkpointing shut itself off (None while healthy).
         self.failure_reason: Optional[str] = None
         self.checkpoints_written = 0
-        self.last_write_ns = 0
         self.last_chunk_count = 0
-        self.total_ns = 0
-
-    # ------------------------------------------------------------------
-    # Capture
-    # ------------------------------------------------------------------
-
-    def capture(self) -> dict:
-        """Snapshot the SRAM metadata as a plain, pickle-friendly dict.
-
-        The slot records are parsed from the array's stored OOB images —
-        information the controller equivalently holds in SRAM, so the
-        capture itself is a memory dump and costs no Flash reads.
-        """
-        ctrl = self.controller
-        store = ctrl.store
-        segments = []
-        for seg in ctrl.array.segments:
-            records = []
-            for slot in range(seg.write_pointer):
-                rec = unpack_oob(seg.oob[slot])
-                records.append(None if rec is None else
-                               (rec.kind, rec.logical_page, rec.epoch,
-                                rec.seq, rec.position))
-            segments.append({
-                "erase_count": seg.erase_count,
-                "write_pointer": seg.write_pointer,
-                "slots": records,
-            })
-        return {
-            "checkpoint_id": self.checkpoint_id + 1,
-            "write_epoch": ctrl.page_table.write_epoch,
-            "seq_counter": store.seq_counter,
-            "segments": segments,
-            "spare_phys": store.spare_phys,
-            "retired_phys": sorted(store.retired_phys),
-            "reserve_phys": list(store.reserve_phys),
-            "metadata_phys": sorted(store.metadata_phys),
-            "phys_erase_counts": list(store.phys_erase_counts),
-            "counters": {
-                "flush_count": store.flush_count,
-                "clean_copy_count": store.clean_copy_count,
-                "transfer_count": store.transfer_count,
-                "erase_count": store.erase_count,
-                "host_write_count": store.host_write_count,
-                "rescue_count": store.rescue_count,
-            },
-            "positions": _capture_positions(store),
-            "policy": _capture_policy(ctrl.policy),
-            "leveler": {
-                "swap_count": ctrl.leveler.swap_count,
-                "last_swap": ctrl.leveler._last_swap_erase_count,
-            },
-        }
 
     # ------------------------------------------------------------------
     # Write path
@@ -209,9 +273,9 @@ class CheckpointManager:
         ctrl = self.controller
         array = ctrl.array
         page_bytes = array.page_bytes
-        state = self.capture()
-        blob = zlib.compress(
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+        state = capture(ctrl)
+        state["checkpoint_id"] = cid = self.checkpoint_id + 1
+        blob = encode_state(state)
         chunk_count = max(1, -(-len(blob) // page_bytes))
         if chunk_count > array.pages_per_segment:
             self._disable(
@@ -222,7 +286,6 @@ class CheckpointManager:
         if picked is None:
             return 0
         target, ns = picked
-        cid = state["checkpoint_id"]
         try:
             for index in range(chunk_count):
                 chunk = blob[index * page_bytes:(index + 1) * page_bytes]
@@ -247,8 +310,6 @@ class CheckpointManager:
                 # partner.  _pick_target will route around it next time.
                 ctrl.array.emit_fault("checkpoint_erase_failed", stale,
                                       str(exc))
-        self.last_write_ns = ns
-        self.total_ns += ns
         return ns
 
 
@@ -261,11 +322,11 @@ def read_latest_checkpoint(array: FlashArray,
     """Find and decode the newest complete checkpoint.
 
     Scans every metadata segment's OOB records, groups CHECKPOINT chunks
-    by id, and — newest id first — reassembles any id whose chunks are
-    all present with clean payload CRCs.  Returns ``(state, chunks_read,
-    holder)``; ``(None, chunks_read, -1)`` when no complete checkpoint
-    survives.  Reads go through the array's fault path, so a bit flip in
-    a chunk simply demotes that checkpoint like a torn write would.
+    by id, and returns the newest id whose chunks are all present, pass
+    their CRCs and decode to a record for this array, as ``(state,
+    chunks_read, holder)``; ``(None, chunks_read, -1)`` when none does.
+    Reads go through the array's fault path, so a bit flip in a chunk
+    simply demotes that checkpoint like a torn write would.
     """
     candidates: Dict[int, Dict[int, bytes]] = {}
     totals: Dict[int, int] = {}
@@ -295,10 +356,11 @@ def read_latest_checkpoint(array: FlashArray,
             continue
         blob = b"".join(chunks[i] for i in range(total))
         try:
-            state = pickle.loads(zlib.decompress(blob))
-        except Exception:
+            state = decode_state(blob)
+        except CheckpointError:
             continue
-        if state.get("checkpoint_id") != cid:
+        if state["checkpoint_id"] != cid \
+                or len(state["segments"]) != array.num_segments:
             continue
         return state, chunks_read, holders[cid]
     return None, chunks_read, -1

@@ -128,9 +128,9 @@ class ControllerMetrics:
         }
 
     def load_state(self, state: dict) -> None:
-        for name, value in state["counters"].items():
-            if hasattr(self, name):
-                setattr(self, name, value)
+        for f in fields(self):
+            if f.name in state["counters"]:
+                setattr(self, f.name, state["counters"][f.name])
         self.busy_ns = dict(state["busy_ns"])
         self.read_latency = LatencyHistogram()
         self.read_latency.load_state(state["read_latency"])

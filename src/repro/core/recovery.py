@@ -56,14 +56,17 @@ programmed page in the array is scanned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from ..cleaning.store import IN_BUFFER
 from ..flash.errors import FlashError
-from ..flash.oob import unpack_oob, payload_crc
+from ..flash.oob import DATA, payload_crc, unpack_oob
 from ..flash.segment import PageState
+from .checkpoint import (COLUMNS, COUNTERS, PARTITION_STATE, POSITION_STATS,
+                         REGISTERS, read_latest_checkpoint)
 from .controller import EnvyController
 
 __all__ = ["CleanPhase", "CleaningJournal", "SimulatedPowerFailure",
@@ -304,12 +307,13 @@ def _scan_segment(array, phys: int, cached: Optional[dict],
     rolled = (cached is not None
               and cached["erase_count"] == seg.erase_count)
     if rolled:
-        for raw in cached["slots"][:seg.write_pointer]:
-            if raw is None or raw[0] != 1:  # not a DATA stamp
+        columns = zip(*(cached[name] for name in COLUMNS))
+        for kind, page, epoch, seq, position in islice(columns,
+                                                      seg.write_pointer):
+            if kind != DATA:
                 records.append(None)
                 report.garbage_slots += 1
                 continue
-            _, page, epoch, seq, position = raw
             records.append((page, epoch, seq, position, True))
     else:
         report.segments_scanned += 1
@@ -436,12 +440,9 @@ def recover_from_flash(array, config, policy=None,
                                            else 0)
     # --- 1. latest checkpoint, if any ---------------------------------
     state = None
-    holder = -1
     chunks_read = 0
     if use_checkpoint and ckpt_segments:
-        from .checkpoint import read_latest_checkpoint
-
-        state, chunks_read, holder = read_latest_checkpoint(
+        state, chunks_read, _ = read_latest_checkpoint(
             array, metadata_phys)
     report = RecoveryReport(
         mode="checkpoint" if state is not None else "full-scan",
@@ -542,14 +543,9 @@ def recover_from_flash(array, config, policy=None,
         page_location[page] = IN_BUFFER
     report.pages_zero_filled = len(zero_filled)
     store.restore_layout(position_slots, position_phys, page_location,
-                         spare)
-    store.phys_erase_counts = [array.segment(phys).erase_count
-                               for phys in range(array.num_segments)]
-    store.retired_phys = set(retired)
-    store.reserve_phys = list(reserves)
-    # The membership sets were replaced wholesale; drop the derived
-    # active/wear caches restore_layout just primed.
-    store.rebuild_derived()
+                         spare, retired, reserves,
+                         [array.segment(phys).erase_count
+                          for phys in range(array.num_segments)])
     if ctrl.bad_blocks is not None:
         ctrl.bad_blocks.reserve = list(reserves)
         for phys in sorted(retired):
@@ -576,18 +572,13 @@ def recover_from_flash(array, config, policy=None,
     if state is not None:
         _restore_history(ctrl, state)
     # --- 8. re-flush stranded winners and lost pages ------------------
-    for page, data, origin, epoch in orphans:
+    for page, data, origin, _ in orphans + [(page, None, 0, 0)
+                                            for page in zero_filled]:
         while ctrl.buffer.is_full:
             ctrl.flush_one()
         ctrl.buffer.insert(page, bytearray(data) if data is not None
                            else (bytearray(cfg.page_bytes) if store_data
                                  else None), origin)
-        ctrl.page_table.update(page, Location.sram(page))
-    for page in zero_filled:
-        while ctrl.buffer.is_full:
-            ctrl.flush_one()
-        ctrl.buffer.insert(page, bytearray(cfg.page_bytes) if store_data
-                           else None, 0)
         ctrl.page_table.update(page, Location.sram(page))
     ctrl.drain()
     ctrl.mmu.flush()
@@ -660,38 +651,24 @@ def recover_banks(arrays, config, oracles=None, policy=None):
 
 
 def _restore_history(ctrl, state: dict) -> None:
-    """Install the checkpoint's statistics — state a scan cannot see."""
+    """Install a record's statistics — state a scan cannot see."""
     store = ctrl.store
-    for name, value in state["counters"].items():
-        if hasattr(store, name):
-            setattr(store, name, value)
+    for name in COUNTERS:
+        setattr(store, name, state["counters"][name])
     for position, saved in zip(store.positions, state["positions"]):
-        position.clean_count = saved["clean_count"]
-        position.last_clean_seq = saved["last_clean_seq"]
-        position.avg_clean_interval = saved["avg_clean_interval"]
-        position.last_clean_utilization = saved["last_clean_utilization"]
-        position.product = saved["product"]
-    policy_state = state.get("policy") or {}
-    if policy_state.get("name") == ctrl.policy.name:
-        from ..cleaning.hybrid import HybridPolicy
-
-        if isinstance(ctrl.policy, HybridPolicy) \
-                and "partitions" in policy_state:
-            for part, saved in zip(ctrl.policy.partitions,
-                                   policy_state["partitions"]):
-                part.active = saved["active"]
-                part.next_victim = saved["next_victim"]
-                part.clean_count = saved["clean_count"]
-                part.last_clean_seq = saved["last_clean_seq"]
-                part.avg_clean_interval = saved["avg_clean_interval"]
-                part.product = saved["product"]
-        for attr in ("_active", "_next_victim"):
-            if attr in policy_state and hasattr(ctrl.policy, attr):
-                setattr(ctrl.policy, attr, policy_state[attr])
-    leveler = state.get("leveler")
-    if leveler:
-        ctrl.leveler.swap_count = leveler["swap_count"]
-        ctrl.leveler._last_swap_erase_count = leveler["last_swap"]
+        for name in POSITION_STATS:
+            setattr(position, name, saved[name])
+    policy, saved_policy = ctrl.policy, state["policy"]
+    if saved_policy["name"] == policy.name:
+        for part, saved in zip(getattr(policy, "partitions", ()),
+                               saved_policy["partitions"]):
+            for name in PARTITION_STATE:
+                setattr(part, name, saved[name])
+        for name, value in zip(REGISTERS, saved_policy["registers"]):
+            if hasattr(policy, name):
+                setattr(policy, name, value)
+    ctrl.leveler.swap_count = state["leveler"]["swap_count"]
+    ctrl.leveler._last_swap_erase_count = state["leveler"]["last_swap"]
     if ctrl.checkpointer is not None:
         ctrl.checkpointer.checkpoint_id = state["checkpoint_id"]
 

@@ -30,12 +30,10 @@ class BadBlockTable:
 
     def __init__(self) -> None:
         #: Retired physical segment -> reason ("grown_bad", "permanent",
-        #: "retry_exhausted", ...).
+        #: "retry_exhausted", ...), in retirement order.
         self.retired: Dict[int, str] = {}
         #: Fresh physical segments available as replacements, FIFO.
         self.reserve: List[int] = []
-        #: Retirement order, for tracing/replay comparisons.
-        self.history: List[tuple] = []
 
     # ------------------------------------------------------------------
 
@@ -52,7 +50,6 @@ class BadBlockTable:
             raise ValueError(f"segment {phys} is already retired")
         self.retired[phys] = reason
         replacement = self.reserve.pop(0) if self.reserve else None
-        self.history.append((phys, reason, replacement))
         return replacement
 
     def mark_factory(self, phys: int,
@@ -75,7 +72,6 @@ class BadBlockTable:
         replacement = None
         if need_replacement:
             replacement = self.reserve.pop(0) if self.reserve else None
-        self.history.append((phys, "factory", replacement))
         return replacement
 
     def is_bad(self, phys: int) -> bool:

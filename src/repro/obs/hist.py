@@ -388,8 +388,10 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """A plain, pickle-friendly snapshot of the histogram (bucket
-        keys are ints: a JSON round trip must restore them)."""
+        """A plain-dict snapshot of the histogram.  Bucket keys are
+        ints, so a JSON writer must store ``buckets`` as pairs (as
+        :mod:`repro.core.persistence` does); ``load_state`` accepts
+        either form."""
         buckets = self._fold()
         return {
             "count": self._count,

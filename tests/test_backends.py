@@ -294,6 +294,40 @@ class TestFileBackend:
             FileBackend(config.flash, config.page_bytes,
                         path=str(path), create=False)
 
+    def image_4x8(self, tmp_path):
+        """A 4 x 8 image with one programmed page; returns (config, path,
+        image bytes)."""
+        config = EnvyConfig.small(num_segments=4, pages_per_segment=8)
+        path = tmp_path / "tiny.img"
+        backend = FileBackend(config.flash, config.page_bytes,
+                              path=str(path))
+        backend.program_page(0, b"\x5A" * config.page_bytes)
+        backend.close()
+        return config, path, path.read_bytes()
+
+    def test_every_truncation_rejected(self, tmp_path):
+        config, path, image = self.image_4x8(tmp_path)
+        for length in range(len(image)):
+            path.write_bytes(image[:length])
+            with pytest.raises(FileStoreError):
+                FileBackend(config.flash, config.page_bytes,
+                            path=str(path), create=False)
+
+    def test_unknown_slot_state_rejected(self, tmp_path):
+        config, path, image = self.image_4x8(tmp_path)
+        reopened = FileBackend(config.flash, config.page_bytes,
+                               path=str(path), create=False)
+        assert reopened.segments[0].write_pointer == 1
+        state_byte = reopened._slot_offset(0, 0)
+        reopened.close()
+        for value in range(3, 256):
+            raw = bytearray(image)
+            raw[state_byte] = value
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FileStoreError, match="unknown slot state"):
+                FileBackend(config.flash, config.page_bytes,
+                            path=str(path), create=False)
+
     def test_media_report_counts_writes(self, tmp_path):
         config = small_config()
         backend = FileBackend(config.flash, config.page_bytes,

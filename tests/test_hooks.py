@@ -11,6 +11,7 @@ space is the one the method shadows counted.
 
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.cleaning import SegmentStore
 from repro.core import EnvyConfig, EnvySystem
 from repro.core.chaos import KillSwitch, run_chaos
+from repro.core.checkpoint import CheckpointManager
 from repro.core.config import FlashParams
 from repro.core.recovery import (SimulatedPowerFailure, attach_journal,
                                  recover)
@@ -123,7 +125,21 @@ class TestKillPointSpaceUnchanged:
     def test_core_dry_run(self):
         config = EnvyConfig.small(num_segments=10, pages_per_segment=16,
                                   checkpoint_interval_flushes=6)
-        assert run_chaos(config, recover=False).ops_seen == 107
+        chunks = []
+        write = CheckpointManager.write_checkpoint
+
+        def counted(manager):
+            ns = write(manager)
+            chunks.append(manager.last_chunk_count)
+            return ns
+        with mock.patch.object(CheckpointManager, "write_checkpoint",
+                               counted):
+            ops = run_chaos(config, recover=False).ops_seen
+        assert ops == 102
+        # The checkpoint format sets only the chunk programs (14 over 3
+        # checkpoints); every other flash operation is pinned apart.
+        assert len(chunks) == 3
+        assert ops - sum(chunks) == 88
 
     def test_service_dry_run(self):
         assert run_service_chaos(recover=False).ops_seen == 83
