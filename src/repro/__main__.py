@@ -228,7 +228,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
           + (" (torn program)" if args.tear else "") + "...")
     result = run_chaos(config, transactions=args.transactions,
                        kill_at=kill_at, tear=args.tear, seed=args.seed)
-    report = result.report
+    report = result.reports[0]
     print(banner("Full power-loss recovery from Flash alone"))
     rows = [[key, str(value)] for key, value in report.as_dict().items()]
     rows.append(["committed pages", str(result.committed_pages)])
@@ -241,7 +241,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if result.ok:
         print("\nrecovered store matches the committed prefix exactly.")
         return 0
-    print(f"\nMISMATCH on pages {result.mismatches[:10]}")
+    print(f"\nMISMATCH on (bank, page) {result.mismatches[:10]}")
     return 1
 
 

@@ -22,8 +22,8 @@ from .recovery import (CleaningJournal, CleanPhase, RecoveryError,
                        recover_from_flash, verify_against_scan)
 from .checkpoint import (CheckpointError, CheckpointManager,
                          read_latest_checkpoint)
-from .chaos import (ChaosResult, KillSwitch, attach_commit_oracle,
-                    chaos_sweep, recovered_page_bytes, run_chaos)
+from .chaos import (ChaosReport, KillSwitch, attach_commit_oracle, drill,
+                    recovered_page_bytes, run_chaos, sweep_kill_points)
 
 __all__ = [
     "EnvyConfig",
@@ -59,10 +59,11 @@ __all__ = [
     "CheckpointManager",
     "CheckpointError",
     "read_latest_checkpoint",
-    "ChaosResult",
+    "ChaosReport",
     "KillSwitch",
+    "drill",
     "run_chaos",
-    "chaos_sweep",
+    "sweep_kill_points",
     "attach_commit_oracle",
     "recovered_page_bytes",
     "EnvyMemoryView",

@@ -3,31 +3,33 @@
 The recovery scan (:func:`repro.core.recovery.recover_from_flash`)
 claims that whatever instant the power dies, the array alone
 reconstructs a consistent store holding, for every logical page, its
-newest *committed* copy.  This module makes that claim executable: it
-runs a TPC-A workload against a controller whose Flash operations are
-counted, kills the run at a chosen operation (optionally *tearing* the
-in-flight program — the page is half-written with a payload that no
-longer matches its stamped CRC), recovers from the surviving array, and
-compares every logical page against an oracle of committed flushes.
+newest *committed* copy.  This module makes that claim executable as
+one property over every driver: :func:`drill` runs a workload on one
+or more banks with a :class:`KillSwitch` armed on one of them (a kill
+optionally *tears* the in-flight program — the page is half-written
+with a payload that no longer matches its stamped CRC), and
+:meth:`ChaosReport.recover` rebuilds every bank from its surviving
+array and compares each logical page against an oracle of committed
+flushes.  :func:`run_chaos` drills a single controller under TPC-A;
+:mod:`repro.service.chaos` drills a sharded service.
 
-``chaos_sweep`` drives the property test: a dry run counts the total
-operations of a seeded workload, then the same workload is replayed
-once per kill point.  Everything is deterministic — same seed, same
-fault plan, same kill point gives byte-identical outcomes.
+:func:`sweep_kill_points` is the one property test: a dry run counts
+the victim's operations, then the same workload is replayed once per
+kill point.  Everything is deterministic — same seed, same fault plan,
+same kill point gives byte-identical outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import EnvyConfig
 from .controller import EnvyController
 from .recovery import (RecoveryReport, SimulatedPowerFailure,
                        recover_from_flash)
 
-__all__ = ["ChaosResult", "KillSwitch", "run_chaos", "chaos_sweep",
+__all__ = ["ChaosReport", "KillSwitch", "drill", "run_chaos",
            "sweep_kill_points", "attach_commit_oracle",
            "recovered_page_bytes"]
 
@@ -36,29 +38,74 @@ _WORD = 8
 
 
 @dataclass
-class ChaosResult:
-    """Outcome of one chaos run (workload + kill + recovery + verify)."""
+class ChaosReport:
+    """Outcome of one drill: workload, kill, recovery, verification."""
 
+    #: The bank the kill switch was armed on.
+    victim: int
     kill_at: Optional[int]
     tear: bool
-    #: Flash operations counted before the run ended (the total for an
-    #: uninterrupted run — use this to choose kill points).
+    #: Flash operations the victim issued (the kill-point space when
+    #: the run was a dry run).
     ops_seen: int = 0
-    #: Whether the kill actually fired (False = workload outran it).
+    #: Whether the kill fired (False = the victim outran it).
     interrupted: bool = False
-    #: Pages with at least one committed flush when the power died.
+    #: Victim pages with at least one committed flush at the cut.
     committed_pages: int = 0
-    report: Optional[RecoveryReport] = None
-    #: Logical pages whose recovered bytes differ from the oracle.
-    mismatches: List[int] = field(default_factory=list)
-    verified: bool = False
-    #: ``health_report()`` of the workload controller at the cut —
-    #: includes the latency-tail percentiles for the run that died.
+    #: Per-bank recovery summaries, in recovery order: ``shard``,
+    #: ``mode`` (checkpoint / full-scan), ``committed_pages``,
+    #: ``mismatches``.
+    shards: List[Dict] = field(default_factory=list)
+    #: The per-bank recovery scans, aligned with ``shards``.
+    reports: List[RecoveryReport] = field(default_factory=list)
+    #: Every ``(bank, page)`` whose recovered bytes differ from that
+    #: bank's commit oracle.
+    mismatches: List[Tuple[int, int]] = field(default_factory=list)
+    #: A drill's further checks: check name -> pages it found wrong.
+    checks: Dict[str, List[int]] = field(default_factory=dict)
+    #: A drill's further tallies (the redundancy drill's phases).
+    counts: Dict = field(default_factory=dict)
+    #: ``health_report()`` of the victim at the cut — includes the
+    #: latency-tail percentiles for the run that died.
     health: Optional[Dict] = None
+    verified: bool = False
 
     @property
     def ok(self) -> bool:
-        return self.verified and not self.mismatches
+        return (self.verified and not self.mismatches
+                and not any(self.checks.values())
+                and self.counts.get("rebuild_verified") is not False)
+
+    def recover(self, arrays, config: EnvyConfig, oracles,
+                banks: Optional[Sequence[int]] = None,
+                policy=None) -> None:
+        """Rebuild each bank from its own array and compare it.
+
+        Banks share nothing, and recovery honours that: each array is
+        rebuilt by :func:`recover_from_flash` alone (and
+        ``check_consistency``-verified), then byte-compared against its
+        own ``{logical_page: bytes}`` oracle (see
+        :func:`attach_commit_oracle`), unlogged pages reading as zeros.
+        ``config`` is the shared per-bank geometry; ``banks`` labels
+        the arrays (default ``0..n-1``).  Marks the report ``verified``.
+        """
+        if len(oracles) != len(arrays):
+            raise ValueError("need exactly one oracle per bank")
+        zeros = bytes(config.page_bytes)
+        for bank, array, oracle in zip(banks or range(len(arrays)),
+                                       arrays, oracles):
+            recovered, scan = recover_from_flash(array, config,
+                                                 policy=policy)
+            recovered.check_consistency()
+            wrong = [page for page in range(config.logical_pages)
+                     if recovered_page_bytes(recovered, page)
+                     != oracle.get(page, zeros)]
+            self.reports.append(scan)
+            self.shards.append({"shard": bank, "mode": scan.mode,
+                                "committed_pages": len(oracle),
+                                "mismatches": len(wrong)})
+            self.mismatches.extend((bank, page) for page in wrong)
+        self.verified = True
 
 
 class KillSwitch:
@@ -162,6 +209,47 @@ def recovered_page_bytes(ctrl: EnvyController, page: int) -> bytes:
     return bytes(data) if data is not None else zeros
 
 
+def drill(controllers: Sequence[EnvyController], victim: int,
+          run_bank: Callable[[int, EnvyController], None],
+          kill_at: Optional[int] = None, tear: bool = False,
+          recover: bool = True, policy=None) -> ChaosReport:
+    """The one setup–cut–recover sequence of every chaos driver.
+
+    Every bank gets flushed-copy preservation (the committed-prefix
+    guarantee depends on it once SRAM is assumed lossy) and a commit
+    oracle; then ``run_bank(index, ctrl)`` runs each bank in turn with
+    the switch armed on ``victim`` only.  ``kill_at`` is 1-based over
+    the victim's Flash operations; ``None`` runs to completion — with
+    ``recover=False`` that is the dry run sizing a sweep.  With
+    ``recover``, every bank — interrupted or not — is rebuilt and
+    compared (:meth:`ChaosReport.recover`).
+    """
+    if not 0 <= victim < len(controllers):
+        raise IndexError(f"no bank {victim}")
+    oracles = []
+    for ctrl in controllers:
+        ctrl.store.preserve_flushed_copies = True
+        oracles.append(attach_commit_oracle(ctrl))
+    report = ChaosReport(victim=victim, kill_at=kill_at, tear=tear)
+    for index, ctrl in enumerate(controllers):
+        with KillSwitch(ctrl.array,
+                        kill_at=kill_at if index == victim else None,
+                        tear=tear, bus=ctrl.events) as switch:
+            try:
+                run_bank(index, ctrl)
+            except SimulatedPowerFailure:
+                report.interrupted = True
+        if index == victim:
+            report.ops_seen = switch.ops
+            report.committed_pages = len(oracles[index])
+            report.health = ctrl.health_report()
+    if recover:
+        report.recover([ctrl.array for ctrl in controllers],
+                       controllers[victim].config, oracles,
+                       policy=policy)
+    return report
+
+
 def _replay(ctrl: EnvyController, layout,
             transactions: int, seed: int) -> None:
     """Replay a seeded TPC-A access trace against the controller."""
@@ -180,79 +268,43 @@ def _replay(ctrl: EnvyController, layout,
                            stamp.to_bytes(_WORD, "little"))
             else:
                 ctrl.read(address, _WORD)
+    ctrl.drain()
 
 
 def run_chaos(config: EnvyConfig, transactions: int = 20,
               kill_at: Optional[int] = None, tear: bool = False,
               seed: int = 0, policy=None,
-              recover: bool = True) -> ChaosResult:
-    """One chaos run: workload, optional kill, recovery, verification.
+              recover: bool = True) -> ChaosReport:
+    """One TPC-A drill on one controller (bank 0, the victim).
 
     ``kill_at=None`` runs to completion (a dry run when ``recover`` is
     False — its ``ops_seen`` is the kill-point space).  Requires a
-    data-bearing controller; when checkpointing is off, the store's
-    flushed-copy preservation is enabled anyway, since the committed-
-    prefix guarantee depends on it once SRAM is assumed lossy.
+    data-bearing controller.
     """
     from ..db.layout import TpcaLayout
 
     ctrl = EnvyController(config, policy)
     if not ctrl.store_data:
         raise ValueError("chaos runs need a data-bearing controller")
-    ctrl.store.preserve_flushed_copies = True
     layout = TpcaLayout.sized_for(config.logical_bytes)
-    committed = attach_commit_oracle(ctrl)
-    result = ChaosResult(kill_at=kill_at, tear=tear)
-    with KillSwitch(ctrl.array, kill_at=kill_at, tear=tear,
-                    bus=ctrl.events) as switch:
-        try:
-            _replay(ctrl, layout, transactions, seed)
-            ctrl.drain()
-        except SimulatedPowerFailure:
-            result.interrupted = True
-    result.ops_seen = switch.ops
-    result.committed_pages = len(committed)
-    result.health = ctrl.health_report()
-    if not recover:
-        return result
-    recovered, report = recover_from_flash(ctrl.array, config,
-                                           policy=policy)
-    recovered.check_consistency()
-    result.report = report
-    zeros = bytes(config.page_bytes)
-    for page in range(config.logical_pages):
-        want = committed.get(page)
-        if want is None:
-            want = zeros
-        if recovered_page_bytes(recovered, page) != want:
-            result.mismatches.append(page)
-    result.verified = True
-    return result
+    return drill([ctrl], 0,
+                 lambda _, bank: _replay(bank, layout, transactions, seed),
+                 kill_at, tear, recover, policy)
 
 
 def sweep_kill_points(run, stride: int = 1, clean_loss: bool = False,
                       **dry_run) -> list:
-    """The kill-point sweep every chaos driver shares.
+    """The one kill-point sweep.
 
     ``run(kill_at=None, **dry_run)`` is the dry run whose ``ops_seen``
     sizes the sweep; the result is ``run(kill_at=k)`` for every
     ``stride``-th operation ``k`` of it, plus — with ``clean_loss`` —
     one point just past the last operation.  The dry run itself is not
-    included.
+    included.  Bind a driver's other arguments with
+    :func:`functools.partial`; every report should satisfy ``ok``.
     """
     ops = run(kill_at=None, **dry_run).ops_seen
     points = list(range(1, ops + 1, max(1, stride)))
     if clean_loss:
         points.append(ops + 1)
     return [run(kill_at=kill_at) for kill_at in points]
-
-
-def chaos_sweep(config: EnvyConfig, transactions: int = 20,
-                stride: int = 1, tear: bool = False, seed: int = 0,
-                policy=None) -> List[ChaosResult]:
-    """Kill the same seeded run at every ``stride``-th Flash operation;
-    every :class:`ChaosResult` should satisfy ``result.ok``."""
-    return sweep_kill_points(
-        partial(run_chaos, config, transactions, tear=tear, seed=seed,
-                policy=policy),
-        stride, recover=False)

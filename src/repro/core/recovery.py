@@ -71,7 +71,7 @@ from .controller import EnvyController
 
 __all__ = ["CleanPhase", "CleaningJournal", "SimulatedPowerFailure",
            "recover", "attach_journal", "RecoveryReport", "RecoveryError",
-           "RecoveryMismatch", "recover_from_flash", "recover_banks",
+           "RecoveryMismatch", "recover_from_flash",
            "verify_against_scan"]
 
 
@@ -587,67 +587,6 @@ def recover_from_flash(array, config, policy=None,
     ctrl.metrics.charge("recovery", scan_ns)
     ctrl.last_recovery_report = report
     return ctrl, report
-
-
-def recover_banks(arrays, config, oracles=None, policy=None):
-    """Coordinate independent whole-bank recoveries across a shard pool.
-
-    The service's shards share nothing at runtime, and recovery honours
-    the same invariant: each bank is rebuilt by
-    :func:`recover_from_flash` from **its own array alone** — this
-    helper only sequences the scans and aggregates their reports, it
-    never moves state between banks.  ``arrays`` is the per-bank Flash
-    arrays in bank order; ``config`` is the (shared, static) per-bank
-    geometry.
-
-    ``oracles``, when given, is a per-bank ``{logical_page: bytes}``
-    commit oracle (see :func:`repro.core.chaos.attach_commit_oracle`);
-    every recovered bank is then byte-compared against its own oracle,
-    with unlogged pages expected to read as zeros.
-
-    Returns ``(controllers, summaries, mismatches)``:
-
-    * ``controllers`` — the recovered :class:`EnvyController` per bank
-      (each already ``check_consistency``-verified);
-    * ``summaries`` — one dict per bank: ``bank``, ``mode``
-      (checkpoint / full-scan), ``pages_reconstructed``, ``scan_ns``,
-      plus ``committed_pages`` / ``mismatches`` counts when oracles
-      were supplied;
-    * ``mismatches`` — every ``(bank, logical_page)`` whose recovered
-      bytes differ from that bank's oracle (empty without oracles).
-    """
-    from .chaos import recovered_page_bytes
-
-    if oracles is not None and len(oracles) != len(arrays):
-        raise ValueError("need exactly one oracle per bank")
-    controllers: List[EnvyController] = []
-    summaries: List[dict] = []
-    mismatches: List[Tuple[int, int]] = []
-    zeros = bytes(config.page_bytes)
-    for bank, array in enumerate(arrays):
-        recovered, scan = recover_from_flash(array, config, policy=policy)
-        recovered.check_consistency()
-        entry = {
-            "bank": bank,
-            "mode": scan.mode,
-            "pages_reconstructed": scan.pages_reconstructed,
-            "scan_ns": scan.scan_ns,
-        }
-        if oracles is not None:
-            oracle = oracles[bank]
-            bad = 0
-            for page in range(config.logical_pages):
-                want = oracle.get(page)
-                if want is None:
-                    want = zeros
-                if recovered_page_bytes(recovered, page) != want:
-                    bad += 1
-                    mismatches.append((bank, page))
-            entry["committed_pages"] = len(oracle)
-            entry["mismatches"] = bad
-        controllers.append(recovered)
-        summaries.append(entry)
-    return controllers, summaries, mismatches
 
 
 def _restore_history(ctrl, state: dict) -> None:

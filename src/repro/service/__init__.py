@@ -28,11 +28,12 @@ service:
   plus :class:`RebuildScheduler` (online rebuild) and
   :func:`plan_rebalance` (hot-page remapping)
   (:mod:`repro.service.redundancy`);
-* :func:`run_service_chaos` / :func:`service_chaos_sweep` — kill a
-  shard mid-batch and recover every shard independently;
-  :func:`run_redundancy_chaos` / :func:`redundancy_chaos_sweep` —
-  kill a whole *bank* mid-write and prove degraded serving, online
-  rebuild and post-mortem recovery (:mod:`repro.service.chaos`);
+* :func:`run_service_chaos` — kill a shard mid-batch and recover
+  every shard independently; :func:`run_redundancy_chaos` — kill a
+  whole *bank* mid-write and prove degraded serving, online rebuild
+  and post-mortem recovery (:mod:`repro.service.chaos`).  Both return
+  a :class:`~repro.core.chaos.ChaosReport`; sweep either with
+  :func:`~repro.core.chaos.sweep_kill_points`;
 * :class:`AttackDetector` / :func:`attack_tenant` /
   :func:`run_attack_scenario` — hostile-tenant wear attacks, per-tenant
   wear attribution, detection and quarantine-and-throttle mitigation
@@ -46,9 +47,7 @@ from .admission import ADMISSION_STATES, AdmissionController
 from .adversary import (ATTACK_KINDS, AttackDetector, attack_tenant,
                         project_lifetime, run_attack_scenario)
 from .cache import CACHE_POLICIES, PageCache
-from .chaos import (RedundancyChaosReport, ServiceChaosReport,
-                    redundancy_chaos_sweep, run_redundancy_chaos,
-                    run_service_chaos, service_chaos_sweep)
+from .chaos import run_redundancy_chaos, run_service_chaos
 from .executor import ShardExecutor, service_shard_point
 from .frontend import (EnvyService, ServiceConfig, ServiceStats,
                        ServiceTransaction)
@@ -90,12 +89,8 @@ __all__ = [
     "BANK_HEALTHY",
     "BANK_DEAD",
     "BANK_REBUILDING",
-    "ServiceChaosReport",
     "run_service_chaos",
-    "service_chaos_sweep",
-    "RedundancyChaosReport",
     "run_redundancy_chaos",
-    "redundancy_chaos_sweep",
     "ATTACK_KINDS",
     "AttackDetector",
     "attack_tenant",

@@ -766,8 +766,8 @@ def build_shard_controller(spec: Mapping, shard_index: int,
     """One shard's controller from a picklable service spec.
 
     ``spec`` carries the per-shard array geometry (``num_segments``,
-    ``pages_per_segment``, ``utilization``, ``policy``) plus the service
-    seed; the shard is prewarmed to cleaning steady state with its own
+    ``pages_per_segment``, ``page_bytes``, ``utilization``, ``policy``)
+    plus the service seed; the shard is prewarmed to cleaning steady state with its own
     :func:`~repro.perf.sweep.derive_seed` stream, so shard ``i`` of an
     N-shard service always starts from the same state regardless of
     which process builds it.
@@ -779,6 +779,7 @@ def build_shard_controller(spec: Mapping, shard_index: int,
     config = EnvyConfig.scaled(
         num_segments=spec["num_segments"],
         pages_per_segment=spec["pages_per_segment"],
+        page_bytes=spec["page_bytes"],
         max_utilization=spec["utilization"],
         cleaning_policy=spec["policy"])
     controller = EnvyController(config, store_data=store_data)

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.chaos import ChaosReport
 from ..core.config import EnvyConfig
 from ..core.controller import EnvyController
 from ..obs.events import (ADMISSION_DECISION, CACHE_INVALIDATE,
@@ -254,6 +255,7 @@ class ServiceConfig:
         return {
             "num_segments": self.num_segments,
             "pages_per_segment": self.pages_per_segment,
+            "page_bytes": self.page_bytes,
             "utilization": self.utilization,
             "policy": self.policy,
             "queue_capacity": self.queue_capacity,
@@ -1345,17 +1347,13 @@ class EnvyService:
             report["cache_hit_rate"] = round(stats.cache_hit_rate, 6)
         return _canonical_report(report)
 
-    def record_chaos_report(self, report) -> None:
+    def record_chaos_report(self, report: ChaosReport) -> None:
         """Fold a chaos drill's per-shard recovery outcome into
-        :meth:`health_report` (its ``recovery`` section).
-
-        Accepts a :class:`~repro.service.chaos.ServiceChaosReport` or
-        any object with ``shards`` / ``ok`` / ``kill_at`` attributes.
-        """
+        :meth:`health_report` (its ``recovery`` section)."""
         self._last_chaos = {
-            "ok": bool(report.ok),
+            "ok": report.ok,
             "kill_at": report.kill_at,
-            "interrupted": bool(getattr(report, "interrupted", False)),
+            "interrupted": report.interrupted,
             "shards": [dict(entry) for entry in report.shards],
         }
 

@@ -8,10 +8,13 @@ with a torn in-flight program, even with device faults firing — the
 recovered store is exactly the committed prefix of the run.*
 """
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
 from repro.core import EnvyConfig, EnvyController, recover_from_flash
-from repro.core.chaos import KillSwitch, chaos_sweep, run_chaos
+from repro.core.chaos import KillSwitch, run_chaos, sweep_kill_points
 from repro.core.recovery import SimulatedPowerFailure
 from repro.faults import FaultPlan
 
@@ -28,10 +31,14 @@ def failures(results):
     return [(r.kill_at, len(r.mismatches)) for r in results if not r.ok]
 
 
+def sweep(config, transactions, stride=1, tear=False):
+    return sweep_kill_points(partial(run_chaos, config, transactions,
+                                     tear=tear), stride, recover=False)
+
+
 class TestKillEveryOperation:
     def test_every_kill_point_recovers_committed_prefix(self):
-        results = chaos_sweep(EnvyConfig.small(**CONFIG_KW),
-                              transactions=6, seed=0)
+        results = sweep(EnvyConfig.small(**CONFIG_KW), transactions=6)
         assert results, "sweep produced no kill points"
         assert failures(results) == []
         # Sanity: the sweep actually interrupted runs mid-flight.
@@ -40,50 +47,26 @@ class TestKillEveryOperation:
 
     def test_every_kill_point_under_device_faults(self):
         config = EnvyConfig.small(fault_plan=PLAN, **CONFIG_KW)
-        results = chaos_sweep(config, transactions=6, seed=0)
+        results = sweep(config, transactions=6)
         assert results
         assert failures(results) == []
 
     def test_torn_programs_sampled(self):
-        results = chaos_sweep(EnvyConfig.small(**CONFIG_KW),
-                              transactions=6, stride=3, seed=0, tear=True)
+        results = sweep(EnvyConfig.small(**CONFIG_KW), transactions=6,
+                        stride=3, tear=True)
         assert results
         assert failures(results) == []
         # At least one kill actually landed on a program and tore it.
-        assert any(r.report.torn_writes_demoted for r in results
-                   if r.report)
+        assert any(r.reports[0].torn_writes_demoted for r in results)
 
     def test_torn_programs_under_device_faults(self):
         config = EnvyConfig.small(fault_plan=PLAN, **CONFIG_KW)
-        results = chaos_sweep(config, transactions=6, stride=5, seed=0,
-                              tear=True)
+        results = sweep(config, transactions=6, stride=5, tear=True)
         assert results
         assert failures(results) == []
 
 
 class TestHarnessMechanics:
-    def test_uninterrupted_run_verifies_too(self):
-        result = run_chaos(EnvyConfig.small(**CONFIG_KW), transactions=6,
-                           kill_at=None, seed=0)
-        assert not result.interrupted
-        assert result.ok
-
-    def test_kill_beyond_run_never_fires(self):
-        dry = run_chaos(EnvyConfig.small(**CONFIG_KW), transactions=6,
-                        kill_at=None, seed=0, recover=False)
-        result = run_chaos(EnvyConfig.small(**CONFIG_KW), transactions=6,
-                           kill_at=dry.ops_seen + 100, seed=0)
-        assert not result.interrupted
-        assert result.ok
-
-    def test_same_seed_same_kill_is_deterministic(self):
-        config = EnvyConfig.small(fault_plan=PLAN, **CONFIG_KW)
-        a = run_chaos(config, transactions=6, kill_at=17, seed=3)
-        b = run_chaos(config, transactions=6, kill_at=17, seed=3)
-        assert a.ops_seen == b.ops_seen
-        assert a.committed_pages == b.committed_pages
-        assert a.report.as_dict() == b.report.as_dict()
-
     def test_killswitch_detach_restores_array(self):
         config = EnvyConfig.small(**CONFIG_KW)
         ctrl = EnvyController(config)
@@ -132,38 +115,30 @@ class TestBackendChaosParity:
     """
 
     def test_file_backend_every_kill_point(self, tmp_path):
-        from dataclasses import replace
-
         config = replace(
             EnvyConfig.small(**CONFIG_KW),
             backend=f"file:path={tmp_path / 'chaos.img'}")
-        results = chaos_sweep(config, transactions=4, stride=2, seed=0)
+        results = sweep(config, transactions=4, stride=2)
         assert results
         assert failures(results) == []
         assert all(r.interrupted for r in results)
 
     def test_file_backend_torn_program_persists_torn(self, tmp_path):
-        from dataclasses import replace
-
         config = replace(
             EnvyConfig.small(**CONFIG_KW),
             backend=f"file:path={tmp_path / 'torn.img'}")
-        results = chaos_sweep(config, transactions=4, stride=3, seed=0,
-                              tear=True)
+        results = sweep(config, transactions=4, stride=3, tear=True)
         assert results
         assert failures(results) == []
         # The tear went through the write-through override, so at
         # least one sweep point demoted a torn copy during recovery.
-        assert any(r.report.torn_writes_demoted for r in results
-                   if r.report)
+        assert any(r.reports[0].torn_writes_demoted for r in results)
 
     def test_onfi_backend_every_kill_point(self):
-        from dataclasses import replace
-
         config = replace(EnvyConfig.small(reserve_segments=2,
                                           **CONFIG_KW),
                          backend="onfi:factory_bad=1,bb_seed=7")
-        results = chaos_sweep(config, transactions=4, stride=2, seed=0)
+        results = sweep(config, transactions=4, stride=2)
         assert results
         assert failures(results) == []
 
@@ -174,8 +149,6 @@ class TestBackendChaosParity:
         """The kill switch hooks the base class, inside the backend's
         override: the cut must still land before the medium — no bus
         sequence, no FAIL status, no device write, no image byte."""
-        from dataclasses import replace
-
         image = tmp_path / "cut.img"
         spec = f"file:path={image}" if backend == "file" else backend
         ctrl = EnvyController(replace(EnvyConfig.small(**CONFIG_KW),
@@ -212,13 +185,9 @@ class TestBackendChaosParity:
     def test_backend_kill_points_match_default(self, tmp_path):
         # Placement is backend-independent, so the kill-point space
         # (the number of Flash ops the run issues) is too.
-        from dataclasses import replace
-
         base = EnvyConfig.small(**CONFIG_KW)
-        dry = run_chaos(base, transactions=4, kill_at=None, seed=0,
-                        recover=False)
+        dry = run_chaos(base, transactions=4, recover=False)
         file_cfg = replace(
             base, backend=f"file:path={tmp_path / 'dry.img'}")
-        file_dry = run_chaos(file_cfg, transactions=4, kill_at=None,
-                             seed=0, recover=False)
+        file_dry = run_chaos(file_cfg, transactions=4, recover=False)
         assert file_dry.ops_seen == dry.ops_seen

@@ -241,20 +241,21 @@ def run_degraded(spec):
         dry = drill(kill_at=None)
         kill_at = max(1, int(dry.ops_seen * spec["kill_fraction"]))
         report = drill(kill_at=kill_at)
+        counts, checks = report.counts, report.checks
         points[policy] = {
             "ops_seen_dry": dry.ops_seen,
             "kill_at": kill_at,
             "interrupted": report.interrupted,
-            "stamped_writes": report.stamped_writes,
-            "degraded_pages_checked": report.degraded_pages_checked,
-            "degraded_mismatches": len(report.degraded_mismatches),
-            "serving_mismatches": len(report.serving_mismatches),
-            "recovery_mismatches": len(report.recovery_mismatches),
+            "stamped_writes": counts["stamped_writes"],
+            "degraded_pages_checked": counts["degraded_pages_checked"],
+            "degraded_mismatches": len(checks["degraded"]),
+            "serving_mismatches": len(checks["serving"]),
+            "recovery_mismatches": len(report.mismatches),
             "recovery": report.shards,
-            "rebuilt_pages": report.rebuilt_pages,
-            "rebuild_verified": report.rebuild_verified,
-            "probe_mismatches": report.probe_mismatches,
-            "final_mismatches": len(report.final_mismatches),
+            "rebuilt_pages": counts["rebuilt_pages"],
+            "rebuild_verified": counts["rebuild_verified"],
+            "probe_mismatches": len(checks["probe"]),
+            "final_mismatches": len(checks["final"]),
             "ok": report.ok,
         }
     return points

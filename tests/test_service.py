@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.service import (CrossShardError, EnvyService, LoadGenerator,
                            ServiceConfig, ShardRouter, TenantSpec,
                            TokenBucket)
+from repro.service.executor import build_shard_controller
 
 from .test_service_loadgen import windowed
 
@@ -150,6 +151,11 @@ class TestServiceConfig:
         router = config.make_router()
         assert router.pages_per_shard == config.shard_config().logical_pages
         assert router.num_pages == 3 * config.pages_per_shard
+
+    def test_run_shards_are_built_from_the_shard_config(self):
+        config = ServiceConfig(page_bytes=512, prewarm_turnovers=0.0)
+        shard = build_shard_controller(config.shard_point_base(), 0)
+        assert shard.config == config.shard_config()
 
 
 class TestServiceRun:

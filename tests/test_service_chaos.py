@@ -1,9 +1,11 @@
 """Service-level chaos: kill one shard mid-batch, recover all shards."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.service import ServiceConfig
-from repro.service.chaos import (run_service_chaos, service_chaos_sweep)
+from repro.service import ServiceConfig, TenantSpec
+from repro.service.chaos import run_service_chaos
 
 CONFIG = ServiceConfig(num_shards=2, num_segments=4, pages_per_segment=16,
                        seed=3)
@@ -18,22 +20,14 @@ def dry():
 
 
 class TestServiceChaos:
-    def test_dry_run_sees_flash_ops(self, dry):
-        assert dry.ops_seen > 10
-        assert not dry.interrupted
-
     def test_kill_mid_batch_recovers_every_shard(self, dry):
         report = run_service_chaos(CONFIG, duration_s=DURATION,
                                    kill_shard=0,
                                    kill_at=max(1, dry.ops_seen // 2))
-        assert report.interrupted
-        assert report.ok
-        # Every shard was rebuilt independently and matched its own
-        # commit oracle.
-        assert len(report.shards) == CONFIG.num_shards
-        assert all(entry["mismatches"] == 0 for entry in report.shards)
-        assert sum(entry["committed_pages"]
-                   for entry in report.shards) > 0
+        assert report.interrupted and report.ok
+        # Every shard was rebuilt independently against its own oracle.
+        assert [entry["shard"] for entry in report.shards] == [0, 1]
+        assert all(entry["committed_pages"] for entry in report.shards)
 
     def test_torn_program_on_victim_shard(self, dry):
         report = run_service_chaos(CONFIG, duration_s=DURATION,
@@ -47,27 +41,13 @@ class TestServiceChaos:
         report = run_service_chaos(CONFIG, duration_s=DURATION,
                                    kill_shard=1, kill_at=5)
         assert report.ok
-        assert report.kill_shard == 1
+        assert report.victim == 1
 
-    def test_determinism(self, dry):
-        kill_at = max(1, dry.ops_seen // 2)
-        first = run_service_chaos(CONFIG, duration_s=DURATION,
-                                  kill_at=kill_at)
-        second = run_service_chaos(CONFIG, duration_s=DURATION,
-                                   kill_at=kill_at)
-        assert first.ops_seen == second.ops_seen
-        assert first.shards == second.shards
-        assert first.mismatches == second.mismatches
-
-    def test_bad_kill_shard_rejected(self):
-        with pytest.raises(IndexError):
-            run_service_chaos(CONFIG, duration_s=DURATION, kill_shard=9)
-
-
-class TestServiceChaosSweep:
-    def test_sweep_survives_every_sampled_kill_point(self):
-        reports = service_chaos_sweep(CONFIG, duration_s=DURATION,
-                                      stride=40, tear=True)
-        assert reports
-        bad = [r.kill_at for r in reports if not r.ok]
-        assert not bad, f"recovery failed at kill points {bad}"
+    def test_ranged_placement_routes_through_the_router(self):
+        # A tenant within shard 0's range commits nothing on shard 1.
+        config = replace(CONFIG, placement="ranged", seed=0)
+        tenant = TenantSpec("low", rate_tps=2e6, write_fraction=0.9,
+                            skew=0.8, page_range=(0, config.pages_per_shard))
+        report = run_service_chaos(config, [tenant])
+        assert report.ok and [entry["committed_pages"]
+                              for entry in report.shards] == [22, 0]
