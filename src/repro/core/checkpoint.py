@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..flash.array import FlashArray
 from ..flash.errors import FlashError
@@ -101,8 +101,9 @@ RECORD_SHAPE = {
                   **dict.fromkeys(COLUMNS, [_INT])}],
     "positions": [{"phys": _INT, "demoted": [_INT],
                    **dict.fromkeys(POSITION_STATS, _NUM)}],
-    "policy": {"name": (str,), "registers": [_INT],
-               "partitions": [dict.fromkeys(PARTITION_STATE, _NUM)]},
+    "policy": {"name": (str,), "registers": [_INT], "partitions": [{
+        **dict.fromkeys(PARTITION_STATE, _NUM), "active": _INT,
+        "next_victim": _INT}]},
     "leveler": {"swap_count": _INT, "last_swap": _INT},
 }
 
@@ -317,14 +318,14 @@ class CheckpointManager:
 # Read path (used by recovery, which has no CheckpointManager yet)
 # ----------------------------------------------------------------------
 
-def read_latest_checkpoint(array: FlashArray,
-                           metadata_phys) -> Tuple[Optional[dict], int, int]:
+def read_latest_checkpoint(array: FlashArray, metadata_phys, fits: Callable
+                           ) -> Tuple[Optional[dict], int, int]:
     """Find and decode the newest complete checkpoint.
 
     Scans every metadata segment's OOB records, groups CHECKPOINT chunks
     by id, and returns the newest id whose chunks are all present, pass
-    their CRCs and decode to a record for this array, as ``(state,
-    chunks_read, holder)``; ``(None, chunks_read, -1)`` when none does.
+    their CRCs and decode to a record for this array that ``fits``, as
+    ``(state, chunks_read, holder)``; ``(None, chunks_read, -1)`` if none.
     Reads go through the array's fault path, so a bit flip in a chunk
     simply demotes that checkpoint like a torn write would.
     """
@@ -360,7 +361,8 @@ def read_latest_checkpoint(array: FlashArray,
         except CheckpointError:
             continue
         if state["checkpoint_id"] != cid \
-                or len(state["segments"]) != array.num_segments:
+                or len(state["segments"]) != array.num_segments \
+                or not fits(state):
             continue
         return state, chunks_read, holders[cid]
     return None, chunks_read, -1

@@ -443,7 +443,10 @@ def recover_from_flash(array, config, policy=None,
     chunks_read = 0
     if use_checkpoint and ckpt_segments:
         state, chunks_read, _ = read_latest_checkpoint(
-            array, metadata_phys)
+            array, metadata_phys, lambda state: _registers_fit(
+                state["policy"], getattr(policy, "name", cfg.cleaning_policy),
+                num_positions, getattr(policy, "partition_segments",
+                                       cfg.partition_segments)))
     report = RecoveryReport(
         mode="checkpoint" if state is not None else "full-scan",
         checkpoint_id=state["checkpoint_id"] if state else None,
@@ -589,15 +592,30 @@ def recover_from_flash(array, config, policy=None,
     return ctrl, report
 
 
+def _registers_fit(saved: dict, name: str, positions: int,
+                   partition: int) -> bool:
+    """Whether a record's registers for policy ``name`` point inside
+    ``positions`` positions in hybrid partitions of ``partition``."""
+    return saved["name"] != name or all(
+        0 <= value < positions for value in saved["registers"]) and all(
+        number * partition <= part["active"] < (number + 1) * partition
+        and 0 <= part["next_victim"] < partition
+        for number, part in enumerate(saved["partitions"]))
+
+
 def _restore_history(ctrl, state: dict) -> None:
-    """Install a record's statistics — state a scan cannot see."""
+    """Install a record's statistics (state a scan cannot see)."""
     store = ctrl.store
+    policy, saved_policy = ctrl.policy, state["policy"]
+    if not _registers_fit(saved_policy, policy.name, store.num_positions,
+                          getattr(policy, "partition_segments", 0)):
+        raise ValueError("a cleaning register points past the restored "
+                         "positions")
     for name in COUNTERS:
         setattr(store, name, state["counters"][name])
     for position, saved in zip(store.positions, state["positions"]):
         for name in POSITION_STATS:
             setattr(position, name, saved[name])
-    policy, saved_policy = ctrl.policy, state["policy"]
     if saved_policy["name"] == policy.name:
         for part, saved in zip(getattr(policy, "partitions", ()),
                                saved_policy["partitions"]):

@@ -59,7 +59,7 @@ from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
 from ..obs.hist import LatencyHistogram
 from ..perf.sweep import derive_seed
 from .cache import DRAM_READ_NS, PageCache
-from .loadgen import WINDOW_ROWS, Request
+from . import loadgen
 
 __all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
            "THROTTLE_PENALTY_NS"]
@@ -201,7 +201,7 @@ class ShardExecutor:
                 done += work
         return done
 
-    def run(self, requests: Sequence[Request],
+    def run(self, requests: Sequence[loadgen.Request],
             rids: Optional[Sequence[int]] = None) -> Dict:
         """Execute the slice; returns a picklable per-shard stats dict.
 
@@ -215,8 +215,8 @@ class ShardExecutor:
         self.start()
         # Window-sized stretches, so a collected slice (``jobs > 1``)
         # holds no more pending latencies than a streamed one.
-        for begin in range(0, len(requests), WINDOW_ROWS):
-            end = begin + WINDOW_ROWS
+        for begin in range(0, len(requests), loadgen.WINDOW_ROWS):
+            end = begin + loadgen.WINDOW_ROWS
             self.feed(requests[begin:end], rids and rids[begin:end])
         return self.finish()
 
@@ -235,7 +235,7 @@ class ShardExecutor:
         self._replay = self._replay_rows()
         next(self._replay)
 
-    def feed(self, rows: Sequence[Request],
+    def feed(self, rows: Sequence[loadgen.Request],
              rids: Optional[Sequence[int]] = None) -> None:
         """Replay the next stretch of the slice.  Retries due past its
         last row stay pending, so any split replays as the whole."""
@@ -279,8 +279,8 @@ class ShardExecutor:
                    "cache_hits": 0, "cache_misses": 0}
             for name in names
         }
-        # The same slots by tenant index.  Served latencies queue per
-        # tenant and fold into its histograms, and its counts, per feed.
+        # The same slots by tenant index.  Served latencies queue per tenant
+        # and fold into its histograms and counts every WINDOW_ROWS rows fed.
         slots = [per_tenant[name] for name in names]
         sinks = [(slot, read_hist, [], write_hist, [])
                  for slot, (read_hist, write_hist)
@@ -466,6 +466,7 @@ class ShardExecutor:
         retries: List = []
         requests = rids = rid = None
         index = total = fed = 0
+        fold_at = fold_every = loadgen.WINDOW_ROWS
         feeding = True
         # The replay's three subscriptions go in together and — an
         # interrupted or abandoned replay included (repro.service.chaos
@@ -482,7 +483,9 @@ class ShardExecutor:
             while True:
                 if index >= total:
                     if feeding:
-                        fold()
+                        if fed >= fold_at:
+                            fold()
+                            fold_at = fed + fold_every
                         requests = None  # replayed: free it while waiting
                         requests, rids = (yield) or (None, None)
                         feeding = requests is not None

@@ -16,9 +16,9 @@ rebuilding bank, traced, bus-subscribed — is a one-way pipeline, one
 window (an arrival-time range of the schedule,
 :meth:`LoadGenerator.stream`) at a time:
 
-1. **Generate** (in-process, serial): the load generator draws the next
-   window and applies tenant rate limits.  The schedule is a pure
-   function of ``(tenants, duration, seed)`` — never of execution.
+1. **Generate** (in-process, serial): the load generator draws every
+   tenant, rate limits applied, then hands out a window at a time.  The
+   schedule is a pure function of ``(tenants, duration, seed)``.
 2. **Route + execute**: the window is partitioned by shard — expanded
    first into its replica, parity, degraded and rebuild rows when the
    routing asks for them; what that carries across windows (counters,
@@ -739,9 +739,9 @@ class EnvyService:
                                   rate_overrides=overrides or None)
         bus = self.events
         if bus.active:
-            # First service event of the run.  The admitted count is not
-            # known until the token buckets have run over every window:
-            # it is ServiceStats.requests_admitted.
+            # First service event of the run, marked before the schedule
+            # is drawn: the admitted count is in
+            # ServiceStats.requests_admitted.
             bus.mark(SERVICE_RUN, {"shards": self.router.num_shards,
                                    "tenants": len(self.tenants)})
         windows, accounting = generator.stream(duration_s)

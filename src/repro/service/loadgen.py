@@ -1,36 +1,32 @@
 """Deterministic multi-tenant load generator on the discrete-event clock.
 
-Simulating "thousands of concurrent clients" in Python cannot mean
-thousands of threads — it means what the paper's own evaluation does
-(Section 5.2): a discrete-event schedule of timestamped requests.  The
-generator turns a list of :class:`~repro.service.tenant.TenantSpec`\\ s
-into one merged, time-ordered request schedule:
+Simulating "thousands of concurrent clients" means what the paper's
+own evaluation does (Section 5.2): a discrete-event schedule of
+timestamped requests, here merged from a list of
+:class:`~repro.service.tenant.TenantSpec`\\ s:
 
 * each tenant draws from its **own** seeded RNG streams
-  (:func:`~repro.perf.sweep.derive_seed` over the tenant index, the
-  same decorrelation the sweep runner uses per point), so adding or
-  reordering tenants never perturbs another tenant's trace;
+  (:func:`~repro.perf.sweep.derive_seed` over the tenant index), so
+  adding or reordering tenants never perturbs another tenant's trace;
 * per-tenant **token buckets** run during generation, on arrival
-  timestamps alone — throttling decisions are part of the schedule,
-  not of execution, which keeps them identical however the shards are
-  later executed;
-* the merged schedule is sorted by ``(arrival_ns, tenant_index, seq)``
-  — a total order with a deterministic tie-break, so the request list
-  is a pure function of ``(tenants, duration, seed)``.
+  timestamps alone, so throttling is part of the schedule, identical
+  however the shards are later executed;
+* the schedule is sorted by ``(arrival_ns, tenant_index, seq)``, a total
+  order: it is a pure function of ``(tenants, duration, seed)``.
 
-The schedule is a **stream** (:meth:`LoadGenerator.stream`): equal-width
-arrival-time windows of about :data:`WINDOW_ROWS` rows, each sorted by
-that key, so their concatenation (:meth:`LoadGenerator.generate`) is the
-whole sorted schedule.  A ``bisect`` on a tenant's arrival instants (one
-packed ``array('q')``, the only structure that grows with the run) says
-how many rows the next window takes; the tenant draws that many as
-*columns* (is-write flags, pages: one comprehension each) and ``zip``
-builds the row tuples, so no Python statement runs per row.  Generation
-costs O(requests) time and O(window + 8 B per arrival) memory.
+The schedule is a **stream** (:meth:`LoadGenerator.stream`): each
+tenant is drawn once, whole, into packed columns (arrivals, pages,
+is-write flags; seqs only where its bucket throttled), and its RNGs
+and workload are freed.  Equal-width arrival-time windows of about
+:data:`WINDOW_ROWS` rows slice and ``zip`` the columns of the tenants
+with rows in them and sort by that key, so their concatenation
+(:meth:`LoadGenerator.generate`) is the whole sorted schedule and no
+Python statement runs per row.  Generation costs O(requests) time and
+O(``WINDOW_ROWS``) memory plus, per admitted row, 4 B arrival, 1-2 B
+page, +1 B coin and +4 B seq when throttled.
 
 A request is a plain tuple ``(arrival_ns, tenant_index, seq, is_write,
-global_page)`` — picklable, compact, and directly partitionable by the
-:class:`~repro.service.shard.ShardRouter`.
+global_page)``, partitioned by :class:`~repro.service.shard.ShardRouter`.
 """
 
 from __future__ import annotations
@@ -40,29 +36,31 @@ import random
 from array import array
 from bisect import bisect_left
 from itertools import chain, compress, count, repeat
-from operator import itemgetter
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from operator import itemgetter, truth
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..perf.sweep import derive_seed
 from ..workloads.uniform import UniformWorkload
 from ..workloads.zipf import ZipfWorkload
-from .tenant import TenantSpec, TokenBucket
+from .tenant import TenantSpec
 
-__all__ = ["Request", "LoadGenerator", "WINDOW_ROWS", "TENANT_ROWS"]
+__all__ = ["Request", "LoadGenerator", "WINDOW_ROWS"]
 
 #: One service request: (arrival_ns, tenant_index, seq, is_write, page).
 Request = Tuple[int, int, int, bool, int]
 
 #: Target rows per streamed window: ~1 MB of tuples, drawn, routed,
 #: replayed and freed while still in the CPU's L2 (measured: 2k-16k rows
-#: run 3-8% faster than one whole window, 32k-128k rows 4-10% slower)...
+#: run 3-8% faster than one whole window, 32k-128k rows 4-10% slower).
+#: Also the most arrivals one draw call takes.
 WINDOW_ROWS = 4_096
-#: ...but at least this many per tenant with traffic: every window visits
-#: every such tenant, a cost that must vanish against the rows it draws.
-TENANT_ROWS = 64
-#: Nominal rows of one TPC-A arrival (a whole transaction), for sizing.
-TPCA_TXN_ROWS = 17
+
+
+def _typecode(bound: int) -> str:
+    """The narrowest array typecode holding every int in ``[0, bound)``."""
+    return next((code for code in "BHI"
+                 if bound <= 1 << 8 * array(code).itemsize), "q")
 
 
 class LoadGenerator:
@@ -87,51 +85,27 @@ class LoadGenerator:
                     f"tenant {tenant.name!r} page_range "
                     f"{tenant.page_range} exceeds the {num_pages}-page "
                     f"service space")
-        if rate_overrides:
-            unknown = set(rate_overrides) - set(names)
-            if unknown:
-                raise ValueError(
-                    f"rate overrides for unknown tenants {sorted(unknown)}")
-            for name, rate in rate_overrides.items():
-                if rate <= 0:
-                    raise ValueError(
-                        f"rate override for {name!r} must be positive")
+        if rate_overrides and (set(rate_overrides) - set(names)
+                               or min(rate_overrides.values()) <= 0):
+            raise ValueError(f"rate overrides {dict(rate_overrides)} must "
+                             f"be positive, for known tenants")
         self.tenants = list(tenants)
         self.num_pages = num_pages
         self.page_bytes = page_bytes
         self.seed = seed
         #: Quarantine hook (repro.service.adversary): a tenant listed
-        #: here gets a token bucket at the given rate regardless of its
-        #: own ``rate_limit_tps``, applied at schedule time like every
-        #: other admission decision — so a quarantined tenant's traffic
-        #: is degraded identically across reruns and ``jobs`` settings.
+        #: here is throttled to at most this rate at schedule time, so
+        #: identically across reruns and ``jobs`` settings.
         self.rate_overrides = dict(rate_overrides or {})
-        self._layout = None  # built lazily for TPC-A tenants
-
-    # ------------------------------------------------------------------
-    # Per-tenant streams
-    # ------------------------------------------------------------------
-
-    def _tpca_layout(self):
-        if self._layout is None:
-            from ..db.layout import TpcaLayout
-
-            self._layout = TpcaLayout.sized_for(
-                self.num_pages * self.page_bytes)
-        return self._layout
+        self._layout = None  # built once, by the first TPC-A tenant
 
     def _arrivals(self, spec: TenantSpec, rng: random.Random,
                   end_ns: int) -> array:
         """The tenant's arrival instants (sorted, < ``end_ns``), packed
-        8 bytes each.
-
-        Churn: the tenant exists only in ``[arrive_s, depart_s)``, and
-        open-loop tenants with a burst schedule run at ``burst_x``× rate
-        inside each burst window.  The default spec (arrive at 0, never
-        depart, no bursts) draws the exact same RNG sequence as before
-        churn existed, so legacy schedules are bit-identical.
-        """
-        arrivals = array("q")
+        in the narrowest typecode holding ``end_ns``.  Churn: the tenant
+        exists only in ``[arrive_s, depart_s)``; an open-loop burst
+        schedule runs at ``burst_x``× rate inside each burst window."""
+        arrivals = array(_typecode(end_ns))
         start_ns = int(spec.arrive_s * 1e9)
         stop_ns = end_ns if spec.depart_s is None else min(
             end_ns, int(spec.depart_s * 1e9))
@@ -159,9 +133,7 @@ class LoadGenerator:
                 append(int(clock))
         else:
             # Closed loop: each client alternates think time and a fixed
-            # service-time estimate.  The estimate (not execution
-            # feedback) schedules the next request, so the schedule is
-            # execution-independent — see TenantSpec.
+            # service-time estimate (not execution feedback: TenantSpec).
             instants: List[int] = []
             for client in range(spec.clients):
                 # Stagger session starts across one think interval.
@@ -177,54 +149,51 @@ class LoadGenerator:
         return arrivals
 
     def _columns(self, spec: TenantSpec, rng: random.Random,
-                 page_seed: int, arrivals: array) -> Callable:
-        """The tenant's rows, a window at a time and as *columns*:
-        ``draw(start, stop)`` returns ``(stamps, writes, pages)`` for
-        ``arrivals[start:stop]``.  ``stamps`` is that slice itself, except
-        that a TPC-A arrival is a whole transaction and repeats its
-        instant once per access.  Is-write draws come from ``rng`` and
-        page draws from a generator seeded with ``page_seed``, so drawing
-        a window of one and then a window of the other consumes both
-        streams exactly as one row at a time would."""
+                 page_seed: int, arrivals: array
+                 ) -> Iterator[Tuple[Sequence[int], object, List[int]]]:
+        """The tenant's rows as *columns* ``(stamps, writes, pages)``, a
+        stretch of at most :data:`WINDOW_ROWS` arrivals at a time.
+        ``stamps`` repeats a TPC-A arrival (a whole transaction) once per
+        access; ``writes`` is one bool when every coin agrees.  Coins come
+        from ``rng`` and pages from a generator seeded with ``page_seed``,
+        so any split consumes both streams as one row at a time would."""
+        stretches = [(start, min(start + WINDOW_ROWS, len(arrivals)))
+                     for start in range(0, len(arrivals), WINDOW_ROWS)]
+        if not stretches:
+            return      # no arrivals: build no workload
         if spec.workload == "tpca":
+            from ..db.layout import TpcaLayout
             from ..workloads.tpca import TpcaWorkload
-
-            workload = TpcaWorkload(self._tpca_layout(),
+            if self._layout is None:
+                self._layout = TpcaLayout.sized_for(
+                    self.num_pages * self.page_bytes)
+            workload = TpcaWorkload(self._layout,
                                     rate_tps=max(spec.rate_tps, 1.0),
                                     seed=page_seed)
-            transaction, accesses = (workload.next_transaction,
-                                     workload.accesses)
             page_bytes, last_page = self.page_bytes, self.num_pages - 1
-
-            def draw_transactions(start: int, stop: int):
+            for start, stop in stretches:
                 # The transactions' own arrival times are unused.
-                traces = [accesses(transaction())
+                traces = [workload.accesses(workload.next_transaction())
                           for _ in range(stop - start)]
                 stamps = list(chain.from_iterable(map(
                     repeat, arrivals[start:stop], map(len, traces))))
                 writes, addresses = zip(*chain.from_iterable(traces))
-                return stamps, writes, [min(address // page_bytes, last_page)
-                                        for address in addresses]
-            return draw_transactions
-        base = 0
-        span = self.num_pages
-        if spec.page_range is not None:
-            base, end = spec.page_range
-            span = end - base
+                yield stamps, writes, [min(address // page_bytes, last_page)
+                                       for address in addresses]
+            return
+        base, end = spec.page_range or (0, self.num_pages)
+        span = end - base
         coin, write_fraction = rng.random, spec.write_fraction
         if spec.workload in ("hammer", "squat", "clean_amp"):
-            # Attack shapes are pure functions of the access index plus
-            # one seeded placement draw, so an attack replays
-            # bit-identically — the property the detector benchmarks
-            # and the mitigation gates depend on.
+            # Attack shapes (see TenantSpec) are pure functions of the
+            # access index plus one seeded placement draw, so an attack
+            # replays bit-identically — the detector benchmarks and the
+            # mitigation gates depend on it.
             placement_rng = random.Random(page_seed)
             if spec.workload == "clean_amp":
                 # Golden-ratio stride, bumped to the next value coprime
                 # with the span: a full-period sweep with maximal
-                # distance between consecutive writes.  Nothing dwells
-                # in SRAM long enough to coalesce and no segment ever
-                # looks cold to a locality cleaner — close to the
-                # worst-case cleaning cost per admitted byte.
+                # distance between consecutive writes.
                 stride = max(1, round(span * 0.6180339887498949))
                 while math.gcd(stride, span) != 1:
                     stride += 1
@@ -232,13 +201,8 @@ class LoadGenerator:
                 offset = placement_rng.randrange(span)
             else:
                 # hammer / squat: cycle over a contiguous run of
-                # ``attack_pages`` pages.  Contiguous global pages stripe
-                # round-robin across shards, so the run splits evenly into
-                # per-shard working sets: sized just past one buffer's
-                # coalescing reach it becomes targeted wear-out (every
-                # write misses SRAM and flushes back toward the same few
-                # segments); sized to the buffer capacity itself it becomes
-                # occupancy squatting (the cycle pins every FIFO slot).
+                # ``attack_pages`` pages, which stripes round-robin into
+                # even per-shard working sets.
                 stride, offset = 1, 0
                 cycle = max(1, min(spec.attack_pages, span))
                 first = base + placement_rng.randrange(span - cycle + 1)
@@ -247,29 +211,20 @@ class LoadGenerator:
                 return [first + (offset + index * stride) % cycle
                         for index in range(start, stop)]
         else:
-            if spec.workload == "zipf":
-                pages = ZipfWorkload(span, skew=spec.skew, seed=page_seed,
-                                     scatter=spec.scatter)
-            else:
-                pages = UniformWorkload(span, seed=page_seed)
+            pages = (ZipfWorkload(span, skew=spec.skew, seed=page_seed,
+                                  scatter=spec.scatter)
+                     if spec.workload == "zipf"
+                     else UniformWorkload(span, seed=page_seed))
 
             def next_pages(start: int, stop: int) -> List[int]:
                 drawn = pages.next_pages(stop - start)
                 return [base + page for page in drawn] if base else drawn
 
-        def draw(start: int, stop: int):
-            if 0.0 < write_fraction < 1.0:
-                writes = [coin() < write_fraction
-                          for _ in range(stop - start)]
-            else:
-                # Every coin agrees, and nothing else reads this stream.
-                writes = repeat(write_fraction > 0.0)
-            return arrivals[start:stop], writes, next_pages(start, stop)
-        return draw
-
-    # ------------------------------------------------------------------
-    # Schedule
-    # ------------------------------------------------------------------
+        for start, stop in stretches:
+            # One bool when every coin agrees: nothing else reads them.
+            writes = ([coin() < write_fraction for _ in range(stop - start)]
+                      if 0.0 < write_fraction < 1.0 else write_fraction > 0.0)
+            yield arrivals[start:stop], writes, next_pages(start, stop)
 
     def generate(self, duration_s: float
                  ) -> Tuple[List[Request], Dict[str, Dict[str, int]]]:
@@ -281,68 +236,83 @@ class LoadGenerator:
     def stream(self, duration_s: float
                ) -> Tuple[Iterator[List[Request]],
                           Dict[str, Dict[str, int]]]:
-        """The schedule as ``(windows, accounting)``: ``windows`` yields
-        the non-empty arrival-time windows in order, ``accounting``
-        (per-tenant offered/throttled counts) grows as they are drawn.
-        Throttled accesses (token bucket empty at arrival) are counted
-        and dropped here; everything yielded was *admitted* by the
-        rate-limit layer and awaits shard-level admission control."""
+        """The schedule as ``(windows, accounting)``: the non-empty
+        arrival-time windows in order, and per-tenant offered/throttled
+        counts, final on return since every tenant is drawn here.  Holds
+        O(:data:`WINDOW_ROWS`) plus, per admitted row, 4 B arrival, 1-2 B
+        page, +1 B coin and +4 B seq if throttled.  Throttled accesses
+        (token bucket empty at arrival) are dropped; everything yielded
+        awaits shard-level admission control."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         end_ns = int(duration_s * 1e9)
         accounting: Dict[str, Dict[str, int]] = {}
-        cursors: List[list] = []
-        expected = 0
+        drawn: List[list] = []
         for index, spec in enumerate(self.tenants):
-            arrival_rng = random.Random(derive_seed(self.seed, 2 * index))
-            page_seed = derive_seed(self.seed, 2 * index + 1)
-            override = self.rate_overrides.get(spec.name)
-            if override is not None:
-                # Quarantine: the degraded bucket replaces (never
-                # relaxes) the tenant's own rate limit.
-                if spec.rate_limit_tps is not None:
-                    override = min(override, spec.rate_limit_tps)
-                bucket = TokenBucket(override, spec.burst)
-            else:
-                bucket = spec.make_bucket()
-            arrivals = self._arrivals(spec, arrival_rng, end_ns)
-            counts = accounting[spec.name] = {"offered": 0, "throttled": 0}
-            if not arrivals:
-                continue
-            expected += len(arrivals) * (
-                TPCA_TXN_ROWS if spec.workload == "tpca" else 1)
-            draw = self._columns(spec, arrival_rng, page_seed, arrivals)
-            # [next arrival, tenant, arrivals, draw, bucket, counts]
-            cursors.append([0, index, arrivals, draw, bucket, counts])
-        return self._windows(cursors, end_ns, expected), accounting
-
-    def _windows(self, cursors: List[list], end_ns: int, expected: int
-                 ) -> Iterator[List[Request]]:
-        target = max(WINDOW_ROWS, TENANT_ROWS * len(cursors))
-        width = max(1, -(-end_ns // max(1, -(-expected // target))))
-        for edge_ns in range(width, end_ns + width, width):
-            window: List[Request] = []
-            for cursor in cursors:
-                start, index, arrivals, draw, bucket, counts = cursor
-                stop = bisect_left(arrivals, edge_ns, start)
-                if stop == start:
-                    continue
-                cursor[0] = stop
-                stamps, writes, pages = draw(start, stop)
-                # A throttled row is dropped with the seq it consumed.
-                rows = zip(stamps, repeat(index), count(counts["offered"]),
-                           writes, pages)
-                counts["offered"] += len(pages)
-                if bucket is None:
-                    window += rows
+            rng = random.Random(derive_seed(self.seed, 2 * index))
+            arrivals = self._arrivals(spec, rng, end_ns)
+            bucket = spec.make_bucket(self.rate_overrides.get(spec.name))
+            # Unthrottled single-row arrivals are their own stamp column.
+            stamps = (arrivals if bucket is None and spec.workload != "tpca"
+                      else array(arrivals.typecode))
+            seqs, writes, pages = (array("I"), bytearray(),
+                                   array(_typecode(self.num_pages)))
+            for chunk in self._columns(
+                    spec, rng, derive_seed(self.seed, 2 * index + 1),
+                    arrivals):
+                if bucket is not None:
+                    # A throttled row is dropped with the seq it took.
+                    seq = bucket.allowed + bucket.throttled
+                    kept = list(map(bucket.allow, chunk[0]))
+                    seqs.extend(compress(count(seq), kept))
+                    chunk = [column if column.__class__ is bool
+                             else compress(column, kept) for column in chunk]
+                chunk_stamps, chunk_writes, chunk_pages = chunk
+                if stamps is not arrivals:
+                    stamps.extend(chunk_stamps)
+                pages.extend(chunk_pages)
+                if chunk_writes.__class__ is bool:
+                    writes = chunk_writes   # every coin agrees
                 else:
-                    window += compress(rows, map(bucket.allow, stamps))
-                    counts["throttled"] = bucket.throttled
+                    writes.extend(chunk_writes)
+            throttled = 0 if bucket is None else bucket.throttled
+            accounting[spec.name] = {"offered": len(pages) + throttled,
+                                     "throttled": throttled}
+            if pages:
+                # An unthrottled row's seq is its position.
+                drawn.append([index, 0, stamps, seqs if throttled else None,
+                              writes, pages])
+        return self._windows(drawn, end_ns), accounting
+
+    @staticmethod
+    def _windows(drawn: List[list], end_ns: int
+                 ) -> Iterator[List[Request]]:
+        """Equal-width arrival-time windows of about :data:`WINDOW_ROWS`
+        rows from ``[index, next row, stamps, seqs, writes, pages]``
+        cursors, each filed under the window of its next row."""
+        windows = max(1, -(-sum(len(c[5]) for c in drawn) // WINDOW_ROWS))
+        width = -(-end_ns // windows)
+        # Window 0 refiles every cursor whose first row comes later.
+        due: Dict[int, List[list]] = {0: drawn}
+        for number in range(windows):
+            edge_ns = (number + 1) * width
+            window: List[Request] = []
+            # In tenant index order (unique: lists compare on it alone).
+            for cursor in sorted(due.pop(number, ())):
+                index, start, stamps, seqs, writes, pages = cursor
+                stop = bisect_left(stamps, edge_ns, start)
+                window += zip(
+                    stamps[start:stop], repeat(index),
+                    range(start, stop) if seqs is None else seqs[start:stop],
+                    repeat(writes) if writes.__class__ is bool
+                    else map(truth, writes[start:stop]),
+                    pages[start:stop])
+                if stop < len(stamps):
+                    cursor[1] = stop
+                    due.setdefault(stamps[stop] // width, []).append(cursor)
             if window:
-                # The window is the tenants' runs concatenated in tenant
-                # index order, each run in seq order and so in arrival
-                # order.  A stable sort on the arrival alone is therefore
-                # the (arrival, tenant, seq) k-way merge: ties keep that
-                # order, and the sort compares ints, never tuples.
+                # Runs concatenated in tenant order, each in seq order:
+                # a stable sort on the arrival alone is the (arrival,
+                # tenant, seq) k-way merge, comparing ints, not tuples.
                 window.sort(key=itemgetter(0))
                 yield window

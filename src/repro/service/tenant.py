@@ -204,6 +204,11 @@ class TenantSpec:
             raise ValueError("open-loop tenants need a positive rate")
         if self.mode == "closed" and self.clients < 1:
             raise ValueError("closed-loop tenants need at least one client")
+        if min(self.think_ns, self.service_estimate_ns) < 0 or (
+                self.mode == "closed"
+                and self.think_ns + self.service_estimate_ns == 0):
+            raise ValueError("a client's clock must advance: think_ns and "
+                             "service_estimate_ns >= 0, not both 0")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError("write_fraction must be in [0, 1]")
         if self.rate_limit_tps is not None and self.rate_limit_tps <= 0:
@@ -238,10 +243,12 @@ class TenantSpec:
                     "page_range applies to zipf/uniform tenants only "
                     "(tpca lays out its own tables)")
 
-    def make_bucket(self) -> Optional[TokenBucket]:
-        if self.rate_limit_tps is None:
-            return None
-        return TokenBucket(self.rate_limit_tps, self.burst)
+    def make_bucket(self, override: Optional[float] = None
+                    ) -> Optional[TokenBucket]:
+        """The token bucket, at a quarantine ``override`` rate if lower."""
+        rates = [rate for rate in (self.rate_limit_tps, override)
+                 if rate is not None]
+        return TokenBucket(min(rates), self.burst) if rates else None
 
     # ------------------------------------------------------------------
     # Parsing (the one tenant-spec parser; CLI and benches delegate here)

@@ -114,6 +114,20 @@ class TestRoundTrip:
         copy.check_consistency()
 
 
+#: Every cleaning register a record restores, per policy: an index
+#: into ``registers`` (``_active``, ``_next_victim``) or a partition key.
+POLICY_REGISTERS = [("fifo", 0), ("fifo", 1), ("greedy", 0),
+                    ("hybrid", "active"), ("hybrid", "next_victim")]
+
+
+def set_register(state, register, value=10 ** 6):
+    saved = state["policy"]
+    if isinstance(register, int):
+        saved["registers"][register] = value
+    else:
+        saved["partitions"][-1][register] = value
+
+
 class TestSnapshotErrors:
     def test_bad_magic(self):
         with pytest.raises(SnapshotError):
@@ -136,9 +150,10 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError):
             load_system(io.BytesIO(bytes(raw)))
 
-    def snapshot_4x8(self):
+    def snapshot_4x8(self, policy="hybrid"):
         system = EnvySystem(EnvyConfig.small(num_segments=4,
-                                             pages_per_segment=8))
+                                             pages_per_segment=8,
+                                             cleaning_policy=policy))
         rng = random.Random(5)
         for _ in range(60):
             system.write(rng.randrange(system.size_bytes - 8) & ~7,
@@ -190,6 +205,15 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match=message):
             load_system(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("policy, register", POLICY_REGISTERS)
+    def test_register_past_the_last_position(self, policy, register):
+        """A CRC-valid snapshot whose cleaning register points past the
+        geometry is refused at load, not at the first clean."""
+        raw = self.edited(self.snapshot_4x8(policy),
+                          lambda state: set_register(state, register))
+        with pytest.raises(SnapshotError, match="cleaning register"):
+            load_system(io.BytesIO(raw))
+
     def test_unedited_payload_round_trips(self):
         raw = self.snapshot_4x8()
         assert self.edited(raw, lambda state: None) != raw
@@ -217,9 +241,10 @@ class TestHostileCheckpoint:
     whose payload the decoder must refuse: recovery skips it as it
     skips a torn checkpoint and rolls forward from the real one."""
 
-    def plant(self, make_blob):
+    def plant(self, make_blob, policy="hybrid"):
         config = EnvyConfig.small(num_segments=12, pages_per_segment=16,
-                                  checkpoint_interval_flushes=8)
+                                  checkpoint_interval_flushes=8,
+                                  cleaning_policy=policy)
         system = EnvySystem(config)
         rng = random.Random(3)
         for _ in range(600):
@@ -259,3 +284,13 @@ class TestHostileCheckpoint:
     def test_wrong_shape_is_skipped(self, key, value):
         self.plant(lambda system, cid: encode_state(
             {**capture(system), "checkpoint_id": cid, key: value}))
+
+    @pytest.mark.parametrize("policy, register", POLICY_REGISTERS)
+    def test_register_past_the_last_position_is_skipped(self, policy,
+                                                        register):
+        def blob(system, cid):
+            state = {**capture(system), "checkpoint_id": cid}
+            set_register(state, register)
+            return encode_state(state)
+
+        self.plant(blob, policy)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.service import (CrossShardError, EnvyService, LoadGenerator,
                            ServiceConfig, ShardRouter, TenantSpec,
                            TokenBucket)
+from repro.service.bench import scale_fleet
 from repro.service.executor import build_shard_controller
 
 from .test_service_loadgen import windowed
@@ -462,6 +463,22 @@ class TestStreamedRun:
         assert extra_rows > 9_000
         assert long <= 1.3 * short
         assert long - short <= 32 * extra_rows
+
+    def test_fleet_peak_memory_holds_no_tenant_state(self):
+        """A 1000-tenant run draws each tenant once into packed columns
+        and frees its generators: tracemalloc's peak here was 16.1 MB
+        while every tenant kept a cursor and every window held 64 rows
+        per tenant, and is 8.6 MB drawn tenant at a time (CPython
+        3.11)."""
+        config = ServiceConfig(num_shards=4, num_segments=32,
+                               pages_per_segment=64, seed=7,
+                               cache_pages=512, cache_tenant_cap=0.25,
+                               admission=True)
+        fleet = [TenantSpec.from_spec(spec)
+                 for spec in scale_fleet(1000, 0.001)]
+        peak, stats = self.peak_memory(config, fleet, 0.001)
+        assert stats.requests_admitted > 5_000
+        assert peak < 12e6
 
     @pytest.mark.parametrize("knobs, prepare", [
         ({"redundancy": "parity"}, None),

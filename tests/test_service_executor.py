@@ -215,6 +215,35 @@ class TestPinnedReplay:
         assert result == whole.finish()
         assert states(cut.latency) == states(whole.latency)
 
+    def test_fleet_feeds_fold_once_a_window(self):
+        """A 200-tenant slice fed a row at a time replays as one feed of
+        the whole, and each histogram takes at most one ``record_many``
+        per WINDOW_ROWS rows fed (plus the one in ``finish``), not one
+        per feed."""
+        names = [f"t{i}" for i in range(200)]
+        requests = mixed_slice(7, rows=2 * WINDOW_ROWS + 300,
+                               tenants=len(names))
+
+        def replay(feeds):
+            executor = ShardExecutor(make_controller(), 0,
+                                     tenant_names=names)
+            executor.start()
+            with mock.patch.object(LatencyHistogram, "record_many",
+                                   autospec=True,
+                                   side_effect=LatencyHistogram.record_many
+                                   ) as record_many:
+                for feed in feeds:
+                    executor.feed(feed)
+                result = executor.finish()
+            calls = collections.Counter(
+                id(call.args[0]) for call in record_many.call_args_list)
+            return result, states(executor.latency), calls
+
+        whole = replay([requests])
+        rows = replay([[row] for row in requests])
+        assert rows[:2] == whole[:2]
+        assert max(rows[2].values()) <= len(requests) // WINDOW_ROWS + 1
+
     def test_folds_into_the_pairs_it_is_given(self):
         """Handed histograms already holding samples, the replay adds
         exactly its own to them: the pairs a fresh start builds, merged

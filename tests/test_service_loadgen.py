@@ -255,6 +255,17 @@ class TestValidation:
         # The whole space is a legal range.
         LoadGenerator([TenantSpec("full", page_range=(0, PAGES))], PAGES)
 
+    @pytest.mark.parametrize("timing", [
+        dict(think_ns=-1), dict(service_estimate_ns=-1),
+        dict(think_ns=0, service_estimate_ns=0)],
+        ids=["negative-think", "negative-estimate", "zero-sum"])
+    def test_closed_loop_clock_must_advance(self, timing):
+        """A client whose think time and service estimate sum to zero
+        never reaches the end of the run: refused, not hung."""
+        spec = TenantSpec("c", mode="closed", clients=2, **timing)
+        with pytest.raises(ValueError, match="clock must advance"):
+            LoadGenerator([spec], PAGES)
+
     @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
     def test_non_finite_skew_rejected(self, skew):
         with pytest.raises(ValueError, match="skew must be finite"):
@@ -265,7 +276,7 @@ class TestValidation:
 
 def windowed(rows):
     """Shrink (or blow up) the stream's windows for one ``with`` block."""
-    return mock.patch.multiple(loadgen, WINDOW_ROWS=rows, TENANT_ROWS=0)
+    return mock.patch.object(loadgen, "WINDOW_ROWS", rows)
 
 
 @st.composite
@@ -338,37 +349,49 @@ class TestStream:
         for before, after in zip(windows, windows[1:]):
             assert before[-1][0] < after[0][0]
 
-    def test_accounting_grows_with_the_windows(self):
+    def test_accounting_is_final_when_stream_returns(self):
         spec = TenantSpec("lim", rate_tps=4e6, rate_limit_tps=1e6)
         with windowed(64):
             windows, accounting = gen([spec]).stream(0.0005)
-            assert accounting == {"lim": {"offered": 0, "throttled": 0}}
-            seen = len(next(windows))
-            counts = accounting["lim"]
-            assert counts["offered"] - counts["throttled"] == seen
-            seen += sum(len(window) for window in windows)
-        assert counts["offered"] - counts["throttled"] == seen
+            counts = dict(accounting["lim"])
+            rows = sum(len(window) for window in windows)
+        assert accounting["lim"] == counts
         assert counts["throttled"] > 0
+        assert counts["offered"] - counts["throttled"] == rows
 
-    def test_window_size_scales_with_the_tenants_that_have_traffic(self):
-        """Every window visits every tenant with arrivals, so a fleet's
-        windows hold at least TENANT_ROWS rows per such tenant."""
+    @staticmethod
+    def mean_window(tenants):
+        with windowed(100):
+            sizes = [len(window)
+                     for window in gen(tenants).stream(0.002)[0]]
+        assert len(sizes) >= 3
+        return sum(sizes) / len(sizes)
+
+    def test_window_size_does_not_scale_with_the_tenants(self):
+        """Windows target WINDOW_ROWS rows whatever the tenant count:
+        idle tenants cost nothing, and doubling the tenants at the same
+        total rate does not grow the window."""
         fleet = [TenantSpec(f"t{i}", rate_tps=2e5) for i in range(100)]
         idle = [TenantSpec(f"late{i}", rate_tps=2e5, arrive_s=1.0)
                 for i in range(300)]
-        with mock.patch.object(loadgen, "WINDOW_ROWS", 100):
-            windows = list(gen(fleet + idle).stream(0.002)[0])
-        sizes = [len(window) for window in windows]
-        target = 100 * loadgen.TENANT_ROWS
-        assert len(sizes) >= 3
-        assert 0.7 * target < sum(sizes) / len(sizes) < 1.3 * target
+        mean = self.mean_window(fleet + idle)
+        assert 0.7 * 100 < mean < 1.3 * 100
+        doubled = [TenantSpec(f"t{i}", rate_tps=1e5) for i in range(200)]
+        assert self.mean_window(doubled + idle) <= 1.1 * mean
 
     def test_arrivals_are_packed(self):
+        """Arrivals take the narrowest typecode that holds ``end_ns``."""
         generator = gen([TenantSpec("a")])
-        for spec in (TenantSpec("open", rate_tps=1e6),
-                     TenantSpec("closed", mode="closed", clients=3,
-                                think_ns=5_000)):
-            arrivals = generator._arrivals(spec, random.Random(1), 400_000)
-            assert isinstance(arrivals, array) and arrivals.typecode == "q"
-            assert len(arrivals) > 50
-            assert list(arrivals) == sorted(arrivals)
+        for end_ns, typecode in [(200, "B"), (60_000, "H"), (400_000, "I"),
+                                 (5 * 10 ** 9, "q")]:
+            rate = 2e9 / end_ns * 60   # ~120 arrivals in either mode
+            for spec in (TenantSpec("open", rate_tps=rate),
+                         TenantSpec("closed", mode="closed", clients=3,
+                                    think_ns=max(1, end_ns // 40),
+                                    service_estimate_ns=1)):
+                arrivals = generator._arrivals(spec, random.Random(1),
+                                               end_ns)
+                assert isinstance(arrivals, array)
+                assert arrivals.typecode == typecode
+                assert len(arrivals) > 50
+                assert list(arrivals) == sorted(arrivals)
