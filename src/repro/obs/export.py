@@ -283,9 +283,8 @@ def service_prometheus_text(stats, security: Optional[dict] = None,
                  "Requests rejected at admission, by tenant and reason")
     lines.append("# TYPE envy_service_rejected_total counter")
     for name, tstats in tenants:
-        queue = tstats.extra.get("rejected_queue", 0)
-        shed = tstats.extra.get("rejected_shed", 0)
-        reasons = [("queue_full", queue), ("cleaner_behind", shed),
+        reasons = [("queue_full", tstats.rejected_queue),
+                   ("cleaner_behind", tstats.rejected_shed),
                    ("wear_budget", tstats.rejected_wear)]
         for reason, count in reasons:
             lines.append(f'envy_service_rejected_total'

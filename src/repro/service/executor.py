@@ -41,14 +41,20 @@ Everything the executor returns is a plain picklable dict, because
 :func:`service_shard_point` is the ``"module:function"`` worker
 :func:`~repro.perf.sweep.run_sweep` dispatches to processes — shard
 results must cross a process boundary and merge deterministically.
-Latencies are not in it: they fold into the histogram pairs the
-executor is handed (:meth:`ShardExecutor.start`).
+Per-tenant counters are columns indexed by tenant number
+(``result["columns"]``, :data:`TENANT_COUNTERS`); latencies fold, every
+``WINDOW_ROWS`` rows fed, into the histogram pairs the executor is
+handed (:meth:`ShardExecutor.start`), visiting only the tenants with
+pending samples, so a tenant without rows costs no call.
+Pseudo-tenants (``"__"`` names: redundancy and rebuild traffic) are
+counted, never recorded, never cached.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import compress, repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.controller import EnvyController
@@ -62,7 +68,7 @@ from .cache import DRAM_READ_NS, PageCache
 from . import loadgen
 
 __all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
-           "THROTTLE_PENALTY_NS"]
+           "THROTTLE_PENALTY_NS", "TENANT_COUNTERS"]
 
 _WORD = 8
 _WORD_PAYLOAD = b"\x00" * _WORD
@@ -74,6 +80,13 @@ THROTTLE_PENALTY_NS = 2000
 
 #: One tenant's served-latency histograms: (reads, writes).
 LatencyPair = Tuple[LatencyHistogram, LatencyHistogram]
+
+#: The per-tenant counter columns of a shard result, each named as the
+#: :class:`~repro.service.tenant.TenantStats` attribute it sums into.
+#: ``rejected`` counts queue and shed refusals, not wear-budget ones.
+TENANT_COUNTERS = ("reads", "writes", "rejected", "rejected_queue",
+                   "rejected_shed", "rejected_wear", "delayed", "retried",
+                   "cache_hits", "cache_misses")
 
 
 class ShardExecutor:
@@ -176,8 +189,11 @@ class ShardExecutor:
         #: Purely observational — the replay and every simulation metric
         #: are bit-identical with tracing on or off.
         self.trace = trace
-        #: Per tenant, the (read, write) histograms replays fold into.
-        self.latency: List[LatencyPair] = []
+        #: Which tenants are pseudo-tenants (``"__"`` names).
+        self._pseudo = [name[:2] == "__" for name in self.tenant_names]
+        #: Per tenant, the (read, write) histograms replays fold into;
+        #: None counts a tenant's rows without recording them.
+        self.latency: List[Optional[LatencyPair]] = []
         self._overdraft_ns = 0
         self._stamp = 0
         self._replay = None
@@ -202,7 +218,9 @@ class ShardExecutor:
         return done
 
     def run(self, requests: Sequence[loadgen.Request],
-            rids: Optional[Sequence[int]] = None) -> Dict:
+            rids: Optional[Sequence[int]] = None,
+            latency: Optional[Sequence[Optional[LatencyPair]]] = None
+            ) -> Dict:
         """Execute the slice; returns a picklable per-shard stats dict.
 
         ``requests`` carry *local* page numbers (the front-end routes
@@ -211,8 +229,9 @@ class ShardExecutor:
         ``rids`` aligns a deterministic request id with each row (the
         request's index in the merged schedule; replica rows share the
         originating request's id) — defaults to the slice index.
+        ``latency`` is :meth:`start`'s.
         """
-        self.start()
+        self.start(latency)
         # Window-sized stretches, so a collected slice (``jobs > 1``)
         # holds no more pending latencies than a streamed one.
         for begin in range(0, len(requests), loadgen.WINDOW_ROWS):
@@ -220,15 +239,17 @@ class ShardExecutor:
             self.feed(requests[begin:end], rids and rids[begin:end])
         return self.finish()
 
-    def start(self, latency: Optional[Sequence[LatencyPair]] = None
-              ) -> None:
+    def start(self, latency: Optional[Sequence[Optional[LatencyPair]]]
+              = None) -> None:
         """Open a replay: install its hooks and wait for :meth:`feed`.
         Served latencies fold into ``latency`` (one ``(read, write)``
-        pair per tenant name; fresh pairs by default), :attr:`latency`
-        from here on."""
+        pair per tenant name, or None to count the tenant's rows
+        without recording them; by default fresh pairs, None for
+        pseudo-tenants), :attr:`latency` from here on."""
         if latency is None:
-            latency = [(LatencyHistogram(), LatencyHistogram())
-                       for _ in self.tenant_names]
+            latency = [None if pseudo
+                       else (LatencyHistogram(), LatencyHistogram())
+                       for pseudo in self._pseudo]
         elif len(latency) != len(self.tenant_names):
             raise ValueError("latency must align with tenant_names")
         self.latency = list(latency)
@@ -272,32 +293,28 @@ class ShardExecutor:
         stamp_payloads = self.stamp_payloads
         throttle_penalty_ns = THROTTLE_PENALTY_NS
 
-        per_tenant = {
-            name: {"rejected": 0, "rejected_queue": 0, "rejected_shed": 0,
-                   "delayed": 0, "reads": 0, "writes": 0,
-                   "retried": 0, "rejected_wear": 0,
-                   "cache_hits": 0, "cache_misses": 0}
-            for name in names
-        }
-        # The same slots by tenant index.  Served latencies queue per tenant
-        # and fold into its histograms and counts every WINDOW_ROWS rows fed.
-        slots = [per_tenant[name] for name in names]
-        sinks = [(slot, read_hist, [], write_hist, [])
-                 for slot, (read_hist, write_hist)
-                 in zip(slots, self.latency)]
-        served_read = [sink[2].append for sink in sinks]
-        served_write = [sink[4].append for sink in sinks]
+        # Tenant counters as columns indexed by tenant number.
+        columns = {key: [0] * len(names) for key in TENANT_COUNTERS}
+        rejected, delayed, retried, cache_misses = (columns[key] for key in (
+            "rejected", "delayed", "retried", "cache_misses"))
+        # Served latencies queue per tenant and op; every WINDOW_ROWS rows
+        # fed, the non-empty queues fold into their counts and histograms
+        # (a None pair: counted only).
+        folds = [([[] for _ in names], columns[op],
+                  [pair and pair[side] for pair in self.latency])
+                 for side, op in enumerate(("reads", "writes"))]
+        served_read, served_write = ([queue.append for queue in queues]
+                                     for queues, _, _ in folds)
+        everyone = range(len(names))
 
         def fold() -> None:
-            for slot, read_hist, reads, write_hist, writes in sinks:
-                if reads:
-                    slot["reads"] += len(reads)
-                    read_hist.record_many(reads)
-                    reads.clear()
-                if writes:
-                    slot["writes"] += len(writes)
-                    write_hist.record_many(writes)
-                    writes.clear()
+            for queues, counts, hists in folds:
+                for tenant in compress(everyone, queues):
+                    queue = queues[tenant]
+                    counts[tenant] += len(queue)
+                    if hists[tenant] is not None:
+                        hists[tenant].record_many(queue)
+                    queue.clear()
         completions: deque = deque()
         clock = 0
         batches = 0
@@ -328,11 +345,8 @@ class ShardExecutor:
         hit_ns = DRAM_READ_NS
         if cache is not None:
             lookup = cache.lookup
-            if self.cache_tenants is None:
-                cache_ok = [not name.startswith("__") for name in names]
-            else:
-                cache_ok = [flag and not name.startswith("__")
-                            for flag, name in zip(self.cache_tenants, names)]
+            cache_ok = [flag and not pseudo for flag, pseudo in zip(
+                self.cache_tenants or repeat(True), self._pseudo)]
             # A cleaner relocation physically moves a page's live copy;
             # a physically tagged cache entry is stale the moment that
             # happens, so subscribe to the store's per-page relocation
@@ -400,7 +414,7 @@ class ShardExecutor:
         children: List = []
         collecting = [False]
         busy = metrics.busy_ns
-        pseudo_mask = [name.startswith("__") for name in names]
+        pseudo_mask = self._pseudo
         track_pseudo = tracing and any(pseudo_mask)
         #: Service footprints of pseudo-tenant (redundancy / rebuild)
         #: rows, pruned as arrivals pass them — the exact overlap of a
@@ -433,10 +447,9 @@ class ShardExecutor:
                    orig_arrival, attempt, rid) -> None:
             # ``outcome`` is the tenant counter; a wear-budget refusal is
             # not counted as ``rejected``.
-            slot = slots[tenant_index]
-            slot[outcome] += 1
+            columns[outcome][tenant_index] += 1
             if outcome != "rejected_wear":
-                slot["rejected"] += 1
+                rejected[tenant_index] += 1
             if bus.active:
                 tenant_mark(SERVICE_REJECT, tenant_index, reason=reason)
             if tracing:
@@ -541,7 +554,7 @@ class ShardExecutor:
                                        (due, tenant_index, seq, is_write,
                                         page, orig_arrival, attempt + 1,
                                         rid))
-                        slots[tenant_index]["retried"] += 1
+                        retried[tenant_index] += 1
                         if bus.active:
                             tenant_mark(SERVICE_RETRY, tenant_index,
                                         attempt=attempt + 1)
@@ -572,7 +585,7 @@ class ShardExecutor:
                         continue
                     if occupancy >= soft_pages:
                         delay = throttle_penalty_ns
-                        slots[tenant_index]["delayed"] += 1
+                        delayed[tenant_index] += 1
                         if bus.active:
                             tenant_mark(SERVICE_THROTTLE, tenant_index,
                                         delay_ns=delay)
@@ -652,7 +665,7 @@ class ShardExecutor:
                                 tenant_mark(CACHE_HIT, tenant_index, page=page)
                         else:
                             ns = read_run_ns(page)[0]
-                            slots[tenant_index]["cache_misses"] += 1
+                            cache_misses[tenant_index] += 1
                             victim = cache.admit(page, tenant_index)
                             if bus.active:
                                 tenant_mark(CACHE_MISS, tenant_index,
@@ -725,21 +738,19 @@ class ShardExecutor:
                 for t_index, slot_wear in enumerate(wear_slots):
                     slot_wear["residency_windows"].append(
                         current_window[t_index])
-            for slot, slot_wear in zip(slots, wear_slots):
-                slot["wear"] = slot_wear
 
         if cache_ok is not None:
-            for slot, ok in zip(slots, cache_ok):
-                if ok:
-                    # Each read of a cache-tier tenant probed the tier
-                    # once, and only the misses were counted row by row.
-                    slot["cache_hits"] = slot["reads"] - slot["cache_misses"]
+            # Each read of a cache-tier tenant probed the tier once, and
+            # only the misses were counted row by row.
+            columns["cache_hits"] = [
+                reads - misses if ok else 0 for reads, misses, ok
+                in zip(columns["reads"], cache_misses, cache_ok)]
         result = {
             "shard": shard,
             "clock_ns": clock,
-            "tenants": per_tenant,
+            "columns": columns,
             # Shard totals of the per-tenant refusal and retry counts.
-            **{key: sum(slot[key] for slot in slots)
+            **{key: sum(columns[key])
                for key in ("rejected_queue", "rejected_shed", "retried")},
             "batches": batches,
             "max_batch_pages": max_batch,
@@ -750,11 +761,12 @@ class ShardExecutor:
             "wear_swaps": metrics.wear_swaps,
         }
         if budgets is not None:
-            result["rejected_wear"] = sum(slot["rejected_wear"]
-                                          for slot in slots)
+            result["rejected_wear"] = sum(columns["rejected_wear"])
         if cache is not None:
             result["cache"] = cache.stats()
         if attributing:
+            # Per tenant number, like the columns.
+            result["wear"] = wear_slots
             result["segment_programs"] = segment_programs
             result["buffer_capacity_pages"] = capacity
         if tracing:
@@ -800,7 +812,8 @@ def service_shard_point(point: Mapping) -> Dict:
     (``"repro.service.executor:service_shard_point"``) so worker
     processes import it fresh; the point carries everything the shard
     needs and the return value is the executor's picklable stats dict,
-    plus its per-tenant histogram pairs under ``"latency"``.
+    plus its per-tenant histogram pairs (None for pseudo-tenants) under
+    ``"latency"``.
     """
     executor = shard_executor(point)
     result = executor.run(point["requests"], rids=point.get("rids"))

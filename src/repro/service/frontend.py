@@ -55,8 +55,9 @@ pretending otherwise.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +70,6 @@ from ..obs.events import (ADMISSION_DECISION, CACHE_INVALIDATE,
                           REDUNDANCY_REPLICA, SECURITY_QUARANTINE,
                           SECURITY_REMAP, SERVICE_RUN, SERVICE_SHARD,
                           EventBus)
-from ..obs.hist import LatencyHistogram
 from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
 from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
@@ -81,7 +81,7 @@ from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, ParityPolicy, RebuildScheduler,
                          RedundantRouter, make_policy, plan_rebalance)
 from .shard import CrossShardError, ShardRouter
-from .tenant import TenantSpec, TenantStats
+from .tenant import TenantSpec, TenantStats, field_types, merge_columns
 
 __all__ = ["ServiceConfig", "ServiceStats", "EnvyService",
            "ServiceTransaction"]
@@ -209,8 +209,8 @@ class ServiceConfig:
             raise ValueError("attribution windows need positive length")
         if self.wear_budget is not None and self.wear_budget < 1:
             raise ValueError("wear_budget must allow at least one write")
-        if self.quarantine_tps <= 0:
-            raise ValueError("quarantine_tps must be positive")
+        if not 0 < self.quarantine_tps < math.inf:
+            raise ValueError("quarantine_tps must be positive and finite")
         if self.cache_pages < 0:
             raise ValueError("cache_pages cannot be negative")
         if self.cache_policy not in CACHE_POLICIES:
@@ -334,8 +334,9 @@ class ServiceStats:
         Two runs with the same seed (any ``jobs``) produce identical
         dicts — the determinism tests compare exactly this.
         """
-        summary = {spec.name: getattr(self, spec.name)
-                   for spec in fields(self) if spec.type in ("int", "float")}
+        summary = {name: getattr(self, name)
+                   for name, kind in field_types(type(self)).items()
+                   if kind in (int, float)}
         summary.update(
             accesses_per_simulated_s=round(self.accesses_per_simulated_s, 1),
             cache_hit_rate=round(self.cache_hit_rate, 6),
@@ -465,6 +466,16 @@ class EnvyService:
         #: Request trace of the most recent ``run(trace=True)``.
         self.last_trace: Optional[TraceReport] = None
         self._last_rids: Optional[List[List[int]]] = None
+        self._generator: Optional[LoadGenerator] = None
+
+    def _load_generator(self) -> LoadGenerator:
+        """The service's one load generator, built (and its tenants
+        validated) on first use; it keeps the last run's draws."""
+        if self._generator is None:
+            self._generator = LoadGenerator(
+                self.tenants, self.router.num_pages, self.config.page_bytes,
+                seed=self.config.seed)
+        return self._generator
 
     # ------------------------------------------------------------------
     # Service runs (schedule -> shard fan-out -> merge)
@@ -730,13 +741,7 @@ class EnvyService:
             # Closed-loop throttle/shed rates merge with quarantine by
             # min(): neither layer ever relaxes the other's decision.
             for name, rate in self.admission.rate_overrides().items():
-                current = overrides.get(name)
-                overrides[name] = (rate if current is None
-                                   else min(current, rate))
-        generator = LoadGenerator(self.tenants, self.router.num_pages,
-                                  self.config.page_bytes,
-                                  seed=self.config.seed,
-                                  rate_overrides=overrides or None)
+                overrides[name] = min(rate, overrides.get(name, rate))
         bus = self.events
         if bus.active:
             # First service event of the run, marked before the schedule
@@ -744,38 +749,34 @@ class EnvyService:
             # ServiceStats.requests_admitted.
             bus.mark(SERVICE_RUN, {"shards": self.router.num_shards,
                                    "tenants": len(self.tenants)})
-        windows, accounting = generator.stream(duration_s)
-        expanded = not self._plain_routing()
-        tenant_names = [t.name for t in self.tenants]
-        if expanded:
-            tenant_names = tenant_names + [_REDUNDANCY_TENANT,
-                                           _REBUILD_TENANT]
+        windows, accounting = self._load_generator().stream(duration_s,
+                                                             overrides)
+        # Pseudo-tenants follow the tenants, by number.
+        pseudo = ([] if self._plain_routing()
+                  else [_REDUNDANCY_TENANT, _REBUILD_TENANT])
+        tenant_names = [t.name for t in self.tenants] + pseudo
         base = self.config.shard_point_base()
-        budgets: Optional[List[Optional[int]]] = [
-            spec.wear_budget if spec.wear_budget is not None
-            else self.config.wear_budget
-            for spec in self.tenants]
-        # Pseudo-tenants carry redundancy overhead, never budgets.
-        budgets += [None] * (len(tenant_names) - len(self.tenants))
-        if all(budget is None for budget in budgets):
-            budgets = None
-        if budgets is not None:
-            base["wear_budgets"] = budgets
+        budgets = [spec.wear_budget if spec.wear_budget is not None
+                   else self.config.wear_budget for spec in self.tenants]
+        if budgets.count(None) < len(budgets):
+            # Pseudo-tenants carry redundancy overhead, never budgets.
+            base["wear_budgets"] = budgets + [None] * len(pseudo)
         if self.config.cache_pages > 0:
-            base["cache_tenants"] = self._cache_tier_flags(tenant_names)
-            caps = self._cache_tenant_caps(tenant_names)
+            base["cache_tenants"] = self._cache_tier_flags() + [False] * len(
+                pseudo)
+            caps = self._cache_tenant_caps()
             if caps is not None:
-                base["cache_tenant_caps"] = caps
+                base["cache_tenant_caps"] = caps + [None] * len(pseudo)
         num_shards = self.router.num_shards
         points = [dict(base, shard_index=index, tenant_names=tenant_names,
                        trace=trace, requests=[],
                        rids=[] if trace else None)
                   for index in range(num_shards)]
         stats = ServiceStats(num_shards=num_shards, duration_s=duration_s)
-        for spec in self.tenants:
-            stats.tenants[spec.name] = TenantStats(spec.name)
+        tenant_stats = [TenantStats(spec.name) for spec in self.tenants]
+        stats.tenants = {tstats.name: tstats for tstats in tenant_stats}
         latency = [(tstats.read_latency, tstats.write_latency)
-                   for tstats in stats.tenants.values()]
+                   for tstats in tenant_stats]
         # A serial run feeds live executors, which record into these
         # histograms; a parallel one collects the slices: shipping one
         # to another process needs it whole.
@@ -783,9 +784,8 @@ class EnvyService:
         if live:
             executors = [shard_executor(point) for point in points]
             for executor in executors:
-                # Pseudo-tenants' latencies are never read.
-                executor.start(latency + [(LatencyHistogram(),) * 2] * (
-                    len(tenant_names) - len(latency)))
+                # Pseudo-tenants' rows are counted, never recorded.
+                executor.start(latency + [None] * len(pseudo))
         admitted = 0
         run = self._run_expansion = self._begin_expansion(duration_s)
         # Rebuild copy rows due after the last arrival ride in one more,
@@ -818,27 +818,22 @@ class EnvyService:
                     reads.merge(read_hist)
                     writes.merge(write_hist)
 
-        for name, tstats in stats.tenants.items():
-            tstats.offered = accounting[name]["offered"]
-            tstats.throttled = accounting[name]["throttled"]
-        stats.requests_offered = sum(t.offered
-                                     for t in stats.tenants.values())
-        stats.requests_throttled = sum(t.throttled
-                                       for t in stats.tenants.values())
+        for tstats in tenant_stats:
+            counts = accounting[tstats.name]
+            tstats.offered = counts["offered"]
+            tstats.throttled = counts["throttled"]
+            stats.requests_offered += tstats.offered
+            stats.requests_throttled += tstats.throttled
         stats.requests_admitted = admitted
+        real = len(tenant_stats)
+        merge_columns(tenant_stats, [result["columns"] for result in results])
         for shard_result in results:
             shard = shard_result["shard"]
-            served = {True: 0, False: 0}   # by "is a pseudo-tenant"
-            for name, slice_stats in shard_result["tenants"].items():
-                overhead = name.startswith("__")
-                served[overhead] += slice_stats["reads"] + slice_stats[
-                    "writes"]
-                if overhead:
-                    continue
-                wear = slice_stats.get("wear")
-                if wear is not None:
-                    self._globalize_wear(wear, shard)
-                stats.tenants[name].merge_shard(slice_stats)
+            columns = shard_result["columns"]
+            for tstats, wear in zip(tenant_stats,
+                                    shard_result.get("wear", ())):
+                self._globalize_wear(wear, shard)
+                tstats.merge_wear(wear)
             for phys, count in sorted(
                     shard_result.get("segment_programs", {}).items()):
                 stats.segment_programs[f"s{shard}:p{phys}"] = count
@@ -855,8 +850,11 @@ class EnvyService:
                                    "max_batch_pages", "coalesced_writes",
                                    "flushes", "clean_copies", "erases",
                                    "wear_swaps")}
-            summary["accesses"] = served[False]
-            summary["overhead_accesses"] = served[True]
+            reads, writes = columns["reads"], columns["writes"]
+            summary["accesses"] = sum(reads[:real]) + sum(writes[:real])
+            summary["overhead_accesses"] = (sum(reads[real:])
+                                            + sum(writes[real:]))
+            stats.accesses_served += summary["accesses"]
             cache_summary = shard_result.get("cache")
             if cache_summary is not None:
                 stats.cache_hits += cache_summary["hits"]
@@ -869,8 +867,6 @@ class EnvyService:
             stats.shards.append(summary)
             if bus.active:
                 bus.mark(SERVICE_SHARD, dict(summary))
-        stats.accesses_served = sum(t.served
-                                    for t in stats.tenants.values())
         for name, count in run["counters"].items():
             setattr(stats, name, count)  # all zero under plain routing
         if trace:
@@ -894,27 +890,21 @@ class EnvyService:
     # Cache tier inputs (per run)
     # ------------------------------------------------------------------
 
-    def _cache_tier_flags(self, tenant_names: Sequence[str]
-                          ) -> List[bool]:
+    def _cache_tier_flags(self) -> List[bool]:
         """Per-tenant cache-tier membership for the next run.
 
         Without closed-loop admission every tenant is in the tier
         unless it opted out (``cache=False``).  With admission, the
         tier is pinned tenants (``cache=True``) plus currently
-        promoted ones.  Pseudo-tenants (redundancy / rebuild traffic)
-        never cache — replica reads and rebuild copies pay honest
-        Flash timing.
+        promoted ones.  (Pseudo-tenants never cache: their replica
+        reads and rebuild copies pay honest Flash timing.)
         """
-        specs = {spec.name: spec for spec in self.tenants}
         if self.admission is not None:
             tier = set(self.admission.cache_tier())
-            return [name in tier for name in tenant_names]
-        return [not name.startswith("__")
-                and specs[name].cache is not False
-                for name in tenant_names]
+            return [spec.name in tier for spec in self.tenants]
+        return [spec.cache is not False for spec in self.tenants]
 
-    def _cache_tenant_caps(self, tenant_names: Sequence[str]
-                           ) -> Optional[List[Optional[int]]]:
+    def _cache_tenant_caps(self) -> Optional[List[int]]:
         """Per-tenant occupancy caps (pages per shard), or None.
 
         ``cache_tenant_cap`` < 1 bounds every tenant to that fraction
@@ -930,22 +920,17 @@ class EnvyService:
             return None
         pages = self.config.cache_pages
         hard_cap = max(1, int(pages * fraction))
-        real = [name for name in tenant_names
-                if not name.startswith("__")]
-        fair = max(1, pages // max(1, len(real)))
+        fair = max(1, pages // len(self.tenants))
         stats = self.last_stats
         total_reads = 0
         if stats is not None:
             total_reads = sum(t.read_latency.count
                               for t in stats.tenants.values())
-        caps: List[Optional[int]] = []
-        for name in tenant_names:
-            if name.startswith("__"):
-                caps.append(None)  # excluded from the tier anyway
-                continue
+        caps: List[int] = []
+        for spec in self.tenants:
             cap = hard_cap
-            if total_reads > 0 and name in stats.tenants:
-                share = int(pages * stats.tenants[name]
+            if total_reads > 0 and spec.name in stats.tenants:
+                share = int(pages * stats.tenants[spec.name]
                             .read_latency.count / total_reads)
                 cap = max(fair, min(hard_cap, max(share, 1)))
             caps.append(cap)
@@ -1087,10 +1072,7 @@ class EnvyService:
             raise ValueError(
                 "rebalancing needs a redundancy-aware router — set "
                 "placement='ranged' or any redundancy in ServiceConfig")
-        generator = LoadGenerator(self.tenants, router.num_pages,
-                                  self.config.page_bytes,
-                                  seed=self.config.seed)
-        windows, _ = generator.stream(duration_s)
+        windows, _ = self._load_generator().stream(duration_s, {})
         page_loads: Dict[int, int] = {}
         for _, _, _, _, page in chain.from_iterable(windows):
             page_loads[page] = page_loads.get(page, 0) + 1
@@ -1153,8 +1135,8 @@ class EnvyService:
             raise ValueError(f"unknown tenant {name!r}")
         rate = float(rate_tps if rate_tps is not None
                      else self.config.quarantine_tps)
-        if rate <= 0:
-            raise ValueError("quarantine rate must be positive")
+        if not 0 < rate < math.inf:  # NaN too: its bucket admits all
+            raise ValueError("quarantine rate must be positive and finite")
         self.quarantined[name] = rate
         if self.events.active:
             self.events.mark(SECURITY_QUARANTINE,

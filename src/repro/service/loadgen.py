@@ -14,16 +14,22 @@ timestamped requests, here merged from a list of
 * the schedule is sorted by ``(arrival_ns, tenant_index, seq)``, a total
   order: it is a pure function of ``(tenants, duration, seed)``.
 
-The schedule is a **stream** (:meth:`LoadGenerator.stream`): each
-tenant is drawn once, whole, into packed columns (arrivals, pages,
-is-write flags; seqs only where its bucket throttled), and its RNGs
-and workload are freed.  Equal-width arrival-time windows of about
-:data:`WINDOW_ROWS` rows slice and ``zip`` the columns of the tenants
-with rows in them and sort by that key, so their concatenation
-(:meth:`LoadGenerator.generate`) is the whole sorted schedule and no
-Python statement runs per row.  Generation costs O(requests) time and
-O(``WINDOW_ROWS``) memory plus, per admitted row, 4 B arrival, 1-2 B
-page, +1 B coin and +4 B seq when throttled.
+The schedule is a **stream** (:meth:`LoadGenerator.stream`).  A
+tenant's draw, its unthrottled packed columns (arrivals, is-write
+flags, pages), reads only the tenant index, its spec, ``end_ns``, the
+seed, ``num_pages`` and ``page_bytes``, and only the spec and
+``end_ns`` vary over the generator's life: it keeps its last stream's
+draws per tenant under ``(spec, end_ns)`` (per drawn row 4 B arrival,
+1-2 B page, 1 B coin), so a rerun of the same duration on one service
+draws nothing and re-applies only the token buckets, as a 1 B keep flag
+per row; a row's seq is its position in the unthrottled columns.  A
+tenant without arrivals seeds no RNG.
+Equal-width arrival-time windows of about :data:`WINDOW_ROWS` rows
+slice, filter and ``zip`` the columns of the tenants with rows in them
+and sort by arrival, so their concatenation
+(:meth:`LoadGenerator.generate`) is the whole sorted schedule: no Python
+statement runs per row, O(1) calls run per tenant with rows and per
+(tenant, window) visit, and an idle tenant costs a memo lookup.
 
 A request is a plain tuple ``(arrival_ns, tenant_index, seq, is_write,
 global_page)``, partitioned by :class:`~repro.service.shard.ShardRouter`.
@@ -35,7 +41,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, truth
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -67,9 +73,7 @@ class LoadGenerator:
     """Builds the merged request schedule for a set of tenants."""
 
     def __init__(self, tenants: Sequence[TenantSpec], num_pages: int,
-                 page_bytes: int = 256, seed: int = 0,
-                 rate_overrides: Optional[Mapping[str, float]] = None
-                 ) -> None:
+                 page_bytes: int = 256, seed: int = 0) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
@@ -85,19 +89,32 @@ class LoadGenerator:
                     f"tenant {tenant.name!r} page_range "
                     f"{tenant.page_range} exceeds the {num_pages}-page "
                     f"service space")
-        if rate_overrides and (set(rate_overrides) - set(names)
-                               or min(rate_overrides.values()) <= 0):
-            raise ValueError(f"rate overrides {dict(rate_overrides)} must "
-                             f"be positive, for known tenants")
         self.tenants = list(tenants)
         self.num_pages = num_pages
         self.page_bytes = page_bytes
         self.seed = seed
-        #: Quarantine hook (repro.service.adversary): a tenant listed
-        #: here is throttled to at most this rate at schedule time, so
-        #: identically across reruns and ``jobs`` settings.
-        self.rate_overrides = dict(rate_overrides or {})
         self._layout = None  # built once, by the first TPC-A tenant
+        #: The last stream's draws: tenant index -> ``(key, stamps,
+        #: writes, pages)``, keyed on the spec and the end of the run.
+        self._drawn: Dict[int, tuple] = {}
+
+    def _checked_overrides(self, overrides: Optional[Mapping[str, float]]
+                           ) -> Dict[str, float]:
+        overrides = dict(overrides or {})
+        # Written so that NaN fails it: a NaN bucket admits everything.
+        if overrides and (set(overrides) - {t.name for t in self.tenants}
+                          or not all(0 < rate < math.inf
+                                     for rate in overrides.values())):
+            raise ValueError(f"rate overrides {overrides} must be positive "
+                             f"and finite, for known tenants")
+        return overrides
+
+    @staticmethod
+    def _lifetime(spec: TenantSpec, end_ns: int) -> Tuple[int, int]:
+        """``[start_ns, stop_ns)``: where the tenant may arrive."""
+        stop_ns = end_ns if spec.depart_s is None else min(
+            end_ns, int(spec.depart_s * 1e9))
+        return int(spec.arrive_s * 1e9), stop_ns
 
     def _arrivals(self, spec: TenantSpec, rng: random.Random,
                   end_ns: int) -> array:
@@ -106,11 +123,7 @@ class LoadGenerator:
         exists only in ``[arrive_s, depart_s)``; an open-loop burst
         schedule runs at ``burst_x``× rate inside each burst window."""
         arrivals = array(_typecode(end_ns))
-        start_ns = int(spec.arrive_s * 1e9)
-        stop_ns = end_ns if spec.depart_s is None else min(
-            end_ns, int(spec.depart_s * 1e9))
-        if stop_ns <= start_ns:
-            return arrivals
+        start_ns, stop_ns = self._lifetime(spec, end_ns)
         if spec.mode == "open":
             mean_ns = 1e9 / spec.rate_tps
             burst_every = burst_len = 0
@@ -226,87 +239,107 @@ class LoadGenerator:
                       if 0.0 < write_fraction < 1.0 else write_fraction > 0.0)
             yield arrivals[start:stop], writes, next_pages(start, stop)
 
-    def generate(self, duration_s: float
+    def _draw(self, index: int, spec: TenantSpec, end_ns: int
+              ) -> Tuple[Sequence[int], object, Sequence[int]]:
+        """The tenant's unthrottled columns ``(stamps, writes, pages)``
+        up to ``end_ns``: one row per access, ``writes`` one bool when
+        every coin agrees."""
+        start_ns, stop_ns = self._lifetime(spec, end_ns)
+        if stop_ns <= start_ns:
+            return (), False, ()    # never arrives: seed no RNG
+        rng = random.Random(derive_seed(self.seed, 2 * index))
+        arrivals = self._arrivals(spec, rng, end_ns)
+        # Single-row arrivals are their own stamp column.
+        stamps = (arrivals if spec.workload != "tpca"
+                  else array(arrivals.typecode))
+        writes, pages = bytearray(), array(_typecode(self.num_pages))
+        for chunk_stamps, chunk_writes, chunk_pages in self._columns(
+                spec, rng, derive_seed(self.seed, 2 * index + 1), arrivals):
+            if stamps is not arrivals:
+                stamps.extend(chunk_stamps)
+            pages.extend(chunk_pages)
+            if chunk_writes.__class__ is bool:
+                writes = chunk_writes   # every coin agrees
+            else:
+                writes.extend(chunk_writes)
+        return stamps, writes, pages
+
+    def generate(self, duration_s: float,
+                 rate_overrides: Optional[Mapping[str, float]] = None
                  ) -> Tuple[List[Request], Dict[str, Dict[str, int]]]:
         """The merged schedule plus per-tenant offered/throttled counts:
         :meth:`stream`, concatenated."""
-        windows, accounting = self.stream(duration_s)
+        windows, accounting = self.stream(duration_s, rate_overrides)
         return list(chain.from_iterable(windows)), accounting
 
-    def stream(self, duration_s: float
+    def stream(self, duration_s: float,
+               rate_overrides: Optional[Mapping[str, float]] = None
                ) -> Tuple[Iterator[List[Request]],
                           Dict[str, Dict[str, int]]]:
         """The schedule as ``(windows, accounting)``: the non-empty
         arrival-time windows in order, and per-tenant offered/throttled
-        counts, final on return since every tenant is drawn here.  Holds
-        O(:data:`WINDOW_ROWS`) plus, per admitted row, 4 B arrival, 1-2 B
-        page, +1 B coin and +4 B seq if throttled.  Throttled accesses
-        (token bucket empty at arrival) are dropped; everything yielded
-        awaits shard-level admission control."""
+        counts, final on return.  Throttled accesses (token bucket
+        empty at arrival) are dropped; everything yielded awaits
+        shard-level admission control.  ``rate_overrides`` is the
+        quarantine hook (repro.service.adversary): a tenant listed there
+        is throttled to at most that rate at schedule time, so
+        identically across reruns and ``jobs`` settings."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         end_ns = int(duration_s * 1e9)
+        overrides = self._checked_overrides(rate_overrides)
         accounting: Dict[str, Dict[str, int]] = {}
-        drawn: List[list] = []
+        cursors: List[list] = []
+        admitted = 0
+        # Keep only what this stream uses.
+        memo, self._drawn = self._drawn, {}
         for index, spec in enumerate(self.tenants):
-            rng = random.Random(derive_seed(self.seed, 2 * index))
-            arrivals = self._arrivals(spec, rng, end_ns)
-            bucket = spec.make_bucket(self.rate_overrides.get(spec.name))
-            # Unthrottled single-row arrivals are their own stamp column.
-            stamps = (arrivals if bucket is None and spec.workload != "tpca"
-                      else array(arrivals.typecode))
-            seqs, writes, pages = (array("I"), bytearray(),
-                                   array(_typecode(self.num_pages)))
-            for chunk in self._columns(
-                    spec, rng, derive_seed(self.seed, 2 * index + 1),
-                    arrivals):
-                if bucket is not None:
-                    # A throttled row is dropped with the seq it took.
-                    seq = bucket.allowed + bucket.throttled
-                    kept = list(map(bucket.allow, chunk[0]))
-                    seqs.extend(compress(count(seq), kept))
-                    chunk = [column if column.__class__ is bool
-                             else compress(column, kept) for column in chunk]
-                chunk_stamps, chunk_writes, chunk_pages = chunk
-                if stamps is not arrivals:
-                    stamps.extend(chunk_stamps)
-                pages.extend(chunk_pages)
-                if chunk_writes.__class__ is bool:
-                    writes = chunk_writes   # every coin agrees
-                else:
-                    writes.extend(chunk_writes)
-            throttled = 0 if bucket is None else bucket.throttled
-            accounting[spec.name] = {"offered": len(pages) + throttled,
+            # Seed, pages and page size are the generator's for life.
+            key = (spec, end_ns)
+            entry = memo.pop(index, None)
+            if entry is None or entry[0] != key:
+                entry = None    # free a stale draw before drawing anew
+                entry = (key, *self._draw(index, spec, end_ns))
+            self._drawn[index] = entry
+            _, stamps, writes, pages = entry
+            rows = len(stamps)
+            # No rows, no bucket; a bucket's verdicts are a keep mask.
+            bucket = rows and spec.make_bucket(overrides.get(spec.name))
+            keep = bucket and bytearray(map(bucket.allow, stamps))
+            throttled = bucket.throttled if bucket else 0
+            accounting[spec.name] = {"offered": rows,
                                      "throttled": throttled}
-            if pages:
-                # An unthrottled row's seq is its position.
-                drawn.append([index, 0, stamps, seqs if throttled else None,
-                              writes, pages])
-        return self._windows(drawn, end_ns), accounting
+            if rows > throttled:
+                admitted += rows - throttled
+                cursors.append([index, 0, stamps, keep if throttled else None,
+                                writes, pages])
+        return self._windows(cursors, admitted, end_ns), accounting
 
     @staticmethod
-    def _windows(drawn: List[list], end_ns: int
+    def _windows(cursors: List[list], admitted: int, end_ns: int
                  ) -> Iterator[List[Request]]:
         """Equal-width arrival-time windows of about :data:`WINDOW_ROWS`
-        rows from ``[index, next row, stamps, seqs, writes, pages]``
-        cursors, each filed under the window of its next row."""
-        windows = max(1, -(-sum(len(c[5]) for c in drawn) // WINDOW_ROWS))
+        of the ``admitted`` rows, from ``[index, next row, stamps, keep,
+        writes, pages]`` cursors, each filed under the window of its next
+        row: O(1) calls per (cursor, window) visit."""
+        windows = max(1, -(-admitted // WINDOW_ROWS))
         width = -(-end_ns // windows)
         # Window 0 refiles every cursor whose first row comes later.
-        due: Dict[int, List[list]] = {0: drawn}
+        due: Dict[int, List[list]] = {0: cursors}
         for number in range(windows):
             edge_ns = (number + 1) * width
             window: List[Request] = []
             # In tenant index order (unique: lists compare on it alone).
             for cursor in sorted(due.pop(number, ())):
-                index, start, stamps, seqs, writes, pages = cursor
+                index, start, stamps, keep, writes, pages = cursor
                 stop = bisect_left(stamps, edge_ns, start)
-                window += zip(
-                    stamps[start:stop], repeat(index),
-                    range(start, stop) if seqs is None else seqs[start:stop],
-                    repeat(writes) if writes.__class__ is bool
-                    else map(truth, writes[start:stop]),
-                    pages[start:stop])
+                run = zip(stamps[start:stop], repeat(index),
+                          range(start, stop),
+                          repeat(writes) if writes.__class__ is bool
+                          else map(truth, writes[start:stop]),
+                          pages[start:stop])
+                window += (run if keep is None
+                           else compress(run, keep[start:stop]))
                 if stop < len(stamps):
                     cursor[1] = stop
                     due.setdefault(stamps[stop] // width, []).append(cursor)

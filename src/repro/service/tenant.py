@@ -12,19 +12,22 @@ shared shard pool.  A tenant bundles three things:
   decision sequence is a deterministic function of the schedule;
 * **accounting** (:class:`TenantStats`) — per-tenant
   :class:`~repro.obs.hist.LatencyHistogram`\\ s, which every shard
-  records into, and counters, merged exactly across shards.
+  records into, and counters, the sums of the shards' counter columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Optional, Tuple, Union
+from functools import lru_cache
+from itertools import compress
+from typing import (Dict, Iterable, Mapping, Optional, Sequence, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from ..obs.hist import LatencyHistogram
 
-__all__ = ["TokenBucket", "TenantSpec", "TenantStats",
-           "ATTACK_WORKLOADS"]
+__all__ = ["TokenBucket", "TenantSpec", "TenantStats", "merge_columns",
+           "ATTACK_WORKLOADS", "field_types"]
 
 #: Workload shapes that model a hostile tenant (repro.service.adversary).
 #: They generate through the same seeded LoadGenerator streams as honest
@@ -32,6 +35,21 @@ __all__ = ["TokenBucket", "TenantSpec", "TenantStats",
 ATTACK_WORKLOADS = ("hammer", "clean_amp", "squat")
 
 _HONEST_WORKLOADS = ("zipf", "uniform", "tpca")
+
+
+@lru_cache(maxsize=16)
+def field_types(cls: type) -> Dict[str, type]:
+    """Each dataclass field's type, resolved once per class from its
+    annotation (``Optional[X]`` is ``X``; other generics their origin,
+    ``Tuple[int, int]`` is ``tuple``), in field order."""
+    hints = get_type_hints(cls)
+    types: Dict[str, type] = {}
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        if get_origin(hint) is Union:
+            hint, = (arg for arg in get_args(hint) if arg is not type(None))
+        types[spec_field.name] = get_origin(hint) or hint
+    return types
 
 
 class TokenBucket:
@@ -48,9 +66,10 @@ class TokenBucket:
                  "allowed", "throttled")
 
     def __init__(self, rate_per_s: float, burst: float = 10.0) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("token rate must be positive")
-        if burst < 1:
+        # Written so that NaN fails them: a NaN bucket admits everything.
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError("token rate must be positive and finite")
+        if not 1 <= burst < math.inf:
             raise ValueError("burst must allow at least one token")
         self.rate_per_s = rate_per_s
         self.burst = float(burst)
@@ -282,19 +301,10 @@ class TenantSpec:
 
     @classmethod
     def _coercers(cls) -> Dict[str, object]:
-        coercers: Dict[str, object] = {}
-        for spec_field in fields(cls):
-            if spec_field.type in ("int", "Optional[int]"):
-                coercers[spec_field.name] = cls._int
-            elif spec_field.type in ("float", "Optional[float]"):
-                coercers[spec_field.name] = float
-            elif spec_field.type in ("bool", "Optional[bool]"):
-                coercers[spec_field.name] = cls._parse_bool
-            elif "Tuple" in spec_field.type:
-                coercers[spec_field.name] = cls._parse_range
-            else:
-                coercers[spec_field.name] = str
-        return coercers
+        by_type = {int: cls._int, float: float, bool: cls._parse_bool,
+                   tuple: cls._parse_range, str: str}
+        return {name: by_type[kind]
+                for name, kind in field_types(cls).items()}
 
     @classmethod
     def parse(cls, spec: str) -> "TenantSpec":
@@ -360,7 +370,7 @@ class TenantSpec:
 def _merge_tree(dst: Dict, src: Mapping) -> Dict:
     """Add ``src`` into ``dst`` recursively: numbers add, dicts merge
     key-wise, lists add element-wise (shorter side zero-padded).  Both
-    operations commute and associate, so merging shard slices in any
+    operations commute and associate, so merging shard trees in any
     order produces the same aggregate."""
     for key, value in src.items():
         if isinstance(value, Mapping):
@@ -378,29 +388,19 @@ def _merge_tree(dst: Dict, src: Mapping) -> Dict:
 
 
 class TenantStats:
-    """One tenant's service-level view of a run (mergeable).
+    """One tenant's service-level view of a run.
 
+    Each shard-side counter is the sum of the shards' result columns
+    of its name (:func:`merge_columns`).
     Every shard records into the one pair of latency histograms (a
-    parallel run merges its workers' pairs in).
-
-    :meth:`merge_shard` is **field-complete and order-independent**: it
-    folds in *every* key of a shard's per-tenant counter slice — named
-    counters onto their attributes, the ``wear`` attribution tree
-    recursively, and any key this class has never heard of into
-    :attr:`extra` — rather than reading a fixed key list.  A counter
-    that exists on only one side
-    (a tenant confined to one bank via ``page_range``, a shard that
-    never retried) merges as if the other side reported zero, and any
-    permutation of the shard results yields the same aggregate.
+    parallel run merges its workers' pairs in); the ``wear`` tree
+    merges shard by shard (:meth:`merge_wear`).
     """
 
     __slots__ = ("name", "offered", "throttled", "rejected", "delayed",
                  "reads", "writes", "retried", "rejected_wear",
-                 "cache_hits", "cache_misses",
-                 "read_latency", "write_latency", "wear", "extra")
-
-    _COUNTERS = ("rejected", "delayed", "reads", "writes", "retried",
-                 "rejected_wear", "cache_hits", "cache_misses")
+                 "cache_hits", "cache_misses", "rejected_queue",
+                 "rejected_shed", "read_latency", "write_latency", "wear")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -408,8 +408,11 @@ class TenantStats:
         self.offered = 0
         #: Accesses the token bucket refused before sharding.
         self.throttled = 0
-        #: Accesses a shard's admission control rejected.
+        #: Accesses a shard's admission control rejected: queue full
+        #: (``rejected_queue``) plus cleaner behind (``rejected_shed``).
         self.rejected = 0
+        self.rejected_queue = 0
+        self.rejected_shed = 0
         #: Writes delayed by cleaner-debt backpressure.
         self.delayed = 0
         self.reads = 0
@@ -427,30 +430,15 @@ class TenantStats:
         #: Wear-attribution tree (writes per segment, induced cleaning,
         #: buffer residency) when the run attributed wear, else None.
         self.wear: Optional[Dict] = None
-        #: Counters no named attribute claims — nothing a shard reports
-        #: is ever dropped on merge.
-        self.extra: Dict[str, object] = {}
 
     @property
     def served(self) -> int:
         return self.reads + self.writes
 
-    def merge_shard(self, shard_stats: Mapping) -> None:
-        """Fold one shard's per-tenant slice into the aggregate."""
-        counters = self._COUNTERS
-        for key, value in shard_stats.items():
-            if key in counters:
-                if value:
-                    setattr(self, key, getattr(self, key) + value)
-            elif key == "wear":
-                self.wear = _merge_tree(self.wear or {}, value)
-            elif isinstance(value, (Mapping, list)):
-                merged = _merge_tree({key: self.extra.get(key)}
-                                     if self.extra.get(key) is not None
-                                     else {}, {key: value})
-                self.extra[key] = merged[key]
-            else:
-                self.extra[key] = self.extra.get(key, 0) + value
+    def merge_wear(self, wear: Mapping) -> None:
+        """Fold one shard's wear-attribution tree into the aggregate
+        (in any order: the merge commutes)."""
+        self.wear = _merge_tree(self.wear or {}, wear)
 
     def as_dict(self) -> dict:
         """Flat JSON-friendly summary (histograms reduced to tails)."""
@@ -479,14 +467,28 @@ class TenantStats:
                     self.wear.get("flush_segments") or {}),
                 "residency_ns": self.wear.get("residency_ns", 0),
             }
-        for key in sorted(self.extra):
-            value = self.extra[key]
-            if isinstance(value, dict):
-                summary[key] = {str(k): value[k] for k in sorted(value)}
-            else:
-                summary[key] = value
+        summary["rejected_queue"] = self.rejected_queue
+        summary["rejected_shed"] = self.rejected_shed
         return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TenantStats({self.name}: {self.served} served, "
                 f"{self.throttled} throttled, {self.rejected} rejected)")
+
+
+def merge_columns(tenants: Sequence[TenantStats],
+                  shard_columns: Iterable[Mapping[str, Sequence[int]]]
+                  ) -> None:
+    """Add the shards' counter columns (indexed by tenant number;
+    entries past ``tenants`` are pseudo-tenants, assigned to nobody)
+    into ``tenants``.  Only non-zero sums touch an attribute, so a
+    tenant without rows costs nothing; a column no attribute is named
+    after raises instead of being dropped; addition commutes, so shard
+    order is immaterial."""
+    shard_columns = list(shard_columns)
+    for key in shard_columns[0]:
+        column = list(map(sum, zip(*[columns[key]
+                                     for columns in shard_columns])))
+        for index in compress(range(len(tenants)), column):
+            tstats = tenants[index]
+            setattr(tstats, key, getattr(tstats, key) + column[index])

@@ -19,7 +19,8 @@ from repro.service import (ATTACK_KINDS, AttackDetector, EnvyService,
                            ServiceConfig, TenantSpec, attack_tenant,
                            project_lifetime, run_attack_scenario)
 from repro.service.frontend import _canonical_report
-from repro.service.tenant import TenantStats
+from repro.service.executor import TENANT_COUNTERS
+from repro.service.tenant import TenantStats, field_types, merge_columns
 
 CONFIG = ServiceConfig(num_shards=2, num_segments=12,
                        pages_per_segment=16, seed=7)
@@ -135,6 +136,19 @@ class TestMitigation:
             "quarantined"]
         quarantined.release("attacker")
         assert quarantined.quarantined == {}
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_quarantine_refuses_non_finite_rates(self, rate):
+        """A NaN quarantine used to pass ``rate <= 0`` and build a bucket
+        that admits everything: a 1e6 TPS tenant kept all its traffic."""
+        spec = TenantSpec("loud", rate_tps=1e6)
+        service = EnvyService(CONFIG, [spec])
+        with pytest.raises(ValueError, match="positive and finite"):
+            service.quarantine("loud", rate_tps=rate)
+        assert service.quarantined == {}
+        service.quarantine("loud", rate_tps=1e4)
+        loud = service.run(0.001, jobs=1).tenants["loud"]
+        assert loud.throttled > 0.9 * loud.offered
 
     def test_quarantine_never_relaxes_own_rate_limit(self):
         spec = TenantSpec("slowpoke", rate_tps=1e5, rate_limit_tps=1e4)
@@ -253,6 +267,25 @@ class TestTenantSpecParse:
                  page_range=(0, 256)))
         assert again == spec
 
+    #: A valid string per field type, and the fields that need another.
+    TEXT = {int: "3", float: "2.5", bool: "false", tuple: "0:8", str: "x"}
+    TEXT_OF = {"workload": "uniform", "mode": "closed",
+               "write_fraction": "0.25", "slo_target": "0.5"}
+
+    @pytest.mark.parametrize("field", list(field_types(TenantSpec)))
+    def test_every_field_parses_to_its_annotated_type(self, field):
+        """One spec string per field: the coercer comes from the field's
+        resolved type, not from the annotation's text."""
+        kind = field_types(TenantSpec)[field]
+        text = self.TEXT_OF.get(field, self.TEXT[kind])
+        spec = TenantSpec.parse(f"name=a,{field}={text}" if field != "name"
+                                else f"name={text}")
+        value = getattr(spec, field)
+        assert type(value) is kind
+        if kind is tuple:
+            assert value == (0, 8)
+            assert [type(end) for end in value] == [int, int]
+
     def test_parse_rejects_unknown_keys_and_bad_values(self):
         with pytest.raises(ValueError):
             TenantSpec.parse("name=a,nope=1")
@@ -289,52 +322,62 @@ class TestHealthReportOrdering:
 _COUNTER_VALUES = st.integers(min_value=0, max_value=1 << 20)
 
 
-def _shard_slices():
-    """One shard's contribution to a tenant, in executor dict form."""
-    wear = st.fixed_dictionaries({
-        "flushes": _COUNTER_VALUES,
-        "induced_clean_copies": _COUNTER_VALUES,
-        "residency_ns": _COUNTER_VALUES,
-        "flush_segments": st.dictionaries(
-            st.text("sp01234:", min_size=1, max_size=6),
-            _COUNTER_VALUES, max_size=4),
-        "page_writes": st.dictionaries(
-            st.integers(min_value=0, max_value=64),
-            _COUNTER_VALUES, max_size=4),
-        "residency_windows": st.lists(_COUNTER_VALUES, max_size=4),
-    })
-    return st.fixed_dictionaries({
-        "rejected": _COUNTER_VALUES,
-        "delayed": _COUNTER_VALUES,
-        "reads": _COUNTER_VALUES,
-        "writes": _COUNTER_VALUES,
-        "retried": _COUNTER_VALUES,
-        "rejected_wear": _COUNTER_VALUES,
-        "read_hist": st.lists(_COUNTER_VALUES, min_size=2, max_size=4),
-        "write_hist": st.lists(_COUNTER_VALUES, min_size=2, max_size=4),
-        "wear": wear,
-    })
+_WEAR_TREES = st.fixed_dictionaries({
+    "flushes": _COUNTER_VALUES,
+    "induced_clean_copies": _COUNTER_VALUES,
+    "residency_ns": _COUNTER_VALUES,
+    "flush_segments": st.dictionaries(
+        st.text("sp01234:", min_size=1, max_size=6),
+        _COUNTER_VALUES, max_size=4),
+    "page_writes": st.dictionaries(
+        st.integers(min_value=0, max_value=64),
+        _COUNTER_VALUES, max_size=4),
+    "residency_windows": st.lists(_COUNTER_VALUES, max_size=4),
+})
+
+
+@st.composite
+def _shard_results(draw):
+    """Shards' counter columns over three tenants plus one pseudo-tenant
+    (executor result form), and each shard's tenant-0 wear tree."""
+    shards = draw(st.integers(min_value=1, max_value=5))
+    column = st.lists(_COUNTER_VALUES, min_size=4, max_size=4)
+    return [(draw(st.fixed_dictionaries(
+                {key: column for key in TENANT_COUNTERS})),
+             draw(_WEAR_TREES))
+            for _ in range(shards)]
 
 
 class TestMergeProperties:
-    @given(st.lists(_shard_slices(), min_size=1, max_size=5))
+    @given(_shard_results())
     @settings(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_merge_is_field_complete_and_order_independent(self, slices):
-        forward, backward = TenantStats("t"), TenantStats("t")
-        for entry in slices:
-            forward.merge_shard(entry)
-        for entry in reversed(slices):
-            backward.merge_shard(entry)
-        assert forward.as_dict() == backward.as_dict()
-        merged = forward.as_dict()
-        # Field-complete: every scalar counter a shard reports is the
-        # sum over shards — nothing silently dropped.
-        for key in ("rejected", "delayed", "reads", "writes", "retried",
-                    "rejected_wear"):
-            assert merged[key] == sum(entry[key] for entry in slices)
-        assert forward.wear["flushes"] == \
-            sum(entry["wear"]["flushes"] for entry in slices)
-        for entry in slices:
-            for seg, count in entry["wear"]["flush_segments"].items():
-                assert forward.wear["flush_segments"][seg] >= count
+    def test_merge_is_field_complete_and_order_independent(self, shards):
+        def merged(order):
+            tenants = [TenantStats(name) for name in ("a", "b", "c")]
+            merge_columns(tenants, [columns for columns, _ in order])
+            for _, wear in order:
+                tenants[0].merge_wear(wear)
+            return tenants
+
+        forward = merged(shards)
+        backward = merged(shards[::-1])
+        assert [t.as_dict() for t in forward] == \
+            [t.as_dict() for t in backward]
+        assert forward[0].wear == backward[0].wear
+        # Field-complete: every counter column a shard reports is the
+        # sum over shards — nothing silently dropped, the pseudo-tenant
+        # (index 3) assigned to no tenant.
+        for key in TENANT_COUNTERS:
+            sums = [sum(columns[key][index] for columns, _ in shards)
+                    for index in range(3)]
+            assert [getattr(t, key) for t in forward] == sums
+        assert forward[0].wear["flushes"] == \
+            sum(wear["flushes"] for _, wear in shards)
+        for _, wear in shards:
+            for seg, count in wear["flush_segments"].items():
+                assert forward[0].wear["flush_segments"][seg] >= count
+
+    def test_a_column_without_an_attribute_is_refused(self):
+        with pytest.raises(AttributeError):
+            merge_columns([TenantStats("a")], [{"novel_counter": [1]}])

@@ -1,6 +1,10 @@
 """Tests for the sharded service core: router, tenants, determinism."""
 
+import dataclasses
+import sys
 import tracemalloc
+from collections import Counter
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -10,8 +14,10 @@ from hypothesis import strategies as st
 from repro.service import (CrossShardError, EnvyService, LoadGenerator,
                            ServiceConfig, ShardRouter, TenantSpec,
                            TokenBucket)
+from repro.service import frontend, loadgen
 from repro.service.bench import scale_fleet
 from repro.service.executor import build_shard_controller
+from repro.service.frontend import ServiceStats
 
 from .test_service_loadgen import windowed
 
@@ -93,6 +99,13 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(1.0, burst=0.5)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_refused(self, rate):
+        """A NaN rate passes a ``<= 0`` check and its bucket then admits
+        everything (every refill comparison is False)."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            TokenBucket(rate)
+
     def test_burst_exceeding_offered_load_never_throttles(self):
         bucket = TokenBucket(rate_per_s=1.0, burst=1000.0)
         assert all(bucket.allow(t) for t in range(100))
@@ -146,6 +159,13 @@ class TestServiceConfig:
             ServiceConfig(soft_watermark=0.99,
                           hard_watermark=0.5).validate()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_quarantine_rate_refused(self, rate):
+        with pytest.raises(ValueError, match="quarantine_tps"):
+            ServiceConfig(quarantine_tps=rate).validate()
+        with pytest.raises(ValueError, match="quarantine_tps"):
+            EnvyService(ServiceConfig(quarantine_tps=rate))
+
     def test_router_matches_shard_geometry(self):
         config = ServiceConfig(num_shards=3, num_segments=8,
                                pages_per_segment=32)
@@ -157,6 +177,27 @@ class TestServiceConfig:
         config = ServiceConfig(page_bytes=512, prewarm_turnovers=0.0)
         shard = build_shard_controller(config.shard_point_base(), 0)
         assert shard.config == config.shard_config()
+
+
+class TestServiceStats:
+    def test_counters_are_picked_by_type_not_annotation_text(self):
+        """``as_dict`` keeps every int / float field, however its
+        annotation is spelt (the field types are resolved, not read)."""
+        @dataclasses.dataclass
+        class Reworded(ServiceStats):
+            spare: Optional[int] = 7
+            label: str = "x"
+
+        summary = Reworded(num_shards=1, duration_s=0.5).as_dict()
+        assert summary["spare"] == 7
+        assert "label" not in summary
+        # The new counter follows the declared ones, before the four
+        # derived keys.
+        plain = list(ServiceStats(num_shards=1, duration_s=0.5).as_dict())
+        derived = ["accesses_per_simulated_s", "cache_hit_rate", "tenants",
+                   "shards"]
+        assert plain[-4:] == derived
+        assert list(summary) == [*plain[:-4], "spare", *derived]
 
 
 class TestServiceRun:
@@ -529,3 +570,121 @@ class TestDirectAccess:
     def test_cross_shard_error_is_a_value_error(self):
         assert issubclass(CrossShardError, ValueError)
 
+
+class TestPerTenantCost:
+    """A tenant costs what its traffic costs: draws once per service,
+    nothing per idle tenant, histograms only for real tenants."""
+
+    FLEET = ServiceConfig(num_shards=4, num_segments=16,
+                          pages_per_segment=32, cache_pages=64,
+                          cache_tenant_cap=0.25, admission=True, seed=3)
+    RUN_S = 0.002
+
+    def fleet(self, idle=0):
+        specs = [TenantSpec.from_spec(spec)
+                 for spec in scale_fleet(200, self.RUN_S)]
+        # Arriving at the run's end: never a row.
+        return specs + [TenantSpec(f"idle{index:04d}", arrive_s=self.RUN_S)
+                        for index in range(idle)]
+
+    def second_run_events(self, tenants):
+        service = EnvyService(self.FLEET, tenants)
+        service.run(self.RUN_S, jobs=1)
+        events = Counter()
+
+        def profile(frame, event, arg):
+            events[event] += 1
+
+        sys.setprofile(profile)
+        try:
+            service.run(self.RUN_S, jobs=1)
+        finally:
+            sys.setprofile(None)
+        return events["call"] + events["c_call"]
+
+    def test_an_idle_tenant_costs_at_most_forty_calls_a_run(self):
+        busy = self.second_run_events(self.fleet())
+        with_idle = self.second_run_events(self.fleet(idle=1000))
+        assert (with_idle - busy) / 1000 <= 40
+
+    def test_a_rerun_draws_nothing_and_matches_a_fresh_draw(self):
+        """Run 2 on one service equals run 2 with the draw memo cleared
+        (stats, admission and SLO reports), a quarantine between the
+        runs included; it draws nothing unless the duration changes."""
+        tenants = [TenantSpec.from_spec(spec)
+                   for spec in scale_fleet(40, self.RUN_S)]
+        # One tenant throttled by its own bucket, one to be quarantined.
+        tenants[7] = dataclasses.replace(tenants[7], rate_tps=1e5,
+                                         rate_limit_tps=2e4, burst=8.0)
+        tenants[3] = dataclasses.replace(tenants[3], rate_tps=1e5)
+
+        def draws(service, duration_s):
+            with mock.patch.object(loadgen.LoadGenerator, "_draw",
+                                   autospec=True,
+                                   side_effect=loadgen.LoadGenerator._draw
+                                   ) as draw:
+                stats = service.run(duration_s, jobs=1)
+            return stats, draw.call_count
+
+        def two_runs(clear_memo):
+            service = EnvyService(self.FLEET, tenants)
+            first = service.run(self.RUN_S, jobs=1)
+            service.quarantine(tenants[3].name, rate_tps=3e3)
+            if clear_memo:
+                service._load_generator()._drawn.clear()
+            second, drawn = draws(service, self.RUN_S)
+            reports = (first.as_dict(), second.as_dict(),
+                       service.admission.report(), service.slo.report())
+            return reports, drawn, service
+
+        (memo, memo_draws, service), (cleared, cleared_draws, _) = (
+            two_runs(False), two_runs(True))
+        assert memo == cleared
+        assert memo[0]["tenants"][tenants[7].name]["throttled"] > 0
+        assert memo[1]["tenants"][tenants[3].name]["throttled"] > 0
+        assert memo_draws == 0 and cleared_draws == len(tenants)
+        # Another duration draws every tenant anew, and keeps only those.
+        assert draws(service, self.RUN_S / 2)[1] == len(tenants)
+        assert draws(service, self.RUN_S / 2)[1] == 0
+        assert len(service._load_generator()._drawn) == len(tenants)
+
+    def test_pseudo_tenants_count_rows_but_record_none(self):
+        """On a parity run every executor records into the real
+        tenants' own histograms and nothing else: no histogram object
+        appears twice in one executor's list, and pseudo-tenants have
+        none, yet their rows are counted as overhead."""
+        config = ServiceConfig(num_shards=3, num_segments=8,
+                               pages_per_segment=32, seed=13,
+                               redundancy="parity")
+        executors = []
+
+        def keep(point):
+            executors.append(frontend_shard_executor(point))
+            return executors[-1]
+
+        frontend_shard_executor = frontend.shard_executor
+        service = EnvyService(config, TENANTS)
+        with mock.patch.object(frontend, "shard_executor", side_effect=keep):
+            stats = service.run(DURATION, jobs=1)
+        parallel = EnvyService(config, TENANTS).run(DURATION, jobs=2)
+        own = [hist for tstats in stats.tenants.values()
+               for hist in (tstats.read_latency, tstats.write_latency)]
+        for executor in executors:
+            real, pseudo = (executor.latency[:len(TENANTS)],
+                            executor.latency[len(TENANTS):])
+            hists = [hist for pair in real for hist in pair]
+            assert len(set(map(id, hists))) == len(hists)
+            assert [id(hist) for hist in hists] == list(map(id, own))
+            assert pseudo == [None, None]
+        assert stats.replica_accesses > 0
+        # Served pseudo-tenant rows: counted (some were refused).
+        assert 0 < sum(shard["overhead_accesses"]
+                       for shard in stats.shards) <= stats.replica_accesses
+        # The real tenants' histograms are what the worker processes'
+        # fresh pairs merge to.
+        for name, tstats in stats.tenants.items():
+            for op in ("read_latency", "write_latency"):
+                assert getattr(tstats, op).state_dict() == \
+                    getattr(parallel.tenants[name], op).state_dict()
+            assert tstats.read_latency.count == tstats.reads
+            assert tstats.write_latency.count == tstats.writes

@@ -72,13 +72,28 @@ def states(latency):
             for reads, writes in latency]
 
 
+def tenant_slots(result, names):
+    """A result's counter columns (and wear list) as one dict per tenant
+    name, the shape shard results had when the blobs were pinned."""
+    slots = {}
+    for index, name in enumerate(names):
+        slots[name] = {key: column[index]
+                       for key, column in result["columns"].items()}
+        if "wear" in result:
+            slots[name]["wear"] = result["wear"][index]
+    return slots
+
+
 def replay_digest(executor, requests, rids=None, cuts=None):
     """sha256 over the result dict and the state the replay leaves;
     ``cuts`` replays the slice as that many-plus-one feeds instead."""
+    # Pseudo-tenants record too, as every tenant did when pinned.
+    pairs = [(LatencyHistogram(), LatencyHistogram())
+             for _ in executor.tenant_names]
     if cuts is None:
-        result = executor.run(requests, rids=rids)
+        result = executor.run(requests, rids=rids, latency=pairs)
     else:
-        executor.start()
+        executor.start(pairs)
         for begin, end in zip([0] + cuts, cuts + [len(requests)]):
             executor.feed(requests[begin:end],
                           None if rids is None else rids[begin:end])
@@ -88,7 +103,10 @@ def replay_digest(executor, requests, rids=None, cuts=None):
     tenants = {name: dict(slot, read_latency=reads.state_dict(),
                           write_latency=writes.state_dict())
                for (name, slot), (reads, writes)
-               in zip(result["tenants"].items(), executor.latency)}
+               in zip(tenant_slots(result, executor.tenant_names).items(),
+                      pairs)}
+    result = {key: value for key, value in result.items()
+              if key not in ("columns", "wear")}
     controller = executor.controller
     state = {
         "result": dict(result, tenants=tenants),
@@ -181,11 +199,16 @@ class TestPinnedReplay:
             executor.feed(requests[begin:begin + 500])
         result = executor.finish()
         offered = collections.Counter((row[1], row[3]) for row in requests)
+        slots = tenant_slots(result, executor.tenant_names)
         for index, tenant in enumerate(executor.tenant_names):
-            stats = result["tenants"][tenant]
-            reads, writes = executor.latency[index]
-            assert stats["reads"] == reads.count
-            assert stats["writes"] == writes.count
+            stats = slots[tenant]
+            if tenant.startswith("__"):
+                # A pseudo-tenant's rows are counted, never recorded.
+                assert executor.latency[index] is None
+            else:
+                reads, writes = executor.latency[index]
+                assert stats["reads"] == reads.count
+                assert stats["writes"] == writes.count
             assert stats["reads"] <= offered[index, False]
             assert 0 < stats["writes"] <= offered[index, True]
             # A cache-tier tenant's reads each probed the tier once.
@@ -244,6 +267,41 @@ class TestPinnedReplay:
         assert rows[:2] == whole[:2]
         assert max(rows[2].values()) <= len(requests) // WINDOW_ROWS + 1
 
+    def test_folds_visit_only_tenants_with_samples(self):
+        """On a 2 000-tenant slice each fold calls ``record_many`` once
+        per (tenant, op) with samples in it, and never for the others.
+        Fed a WINDOW_ROWS stretch at a time, every full stretch is one
+        fold; nothing is refused, so every row is a sample."""
+        names = [f"t{i}" for i in range(2000)]
+        rng = random.Random(5)
+        requests = []
+        for index in range(3 * WINDOW_ROWS + 77):
+            # A quarter of the tenants never send a row.
+            requests.append((index * 5000, rng.randrange(1500), index,
+                             rng.random() < 0.1, rng.randrange(192)))
+        executor = ShardExecutor(make_controller(), 0, tenant_names=names,
+                                 queue_capacity=10 ** 6, soft_watermark=1.0,
+                                 hard_watermark=1.0)
+        executor.start()
+        calls = []
+        with mock.patch.object(LatencyHistogram, "record_many",
+                               autospec=True,
+                               side_effect=LatencyHistogram.record_many
+                               ) as record_many:
+            for begin in range(0, len(requests), WINDOW_ROWS):
+                executor.feed(requests[begin:begin + WINDOW_ROWS])
+                calls.append(record_many.call_count)
+            result = executor.finish()
+            calls.append(record_many.call_count)
+        assert sum(result["columns"]["rejected"]) == 0
+        expected = [len({(row[1], row[3]) for row
+                         in requests[begin:begin + WINDOW_ROWS]})
+                    for begin in range(0, len(requests), WINDOW_ROWS)]
+        # The short last stretch does not reach a fold: finish folds it.
+        assert [after - before for before, after
+                in zip([0] + calls, calls)] == \
+            expected[:-1] + [0, expected[-1]]
+
     def test_folds_into_the_pairs_it_is_given(self):
         """Handed histograms already holding samples, the replay adds
         exactly its own to them: the pairs a fresh start builds, merged
@@ -269,8 +327,7 @@ class TestPinnedReplay:
                 state.update(merged.state_dict())
         assert states(pairs) == expected
         assert not any(key.endswith("_latency")
-                       for slot in result["tenants"].values()
-                       for key in slot)
+                       for key in (*result, *result["columns"]))
         with pytest.raises(ValueError, match="align"):
             given.start(pairs[:2])
 
@@ -283,7 +340,7 @@ class TestPinnedReplay:
         plain = run("plain")
         assert plain["flushes"] and plain["clean_copies"] and plain["erases"]
         assert plain["coalesced_writes"] and plain["batches"] > 10
-        assert any(t["delayed"] for t in plain["tenants"].values())
+        assert any(plain["columns"]["delayed"])
         cached = run("cache_caps")
         assert cached["cache"]["hits"] and cached["cache"]["evictions"]
         assert cached["cache"]["invalidations"]
@@ -292,7 +349,7 @@ class TestPinnedReplay:
         assert run("wear_budgets")["rejected_wear"]
         attributed = run("attribute_wear")
         assert attributed["segment_programs"]
-        assert attributed["tenants"]["alpha"]["wear"]["flushes"]
+        assert attributed["wear"][TENANTS.index("alpha")]["flushes"]
         traced = run("trace_pseudo")
         assert traced["trace"]["background"]
         assert any(row["components"].get("redundancy")

@@ -128,12 +128,14 @@ class TestPinnedSchedule:
                        rate_limit_tps=5e5),
         ]
 
+    OVERRIDES = {"quarantined": 1e5}
+
     def generator(self):
-        return LoadGenerator(self.fleet(), PAGES, seed=11,
-                             rate_overrides={"quarantined": 1e5})
+        return LoadGenerator(self.fleet(), PAGES, seed=11)
 
     def test_mixed_fleet_schedule_is_bit_identical(self):
-        schedule, accounting = self.generator().generate(self.DURATION_S)
+        schedule, accounting = self.generator().generate(self.DURATION_S,
+                                                         self.OVERRIDES)
         # Every shape contributes, and all three throttles bite.
         for name in ("tpca", "limited", "quarantined"):
             assert accounting[name]["throttled"] > 0
@@ -144,7 +146,8 @@ class TestPinnedSchedule:
         """Columns drawn a row, seven rows or the whole run at a time
         concatenate to the same schedule with the same accounting."""
         with windowed(rows):
-            windows, accounting = self.generator().stream(self.DURATION_S)
+            windows, accounting = self.generator().stream(self.DURATION_S,
+                                                          self.OVERRIDES)
             sizes, schedule = [], []
             for window in windows:
                 sizes.append(len(window))
@@ -266,6 +269,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="clock must advance"):
             LoadGenerator([spec], PAGES)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_rate_overrides_rejected(self, rate):
+        """A NaN override passed ``min(...) <= 0`` and throttled nothing."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            gen([TenantSpec("a")]).stream(0.001, {"a": rate})
+
     @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
     def test_non_finite_skew_rejected(self, skew):
         with pytest.raises(ValueError, match="skew must be finite"):
@@ -331,14 +340,14 @@ class TestStream:
         specs, overrides, duration_s, seed = mix
 
         def make():
-            return LoadGenerator(specs, PAGES, seed=seed,
-                                 rate_overrides=overrides or None)
+            return LoadGenerator(specs, PAGES, seed=seed)
 
         with windowed(10 ** 9):
             # One window: every tenant drawn to the end, one sort.
-            schedule, accounting = make().generate(duration_s)
+            schedule, accounting = make().generate(duration_s, overrides)
         with windowed(rows):
-            stream, streamed_accounting = make().stream(duration_s)
+            stream, streamed_accounting = make().stream(duration_s,
+                                                        overrides)
             windows = list(stream)
         assert len(windows) >= 3
         assert [row for window in windows for row in window] == schedule

@@ -261,8 +261,7 @@ class TestReplayDriversAreRecorded:
         executor = ShardExecutor(system, 0, tenant_names=["a", "b"])
         with RunTrace.of(system).recording(system) as trace:
             result = executor.run(requests)
-        served = {op: sum(tenant[op] for tenant in result["tenants"].values())
-                  for op in ("reads", "writes")}
+        served = {op: sum(result["columns"][op]) for op in ("reads", "writes")}
         assert trace.reads == served["reads"] == system.metrics.reads > 200
         assert trace.writes == served["writes"] > 50
         assert len(trace) == served["reads"] + served["writes"] \
