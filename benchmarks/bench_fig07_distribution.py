@@ -23,7 +23,7 @@ GROUP = 4  # segments summarised per row
 def run_policy(policy):
     simulator = PolicySimulator(policy, num_segments=SEGMENTS,
                                 pages_per_segment=PAGES, utilization=0.8,
-                                buffer_pages=0, layout_seed=2)
+                                buffer_pages=0)
     live = simulator.store.num_logical_pages
     workload = BimodalWorkload(live, 0.10, 0.90, seed=3)
     simulator.run(workload, live * 3, warmup_writes=live * 10)

@@ -29,11 +29,11 @@ from .db import BTree, TpcaDatabase, TpcaLayout
 from .ext import ParallelFlushScheduler, TransactionManager
 from .faults import (BadBlockTable, FaultEvent, FaultInjector, FaultPlan,
                      FaultStats, SecDed)
-from .flash import FlashArray, FlashBank, FlashChip, FlashSegment
+from .flash import FlashArray, FlashSegment
 from .obs import (EventBus, LatencyHistogram, ObsEvent, ObservabilityHub,
                   TimeSeriesSampler)
-from .ramdisk import BlockDevice, FileSystem
-from .service import (CrossShardError, DegradedModeError, EnvyService,
+from .ramdisk import BlockDevice
+from .service import (DegradedModeError, EnvyService,
                       LoadGenerator, RebuildScheduler, RedundantRouter,
                       ServiceConfig, ServiceStats, ShardRouter, TenantSpec,
                       TenantStats, TokenBucket)
@@ -51,8 +51,6 @@ __all__ = [
     "SramParams",
     "TpcParams",
     "FlashArray",
-    "FlashBank",
-    "FlashChip",
     "FlashSegment",
     "WriteBuffer",
     "PageTable",
@@ -91,14 +89,12 @@ __all__ = [
     "ObservabilityHub",
     "TimeSeriesSampler",
     "BlockDevice",
-    "FileSystem",
     "EnvyService",
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
     "RedundantRouter",
     "RebuildScheduler",
-    "CrossShardError",
     "DegradedModeError",
     "TenantSpec",
     "TenantStats",

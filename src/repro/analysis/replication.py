@@ -38,10 +38,6 @@ class ReplicationSummary:
     samples: tuple
 
     @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
     def mean(self) -> float:
         return sum(self.samples) / len(self.samples)
 
@@ -74,10 +70,10 @@ class ReplicationSummary:
                 <= self.ci95 + other.ci95)
 
     def __str__(self) -> str:
-        if self.count < 2:
+        if len(self.samples) < 2:
             return f"{self.mean:.3g} (n=1)"
         return (f"{self.mean:.3g} ± {self.ci95:.2g} "
-                f"(n={self.count})")
+                f"(n={len(self.samples)})")
 
 
 def replicate(experiment: Callable[[int], float],

@@ -207,11 +207,6 @@ class OnfiBackend(FlashArray):
         self.status_register = STATUS_READY
         return ns
 
-    def read_status(self) -> int:
-        """70h status poll (SR[6]=ready, SR[0]=fail on last op)."""
-        self.bus.sequence("status", [CMD_STATUS], 0, status=1)
-        return self.status_register
-
     # ------------------------------------------------------------------
 
     def media_report(self) -> dict:

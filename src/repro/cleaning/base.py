@@ -62,8 +62,5 @@ class CleaningPolicy(abc.ABC):
             raise RuntimeError(f"policy {self.name!r} is not attached")
         return self.store
 
-    def describe(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -10,7 +10,6 @@ from .config import EnvyConfig, FlashParams, SramParams, TpcParams
 from .controller import EnvyController, EnvySystem
 from .costmodel import TECHNOLOGIES, EnvyCostBreakdown, system_cost
 from .lifetime import LifetimeEstimate, estimate_lifetime, paper_example
-from .memview import EnvyMemoryView
 from .metrics import ControllerMetrics
 from .persistence import load_system, save_system
 from .prototype import (PrototypeController, PrototypeTimings,
@@ -66,6 +65,5 @@ __all__ = [
     "sweep_kill_points",
     "attach_commit_oracle",
     "recovered_page_bytes",
-    "EnvyMemoryView",
     "RunTrace",
 ]

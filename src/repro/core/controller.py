@@ -750,17 +750,6 @@ class EnvyController:
             done += self.flush_one()
         return done
 
-    def view(self, offset: int = 0, length: int = None):
-        """A memory-mapped (slice-syntax) window onto the array.
-
-        The Section 1 interface in idiomatic Python: ``v = system.view();
-        v[0:5] = b"hello"``.  See :class:`~repro.core.memview.
-        EnvyMemoryView`.
-        """
-        from .memview import EnvyMemoryView
-
-        return EnvyMemoryView(self, offset, length)
-
     def drain(self) -> int:
         """Flush everything (e.g. before an orderly shutdown)."""
         done = 0

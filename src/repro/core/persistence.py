@@ -151,8 +151,14 @@ def _restore(state: dict) -> EnvyController:
     if system.bad_blocks is not None and state["bad_blocks"] is not None:
         system.bad_blocks.retired = dict(state["bad_blocks"])
         system.bad_blocks.reserve = list(store.reserve_phys)
-    # Write buffer contents (battery backed).
+    # Write buffer contents (battery backed), checked against the
+    # restored geometry: a stray row would only fail at its flush.
     for logical_page, data, origin in state["buffer"]:
+        if not (0 <= logical_page < len(store.page_location)
+                and (origin is None or 0 <= origin < len(store.positions))):
+            raise SnapshotError(
+                f"write-buffer row (page {logical_page}, origin {origin}) "
+                f"lies outside the restored geometry")
         system.buffer.insert(
             logical_page,
             None if data is None else bytearray.fromhex(data), origin)

@@ -4,9 +4,7 @@ Implements Section 5.2's data model as a working database over eNVy's
 memory-mapped storage API.
 """
 
-from .arena import Arena, ArenaError
 from .btree import BTree, BTreeError
-from .kvstore import KVError, KVStore
 from .layout import BTreeGeometry, TpcaLayout
 from .records import BALANCE_OFFSET, RECORD_BYTES, BalanceRecord
 from .tpca_db import TpcaDatabase, TransactionResult
@@ -16,10 +14,6 @@ __all__ = [
     "BTreeGeometry",
     "BTree",
     "BTreeError",
-    "Arena",
-    "ArenaError",
-    "KVStore",
-    "KVError",
     "BalanceRecord",
     "RECORD_BYTES",
     "BALANCE_OFFSET",

@@ -6,14 +6,12 @@ the byte-addressable eNVy space and every probe is an actual memory read
 through the controller, so index searches exercise the same storage path
 the paper's simulated database does.
 
-Two construction modes:
-
-* :meth:`BTree.bulk_load` — build a packed tree for keys 0..n-1 in the
-  deterministic layout of :class:`~repro.db.layout.BTreeGeometry`.  This
-  is how the TPC-A database is created, and it makes the tree's access
-  pattern predictable enough for the trace generator to mirror.
-* :meth:`BTree.insert` — ordinary top-down insertion with node splits
-  into space from an allocator, for use as a general-purpose index.
+:meth:`BTree.bulk_load` builds a packed tree for keys 0..n-1 in the
+deterministic layout of :class:`~repro.db.layout.BTreeGeometry`.  This
+is how the TPC-A database is created, and it makes the tree's access
+pattern predictable enough for the trace generator to mirror.  TPC-A
+only searches its indexes (records are updated in place), so the tree
+has no insert, delete or scan.
 
 Node format (16-byte header + 32 x 16-byte entries = 528 bytes):
 
@@ -26,7 +24,7 @@ is the user value (the TPC-A database stores record addresses).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .layout import ENTRY_BYTES, NODE_HEADER_BYTES, BTreeGeometry
 
@@ -61,15 +59,13 @@ class BTree:
     EnvySystem` interface.
     """
 
-    def __init__(self, memory, root_address: int, fanout: int = 32,
-                 allocate: Optional[Callable[[int], int]] = None) -> None:
+    def __init__(self, memory, root_address: int, fanout: int = 32) -> None:
         if fanout < 3:
             raise ValueError("fanout must be at least 3")
         self.memory = memory
         self.fanout = fanout
         self.node_bytes = NODE_HEADER_BYTES + fanout * ENTRY_BYTES
         self.root_address = root_address
-        self._allocate = allocate
 
     # ------------------------------------------------------------------
     # Node (de)serialisation
@@ -98,21 +94,6 @@ class BTree:
         free = self.fanout - len(node.keys)
         parts.append(b"\x00" * (free * ENTRY_BYTES))
         self.memory.write(node.address, b"".join(parts))
-
-    def _new_node(self, leaf: bool) -> _Node:
-        if self._allocate is None:
-            raise BTreeError("tree has no allocator; use bulk_load or "
-                             "construct with allocate=")
-        return _Node(self._allocate(self.node_bytes), leaf)
-
-    @classmethod
-    def create(cls, memory, root_address: int, fanout: int = 32,
-               allocate: Optional[Callable[[int], int]] = None) -> "BTree":
-        """Initialise an empty tree (a zero-count leaf root) and return it."""
-        tree = cls(memory, root_address, fanout, allocate)
-        root = _Node(root_address, leaf=True)
-        tree._store(root)
-        return tree
 
     # ------------------------------------------------------------------
     # Bulk load
@@ -192,171 +173,3 @@ class BTree:
         if index == node.count or node.keys[index] != key:
             index = max(0, index - 1)
         return index
-
-    def update_value(self, key: int, value: int) -> bool:
-        """Overwrite the value of an existing key; False if absent."""
-        address = self.root_address
-        while True:
-            node = self._load(address)
-            if node.count == 0:
-                return False
-            index = self._position(node, key)
-            if node.leaf:
-                if index < node.count and node.keys[index] == key:
-                    node.values[index] = value
-                    self._store(node)
-                    return True
-                return False
-            address = node.values[self._child_for(node, key, index)]
-
-    # ------------------------------------------------------------------
-    # Insert (general-purpose mode)
-    # ------------------------------------------------------------------
-
-    def insert(self, key: int, value: int) -> None:
-        """Insert or update ``key``; splits full nodes top-down."""
-        root = self._load(self.root_address)
-        if root.count == self.fanout:
-            # Split the root: move its contents to a fresh node and make
-            # the root an interior node over the two halves.  The root
-            # address never changes, so callers can keep it.
-            left = self._new_node(root.leaf)
-            right = self._new_node(root.leaf)
-            mid = root.count // 2
-            left.keys, left.values = root.keys[:mid], root.values[:mid]
-            right.keys, right.values = root.keys[mid:], root.values[mid:]
-            left.count, right.count = len(left.keys), len(right.keys)
-            self._store(left)
-            self._store(right)
-            root.leaf = False
-            root.keys = [left.keys[0], right.keys[0]]
-            root.values = [left.address, right.address]
-            root.count = 2
-            self._store(root)
-        self._insert_nonfull(root, key, value)
-
-    def _insert_nonfull(self, node: _Node, key: int, value: int) -> None:
-        while True:
-            index = self._position(node, key)
-            if node.leaf:
-                if index < node.count and node.keys[index] == key:
-                    node.values[index] = value
-                else:
-                    node.keys.insert(index, key)
-                    node.values.insert(index, value)
-                    node.count += 1
-                self._store(node)
-                return
-            child_index = self._child_for(node, key, index)
-            child = self._load(node.values[child_index])
-            if child.count == self.fanout:
-                child, node = self._split_child(node, child_index, child,
-                                                key)
-                continue
-            node = child
-
-    def _split_child(self, parent: _Node, child_index: int, child: _Node,
-                     key: int) -> Tuple[_Node, _Node]:
-        """Split a full child; returns (descend_into, parent)."""
-        sibling = self._new_node(child.leaf)
-        mid = child.count // 2
-        sibling.keys = child.keys[mid:]
-        sibling.values = child.values[mid:]
-        sibling.count = len(sibling.keys)
-        child.keys = child.keys[:mid]
-        child.values = child.values[:mid]
-        child.count = len(child.keys)
-        self._store(child)
-        self._store(sibling)
-        # Refresh the left half's separator: the leftmost child's
-        # separator can go stale (keys below it are clamped into it),
-        # and a stale separator equal to the new sibling's would make
-        # the smaller keys unreachable.
-        parent.keys[child_index] = child.keys[0]
-        parent.keys.insert(child_index + 1, sibling.keys[0])
-        parent.values.insert(child_index + 1, sibling.address)
-        parent.count += 1
-        self._store(parent)
-        descend = sibling if key >= sibling.keys[0] else child
-        return descend, parent
-
-    # ------------------------------------------------------------------
-    # Delete and range scan
-    # ------------------------------------------------------------------
-
-    def delete(self, key: int) -> bool:
-        """Remove ``key``; returns False if it was absent.
-
-        Lazy structural policy: the entry leaves its leaf but nodes are
-        not merged or rebalanced, so interior separators stay valid and
-        search/insert keep working.  Fill factor degrades under heavy
-        deletion — acceptable for the index workloads here (TPC-A never
-        deletes), and the classic trade log-structured systems make.
-        """
-        address = self.root_address
-        while True:
-            node = self._load(address)
-            if node.count == 0:
-                return False
-            index = self._position(node, key)
-            if node.leaf:
-                if index < node.count and node.keys[index] == key:
-                    del node.keys[index]
-                    del node.values[index]
-                    node.count -= 1
-                    self._store(node)
-                    return True
-                return False
-            address = node.values[self._child_for(node, key, index)]
-
-    def range_scan(self, low: int, high: int
-                   ) -> Iterator[Tuple[int, int]]:
-        """Yield (key, value) for low <= key < high, in key order.
-
-        Walks only the subtrees whose separator ranges intersect the
-        query — the standard pruned descent.
-        """
-        if high <= low:
-            return
-        yield from self._scan(self.root_address, low, high)
-
-    def _scan(self, address: int, low: int,
-              high: int) -> Iterator[Tuple[int, int]]:
-        node = self._load(address)
-        if node.leaf:
-            for key, value in zip(node.keys, node.values):
-                if low <= key < high:
-                    yield key, value
-            return
-        for index in range(node.count):
-            # Child index covers [keys[index], keys[index + 1]).
-            child_low = node.keys[index]
-            child_high = (node.keys[index + 1]
-                          if index + 1 < node.count else None)
-            if child_high is not None and child_high <= low:
-                continue
-            if child_low >= high and index > 0:
-                break
-            yield from self._scan(node.values[index], low, high)
-
-    # ------------------------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Iterate all (key, value) pairs in key order."""
-        yield from self._walk(self.root_address)
-
-    def _walk(self, address: int) -> Iterator[Tuple[int, int]]:
-        node = self._load(address)
-        if node.leaf:
-            yield from zip(node.keys, node.values)
-            return
-        for child in node.values:
-            yield from self._walk(child)
-
-    def check_invariants(self) -> None:
-        """Keys sorted within and across nodes; counts within fanout."""
-        previous = None
-        for key, _ in self.items():
-            if previous is not None and key <= previous:
-                raise BTreeError(f"keys out of order: {previous} then {key}")
-            previous = key

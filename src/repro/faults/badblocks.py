@@ -74,19 +74,8 @@ class BadBlockTable:
             replacement = self.reserve.pop(0) if self.reserve else None
         return replacement
 
-    def is_bad(self, phys: int) -> bool:
-        return phys in self.retired
-
     # ------------------------------------------------------------------
 
-    @property
-    def retired_count(self) -> int:
-        return len(self.retired)
-
-    @property
-    def reserves_remaining(self) -> int:
-        return len(self.reserve)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"BadBlockTable({self.retired_count} retired, "
-                f"{self.reserves_remaining} reserves)")
+        return (f"BadBlockTable({len(self.retired)} retired, "
+                f"{len(self.reserve)} reserves)")

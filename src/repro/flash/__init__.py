@@ -1,12 +1,10 @@
-"""Flash memory substrate: chips, banks, segments and the full array.
+"""Flash memory substrate: segments and the full array.
 
 Models the write-once, bulk-erase Flash devices of Section 2 and the wide
 bank/segment organisation of Sections 3.3-3.4 (Figure 4).
 """
 
 from .array import FlashArray, WearStats
-from .bank import FlashBank
-from .chip import ChipMode, Command, FlashChip
 from .errors import (AddressError, BadBlockError, EnduranceExceeded,
                      EraseError, FlashError, ProgramError,
                      TransientEraseError, TransientProgramError,
@@ -18,10 +16,6 @@ from .segment import FlashSegment, PageState
 __all__ = [
     "FlashArray",
     "WearStats",
-    "FlashBank",
-    "FlashChip",
-    "ChipMode",
-    "Command",
     "FlashSegment",
     "PageState",
     "FlashError",

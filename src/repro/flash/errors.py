@@ -40,7 +40,7 @@ class EnduranceExceeded(FlashError):
     past the rated cycle count — the "failure" is only that operations may
     exceed their specified time — so raising is optional; by default the
     model records the overshoot and keeps going.  Set
-    ``EnvyConfig.strict_endurance`` (or ``strict_endurance`` on a chip or
+    ``EnvyConfig.strict_endurance`` (or ``strict_endurance`` on the
     array) to turn the overshoot into this exception.
     """
 

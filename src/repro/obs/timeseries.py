@@ -61,9 +61,6 @@ class Window:
             return 0.0
         return self.buffer_pages / self.buffer_capacity
 
-    def rate_per_s(self, count: int) -> float:
-        return count * 1e9 / self.duration_ns
-
     def as_dict(self, include_arrays: bool = True) -> dict:
         row = {
             "t_start_ns": self.t_start_ns,

@@ -1,12 +1,8 @@
-"""Backwards compatibility: RAM-disk block device + small filesystem."""
+"""Backwards compatibility: a RAM-disk block device over eNVy memory."""
 
 from .blockdev import BlockDevice, BlockDeviceError
-from .fs import DirEntry, FileSystem, FileSystemError
 
 __all__ = [
     "BlockDevice",
     "BlockDeviceError",
-    "FileSystem",
-    "FileSystemError",
-    "DirEntry",
 ]

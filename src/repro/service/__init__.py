@@ -49,19 +49,17 @@ from .adversary import (ATTACK_KINDS, AttackDetector, attack_tenant,
 from .cache import CACHE_POLICIES, PageCache
 from .chaos import run_redundancy_chaos, run_service_chaos
 from .executor import ShardExecutor, service_shard_point
-from .frontend import (EnvyService, ServiceConfig, ServiceStats,
-                       ServiceTransaction)
+from .frontend import EnvyService, ServiceConfig, ServiceStats
 from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, MirrorPolicy, NoRedundancy,
                          ParityPolicy, RebuildScheduler, RedundancyPolicy,
                          RedundantRouter, make_policy, plan_rebalance)
-from .shard import CrossShardError, ShardRouter
+from .shard import ShardRouter
 from .tenant import TenantSpec, TenantStats, TokenBucket
 
 __all__ = [
     "ShardRouter",
-    "CrossShardError",
     "TenantSpec",
     "TenantStats",
     "TokenBucket",
@@ -76,7 +74,6 @@ __all__ = [
     "EnvyService",
     "ServiceConfig",
     "ServiceStats",
-    "ServiceTransaction",
     "DegradedModeError",
     "RedundancyPolicy",
     "NoRedundancy",

@@ -43,14 +43,8 @@ controller's bus when shards are driven in-process (see
 Direct access — transactions stay on one shard
 ----------------------------------------------
 
-For interactive use (and the Section 6 hardware extensions) the service
-can materialise its shards in-process: :meth:`read` / :meth:`write`
-route single-page operations, and :meth:`transaction` opens a hardware
-shadow-copy transaction *confined to one shard* — eNVy's transaction
-mechanism is per-controller state (shadow locations in that bank's
-SRAM), so a transaction spanning shards has no hardware story and
-raises :class:`~repro.service.shard.CrossShardError` instead of
-pretending otherwise.
+For interactive use the service can materialise its shards
+in-process: :meth:`read` / :meth:`write` route single-page operations.
 """
 
 from __future__ import annotations
@@ -80,11 +74,11 @@ from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, ParityPolicy, RebuildScheduler,
                          RedundantRouter, make_policy, plan_rebalance)
-from .shard import CrossShardError, ShardRouter
+from .shard import ShardRouter
 from .tenant import TenantSpec, TenantStats, field_types, merge_columns
 
 __all__ = ["ServiceConfig", "ServiceStats", "EnvyService",
-           "ServiceTransaction"]
+]
 
 #: Pseudo-tenant names carrying redundancy / rebuild overhead traffic
 #: through the shard executors without polluting tenant accounting.
@@ -346,66 +340,6 @@ class ServiceStats:
         return summary
 
 
-class ServiceTransaction:
-    """A hardware transaction bound to one shard, in global pages.
-
-    Wraps one :class:`~repro.ext.transactions.Transaction` on the bound
-    shard's controller and translates global logical pages to that
-    shard's local address space.  Touching a page that lives on any
-    other shard raises :class:`CrossShardError` immediately — the
-    transaction stays open, nothing was shadowed for the foreign page.
-    As a context manager it commits on clean exit and rolls back on an
-    exception, like the underlying transaction.
-    """
-
-    def __init__(self, service: "EnvyService", shard_index: int,
-                 txn) -> None:
-        self._service = service
-        self.shard_index = shard_index
-        self._txn = txn
-
-    def _local_address(self, page: int) -> int:
-        shard, local = self._service.router.route(page)
-        if shard != self.shard_index:
-            raise CrossShardError(
-                f"page {page} lives on shard {shard}, but this "
-                f"transaction is confined to shard {self.shard_index} "
-                f"(eNVy shadow copies are one controller's SRAM state)")
-        return local * self._service.config.page_bytes
-
-    def read_page(self, page: int) -> bytes:
-        return self._txn.read(self._local_address(page),
-                              self._service.config.page_bytes)
-
-    def write_page(self, page: int, data: bytes) -> int:
-        if len(data) > self._service.config.page_bytes:
-            raise ValueError("data exceeds one page")
-        # Invalidate eagerly (even though the bytes only land on
-        # commit): a stale cached copy must never outlive the intent.
-        self._service._invalidate_cached(page, "write")
-        return self._txn.write(self._local_address(page), data)
-
-    def commit(self) -> None:
-        self._txn.commit()
-
-    def rollback(self) -> None:
-        self._txn.rollback()
-
-    @property
-    def state(self) -> str:
-        return self._txn.state
-
-    @property
-    def pages_shadowed(self) -> int:
-        return self._txn.pages_shadowed
-
-    def __enter__(self) -> "ServiceTransaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return self._txn.__exit__(exc_type, exc, tb)
-
-
 class EnvyService:
     """A sharded, multi-tenant storage service over eNVy banks."""
 
@@ -425,7 +359,6 @@ class EnvyService:
         self.last_stats: Optional[ServiceStats] = None
         # In-process shard controllers for direct access; built lazily.
         self._shards: Optional[List[EnvyController]] = None
-        self._txn_managers: Dict[int, object] = {}
         # Redundancy layer state: per-bank lifecycle, dead controllers
         # kept for post-mortem recovery, live rebuild schedulers, and
         # the expansion bookkeeping of the most recent partition.
@@ -1142,10 +1075,6 @@ class EnvyService:
             self.events.mark(SECURITY_QUARANTINE,
                              {"tenant": name, "rate_tps": rate})
 
-    def release(self, name: str) -> None:
-        """Lift a tenant's quarantine (no-op if not quarantined)."""
-        self.quarantined.pop(name, None)
-
     def detect_attacks(self) -> dict:
         """Run the :class:`~repro.service.adversary.AttackDetector`
         over the last run's attributed wear; the report lands in
@@ -1529,39 +1458,6 @@ class EnvyService:
             spent_ns += self.shard(parity_slot[0]).write(
                 parity_slot[1] * page_bytes, new_parity)
         return spent_ns
-
-    def transaction(self, pages: Sequence[int]):
-        """Open a hardware transaction confined to one shard.
-
-        ``pages`` are the global logical pages the transaction intends
-        to touch; they must all live on the same shard (eNVy's shadow
-        mechanism is per-controller SRAM state).  Pages spanning shards
-        raise :class:`CrossShardError` naming the shards involved.
-        """
-        if not pages:
-            raise ValueError("transaction needs at least one page")
-        if not self.config.store_data:
-            raise ValueError(
-                "transactions need store_data=True shards (the shadow "
-                "mechanism snapshots page payloads)")
-        shards = []
-        for page in pages:
-            shard = self.router.shard_of(page)
-            if shard not in shards:
-                shards.append(shard)
-        if len(shards) > 1:
-            raise CrossShardError(
-                f"transaction touches pages on shards {sorted(shards)}; "
-                f"eNVy hardware transactions are confined to one shard "
-                f"(one controller's shadow SRAM)")
-        index = shards[0]
-        manager = self._txn_managers.get(index)
-        if manager is None:
-            from ..ext.transactions import TransactionManager
-
-            manager = TransactionManager(self.shard(index))
-            self._txn_managers[index] = manager
-        return ServiceTransaction(self, index, manager.transaction())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EnvyService({self.router.num_shards} shards x "

@@ -155,10 +155,6 @@ class NoRedundancy(RedundancyPolicy):
                     pages_per_bank: int) -> List[Slot]:
         return []
 
-    def read_groups(self, slot: Slot, num_banks: int,
-                    pages_per_bank: int) -> List[List[Slot]]:
-        return []
-
     def page_of_slot(self, slot: Slot, num_banks: int,
                      pages_per_bank: int, placement: str
                      ) -> Optional[int]:
@@ -266,9 +262,6 @@ class ParityPolicy(RedundancyPolicy):
     def usable_pages(self, num_banks: int, pages_per_bank: int) -> int:
         return (num_banks - 1) * pages_per_bank
 
-    def parity_bank(self, stripe: int, num_banks: int) -> int:
-        return stripe % num_banks
-
     def data_slot(self, page: int, num_banks: int, pages_per_bank: int,
                   placement: str) -> Slot:
         stripe, member = divmod(page, num_banks - 1)
@@ -358,9 +351,6 @@ class RedundantRouter(ShardRouter):
         owner = self._remap.get(page, page)
         return self.policy.data_slot(owner, self.num_shards,
                                      self.pages_per_shard, self.placement)
-
-    def shard_of(self, page: int) -> int:
-        return self.route(page)[0]
 
     def global_page(self, shard_index: int, local_page: int) -> int:
         """Strict inverse of :meth:`route` (primary data slots only)."""

@@ -34,17 +34,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["ShardRouter", "CrossShardError"]
-
-
-class CrossShardError(ValueError):
-    """An operation touched pages living on different shards.
-
-    Raised by the service front-end for operations whose semantics are
-    confined to one controller (hardware transactions, parallel flush
-    batches).  The message names the shards involved so callers can
-    re-partition their access pattern.
-    """
+__all__ = ["ShardRouter"]
 
 
 class ShardRouter:
@@ -81,13 +71,6 @@ class ShardRouter:
                 f"page {page} outside the {self.num_pages}-page service "
                 f"address space")
 
-    def shard_of(self, page: int) -> int:
-        """The shard holding global logical page ``page``."""
-        self._check_page(page)
-        if self.placement == "ranged":
-            return page // self.pages_per_shard
-        return page % self.num_shards
-
     def route(self, page: int) -> Tuple[int, int]:
         """Global page -> ``(shard_index, local_page)``."""
         self._check_page(page)
@@ -106,10 +89,6 @@ class ShardRouter:
         if self.placement == "ranged":
             return shard_index * self.pages_per_shard + local_page
         return local_page * self.num_shards + shard_index
-
-    def shard_of_address(self, address: int) -> int:
-        """The shard holding the page containing byte ``address``."""
-        return self.shard_of(address // self.page_bytes)
 
     @property
     def total_bytes(self) -> int:

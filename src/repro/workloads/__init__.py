@@ -2,9 +2,7 @@
 
 from .base import WriteWorkload
 from .bimodal import BimodalWorkload, parse_locality
-from .mixture import MixtureWorkload
 from .sequential import SequentialWorkload, StridedWorkload
-from .timed import SyntheticTimedWorkload
 from .tpca import TpcaTransaction, TpcaWorkload, page_runs
 from .trace import TraceWorkload
 from .uniform import UniformWorkload
@@ -16,12 +14,10 @@ __all__ = [
     "BimodalWorkload",
     "SequentialWorkload",
     "StridedWorkload",
-    "MixtureWorkload",
     "ZipfWorkload",
     "TraceWorkload",
     "TpcaWorkload",
     "TpcaTransaction",
-    "SyntheticTimedWorkload",
     "parse_locality",
     "page_runs",
 ]

@@ -79,6 +79,3 @@ class BimodalWorkload(WriteWorkload):
             return randbelow(rng.getrandbits, hot_pages)
         return hot_pages + randbelow(rng.getrandbits,
                                      self.num_pages - hot_pages)
-
-    def is_hot(self, page: int) -> bool:
-        return page < self.hot_pages

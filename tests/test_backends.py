@@ -352,7 +352,7 @@ class TestOnfiBackend:
         assert stats["address_cycles"] == backend.addr_cycles
         assert stats["data_in_cycles"] > backend.page_bytes
         assert stats["status_cycles"] == 1
-        assert backend.read_status() == STATUS_READY
+        assert backend.status_register == STATUS_READY
 
     def test_cycle_time_charged_through_cost_hooks(self):
         config = small_config()
@@ -370,7 +370,7 @@ class TestOnfiBackend:
         backend.segments[3].is_bad = True
         with pytest.raises(BadBlockError):
             backend.erase_segment(3)
-        assert backend.read_status() == STATUS_FAIL
+        assert backend.status_register == STATUS_FAIL
 
     def test_factory_marks_deterministic(self):
         a = self.make(factory_bad=2, bb_seed=7)

@@ -23,16 +23,6 @@ class RamMemory:
         self.data[address:address + len(data)] = data
 
 
-class BumpAllocator:
-    def __init__(self, base):
-        self.next = base
-
-    def __call__(self, size):
-        address = self.next
-        self.next += size
-        return address
-
-
 @pytest.fixture
 def memory():
     return RamMemory(1 << 20)
@@ -51,13 +41,6 @@ class TestBulkLoad:
         assert tree.search(100) is None
         assert tree.search(10 ** 9) is None
 
-    def test_items_in_order(self, memory):
-        geometry = BTreeGeometry(0, 200, 32)
-        tree = BTree.bulk_load(memory, geometry, lambda k: k + 7)
-        items = list(tree.items())
-        assert items == [(k, k + 7) for k in range(200)]
-        tree.check_invariants()
-
     def test_single_node_tree(self, memory):
         geometry = BTreeGeometry(0, 10, 32)
         tree = BTree.bulk_load(memory, geometry, lambda k: -k)
@@ -73,65 +56,6 @@ class TestBulkLoad:
             visited = [address for address, length in memory.reads
                        if length == tree.node_bytes]
             assert visited == geometry.search_path(key)
-
-    def test_update_value(self, memory):
-        geometry = BTreeGeometry(0, 500, 32)
-        tree = BTree.bulk_load(memory, geometry, lambda k: 0)
-        assert tree.update_value(123, 999)
-        assert tree.search(123) == 999
-        assert not tree.update_value(500, 1)
-
-
-class TestInsert:
-    def make_tree(self, memory):
-        allocator = BumpAllocator(4096)
-        root = allocator(BTree(memory, 0, 32).node_bytes)
-        return BTree.create(memory, root, fanout=8, allocate=allocator)
-
-    def test_insert_and_search(self, memory):
-        tree = self.make_tree(memory)
-        for key in (5, 1, 9, 3):
-            tree.insert(key, key * 2)
-        for key in (5, 1, 9, 3):
-            assert tree.search(key) == key * 2
-        assert tree.search(4) is None
-
-    def test_insert_overwrites(self, memory):
-        tree = self.make_tree(memory)
-        tree.insert(1, 10)
-        tree.insert(1, 20)
-        assert tree.search(1) == 20
-        assert len(list(tree.items())) == 1
-
-    def test_many_inserts_with_splits(self, memory):
-        tree = self.make_tree(memory)
-        rng = random.Random(6)
-        keys = list(range(500))
-        rng.shuffle(keys)
-        for key in keys:
-            tree.insert(key, key ^ 0x5A)
-        for key in range(500):
-            assert tree.search(key) == key ^ 0x5A
-        tree.check_invariants()
-
-    def test_sequential_inserts(self, memory):
-        tree = self.make_tree(memory)
-        for key in range(200):
-            tree.insert(key, key)
-        assert [k for k, _ in tree.items()] == list(range(200))
-
-    def test_descending_inserts(self, memory):
-        tree = self.make_tree(memory)
-        for key in range(199, -1, -1):
-            tree.insert(key, key)
-        assert [k for k, _ in tree.items()] == list(range(200))
-
-    def test_insert_without_allocator_fails_on_split(self, memory):
-        tree = BTree.create(memory, 0, fanout=4)
-        for key in range(4):
-            tree.insert(key, key)
-        with pytest.raises(Exception):
-            tree.insert(4, 4)
 
     def test_rejects_tiny_fanout(self, memory):
         with pytest.raises(ValueError):

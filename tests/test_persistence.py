@@ -214,6 +214,20 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match="cleaning register"):
             load_system(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("column, value", [
+        (0, 10 ** 7),  # logical page
+        (2, 10 ** 6),  # origin position
+        (2, -5),
+    ])
+    def test_buffer_row_outside_the_geometry(self, column, value):
+        """A CRC-valid snapshot whose write-buffer row names a page or an
+        origin position the geometry lacks is refused at load, not at
+        the first flush (or flushed to a wrapped-around position)."""
+        raw = self.edited(self.snapshot_4x8(), lambda state: state[
+            "buffer"][0].__setitem__(column, value))
+        with pytest.raises(SnapshotError, match="write-buffer row"):
+            load_system(io.BytesIO(raw))
+
     def test_unedited_payload_round_trips(self):
         raw = self.snapshot_4x8()
         assert self.edited(raw, lambda state: None) != raw

@@ -30,7 +30,7 @@ def test_version():
 
 def test_key_entry_points_are_top_level():
     for name in ("EnvySystem", "EnvyConfig", "simulate_tpca",
-                 "measure_cleaning_cost", "TpcaDatabase", "FileSystem"):
+                 "measure_cleaning_cost", "TpcaDatabase", "BlockDevice"):
         assert name in repro.__all__, name
 
 

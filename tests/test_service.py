@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import (CrossShardError, EnvyService, LoadGenerator,
+from repro.service import (EnvyService, LoadGenerator,
                            ServiceConfig, ShardRouter, TenantSpec,
                            TokenBucket)
 from repro.service import frontend, loadgen
@@ -37,21 +37,18 @@ class TestShardRouter:
         seen = set()
         for page in range(router.num_pages):
             shard, local = router.route(page)
-            assert router.shard_of(page) == shard
             assert router.global_page(shard, local) == page
             seen.add((shard, local))
         assert len(seen) == router.num_pages
 
     def test_striping_spreads_contiguous_ranges(self):
         router = ShardRouter(num_shards=4, pages_per_shard=64)
-        shards = [router.shard_of(page) for page in range(8)]
+        shards = [router.route(page)[0] for page in range(8)]
         assert shards == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_address_routing(self):
         router = ShardRouter(num_shards=2, pages_per_shard=4,
                              page_bytes=256)
-        assert router.shard_of_address(0) == 0
-        assert router.shard_of_address(256) == 1
         assert router.total_bytes == 8 * 256
 
     def test_out_of_range_pages_raise(self):
@@ -566,10 +563,6 @@ class TestDirectAccess:
                                             pages_per_segment=16))
         with pytest.raises(IndexError):
             service.shard(2)
-
-    def test_cross_shard_error_is_a_value_error(self):
-        assert issubclass(CrossShardError, ValueError)
-
 
 class TestPerTenantCost:
     """A tenant costs what its traffic costs: draws once per service,

@@ -1,92 +1,17 @@
 """Section 6 extensions through the sharded service.
 
-Transactions are per-controller hardware state (shadow copies in one
-bank's SRAM), so the service confines each transaction to one shard and
-refuses cross-shard access; the parallel flush scheduler attaches to an
-individual shard's controller exactly as it does to a standalone one.
+The parallel flush scheduler attaches to an individual shard's
+controller exactly as it does to a standalone one.
 """
 
-import pytest
-
 from repro.ext import ParallelFlushScheduler
-from repro.service import (CrossShardError, EnvyService, ServiceConfig,
-                           ServiceTransaction)
+from repro.service import EnvyService, ServiceConfig
 
 
 def make_service(num_shards=2):
     return EnvyService(ServiceConfig(
         num_shards=num_shards, num_segments=4, pages_per_segment=16,
         store_data=True, prewarm_turnovers=0.0))
-
-
-class TestShardTransactions:
-    def test_commit_within_one_shard(self):
-        service = make_service()
-        # Pages 0, 2, 4 all live on shard 0 (striped).
-        with service.transaction([0, 2, 4]) as txn:
-            assert isinstance(txn, ServiceTransaction)
-            txn.write_page(0, b"zero")
-            txn.write_page(2, b"two")
-        assert service.read_page(0).startswith(b"zero")
-        assert service.read_page(2).startswith(b"two")
-
-    def test_rollback_restores_pre_images(self):
-        service = make_service()
-        service.write_page(4, b"before")
-        txn = service.transaction([4])
-        txn.write_page(4, b"after")
-        assert service.read_page(4).startswith(b"after")
-        txn.rollback()
-        assert service.read_page(4).startswith(b"before")
-
-    def test_exception_rolls_back(self):
-        service = make_service()
-        service.write_page(6, b"keep")
-        with pytest.raises(RuntimeError, match="boom"):
-            with service.transaction([6]) as txn:
-                txn.write_page(6, b"discard")
-                raise RuntimeError("boom")
-        assert service.read_page(6).startswith(b"keep")
-
-    def test_cross_shard_open_raises(self):
-        service = make_service()
-        # Page 0 -> shard 0, page 1 -> shard 1.
-        with pytest.raises(CrossShardError, match="shards \\[0, 1\\]"):
-            service.transaction([0, 1])
-
-    def test_cross_shard_access_raises_and_keeps_txn_open(self):
-        service = make_service()
-        with service.transaction([0]) as txn:
-            txn.write_page(0, b"mine")
-            with pytest.raises(CrossShardError, match="shard 1"):
-                txn.write_page(1, b"foreign")
-            # The error did not poison the transaction.
-            assert txn.state == "open"
-            txn.write_page(2, b"also mine")
-        assert service.read_page(0).startswith(b"mine")
-        assert service.read_page(2).startswith(b"also mine")
-
-    def test_transactions_on_different_shards_are_independent(self):
-        service = make_service()
-        with service.transaction([0]) as txn0:
-            txn0.write_page(0, b"shard zero")
-            # A concurrent transaction on the *other* shard is fine —
-            # each controller tracks its own shadow state.
-            with service.transaction([1]) as txn1:
-                txn1.write_page(1, b"shard one")
-        assert service.read_page(0).startswith(b"shard zero")
-        assert service.read_page(1).startswith(b"shard one")
-
-    def test_empty_page_list_rejected(self):
-        with pytest.raises(ValueError):
-            make_service().transaction([])
-
-    def test_requires_data_bearing_shards(self):
-        service = EnvyService(ServiceConfig(
-            num_shards=2, num_segments=4, pages_per_segment=16,
-            store_data=False))
-        with pytest.raises(ValueError, match="store_data"):
-            service.transaction([0])
 
 
 class TestShardParallelFlush:
