@@ -51,16 +51,8 @@ def main() -> None:
     print(f"\nran {count:,} transactions in {elapsed:.2f}s "
           f"({count / elapsed:,.0f} txn/s of pure Python)")
 
-    metrics = system.metrics
-    print(f"storage work underneath:")
-    print(f"  host reads  : {metrics.reads:,} "
-          f"(mean {metrics.read_latency.mean_ns:.0f} ns simulated)")
-    print(f"  host writes : {metrics.writes:,} "
-          f"(mean {metrics.write_latency.mean_ns:.0f} ns simulated)")
-    print(f"  buffer hits : {metrics.buffer_hit_rate:.1%} "
-          f"(hot teller/branch pages coalesce in SRAM)")
-    print(f"  pages flushed: {metrics.flushes:,}, cleaning cost "
-          f"{metrics.cleaning_cost:.2f}, erases {metrics.erases:,}")
+    print("storage work underneath:")
+    print(system.metrics.summary())
 
     # --- the TPC-A consistency condition -------------------------------
     database.check_consistency()

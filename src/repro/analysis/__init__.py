@@ -1,10 +1,9 @@
 """Reporting helpers and first-order comparison models."""
 
 from .alternatives import Alternative, compare_alternatives
-from .charts import line_chart, sparkline
+from .charts import line_chart
 from .replication import ReplicationSummary, replicate
-from .tables import banner, format_series, format_table
+from .tables import banner, format_table
 
-__all__ = ["format_table", "format_series", "banner", "line_chart",
-           "sparkline", "Alternative", "compare_alternatives", "ReplicationSummary",
-           "replicate"]
+__all__ = ["format_table", "banner", "line_chart", "Alternative",
+           "compare_alternatives", "ReplicationSummary", "replicate"]

@@ -8,33 +8,11 @@ at a glance.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["line_chart", "sparkline"]
+__all__ = ["line_chart"]
 
 _MARKERS = "o+x*#@"
-_SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line bar sketch of a series.
-
-    >>> sparkline([0, 1, 2, 3])
-    '▁▃▅█'
-    """
-    values = list(values)
-    if not values:
-        return ""
-    low = min(values)
-    high = max(values)
-    span = high - low
-    if span <= 0:
-        return _SPARK[0] * len(values)
-    cells = []
-    for value in values:
-        index = int((value - low) / span * (len(_SPARK) - 1))
-        cells.append(_SPARK[index])
-    return "".join(cells)
 
 
 def line_chart(series: Dict[str, List[Tuple[float, float]]],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_series", "banner"]
+__all__ = ["format_table", "banner"]
 
 
 def banner(title: str, width: int = 72) -> str:
@@ -34,15 +34,6 @@ def format_table(headers: Sequence[str],
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
-
-
-def format_series(name: str, points: Iterable[Sequence[object]],
-                  precision: int = 2) -> str:
-    """Render one plotted series as "name: (x, y) (x, y) ..."."""
-    cells = " ".join(
-        "(" + ", ".join(_cell(v, precision) for v in point) + ")"
-        for point in points)
-    return f"{name}: {cells}"
 
 
 def _cell(value: object, precision: int) -> str:

@@ -16,8 +16,7 @@ The contract (all of it already honoured by
 
 Geometry and addressing
     ``num_segments``, ``pages_per_segment``, ``page_bytes``,
-    ``total_pages``, ``store_data``, ``segment(i)``,
-    ``split_physical``/``join_physical``, ``bank_of``.
+    ``total_pages``, ``store_data``, ``segment(i)``, ``bank_of``.
 
 Page and segment operations
     ``program_page(segment, data, oob) -> (page, time_ns)`` — append at

@@ -11,8 +11,7 @@ and the 100-cycle wear-leveling swap.
 # simulator pulls in the workloads package, which reaches the core
 # package, which needs the names bound so far).
 from .base import CleaningPolicy
-from .cost import (cleaning_cost, cost_curve, utilization_for_cost,
-                   write_amplification)
+from .cost import cleaning_cost
 from .fifo import FifoPolicy
 from .greedy import GreedyPolicy
 from .hybrid import HybridPolicy, PartitionState
@@ -57,9 +56,6 @@ __all__ = [
     "SimulationResult",
     "measure_cleaning_cost",
     "cleaning_cost",
-    "utilization_for_cost",
-    "write_amplification",
-    "cost_curve",
     "POLICIES",
     "make_policy",
 ]

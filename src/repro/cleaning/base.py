@@ -27,9 +27,9 @@ class CleaningPolicy(abc.ABC):
     #: Short name used in reports ("greedy", "fifo", "locality", "hybrid").
     name: str = "abstract"
     #: Initial data layout this policy assumes: "sequential" fills
-    #: segments in order (greedy/FIFO); "spread" levels all segments to
-    #: equal utilization (locality gathering and hybrid, which rely on
-    #: per-segment free space).
+    #: segments in order (greedy/FIFO); "contiguous" levels all segments
+    #: to equal utilization with contiguous page runs (locality
+    #: gathering and hybrid, which rely on per-segment free space).
     preferred_layout: str = "sequential"
 
     def __init__(self) -> None:

@@ -19,15 +19,8 @@ initial flush itself (that is useful work, not overhead).
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
 
-__all__ = [
-    "cleaning_cost",
-    "utilization_for_cost",
-    "write_amplification",
-    "cost_curve",
-    "MAX_FINITE_UTILIZATION",
-]
+__all__ = ["cleaning_cost", "MAX_FINITE_UTILIZATION"]
 
 #: Above this utilization the model reports infinity rather than a number
 #: so large it would be meaningless (a full segment cannot be cleaned at
@@ -52,31 +45,3 @@ def cleaning_cost(utilization: float) -> float:
     if utilization >= MAX_FINITE_UTILIZATION:
         return math.inf
     return utilization / (1.0 - utilization)
-
-
-def utilization_for_cost(cost: float) -> float:
-    """Inverse of :func:`cleaning_cost`: the utilization giving ``cost``.
-
-    >>> utilization_for_cost(3.0)
-    0.75
-    """
-    if cost < 0:
-        raise ValueError(f"cost must be non-negative, got {cost}")
-    if math.isinf(cost):
-        return 1.0
-    return cost / (1.0 + cost)
-
-
-def write_amplification(utilization: float) -> float:
-    """Total programs per useful page write, including the flush itself.
-
-    This is ``1 + cleaning_cost(u)`` and is the quantity that divides the
-    array's endurance in the lifetime model of Section 5.5.
-    """
-    return 1.0 + cleaning_cost(utilization)
-
-
-def cost_curve(utilizations: Iterable[float]
-               ) -> List[Tuple[float, float]]:
-    """The (utilization, cost) series plotted in Figure 6."""
-    return [(u, cleaning_cost(u)) for u in utilizations]

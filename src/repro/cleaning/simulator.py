@@ -138,13 +138,9 @@ class PolicySimulator:
 
     # ------------------------------------------------------------------
 
-    def write(self, logical_page: int) -> None:
-        """Apply one host write (word writes collapse to page writes)."""
-        self._replay((logical_page,))
-
     def _replay(self, pages: Iterable[int]) -> None:
         """Apply a stream of host writes: the one copy of the buffer
-        hit / copy-on-write / flush logic, shared by every entry point.
+        hit / copy-on-write / flush logic, for warm-up and measurement.
 
         The wear leveler is polled after a flush only if the flush
         erased something (or the previous poll swapped, which matters
@@ -195,15 +191,6 @@ class PolicySimulator:
         finally:
             self.host_writes += writes
             self.buffer_hits += hits
-
-    def drain(self) -> None:
-        """Flush every buffered page (used at the end of experiments)."""
-        buffer = self._buffer
-        while buffer:
-            page, origin = buffer.popitem(last=False)
-            self.policy.flush(page, origin)
-            if self.leveler is not None:
-                self.leveler.maybe_level(self.store)
 
     # ------------------------------------------------------------------
 

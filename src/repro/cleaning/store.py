@@ -444,21 +444,6 @@ class SegmentStore:
                 self.append(pos_index, page, count_as_flush=False)
                 page += 1
 
-    def populate_spread(self, rng=None) -> None:
-        """Distribute logical pages evenly (and shuffled) over positions.
-
-        Every position ends at the same utilization with a random mix of
-        pages, so locality gathering has to discover hot data itself
-        rather than inheriting a sorted layout.
-        """
-        self._require_empty()
-        pages = list(range(self.num_logical_pages))
-        if rng is not None:
-            rng.shuffle(pages)
-        for offset, page in enumerate(pages):
-            self.append(offset % self.num_positions, page,
-                        count_as_flush=False)
-
     def _require_empty(self) -> None:
         if any(pos.slots for pos in self.positions):
             raise StoreError("store already populated")

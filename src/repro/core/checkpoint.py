@@ -29,8 +29,8 @@ A checkpoint is :func:`capture`'s record, as zlib-compressed JSON
 
 Bytes read back out of Flash are outside input (under the file backend
 an editable image): :func:`decode_state` runs no code, and any failure
-to inflate, parse or match the record's shape is a
-:class:`CheckpointError`.
+to inflate, parse or match the record's shape (a ``NaN`` or a negative
+count included) is a :class:`CheckpointError`.
 
 The blob is chunked into pages and programmed into one metadata segment;
 each chunk's OOB carries ``kind=CHECKPOINT``, the chunk index as its
@@ -88,27 +88,33 @@ COLUMNS = ("kind", "page", "epoch", "seq", "position")
 
 _INT = (int,)
 _NUM = (int, float, type(None))
+#: An int no writer makes negative.
+_COUNT = "count"
 #: The shape of a record: a dict gives the shape of each key it requires
 #: (a snapshot adds keys), a one-item list the shape of every element, a
-#: tuple the types a value may have.
+#: tuple the types a value may have, :data:`_COUNT` a count.
 RECORD_SHAPE = {
-    **dict.fromkeys(("checkpoint_id", "write_epoch", "seq_counter",
-                     "spare_phys"), _INT),
-    **dict.fromkeys(("retired_phys", "reserve_phys", "metadata_phys",
-                     "phys_erase_counts"), [_INT]),
-    "counters": dict.fromkeys(COUNTERS, _INT),
-    "segments": [{"erase_count": _INT, "write_pointer": _INT,
+    **dict.fromkeys(("checkpoint_id", "write_epoch", "seq_counter"), _COUNT),
+    "spare_phys": _INT,
+    **dict.fromkeys(("retired_phys", "reserve_phys", "metadata_phys"),
+                    [_INT]),
+    "phys_erase_counts": [_COUNT],
+    "counters": dict.fromkeys(COUNTERS, _COUNT),
+    "segments": [{"erase_count": _COUNT, "write_pointer": _COUNT,
                   **dict.fromkeys(COLUMNS, [_INT])}],
     "positions": [{"phys": _INT, "demoted": [_INT],
-                   **dict.fromkeys(POSITION_STATS, _NUM)}],
+                   **dict.fromkeys(POSITION_STATS, _NUM),
+                   "clean_count": _COUNT}],
     "policy": {"name": (str,), "registers": [_INT], "partitions": [{
         **dict.fromkeys(PARTITION_STATE, _NUM), "active": _INT,
-        "next_victim": _INT}]},
-    "leveler": {"swap_count": _INT, "last_swap": _INT},
+        "next_victim": _INT, "clean_count": _COUNT}]},
+    "leveler": {"swap_count": _COUNT, "last_swap": _INT},
 }
 
 
 def _fits(value, shape) -> bool:
+    if shape is _COUNT:
+        return type(value) is int and value >= 0
     if isinstance(shape, dict):
         return (isinstance(value, dict) and value.keys() >= shape.keys()
                 and all(_fits(value[key], sub)
@@ -125,6 +131,11 @@ def encode_state(state: dict) -> bytes:
                                     separators=(",", ":")).encode())
 
 
+def _refuse_constant(name: str):
+    """``NaN`` and ``Infinity`` are JSON extensions no record holds."""
+    raise ValueError(f"non-finite constant {name}")
+
+
 def decode_state(blob: bytes) -> dict:
     """Inverse of :func:`encode_state` for a record of RECORD_SHAPE (a
     snapshot adds keys); raises :class:`CheckpointError` on anything
@@ -135,7 +146,7 @@ def decode_state(blob: bytes) -> dict:
         if inflater.unconsumed_tail or not inflater.eof:
             raise CheckpointError(
                 f"state truncated or over {MAX_STATE_BYTES} bytes")
-        state = json.loads(text)
+        state = json.loads(text, parse_constant=_refuse_constant)
     except (zlib.error, ValueError, RecursionError) as error:
         raise CheckpointError(f"undecodable state: {error}") from None
     if not _fits(state, RECORD_SHAPE):

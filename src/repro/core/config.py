@@ -294,10 +294,6 @@ class EnvyConfig:
         """
         return self.total_pages * self.page_table_entry_bytes
 
-    @property
-    def num_partitions(self) -> int:
-        return max(1, self.flash.num_segments // self.partition_segments)
-
     def validate(self) -> None:
         self.flash.validate()
         self.sram.validate()

@@ -148,7 +148,6 @@ class EnvyController:
         #: :class:`~repro.core.tracing.RunTrace` subscribes here.
         self.access_listeners = []
         self.page_table = PageTable(cfg.logical_pages,
-                                    entry_bytes=cfg.page_table_entry_bytes,
                                     read_ns=cfg.sram.read_ns,
                                     write_ns=cfg.sram.write_ns)
         self.mmu = Mmu(self.page_table)

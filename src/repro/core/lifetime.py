@@ -77,31 +77,6 @@ class LifetimeEstimate:
     def years(self) -> float:
         return self.days / DAYS_PER_YEAR
 
-    def scaled_to_array(self, factor: float) -> "LifetimeEstimate":
-        """Lifetime of an array ``factor`` times the size (Section 5.5:
-        "an array half the size has half the lifetime")."""
-        return LifetimeEstimate(
-            array_pages=int(self.array_pages * factor),
-            endurance_cycles=self.endurance_cycles,
-            page_flush_rate=self.page_flush_rate,
-            cleaning_cost=self.cleaning_cost,
-            concentration=self.concentration,
-        )
-
-    def with_concentration(self, factor: float) -> "LifetimeEstimate":
-        """The same workload with measured wear concentration ``factor``
-        (>= 1.0; see :func:`~repro.core.metrics.wear_concentration`)."""
-        if factor < 1.0:
-            raise ValueError(
-                "wear concentration cannot beat uniform (factor >= 1)")
-        return LifetimeEstimate(
-            array_pages=self.array_pages,
-            endurance_cycles=self.endurance_cycles,
-            page_flush_rate=self.page_flush_rate,
-            cleaning_cost=self.cleaning_cost,
-            concentration=factor,
-        )
-
     def __str__(self) -> str:
         return (f"{self.days:,.0f} days of continuous use "
                 f"({self.years:.2f} years)")

@@ -77,9 +77,6 @@ class PrototypeTimings:
         """Transfer + program: the page's full path back to Flash."""
         return self.flush_transfer_ns + 4000
 
-    def slowdown_vs_wide(self, wide_write_ns: int = 260) -> float:
-        return self.write_full_copy_ns / wide_write_ns
-
 
 class PrototypeController(EnvyController):
     """An eNVy controller with the prototype's multi-beat page path.

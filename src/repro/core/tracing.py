@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Iterator, List, Optional, TextIO, Union
@@ -168,9 +167,6 @@ class RunTrace:
         return range(address // self.page_bytes,
                      (address + max(0, length - 1)) // self.page_bytes + 1)
 
-    def pages_touched(self) -> set:
-        return {page for row in self.ops for page in self._pages(row)}
-
     def page_writes(self) -> List[int]:
         """The write stream at page granularity, in order: what
         :class:`~repro.workloads.trace.TraceWorkload` replays through
@@ -182,20 +178,6 @@ class RunTrace:
         """Access time over every timed row."""
         return sum(row[3] * row[4] for row in self.ops
                    if row[3] is not None)
-
-    def fault_counts(self) -> dict:
-        """Fault events by kind (empty when no faults were observed)."""
-        return dict(Counter(event.kind for event in self.faults))
-
-    def summary(self) -> str:
-        text = (f"{self.reads} reads + {self.writes} writes over "
-                f"{len(self.pages_touched())} pages, "
-                f"{self.total_ns():,} ns of access time")
-        if self.faults:
-            parts = ", ".join(f"{kind} x{n}" for kind, n
-                              in sorted(self.fault_counts().items()))
-            text += f"; faults: {parts}"
-        return text
 
     # ------------------------------------------------------------------
     # JSONL round-trip

@@ -6,18 +6,17 @@ The array is the unit the controller and cleaner operate on.  It exposes
   Flash's write-once, bulk-erase semantics enforced by
   :class:`~repro.flash.segment.FlashSegment`,
 * the timing parameters of Figure 12 (100 ns reads, 4 us programs, 50 ms
-  erases) including optional wear degradation, and
-* wear statistics (per-segment program/erase cycles, spread, endurance
-  headroom) used by the wear-leveling policy of Section 4.3 and the
-  lifetime model of Section 5.5.
+  erases), and
+* wear statistics (per-segment program/erase cycles, spread, cycles
+  beyond rated endurance) used by the wear-leveling policy of Section
+  4.3 and the lifetime model of Section 5.5.
 
-Physical pages are addressed either by ``(segment, page)`` pairs or by a
-flat physical page number ``segment * pages_per_segment + page``.
+Physical pages are addressed by ``(segment, page)`` pairs.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.config import FlashParams
 from ..faults.plan import FaultEvent, FaultStats
@@ -69,14 +68,6 @@ class WearStats:
     @property
     def total_programs(self) -> int:
         return self._total_programs
-
-    @property
-    def remaining_fraction(self) -> float:
-        """Fraction of rated endurance left on the most-worn segment."""
-        if self.endurance_cycles <= 0:
-            return 0.0
-        used = self._max_erases / self.endurance_cycles
-        return max(0.0, 1.0 - used)
 
     @property
     def overshoot_cycles(self) -> int:
@@ -158,20 +149,6 @@ class FlashArray:
             raise AddressError(f"segment {index} out of range "
                                f"(array has {self.num_segments})")
         return self.segments[index]
-
-    def split_physical(self, physical_page: int) -> Tuple[int, int]:
-        """Decompose a flat physical page number into (segment, page)."""
-        if not 0 <= physical_page < self.total_pages:
-            raise AddressError(f"physical page {physical_page} out of range")
-        return divmod(physical_page, self.pages_per_segment)
-
-    def join_physical(self, segment: int, page: int) -> int:
-        """Compose (segment, page) into a flat physical page number."""
-        if not 0 <= segment < self.num_segments:
-            raise AddressError(f"segment {segment} out of range")
-        if not 0 <= page < self.pages_per_segment:
-            raise AddressError(f"page {page} out of range")
-        return segment * self.pages_per_segment + page
 
     def bank_of(self, segment: int) -> int:
         """Bank that ``segment`` physically resides in.
@@ -377,41 +354,17 @@ class FlashArray:
     # Timing
     # ------------------------------------------------------------------
 
-    def enable_degradation(self, program_curve=None,
-                           erase_curve=None) -> None:
-        """Make program/erase times wear-dependent (Section 2).
-
-        Pass :class:`~repro.flash.endurance.DegradationCurve` instances;
-        omitted curves default to the module's calibrated ones.  Once
-        enabled, :meth:`program_time_ns` and :meth:`erase_time_ns`
-        reflect each segment's accumulated erase cycles, so an aged
-        array really is slower to maintain.
-        """
-        from .endurance import (ERASE_SPEC_NS, PROGRAM_SPEC_NS,
-                                DegradationCurve)
-
-        self._program_curve = program_curve or DegradationCurve(
-            self.params.program_ns, PROGRAM_SPEC_NS)
-        self._erase_curve = erase_curve or DegradationCurve(
-            self.params.erase_ns, ERASE_SPEC_NS)
-
     def read_time_ns(self, segment: int = 0) -> int:
-        return self.params.read_ns  # reads never degrade (Section 2)
+        return self.params.read_ns
 
     def program_time_ns(self, segment: int = 0) -> int:
-        curve = getattr(self, "_program_curve", None)
-        if curve is None:
-            return self.params.program_ns
-        return int(curve.time_at(self.segments[segment].erase_count))
+        return self.params.program_ns
 
     def erase_time_ns(self, segment: int = 0) -> int:
-        curve = getattr(self, "_erase_curve", None)
-        if curve is None:
-            return self.params.erase_ns
-        return int(curve.time_at(self.segments[segment].erase_count))
+        return self.params.erase_ns
 
     # ------------------------------------------------------------------
-    # Wear and occupancy statistics
+    # Wear statistics
     # ------------------------------------------------------------------
 
     def wear_stats(self) -> WearStats:
@@ -420,16 +373,6 @@ class FlashArray:
             program_counts=[s.program_count for s in self.segments],
             endurance_cycles=self.params.endurance_cycles,
         )
-
-    def live_pages(self) -> int:
-        return sum(s.live_count for s in self.segments)
-
-    def utilization(self) -> float:
-        """Fraction of the whole array holding live data (Section 4.1)."""
-        return self.live_pages() / self.total_pages
-
-    def erased_segments(self) -> List[int]:
-        return [s.segment_id for s in self.segments if s.is_erased]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FlashArray({self.num_segments} segments x "

@@ -109,11 +109,6 @@ class FlashSegment:
         return self.write_pointer - self.live_count
 
     @property
-    def utilization(self) -> float:
-        """Fraction of the segment occupied by live data."""
-        return self.live_count / self.num_pages
-
-    @property
     def is_erased(self) -> bool:
         return self.write_pointer == 0 and self.live_count == 0
 
@@ -195,10 +190,6 @@ class FlashSegment:
         self.states[page] = PageState.INVALID
         self.live_count -= 1
         self.live_slots.discard(page)
-
-    def live_pages(self) -> List[int]:
-        """Indices of valid pages, in programming (head-to-tail) order."""
-        return sorted(self.live_slots)
 
     def rebuild_live_slots(self) -> None:
         """Recompute :attr:`live_slots` after ``states`` was replaced

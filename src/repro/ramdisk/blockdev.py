@@ -116,20 +116,6 @@ class BlockDevice:
         """Write one whole sector (must be exactly one block long)."""
         self.write_block_timed(block, data)
 
-    def update_bytes(self, block: int, offset: int, data: bytes) -> int:
-        """Partial-sector update via read-modify-write.
-
-        This is what a block interface forces on small updates — the
-        overhead the paper's memory-mapped interface exists to avoid.
-        Returns the nanoseconds of the full read-modify-write.
-        """
-        if offset < 0 or offset + len(data) > self.block_bytes:
-            raise BlockDeviceError("update does not fit in the block")
-        sector, read_ns = self.read_block_timed(block)
-        buffer = bytearray(sector)
-        buffer[offset:offset + len(data)] = data
-        return read_ns + self.write_block_timed(block, bytes(buffer))
-
     def stats(self) -> dict:
         """Operation/time counters (folded into ``health_report()``)."""
         return {

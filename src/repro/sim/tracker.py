@@ -79,10 +79,3 @@ class SimStats:
         shares = {k: v / self.simulated_ns for k, v in self.busy_ns.items()}
         shares["idle"] = max(0.0, 1.0 - sum(shares.values()))
         return dict(sorted(shares.items()))
-
-    def row(self) -> str:
-        """One formatted line for the benchmark tables."""
-        return (f"{self.requested_tps:>9,.0f} {self.throughput_tps:>9,.0f} "
-                f"{self.read_latency.mean_ns:>8.0f} "
-                f"{self.write_latency.mean_ns:>8.0f} "
-                f"{self.cleaning_cost:>6.2f}")

@@ -6,14 +6,12 @@ page table whose atomic update is the copy-on-write commit point, and the
 MMU translation cache of Section 5.1.
 """
 
-from .buffer import (BufferEntry, BufferFullError, LruWriteBuffer,
-                     WriteBuffer)
+from .buffer import BufferEntry, BufferFullError, WriteBuffer
 from .mmu import Mmu
 from .pagetable import Location, PageTable
 
 __all__ = [
     "WriteBuffer",
-    "LruWriteBuffer",
     "BufferEntry",
     "BufferFullError",
     "PageTable",

@@ -21,8 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional
 
-__all__ = ["BufferEntry", "WriteBuffer", "LruWriteBuffer",
-           "BufferFullError"]
+__all__ = ["BufferEntry", "WriteBuffer", "BufferFullError"]
 
 
 class BufferFullError(RuntimeError):
@@ -73,7 +72,6 @@ class WriteBuffer:
         self._next_seq = 0
         #: Lifetime counters for the metrics module.
         self.total_inserts = 0
-        self.total_hits = 0
         self.total_flushes = 0
 
     # ------------------------------------------------------------------
@@ -95,28 +93,12 @@ class WriteBuffer:
         """True when background flushing should be running (Section 3.4)."""
         return len(self._entries) > self.threshold_pages
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity_pages - len(self._entries)
-
-    def hit_rate(self) -> float:
-        """Fraction of buffered-page writes among all insert attempts."""
-        total = self.total_inserts + self.total_hits
-        return self.total_hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     # FIFO operations
     # ------------------------------------------------------------------
 
-    def get(self, logical_page: int) -> Optional[BufferEntry]:
-        """Look up a buffered page without disturbing FIFO order."""
-        entry = self._entries.get(logical_page)
-        if entry is not None:
-            self.total_hits += 1
-        return entry
-
     def peek(self, logical_page: int) -> Optional[BufferEntry]:
-        """Look up a buffered page without counting it as a write hit."""
+        """Look up a buffered page without disturbing FIFO order."""
         return self._entries.get(logical_page)
 
     def insert(self, logical_page: int, data: Optional[bytearray],
@@ -142,12 +124,6 @@ class WriteBuffer:
         self.total_flushes += 1
         return entry
 
-    def tail(self) -> Optional[BufferEntry]:
-        """The oldest entry, or None when empty."""
-        if not self._entries:
-            return None
-        return next(iter(self._entries.values()))
-
     def remove(self, logical_page: int) -> BufferEntry:
         """Remove a specific page (used by transaction aborts)."""
         try:
@@ -169,36 +145,15 @@ class WriteBuffer:
         A battery-backed buffer keeps its contents; a volatile one loses
         everything — which would lose the only copy of every buffered
         page, exactly why Section 3.2 requires the battery.  The
-        hit/insert/flush counters are statistics, not state the battery
-        protects — they reset either way, so post-recovery hit rates
+        insert/flush counters are statistics, not state the battery
+        protects — they reset either way, so post-recovery counts
         describe the new epoch rather than blending two runs.
         """
         if not self.battery_backed:
             self._entries.clear()
         self.total_inserts = 0
-        self.total_hits = 0
         self.total_flushes = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WriteBuffer({len(self._entries)}/{self.capacity_pages} "
                 f"pages, threshold={self.threshold_pages})")
-
-
-class LruWriteBuffer(WriteBuffer):
-    """An LRU-evicting write buffer — the road not taken (Section 3.2).
-
-    The paper: "More complex management schemes were discarded because
-    it would be much more difficult to handle them in hardware."  This
-    variant exists to *measure* that decision: every write hit promotes
-    the page to the head, so eviction picks the least-recently-written
-    page instead of the oldest-inserted one.  LRU needs per-access
-    reordering state in hardware; FIFO needs a pointer.  The ablation
-    benchmark shows how little hit rate the simple scheme gives up under
-    skewed traffic.
-    """
-
-    def get(self, logical_page: int):
-        entry = super().get(logical_page)
-        if entry is not None:
-            self._entries.move_to_end(logical_page)
-        return entry

@@ -84,9 +84,6 @@ class Mmu:
             self._cache[logical_page] = location
             self._cache.move_to_end(logical_page)
 
-    def invalidate(self, logical_page: int) -> None:
-        self._cache.pop(logical_page, None)
-
     def flush(self) -> None:
         self._cache.clear()
 

@@ -71,13 +71,11 @@ class Location(Tuple[str, int, int]):
 class PageTable:
     """Dense logical-to-physical map kept in battery-backed SRAM."""
 
-    def __init__(self, num_logical_pages: int,
-                 entry_bytes: int = 6, read_ns: int = 100,
+    def __init__(self, num_logical_pages: int, read_ns: int = 100,
                  write_ns: int = 100) -> None:
         if num_logical_pages <= 0:
             raise ValueError("page table needs at least one page")
         self.num_logical_pages = num_logical_pages
-        self.entry_bytes = entry_bytes
         self.read_ns = read_ns
         self.write_ns = write_ns
         self._entries: List[Optional[Location]] = [None] * num_logical_pages
@@ -133,18 +131,5 @@ class PageTable:
         self._check(logical_page)
         self._epochs[logical_page] = epoch
 
-    def clear(self, logical_page: int) -> None:
-        """Unmap a logical page (used by the trim/deallocate extension)."""
-        self._check(logical_page)
-        self.updates += 1
-        self._entries[logical_page] = None
-        self._epochs[logical_page] = 0
-
-    @property
-    def sram_bytes(self) -> int:
-        """Battery-backed SRAM consumed by the table (6 B per entry)."""
-        return self.num_logical_pages * self.entry_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"PageTable({self.num_logical_pages} pages, "
-                f"{self.sram_bytes} B of SRAM)")
+        return f"PageTable({self.num_logical_pages} pages)"

@@ -39,7 +39,6 @@ class WriteWorkload(abc.ABC):
         if num_pages <= 0:
             raise ValueError("workload needs at least one page")
         self.num_pages = num_pages
-        self.seed = seed
         self.rng = random.Random(seed)
 
     @abc.abstractmethod
@@ -50,10 +49,6 @@ class WriteWorkload(abc.ABC):
         """The next ``count`` pages: ``count`` calls of :meth:`next_page`
         (subclasses that override it draw the same values in bulk)."""
         return [self.next_page() for _ in range(count)]
-
-    def reset(self) -> None:
-        """Restart the stream from its seed."""
-        self.rng = random.Random(self.seed)
 
     #: Human-readable label for reports ("uniform", "10/90", ...).
     label: str = "workload"

@@ -35,10 +35,6 @@ class SequentialWorkload(WriteWorkload):
         self._next = (self._next + 1) % self.num_pages
         return page
 
-    def reset(self) -> None:
-        super().reset()
-        self._next = self.start
-
 
 class StridedWorkload(WriteWorkload):
     """Writes every ``stride``-th page, sweeping all residues.
@@ -66,8 +62,3 @@ class StridedWorkload(WriteWorkload):
             self._residue = (self._residue + 1) % min(self.stride,
                                                       self.num_pages)
         return page
-
-    def reset(self) -> None:
-        super().reset()
-        self._position = 0
-        self._residue = 0

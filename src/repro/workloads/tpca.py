@@ -222,14 +222,3 @@ class TpcaWorkload:
                     open_page = page + where
                     runs.append((open_page, count))
         return runs
-
-    def accesses_per_transaction(self) -> int:
-        """Accesses of a representative transaction (for sizing runs)."""
-        sample = TpcaTransaction(self.params.num_accounts // 2,
-                                 self.params.num_tellers // 2,
-                                 self.params.num_branches // 2, 0)
-        return len(self.accesses(sample))
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        self.rng = random.Random(seed)
-        self._clock_ns = 0.0

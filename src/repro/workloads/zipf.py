@@ -98,14 +98,3 @@ class ZipfWorkload(WriteWorkload):
         if self._page_of_rank is None:
             return ranks
         return list(map(self._page_of_rank.__getitem__, ranks))
-
-    def access_share(self, top_fraction: float) -> float:
-        """Fraction of accesses hitting the most popular pages.
-
-        ``access_share(0.1)`` is the Zipf analogue of the "x/y" labels:
-        how much traffic the hottest 10% of pages receive.
-        """
-        if not 0 < top_fraction <= 1:
-            raise ValueError("top_fraction must be in (0, 1]")
-        top = max(1, int(self.num_pages * top_fraction))
-        return self._cumulative[top - 1] / self._total

@@ -8,12 +8,14 @@ A *root* is something this repository stands behind: ``python -m repro
 claims``, every CLI command at its CI/smoke arguments (plus the
 unmitigated ``serve --attack`` demo), the six
 ``benchmarks/e2e`` workloads at scale 0.05 (traced and untraced, as
-``run.py`` runs them), CI's inline chaos and redundancy steps and, with
-``--roots full``, every ``benchmarks/bench_*.py`` (EXPERIMENTS.md
-reports from them; CI runs two).  Each root runs in this process under
-``sys.setprofile``, ``run_sweep``'s worker pool included (it maps
-in-process here); a function counts as reached when its code object is
-entered at least once.
+``run.py`` runs them), CI's inline chaos and redundancy steps, the
+``examples/*.py`` README sends users to (but the slow
+``throughput_experiment.py``) and, with ``--roots full``, that example
+and every ``benchmarks/bench_*.py`` (EXPERIMENTS.md reports from them;
+CI runs two).  A root that raises fails the run.  Each root runs in
+this process under ``sys.setprofile``, ``run_sweep``'s worker pool
+included (it maps in-process here); a function counts as reached when
+its code object is entered at least once.
 
 The report lists every function defined under ``src/repro`` that no
 root entered, then a per-module summary.  The run fails when an
@@ -33,6 +35,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 import threading
@@ -80,12 +83,6 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
     # Loads outside input; the hostile-input tests reach it.
     "repro.core.persistence":
         ("loader", "snapshot files: test_persistence.TestSnapshotErrors"),
-    "repro.core.metrics:ControllerMetrics.state_dict":
-        ("loader", "the snapshot's metrics record"),
-    "repro.core.metrics:ControllerMetrics.load_state":
-        ("loader", "the snapshot's metrics record"),
-    "repro.obs.hist:LatencyHistogram.load_state":
-        ("loader", "test_observability.TestHostileHistogramState"),
     "repro.obs.hist:LatencyHistogram.from_state":
         ("loader", "test_observability.TestHostileHistogramState"),
     "repro.service.tenant:TenantSpec.parse":
@@ -111,11 +108,7 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("roadmap", "item 4(a)"),
     # Reached by the bench that reports it (checked by --roots full).
     "repro.analysis.alternatives": ("bench", "bench_intro_motivation.py"),
-    "repro.analysis.charts:line_chart":
-        ("bench", "bench_fig08_policy_comparison.py"),
     "repro.analysis.replication": ("bench", "bench_replication.py"),
-    "repro.cleaning.fifo:FifoPolicy.flush":
-        ("bench", "bench_ext_tpca_policies.py"),
     "repro.cleaning.simulator:SimulationResult.buffer_hit_rate":
         ("bench", "bench_ablations.py"),
     "repro.cleaning.simulator:SimulationResult.write_amplification":
@@ -124,16 +117,9 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("bench", "bench_sec1_interface.py"),
     "repro.core.costmodel": ("bench", "bench_fig01_technology.py"),
     "repro.core.prototype": ("bench", "bench_sec8_prototype.py"),
-    "repro.db.btree": ("bench", "bench_faults.py"),
-    "repro.db.layout:BTreeGeometry.level_base": ("bench", "bench_faults.py"),
-    "repro.db.layout:BTreeGeometry.node_address":
-        ("bench", "bench_faults.py"),
-    "repro.db.layout:TpcaLayout": ("bench", "bench_faults.py"),
-    "repro.db.records": ("bench", "bench_faults.py"),
     "repro.db.tpca_db": ("bench", "bench_faults.py"),
     "repro.ext.parallel:ParallelFlushScheduler.mean_batch_size":
         ("bench", "bench_sec6_extensions.py"),
-    "repro.ext.transactions": ("bench", "bench_sec6_extensions.py"),
     "repro.faults.badblocks:BadBlockTable.retire":
         ("bench", "bench_faults.py"),
     "repro.faults.plan:FaultPlan": ("bench", "bench_faults.py"),
@@ -145,67 +131,8 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
     "repro.sim.analytic:CapacityModel": ("bench", "bench_analytic_model.py"),
     "repro.workloads.sequential:SequentialWorkload.next_page":
         ("bench", "bench_ext_workloads.py"),
-    # Public API that only its own unit tests call; ROADMAP item 3
-    # decides each one next round (a root reaches it, or it goes with
-    # its tests).
-    "repro.analysis.charts:sparkline": ("deferred", "item 3"),
-    "repro.analysis.tables:format_series": ("deferred", "item 3"),
-    "repro.cleaning.cost:cost_curve": ("deferred", "item 3"),
-    "repro.cleaning.cost:utilization_for_cost": ("deferred", "item 3"),
-    "repro.cleaning.cost:write_amplification": ("deferred", "item 3"),
-    "repro.cleaning.simulator:PolicySimulator.drain": ("deferred", "item 3"),
-    "repro.cleaning.simulator:PolicySimulator.write": ("deferred", "item 3"),
-    "repro.cleaning.store:SegmentStore.populate_spread":
-        ("deferred", "item 3"),
-    "repro.core.config:EnvyConfig.num_partitions": ("deferred", "item 3"),
-    "repro.core.lifetime:LifetimeEstimate.scaled_to_array":
-        ("deferred", "item 3"),
-    "repro.core.lifetime:LifetimeEstimate.with_concentration":
-        ("deferred", "item 3"),
-    "repro.core.metrics:ControllerMetrics.cleaning_cost":
-        ("deferred", "item 3"),
-    "repro.core.metrics:ControllerMetrics.summary": ("deferred", "item 3"),
-    "repro.core.metrics:ControllerMetrics.time_breakdown":
-        ("deferred", "item 3"),
-    "repro.core.prototype:PrototypeTimings.slowdown_vs_wide":
-        ("deferred", "item 3"),
-    "repro.core.tracing:RunTrace.fault_counts": ("deferred", "item 3"),
-    "repro.core.tracing:RunTrace.pages_touched": ("deferred", "item 3"),
-    "repro.core.tracing:RunTrace.summary": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.enable_degradation": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.erased_segments": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.join_physical": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.live_pages": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.split_physical": ("deferred", "item 3"),
-    "repro.flash.array:FlashArray.utilization": ("deferred", "item 3"),
-    "repro.flash.array:WearStats.remaining_fraction": ("deferred", "item 3"),
-    "repro.flash.segment:FlashSegment.live_pages": ("deferred", "item 3"),
-    "repro.flash.segment:FlashSegment.utilization": ("deferred", "item 3"),
-    "repro.ramdisk.blockdev:BlockDevice.update_bytes": ("deferred", "item 3"),
-    "repro.sim.tracker:SimStats.row": ("deferred", "item 3"),
-    "repro.sram.buffer:LruWriteBuffer": ("deferred", "item 3"),
-    "repro.sram.buffer:WriteBuffer.free_slots": ("deferred", "item 3"),
-    "repro.sram.buffer:WriteBuffer.get": ("deferred", "item 3"),
-    "repro.sram.buffer:WriteBuffer.hit_rate": ("deferred", "item 3"),
-    "repro.sram.buffer:WriteBuffer.tail": ("deferred", "item 3"),
-    "repro.sram.mmu:Mmu.invalidate": ("deferred", "item 3"),
-    "repro.sram.pagetable:PageTable.clear": ("deferred", "item 3"),
-    "repro.sram.pagetable:PageTable.sram_bytes": ("deferred", "item 3"),
-    "repro.workloads.base:WriteWorkload.reset": ("deferred", "item 3"),
-    "repro.workloads.sequential:SequentialWorkload.reset":
-        ("deferred", "item 3"),
-    "repro.workloads.sequential:StridedWorkload.reset": ("deferred", "item 3"),
-    "repro.workloads.tpca:TpcaWorkload.reset": ("deferred", "item 3"),
-    "repro.workloads.zipf:ZipfWorkload.access_share": ("deferred", "item 3"),
-    "repro.sim.analytic:CapacityModel.utilization_curve":
-        ("deferred", "item 3"),
-    "repro.workloads.tpca:TpcaWorkload.accesses_per_transaction":
-        ("deferred", "item 3"),
-    "repro.ext.transactions:Transaction.commit": ("deferred", "item 3"),
     # One-line views that tests read the stack's state through; a test
     # that reached past them would couple to private fields instead.
-    "repro.core.chaos:KillSwitch.disarm":
-        ("observer", "test_recovery, test_fault_recovery, crash props"),
     "repro.cleaning.store:Position.dead_slots":
         ("observer", "test_recovery: the dirtiest victim"),
     "repro.cleaning.store:SegmentStore.position_of":
@@ -242,7 +169,6 @@ REASONS = {
     "loader": "it loads outside input; its hostile-input tests reach it",
     "roadmap": "a ROADMAP item will reach it",
     "bench": "a reported bench reaches it (checked by --roots full)",
-    "deferred": "only its own unit tests call it; a ROADMAP item decides it",
     "observer": "tests read the stack's state through it (an accessor)",
 }
 
@@ -436,6 +362,23 @@ def _ci_windowed_expander() -> None:
         assert runs[0] == runs[1] and runs[0]["replica_accesses"]
 
 
+def _example(name: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(os.path.join(ROOT, "examples", name),
+                       run_name="__main__")
+
+
+#: Examples only ``--roots full`` runs: this one sweeps the timed
+#: simulator for ≈25 s.
+SLOW_EXAMPLES = ("throughput_experiment.py",)
+
+
+def examples() -> List[str]:
+    """Every ``examples/*.py``: README's examples table sends users there."""
+    return sorted(name for name in os.listdir(os.path.join(ROOT, "examples"))
+                  if name.endswith(".py"))
+
+
 E2E_WORKLOADS = ("store_hybrid", "tpca_timed", "svc_zipf_rw",
                  "svc_read_cached", "svc_parity_rw", "svc_fleet_1k")
 
@@ -483,6 +426,9 @@ def quick_roots(scratch: str) -> Dict[str, Callable[[], None]]:
     for name in E2E_WORKLOADS:
         roots[f"e2e {name}"] = partial(_e2e, name,
                                        os.path.join(scratch, "e2e-out"))
+    for name in examples():
+        if name not in SLOW_EXAMPLES:
+            roots[f"example {name}"] = partial(_example, name)
     return roots
 
 
@@ -578,7 +524,7 @@ def check_exempt(functions: List[Function], quick: Set[Tuple[str, int]],
 def report(functions: List[Function], reached: Set[Tuple[str, int]],
            quick: Set[Tuple[str, int]], probe: Probe, out=sys.stdout) -> None:
     """Print every unreached function and a per-module summary; with
-    bench roots, also which bench alone reaches a public function."""
+    the full roots, also which of them alone reaches a public function."""
     unreached = [f for f in functions
                  if (f.path, f.first_line) not in reached]
     print("Unreached functions (P = public, * = abstract stub, "
@@ -587,15 +533,16 @@ def report(functions: List[Function], reached: Set[Tuple[str, int]],
         flags = ("P" if f.public else " ") + ("*" if f.stub else " ") \
             + ("E" if f.public and _exemption(f) else " ")
         print(f"  {flags} {f.key}  ({f.lines} lines)", file=out)
-    benches = {name[len("bench "):]: codes
-               for name, codes in probe.by_root.items()
-               if name.startswith("bench ")}
-    if benches:
-        print("\nPublic functions only a bench reaches:", file=out)
+    slow = {name: codes for name, codes in probe.by_root.items()
+            if name.startswith("bench ")
+            or name[len("example "):] in SLOW_EXAMPLES}
+    if slow:
+        print("\nPublic functions only a --roots full root reaches:",
+              file=out)
         for f in functions:
             where = (f.path, f.first_line)
             if f.public and where in reached and where not in quick:
-                names = [name for name, codes in benches.items()
+                names = [name for name, codes in slow.items()
                          if where in codes]
                 print(f"  {f.key}  <- {', '.join(names)}", file=out)
     print(f"\n{'module':40s} {'funcs':>6s} {'unreached':>9s} "
@@ -626,7 +573,10 @@ def main(argv=None) -> int:
     probe = Probe()
     with tempfile.TemporaryDirectory() as scratch:
         roots = quick_roots(scratch)
+        quick_names = set(roots)
         if args.roots == "full":
+            for name in SLOW_EXAMPLES:
+                roots[f"example {name}"] = partial(_example, name)
             for name in benches():
                 roots[f"bench {name}"] = partial(_bench, name)
         inline = SimpleNamespace(Pool=_InlinePool)
@@ -638,7 +588,7 @@ def main(argv=None) -> int:
             print(f"root {name:28s} {time.perf_counter() - began:7.1f} s",
                   file=sys.stderr)
     quick = set().union(*(codes for name, codes in probe.by_root.items()
-                          if not name.startswith("bench ")))
+                          if name in quick_names))
     report(functions, set().union(*probe.by_root.values()), quick, probe)
     errors = check_exempt(functions, quick, probe, args.roots == "full")
     for error in errors:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.lifetime import LifetimeEstimate
+from repro.core import EnvyConfig
+from repro.core.lifetime import LifetimeEstimate, estimate_lifetime
 from repro.core.metrics import wear_concentration
 from repro.service import (ATTACK_KINDS, AttackDetector, EnvyService,
                            ServiceConfig, TenantSpec, attack_tenant,
@@ -225,12 +226,13 @@ class TestLifetimeUnderSkew:
         factor = wear_concentration(counts)
         assert factor == pytest.approx(segments)
         uniform = LifetimeEstimate(**self.BASE)
-        hammered = uniform.with_concentration(factor)
+        hammered = LifetimeEstimate(**self.BASE, concentration=factor)
         assert hammered.days == pytest.approx(uniform.days / segments)
 
     def test_concentration_below_one_rejected(self):
         with pytest.raises(ValueError):
-            LifetimeEstimate(**self.BASE).with_concentration(0.5)
+            estimate_lifetime(EnvyConfig.paper(), 1000.0, 0.3,
+                              concentration=0.5)
 
     def test_projection_uses_measured_wear(self):
         """The attack's damage shows up in the projection — a higher

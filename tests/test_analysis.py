@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import (banner, format_series, format_table,
-                            line_chart, sparkline)
+from repro.analysis import banner, format_table, line_chart
 
 
 class TestBanner:
@@ -36,27 +35,6 @@ class TestFormatTable:
     def test_empty_rows(self):
         table = format_table(["a", "b"], [])
         assert "a" in table
-
-
-class TestFormatSeries:
-    def test_renders_points(self):
-        text = format_series("curve", [(1, 2.0), (3, 4.5)])
-        assert text.startswith("curve:")
-        assert "(1, 2.00)" in text
-        assert "(3, 4.50)" in text
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] < line[-1]
-
-    def test_flat_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestLineChart:

@@ -88,7 +88,10 @@ HOSTILE_SPECS = [
 
 @pytest.mark.parametrize("parse, error, spec", HOSTILE_SPECS,
                          ids=[spec for _, _, spec in HOSTILE_SPECS])
-def test_hostile_spec_is_refused_in_bounded_time(parse, error, spec):
+def test_hostile_spec_is_refused_in_bounded_time(parse, error, spec,
+                                                 tmp_path, monkeypatch):
+    # A relative ``file:`` path would land in the working directory.
+    monkeypatch.chdir(tmp_path)
     started = time.monotonic()
     with pytest.raises(error):
         parse(spec)

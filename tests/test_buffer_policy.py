@@ -1,34 +1,9 @@
-"""Tests for the FIFO/LRU buffer-eviction ablation machinery."""
+"""Tests for the FIFO/LRU buffer-eviction ablation in the simulator."""
 
 import pytest
 
 from repro.cleaning import GreedyPolicy, HybridPolicy, PolicySimulator
-from repro.sram import LruWriteBuffer, WriteBuffer
 from repro.workloads import BimodalWorkload
-
-
-class TestLruWriteBuffer:
-    def test_hit_promotes_to_head(self):
-        buffer = LruWriteBuffer(capacity_pages=3)
-        buffer.insert(1, None, origin=0)
-        buffer.insert(2, None, origin=0)
-        buffer.insert(3, None, origin=0)
-        buffer.get(1)  # promote the oldest
-        assert buffer.pop_tail().logical_page == 2
-
-    def test_fifo_does_not_promote(self):
-        buffer = WriteBuffer(capacity_pages=3)
-        buffer.insert(1, None, origin=0)
-        buffer.insert(2, None, origin=0)
-        buffer.get(1)
-        assert buffer.pop_tail().logical_page == 1
-
-    def test_peek_never_promotes(self):
-        buffer = LruWriteBuffer(capacity_pages=3)
-        buffer.insert(1, None, origin=0)
-        buffer.insert(2, None, origin=0)
-        buffer.peek(1)
-        assert buffer.pop_tail().logical_page == 1
 
 
 class TestSimulatorBufferPolicy:

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.cleaning import (cleaning_cost, cost_curve, utilization_for_cost,
-                            write_amplification)
+from repro.cleaning import cleaning_cost
 
 
 class TestCleaningCost:
@@ -39,30 +38,3 @@ class TestCleaningCost:
             cleaning_cost(-0.1)
         with pytest.raises(ValueError):
             cleaning_cost(1.1)
-
-
-class TestInverse:
-    def test_round_trip(self):
-        for u in (0.0, 0.25, 0.5, 0.8, 0.9):
-            assert utilization_for_cost(cleaning_cost(u)) == pytest.approx(u)
-
-    def test_infinite_cost(self):
-        assert utilization_for_cost(math.inf) == 1.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            utilization_for_cost(-1.0)
-
-
-class TestWriteAmplification:
-    def test_includes_the_flush_itself(self):
-        assert write_amplification(0.8) == pytest.approx(5.0)
-        assert write_amplification(0.0) == pytest.approx(1.0)
-
-
-class TestCostCurve:
-    def test_matches_figure_6_series(self):
-        points = cost_curve([0.1, 0.5, 0.8])
-        assert points[0][1] == pytest.approx(1 / 9)
-        assert points[1][1] == pytest.approx(1.0)
-        assert points[2][1] == pytest.approx(4.0)

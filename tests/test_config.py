@@ -108,10 +108,6 @@ class TestEnvyConfig:
         c = EnvyConfig.paper()
         assert c.buffer_pages == c.pages_per_segment
 
-    def test_partitions_of_16_segments(self):
-        # Section 5.1: "The partition size was fixed at 16 segments".
-        assert EnvyConfig.paper().num_partitions == 8
-
     def test_validate_accepts_paper_config(self):
         EnvyConfig.paper().validate()
 

@@ -384,7 +384,7 @@ class TestReadRunNs:
                 address = rng.randrange(system.size_bytes - 8)
                 system.write(address, b"\x01" * 8)
             system.page_table._entries[TestReadRunNs.UNMAPPED] = None
-            system.mmu.invalidate(TestReadRunNs.UNMAPPED)
+            system.mmu.flush()
             systems.append(system)
         return systems
 

@@ -61,12 +61,6 @@ class TestLifetime:
         assert estimate.days == pytest.approx(3151, rel=0.01)
         assert estimate.years == pytest.approx(8.63, rel=0.01)
 
-    def test_lifetime_proportional_to_array_size(self):
-        # Section 5.5: "an array half the size has half the lifetime".
-        full = paper_example()
-        half = full.scaled_to_array(0.5)
-        assert half.days == pytest.approx(full.days / 2, rel=0.01)
-
     def test_write_rate_includes_cleaning(self):
         estimate = estimate_lifetime(EnvyConfig.paper(),
                                      page_flush_rate=1000,

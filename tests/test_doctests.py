@@ -4,14 +4,12 @@ import doctest
 
 import pytest
 
-import repro.analysis.charts
 import repro.cleaning.cost
 import repro.workloads.bimodal
 
 MODULES = [
     repro.cleaning.cost,
     repro.workloads.bimodal,
-    repro.analysis.charts,
 ]
 
 

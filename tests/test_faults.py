@@ -340,10 +340,8 @@ class TestControllerUnderFaults:
         system = EnvySystem(faulty_config())
         with RunTrace.of(system).recording(system) as trace:
             run_workload(system, writes=5000, seed=1)
-        assert trace.faults
-        counts = trace.fault_counts()
-        assert counts.get("transient_program_failure", 0) > 0
-        assert "faults:" in trace.summary()
+        assert any(event.kind == "transient_program_failure"
+                   for event in trace.faults)
 
     def test_ecc_check_time_is_charged(self):
         base = faulty_config()

@@ -20,15 +20,6 @@ class TestArray:
         assert array.pages_per_segment == 16
         assert array.total_pages == 128
 
-    def test_physical_address_round_trip(self, array):
-        for phys in (0, 17, 127):
-            seg, page = array.split_physical(phys)
-            assert array.join_physical(seg, page) == phys
-
-    def test_split_out_of_range(self, array):
-        with pytest.raises(AddressError):
-            array.split_physical(128)
-
     def test_bank_of(self, array):
         assert array.bank_of(0) == 0
         assert array.bank_of(3) == 0
@@ -49,19 +40,6 @@ class TestArray:
     def test_erase_segment_timing(self, array):
         assert array.erase_segment(0) == array.params.erase_ns
 
-    def test_utilization_and_live_pages(self, array):
-        assert array.utilization() == 0.0
-        array.program_page(0, bytes(256))
-        array.program_page(0, bytes(256))
-        array.invalidate_page(0, 0)
-        assert array.live_pages() == 1
-        assert array.utilization() == pytest.approx(1 / 128)
-
-    def test_erased_segments(self, array):
-        assert array.erased_segments() == list(range(8))
-        array.program_page(2, bytes(256))
-        assert 2 not in array.erased_segments()
-
     def test_wear_stats(self, array):
         array.erase_segment(0)
         array.erase_segment(0)
@@ -70,13 +48,6 @@ class TestArray:
         assert stats.erase_counts[:3] == [2, 1, 0]
         assert stats.spread == 2
         assert stats.total_erases == 3
-
-    def test_wear_remaining_fraction(self, array):
-        stats = array.wear_stats()
-        assert stats.remaining_fraction == 1.0
-        array.erase_segment(0)
-        stats = array.wear_stats()
-        assert 0.0 < stats.remaining_fraction < 1.0
 
     def test_page_size_must_divide_segment(self):
         params = FlashParams(chip_bytes=4096, chips_per_bank=4, num_banks=1,

@@ -61,19 +61,6 @@ class TestStates:
         with pytest.raises(ProgramError):
             seg.invalidate_page(5)
 
-    def test_utilization(self, seg):
-        for _ in range(4):
-            seg.program_page(b"aaaa")
-        seg.invalidate_page(0)
-        assert seg.utilization == pytest.approx(3 / 8)
-
-    def test_live_pages_preserves_order(self, seg):
-        for i in range(5):
-            seg.program_page(bytes([i] * 4))
-        seg.invalidate_page(1)
-        seg.invalidate_page(3)
-        assert seg.live_pages() == [0, 2, 4]
-
 
 class TestReads:
     def test_read_back(self, seg):

@@ -19,7 +19,6 @@ from repro.core.recovery import (SimulatedPowerFailure, attach_journal,
                                  recover)
 from repro.db import TpcaDatabase
 from repro.ext import TransactionManager
-from repro.flash.endurance import DegradationCurve
 from repro.ramdisk import BlockDevice
 
 
@@ -112,20 +111,6 @@ class TestSnapshotsCompose:
 
 
 class TestBlockDeviceUnderStress:
-    def test_block_device_with_degraded_array(self):
-        system = EnvySystem(EnvyConfig.small(num_segments=8,
-                                             pages_per_segment=64))
-        system.array.enable_degradation(
-            DegradationCurve(system.config.flash.program_ns, 10 ** 9,
-                             rate=1e-2, exponent=1.0))
-        device = BlockDevice(system, block_bytes=512)
-        payload = bytes(range(256)) * 2
-        for block in range(20):
-            device.write_block(block, payload)
-        for block in range(20):
-            assert device.read_block(block) == payload
-        system.check_consistency()
-
     def test_block_device_survives_crashes(self):
         system = EnvySystem(EnvyConfig.small(num_segments=8,
                                              pages_per_segment=64))

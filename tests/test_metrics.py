@@ -142,6 +142,3 @@ class TestSimStats:
         stats = SimStats(requested_tps=100)
         assert stats.throughput_tps == 0.0
         assert stats.time_breakdown() == {}
-
-    def test_row_renders(self):
-        assert "9,000" in self.make().row()

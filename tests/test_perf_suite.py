@@ -195,7 +195,7 @@ def test_segment_live_slots_incremental():
         segment.program_page(b"\x00" * 16)
     segment.invalidate_page(1)
     segment.invalidate_page(3)
-    assert segment.live_pages() == [0, 2]
+    assert segment.live_slots == {0, 2}
     rebuilt = set(segment.live_slots)
     segment.rebuild_live_slots()
     assert set(segment.live_slots) == rebuilt
@@ -203,7 +203,7 @@ def test_segment_live_slots_incremental():
     segment.invalidate_page(2)
     segment.begin_erase()
     segment.finish_erase()
-    assert segment.live_pages() == []
+    assert segment.live_slots == set()
 
 
 def test_rebuild_derived_after_direct_mutation():

@@ -205,6 +205,25 @@ class TestSnapshotErrors:
         with pytest.raises(SnapshotError, match=message):
             load_system(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("edit", [
+        lambda state: state["positions"][0].update(
+            avg_clean_interval=float("nan")),
+        lambda state: state["positions"][0].update(product=float("inf")),
+        lambda state: state["phys_erase_counts"].__setitem__(0, -10 ** 6),
+        lambda state: state["segments"][0].update(erase_count=-1),
+        lambda state: state["counters"].update(flush_count=-10 ** 9),
+        lambda state: state["leveler"].update(swap_count=-7),
+        lambda state: state["positions"][0].update(clean_count=-3),
+    ], ids=["nan-interval", "infinite-product", "negative-phys-erases",
+            "negative-segment-erases", "negative-counter",
+            "negative-swap-count", "negative-clean-count"])
+    def test_value_no_writer_produces(self, edit):
+        """Right type, impossible value: refused at load, not carried
+        into the next run's statistics."""
+        raw = self.edited(self.snapshot_4x8(), edit)
+        with pytest.raises(SnapshotError, match="undecodable|shape"):
+            load_system(io.BytesIO(raw))
+
     @pytest.mark.parametrize("policy, register", POLICY_REGISTERS)
     def test_register_past_the_last_position(self, policy, register):
         """A CRC-valid snapshot whose cleaning register points past the
@@ -298,6 +317,19 @@ class TestHostileCheckpoint:
     def test_wrong_shape_is_skipped(self, key, value):
         self.plant(lambda system, cid: encode_state(
             {**capture(system), "checkpoint_id": cid, key: value}))
+
+    @pytest.mark.parametrize("edit", [
+        lambda state: state["leveler"].update(swap_count=-7),
+        lambda state: state["positions"][0].update(
+            avg_clean_interval=float("nan")),
+    ], ids=["negative-swap-count", "nan-interval"])
+    def test_value_no_writer_produces_is_skipped(self, edit):
+        def blob(system, cid):
+            state = {**capture(system), "checkpoint_id": cid}
+            edit(state)
+            return encode_state(state)
+
+        self.plant(blob)
 
     @pytest.mark.parametrize("policy, register", POLICY_REGISTERS)
     def test_register_past_the_last_position_is_skipped(self, policy,

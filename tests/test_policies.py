@@ -9,7 +9,7 @@ import pytest
 from repro.cleaning import (FifoPolicy, GreedyPolicy, HybridPolicy,
                             LocalityGatheringPolicy, PolicySimulator,
                             SegmentStore, make_policy, measure_cleaning_cost)
-from repro.workloads import BimodalWorkload, UniformWorkload
+from repro.workloads import BimodalWorkload, TraceWorkload, UniformWorkload
 
 from .fidelity import LEDGER
 
@@ -258,36 +258,30 @@ class TestHybrid:
         sim.store.check_invariants()
 
 
+def replay(sim, pages):
+    """Run ``sim`` over exactly ``pages``, in order."""
+    sim.run(TraceWorkload(sim.store.num_logical_pages, pages), len(pages))
+
+
 class TestSimulatorBuffer:
     def test_buffer_coalesces_repeated_writes(self):
         sim = PolicySimulator(GreedyPolicy(), num_segments=8,
                               pages_per_segment=32, buffer_pages=16)
-        for _ in range(10):
-            sim.write(0)
+        replay(sim, [0] * 10)
         assert sim.buffer_hits == 9
         assert sim.store.flush_count == 0
 
     def test_buffer_flushes_fifo_tail(self):
         sim = PolicySimulator(GreedyPolicy(), num_segments=8,
                               pages_per_segment=32, buffer_pages=2)
-        sim.write(0)
-        sim.write(1)
-        sim.write(2)  # evicts page 0
+        replay(sim, [0, 1, 2])  # 2 evicts page 0
         assert sim.store.page_location[0] != (-1, -1)
         assert sim.store.position_of(0) is not None
-
-    def test_drain_empties_buffer(self):
-        sim = PolicySimulator(GreedyPolicy(), num_segments=8,
-                              pages_per_segment=32, buffer_pages=8)
-        for page in range(5):
-            sim.write(page)
-        sim.drain()
-        assert all(sim.store.position_of(p) is not None for p in range(5))
 
     def test_zero_buffer_flushes_immediately(self):
         sim = PolicySimulator(GreedyPolicy(), num_segments=8,
                               pages_per_segment=32, buffer_pages=0)
-        sim.write(0)
+        replay(sim, [0])
         assert sim.store.flush_count == 1
 
     def test_workload_size_mismatch_rejected(self):
@@ -305,21 +299,6 @@ class TestSimulatorBuffer:
         with pytest.raises(ValueError, match="-[13]"):
             sim.run(workload, **kwargs)
         assert sim.host_writes == 0
-
-    def test_write_and_run_share_one_path(self):
-        """Page-at-a-time ``write`` and bulk ``run`` end in the same state."""
-        sims = [PolicySimulator(HybridPolicy(4), num_segments=8,
-                                pages_per_segment=32, buffer_pages=16,
-                                wear_threshold=3)
-                for _ in range(2)]
-        live = sims[0].store.num_logical_pages
-        sims[0].run(BimodalWorkload(live, seed=3), 4000)
-        stream = BimodalWorkload(live, seed=3)
-        for _ in range(4000):
-            sims[1].write(stream.next_page())
-        assert sims[0].result() == sims[1].result()
-        assert sims[0].result().wear_swaps > 0
-        assert sims[0].store.page_location == sims[1].store.page_location
 
     def test_result_fields(self):
         result = measure_cleaning_cost(GreedyPolicy(), "50/50",

@@ -13,25 +13,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cleaning import (GreedyPolicy, HybridPolicy,
+from repro.backends import RegistryError, parse_spec
+from repro.cleaning import (IN_BUFFER, GreedyPolicy, HybridPolicy,
                             LocalityGatheringPolicy, PolicySimulator,
-                            WearLeveler, cleaning_cost, utilization_for_cost)
+                            WearLeveler, cleaning_cost)
 from repro.core import EnvyConfig, EnvySystem
 from repro.db import BTree, BTreeGeometry
 from repro.ramdisk import BlockDevice
 from repro.sram import WriteBuffer
+from repro.workloads import TraceWorkload
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestCostModelProperties:
-    @given(st.floats(min_value=0.0, max_value=0.999))
-    @settings(**COMMON)
-    def test_cost_round_trip(self, utilization):
-        assert utilization_for_cost(cleaning_cost(utilization)) == \
-            pytest.approx(utilization, abs=1e-9)
-
     @given(st.floats(min_value=0.0, max_value=0.999),
            st.floats(min_value=0.0, max_value=0.999))
     @settings(**COMMON)
@@ -57,7 +53,7 @@ class TestWriteBufferProperties:
         evicted = []
         for page in pages:
             if page in buffer:
-                buffer.get(page)
+                buffer.peek(page)
                 continue
             if buffer.is_full:
                 evicted.append(buffer.pop_tail().logical_page)
@@ -66,6 +62,13 @@ class TestWriteBufferProperties:
         while len(buffer):
             evicted.append(buffer.pop_tail().logical_page)
         assert evicted == inserted
+
+
+def replay(simulator, writes):
+    """Run ``simulator`` over ``writes``, each taken modulo its pages."""
+    live = simulator.store.num_logical_pages
+    simulator.run(TraceWorkload(live, [value % live for value in writes]),
+                  len(writes))
 
 
 class TestStoreProperties:
@@ -81,15 +84,8 @@ class TestStoreProperties:
         simulator = PolicySimulator(policy, num_segments=8,
                                     pages_per_segment=16,
                                     buffer_pages=4)
-        live = simulator.store.num_logical_pages
-        for value in writes:
-            simulator.write(value % live)
+        replay(simulator, writes)
         simulator.store.check_invariants()
-        simulator.drain()
-        simulator.store.check_invariants()
-        # Every logical page is resident in flash after a drain.
-        for page in range(live):
-            assert simulator.store.position_of(page) is not None
 
     @given(writes=st.lists(st.integers(0, 10 ** 6), min_size=50,
                            max_size=300))
@@ -97,11 +93,10 @@ class TestStoreProperties:
     def test_live_page_count_is_conserved(self, writes):
         simulator = PolicySimulator(GreedyPolicy(), num_segments=8,
                                     pages_per_segment=16, buffer_pages=4)
-        live = simulator.store.num_logical_pages
-        for value in writes:
-            simulator.write(value % live)
-        buffered = len(simulator._buffer)
-        assert simulator.store.live_pages() + buffered == live
+        replay(simulator, writes)
+        store = simulator.store
+        buffered = store.page_location.count(IN_BUFFER)
+        assert store.live_pages() + buffered == store.num_logical_pages
 
 
 def _poll_every_flush(simulator, pages):
@@ -312,3 +307,37 @@ class TestBlockDeviceProperties:
                 device = BlockDevice(system, block_bytes=512)
         for block, sector in model.items():
             assert device.read_block(block) == sector
+
+
+#: Characters the ``name:key=value`` grammar gives meaning to, plus the
+#: spellings ``_coerce`` turns into numbers and booleans.
+SPEC_CHARS = ":=,. \t-+_/0123456789eEfnaiorstuxy"
+SPEC_TOKENS = st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e400",
+                               "9" * 400, "true", "off", "0x10", "1_0",
+                               "file", "path=", "=", ":", ","])
+
+
+class TestSpecGrammar:
+    @given(spec=st.one_of(
+        st.text(),
+        st.text(alphabet=SPEC_CHARS),
+        st.lists(st.one_of(SPEC_TOKENS, st.text(alphabet=SPEC_CHARS,
+                                                max_size=3)),
+                 max_size=12).map("".join)))
+    @example(spec="file:path=relative.img")
+    @example(spec="a:b=" + "9" * 5000)
+    @example(spec=" :=,=")
+    @settings(max_examples=300, **COMMON)
+    def test_parses_to_finite_options_or_refuses(self, spec):
+        """Any text is a spec with typed, finite option values, or a
+        :class:`RegistryError` (parsing creates nothing: no backend is
+        built, so a ``file:`` spec touches no file)."""
+        try:
+            name, options = parse_spec(spec)
+        except RegistryError:
+            return
+        assert isinstance(name, str) and ":" not in name
+        for key, value in options.items():
+            assert isinstance(key, str)
+            assert type(value) in (bool, int, float, str)
+            assert not isinstance(value, float) or math.isfinite(value)

@@ -52,10 +52,6 @@ class TestNarrowPathTimings:
         timings = narrow_path_timings(prototype_config(chips=32))
         assert timings.flush_total_ns == timings.flush_transfer_ns + 4000
 
-    def test_slowdown_vs_wide(self):
-        timings = narrow_path_timings(prototype_config(chips=32))
-        assert timings.slowdown_vs_wide() > 3.0
-
 
 class TestPrototypeController:
     def small(self, **kwargs):

@@ -39,18 +39,6 @@ class TestBlockDevice:
         with pytest.raises(BlockDeviceError):
             device.read_block(device.num_blocks)
 
-    def test_partial_update_read_modify_write(self, device):
-        device.write_block(2, b"\xAA" * 512)
-        reads_before = device.reads
-        device.update_bytes(2, 100, b"\x55\x55")
-        assert device.reads == reads_before + 1  # the forced read
-        sector = device.read_block(2)
-        assert sector[99:103] == b"\xAA\x55\x55\xAA"
-
-    def test_update_overflow_rejected(self, device):
-        with pytest.raises(BlockDeviceError):
-            device.update_bytes(0, 510, b"abc")
-
     def test_offset_carves_region(self):
         system = make_system()
         device = BlockDevice(system, block_bytes=512, offset=4096,
@@ -99,10 +87,6 @@ class TestBlockDeviceCostModel:
         _, read_ns = device.read_block_timed(1)
         assert read_ns == DRAM_READ_NS
         assert device.write_block_timed(1, bytes(512)) == DRAM_WRITE_NS
-
-    def test_update_bytes_returns_rmw_time(self, device):
-        ns = device.update_bytes(2, 100, b"\x55\x55")
-        assert ns == device.read_ns + device.write_ns
 
     def test_stats_snapshot(self, device):
         device.write_block(0, bytes(512))

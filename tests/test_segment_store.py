@@ -29,11 +29,6 @@ class TestPopulate:
         assert store.page_location[5][0] == 0
         assert store.page_location[6][0] == 1
 
-    def test_spread_round_robin(self):
-        store = make_store(4, 8, logical=10)
-        store.populate_spread()
-        assert [p.live_count for p in store.positions] == [3, 3, 2, 2]
-
     def test_cannot_populate_twice(self):
         store = make_store()
         store.populate_sequential()

@@ -15,12 +15,6 @@ class TestSequential:
         workload = SequentialWorkload(5, start=3)
         assert list(workload.next_pages(4)) == [3, 4, 0, 1]
 
-    def test_reset_returns_to_start(self):
-        workload = SequentialWorkload(5, start=2)
-        list(workload.next_pages(4))
-        workload.reset()
-        assert workload.next_page() == 2
-
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             SequentialWorkload(5, start=5)
@@ -52,12 +46,6 @@ class TestStrided:
         a = list(StridedWorkload(20, stride=7).next_pages(40))
         b = list(StridedWorkload(20, stride=7).next_pages(40))
         assert a == b
-
-    def test_reset(self):
-        workload = StridedWorkload(20, stride=7)
-        first = list(workload.next_pages(10))
-        workload.reset()
-        assert list(workload.next_pages(10)) == first
 
     def test_pages_in_range(self):
         workload = StridedWorkload(13, stride=5)

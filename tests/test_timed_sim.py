@@ -122,10 +122,6 @@ class TestSimulatorMechanics:
             simulator.run(0.05, warmup_s=-0.01)
         assert simulator.controller.metrics.reads == 0
 
-    def test_stats_row_renders(self, light_load):
-        row = light_load.row()
-        assert str(round(light_load.cleaning_cost, 2)) in row or row
-
     def test_offered_vs_completed_accounting(self, heavy_load):
         assert (heavy_load.transactions_completed
                 <= heavy_load.transactions_offered)

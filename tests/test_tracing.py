@@ -164,23 +164,12 @@ class TestRecording:
 
 
 class TestDerivedViews:
-    def test_pages_touched_spanning(self, system, trace):
-        page = system.config.page_bytes
-        system.write(page - 2, b"abcd")  # spans two pages
-        assert trace.pages_touched() == {0, 1}
-
     def test_page_writes_stream(self, system, trace):
         page = system.config.page_bytes
         system.write(0, b"a")
         system.read(3 * page, 4)
         system.write(2 * page - 1, b"bc")
         assert trace.page_writes() == [0, 1, 2]
-
-    def test_summary(self, system, trace):
-        system.write(0, b"x")
-        system.read(0, 1)
-        system.read_run_ns(2, 3)
-        assert "4 reads + 1 writes over 2 pages" in trace.summary()
 
 
 class TestTraceToSimulatorLoop:

@@ -115,8 +115,7 @@ class TestWearLevelingEndToEnd:
                                   pages_per_segment=64, utilization=0.8,
                                   buffer_pages=0, wear_leveling=True,
                                   wear_threshold=20)
-        workload.reset()
-        leveled.run(workload, live * 12)
+        leveled.run(BimodalWorkload(live, 0.05, 0.95, seed=11), live * 12)
         assert leveled.result().wear_spread < result.wear_spread
 
 
@@ -143,8 +142,7 @@ class TestWarmupReset:
             return sim, BimodalWorkload.from_label(live, "10/90", seed=2024)
 
         probe, workload = build()
-        for _ in range(warmup_writes):
-            probe.write(workload.next_page())
+        probe.run(workload, warmup_writes)
         sim, workload = build()
         result = sim.run(workload, 0, warmup_writes=warmup_writes)
         return sim, workload, result, probe.leveler.swap_count

@@ -124,12 +124,6 @@ class TestUniform:
         b = list(UniformWorkload(100, seed=5).next_pages(50))
         assert a == b
 
-    def test_reset_restarts_stream(self):
-        workload = UniformWorkload(100, seed=5)
-        first = list(workload.next_pages(20))
-        workload.reset()
-        assert list(workload.next_pages(20)) == first
-
     def test_roughly_uniform(self):
         workload = UniformWorkload(10, seed=2)
         counts = [0] * 10
