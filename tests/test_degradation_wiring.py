@@ -1,13 +1,12 @@
-"""Tests for wear-dependent timing wired through array and controller."""
+"""The array's timing does not depend on wear.
 
-import random
+The §2 wear-dependent timing curve lives in ``repro.flash.endurance``
+for the endurance benchmark; the array itself charges datasheet times
+however worn a segment is.
+"""
 
-import pytest
-
-from repro.core import EnvyConfig, EnvySystem
 from repro.core.config import FlashParams
 from repro.flash import FlashArray
-from repro.flash.endurance import DegradationCurve
 
 
 def small_array(**kwargs):
@@ -19,73 +18,8 @@ def small_array(**kwargs):
 class TestArrayDegradation:
     def test_disabled_by_default(self):
         array = small_array()
-        array.erase_segment(0)
+        for _ in range(100):
+            array.erase_segment(0)
         assert array.program_time_ns(0) == array.params.program_ns
-
-    def test_enabled_tracks_wear(self):
-        array = small_array(store_data=False)
-        array.enable_degradation(
-            DegradationCurve(4000, 250_000, rate=1e-3, exponent=1.0))
-        for _ in range(100):
-            array.erase_segment(0)
-        assert array.program_time_ns(0) == int(4000 * 1.1)
-        assert array.program_time_ns(1) == 4000  # unworn segment
-
-    def test_reads_never_degrade(self):
-        array = small_array(store_data=False)
-        array.enable_degradation()
-        for _ in range(50):
-            array.erase_segment(0)
+        assert array.erase_time_ns(0) == array.params.erase_ns
         assert array.read_time_ns(0) == array.params.read_ns
-
-    def test_erase_curve_independent(self):
-        array = small_array(store_data=False)
-        array.enable_degradation(
-            erase_curve=DegradationCurve(array.params.erase_ns,
-                                         10 ** 12, rate=1e-3,
-                                         exponent=1.0))
-        for _ in range(100):
-            array.erase_segment(2)
-        assert array.erase_time_ns(2) > array.params.erase_ns
-        assert array.program_time_ns(2) == array.params.program_ns
-
-
-class TestControllerWithAgedArray:
-    def aged_flush_cost(self, degrade: bool) -> float:
-        system = EnvySystem(EnvyConfig.small(num_segments=8,
-                                             pages_per_segment=16),
-                            store_data=False)
-        if degrade:
-            # An aggressive curve so a short test shows the effect.
-            system.array.enable_degradation(
-                DegradationCurve(system.config.flash.program_ns,
-                                 10 ** 9, rate=5e-2, exponent=1.0))
-        rng = random.Random(3)
-        for _ in range(4000):
-            system.write(rng.randrange(system.size_bytes - 4), b"abcd")
-        metrics = system.metrics
-        return metrics.busy_ns.get("flush", 0) / max(1, metrics.flushes)
-
-    def test_aged_array_charges_more_flush_time(self):
-        fresh = self.aged_flush_cost(degrade=False)
-        aged = self.aged_flush_cost(degrade=True)
-        assert fresh == pytest.approx(
-            EnvyConfig.small(num_segments=8,
-                             pages_per_segment=16).flash.program_ns,
-            rel=0.01)
-        assert aged > fresh * 1.2
-
-    def test_data_still_intact_under_degradation(self):
-        system = EnvySystem(EnvyConfig.small(num_segments=8,
-                                             pages_per_segment=16))
-        system.array.enable_degradation()
-        rng = random.Random(4)
-        shadow = {}
-        for _ in range(2000):
-            address = rng.randrange(system.size_bytes - 8) & ~7
-            value = rng.randbytes(8)
-            system.write(address, value)
-            shadow[address] = value
-        for address, value in shadow.items():
-            assert system.read(address, 8) == value
-        system.check_consistency()

@@ -1,16 +1,15 @@
-"""Tests for the write-buffer variants (repro.sram.buffer).
+"""Tests for the write buffer's eviction order and bookkeeping
+(repro.sram.buffer).
 
-The paper's buffer is strictly FIFO; :class:`LruWriteBuffer` is the
-"more complex management scheme" the paper rejected, kept so the
-ablation benchmark can measure the decision.  These tests pin the
-difference: FIFO lookups leave eviction order alone, LRU lookups promote
-— plus the shared bookkeeping (capacity errors, removal, power-cycle
-counter semantics).
+The paper's buffer is strictly FIFO: looking a page up leaves eviction
+order alone, and only a remove-and-reinsert moves a page to the head.
+The "more complex management scheme" the paper rejected is measured by
+``PolicySimulator(buffer_policy="lru")``, not by a second buffer class.
 """
 
 import pytest
 
-from repro.sram import BufferFullError, LruWriteBuffer, WriteBuffer
+from repro.sram import BufferFullError, WriteBuffer
 
 
 def fill(buf, pages):
@@ -18,12 +17,16 @@ def fill(buf, pages):
         buf.insert(page, bytearray(buf.page_bytes), origin=0)
 
 
+def oldest(buf):
+    return next(buf.entries()).logical_page
+
+
 class TestFifoOrder:
     def test_get_does_not_disturb_eviction_order(self):
         buf = WriteBuffer(capacity_pages=4)
         fill(buf, [1, 2, 3])
-        buf.get(1)
-        buf.get(1)
+        buf.peek(1)
+        buf.peek(1)
         assert buf.pop_tail().logical_page == 1
 
     def test_remove_then_reinsert_moves_to_head(self):
@@ -38,47 +41,19 @@ class TestFifoOrder:
         buf = WriteBuffer(capacity_pages=8)
         fill(buf, [5, 6, 7, 8])
         buf.remove(5)          # oldest leaves: 6 becomes the tail
-        assert buf.tail().logical_page == 6
+        assert oldest(buf) == 6
         buf.remove(7)          # middle removal cannot change the tail
-        assert buf.tail().logical_page == 6
+        assert oldest(buf) == 6
         assert [e.logical_page for e in buf.entries()] == [6, 8]
-
-
-class TestLruOrder:
-    def test_get_promotes_to_head(self):
-        buf = LruWriteBuffer(capacity_pages=4)
-        fill(buf, [1, 2, 3])
-        buf.get(1)             # 1 is now most-recently-written
-        assert buf.pop_tail().logical_page == 2
-
-    def test_peek_does_not_promote(self):
-        buf = LruWriteBuffer(capacity_pages=4)
-        fill(buf, [1, 2, 3])
-        buf.peek(1)
-        assert buf.pop_tail().logical_page == 1
-
-    def test_repeated_hits_yield_lru_eviction_sequence(self):
-        buf = LruWriteBuffer(capacity_pages=4)
-        fill(buf, [1, 2, 3, 4])
-        buf.get(2)
-        buf.get(1)
-        order = [buf.pop_tail().logical_page for _ in range(4)]
-        assert order == [3, 4, 2, 1]
-
-    def test_remove_after_promotion(self):
-        buf = LruWriteBuffer(capacity_pages=4)
-        fill(buf, [1, 2, 3])
-        buf.get(1)
-        buf.remove(2)
-        assert [e.logical_page for e in buf.entries()] == [3, 1]
+        assert buf.pop_tail().logical_page == 6
 
 
 class TestCapacityAndErrors:
-    @pytest.mark.parametrize("cls", [WriteBuffer, LruWriteBuffer])
+    @pytest.mark.parametrize("cls", [WriteBuffer])
     def test_insert_into_full_buffer_raises(self, cls):
         buf = cls(capacity_pages=2)
         fill(buf, [1, 2])
-        assert buf.is_full and buf.free_slots == 0
+        assert buf.is_full
         with pytest.raises(BufferFullError):
             buf.insert(3, bytearray(buf.page_bytes), origin=0)
 
@@ -98,31 +73,6 @@ class TestCapacityAndErrors:
 
 
 class TestCountersAndPowerCycle:
-    @pytest.mark.parametrize("cls", [WriteBuffer, LruWriteBuffer])
-    def test_hit_rate_zero_before_any_access(self, cls):
-        assert cls(capacity_pages=2).hit_rate() == 0.0
-
-    def test_hit_rate_counts_gets_not_peeks(self):
-        buf = WriteBuffer(capacity_pages=4)
-        fill(buf, [1])
-        buf.get(1)
-        buf.peek(1)
-        buf.get(9)             # miss: no entry, no hit counted
-        assert buf.total_hits == 1
-        assert buf.hit_rate() == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("cls", [WriteBuffer, LruWriteBuffer])
-    def test_power_cycle_resets_counters_keeps_battery_data(self, cls):
-        buf = cls(capacity_pages=4, battery_backed=True)
-        fill(buf, [1, 2])
-        buf.get(1)
-        buf.pop_tail()
-        buf.power_cycle()
-        assert (buf.total_inserts, buf.total_hits, buf.total_flushes) \
-            == (0, 0, 0)
-        assert buf.hit_rate() == 0.0
-        assert len(buf) == 1   # battery preserved the remaining entry
-
     def test_power_cycle_without_battery_loses_contents(self):
         buf = WriteBuffer(capacity_pages=4, battery_backed=False)
         fill(buf, [1, 2])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import EnvyConfig
 from repro.sram import (BufferFullError, Location, Mmu, PageTable,
                         WriteBuffer)
 
@@ -51,15 +52,6 @@ class TestWriteBufferFifo:
         assert 1 not in buf
         with pytest.raises(KeyError):
             buf.remove(1)
-
-    def test_remove_then_reinsert_moves_to_head(self):
-        buf = WriteBuffer(capacity_pages=4)
-        for page in (1, 2, 3):
-            buf.insert(page, None, origin=0)
-        buf.remove(2)
-        buf.insert(2, None, origin=0)
-        assert [e.logical_page for e in buf.entries()] == [1, 3, 2]
-        assert buf.pop_tail().logical_page == 1
 
 
 class TestWriteBufferThreshold:
@@ -152,6 +144,11 @@ class TestPageTable:
             table.lookup(8)
         with pytest.raises(IndexError):
             table.update(-1, Location.sram(0))
+
+    def test_sram_cost_is_six_bytes_per_page(self):
+        # Section 3.3: a mapping requires 6 bytes, one per physical page.
+        config = EnvyConfig.small(num_segments=8, pages_per_segment=125)
+        assert config.page_table_bytes == 6000
 
     def test_counters(self):
         table = PageTable(8)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -226,6 +227,23 @@ class TestZipfWorkload:
         workload = ZipfWorkload(1000, skew=1.2, seed=3, scatter=False)
         hits = sum(1 for p in workload.next_pages(20_000) if p < 100)
         assert hits / 20_000 > 0.6
+
+    def test_scatter_breaks_adjacency_not_distribution(self):
+        plain = ZipfWorkload(200, skew=1.0, seed=5, scatter=False)
+        scattered = ZipfWorkload(200, skew=1.0, seed=5, scatter=True)
+        plain_counts = Counter(plain.next_pages(5000))
+        scattered_counts = Counter(scattered.next_pages(5000))
+        # The same draws land on relabelled pages: the popularity
+        # distribution is unchanged ...
+        assert sorted(plain_counts.values()) == \
+            sorted(scattered_counts.values())
+        # ... but the hot pages are no longer the lowest-numbered ones.
+        assert max(plain_counts, key=plain_counts.get) == 0
+        hottest = {page for page, _ in plain_counts.most_common(10)}
+        assert hottest <= set(range(20))
+        scattered_hottest = {page for page, _
+                             in scattered_counts.most_common(10)}
+        assert not scattered_hottest <= set(range(20))
 
     def test_rejects_negative_skew(self):
         with pytest.raises(ValueError):

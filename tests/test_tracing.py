@@ -164,6 +164,11 @@ class TestRecording:
 
 
 class TestDerivedViews:
+    def test_pages_touched_spanning(self, system, trace):
+        page = system.config.page_bytes
+        system.write(page - 2, b"abcd")  # spans two pages
+        assert trace.page_writes() == [0, 1]
+
     def test_page_writes_stream(self, system, trace):
         page = system.config.page_bytes
         system.write(0, b"a")
