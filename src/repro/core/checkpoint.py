@@ -29,8 +29,9 @@ A checkpoint is :func:`capture`'s record, as zlib-compressed JSON
 
 Bytes read back out of Flash are outside input (under the file backend
 an editable image): :func:`decode_state` runs no code, and any failure
-to inflate, parse or match the record's shape (a ``NaN`` or a negative
-count included) is a :class:`CheckpointError`.
+to inflate, parse or match the record's shape (a ``NaN``, a negative
+count, a utilization outside [0, 1] or a clean stamped after the last
+flush included) is a :class:`CheckpointError`.
 
 The blob is chunked into pages and programmed into one metadata segment;
 each chunk's OOB carries ``kind=CHECKPOINT``, the chunk index as its
@@ -90,9 +91,11 @@ _INT = (int,)
 _NUM = (int, float, type(None))
 #: An int no writer makes negative.
 _COUNT = "count"
+_FRACTION = "fraction"
 #: The shape of a record: a dict gives the shape of each key it requires
 #: (a snapshot adds keys), a one-item list the shape of every element, a
-#: tuple the types a value may have, :data:`_COUNT` a count.
+#: tuple the types a value may have, :data:`_COUNT` a count,
+#: :data:`_FRACTION` a number in [0, 1].
 RECORD_SHAPE = {
     **dict.fromkeys(("checkpoint_id", "write_epoch", "seq_counter"), _COUNT),
     "spare_phys": _INT,
@@ -104,10 +107,12 @@ RECORD_SHAPE = {
                   **dict.fromkeys(COLUMNS, [_INT])}],
     "positions": [{"phys": _INT, "demoted": [_INT],
                    **dict.fromkeys(POSITION_STATS, _NUM),
-                   "clean_count": _COUNT}],
+                   "clean_count": _COUNT, "last_clean_seq": _COUNT,
+                   "last_clean_utilization": _FRACTION}],
     "policy": {"name": (str,), "registers": [_INT], "partitions": [{
         **dict.fromkeys(PARTITION_STATE, _NUM), "active": _INT,
-        "next_victim": _INT, "clean_count": _COUNT}]},
+        "next_victim": _INT, "clean_count": _COUNT,
+        "last_clean_seq": _COUNT}]},
     "leveler": {"swap_count": _COUNT, "last_swap": _INT},
 }
 
@@ -115,6 +120,8 @@ RECORD_SHAPE = {
 def _fits(value, shape) -> bool:
     if shape is _COUNT:
         return type(value) is int and value >= 0
+    if shape is _FRACTION:
+        return type(value) in (int, float) and 0 <= value <= 1
     if isinstance(shape, dict):
         return (isinstance(value, dict) and value.keys() >= shape.keys()
                 and all(_fits(value[key], sub)
@@ -151,6 +158,12 @@ def decode_state(blob: bytes) -> dict:
         raise CheckpointError(f"undecodable state: {error}") from None
     if not _fits(state, RECORD_SHAPE):
         raise CheckpointError("state does not have the shape of a record")
+    # A clean stamps the flush count it ran at (store and hybrid alike).
+    flushes = state["counters"]["flush_count"]
+    if any(stats["last_clean_seq"] > flushes for stats
+           in state["positions"] + state["policy"]["partitions"]):
+        raise CheckpointError(f"state has a clean after its last flush "
+                              f"({flushes})")
     return state
 
 

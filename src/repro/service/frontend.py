@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.chaos import ChaosReport
@@ -236,8 +236,7 @@ class ServiceConfig:
         policy = make_policy(self.redundancy)
         if (policy.name == "none" and self.placement == "striped"
                 and not self.remappable):
-            # The PR-6 router, byte-for-byte: plain striping keeps the
-            # raw-arithmetic partition fast path.
+            # The PR-6 router, byte-for-byte: no policy, no remap.
             return ShardRouter(self.num_shards, self.pages_per_shard,
                                self.page_bytes)
         return RedundantRouter(self.num_shards, self.pages_per_shard,
@@ -414,26 +413,19 @@ class EnvyService:
     # Service runs (schedule -> shard fan-out -> merge)
     # ------------------------------------------------------------------
 
-    def _plain_routing(self) -> bool:
-        """True when partitioning may use the raw striped arithmetic:
-        no redundancy, no remap, no ranged placement, no sick banks."""
-        router = self.router
-        if isinstance(router, RedundantRouter) and not router.is_plain:
-            return False
-        return all(state == BANK_HEALTHY for state in self._bank_states)
-
     def partition(self, requests: Sequence[Request],
                   with_rids: bool = False,
                   rid_base: int = 0) -> List[List[Request]]:
         """Split the schedule (or one window of it, whose first row is
         request ``rid_base``) into per-shard slices with local pages.
 
-        With redundancy, remapping, degraded banks or an active
-        rebuild, each logical request expands into its placement set
-        (replica programs, parity maintenance, degraded redirections,
-        rebuild copy traffic) with overhead rows attributed to pseudo
-        tenants — every extra flash operation is charged through the
-        same cost model as foreground traffic.
+        A read, or a one-slot write, whose primary bank is healthy costs
+        two reads of the router's slot table.  The rest expand into
+        their placement set (replica programs, parity maintenance,
+        degraded redirections), an active rebuild adds its copy traffic,
+        and overhead rows go to pseudo tenants: every extra flash
+        operation is charged through the same cost model as foreground
+        traffic.  A page outside the service raises ``IndexError``.
 
         ``with_rids`` threads request ids (the request's index in the
         merged schedule) through the split: every row a logical request
@@ -447,134 +439,32 @@ class EnvyService:
         carry from window to window; called on its own, every call
         starts from zero and charges no rebuild traffic.
         """
-        num_shards = self.router.num_shards
-        slices: List[List[Request]] = [[] for _ in range(num_shards)]
-        if self._plain_routing():
-            self._last_expansion = None
-            rid_slices = self._last_rids = (
-                [[] for _ in range(num_shards)] if with_rids else None)
-            for rid, (arrival, tenant, seq, is_write,
-                      page) in enumerate(requests, rid_base):
-                shard = page % num_shards
-                slices[shard].append((arrival, tenant, seq, is_write,
-                                      page // num_shards))
-                if with_rids:
-                    rid_slices[shard].append(rid)
-            return slices
-        return self._partition_expanded(requests, slices, with_rids,
-                                        rid_base)
-
-    def _partition_expanded(self, requests: Sequence[Request],
-                            slices: List[List[Request]],
-                            with_rids: bool = False,
-                            rid_base: int = 0) -> List[List[Request]]:
         router = self.router
-        states = self._bank_states
-        num_shards = router.num_shards
-        redundant = isinstance(router, RedundantRouter)
-        parity = redundant and isinstance(router.policy, ParityPolicy)
-        pseudo_red = len(self.tenants)       # __redundancy__
+        banks, locals_ = router.slot_table()
+        slices: List[List[Request]] = [[] for _ in range(router.num_shards)]
+        # A healthy bank's rows append straight to its slice; None sends
+        # them to the expander (a sick bank, or rids to thread).
+        targets = [entry.append if state == BANK_HEALTHY and not with_rids
+                   else None
+                   for entry, state in zip(slices, self._bank_states)]
+        policy = router.policy
+        fans_out = policy is not None and policy.write_fanout > 1
         # Outside a run: fresh counters and no rebuild to charge.
         run = self._run_expansion or self._begin_expansion(0.0)
-        counters = run["counters"]
-        bus = self.events
-
-        cur_rid = 0
-
-        def emit(bank: int, tenant_index: int, seq: int, is_write: bool,
-                 local: int) -> None:
-            row = (arrival, tenant_index, seq, is_write, local)
-            if with_rids:
+        expand = self._expander(slices, run["counters"])
+        rids = count(rid_base)
+        for arrival, tenant, seq, is_write, page in requests:
+            try:
+                target = targets[banks[page]]
+            except IndexError:
+                target = None      # past the table: the expander raises
+            if target is None or page < 0 or (is_write and fans_out):
                 # rid rides as the last tuple element so a later sort
                 # co-sorts rows and rids; stripped before dispatch.
-                row += (cur_rid,)
-            slices[bank].append(row)
-
-        for cur_rid, (arrival, tenant, seq, is_write,
-                      page) in enumerate(requests, rid_base):
-            if is_write:
-                # Only a write needs every slot it must program; a read
-                # routes to its primary (below).
-                placements = (router.placements(page) if redundant
-                              else [router.route(page)])
-                primary_bank, primary_local = placements[0]
-                live = [slot for slot in placements
-                        if states[slot[0]] != BANK_DEAD]
-                if not live:
-                    raise DegradedModeError(
-                        f"page {page}: every placement {placements} is "
-                        f"on a dead bank — redundancy exhausted")
-                primary_dead = states[primary_bank] == BANK_DEAD
-                if primary_dead:
-                    counters["degraded_writes"] += 1
-                    if bus.active:
-                        bus.mark(REDUNDANCY_DEGRADED,
-                                 {"page": page, "bank": primary_bank,
-                                  "source": "write"})
-                if parity:
-                    if primary_dead:
-                        # Degraded parity write: fold the update into
-                        # parity by reading every surviving data member
-                        # of the stripe.
-                        parity_bank = live[0][0]
-                        for peer in range(num_shards):
-                            if (peer in (primary_bank, parity_bank)
-                                    or states[peer] == BANK_DEAD):
-                                continue
-                            counters["replica_accesses"] += 1
-                            emit(peer, pseudo_red, seq, False,
-                                 primary_local)
-                    elif len(live) > 1:
-                        # RAID small write: read old data + old parity
-                        # before programming both.
-                        for bank, local in live:
-                            counters["replica_accesses"] += 1
-                            emit(bank, pseudo_red, seq, False, local)
-                first = True
-                for bank, local in live:
-                    if first:
-                        emit(bank, tenant, seq, True, local)
-                        first = False
-                        continue
-                    counters["replica_accesses"] += 1
-                    if bus.active:
-                        bus.mark(REDUNDANCY_REPLICA,
-                                 {"bank": bank, "kind": "program"})
-                    emit(bank, pseudo_red, seq, True, local)
-                continue
-            # Reads: primary if healthy, else the first fully-healthy
-            # fallback group (one mirror slot, or a whole parity
-            # stripe XORed together).  A rebuilding bank takes writes
-            # but is not trusted for reads until its rebuild verifies.
-            primary_bank, primary_local = router.route(page)
-            if states[primary_bank] == BANK_HEALTHY:
-                emit(primary_bank, tenant, seq, False, primary_local)
-                continue
-            served = False
-            for group in (router.read_groups(page) if redundant else []):
-                if any(states[bank] != BANK_HEALTHY
-                       for bank, _ in group):
-                    continue
-                counters["degraded_reads"] += 1
-                if bus.active:
-                    bus.mark(REDUNDANCY_DEGRADED,
-                             {"page": page, "bank": primary_bank,
-                              "source": "read"})
-                first = True
-                for bank, local in group:
-                    if first:
-                        emit(bank, tenant, seq, False, local)
-                        first = False
-                        continue
-                    counters["replica_accesses"] += 1
-                    emit(bank, pseudo_red, seq, False, local)
-                served = True
-                break
-            if not served:
-                raise DegradedModeError(
-                    f"page {page}: primary bank {primary_bank} is dead "
-                    f"and no fallback group survives — redundancy "
-                    f"exhausted")
+                expand(arrival, tenant, seq, is_write, page,
+                       (next(rids),) if with_rids else ())
+            else:
+                target((arrival, tenant, seq, is_write, locals_[page]))
 
         if run["cursors"]:
             self._inject_rebuild(
@@ -592,8 +482,92 @@ class EnvyService:
                 slices[index] = [row[:-1] for row in entry]
         else:
             self._last_rids = None
-        self._last_expansion = counters
+        self._last_expansion = run["counters"]
         return slices
+
+    def _expander(self, slices: List[List[Request]],
+                  counters: Dict[str, int]):
+        """``expand(arrival, tenant, seq, is_write, page, tail)`` appends
+        the rows a request that does not simply route to a healthy
+        primary becomes, each ending in ``tail``; ``counters`` tallies."""
+        router = self.router
+        states = self._bank_states
+        parity = isinstance(router.policy, ParityPolicy)
+        pseudo_red = len(self.tenants)       # __redundancy__
+        bus = self.events
+
+        def expand(arrival: int, tenant: int, seq: int, is_write: bool,
+                   page: int, tail: tuple) -> None:
+            if is_write:
+                placements = router.placements(page)
+                primary_bank, primary_local = placements[0]
+                live = [slot for slot in placements
+                        if states[slot[0]] != BANK_DEAD]
+                if not live:
+                    raise DegradedModeError(
+                        f"page {page}: every placement {placements} is "
+                        f"on a dead bank — redundancy exhausted")
+                primary_dead = states[primary_bank] == BANK_DEAD
+                if primary_dead:
+                    counters["degraded_writes"] += 1
+                    if bus.active:
+                        bus.mark(REDUNDANCY_DEGRADED,
+                                 {"page": page, "bank": primary_bank,
+                                  "source": "write"})
+                reads = []
+                if parity and primary_dead:
+                    # Degraded parity write: read every surviving data
+                    # member of the stripe to fold the update into parity.
+                    reads = [(peer, primary_local)
+                             for peer in range(router.num_shards)
+                             if peer not in (primary_bank, live[0][0])
+                             and states[peer] != BANK_DEAD]
+                elif parity and len(live) > 1:
+                    # RAID small write: read old data + old parity
+                    # before programming both.
+                    reads = live
+                for bank, local in reads:
+                    slices[bank].append(
+                        (arrival, pseudo_red, seq, False, local) + tail)
+                bank, local = live[0]
+                slices[bank].append((arrival, tenant, seq, True, local)
+                                    + tail)
+                for bank, local in live[1:]:
+                    if bus.active:
+                        bus.mark(REDUNDANCY_REPLICA,
+                                 {"bank": bank, "kind": "program"})
+                    slices[bank].append(
+                        (arrival, pseudo_red, seq, True, local) + tail)
+                counters["replica_accesses"] += len(reads) + len(live) - 1
+                return
+            # Reads: primary if healthy, else the first fully-healthy
+            # fallback group (one mirror slot, or a whole parity stripe
+            # XORed together).  A rebuilding bank takes writes but is not
+            # trusted for reads until its rebuild verifies.
+            primary_bank, primary_local = router.route(page)
+            if states[primary_bank] == BANK_HEALTHY:
+                slices[primary_bank].append(
+                    (arrival, tenant, seq, False, primary_local) + tail)
+                return
+            for group in router.read_groups(page):
+                if any(states[bank] != BANK_HEALTHY for bank, _ in group):
+                    continue
+                counters["degraded_reads"] += 1
+                counters["replica_accesses"] += len(group) - 1
+                if bus.active:
+                    bus.mark(REDUNDANCY_DEGRADED,
+                             {"page": page, "bank": primary_bank,
+                              "source": "read"})
+                for index, (bank, local) in enumerate(group):
+                    slices[bank].append((arrival, pseudo_red if index
+                                         else tenant, seq, False, local)
+                                        + tail)
+                return
+            raise DegradedModeError(
+                f"page {page}: primary bank {primary_bank} is dead and no "
+                f"fallback group survives — redundancy exhausted")
+
+        return expand
 
     def _begin_expansion(self, duration_s: float) -> dict:
         """What one run's expansion carries across its windows: the
@@ -684,8 +658,11 @@ class EnvyService:
                                    "tenants": len(self.tenants)})
         windows, accounting = self._load_generator().stream(duration_s,
                                                              overrides)
-        # Pseudo-tenants follow the tenants, by number.
-        pseudo = ([] if self._plain_routing()
+        # Pseudo-tenants follow the tenants, by number; a run routed as
+        # by the plain striped router, on healthy banks, has none.
+        policy = self.router.policy
+        pseudo = ([] if (policy is None or self.router.is_plain)
+                  and not self.degraded
                   else [_REDUNDANCY_TENANT, _REBUILD_TENANT])
         tenant_names = [t.name for t in self.tenants] + pseudo
         base = self.config.shard_point_base()
@@ -1346,11 +1323,8 @@ class EnvyService:
         """Serve a read whose primary bank is dead from redundancy."""
         router = self.router
         states = self._bank_states
-        parity = (isinstance(router, RedundantRouter)
-                  and isinstance(router.policy, ParityPolicy))
-        groups = (router.read_groups(page)
-                  if isinstance(router, RedundantRouter) else [])
-        for group in groups:
+        parity = isinstance(router.policy, ParityPolicy)
+        for group in router.read_groups(page):
             # Only fully-healthy groups serve reads: a rebuilding bank
             # takes writes but is not trusted as a read source until
             # its rebuild verifies.
@@ -1411,9 +1385,6 @@ class EnvyService:
             raise ValueError("data exceeds one page")
         self._invalidate_cached(page, "write")
         router = self.router
-        if not isinstance(router, RedundantRouter):
-            bank, local = router.route(page)
-            return self.shard(bank).write(local * page_bytes, data)
         states = self._bank_states
         placements = router.placements(page)
         live = [slot for slot in placements

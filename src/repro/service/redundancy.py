@@ -20,8 +20,9 @@ point of failure, in three pieces layered on the
   plus the policy's replica/parity placements, and an overlay
   **remap** (SoftWear-style software remapping, no hardware support)
   lets hot pages migrate between banks after the fact.  The remap is a
-  permutation maintained as a sparse pair of dicts, so an unremapped
-  router routes at the same cost as the plain one.
+  permutation maintained as a sparse pair of dicts; a swap also rewrites
+  the two pages' entries of the router's slot table, so the front-end
+  routes every router, remapped or not, by the same two array reads.
 * :class:`RebuildScheduler` — repopulates a replacement bank from its
   peers (copy from any mirror, or XOR the surviving stripe members)
   in rate-limited batches while the service keeps serving, then
@@ -132,38 +133,6 @@ class RedundancyPolicy:
         return f"{type(self).__name__}({self.name})"
 
 
-class NoRedundancy(RedundancyPolicy):
-    """Full capacity, zero protection: the PR-6 placement unchanged."""
-
-    name = "none"
-    write_fanout = 1
-    survivable = 0
-
-    def validate(self, num_banks: int, pages_per_bank: int) -> None:
-        pass
-
-    def usable_pages(self, num_banks: int, pages_per_bank: int) -> int:
-        return num_banks * pages_per_bank
-
-    def data_slot(self, page: int, num_banks: int, pages_per_bank: int,
-                  placement: str) -> Slot:
-        if placement == "ranged":
-            return page // pages_per_bank, page % pages_per_bank
-        return page % num_banks, page // num_banks
-
-    def extra_slots(self, slot: Slot, num_banks: int,
-                    pages_per_bank: int) -> List[Slot]:
-        return []
-
-    def page_of_slot(self, slot: Slot, num_banks: int,
-                     pages_per_bank: int, placement: str
-                     ) -> Optional[int]:
-        bank, local = slot
-        if placement == "ranged":
-            return bank * pages_per_bank + local
-        return local * num_banks + bank
-
-
 class MirrorPolicy(RedundancyPolicy):
     """``copies`` byte-identical copies on ``copies`` distinct banks.
 
@@ -176,7 +145,6 @@ class MirrorPolicy(RedundancyPolicy):
     """
 
     name = "mirror"
-    survivable_offset = 1
 
     def __init__(self, copies: int = 2) -> None:
         if copies < 2:
@@ -235,6 +203,19 @@ class MirrorPolicy(RedundancyPolicy):
         if placement == "ranged":
             return primary_bank * region + primary_local
         return primary_local * num_banks + primary_bank
+
+
+class NoRedundancy(MirrorPolicy):
+    """Full capacity, zero protection: the PR-6 placement unchanged.
+
+    One copy is one-way mirroring: a single region per bank, no extra
+    slots and no fallback reads.
+    """
+
+    name = "none"
+
+    def __init__(self) -> None:
+        self.copies = 1
 
 
 class ParityPolicy(RedundancyPolicy):
@@ -352,29 +333,6 @@ class RedundantRouter(ShardRouter):
         return self.policy.data_slot(owner, self.num_shards,
                                      self.pages_per_shard, self.placement)
 
-    def global_page(self, shard_index: int, local_page: int) -> int:
-        """Strict inverse of :meth:`route` (primary data slots only)."""
-        if not 0 <= shard_index < self.num_shards:
-            raise IndexError(f"no shard {shard_index}")
-        if not 0 <= local_page < self.pages_per_shard:
-            raise IndexError(
-                f"local page {local_page} outside shard "
-                f"{shard_index}'s {self.pages_per_shard} pages")
-        page = self.page_of_slot((shard_index, local_page))
-        if page is None:
-            raise IndexError(
-                f"slot ({shard_index}, {local_page}) is not a primary "
-                f"data slot under policy {self.policy.name!r}")
-        owner = self._remap.get(page, page)
-        if self.policy.data_slot(owner, self.num_shards,
-                                 self.pages_per_shard,
-                                 self.placement) != (shard_index,
-                                                     local_page):
-            raise IndexError(
-                f"slot ({shard_index}, {local_page}) holds a replica, "
-                f"not a primary copy")
-        return page
-
     def page_of_slot(self, slot: Slot) -> Optional[int]:
         """Logical page whose content lives in ``slot`` (any copy)."""
         owner = self.policy.page_of_slot(slot, self.num_shards,
@@ -400,7 +358,7 @@ class RedundantRouter(ShardRouter):
     def is_plain(self) -> bool:
         """True when routing is bit-identical to the plain striped
         router (no redundancy, no ranged placement, no remap) — the
-        front-end's licence to keep the PR-6 arithmetic fast path."""
+        front-end's licence to run without overhead pseudo-tenants."""
         return (self.policy.name == "none"
                 and self.placement == "striped" and not self._remap)
 
@@ -430,6 +388,9 @@ class RedundantRouter(ShardRouter):
             else:
                 self._remap[page] = owner
                 self._inverse[owner] = page
+        if self._table is not None:
+            for page in (page_a, page_b):
+                self._table[0][page], self._table[1][page] = self.route(page)
 
     # -- rebuild plans -------------------------------------------------
 
@@ -460,12 +421,7 @@ class RedundantRouter(ShardRouter):
                 page = self.page_of_slot((bank, local))
                 if page is None:
                     continue
-                owner = self._remap.get(page, page)
-                primary = policy.data_slot(owner, num_banks, pages,
-                                           self.placement)
-                copies = [primary] + policy.extra_slots(primary,
-                                                        num_banks, pages)
-                sources = [slot for slot in copies
+                sources = [slot for slot in self.placements(page)
                            if slot != (bank, local)]
                 plan.append({"local": local, "op": "copy",
                              "sources": sources, "page": page})
@@ -510,9 +466,8 @@ def plan_rebalance(router: RedundantRouter,
         return []
     per_bank: List[List[Tuple[int, int]]] = [[] for _ in range(num_banks)]
     loads = [0] * num_banks
-    for page in range(router.num_pages):
+    for page, bank in enumerate(router.slot_table()[0]):
         load = page_loads.get(page, 0)
-        bank = router.route(page)[0]
         per_bank[bank].append((load, page))
         loads[bank] += load
     total = sum(loads)

@@ -27,12 +27,16 @@ that partitioning:
   service.chaos` its independent per-shard recovery).
 
 The router is pure arithmetic: it holds no controller references and
-pickles trivially into sweep workers.
+pickles trivially into sweep workers.  :meth:`ShardRouter.slot_table`
+caches it per page, the table the front-end routes every request by.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from array import array
+from typing import List, Optional, Tuple
+
+from .loadgen import _typecode
 
 __all__ = ["ShardRouter"]
 
@@ -41,7 +45,10 @@ class ShardRouter:
     """Maps the global logical page space onto shard-local pages."""
 
     __slots__ = ("num_shards", "pages_per_shard", "page_bytes",
-                 "num_pages", "placement")
+                 "num_pages", "placement", "_table")
+
+    #: No redundancy policy: one copy of every page.
+    policy = None
 
     def __init__(self, num_shards: int, pages_per_shard: int,
                  page_bytes: int = 256,
@@ -60,6 +67,7 @@ class ShardRouter:
         self.placement = placement
         #: Logical pages presented by the whole service.
         self.num_pages = num_shards * pages_per_shard
+        self._table = None
 
     # ------------------------------------------------------------------
     # Routing
@@ -78,14 +86,43 @@ class ShardRouter:
             return page // self.pages_per_shard, page % self.pages_per_shard
         return page % self.num_shards, page // self.num_shards
 
+    def placements(self, page: int) -> List[Tuple[int, int]]:
+        """Every slot a write to ``page`` programs: the primary alone."""
+        return [self.route(page)]
+
+    def read_groups(self, page: int) -> List[List[Tuple[int, int]]]:
+        """Fallback sources for a dead primary: none without copies."""
+        return []
+
+    def slot_table(self) -> Tuple[array, array]:
+        """Every page's :meth:`route`, as ``(bank, local)`` array columns
+        indexed by page; built on first use, kept current by ``swap``."""
+        if self._table is None:
+            size = self.num_pages
+            bank = array(_typecode(self.num_shards), [0]) * size
+            local = array(_typecode(self.pages_per_shard), [0]) * size
+            for page in range(size):
+                bank[page], local[page] = self.route(page)
+            self._table = bank, local
+        return self._table
+
     def global_page(self, shard_index: int, local_page: int) -> int:
-        """Inverse of :meth:`route`."""
+        """Strict inverse of :meth:`route` (primary data slots only)."""
         if not 0 <= shard_index < self.num_shards:
             raise IndexError(f"no shard {shard_index}")
         if not 0 <= local_page < self.pages_per_shard:
             raise IndexError(
                 f"local page {local_page} outside shard "
                 f"{shard_index}'s {self.pages_per_shard} pages")
+        page = self.page_of_slot((shard_index, local_page))
+        if page is None or self.route(page) != (shard_index, local_page):
+            raise IndexError(f"slot ({shard_index}, {local_page}) holds "
+                             f"no primary data copy")
+        return page
+
+    def page_of_slot(self, slot: Tuple[int, int]) -> Optional[int]:
+        """Logical page whose content lives in ``slot``."""
+        shard_index, local_page = slot
         if self.placement == "ranged":
             return shard_index * self.pages_per_shard + local_page
         return local_page * self.num_shards + shard_index

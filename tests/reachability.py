@@ -80,6 +80,8 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("reference", "test_tracing: recorded time equals busy_ns"),
     "repro.faults.plan:FaultInjector.schedule_digest":
         ("reference", "test_faults: one schedule per seed, across runs"),
+    "repro.service.shard:ShardRouter.read_groups":
+        ("reference", "test_properties: the per-row partition model"),
     # Loads outside input; the hostile-input tests reach it.
     "repro.core.persistence":
         ("loader", "snapshot files: test_persistence.TestSnapshotErrors"),

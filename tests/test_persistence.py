@@ -214,14 +214,36 @@ class TestSnapshotErrors:
         lambda state: state["counters"].update(flush_count=-10 ** 9),
         lambda state: state["leveler"].update(swap_count=-7),
         lambda state: state["positions"][0].update(clean_count=-3),
+        lambda state: state["positions"][0].update(
+            last_clean_utilization=1.5),
+        lambda state: state["positions"][0].update(
+            last_clean_utilization=-0.25),
+        lambda state: state["positions"][0].update(last_clean_seq=-1),
     ], ids=["nan-interval", "infinite-product", "negative-phys-erases",
             "negative-segment-erases", "negative-counter",
-            "negative-swap-count", "negative-clean-count"])
+            "negative-swap-count", "negative-clean-count",
+            "utilization-above-one", "negative-utilization",
+            "negative-clean-seq"])
     def test_value_no_writer_produces(self, edit):
         """Right type, impossible value: refused at load, not carried
         into the next run's statistics."""
         raw = self.edited(self.snapshot_4x8(), edit)
         with pytest.raises(SnapshotError, match="undecodable|shape"):
+            load_system(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("stats", [
+        lambda state: state["positions"][0],
+        lambda state: state["policy"]["partitions"][0],
+    ], ids=["position", "hybrid-partition"])
+    def test_clean_after_the_last_flush(self, stats):
+        """A clean stamps the flush count it ran at, so no position or
+        partition was last cleaned past the record's flush count."""
+        def edit(state):
+            stats(state)["last_clean_seq"] = (
+                state["counters"]["flush_count"] + 1)
+
+        raw = self.edited(self.snapshot_4x8(), edit)
+        with pytest.raises(SnapshotError, match="after its last flush"):
             load_system(io.BytesIO(raw))
 
     @pytest.mark.parametrize("policy, register", POLICY_REGISTERS)
@@ -322,7 +344,15 @@ class TestHostileCheckpoint:
         lambda state: state["leveler"].update(swap_count=-7),
         lambda state: state["positions"][0].update(
             avg_clean_interval=float("nan")),
-    ], ids=["negative-swap-count", "nan-interval"])
+        lambda state: state["positions"][0].update(
+            last_clean_utilization=1.5),
+        lambda state: state["positions"][0].update(
+            last_clean_seq=state["counters"]["flush_count"] + 1),
+        lambda state: state["policy"]["partitions"][0].update(
+            last_clean_seq=state["counters"]["flush_count"] + 1),
+    ], ids=["negative-swap-count", "nan-interval", "utilization-above-one",
+            "position-cleaned-after-last-flush",
+            "partition-cleaned-after-last-flush"])
     def test_value_no_writer_produces_is_skipped(self, edit):
         def blob(system, cid):
             state = {**capture(system), "checkpoint_id": cid}

@@ -20,6 +20,8 @@ from repro.cleaning import (IN_BUFFER, GreedyPolicy, HybridPolicy,
 from repro.core import EnvyConfig, EnvySystem
 from repro.db import BTree, BTreeGeometry
 from repro.ramdisk import BlockDevice
+from repro.service import (DegradedModeError, EnvyService, ParityPolicy,
+                           RedundantRouter, ServiceConfig, TenantSpec)
 from repro.sram import WriteBuffer
 from repro.workloads import TraceWorkload
 
@@ -341,3 +343,114 @@ class TestSpecGrammar:
             assert isinstance(key, str)
             assert type(value) in (bool, int, float, str)
             assert not isinstance(value, float) or math.isfinite(value)
+
+
+def reference_partition(service, requests, rid_base):
+    """Per-row model of :meth:`EnvyService.partition` outside a run,
+    built only from ``route``, ``placements`` and ``read_groups``: the
+    slices, the rid slices and the expansion counters."""
+    router = service.router
+    states = [service.bank_state(bank) for bank in range(router.num_shards)]
+    parity = isinstance(router.policy, ParityPolicy)
+    pseudo = len(service.tenants)
+    slices = [[] for _ in states]
+    rids = [[] for _ in states]
+    counters = dict.fromkeys(("degraded_reads", "degraded_writes",
+                              "replica_accesses", "rebuild_accesses"), 0)
+    for rid, (arrival, tenant, seq, is_write, page) in enumerate(
+            requests, rid_base):
+        if is_write:
+            placements = router.placements(page)
+            (primary_bank, primary_local), live = placements[0], [
+                slot for slot in placements if states[slot[0]] != "dead"]
+            if not live:
+                raise DegradedModeError(f"page {page}: no live placement")
+            rows = []
+            if states[primary_bank] == "dead":
+                counters["degraded_writes"] += 1
+                if parity:
+                    rows += [((peer, primary_local), pseudo, False)
+                             for peer, state in enumerate(states)
+                             if peer not in (primary_bank, live[0][0])
+                             and state != "dead"]
+            elif parity and len(live) > 1:
+                rows += [(slot, pseudo, False) for slot in live]
+            rows += [(live[0], tenant, True)]
+            rows += [(slot, pseudo, True) for slot in live[1:]]
+        elif states[router.route(page)[0]] == "healthy":
+            rows = [(router.route(page), tenant, False)]
+        else:
+            group = next((group for group in router.read_groups(page)
+                          if all(states[bank] == "healthy"
+                                 for bank, _ in group)), None)
+            if group is None:
+                raise DegradedModeError(f"page {page}: no fallback group")
+            counters["degraded_reads"] += 1
+            rows = [(group[0], tenant, False)]
+            rows += [(slot, pseudo, False) for slot in group[1:]]
+        counters["replica_accesses"] += sum(row[1] == pseudo for row in rows)
+        for (bank, local), row_tenant, write in rows:
+            slices[bank].append((arrival, row_tenant, seq, write, local))
+            rids[bank].append(rid)
+    return slices, rids, counters
+
+
+#: ``(redundancy, placement, remappable)`` for every router the service
+#: builds: the plain striped router, the remap-capable one without
+#: copies, ranged placement, 2- and 3-way mirrors and parity stripes.
+ROUTINGS = [("none", "striped", False)] + [
+    (redundancy, placement, True)
+    for redundancy in ("none", "mirror", "mirror:3", "parity")
+    for placement in ("striped", "ranged")
+    if (redundancy, placement) != ("parity", "ranged")]
+
+
+class TestPartitionProperties:
+    @given(st.sampled_from(ROUTINGS), st.data())
+    @settings(max_examples=120, **COMMON)
+    def test_table_partition_matches_per_row_reference(self, routing,
+                                                       data):
+        """The slot-table loop routes, expands and threads rids exactly
+        as a per-row walk of the router does, for every router, bank
+        state and remap; the table follows every ``swap``."""
+        redundancy, placement, remappable = routing
+        service = EnvyService(
+            ServiceConfig(num_shards=4, num_segments=4, pages_per_segment=16,
+                          redundancy=redundancy, placement=placement,
+                          remappable=remappable),
+            [TenantSpec("a"), TenantSpec("b")])
+        router = service.router
+        pages = st.integers(0, router.num_pages - 1)
+        banks, locals_ = router.slot_table()
+        if isinstance(router, RedundantRouter):
+            for a, b in data.draw(st.lists(st.tuples(pages, pages),
+                                           max_size=6), label="swaps"):
+                router.swap(a, b)
+                for page in (a, b):
+                    assert (banks[page], locals_[page]) == router.route(page)
+        assert list(zip(banks, locals_)) == [
+            router.route(page) for page in range(router.num_pages)]
+        sick = (["dead"] if redundancy == "none"
+                else ["dead", "rebuilding"])
+        for bank, state in enumerate(data.draw(st.lists(
+                st.sampled_from(["healthy"] * 2 + sick), min_size=4,
+                max_size=4), label="bank states")):
+            if state != "healthy":
+                service.kill_bank(bank)
+            if state == "rebuilding":
+                service.replace_bank(bank)
+        requests = data.draw(st.lists(st.tuples(
+            st.integers(0, 10 ** 6), st.integers(0, 1), st.integers(0, 99),
+            st.booleans(), pages), max_size=40), label="requests")
+        with_rids = data.draw(st.booleans(), label="with_rids")
+        rid_base = data.draw(st.integers(0, 10 ** 4), label="rid_base")
+        try:
+            slices, rids, counters = reference_partition(service, requests,
+                                                         rid_base)
+        except DegradedModeError:
+            with pytest.raises(DegradedModeError):
+                service.partition(requests, with_rids, rid_base)
+            return
+        assert service.partition(requests, with_rids, rid_base) == slices
+        assert service._last_rids == (rids if with_rids else None)
+        assert service._last_expansion == counters
