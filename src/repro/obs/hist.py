@@ -162,8 +162,11 @@ class LatencyHistogram:
         time (an MMU hit on the entry the head installed), so the read
         path prices the run once and accounts the repeats here.
         ``record`` keeps its own copy of the tally update: delegating
-        would put a second call on every single-sample record.
+        would put a second call on every single-sample record.  ``n``
+        is an ``int``: anything else raises ``TypeError``.
         """
+        if n.__class__ is not int:
+            raise TypeError(f"cannot record {n!r} samples")
         if n <= 0:
             if n < 0:
                 raise ValueError(f"cannot record {n} samples")

@@ -34,9 +34,9 @@ class Mmu:
     def translate_timed(self, logical_page: int
                         ) -> "tuple[Optional[Location], int]":
         """Translate and report the added latency (0 on a cache hit).
-
-        This sits on the per-access hot path of the timed simulator.
-        """
+        On the hot path of every host access, a miss reads the table's
+        entries itself: the caller range-checks ``logical_page`` (a
+        negative one would wrap)."""
         cache = self._cache
         cached = cache.get(logical_page)
         if cached is not None:
@@ -44,29 +44,13 @@ class Mmu:
             self.hits += 1
             return cached, 0
         self.misses += 1
-        location = self.page_table.lookup(logical_page)
+        table = self.page_table
+        location = table.entries[logical_page]
         if location is not None:
             cache[logical_page] = location
             if len(cache) > self.capacity:
                 cache.popitem(last=False)
-        return location, self.page_table.read_ns
-
-    def hit_again(self, logical_page: int,
-                  count: int) -> Optional[Location]:
-        """Account ``count`` more translations of a page, if cached.
-
-        The bulk form of ``count`` :meth:`translate_timed` hits: the
-        entry becomes most recent and ``hits`` grows by ``count``.
-        Returns None, with nothing accounted, when the page is not
-        cached — each of those translations would be a miss, which only
-        :meth:`translate_timed` prices.
-        """
-        cache = self._cache
-        cached = cache.get(logical_page)
-        if cached is not None:
-            cache.move_to_end(logical_page)
-            self.hits += count
-        return cached
+        return location, table.read_ns
 
     # ------------------------------------------------------------------
     # Coherence

@@ -1,5 +1,6 @@
 """Tests for the eNVy controller: the linear non-volatile memory API."""
 
+import collections
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.cleaning import make_policy
 from repro.core import EnvyConfig, EnvySystem
 from repro.obs.events import HOST_READ
+from repro.obs.hist import LatencyHistogram
 
 
 def small_system(policy="hybrid", segments=8, pages=32, **overrides):
@@ -383,7 +385,7 @@ class TestReadRunNs:
             for _ in range(300):
                 address = rng.randrange(system.size_bytes - 8)
                 system.write(address, b"\x01" * 8)
-            system.page_table._entries[TestReadRunNs.UNMAPPED] = None
+            system.page_table.entries[TestReadRunNs.UNMAPPED] = None
             system.mmu.flush()
             systems.append(system)
         return systems
@@ -393,7 +395,7 @@ class TestReadRunNs:
         metrics = system.metrics
         return (metrics.reads, metrics.read_latency.state_dict(),
                 dict(metrics.busy_ns), system.mmu.hits, system.mmu.misses,
-                list(system.mmu._cache), system.page_table.lookups)
+                list(system.mmu._cache))
 
     @pytest.mark.parametrize("subscribed", [False, True])
     def test_equals_that_many_page_reads(self, subscribed):
@@ -434,10 +436,103 @@ class TestReadRunNs:
 
     @pytest.mark.parametrize("page, count, error", [
         (-1, 3, IndexError), (8 * 32, 1, IndexError),
-        (0, 0, ValueError), (0, -2, ValueError), (-1, 0, ValueError)])
+        (0, 0, ValueError), (0, -2, ValueError), (-1, 0, ValueError),
+        (3, 2.0, TypeError), (3, 2.5, TypeError), (3, 1.0, TypeError),
+        (3, True, TypeError)])
     def test_checks_before_accounting(self, system, page, count, error):
+        """A run counts whole reads: a float count once left
+        ``metrics.reads`` a float and recorded 1.5 repeat samples."""
         with pytest.raises(error):
             system.read_run_ns(page, count)
         assert system.metrics.reads == 0
         assert system.mmu.hits == system.mmu.misses == 0
         assert system.metrics.busy_ns == {}
+        assert system.metrics.read_latency.count == 0
+
+
+class ReadPricingReference:
+    """Section 5.1 read pricing from scratch: an exact LRU of
+    ``mmu.capacity`` translations over the page table, and a host read
+    costs the bus, one page-table read on a miss and one SRAM or
+    Flash(+ECC) cycle.  Writes and flushes touch the LRU as the MMU's
+    coherence does: a write translates its page, and a page whose
+    mapping moves (copy-on-write, flush) becomes most recent if cached."""
+
+    def __init__(self, system):
+        config = system.config
+        self.system, self.lru = system, collections.OrderedDict()
+        self.hits = self.misses = self.busy = 0
+        self.latency = LatencyHistogram()
+        self.sram_ns = config.bus_overhead_ns + config.sram.read_ns
+        self.flash_ns = (config.bus_overhead_ns + config.flash.read_ns
+                         + config.ecc_check_ns)
+        system.flush_listeners.append(lambda page, _: self.touch(page))
+
+    def touch(self, page):
+        if page in self.lru:
+            self.lru.move_to_end(page)
+
+    def translate(self, page):
+        if page in self.lru:
+            self.touch(page)
+            self.hits += 1
+            return 0
+        self.misses += 1
+        if self.system.page_table.lookup(page) is not None:
+            self.lru[page] = None
+            if len(self.lru) > self.system.mmu.capacity:
+                self.lru.popitem(last=False)
+        return self.system.page_table.read_ns
+
+    def read_run(self, page, count):
+        location = self.system.page_table.lookup(page)
+        access = (self.sram_ns if location is not None and location.in_sram
+                  else self.flash_ns)
+        costs = [self.translate(page) + access for _ in range(count)]
+        for ns in costs:
+            self.latency.record(ns)
+            self.busy += ns
+        return costs[0], costs[-1]
+
+    def write(self, page, data):
+        self.translate(page)
+        copied = page not in self.system.buffer
+        self.system.write(page * self.system.config.page_bytes, data)
+        if copied:
+            self.touch(page)
+
+
+class TestReadPricingReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_read_pricing_matches_the_reference(self, seed):
+        """Random read runs, one-word writes and flushes: every read run
+        prices, counts and accounts as the reference LRU says."""
+        system = small_system(ecc_enabled=True, ecc_check_ns=30)
+        system.mmu.capacity = 5
+        unmapped = 40
+        system.page_table.entries[unmapped] = None
+        reference = ReadPricingReference(system)
+        rng = random.Random(seed)
+        num_pages = system.config.logical_pages
+        kinds = set()
+        for _ in range(1500):
+            page = (rng.randrange(12) if rng.random() < 0.6
+                    else rng.randrange(num_pages))
+            roll = rng.random()
+            if roll < 0.2 and page != unmapped:
+                reference.write(page, bytes([rng.randrange(256)]) * 8)
+                continue
+            if roll < 0.3 and len(system.buffer):
+                system.flush_one()
+                continue
+            count = rng.choice((1, 1, 2, 3, 7))
+            priced = system.read_run_ns(page, count)
+            assert priced == reference.read_run(page, count)
+            kinds.add((count > 1, priced[0] == priced[1]))
+            assert (system.mmu.hits, system.mmu.misses) == \
+                (reference.hits, reference.misses)
+            assert system.metrics.read_latency.state_dict() == \
+                reference.latency.state_dict()
+            assert system.metrics.busy_ns.get("read", 0) == reference.busy
+        # Runs whose head missed and hit, and single reads.
+        assert kinds == {(False, True), (True, True), (True, False)}

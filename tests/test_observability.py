@@ -208,6 +208,16 @@ class TestHistogram:
         hist.record_n(float("nan"), 0)       # n == 0 touches nothing
         assert hist.state_dict() == before
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True])
+    def test_record_n_counts_whole_samples(self, n):
+        """1.5 samples once entered the tally, and the count with them."""
+        hist = LatencyHistogram()
+        hist.record(160)
+        before = hist.state_dict()
+        with pytest.raises(TypeError):
+            hist.record_n(160, n)
+        assert hist.state_dict() == before
+
     @given(st.lists(_SAMPLES, max_size=12),
            st.lists(st.one_of(
                _SAMPLES, st.integers(1 << 63, 1 << 70),
