@@ -739,19 +739,20 @@ class EnvyController:
                                self.checkpointer.last_chunk_count})
         return ns
 
-    def background_work(self, budget_ns: int) -> int:
-        """Do up to ``budget_ns`` of flushing while over the threshold.
+    def background_work(self, budget_ns: int, overdraft_ns: int = 0) -> int:
+        """Spend ``budget_ns`` of idle time on ``overdraft_ns`` of work
+        in flight, then on flushes while over the threshold.
 
-        Called by the timed simulator with the idle time between host
-        accesses; the library API never requires it (writes flush
-        synchronously when the buffer is full).  Returns nanoseconds of
-        work actually performed; a single flush is not split, mirroring
-        the suspendable-but-not-abortable long operations of Section 3.4.
+        The timed simulator and the service executors meter idle gaps
+        here; the library API never requires it.  A flush is not split
+        (Section 3.4's suspendable-but-not-abortable long operations).
+        Returns the work done past the budget: the overdraft for the
+        next gap when positive, minus the idle time left when not.
         """
-        done = 0
-        while self.buffer.over_threshold and done < budget_ns:
+        done = overdraft_ns
+        while done < budget_ns and self.buffer.over_threshold:
             done += self.flush_one()
-        return done
+        return done - budget_ns
 
     def drain(self) -> int:
         """Flush everything (e.g. before an orderly shutdown)."""

@@ -34,16 +34,18 @@ its own once it holds as many values as there are buckets, so it never
 outgrows them, and all tallies key a common value by one shared int
 (``_shared``), so many histograms cost little more than their bucket
 dicts would.  Long ``record_many`` lists (at least ``BULK_MIN``
-samples) are mostly distinct values and skip the tally: ``_bucket``,
-the one place samples are bucketed, takes the list itself in C-level
-folds, faster than a dict of its values is built.
+samples) skip the tally: ``_bucket``, the one place samples are
+bucketed, takes the list itself in C-level folds: below ``2**16`` a
+gather from a 64 KB table (≈50 ns a value, counted, against ≈120 ns
+for the arithmetic that tally folds and larger values take).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from functools import cache
+from operator import itemgetter, mul
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -56,9 +58,10 @@ SUBBUCKETS = 1 << SUBBUCKET_BITS
 RELATIVE_ERROR = 1 / SUBBUCKETS
 #: Samples from which ``record_many`` buckets the list in bulk instead
 #: of tallying it sample by sample.  Per sample, the read included, at
-#: 64: bulk 192 vs tally 136 ns over 4 distinct values, 214 vs 205 over
-#: 64, 282 vs 419 when every value is new; below 16 the bulk path's
-#: fixed cost loses everywhere (CPython 3.11, one core).
+#: 64 values of 150-40 000 ns: bulk 227 vs tally 158 ns over 4 distinct
+#: values, 339 vs 613 all distinct; at 16, 450 vs 362 and 451 vs 601
+#: (CPython 3.11, one core).  The folds four service workloads make
+#: replay equally fast with the bound anywhere from 16 to 128.
 BULK_MIN = 64
 
 
@@ -77,6 +80,19 @@ def bucket_bounds(index: int) -> Tuple[int, int]:
     shift = (index >> SUBBUCKET_BITS) - 1
     mantissa = SUBBUCKETS + (index & (SUBBUCKETS - 1))
     return mantissa << shift, ((mantissa + 1) << shift) - 1
+
+
+_TABLE_LIMIT = 1 << 16
+
+
+@cache
+def _bucket_table() -> bytes:
+    """``bucket_index`` of each value below ``_TABLE_LIMIT`` (a byte:
+    at most 207), built on the first bulk fold, a run at a time."""
+    return bytes(range(2 * SUBBUCKETS)) + b"".join(
+        bytes((bucket_index(mantissa << shift),)) * (1 << shift)
+        for shift in range(1, _TABLE_LIMIT.bit_length() - SUBBUCKET_BITS - 1)
+        for mantissa in range(SUBBUCKETS, 2 * SUBBUCKETS))
 
 
 #: Distinct values the tally holds before it folds: the number of
@@ -194,9 +210,7 @@ class LatencyHistogram:
         service run folds tens of thousands of them).  One of
         ``BULK_MIN`` samples or more (a consumer that reads its
         histogram only at the end of a stretch collects the stretch and
-        accounts it here) is mostly distinct values, and ``_bucket``
-        takes it whole, in C-level folds that cost ~2.5 us before the
-        first sample."""
+        accounts it here) goes to ``_bucket`` whole, in C-level folds."""
         if len(values) < BULK_MIN:
             tally = self._tally or {}
             try:
@@ -239,12 +253,16 @@ class LatencyHistogram:
         if low < 0:
             values = [ns if ns > 0 else 0 for ns in values]
             low, high = 0, max(high, 0)
-        # bucket_index(ns) with its two terms of SUBBUCKETS cancelled.
-        exact, bits = 2 * SUBBUCKETS, SUBBUCKET_BITS
-        indices = [
-            ns if ns < exact else
-            ((shift := ns.bit_length() - bits - 1) << bits) + (ns >> shift)
-            for ns in values]
+        if counts is None and high < _TABLE_LIMIT:
+            # A bulk list (BULK_MIN values or more): one gather.
+            indices = itemgetter(*values)(_bucket_table())
+        else:
+            # bucket_index(ns) with its two terms of SUBBUCKETS cancelled.
+            exact, bits = 2 * SUBBUCKETS, SUBBUCKET_BITS
+            indices = [
+                ns if ns < exact else
+                ((shift := ns.bit_length() - bits - 1) << bits)
+                + (ns >> shift) for ns in values]
         if counts is None:
             self._add(len(values), sum(values), low, high,
                       Counter(indices).items())

@@ -39,14 +39,14 @@ from typing import Dict, List, Mapping, Optional
 
 from ..core.costmodel import DRAM_READ_NS
 
-__all__ = ["PageCache", "CACHE_POLICIES", "DRAM_READ_NS"]
+__all__ = ["PageCache", "CACHE_POLICIES", "DRAM_READ_NS", "REF"]
 
 #: Supported replacement policies.
 CACHE_POLICIES = ("clock", "lru")
 
-# Entry layout: [owner, referenced_bit, payload].  A plain list keeps
-# the hot lookup path allocation-free and fast to mutate.
-_OWNER, _REF, _DATA = 0, 1, 2
+#: Entry layout: [owner, referenced_bit, payload].  A plain list keeps
+#: the hot lookup path allocation-free and fast to mutate.
+OWNER, REF, DATA = 0, 1, 2
 
 
 class PageCache:
@@ -59,7 +59,7 @@ class PageCache:
     """
 
     __slots__ = ("capacity", "policy", "hits", "misses", "evictions",
-                 "invalidations", "_entries", "_order", "_ring", "_hand",
+                 "invalidations", "entries", "_order", "_ring", "_hand",
                  "_owners", "_caps")
 
     def __init__(self, capacity_pages: int, policy: str = "clock",
@@ -75,8 +75,8 @@ class PageCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: page -> [owner, ref, data]
-        self._entries: Dict[int, list] = {}
+        #: page -> [owner, ref, data]; read-only outside (see touch).
+        self.entries: Dict[int, list] = {}
         #: LRU recency order (least recent first); unused under CLOCK.
         self._order: "OrderedDict[int, None]" = OrderedDict()
         #: CLOCK ring in admission order; invalidated pages leave
@@ -98,17 +98,22 @@ class PageCache:
         and counts; a miss only counts.  The returned entry's payload
         is ``entry[2]`` (None for presence-only entries).
         """
-        entry = self._entries.get(page)
+        entry = self.entries.get(page)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
+        self.touch(page, entry)
+        return entry
+
+    def touch(self, page: int, entry: list) -> None:
+        """Refresh resident ``page`` (its ``entry``): set its CLOCK
+        reference bit, or move it to the LRU recency tail."""
         if self.policy == "lru":
             self._order.move_to_end(page)
-            self._owners[entry[_OWNER]].move_to_end(page)
+            self._owners[entry[OWNER]].move_to_end(page)
         else:
-            entry[_REF] = 1
-        return entry
+            entry[REF] = 1
 
     def admit(self, page: int, owner: int = 0,
               data: Optional[bytes] = None) -> Optional[int]:
@@ -121,15 +126,11 @@ class PageCache:
         """
         if self.capacity == 0:
             return None
-        entry = self._entries.get(page)
+        entry = self.entries.get(page)
         if entry is not None:
             if data is not None:
-                entry[_DATA] = data
-            if self.policy == "lru":
-                self._order.move_to_end(page)
-                self._owners[entry[_OWNER]].move_to_end(page)
-            else:
-                entry[_REF] = 1
+                entry[DATA] = data
+            self.touch(page, entry)
             return None
         evicted: Optional[int] = None
         owned = self._owners.get(owner)
@@ -143,7 +144,7 @@ class PageCache:
             self.evictions += 1
         elif cap is not None and cap <= 0:
             return None
-        elif len(self._entries) >= self.capacity:
+        elif len(self.entries) >= self.capacity:
             evicted = (self._evict_clock() if self.policy == "clock"
                        else self._evict_lru())
         # _drop may have unregistered the owner's (now-empty) map —
@@ -151,7 +152,7 @@ class PageCache:
         owned = self._owners.get(owner)
         if owned is None:
             owned = self._owners[owner] = OrderedDict()
-        self._entries[page] = [owner, 0, data]
+        self.entries[page] = [owner, 0, data]
         owned[page] = None
         if self.policy == "lru":
             self._order[page] = None
@@ -165,7 +166,7 @@ class PageCache:
 
     def invalidate(self, page: int) -> bool:
         """Drop ``page`` (host write or cleaner copy moved its bytes)."""
-        if page not in self._entries:
+        if page not in self.entries:
             return False
         self._drop(page)
         self.invalidations += 1
@@ -173,8 +174,8 @@ class PageCache:
 
     def invalidate_all(self) -> int:
         """Flush the whole tier (bank loss, rebuild, rebalance)."""
-        dropped = len(self._entries)
-        self._entries.clear()
+        dropped = len(self.entries)
+        self.entries.clear()
         self._order.clear()
         self._ring.clear()
         self._hand = 0
@@ -187,11 +188,11 @@ class PageCache:
     # ------------------------------------------------------------------
 
     def _drop(self, page: int) -> None:
-        entry = self._entries.pop(page)
-        owned = self._owners[entry[_OWNER]]
+        entry = self.entries.pop(page)
+        owned = self._owners[entry[OWNER]]
         del owned[page]
         if not owned:
-            del self._owners[entry[_OWNER]]
+            del self._owners[entry[OWNER]]
         if self.policy == "lru":
             del self._order[page]
         # CLOCK: the ring slot becomes a tombstone, reclaimed in-sweep.
@@ -204,7 +205,7 @@ class PageCache:
 
     def _evict_clock(self) -> int:
         ring = self._ring
-        entries = self._entries
+        entries = self.entries
         while True:
             if self._hand >= len(ring):
                 self._hand = 0
@@ -214,8 +215,8 @@ class PageCache:
                 # Tombstone left by invalidate()/owner-cap eviction.
                 del ring[self._hand]
                 continue
-            if entry[_REF]:
-                entry[_REF] = 0
+            if entry[REF]:
+                entry[REF] = 0
                 self._hand += 1
                 continue
             del ring[self._hand]
@@ -236,7 +237,7 @@ class PageCache:
         return {
             "capacity_pages": self.capacity,
             "policy": self.policy,
-            "occupancy": len(self._entries),
+            "occupancy": len(self.entries),
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -244,7 +245,7 @@ class PageCache:
         }
 
     def __contains__(self, page: int) -> bool:
-        return page in self._entries
+        return page in self.entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

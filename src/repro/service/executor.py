@@ -23,10 +23,10 @@ stretch at a time as the schedule streams in (``start`` / ``feed`` /
   batch is a maximal run of requests served without an idle gap,
   capped at ``BATCH_PAGES``) and emits ``service.batch`` spans, and
   reports how many writes coalesced into already-buffered pages.
-* **background work** — idle gaps between arrivals go to the
-  controller's flusher/cleaner exactly as in :class:`~repro.sim.
-  engine.TimedSimulator`, with the same overdraft rule (a flush chain
-  started late in a gap completes across the boundary).
+* **background work** — an idle gap that owes flush work or finds the
+  buffer over its threshold goes to :meth:`~repro.core.controller.
+  EnvyController.background_work`, as in :class:`~repro.sim.engine.
+  TimedSimulator` (a flush chain started late in a gap completes later).
 * **bounded retry** — with ``retry_limit > 0``, a queue-full rejection
   is converted into a deferred retry at ``arrival +
   retry_backoff_ns * 2^attempt`` instead of surfacing to the tenant.
@@ -64,7 +64,7 @@ from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
                           ObsEvent)
 from ..obs.hist import LatencyHistogram
 from ..perf.sweep import derive_seed
-from .cache import DRAM_READ_NS, PageCache
+from .cache import DRAM_READ_NS, REF, PageCache
 from . import loadgen
 
 __all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
@@ -82,6 +82,12 @@ _STALLS = ("flush", "clean", "erase", "retry", "checkpoint")
 
 #: One tenant's served-latency histograms: (reads, writes).
 LatencyPair = Tuple[LatencyHistogram, LatencyHistogram]
+
+#: The optional :class:`ShardExecutor` arguments a sweep point may set.
+_POINT_OPTIONS = ("stamp_payloads", "retry_limit", "retry_backoff_ns",
+                  "attribute_wear", "attribution_window_ns", "wear_budgets",
+                  "trace", "cache_pages", "cache_policy", "cache_tenants",
+                  "cache_tenant_caps")
 
 #: The per-tenant counter columns of a shard result, each named as the
 #: :class:`~repro.service.tenant.TenantStats` attribute it sums into.
@@ -267,8 +273,9 @@ class ShardExecutor:
 
         # Tenant counters as columns indexed by tenant number.
         columns = {key: [0] * len(names) for key in TENANT_COUNTERS}
-        rejected, delayed, retried, cache_misses = (columns[key] for key in (
-            "rejected", "delayed", "retried", "cache_misses"))
+        rejected, rejected_queue, delayed, retried, cache_misses = (
+            columns[key] for key in ("rejected", "rejected_queue", "delayed",
+                                     "retried", "cache_misses"))
         # Served latencies queue per tenant and op; every WINDOW_ROWS rows
         # fed, the non-empty queues fold into their counts and histograms
         # (a None pair: counted only).
@@ -288,20 +295,14 @@ class ShardExecutor:
                         hists[tenant].record_many(queue)
                     queue.clear()
         completions: deque = deque()
-        clock = 0
-        batches = 0
-        batch_len = 0
-        batch_start_ns = 0
-        max_batch = 0
+        clock = batches = batch_len = batch_start_ns = max_batch = 0
 
         # --- wear attribution / budgets (adversarial multi-tenancy) ---
         attributing = self.attribute_wear
         budgets = self.wear_budgets
-        budget_writes: Dict[int, Dict[int, int]] = {}
-        if budgets is not None:
-            for t_index, budget in enumerate(budgets):
-                if budget is not None:
-                    budget_writes[t_index] = {}
+        budget_writes: Dict[int, Dict[int, int]] = {
+            t_index: {} for t_index, budget in enumerate(budgets or ())
+            if budget is not None}
         wear_slots: List[Dict] = []
         buffer_owner: Dict[int, int] = {}
         owner_count: Dict[int, int] = {}
@@ -316,7 +317,10 @@ class ShardExecutor:
         cache_ok: Optional[List[bool]] = None
         hit_ns = DRAM_READ_NS
         if cache is not None:
-            lookup = cache.lookup
+            # A hit is served here and counted at the end (reads less
+            # misses); under CLOCK its refresh is one reference bit.
+            cached = cache.entries.get
+            touch = None if cache.policy == "clock" else cache.touch
             cache_ok = [flag and not pseudo for flag, pseudo in zip(
                 self.cache_tenants or repeat(True), self._pseudo)]
             # A cleaner relocation physically moves a page's live copy;
@@ -448,13 +452,12 @@ class ShardExecutor:
         retry_limit = self.retry_limit
         backoff_ns = self.retry_backoff_ns
         threshold_pages = buffer.threshold_pages
-        flush_one = controller.flush_one
+        background_work = controller.background_work
         # Flush work overrunning the last idle gap, kept across replays.
         overdraft = self._overdraft_ns
         # Tracing and wear attribution bracket an access under one test of
-        # ``observing`` a side; a read without them or a cache is ``lean``.
+        # ``observing`` a side.
         observing = tracing or attributing
-        lean = not observing and cache is None
         # Deferred retries: (due_ns, tenant, seq, is_write, page,
         # original_arrival, attempt, rid), merged with the arrival stream by
         # (time, tenant, seq) so the replay order is schedule-determined.
@@ -528,19 +531,14 @@ class ShardExecutor:
                             # The gap accrues pre-flush ownership; background
                             # flushes shrink the counts for what follows.
                             accrue(arrival)
-                        gap = arrival - clock
-                        if overdraft >= gap:
-                            # The whole gap goes to the flush chain already
-                            # in flight; nothing new can start.
-                            overdraft -= gap
-                        elif overdraft or len(buffer) > threshold_pages:
-                            # The rest of the gap starts flushes while the
-                            # buffer is over its threshold; the last may
-                            # overrun the gap.
-                            done = overdraft
-                            while done < gap and len(buffer) > threshold_pages:
-                                done += flush_one()
-                            overdraft = done - gap if done > gap else 0
+                        if overdraft or len(buffer) > threshold_pages:
+                            # The gap pays the flush chain in flight, then
+                            # flushes while over the threshold; the last
+                            # flush may overrun it.
+                            overdraft = background_work(arrival - clock,
+                                                        overdraft)
+                            if overdraft < 0:
+                                overdraft = 0
                         batch_start_ns = clock = arrival
                         if bus.active:
                             bus.sync(clock)
@@ -560,9 +558,13 @@ class ShardExecutor:
                                     tenant_mark(SERVICE_RETRY, tenant_index,
                                                 attempt=attempt + 1)
                                 continue
-                            reject("rejected_queue", "queue_full",
-                                   tenant_index, is_write, arrival,
-                                   orig_arrival, attempt, rid)
+                            if tracing or bus.active:
+                                reject("rejected_queue", "queue_full",
+                                       tenant_index, is_write, arrival,
+                                       orig_arrival, attempt, rid)
+                            else:
+                                rejected_queue[tenant_index] += 1
+                                rejected[tenant_index] += 1
                             continue
                     if is_write:
                         delay = 0
@@ -591,23 +593,15 @@ class ShardExecutor:
                                        orig_arrival, attempt, rid)
                                 continue
                             delay = throttle_penalty_ns
+                            clock += delay
                             delayed[tenant_index] += 1
                             if bus.active:
                                 tenant_mark(SERVICE_THROTTLE, tenant_index,
                                             delay_ns=delay)
-                    elif lean:
-                        clock += read_run_ns(page)[0]
-                        served_read[tenant_index](clock - orig_arrival)
-                        completions.append(clock)
-                        batch_len += 1
-                        if batch_len >= batch_pages:
-                            close_batch()
-                        continue
-                    else:
-                        delay = 0
-                    clock += delay
                     if observing:
                         if tracing:
+                            if not is_write:
+                                delay = 0
                             # Critical-path capture: busy buckets and the
                             # overdraft around the access put each stalled
                             # ns in one component (see repro.obs.trace).
@@ -654,10 +648,15 @@ class ShardExecutor:
                         clock += read_run_ns(page)[0]
                         served_read[tenant_index](clock - orig_arrival)
                     else:
-                        if lookup(page) is not None:
+                        entry = cached(page)
+                        if entry is not None:
                             # DRAM hit: served host-side, never crosses the
                             # eNVy bus or touches the array.
                             clock += hit_ns
+                            if touch is None:
+                                entry[REF] = 1
+                            else:
+                                touch(page, entry)
                             if bus.active:
                                 tenant_mark(CACHE_HIT, tenant_index, page=page)
                         else:
@@ -756,6 +755,8 @@ class ShardExecutor:
             columns["cache_hits"] = [
                 reads - misses if ok else 0 for reads, misses, ok
                 in zip(columns["reads"], cache_misses, cache_ok)]
+            cache.hits += sum(columns["cache_hits"])
+            cache.misses += sum(cache_misses)
         result = {
             "shard": shard,
             "clock_ns": clock,
@@ -836,21 +837,8 @@ def shard_executor(point: Mapping) -> ShardExecutor:
     """One shard, built and prewarmed from its sweep point, ready to
     :meth:`~ShardExecutor.run` or to be fed window by window."""
     shard_index = point["shard_index"]
-    controller = build_shard_controller(point, shard_index)
     return ShardExecutor(
-        controller, shard_index,
-        tenant_names=point["tenant_names"],
-        queue_capacity=point["queue_capacity"],
-        soft_watermark=point["soft_watermark"],
-        hard_watermark=point["hard_watermark"],
-        stamp_payloads=point.get("stamp_payloads", False),
-        retry_limit=point.get("retry_limit", 0),
-        retry_backoff_ns=point.get("retry_backoff_ns", 4000),
-        attribute_wear=point.get("attribute_wear", False),
-        attribution_window_ns=point.get("attribution_window_ns", 50_000),
-        wear_budgets=point.get("wear_budgets"),
-        trace=point.get("trace", False),
-        cache_pages=point.get("cache_pages", 0),
-        cache_policy=point.get("cache_policy", "clock"),
-        cache_tenants=point.get("cache_tenants"),
-        cache_tenant_caps=point.get("cache_tenant_caps"))
+        build_shard_controller(point, shard_index), shard_index,
+        point["tenant_names"], point["queue_capacity"],
+        point["soft_watermark"], point["hard_watermark"],
+        **{key: point[key] for key in _POINT_OPTIONS if key in point})

@@ -330,7 +330,8 @@ class LoadGenerator:
             edge_ns = (number + 1) * width
             window: List[Request] = []
             # In tenant index order (unique: lists compare on it alone).
-            for cursor in sorted(due.pop(number, ())):
+            filed = sorted(due.pop(number, ()))
+            for cursor in filed:
                 index, start, stamps, keep, writes, pages = cursor
                 stop = bisect_left(stamps, edge_ns, start)
                 run = zip(stamps[start:stop], repeat(index),
@@ -347,5 +348,7 @@ class LoadGenerator:
                 # Runs concatenated in tenant order, each in seq order:
                 # a stable sort on the arrival alone is the (arrival,
                 # tenant, seq) k-way merge, comparing ints, not tuples.
-                window.sort(key=itemgetter(0))
+                # One tenant's run is in arrival order already.
+                if len(filed) > 1:
+                    window.sort(key=itemgetter(0))
                 yield window

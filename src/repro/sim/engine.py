@@ -90,10 +90,8 @@ class TimedSimulator:
         measuring = warmup_ns == 0
         if measuring:
             metrics.reset()
-        base_flushes = metrics.flushes
-        base_cleans = metrics.clean_copies
-        base_erases = metrics.erases
-        base_busy = dict(metrics.busy_ns)
+        base = (metrics.flushes, metrics.clean_copies, metrics.erases,
+                dict(metrics.busy_ns))
         measure_start = warmup_ns
         next_transaction = self.workload.next_transaction
         background = self._background
@@ -106,10 +104,8 @@ class TimedSimulator:
                 break
             if not measuring and txn.arrival_ns >= warmup_ns:
                 measuring = True
-                base_flushes = metrics.flushes
-                base_cleans = metrics.clean_copies
-                base_erases = metrics.erases
-                base_busy = dict(metrics.busy_ns)
+                base = (metrics.flushes, metrics.clean_copies,
+                        metrics.erases, dict(metrics.busy_ns))
                 stats.read_latency = type(stats.read_latency)()
                 stats.write_latency = type(stats.write_latency)()
                 measure_start = max(clock, warmup_ns)
@@ -133,6 +129,7 @@ class TimedSimulator:
                 stats.transactions_completed += 1
 
         stats.simulated_ns = max(1, clock - measure_start)
+        base_flushes, base_cleans, base_erases, base_busy = base
         stats.pages_flushed = metrics.flushes - base_flushes
         stats.clean_copies = metrics.clean_copies - base_cleans
         stats.erases = metrics.erases - base_erases
@@ -149,27 +146,19 @@ class TimedSimulator:
         """Spend idle bus time on pending and new background work.
 
         Order: finish the operation already in flight (overdraft), pay
-        deferred erases, then start new flushes.  A flush sequence started
-        near the end of a gap overdraws the budget; the excess is
-        carried to the next gap (or charged to a stalling host write),
-        so background work never outruns simulated time.
+        deferred erases, then flush (:meth:`EnvyController.
+        background_work`).  Work past the gap is carried to the next one
+        (or charged to a stalling host write), so background work never
+        outruns simulated time.  Returns the time spent, ≤ ``budget_ns``.
         """
-        done = 0
-        for attr in ("_overdraft_ns", "_debt_ns"):
-            pending = getattr(self, attr)
-            if pending > 0 and done < budget_ns:
-                paid = min(pending, budget_ns - done)
-                setattr(self, attr, pending - paid)
-                done += paid
-        controller = self.controller
-        while done < budget_ns and controller.buffer.over_threshold:
-            work = controller.flush_one()
-            if done + work > budget_ns:
-                self._overdraft_ns += done + work - budget_ns
-                done = budget_ns
-            else:
-                done += work
-        return done
+        pending = self._overdraft_ns
+        if self._debt_ns and pending < budget_ns:
+            paid = min(self._debt_ns, budget_ns - pending)
+            self._debt_ns -= paid
+            pending += paid
+        carry = self.controller.background_work(budget_ns, pending)
+        self._overdraft_ns = max(carry, 0)
+        return budget_ns + min(carry, 0)
 
     def _execute(self, txn, clock: int, busy_at_arrival: bool,
                  stats: Optional[SimStats]) -> int:

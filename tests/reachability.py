@@ -6,7 +6,8 @@ Usage (from the repository root)::
 
 A *root* is something this repository stands behind: ``python -m repro
 claims``, every CLI command at its CI/smoke arguments (plus the
-unmitigated ``serve --attack`` demo), the six
+unmitigated ``serve --attack`` demo and ``serve`` under the LRU cache
+policy), the six
 ``benchmarks/e2e`` workloads at scale 0.05 (traced and untraced, as
 ``run.py`` runs them), CI's inline chaos and redundancy steps, the
 ``examples/*.py`` README sends users to (but the slow
@@ -103,6 +104,7 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
     # ROADMAP item 4(a): one state machine across backend x redundancy
     # x cache x kill x recover / reopen / rebuild.
     "repro.service.cache:PageCache.invalidate_all": ("roadmap", "item 4(a)"),
+    "repro.service.cache:PageCache.lookup": ("roadmap", "item 4(a)"),
     "repro.backends.filestore:FileBackend.close": ("roadmap", "item 4(a)"),
     "repro.backends.onfi:OnfiBackend.read_oob": ("roadmap", "item 4(a)"),
     "repro.backends.ramdisk:RamImage.read": ("roadmap", "item 4(a)"),
@@ -115,8 +117,6 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("bench", "bench_ablations.py"),
     "repro.cleaning.simulator:SimulationResult.write_amplification":
         ("bench", "bench_sec43_wear.py"),
-    "repro.core.controller:EnvyController.background_work":
-        ("bench", "bench_sec1_interface.py"),
     "repro.core.costmodel": ("bench", "bench_fig01_technology.py"),
     "repro.core.prototype": ("bench", "bench_sec8_prototype.py"),
     "repro.db.tpca_db": ("bench", "bench_faults.py"),
@@ -406,6 +406,9 @@ def quick_roots(scratch: str) -> Dict[str, Callable[[], None]]:
         "trace": partial(_cli, "trace", "--smoke", "--out",
                          os.path.join(scratch, "trace-out")),
         "serve --smoke": partial(_cli, "serve", "--smoke"),
+        "serve --cache-policy lru": partial(_cli, "serve", "--cache", "64",
+                                            "--cache-policy", "lru",
+                                            "--duration", "0.0005"),
         "serve --attack": partial(_cli, "serve", "--attack",
                                   "targeted-wear", "--mitigate",
                                   "--duration", "0.002", "--rate", "2e6"),

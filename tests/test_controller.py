@@ -122,16 +122,32 @@ class TestBackgroundWork:
         page_bytes = system.config.page_bytes
         for page in range(threshold + 3):
             system.write(page * page_bytes, b"x")
-        done = system.background_work(10 ** 12)
-        assert done > 0
+        # Work was done, and idle time is left over (a negative carry).
+        carry = system.background_work(10 ** 12)
+        assert -10 ** 12 < carry < 0
         assert not system.buffer.over_threshold
 
     def test_background_work_budget_limits(self, system):
         page_bytes = system.config.page_bytes
         for page in range(system.buffer.threshold_pages + 5):
             system.write(page * page_bytes, b"x")
-        done = system.background_work(1)  # lets exactly one flush through
-        assert done >= system.config.flash.program_ns
+        flushes = system.metrics.flushes
+        carry = system.background_work(1)  # lets exactly one flush through
+        assert system.metrics.flushes == flushes + 1
+        assert carry >= system.config.flash.program_ns - 1
+
+    def test_background_work_pays_the_overdraft_first(self, system):
+        page_bytes = system.config.page_bytes
+        for page in range(system.buffer.threshold_pages + 5):
+            system.write(page * page_bytes, b"x")
+        flushes = system.metrics.flushes
+        # A gap shorter than the chain in flight starts nothing new.
+        assert system.background_work(300, 1_000) == 700
+        assert system.background_work(300, 300) == 0
+        assert system.metrics.flushes == flushes
+        # What the chain leaves of the gap goes to new flushes.
+        assert system.background_work(300, 200) > 0
+        assert system.metrics.flushes == flushes + 1
 
     def test_drain_empties_buffer(self, system):
         for page in range(5):

@@ -6,6 +6,7 @@ zero-perturbation contract: an instrumented run produces the same
 simulated results as an uninstrumented one.
 """
 
+import collections
 import json
 import math
 from fractions import Fraction
@@ -24,8 +25,9 @@ from repro.obs import (EventBus, LatencyHistogram, ObsEvent,
                        ObservabilityHub)
 import repro.obs.hist as hist_module
 from repro.obs.export import chrome_trace, events_jsonl, prometheus_text
-from repro.obs.hist import (_TALLY_MAX, BULK_MIN, RELATIVE_ERROR,
-                            SUBBUCKETS, bucket_bounds, bucket_index)
+from repro.obs.hist import (_TABLE_LIMIT, _TALLY_MAX, BULK_MIN,
+                            RELATIVE_ERROR, SUBBUCKETS, _bucket_table,
+                            bucket_bounds, bucket_index)
 from repro.sim import build_tpca_system
 
 from .fidelity import LEDGER
@@ -62,6 +64,21 @@ class TestBuckets:
             low, high = bucket_bounds(index)
             assert low == prev_high + 1
             prev_high = high
+
+    # A bulk fold gathers the indices of values below ``_TABLE_LIMIT``
+    # from a table and computes the rest; both must be ``bucket_index``.
+    def test_table_is_bucket_index_below_the_limit(self):
+        table = _bucket_table()
+        assert len(table) == _TABLE_LIMIT
+        assert list(table) == list(map(bucket_index, range(_TABLE_LIMIT)))
+
+    @pytest.mark.parametrize("first", [_TABLE_LIMIT - BULK_MIN // 2,
+                                       _TABLE_LIMIT])
+    def test_first_values_above_the_limit(self, first):
+        values = list(range(first, first + BULK_MIN))
+        hist = LatencyHistogram()
+        hist.record_many(values)
+        assert hist.buckets == collections.Counter(map(bucket_index, values))
 
 
 def reference_record(samples):
@@ -234,6 +251,15 @@ class TestHistogram:
              samples=[3, 7] + list(range(10**6, 10**6 + 20)) + [3, 10**6])
     @example(before=[3], samples=[True, False, 2.5, 7.0, True, 1e3, -0.5])
     @example(before=[], samples=[160, 2.0, 160, float("nan"), 5])
+    # Long lists either side of the bucket table's limit: all below it
+    # (the table), and one value at or past it (arithmetic for all).
+    @example(before=[], samples=[-3, 2.5, True, False, _TABLE_LIMIT - 0.5]
+             + list(range(0, _TABLE_LIMIT, 1024)))
+    @example(before=[9], samples=[True, 160, 160.9, -1] * BULK_MIN)
+    @example(before=[], samples=[-3, 2.5, True, False, _TABLE_LIMIT]
+             + list(range(160, 160 + BULK_MIN)))
+    @example(before=[], samples=[_TABLE_LIMIT + 0.5, -7.5]
+             + [_TABLE_LIMIT - 1] * BULK_MIN)
     def test_record_many_equals_each_recorded(self, before, samples):
         """Either side of BULK_MIN: the tally loop and the bulk folds."""
         bulk, each = LatencyHistogram(), LatencyHistogram()

@@ -368,6 +368,45 @@ class TestPinnedReplay:
         with pytest.raises(ValueError, match="align"):
             given.start(pairs[:2])
 
+    # Cache hits, misses, evictions, invalidations, queue refusals and
+    # the final clock, as the parent of the lean cache path replayed them.
+    @pytest.mark.parametrize("policy, parent", [
+        ("clock", (396, 794, 592, 178, 188, 10_211_381)),
+        ("lru", (427, 763, 561, 178, 190, 10_211_381))])
+    def test_lean_and_observed_cache_replays_agree(self, policy, parent):
+        """An untraced, unheard replay serves cache-tier reads and
+        queue refusals on its lean path and counts hits at the end; a
+        traced replay with a bus subscriber takes every row through the
+        marks.  Both return the same counts, cache stats and clock, the
+        ones every row's lookup returned before the lean path."""
+        requests = mixed_slice(20260928, write_share=0.2)
+
+        def replay(observed):
+            executor = ShardExecutor(
+                make_controller(), 3, tenant_names=TENANTS,
+                queue_capacity=4, cache_pages=24, cache_policy=policy,
+                cache_tenants=[True, True, False],
+                cache_tenant_caps=[6, None, None], trace=observed)
+            events = heard_events(executor) if observed else []
+            result = executor.run(requests)
+            return result, events
+
+        lean, _ = replay(False)
+        observed, events = replay(True)
+        assert {event["kind"] for event in events} >= {
+            CACHE_HIT, CACHE_MISS, CACHE_EVICT, CACHE_INVALIDATE,
+            SERVICE_REJECT}
+        assert observed["columns"] == lean["columns"]
+        assert observed["cache"] == lean["cache"]
+        cache = lean["cache"]
+        assert cache["hits"] == sum(lean["columns"]["cache_hits"])
+        assert cache["misses"] == sum(lean["columns"]["cache_misses"])
+        assert observed["rejected_queue"] == lean["rejected_queue"]
+        assert observed["clock_ns"] == lean["clock_ns"]
+        assert (*(cache[key] for key in ("hits", "misses", "evictions",
+                                         "invalidations")),
+                lean["rejected_queue"], lean["clock_ns"]) == parent
+
     def test_slices_exercise_what_they_pin(self):
         """The pinned slices are not vacuous: each reaches its feature."""
         def run(name):
