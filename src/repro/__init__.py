@@ -33,10 +33,9 @@ from .flash import FlashArray, FlashSegment
 from .obs import (EventBus, LatencyHistogram, ObsEvent, ObservabilityHub,
                   TimeSeriesSampler)
 from .ramdisk import BlockDevice
-from .service import (DegradedModeError, EnvyService,
-                      LoadGenerator, RebuildScheduler, RedundantRouter,
-                      ServiceConfig, ServiceStats, ShardRouter, TenantSpec,
-                      TenantStats, TokenBucket)
+from .service import (DegradedModeError, EnvyService, LoadGenerator,
+                      RebuildScheduler, ServiceConfig, ServiceStats,
+                      ShardRouter, TenantSpec, TenantStats, TokenBucket)
 from .sim import SimStats, TimedSimulator, build_tpca_system, simulate_tpca
 from .sram import Mmu, PageTable, WriteBuffer
 from .workloads import BimodalWorkload, UniformWorkload
@@ -93,7 +92,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
-    "RedundantRouter",
     "RebuildScheduler",
     "DegradedModeError",
     "TenantSpec",

@@ -95,7 +95,7 @@ Event taxonomy (kind strings, hierarchical by prefix):
                         shard, page)
 ``cache.invalidate``    an entry was dropped because its backing copy
                         changed (instant; data: shard, page, reason —
-                        "write", "clean", or "topology")
+                        "write" or "clean")
 ``admission.decision``  the closed-loop admission controller changed a
                         tenant's state (instant; data: tenant, state,
                         burn, rate_tps)

@@ -335,8 +335,7 @@ def service_prometheus_text(stats, security: Optional[dict] = None,
         lines.append(f"envy_cache_evictions_total "
                      f"{stats.cache_evictions}")
         lines.append("# HELP envy_cache_invalidations_total "
-                     "Cache entries dropped (writes, cleaner copies, "
-                     "topology changes)")
+                     "Cache entries dropped (writes, cleaner copies)")
         lines.append("# TYPE envy_cache_invalidations_total counter")
         lines.append(f"envy_cache_invalidations_total "
                      f"{stats.cache_invalidations}")

@@ -4,8 +4,9 @@ The library below this package simulates a *single* eNVy controller;
 this package presents N of them as a concurrent, multi-tenant storage
 service:
 
-* :class:`ShardRouter` — stripes one logical page space across shards
-  (:mod:`repro.service.shard`);
+* :class:`ShardRouter` — the one router: stripes (or ranges) one
+  logical page space across shards through a redundancy policy, with a
+  remap overlay for hot pages (:mod:`repro.service.shard`);
 * :class:`TenantSpec` / :class:`TokenBucket` / :class:`TenantStats` —
   per-tenant workload shapes, rate limits and accounting
   (:mod:`repro.service.tenant`);
@@ -54,7 +55,7 @@ from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, MirrorPolicy, NoRedundancy,
                          ParityPolicy, RebuildScheduler, RedundancyPolicy,
-                         RedundantRouter, make_policy, plan_rebalance)
+                         make_policy, plan_rebalance)
 from .shard import ShardRouter
 from .tenant import TenantSpec, TenantStats, TokenBucket
 
@@ -80,7 +81,6 @@ __all__ = [
     "MirrorPolicy",
     "ParityPolicy",
     "make_policy",
-    "RedundantRouter",
     "RebuildScheduler",
     "plan_rebalance",
     "BANK_HEALTHY",

@@ -467,12 +467,11 @@ def run_attack_scenario(config: ServiceConfig,
     flagged = list(attack_detect["flagged"])
 
     budget = _honest_budget(attack_stats, honest_names)
-    mitigated_config = replace(base_config, remappable=True)
     mitigated_tenants = [
         replace(spec, wear_budget=budget)
         if spec.name in flagged else spec
         for spec in honest + [attack]]
-    mitigated_service = EnvyService(mitigated_config, mitigated_tenants)
+    mitigated_service = EnvyService(base_config, mitigated_tenants)
     scatters = {}
     for name in flagged:
         mitigated_service.quarantine(name)

@@ -24,9 +24,11 @@ without crossing the eNVy bus at all.
   ``SegmentStore.copy_listeners`` for the latter).  This keeps the
   cache honest as a hardware model; semantic transparency is proved
   by the property tests in tests/test_cache_admission.py.
-* **Optional payloads** — the shard executors only need presence (the
-  timing model), while :class:`~repro.service.frontend.EnvyService`'s
-  direct-access front door caches real page bytes.
+* **Presence only** — the tier is a timing device: an entry records
+  that a page is resident and who owns it, never its bytes, so a hit
+  can change a latency but never a value.  The shard executor is its
+  one user and probes ``entries`` directly (a hit refreshes the page
+  through :meth:`PageCache.touch`).
 
 Everything is counted (hits, misses, evictions, invalidations) for
 ``health_report()`` and the ``envy_cache_*`` Prometheus series.
@@ -44,9 +46,9 @@ __all__ = ["PageCache", "CACHE_POLICIES", "DRAM_READ_NS", "REF"]
 #: Supported replacement policies.
 CACHE_POLICIES = ("clock", "lru")
 
-#: Entry layout: [owner, referenced_bit, payload].  A plain list keeps
-#: the hot lookup path allocation-free and fast to mutate.
-OWNER, REF, DATA = 0, 1, 2
+#: Entry layout: [owner, referenced_bit].  A plain list keeps the hot
+#: probe path allocation-free and fast to mutate.
+OWNER, REF = 0, 1
 
 
 class PageCache:
@@ -55,7 +57,7 @@ class PageCache:
     ``capacity_pages`` bounds total residency; ``tenant_caps`` maps an
     owner id to the most pages that owner may hold at once (owners not
     in the map are uncapped).  ``capacity_pages == 0`` disables the
-    cache: every lookup misses and admits are dropped.
+    cache: it stays empty, admits are dropped.
     """
 
     __slots__ = ("capacity", "policy", "hits", "misses", "evictions",
@@ -75,7 +77,7 @@ class PageCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: page -> [owner, ref, data]; read-only outside (see touch).
+        #: page -> [owner, ref]; read-only outside (see touch).
         self.entries: Dict[int, list] = {}
         #: LRU recency order (least recent first); unused under CLOCK.
         self._order: "OrderedDict[int, None]" = OrderedDict()
@@ -91,21 +93,6 @@ class PageCache:
     # Hot path
     # ------------------------------------------------------------------
 
-    def lookup(self, page: int) -> Optional[list]:
-        """Probe for ``page``; returns its entry on a hit, else None.
-
-        A hit sets the CLOCK reference bit (or refreshes LRU recency)
-        and counts; a miss only counts.  The returned entry's payload
-        is ``entry[2]`` (None for presence-only entries).
-        """
-        entry = self.entries.get(page)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.touch(page, entry)
-        return entry
-
     def touch(self, page: int, entry: list) -> None:
         """Refresh resident ``page`` (its ``entry``): set its CLOCK
         reference bit, or move it to the LRU recency tail."""
@@ -115,21 +102,18 @@ class PageCache:
         else:
             entry[REF] = 1
 
-    def admit(self, page: int, owner: int = 0,
-              data: Optional[bytes] = None) -> Optional[int]:
+    def admit(self, page: int, owner: int = 0) -> Optional[int]:
         """Insert ``page`` for ``owner``, evicting if needed.
 
         Returns the evicted page (None when nothing was displaced).
         An owner at its occupancy cap evicts its own oldest page; the
         shared policy only runs when the cache as a whole is full.
-        Re-admitting a resident page just refreshes its payload.
+        Re-admitting a resident page just refreshes it.
         """
         if self.capacity == 0:
             return None
         entry = self.entries.get(page)
         if entry is not None:
-            if data is not None:
-                entry[DATA] = data
             self.touch(page, entry)
             return None
         evicted: Optional[int] = None
@@ -152,7 +136,7 @@ class PageCache:
         owned = self._owners.get(owner)
         if owned is None:
             owned = self._owners[owner] = OrderedDict()
-        self.entries[page] = [owner, 0, data]
+        self.entries[page] = [owner, 0]
         owned[page] = None
         if self.policy == "lru":
             self._order[page] = None
@@ -171,17 +155,6 @@ class PageCache:
         self._drop(page)
         self.invalidations += 1
         return True
-
-    def invalidate_all(self) -> int:
-        """Flush the whole tier (bank loss, rebuild, rebalance)."""
-        dropped = len(self.entries)
-        self.entries.clear()
-        self._order.clear()
-        self._ring.clear()
-        self._hand = 0
-        self._owners.clear()
-        self.invalidations += dropped
-        return dropped
 
     # ------------------------------------------------------------------
     # Internals

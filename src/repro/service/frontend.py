@@ -44,7 +44,10 @@ Direct access — transactions stay on one shard
 ----------------------------------------------
 
 For interactive use the service can materialise its shards
-in-process: :meth:`read` / :meth:`write` route single-page operations.
+in-process: :meth:`~EnvyService.read_page` / :meth:`~EnvyService.
+write_page` route single-page operations to the shard controllers (no
+cache: the DRAM tier is the executors' timing device), and
+:meth:`~EnvyService.reconstruct` rebuilds bytes from healthy banks.
 """
 
 from __future__ import annotations
@@ -58,22 +61,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.chaos import ChaosReport
 from ..core.config import EnvyConfig
 from ..core.controller import EnvyController
-from ..obs.events import (ADMISSION_DECISION, CACHE_INVALIDATE,
-                          REDUNDANCY_DEGRADED, REDUNDANCY_KILL,
-                          REDUNDANCY_REBALANCE, REDUNDANCY_REBUILD,
-                          REDUNDANCY_REPLICA, SECURITY_QUARANTINE,
-                          SECURITY_REMAP, SERVICE_RUN, SERVICE_SHARD,
-                          EventBus)
+from ..obs.events import (ADMISSION_DECISION, REDUNDANCY_DEGRADED,
+                          REDUNDANCY_KILL, REDUNDANCY_REBALANCE,
+                          REDUNDANCY_REBUILD, REDUNDANCY_REPLICA,
+                          SECURITY_QUARANTINE, SECURITY_REMAP, SERVICE_RUN,
+                          SERVICE_SHARD, EventBus)
 from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
 from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
 from .admission import AdmissionController
-from .cache import CACHE_POLICIES, DRAM_READ_NS, PageCache
+from .cache import CACHE_POLICIES, DRAM_READ_NS
 from .executor import shard_executor
 from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
                          DegradedModeError, ParityPolicy, RebuildScheduler,
-                         RedundantRouter, make_policy, plan_rebalance)
+                         Slot, make_policy, plan_rebalance)
 from .shard import ShardRouter
 from .tenant import TenantSpec, TenantStats, field_types, merge_columns
 
@@ -87,10 +89,11 @@ _REBUILD_TENANT = "__rebuild__"
 
 
 def _rebuild_sources(entry: dict, states: Sequence[str]) -> list:
-    """The live peer slots one rebuild plan entry reads: every surviving
-    stripe member for an XOR, any one surviving copy for a mirror."""
+    """The peer slots one rebuild plan entry reads: every healthy stripe
+    member for an XOR, the first healthy copy for a mirror (a rebuilding
+    peer is no source, as in :meth:`EnvyService.reconstruct`)."""
     sources = [slot for slot in entry["sources"]
-               if states[slot[0]] != BANK_DEAD]
+               if states[slot[0]] == BANK_HEALTHY]
     return sources[:1] if entry["op"] == "copy" else sources
 
 
@@ -168,9 +171,6 @@ class ServiceConfig:
     wear_budget: Optional[int] = None
     #: Token-bucket rate a quarantined tenant is degraded to.
     quarantine_tps: float = 50_000.0
-    #: Force a remap-capable router even without redundancy, so
-    #: flagged tenants' hot pages can be scattered (SoftWear-style).
-    remappable: bool = False
     #: DRAM read-cache capacity *per shard*, in pages (0 = no cache
     #: tier).  Hits are served at :data:`~repro.core.costmodel.
     #: DRAM_READ_NS` without crossing the eNVy bus.
@@ -214,7 +214,7 @@ class ServiceConfig:
         if not 0.0 < self.cache_tenant_cap <= 1.0:
             raise ValueError("cache_tenant_cap must be in (0, 1]")
         # Raises on malformed redundancy specs / placements, and on
-        # geometry the policy cannot cover (validated in make_router).
+        # geometry the policy cannot cover (validated by the router).
         self.make_router()
         # Shard geometry is validated by EnvyConfig.scaled below.
         self.shard_config()
@@ -233,15 +233,9 @@ class ServiceConfig:
         return self.shard_config().logical_pages
 
     def make_router(self) -> ShardRouter:
-        policy = make_policy(self.redundancy)
-        if (policy.name == "none" and self.placement == "striped"
-                and not self.remappable):
-            # The PR-6 router, byte-for-byte: no policy, no remap.
-            return ShardRouter(self.num_shards, self.pages_per_shard,
-                               self.page_bytes)
-        return RedundantRouter(self.num_shards, self.pages_per_shard,
-                               self.page_bytes, placement=self.placement,
-                               policy=policy)
+        return ShardRouter(self.num_shards, self.pages_per_shard,
+                           self.page_bytes, placement=self.placement,
+                           policy=make_policy(self.redundancy))
 
     def shard_point_base(self) -> Dict:
         """The picklable spec shared by every shard's sweep point."""
@@ -386,15 +380,6 @@ class EnvyService:
                 self.tenants,
                 cache_available=self.config.cache_pages > 0)
             if self.config.admission else None)
-        #: Front-door byte cache for direct access (read_page): the
-        #: union of the shard tiers, holding real payloads.  Cleaner
-        #: relocations on in-process shards invalidate through the
-        #: store's copy listener; writes and topology changes (bank
-        #: kill / replace / rebalance / scatter) invalidate here.
-        self._page_cache: Optional[PageCache] = (
-            PageCache(self.config.cache_pages * self.router.num_shards,
-                      self.config.cache_policy)
-            if self.config.cache_pages > 0 else None)
         #: Request trace of the most recent ``run(trace=True)``.
         self.last_trace: Optional[TraceReport] = None
         self._last_rids: Optional[List[List[int]]] = None
@@ -447,8 +432,7 @@ class EnvyService:
         targets = [entry.append if state == BANK_HEALTHY and not with_rids
                    else None
                    for entry, state in zip(slices, self._bank_states)]
-        policy = router.policy
-        fans_out = policy is not None and policy.write_fanout > 1
+        fans_out = router.policy.write_fanout > 1
         # Outside a run: fresh counters and no rebuild to charge.
         run = self._run_expansion or self._begin_expansion(0.0)
         expand = self._expander(slices, run["counters"])
@@ -660,9 +644,7 @@ class EnvyService:
                                                              overrides)
         # Pseudo-tenants follow the tenants, by number; a run routed as
         # by the plain striped router, on healthy banks, has none.
-        policy = self.router.policy
-        pseudo = ([] if (policy is None or self.router.is_plain)
-                  and not self.degraded
+        pseudo = ([] if self.router.is_plain and not self.degraded
                   else [_REDUNDANCY_TENANT, _REBUILD_TENANT])
         tenant_names = [t.name for t in self.tenants] + pseudo
         base = self.config.shard_point_base()
@@ -900,7 +882,6 @@ class EnvyService:
         if self._shards is not None and self._shards[bank] is not None:
             self._dead_shards[bank] = self._shards[bank]
             self._shards[bank] = None
-        self._invalidate_cache_all()
         if self.events.active:
             self.events.mark(REDUNDANCY_KILL, {"bank": bank})
 
@@ -933,24 +914,30 @@ class EnvyService:
                                      pages_per_step=pages_per_step)
         if self._shards is None:
             self._shards = [None] * self.router.num_shards
-        replacement = controller or EnvyController(
-            self.config.shard_config(),
-            store_data=self.config.store_data)
-        self._attach_copy_listener(bank, replacement)
-        self._shards[bank] = replacement
+        self._shards[bank] = controller or EnvyController(
+            self.config.shard_config(), store_data=self.config.store_data)
         self._bank_states[bank] = BANK_REBUILDING
         self._rebuilds[bank] = scheduler
-        self._invalidate_cache_all()
         return scheduler
 
     def mark_bank_healthy(self, bank: int) -> None:
-        """Return a rebuilt (or wrongly-killed) bank to service."""
-        if not 0 <= bank < self.router.num_shards:
-            raise IndexError(f"no bank {bank}")
+        """Return a rebuilt bank to service (what
+        :meth:`RebuildScheduler.finish` does).
+
+        Only a rebuilding bank whose rebuild has finished qualifies: a
+        killed bank missed every write made while it was dead, so it
+        is never revived — it is replaced and rebuilt.
+        """
+        scheduler = self._rebuilds.get(bank)
+        if (self.bank_state(bank) != BANK_REBUILDING or scheduler is None
+                or not scheduler.done):
+            raise ValueError(
+                f"bank {bank} is {self._bank_states[bank]} without a "
+                f"finished rebuild; only a rebuilt bank returns to "
+                f"service")
         self._bank_states[bank] = BANK_HEALTHY
-        self._rebuilds.pop(bank, None)
+        del self._rebuilds[bank]
         self._dead_shards.pop(bank, None)
-        self._invalidate_cache_all()
 
     def rebuild_status(self) -> Dict[int, dict]:
         """Progress of every active rebuild, keyed by bank."""
@@ -978,10 +965,6 @@ class EnvyService:
         stay consistent.
         """
         router = self.router
-        if not isinstance(router, RedundantRouter):
-            raise ValueError(
-                "rebalancing needs a redundancy-aware router — set "
-                "placement='ranged' or any redundancy in ServiceConfig")
         windows, _ = self._load_generator().stream(duration_s, {})
         page_loads: Dict[int, int] = {}
         for _, _, _, _, page in chain.from_iterable(windows):
@@ -1016,8 +999,6 @@ class EnvyService:
                 bus.mark(REDUNDANCY_REBALANCE,
                          {"page": hot, "from": router.route(cold)[0],
                           "to": router.route(hot)[0]})
-        if swaps:
-            self._invalidate_cache_all()
         after = bank_loads()
         return {
             "swaps": len(swaps),
@@ -1076,17 +1057,11 @@ class EnvyService:
         simulated hardware, the pages just land on other banks /
         segments from the next run on).
 
-        Needs a remap-capable router (``remappable=True``, any
-        redundancy, or ranged placement) and a run with attributed wear
-        to rank the tenant's pages by — the last run by default, or an
-        explicit ``stats`` (e.g. the attack run's wear applied to a
-        fresh mitigated service).
+        Needs a run with attributed wear to rank the tenant's pages by
+        — the last run by default, or an explicit ``stats`` (e.g. the
+        attack run's wear applied to a fresh mitigated service).
         """
         router = self.router
-        if not isinstance(router, RedundantRouter):
-            raise ValueError(
-                "hot-page scatter needs a remap-capable router — set "
-                "remappable=True (or any redundancy) in ServiceConfig")
         names = [t.name for t in self.tenants]
         if name not in names:
             raise ValueError(f"unknown tenant {name!r}")
@@ -1122,8 +1097,6 @@ class EnvyService:
             if bus.active:
                 bus.mark(SECURITY_REMAP,
                          {"tenant": name, "page": page, "peer": peer})
-        if swaps:
-            self._invalidate_cache_all()
         return {"tenant": name, "swaps": swaps,
                 "remapped_pages": router.remapped_pages}
 
@@ -1139,7 +1112,7 @@ class EnvyService:
         here: with the same tenants, duration and seed, two runs (at any
         ``jobs`` setting) report identical numbers.
         """
-        policy = getattr(self.router, "policy", None)
+        policy = self.router.policy
         rebuilds = self.rebuild_status()
         report = {
             "num_shards": self.router.num_shards,
@@ -1148,14 +1121,12 @@ class EnvyService:
             "tenants": len(self.tenants),
             "seed": self.config.seed,
             "redundancy": {
-                "policy": policy.name if policy else "none",
+                "policy": policy.name,
                 "placement": self.router.placement,
-                "write_fanout": policy.write_fanout if policy else 1,
-                "survivable_bank_losses": (policy.survivable
-                                           if policy else 0),
+                "write_fanout": policy.write_fanout,
+                "survivable_bank_losses": policy.survivable,
                 "degraded": self.degraded,
-                "remapped_pages": getattr(self.router,
-                                          "remapped_pages", 0),
+                "remapped_pages": self.router.remapped_pages,
                 "banks": [
                     {"bank": bank, "state": state,
                      "rebuild": rebuilds.get(bank)}
@@ -1265,85 +1236,54 @@ class EnvyService:
         if self._shards is None:
             self._shards = [None] * self.router.num_shards
         if self._shards[index] is None:
-            controller = EnvyController(
+            self._shards[index] = EnvyController(
                 self.config.shard_config(),
                 store_data=self.config.store_data)
-            self._attach_copy_listener(index, controller)
-            self._shards[index] = controller
         return self._shards[index]
 
-    def _attach_copy_listener(self, bank: int,
-                              controller: EnvyController) -> None:
-        """Invalidate front-door cache entries whose Flash copy a
-        cleaner relocation just moved (no-op without a cache)."""
-        cache = self._page_cache
-        if cache is None:
-            return
-        router = self.router
-        events = self.events
-
-        def on_copy(local: int) -> None:
-            try:
-                page = router.global_page(bank, local)
-            except IndexError:
-                return  # non-primary slot: never cached here
-            if cache.invalidate(page) and events.active:
-                events.mark(CACHE_INVALIDATE,
-                            {"bank": bank, "page": page,
-                             "reason": "clean"})
-
-        controller.store.copy_listeners.append(on_copy)
-
-    def _invalidate_cached(self, page: int, reason: str) -> None:
-        """Drop one page from the front-door byte cache (no-op when
-        no cache is configured or the page is not resident)."""
-        cache = self._page_cache
-        if cache is not None and cache.invalidate(page) \
-                and self.events.active:
-            self.events.mark(CACHE_INVALIDATE,
-                             {"page": page, "reason": reason})
-
-    def _invalidate_cache_all(self) -> None:
-        """Flush the front-door cache on topology changes (bank kill /
-        replace / heal, rebalance, hot-page scatter): routing moved,
-        so cached bytes may no longer describe their logical page."""
-        if self._page_cache is not None:
-            dropped = self._page_cache.invalidate_all()
-            if dropped and self.events.active:
-                self.events.mark(CACHE_INVALIDATE,
-                                 {"pages": dropped,
-                                  "reason": "topology"})
-
-    def _read_slot(self, slot: Tuple[int, int]) -> bytes:
+    def _read_slot(self, slot: Slot) -> bytes:
         bank, local = slot
         return self.shard(bank).read(local * self.config.page_bytes,
                                      self.config.page_bytes)
 
-    def _reconstruct_read(self, page: int, primary_bank: int) -> bytes:
-        """Serve a read whose primary bank is dead from redundancy."""
-        router = self.router
+    def reconstruct(self, groups: Sequence[Sequence[Slot]],
+                    fold: Sequence[bytes] = ()) -> Optional[bytes]:
+        """The XOR of ``fold`` and every slot of the first group in
+        ``groups`` whose banks are all healthy (a lone slot is a plain
+        copy), or None when no group qualifies.
+
+        The one reconstruction of the direct-access path: degraded
+        reads, the parity fold of a write and every rebuild copy, XOR
+        and verification go through it.  Only healthy banks are
+        trusted: a rebuilding bank takes writes but may still hold
+        blank or stale slots until its rebuild verifies.
+        """
         states = self._bank_states
-        parity = isinstance(router.policy, ParityPolicy)
-        for group in router.read_groups(page):
-            # Only fully-healthy groups serve reads: a rebuilding bank
-            # takes writes but is not trusted as a read source until
-            # its rebuild verifies.
+        for group in groups:
             if any(states[bank] != BANK_HEALTHY for bank, _ in group):
                 continue
-            if self.events.active:
-                self.events.mark(REDUNDANCY_DEGRADED,
-                                 {"page": page, "bank": primary_bank,
-                                  "source": "read"})
-            if not parity:
-                return self._read_slot(group[0])
-            value = bytearray(self.config.page_bytes)
-            for slot in group:
-                for i, byte in enumerate(self._read_slot(slot)):
-                    value[i] ^= byte
-            return bytes(value)
-        raise DegradedModeError(
-            f"page {page}: primary bank {primary_bank} is dead and no "
-            f"fallback group survives — redundancy exhausted")
+            chunks = list(fold) + [self._read_slot(slot) for slot in group]
+            if len(chunks) == 1:
+                return chunks[0]
+            value = 0
+            for chunk in chunks:
+                value ^= int.from_bytes(chunk, "little")
+            return value.to_bytes(self.config.page_bytes, "little")
+        return None
+
+    def _reconstruct_read(self, page: int, primary_bank: int) -> bytes:
+        """Serve a read whose primary bank is not healthy from
+        redundancy."""
+        data = self.reconstruct(self.router.read_groups(page))
+        if data is None:
+            raise DegradedModeError(
+                f"page {page}: primary bank {primary_bank} is dead and no "
+                f"fallback group survives — redundancy exhausted")
+        if self.events.active:
+            self.events.mark(REDUNDANCY_DEGRADED,
+                             {"page": page, "bank": primary_bank,
+                              "source": "read"})
+        return data
 
     def read_page(self, page: int) -> bytes:
         """Read one global logical page through its shard.
@@ -1353,23 +1293,10 @@ class EnvyService:
         mirror copy or a parity reconstruction; only exhausted
         redundancy raises :class:`DegradedModeError`.
         """
-        bank, local = self.router.route(page)
-        if self._bank_states[bank] != BANK_HEALTHY:
-            # Degraded reads bypass the cache: reconstruction is the
-            # truth source while the primary is untrusted, and serving
-            # stale DRAM would mask exactly the failures the
-            # redundancy drills probe.
-            return self._reconstruct_read(page, bank)
-        cache = self._page_cache
-        if cache is not None:
-            entry = cache.lookup(page)
-            if entry is not None and entry[2] is not None:
-                return entry[2]
-        data = self.shard(bank).read(local * self.config.page_bytes,
-                                     self.config.page_bytes)
-        if cache is not None:
-            cache.admit(page, 0, data)
-        return data
+        slot = self.router.route(page)
+        if self._bank_states[slot[0]] != BANK_HEALTHY:
+            return self._reconstruct_read(page, slot[0])
+        return self._read_slot(slot)
 
     def write_page(self, page: int, data: bytes) -> int:
         """Write one global logical page; returns nanoseconds taken.
@@ -1383,7 +1310,6 @@ class EnvyService:
         page_bytes = self.config.page_bytes
         if len(data) > page_bytes:
             raise ValueError("data exceeds one page")
-        self._invalidate_cached(page, "write")
         router = self.router
         states = self._bank_states
         placements = router.placements(page)
@@ -1410,7 +1336,7 @@ class EnvyService:
         # are read-modify-write at sub-page granularity), and
         # new_parity = old_parity ^ old_content ^ new_content.
         parity_slot = placements[1]
-        parity_alive = states[parity_slot[0]] != BANK_DEAD
+        parity_bank = parity_slot[0]
         # The old content must be trustworthy: a rebuilding primary may
         # still hold stale slots, so anything short of healthy
         # reconstructs the old value from the surviving stripe.
@@ -1422,11 +1348,19 @@ class EnvyService:
         if not primary_dead:
             spent_ns += self.shard(primary_bank).write(
                 primary_local * page_bytes, data)
-        if parity_alive:
-            old_parity = self._read_slot(parity_slot)
-            new_parity = bytes(p ^ o ^ n for p, o, n
-                               in zip(old_parity, old, new))
-            spent_ns += self.shard(parity_slot[0]).write(
+        if states[parity_bank] != BANK_DEAD:
+            # A rebuilding parity bank's old parity is not trusted: the
+            # stripe's other data members stand in for old_parity ^ old.
+            new_parity = self.reconstruct([[parity_slot]], (old, new))
+            if new_parity is None:
+                new_parity = self.reconstruct([[
+                    (peer, primary_local) for peer in range(router.num_shards)
+                    if peer not in (primary_bank, parity_bank)]], (new,))
+            if new_parity is None:
+                raise DegradedModeError(
+                    f"page {page}: parity bank {parity_bank} is rebuilding "
+                    f"and its stripe has another unhealthy member")
+            spent_ns += self.shard(parity_bank).write(
                 parity_slot[1] * page_bytes, new_parity)
         return spent_ns
 

@@ -2,9 +2,9 @@
 
 PR 6 striped one logical page space over independent eNVy banks, which
 made the stripe the failure domain: lose one bank and its pages are
-gone.  This module adds the redundancy layer that removes that single
-point of failure, in three pieces layered on the
-:class:`~repro.service.shard.ShardRouter`:
+gone.  This module holds the redundancy layer that removes that single
+point of failure; the :class:`~repro.service.shard.ShardRouter` carries
+one of its policies and consults it for every placement:
 
 * :class:`RedundancyPolicy` — pluggable placement math.  ``none``
   keeps the PR-6 behaviour (full capacity, zero protection);
@@ -15,18 +15,13 @@ point of failure, in three pieces layered on the
   data pages plus one XOR parity page, parity rotating across banks so
   no bank becomes the parity bottleneck (capacity ``(N-1)/N``, one
   bank loss survivable).
-* :class:`RedundantRouter` — a :class:`ShardRouter` that consults the
-  policy: every logical page maps to a primary ``(bank, local)`` slot
-  plus the policy's replica/parity placements, and an overlay
-  **remap** (SoftWear-style software remapping, no hardware support)
-  lets hot pages migrate between banks after the fact.  The remap is a
-  permutation maintained as a sparse pair of dicts; a swap also rewrites
-  the two pages' entries of the router's slot table, so the front-end
-  routes every router, remapped or not, by the same two array reads.
+* :func:`plan_rebalance` — greedy hot/cold swaps for the router's
+  remap overlay (SoftWear-style software remapping, no hardware
+  support), flattening per-bank load skew.
 * :class:`RebuildScheduler` — repopulates a replacement bank from its
-  peers (copy from any mirror, or XOR the surviving stripe members)
-  in rate-limited batches while the service keeps serving, then
-  verifies the rebuilt bank against a fresh reconstruction.
+  healthy peers (copy from a mirror, or XOR the stripe members) in
+  rate-limited batches while the service keeps serving, then verifies
+  the rebuilt bank against a fresh reconstruction.
 
 The policies are pure placement arithmetic — no controller references,
 picklable, and deterministic — so the service front-end can expand a
@@ -36,19 +31,20 @@ worker processes exactly as before.
 
 :class:`DegradedModeError` is the layer's only failure mode: it is
 raised when an operation's redundancy is exhausted (every placement of
-a page is on a dead bank, or a rebuild has no surviving source), never
+a page is on a dead bank, or a rebuild has no healthy source), never
 merely because a bank died.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from .shard import ShardRouter
+if TYPE_CHECKING:
+    from .shard import ShardRouter
 
 __all__ = ["DegradedModeError", "RedundancyPolicy", "NoRedundancy",
            "MirrorPolicy", "ParityPolicy", "make_policy",
-           "RedundantRouter", "RebuildScheduler", "plan_rebalance",
+           "RebuildScheduler", "plan_rebalance",
            "BANK_HEALTHY", "BANK_DEAD", "BANK_REBUILDING"]
 
 #: One placement: ``(bank_index, local_page)``.
@@ -293,159 +289,10 @@ def make_policy(spec: str) -> RedundancyPolicy:
 
 
 # ----------------------------------------------------------------------
-# Router
-# ----------------------------------------------------------------------
-
-class RedundantRouter(ShardRouter):
-    """A shard router that consults a :class:`RedundancyPolicy`.
-
-    ``pages_per_shard`` stays the *physical* local page count of each
-    bank; the presented logical page space (:attr:`num_pages`) shrinks
-    to what the policy leaves usable.  On top of the policy placement
-    sits the rebalancing remap: a sparse permutation of the logical
-    page space (``page -> placement owner``) maintained with its
-    inverse, so both directions stay O(1) and an unremapped page costs
-    one dict miss.
-    """
-
-    __slots__ = ("policy", "_remap", "_inverse")
-
-    def __init__(self, num_shards: int, pages_per_shard: int,
-                 page_bytes: int = 256, placement: str = "striped",
-                 policy: Optional[RedundancyPolicy] = None) -> None:
-        super().__init__(num_shards, pages_per_shard, page_bytes,
-                         placement)
-        self.policy = policy or NoRedundancy()
-        if placement == "ranged" and self.policy.name == "parity":
-            raise ValueError("parity striping requires striped placement")
-        self.policy.validate(num_shards, pages_per_shard)
-        self.num_pages = self.policy.usable_pages(num_shards,
-                                                  pages_per_shard)
-        #: Rebalancing overlay: logical page -> placement-owner page.
-        self._remap: Dict[int, int] = {}
-        self._inverse: Dict[int, int] = {}
-
-    # -- routing -------------------------------------------------------
-
-    def route(self, page: int) -> Slot:
-        self._check_page(page)
-        owner = self._remap.get(page, page)
-        return self.policy.data_slot(owner, self.num_shards,
-                                     self.pages_per_shard, self.placement)
-
-    def page_of_slot(self, slot: Slot) -> Optional[int]:
-        """Logical page whose content lives in ``slot`` (any copy)."""
-        owner = self.policy.page_of_slot(slot, self.num_shards,
-                                         self.pages_per_shard,
-                                         self.placement)
-        if owner is None or owner >= self.num_pages:
-            return None
-        return self._inverse.get(owner, owner)
-
-    def placements(self, page: int) -> List[Slot]:
-        """Every slot a write to ``page`` must program, primary first."""
-        primary = self.route(page)
-        return [primary] + self.policy.extra_slots(
-            primary, self.num_shards, self.pages_per_shard)
-
-    def read_groups(self, page: int) -> List[List[Slot]]:
-        """Degraded-read source groups for ``page`` (see the policy)."""
-        primary = self.route(page)
-        return self.policy.read_groups(primary, self.num_shards,
-                                       self.pages_per_shard)
-
-    @property
-    def is_plain(self) -> bool:
-        """True when routing is bit-identical to the plain striped
-        router (no redundancy, no ranged placement, no remap) — the
-        front-end's licence to run without overhead pseudo-tenants."""
-        return (self.policy.name == "none"
-                and self.placement == "striped" and not self._remap)
-
-    # -- rebalancing remap ---------------------------------------------
-
-    @property
-    def remapped_pages(self) -> int:
-        return len(self._remap)
-
-    def swap(self, page_a: int, page_b: int) -> None:
-        """Exchange the placements of two logical pages.
-
-        Swapping keeps the remap a permutation by construction — no
-        page ever loses its slot, so capacity accounting and rebuild
-        plans stay exact however many swaps accumulate.
-        """
-        self._check_page(page_a)
-        self._check_page(page_b)
-        if page_a == page_b:
-            return
-        owner_a = self._remap.get(page_a, page_a)
-        owner_b = self._remap.get(page_b, page_b)
-        for page, owner in ((page_a, owner_b), (page_b, owner_a)):
-            if page == owner:
-                self._remap.pop(page, None)
-                self._inverse.pop(owner, None)
-            else:
-                self._remap[page] = owner
-                self._inverse[owner] = page
-        if self._table is not None:
-            for page in (page_a, page_b):
-                self._table[0][page], self._table[1][page] = self.route(page)
-
-    # -- rebuild plans -------------------------------------------------
-
-    def rebuild_plan(self, bank: int) -> List[Dict]:
-        """How to repopulate every slot of ``bank`` from its peers.
-
-        Returns one entry per live slot, in local-page order:
-        ``{"local", "op", "sources", "page"}`` where ``op`` is
-        ``"copy"`` (any one source slot holds the bytes — mirrors) or
-        ``"xor"`` (the bytes are the XOR of every source — parity data
-        and parity slots alike), ``sources`` are peer slots, and
-        ``page`` is the logical page served from the slot (``None``
-        for parity slots).  Raises :class:`DegradedModeError` under
-        ``none`` — there is nothing to rebuild from.
-        """
-        if not 0 <= bank < self.num_shards:
-            raise IndexError(f"no bank {bank}")
-        policy = self.policy
-        if policy.name == "none":
-            raise DegradedModeError(
-                "cannot rebuild a bank without redundancy (policy "
-                "'none' keeps a single copy of every page)")
-        num_banks, pages = self.num_shards, self.pages_per_shard
-        plan: List[Dict] = []
-        if isinstance(policy, MirrorPolicy):
-            region = pages // policy.copies
-            for local in range(policy.copies * region):
-                page = self.page_of_slot((bank, local))
-                if page is None:
-                    continue
-                sources = [slot for slot in self.placements(page)
-                           if slot != (bank, local)]
-                plan.append({"local": local, "op": "copy",
-                             "sources": sources, "page": page})
-        else:  # parity
-            for local in range(pages):
-                sources = [(peer, local) for peer in range(num_banks)
-                           if peer != bank]
-                plan.append({"local": local, "op": "xor",
-                             "sources": sources,
-                             "page": self.page_of_slot((bank, local))})
-        return plan
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"RedundantRouter({self.num_shards} banks x "
-                f"{self.pages_per_shard} pages, {self.placement}, "
-                f"{self.policy.name}, {self.num_pages} logical pages, "
-                f"{len(self._remap)} remapped)")
-
-
-# ----------------------------------------------------------------------
 # Hot-page rebalancing
 # ----------------------------------------------------------------------
 
-def plan_rebalance(router: RedundantRouter,
+def plan_rebalance(router: ShardRouter,
                    page_loads: Mapping[int, int],
                    max_moves: int = 64,
                    tolerance: float = 1.10) -> List[Tuple[int, int]]:
@@ -457,7 +304,7 @@ def plan_rebalance(router: RedundantRouter,
     unswapped page with the coldest bank's coldest page — the classic
     longest-processing-time flattening, bounded by ``max_moves``.
     Deterministic: all ties break on page number.  The returned swaps
-    are *not* applied; feed them to :meth:`RedundantRouter.swap` (the
+    are *not* applied; feed them to :meth:`ShardRouter.swap` (the
     service front-end does, and migrates page payloads when it holds
     in-process banks).
     """
@@ -511,9 +358,10 @@ class RebuildScheduler:
     (which must already be in the ``rebuilding`` state — see
     :meth:`EnvyService.replace_bank`).  Two drivers share the cursor:
 
-    * :meth:`step` — the in-process driver: reads the source slots
-      through the service's live controllers, XORs when the plan says
-      so, and writes the bytes into the replacement bank.  Used by the
+    * :meth:`step` — the in-process driver: rebuilds each slot through
+      :meth:`EnvyService.reconstruct` (healthy peers only: a copy, or
+      the XOR of a stripe) and writes the bytes into the replacement
+      bank.  Used by the
       chaos drills and direct-access serving, where banks hold real
       payloads.
     * :meth:`take` — the schedule driver: hands the next batch of plan
@@ -530,10 +378,6 @@ class RebuildScheduler:
                  pages_per_step: int = 32) -> None:
         if pages_per_step < 1:
             raise ValueError("rebuild steps need at least one page")
-        if not isinstance(service.router, RedundantRouter):
-            raise DegradedModeError(
-                "cannot rebuild a bank without redundancy (the plain "
-                "striped router keeps a single copy of every page)")
         self.service = service
         self.bank = bank
         self.pages_per_step = pages_per_step
@@ -566,28 +410,17 @@ class RebuildScheduler:
     # -- in-process data movement --------------------------------------
 
     def _reconstruct(self, entry: Dict) -> bytes:
-        service = self.service
-        page_bytes = service.config.page_bytes
+        """One plan entry's bytes, from healthy peers only: a peer that
+        is itself rebuilding may still hold blank slots."""
         sources = entry["sources"]
-        if entry["op"] == "copy":
-            for bank, local in sources:
-                if service.bank_state(bank) != BANK_DEAD:
-                    return service.shard(bank).read(
-                        local * page_bytes, page_bytes)
+        copy = entry["op"] == "copy"
+        value = self.service.reconstruct(
+            [[slot] for slot in sources] if copy else [sources])
+        if value is None:
             raise DegradedModeError(
-                f"no surviving copy for local page {entry['local']} "
-                f"of bank {self.bank}")
-        value = bytearray(page_bytes)
-        for bank, local in sources:
-            if service.bank_state(bank) == BANK_DEAD:
-                raise DegradedModeError(
-                    f"stripe member bank {bank} is dead; cannot "
-                    f"reconstruct local page {entry['local']}")
-            data = service.shard(bank).read(local * page_bytes,
-                                            page_bytes)
-            for i, byte in enumerate(data):
-                value[i] ^= byte
-        return bytes(value)
+                f"no healthy {'copy' if copy else 'stripe'} for local "
+                f"page {entry['local']} of bank {self.bank}")
+        return value
 
     def step(self, max_pages: Optional[int] = None) -> int:
         """Copy the next batch into the replacement bank; returns the

@@ -81,8 +81,6 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("reference", "test_tracing: recorded time equals busy_ns"),
     "repro.faults.plan:FaultInjector.schedule_digest":
         ("reference", "test_faults: one schedule per seed, across runs"),
-    "repro.service.shard:ShardRouter.read_groups":
-        ("reference", "test_properties: the per-row partition model"),
     # Loads outside input; the hostile-input tests reach it.
     "repro.core.persistence":
         ("loader", "snapshot files: test_persistence.TestSnapshotErrors"),
@@ -103,8 +101,6 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("roadmap", "item 1"),
     # ROADMAP item 4(a): one state machine across backend x redundancy
     # x cache x kill x recover / reopen / rebuild.
-    "repro.service.cache:PageCache.invalidate_all": ("roadmap", "item 4(a)"),
-    "repro.service.cache:PageCache.lookup": ("roadmap", "item 4(a)"),
     "repro.backends.filestore:FileBackend.close": ("roadmap", "item 4(a)"),
     "repro.backends.onfi:OnfiBackend.read_oob": ("roadmap", "item 4(a)"),
     "repro.backends.ramdisk:RamImage.read": ("roadmap", "item 4(a)"),

@@ -167,15 +167,13 @@ class TestMitigation:
         assert max(wear["page_writes"].values()) <= 4
         assert stats.requests_rejected_wear > 0
 
-    def test_scatter_requires_remappable_router(self):
+    def test_scatter_remaps_on_the_default_router(self):
         attacker = attack_tenant("targeted-wear", CONFIG, rate_tps=1.5e5)
         service, _ = _attributed(HONEST + [attacker])
-        with pytest.raises(ValueError):
-            service.scatter_hot_pages("attacker")
-        remappable, _ = _attributed(HONEST + [attacker], remappable=True)
-        result = remappable.scatter_hot_pages("attacker", max_pages=8)
+        result = service.scatter_hot_pages("attacker", max_pages=8)
         assert len(result["swaps"]) > 0
-        assert result["remapped_pages"] > 0
+        assert result["remapped_pages"] == service.router.remapped_pages > 0
+        assert not service.router.is_plain
 
     def test_scenario_restores_honest_tenants(self):
         attacker = attack_tenant("targeted-wear", CONFIG, rate_tps=1.5e5)

@@ -21,7 +21,7 @@ from repro.core import EnvyConfig, EnvySystem
 from repro.db import BTree, BTreeGeometry
 from repro.ramdisk import BlockDevice
 from repro.service import (DegradedModeError, EnvyService, ParityPolicy,
-                           RedundantRouter, ServiceConfig, TenantSpec)
+                           ServiceConfig, TenantSpec)
 from repro.sram import WriteBuffer
 from repro.workloads import TraceWorkload
 
@@ -395,11 +395,11 @@ def reference_partition(service, requests, rid_base):
     return slices, rids, counters
 
 
-#: ``(redundancy, placement, remappable)`` for every router the service
-#: builds: the plain striped router, the remap-capable one without
-#: copies, ranged placement, 2- and 3-way mirrors and parity stripes.
-ROUTINGS = [("none", "striped", False)] + [
-    (redundancy, placement, True)
+#: ``(redundancy, placement)`` for every routing the service builds:
+#: plain striping, ranged placement, 2- and 3-way mirrors and parity
+#: stripes.  Every router swaps.
+ROUTINGS = [
+    (redundancy, placement)
     for redundancy in ("none", "mirror", "mirror:3", "parity")
     for placement in ("striped", "ranged")
     if (redundancy, placement) != ("parity", "ranged")]
@@ -413,21 +413,19 @@ class TestPartitionProperties:
         """The slot-table loop routes, expands and threads rids exactly
         as a per-row walk of the router does, for every router, bank
         state and remap; the table follows every ``swap``."""
-        redundancy, placement, remappable = routing
+        redundancy, placement = routing
         service = EnvyService(
             ServiceConfig(num_shards=4, num_segments=4, pages_per_segment=16,
-                          redundancy=redundancy, placement=placement,
-                          remappable=remappable),
+                          redundancy=redundancy, placement=placement),
             [TenantSpec("a"), TenantSpec("b")])
         router = service.router
         pages = st.integers(0, router.num_pages - 1)
         banks, locals_ = router.slot_table()
-        if isinstance(router, RedundantRouter):
-            for a, b in data.draw(st.lists(st.tuples(pages, pages),
-                                           max_size=6), label="swaps"):
-                router.swap(a, b)
-                for page in (a, b):
-                    assert (banks[page], locals_[page]) == router.route(page)
+        for a, b in data.draw(st.lists(st.tuples(pages, pages),
+                                       max_size=6), label="swaps"):
+            router.swap(a, b)
+            for page in (a, b):
+                assert (banks[page], locals_[page]) == router.route(page)
         assert list(zip(banks, locals_)) == [
             router.route(page) for page in range(router.num_pages)]
         sick = (["dead"] if redundancy == "none"

@@ -4,7 +4,7 @@ rebalancing."""
 import pytest
 
 from repro.service import (DegradedModeError, EnvyService, MirrorPolicy,
-                           ParityPolicy, RedundantRouter, ServiceConfig,
+                           ParityPolicy, ServiceConfig, ShardRouter,
                            TenantSpec, make_policy, plan_rebalance)
 
 MIRROR = ServiceConfig(num_shards=3, num_segments=4, pages_per_segment=16,
@@ -37,11 +37,11 @@ class TestMakePolicy:
 
 class TestMirrorPlacement:
     def test_capacity_shrinks_to_regions(self):
-        router = RedundantRouter(4, 8, policy=MirrorPolicy(2))
+        router = ShardRouter(4, 8, policy=MirrorPolicy(2))
         assert router.num_pages == 4 * 4
 
     def test_placements_are_disjoint_and_invertible(self):
-        router = RedundantRouter(4, 8, policy=MirrorPolicy(2))
+        router = ShardRouter(4, 8, policy=MirrorPolicy(2))
         seen = set()
         for page in range(router.num_pages):
             slots = router.placements(page)
@@ -54,18 +54,18 @@ class TestMirrorPlacement:
         assert len(seen) == 4 * 8
 
     def test_unused_tail_maps_to_no_page(self):
-        router = RedundantRouter(4, 7, policy=MirrorPolicy(2))
+        router = ShardRouter(4, 7, policy=MirrorPolicy(2))
         assert router.num_pages == 4 * 3
         assert router.page_of_slot((0, 6)) is None
 
     def test_geometry_validated(self):
         with pytest.raises(ValueError):
-            RedundantRouter(2, 8, policy=MirrorPolicy(3))
+            ShardRouter(2, 8, policy=MirrorPolicy(3))
         with pytest.raises(ValueError):
-            RedundantRouter(4, 1, policy=MirrorPolicy(2))
+            ShardRouter(4, 1, policy=MirrorPolicy(2))
 
     def test_read_groups_are_single_replicas(self):
-        router = RedundantRouter(3, 9, policy=MirrorPolicy(3))
+        router = ShardRouter(3, 9, policy=MirrorPolicy(3))
         groups = router.read_groups(0)
         assert len(groups) == 2
         assert all(len(group) == 1 for group in groups)
@@ -73,11 +73,11 @@ class TestMirrorPlacement:
 
 class TestParityPlacement:
     def test_capacity_loses_one_bank(self):
-        router = RedundantRouter(4, 8, policy=ParityPolicy())
+        router = ShardRouter(4, 8, policy=ParityPolicy())
         assert router.num_pages == 3 * 8
 
     def test_parity_rotates_and_data_skips_it(self):
-        router = RedundantRouter(4, 8, policy=ParityPolicy())
+        router = ShardRouter(4, 8, policy=ParityPolicy())
         for page in range(router.num_pages):
             primary, parity = router.placements(page)
             stripe = primary[1]
@@ -85,28 +85,27 @@ class TestParityPlacement:
             assert primary[0] != parity[0]
 
     def test_reconstruction_group_is_the_whole_stripe(self):
-        router = RedundantRouter(4, 8, policy=ParityPolicy())
+        router = ShardRouter(4, 8, policy=ParityPolicy())
         (group,) = router.read_groups(5)
         bank, stripe = router.route(5)
         assert group == [(peer, stripe) for peer in range(4)
                          if peer != bank]
 
     def test_parity_slot_serves_no_logical_page(self):
-        router = RedundantRouter(3, 4, policy=ParityPolicy())
+        router = ShardRouter(3, 4, policy=ParityPolicy())
         for stripe in range(4):
             assert router.page_of_slot((stripe % 3, stripe)) is None
 
     def test_requires_striped_placement_and_three_banks(self):
         with pytest.raises(ValueError):
-            RedundantRouter(4, 8, placement="ranged",
-                            policy=ParityPolicy())
+            ShardRouter(4, 8, placement="ranged", policy=ParityPolicy())
         with pytest.raises(ValueError):
-            RedundantRouter(2, 8, policy=ParityPolicy())
+            ShardRouter(2, 8, policy=ParityPolicy())
 
 
 class TestRemap:
     def test_swap_is_a_permutation_and_reversible(self):
-        router = RedundantRouter(4, 8, policy=MirrorPolicy(2))
+        router = ShardRouter(4, 8, policy=MirrorPolicy(2))
         a, b = 1, 10
         before_a, before_b = router.route(a), router.route(b)
         router.swap(a, b)
@@ -119,21 +118,21 @@ class TestRemap:
         assert router.route(a) == before_a
 
     def test_is_plain_tracks_policy_placement_and_remap(self):
-        plain = RedundantRouter(4, 8)
+        plain = ShardRouter(4, 8)
         assert plain.is_plain
         plain.swap(0, 1)
         assert not plain.is_plain
-        assert not RedundantRouter(4, 8, policy=MirrorPolicy(2)).is_plain
-        assert not RedundantRouter(4, 8, placement="ranged").is_plain
+        assert not ShardRouter(4, 8, policy=MirrorPolicy(2)).is_plain
+        assert not ShardRouter(4, 8, placement="ranged").is_plain
 
     def test_rebuild_plan_without_redundancy_raises(self):
         with pytest.raises(DegradedModeError):
-            RedundantRouter(4, 8).rebuild_plan(0)
+            ShardRouter(4, 8).rebuild_plan(0)
 
 
 class TestPlanRebalance:
     def test_hot_bank_is_flattened(self):
-        router = RedundantRouter(4, 8, placement="ranged")
+        router = ShardRouter(4, 8, placement="ranged")
         loads = {page: 100 for page in range(8)}          # all on bank 0
         loads.update({page: 1 for page in range(8, 32)})
         swaps = plan_rebalance(router, loads, max_moves=16,
@@ -235,10 +234,74 @@ class TestOnlineRebuild:
         scheduler.finish(verify=True)
         assert service.read_page(0) == fresh
 
+    def test_parity_folds_past_a_rebuilding_parity_bank(self):
+        """A write whose parity slot is on the rebuilding bank folds the
+        stripe's healthy data members, not the untrusted old parity:
+        the rebuilt bank verifies and serves through a second loss."""
+        service = EnvyService(PARITY, TENANTS)
+        pages = service.router.num_pages
+        for page in range(pages):
+            service.write_page(page, payload(page, PARITY))
+        service.kill_bank(2)
+        scheduler = service.replace_bank(2, pages_per_step=8)
+        scheduler.step()
+        fresh = bytes([0x3D] * PARITY.page_bytes)
+        folded = [page for page in range(pages)
+                  if service.router.placements(page)[1][0] == 2]
+        for page in folded:
+            service.write_page(page, fresh)
+        scheduler.run_to_completion()
+        scheduler.finish(verify=True)
+        service.kill_bank(0)
+        for page in range(pages):
+            assert service.read_page(page) == (
+                fresh if page in folded else payload(page, PARITY))
+
     def test_only_dead_banks_can_be_replaced(self):
         service = EnvyService(MIRROR, TENANTS)
         with pytest.raises(ValueError):
             service.replace_bank(0)
+
+    def test_rebuild_copies_only_from_healthy_peers(self):
+        """Two banks rebuild side by side under 3-way mirroring: bank 1
+        must copy from bank 0 alone, never from the blank bank 2, or it
+        verifies against the same blanks and then serves them once bank
+        0 is lost too."""
+        config = ServiceConfig(num_shards=3, num_segments=4,
+                               pages_per_segment=16, redundancy="mirror:3",
+                               store_data=True, prewarm_turnovers=0.0,
+                               seed=7)
+        service = EnvyService(config, TENANTS)
+        pages = service.router.num_pages
+        for page in range(pages):
+            service.write_page(page, payload(page, config))
+        service.kill_bank(1)
+        service.kill_bank(2)
+        scheduler = service.replace_bank(1)
+        service.replace_bank(2)
+        scheduler.run_to_completion()
+        scheduler.finish(verify=True)
+        service.kill_bank(0)
+        assert [page for page in range(pages)
+                if service.read_page(page) != payload(page, config)] == []
+
+    def test_a_killed_bank_is_never_revived(self):
+        """A killed bank missed every write made while it was dead: it
+        returns to service only replaced and rebuilt."""
+        service = EnvyService(MIRROR, TENANTS)
+        service.write_page(0, payload(0, MIRROR))
+        bank = service.router.route(0)[0]
+        service.kill_bank(bank)
+        with pytest.raises(ValueError):
+            service.mark_bank_healthy(bank)
+        assert service.read_page(0) == payload(0, MIRROR)
+        scheduler = service.replace_bank(bank)
+        with pytest.raises(ValueError):
+            service.mark_bank_healthy(bank)     # rebuild not finished
+        scheduler.run_to_completion()
+        scheduler.finish(verify=True)
+        assert service.bank_state(bank) == "healthy"
+        assert service.read_page(0) == payload(0, MIRROR)
 
 
 class TestRedundantServiceRun:

@@ -214,10 +214,9 @@ def run_overhead(spec):
         service = EnvyService(_config(spec, redundancy=policy),
                               _tenants(spec))
         stats = service.run(spec["duration_s"], jobs=1)
-        redundancy = getattr(service.router, "policy", None)
         points[policy] = {
             "logical_pages": service.router.num_pages,
-            "write_fanout": redundancy.write_fanout if redundancy else 1,
+            "write_fanout": service.router.policy.write_fanout,
             "requests_admitted": stats.requests_admitted,
             "accesses_served": stats.accesses_served,
             "foreground_writes": sum(t.writes

@@ -34,13 +34,24 @@ DURATION = 0.0002
 
 class TestShardRouter:
     def test_striped_partition_is_a_bijection(self):
-        router = ShardRouter(num_shards=4, pages_per_shard=8)
-        seen = set()
-        for page in range(router.num_pages):
-            shard, local = router.route(page)
-            assert router.global_page(shard, local) == page
-            seen.add((shard, local))
-        assert len(seen) == router.num_pages
+        """Under policy ``none`` both placements are their closed forms
+        (striped ``(p % N, p // N)``, ranged ``(p // P, p % P)``) and
+        invertible, at several geometries."""
+        for shards, pages in ((4, 8), (3, 5), (1, 7)):
+            closed = {"striped": lambda p: (p % shards, p // shards),
+                      "ranged": lambda p: (p // pages, p % pages)}
+            for placement, slot in closed.items():
+                router = ShardRouter(num_shards=shards,
+                                     pages_per_shard=pages,
+                                     placement=placement)
+                assert router.policy.name == "none"
+                assert router.num_pages == shards * pages
+                seen = set()
+                for page in range(router.num_pages):
+                    assert router.route(page) == slot(page)
+                    assert router.global_page(*slot(page)) == page
+                    seen.add(slot(page))
+                assert len(seen) == router.num_pages
 
     def test_striping_spreads_contiguous_ranges(self):
         router = ShardRouter(num_shards=4, pages_per_shard=64)
@@ -70,12 +81,10 @@ class TestShardRouter:
             ShardRouter(2, 0)
 
 
-#: One service per router kind the front-end builds: plain striping,
-#: the remap-capable router without copies, ranged placement, mirrors
-#: and parity.
+#: One service per routing the front-end builds: plain striping, ranged
+#: placement, mirrors and parity.
 ROUTER_KINDS = {
     "plain": {},
-    "remappable": {"remappable": True},
     "ranged": {"placement": "ranged"},
     "mirror": {"redundancy": "mirror"},
     "mirror-3": {"redundancy": "mirror:3"},
