@@ -73,9 +73,11 @@ Event taxonomy (kind strings, hierarchical by prefix):
                         parity placement (instant; data: bank, kind)
 ``redundancy.kill``     a whole bank was declared dead (instant; data:
                         bank)
-``redundancy.degraded`` a request was served degraded — redirected to
-                        a mirror or reconstructed from parity (instant;
-                        data: page, bank, source)
+``redundancy.degraded`` a request was served degraded: a read whose
+                        primary bank is not healthy, or a write whose
+                        primary bank is dead; one mark per request on
+                        either path (instant; data: page, bank, source
+                        — "read" or "write")
 ``redundancy.rebuild``  one rebuild batch copied onto a replacement
                         bank (span; data: bank, pages, done, total)
 ``redundancy.rebalance``a hot logical page was remapped to another

@@ -46,8 +46,9 @@ Direct access — transactions stay on one shard
 For interactive use the service can materialise its shards
 in-process: :meth:`~EnvyService.read_page` / :meth:`~EnvyService.
 write_page` route single-page operations to the shard controllers (no
-cache: the DRAM tier is the executors' timing device), and
-:meth:`~EnvyService.reconstruct` rebuilds bytes from healthy banks.
+cache: the DRAM tier is the executors' timing device).  They read and
+program exactly the slots :func:`~repro.service.redundancy.io_plan`
+names, the slots a scheduled run charges for the same request.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .cache import CACHE_POLICIES, DRAM_READ_NS
 from .executor import shard_executor
 from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
-                         DegradedModeError, ParityPolicy, RebuildScheduler,
-                         Slot, make_policy, plan_rebalance)
+                         DegradedModeError, RebuildScheduler, Slot, io_plan,
+                         make_policy, plan_rebalance)
 from .shard import ShardRouter
 from .tenant import TenantSpec, TenantStats, field_types, merge_columns
 
@@ -86,15 +87,6 @@ __all__ = ["ServiceConfig", "ServiceStats", "EnvyService",
 #: through the shard executors without polluting tenant accounting.
 _REDUNDANCY_TENANT = "__redundancy__"
 _REBUILD_TENANT = "__rebuild__"
-
-
-def _rebuild_sources(entry: dict, states: Sequence[str]) -> list:
-    """The peer slots one rebuild plan entry reads: every healthy stripe
-    member for an XOR, the first healthy copy for a mirror (a rebuilding
-    peer is no source, as in :meth:`EnvyService.reconstruct`)."""
-    sources = [slot for slot in entry["sources"]
-               if states[slot[0]] == BANK_HEALTHY]
-    return sources[:1] if entry["op"] == "copy" else sources
 
 
 #: Dotted worker name resolved inside each sweep process.
@@ -476,80 +468,33 @@ class EnvyService:
         primary becomes, each ending in ``tail``; ``counters`` tallies."""
         router = self.router
         states = self._bank_states
-        parity = isinstance(router.policy, ParityPolicy)
         pseudo_red = len(self.tenants)       # __redundancy__
         bus = self.events
 
         def expand(arrival: int, tenant: int, seq: int, is_write: bool,
                    page: int, tail: tuple) -> None:
-            if is_write:
-                placements = router.placements(page)
-                primary_bank, primary_local = placements[0]
-                live = [slot for slot in placements
-                        if states[slot[0]] != BANK_DEAD]
-                if not live:
-                    raise DegradedModeError(
-                        f"page {page}: every placement {placements} is "
-                        f"on a dead bank — redundancy exhausted")
-                primary_dead = states[primary_bank] == BANK_DEAD
-                if primary_dead:
-                    counters["degraded_writes"] += 1
-                    if bus.active:
-                        bus.mark(REDUNDANCY_DEGRADED,
-                                 {"page": page, "bank": primary_bank,
-                                  "source": "write"})
-                reads = []
-                if parity and primary_dead:
-                    # Degraded parity write: read every surviving data
-                    # member of the stripe to fold the update into parity.
-                    reads = [(peer, primary_local)
-                             for peer in range(router.num_shards)
-                             if peer not in (primary_bank, live[0][0])
-                             and states[peer] != BANK_DEAD]
-                elif parity and len(live) > 1:
-                    # RAID small write: read old data + old parity
-                    # before programming both.
-                    reads = live
-                for bank, local in reads:
-                    slices[bank].append(
-                        (arrival, pseudo_red, seq, False, local) + tail)
-                bank, local = live[0]
-                slices[bank].append((arrival, tenant, seq, True, local)
+            reads, programs, degraded = io_plan(router, states, page,
+                                                is_write)
+            if degraded:
+                source = "write" if is_write else "read"
+                counters[f"degraded_{source}s"] += 1
+                self._mark_degraded(page, source)
+            counters["replica_accesses"] += len(reads) + len(programs) - 1
+            # The tenant owns a read's first read row or a write's first
+            # program row; the rest is redundancy overhead.
+            owner = pseudo_red if is_write else tenant
+            for bank, local in reads:
+                slices[bank].append((arrival, owner, seq, False, local)
                                     + tail)
-                for bank, local in live[1:]:
-                    if bus.active:
-                        bus.mark(REDUNDANCY_REPLICA,
-                                 {"bank": bank, "kind": "program"})
-                    slices[bank].append(
-                        (arrival, pseudo_red, seq, True, local) + tail)
-                counters["replica_accesses"] += len(reads) + len(live) - 1
-                return
-            # Reads: primary if healthy, else the first fully-healthy
-            # fallback group (one mirror slot, or a whole parity stripe
-            # XORed together).  A rebuilding bank takes writes but is not
-            # trusted for reads until its rebuild verifies.
-            primary_bank, primary_local = router.route(page)
-            if states[primary_bank] == BANK_HEALTHY:
-                slices[primary_bank].append(
-                    (arrival, tenant, seq, False, primary_local) + tail)
-                return
-            for group in router.read_groups(page):
-                if any(states[bank] != BANK_HEALTHY for bank, _ in group):
-                    continue
-                counters["degraded_reads"] += 1
-                counters["replica_accesses"] += len(group) - 1
-                if bus.active:
-                    bus.mark(REDUNDANCY_DEGRADED,
-                             {"page": page, "bank": primary_bank,
-                              "source": "read"})
-                for index, (bank, local) in enumerate(group):
-                    slices[bank].append((arrival, pseudo_red if index
-                                         else tenant, seq, False, local)
-                                        + tail)
-                return
-            raise DegradedModeError(
-                f"page {page}: primary bank {primary_bank} is dead and no "
-                f"fallback group survives — redundancy exhausted")
+                owner = pseudo_red
+            owner = tenant
+            for bank, local in programs:
+                if owner == pseudo_red and bus.active:
+                    bus.mark(REDUNDANCY_REPLICA,
+                             {"bank": bank, "kind": "program"})
+                slices[bank].append((arrival, owner, seq, True, local)
+                                    + tail)
+                owner = pseudo_red
 
         return expand
 
@@ -562,14 +507,13 @@ class EnvyService:
         the trace's cross-shard flow links."""
         gap_ns = max(1, int(1e9 / self.config.rebuild_rate_pps))
         budget = int(duration_s * 1e9) // gap_ns
-        states = self._bank_states
         cursors, rid = [], -1
         for bank, scheduler in sorted(self._rebuilds.items()):
             if scheduler.done or not budget:
                 continue
             cursors.append([bank, scheduler, 0, rid])
             start = scheduler.position
-            rid -= sum(len(_rebuild_sources(entry, states)) + 1
+            rid -= sum(len(scheduler.sources(entry)) + 1
                        for entry in scheduler.plan[start:start + budget])
         return {"counters": {"degraded_reads": 0, "degraded_writes": 0,
                              "replica_accesses": 0, "rebuild_accesses": 0},
@@ -585,7 +529,6 @@ class EnvyService:
         if until_ns is not None:
             due = min(due, until_ns // gap_ns + 1)
         counters = run["counters"]
-        states = self._bank_states
         pseudo_reb = len(self.tenants) + 1   # __rebuild__
         bus = self.events
         for cursor in run["cursors"]:
@@ -596,7 +539,7 @@ class EnvyService:
                 rows = [(src_bank, (arrival, pseudo_reb, index, False,
                                     src_local))
                         for src_bank, src_local
-                        in _rebuild_sources(entry, states)]
+                        in scheduler.sources(entry)]
                 rows.append((bank, (arrival, pseudo_reb, index, True,
                                     entry["local"])))
                 counters["rebuild_accesses"] += len(rows)
@@ -1241,49 +1184,29 @@ class EnvyService:
                 store_data=self.config.store_data)
         return self._shards[index]
 
-    def _read_slot(self, slot: Slot) -> bytes:
-        bank, local = slot
-        return self.shard(bank).read(local * self.config.page_bytes,
-                                     self.config.page_bytes)
+    def read_xor(self, slots: Sequence[Slot],
+                 fold: Sequence[bytes] = ()) -> bytes:
+        """The XOR of ``fold`` and the bytes of every slot in ``slots``
+        (a lone slot is a plain read): how direct access serves the
+        reads of an :func:`~repro.service.redundancy.io_plan` and of a
+        rebuild's sources."""
+        page_bytes = self.config.page_bytes
+        chunks = list(fold) + [self.shard(bank).read(local * page_bytes,
+                                                     page_bytes)
+                               for bank, local in slots]
+        if len(chunks) == 1:
+            return chunks[0]
+        value = 0
+        for chunk in chunks:
+            value ^= int.from_bytes(chunk, "little")
+        return value.to_bytes(page_bytes, "little")
 
-    def reconstruct(self, groups: Sequence[Sequence[Slot]],
-                    fold: Sequence[bytes] = ()) -> Optional[bytes]:
-        """The XOR of ``fold`` and every slot of the first group in
-        ``groups`` whose banks are all healthy (a lone slot is a plain
-        copy), or None when no group qualifies.
-
-        The one reconstruction of the direct-access path: degraded
-        reads, the parity fold of a write and every rebuild copy, XOR
-        and verification go through it.  Only healthy banks are
-        trusted: a rebuilding bank takes writes but may still hold
-        blank or stale slots until its rebuild verifies.
-        """
-        states = self._bank_states
-        for group in groups:
-            if any(states[bank] != BANK_HEALTHY for bank, _ in group):
-                continue
-            chunks = list(fold) + [self._read_slot(slot) for slot in group]
-            if len(chunks) == 1:
-                return chunks[0]
-            value = 0
-            for chunk in chunks:
-                value ^= int.from_bytes(chunk, "little")
-            return value.to_bytes(self.config.page_bytes, "little")
-        return None
-
-    def _reconstruct_read(self, page: int, primary_bank: int) -> bytes:
-        """Serve a read whose primary bank is not healthy from
-        redundancy."""
-        data = self.reconstruct(self.router.read_groups(page))
-        if data is None:
-            raise DegradedModeError(
-                f"page {page}: primary bank {primary_bank} is dead and no "
-                f"fallback group survives — redundancy exhausted")
+    def _mark_degraded(self, page: int, source: str) -> None:
         if self.events.active:
             self.events.mark(REDUNDANCY_DEGRADED,
-                             {"page": page, "bank": primary_bank,
-                              "source": "read"})
-        return data
+                             {"page": page,
+                              "bank": self.router.route(page)[0],
+                              "source": source})
 
     def read_page(self, page: int) -> bytes:
         """Read one global logical page through its shard.
@@ -1293,76 +1216,39 @@ class EnvyService:
         mirror copy or a parity reconstruction; only exhausted
         redundancy raises :class:`DegradedModeError`.
         """
-        slot = self.router.route(page)
-        if self._bank_states[slot[0]] != BANK_HEALTHY:
-            return self._reconstruct_read(page, slot[0])
-        return self._read_slot(slot)
+        reads, _, degraded = io_plan(self.router, self._bank_states, page,
+                                     False)
+        if degraded:
+            self._mark_degraded(page, "read")
+        return self.read_xor(reads)
 
     def write_page(self, page: int, data: bytes) -> int:
         """Write one global logical page; returns nanoseconds taken.
 
-        With redundancy enabled the write programs every live
-        placement (mirror copies, or data + XOR parity maintained
-        read-modify-write); a dead primary redirects into the
-        surviving placements, and only exhausted redundancy raises
-        :class:`DegradedModeError`.
+        The write programs every placement :func:`~repro.service.
+        redundancy.io_plan` names (mirror copies, or data + XOR parity);
+        a dead primary redirects into the surviving placements, and only
+        exhausted redundancy raises :class:`DegradedModeError`.  Under
+        parity the new parity is the XOR of the plan's reads and the new
+        page content — the old content overlaid with ``data``, whose
+        remainder a sub-page write reads back first.
         """
         page_bytes = self.config.page_bytes
         if len(data) > page_bytes:
             raise ValueError("data exceeds one page")
-        router = self.router
-        states = self._bank_states
-        placements = router.placements(page)
-        live = [slot for slot in placements
-                if states[slot[0]] != BANK_DEAD]
-        if not live:
-            raise DegradedModeError(
-                f"page {page}: every placement {placements} is on a "
-                f"dead bank — redundancy exhausted")
-        primary_bank, primary_local = placements[0]
-        primary_dead = states[primary_bank] == BANK_DEAD
-        if primary_dead and self.events.active:
-            self.events.mark(REDUNDANCY_DEGRADED,
-                             {"page": page, "bank": primary_bank,
-                              "source": "write"})
-        if not isinstance(router.policy, ParityPolicy):
-            spent_ns = 0
-            for bank, local in live:
-                spent_ns += self.shard(bank).write(local * page_bytes,
-                                                   data)
-            return spent_ns
-        # Parity: maintain real XOR parity.  The new page content is
-        # the old content overlaid with ``data`` (controller writes
-        # are read-modify-write at sub-page granularity), and
-        # new_parity = old_parity ^ old_content ^ new_content.
-        parity_slot = placements[1]
-        parity_bank = parity_slot[0]
-        # The old content must be trustworthy: a rebuilding primary may
-        # still hold stale slots, so anything short of healthy
-        # reconstructs the old value from the surviving stripe.
-        old = (self._read_slot(placements[0])
-               if states[primary_bank] == BANK_HEALTHY
-               else self._reconstruct_read(page, primary_bank))
-        new = data + old[len(data):]
-        spent_ns = 0
-        if not primary_dead:
-            spent_ns += self.shard(primary_bank).write(
-                primary_local * page_bytes, data)
-        if states[parity_bank] != BANK_DEAD:
-            # A rebuilding parity bank's old parity is not trusted: the
-            # stripe's other data members stand in for old_parity ^ old.
-            new_parity = self.reconstruct([[parity_slot]], (old, new))
-            if new_parity is None:
-                new_parity = self.reconstruct([[
-                    (peer, primary_local) for peer in range(router.num_shards)
-                    if peer not in (primary_bank, parity_bank)]], (new,))
-            if new_parity is None:
-                raise DegradedModeError(
-                    f"page {page}: parity bank {parity_bank} is rebuilding "
-                    f"and its stripe has another unhealthy member")
-            spent_ns += self.shard(parity_bank).write(
-                parity_slot[1] * page_bytes, new_parity)
-        return spent_ns
+        router, states = self.router, self._bank_states
+        reads, programs, degraded = io_plan(router, states, page, True)
+        if degraded:
+            self._mark_degraded(page, "write")
+        payloads = [data] * len(programs)
+        if reads:
+            new = data
+            if len(data) < page_bytes:
+                old = self.read_xor(io_plan(router, states, page, False)[0])
+                new += old[len(data):]
+            payloads[-1] = self.read_xor(reads, (new,))
+        return sum(self.shard(bank).write(local * page_bytes, payload)
+                   for (bank, local), payload in zip(programs, payloads))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"EnvyService({self.router.num_shards} shards x "

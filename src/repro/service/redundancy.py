@@ -18,10 +18,16 @@ one of its policies and consults it for every placement:
 * :func:`plan_rebalance` — greedy hot/cold swaps for the router's
   remap overlay (SoftWear-style software remapping, no hardware
   support), flattening per-bank load skew.
+* :func:`io_plan` — the one choice of the slots a request reads and
+  programs, given the bank states; only healthy banks are read
+  (:func:`healthy_group`).  The schedule expander charges, and direct
+  access reads, XORs and programs, exactly these slots.
 * :class:`RebuildScheduler` — repopulates a replacement bank from its
-  healthy peers (copy from a mirror, or XOR the stripe members) in
-  rate-limited batches while the service keeps serving, then verifies
-  the rebuilt bank against a fresh reconstruction.
+  healthy peers in rate-limited batches while the service keeps
+  serving, then verifies the rebuilt bank against a fresh
+  reconstruction.  Each rebuild plan entry carries candidate groups
+  (one per mirror copy, or the whole stripe); :meth:`RebuildScheduler.
+  sources` picks the first healthy one for both rebuild drivers.
 
 The policies are pure placement arithmetic — no controller references,
 picklable, and deterministic — so the service front-end can expand a
@@ -37,14 +43,15 @@ merely because a bank died.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:
     from .shard import ShardRouter
 
 __all__ = ["DegradedModeError", "RedundancyPolicy", "NoRedundancy",
-           "MirrorPolicy", "ParityPolicy", "make_policy",
-           "RebuildScheduler", "plan_rebalance",
+           "MirrorPolicy", "ParityPolicy", "make_policy", "healthy_group",
+           "io_plan", "RebuildScheduler", "plan_rebalance",
            "BANK_HEALTHY", "BANK_DEAD", "BANK_REBUILDING"]
 
 #: One placement: ``(bank_index, local_page)``.
@@ -59,8 +66,8 @@ BANK_REBUILDING = "rebuilding"
 class DegradedModeError(RuntimeError):
     """Redundancy is exhausted: no surviving placement can serve this.
 
-    Raised only when *every* copy (or the reconstruction set) of a
-    logical page is on a dead bank — a single bank loss under mirror or
+    Raised only when no copy (or reconstruction set) of a logical page
+    is left on healthy banks — a single bank loss under mirror or
     parity never raises this; it merely degrades the affected pages.
     """
 
@@ -111,7 +118,7 @@ class RedundancyPolicy:
         replica slot (read it directly), a parity group is the full
         set of surviving stripe members (XOR them).  Groups are tried
         in order; a group is usable only if every slot in it is on a
-        live bank.
+        healthy bank (:func:`healthy_group`).
         """
         raise NotImplementedError
 
@@ -289,6 +296,77 @@ def make_policy(spec: str) -> RedundancyPolicy:
 
 
 # ----------------------------------------------------------------------
+# The I/O plan of a request
+# ----------------------------------------------------------------------
+
+def healthy_group(groups: Sequence[Sequence[Slot]],
+                  states: Sequence[str]) -> Optional[Sequence[Slot]]:
+    """The first candidate group whose banks are all healthy, or None.
+
+    The trust rule of the whole layer: a rebuilding bank takes writes
+    but may still hold blank or stale slots until its rebuild
+    verifies, so nothing is read from it."""
+    for group in groups:
+        for bank, _ in group:
+            if states[bank] != BANK_HEALTHY:
+                break
+        else:
+            return group
+    return None
+
+
+def io_plan(router: ShardRouter, states: Sequence[str], page: int,
+            is_write: bool) -> Tuple[Sequence[Slot], List[Slot], bool]:
+    """``(reads, programs, degraded)`` of one request to ``page``.
+
+    A read reads its primary, or else the first healthy read group
+    (one mirror copy, or the XOR of the rest of the stripe), and is
+    degraded when its primary is not healthy.  A write programs every
+    placement not on a dead bank, primary first, and is degraded when
+    its primary is dead.  A parity write whose parity bank is not dead
+    also reads what the new parity folds: old data + old parity when
+    both banks are healthy (read-modify-write), else the stripe's
+    other data members (reconstruct-write); the new parity is the XOR
+    of those reads and the new content.  Raises
+    :class:`DegradedModeError` when no healthy group serves.
+    """
+    if not is_write:
+        primary = router.route(page)
+        if states[primary[0]] == BANK_HEALTHY:
+            return [primary], [], False
+        reads = healthy_group(router.read_groups(page), states)
+        if reads is None:
+            raise DegradedModeError(
+                f"page {page}: primary bank {primary[0]} is "
+                f"{states[primary[0]]} and no fallback group is healthy "
+                f"— redundancy exhausted")
+        return reads, [], True
+    slots = router.placements(page)
+    primary_bank, stripe = slots[0]
+    parity_bank = slots[-1][0]
+    fold = (router.policy.name == "parity"
+            and states[parity_bank] != BANK_DEAD)
+    if fold and states[primary_bank] == states[parity_bank] == BANK_HEALTHY:
+        return slots, slots, False              # read-modify-write
+    programs = [slot for slot in slots if states[slot[0]] != BANK_DEAD]
+    if not programs:
+        raise DegradedModeError(
+            f"page {page}: every placement {slots} is on a dead bank — "
+            f"redundancy exhausted")
+    reads: Sequence[Slot] = []
+    if fold:                                    # reconstruct-write
+        reads = healthy_group([[
+            (peer, stripe) for peer in range(router.num_shards)
+            if peer != primary_bank and peer != parity_bank]], states)
+        if reads is None:
+            raise DegradedModeError(
+                f"page {page}: stripe {stripe} has an unhealthy member "
+                f"besides its data and parity banks — the parity cannot "
+                f"be folded")
+    return reads, programs, states[primary_bank] == BANK_DEAD
+
+
+# ----------------------------------------------------------------------
 # Hot-page rebalancing
 # ----------------------------------------------------------------------
 
@@ -358,17 +436,15 @@ class RebuildScheduler:
     (which must already be in the ``rebuilding`` state — see
     :meth:`EnvyService.replace_bank`).  Two drivers share the cursor:
 
-    * :meth:`step` — the in-process driver: rebuilds each slot through
-      :meth:`EnvyService.reconstruct` (healthy peers only: a copy, or
-      the XOR of a stripe) and writes the bytes into the replacement
-      bank.  Used by the
-      chaos drills and direct-access serving, where banks hold real
-      payloads.
+    * :meth:`step` — the in-process driver: reads each entry's
+      :meth:`sources`, XORs them (a lone copy is the bytes) and writes
+      the result into the replacement bank.  Used by the chaos drills
+      and direct-access serving, where banks hold real payloads.
     * :meth:`take` — the schedule driver: hands the next batch of plan
-      entries to the service front-end, which charges the copy traffic
-      (peer reads + replacement programs) through the cost model
-      inside a normal :meth:`EnvyService.run`, rate-limited by
-      ``rebuild_rate_pps`` so foreground tails stay bounded.
+      entries to the service front-end, which charges the same
+      :meth:`sources` reads plus the replacement program through the
+      cost model inside a normal :meth:`EnvyService.run`, rate-limited
+      by ``rebuild_rate_pps`` so foreground tails stay bounded.
 
     ``progress`` is shared either way; :meth:`finish` verifies (in
     process) and flips the bank back to healthy.
@@ -409,18 +485,16 @@ class RebuildScheduler:
 
     # -- in-process data movement --------------------------------------
 
-    def _reconstruct(self, entry: Dict) -> bytes:
-        """One plan entry's bytes, from healthy peers only: a peer that
-        is itself rebuilding may still hold blank slots."""
-        sources = entry["sources"]
-        copy = entry["op"] == "copy"
-        value = self.service.reconstruct(
-            [[slot] for slot in sources] if copy else [sources])
-        if value is None:
+    def sources(self, entry: Dict) -> Sequence[Slot]:
+        """The peer slots one plan entry is rebuilt from: its first
+        candidate group on healthy banks only (a peer that is itself
+        rebuilding may still hold blank slots)."""
+        group = healthy_group(entry["groups"], self.service._bank_states)
+        if group is None:
             raise DegradedModeError(
-                f"no healthy {'copy' if copy else 'stripe'} for local "
-                f"page {entry['local']} of bank {self.bank}")
-        return value
+                f"no healthy source for local page {entry['local']} of "
+                f"bank {self.bank}")
+        return group
 
     def step(self, max_pages: Optional[int] = None) -> int:
         """Copy the next batch into the replacement bank; returns the
@@ -436,7 +510,7 @@ class RebuildScheduler:
         page_bytes = service.config.page_bytes
         spent_ns = 0
         for entry in batch:
-            value = self._reconstruct(entry)
+            value = service.read_xor(self.sources(entry))
             spent_ns += target.write(entry["local"] * page_bytes, value)
         bus = service.events
         if bus.active:
@@ -464,7 +538,7 @@ class RebuildScheduler:
         target = service.shard(self.bank)
         bad = 0
         for entry in self.plan[:self.position]:
-            want = self._reconstruct(entry)
+            want = service.read_xor(self.sources(entry))
             got = target.read(entry["local"] * page_bytes, page_bytes)
             if got != want:
                 bad += 1

@@ -25,7 +25,10 @@ is the service's one router; it implements that partitioning:
   default: the placements above) that picks the replica or parity
   slots a write also programs and the fallback groups of a read on a
   lost bank, and a sparse remap overlay (SoftWear-style, a plain table
-  update) that :meth:`ShardRouter.swap` moves hot pages with.
+  update) that :meth:`ShardRouter.swap` moves hot pages with.  The
+  router only names candidates; :func:`~repro.service.redundancy.
+  io_plan` picks among them by bank state, the one decision both the
+  schedule expander and direct access follow.
 * **Shard independence** — every slot belongs to one shard, so shard
   request streams can be executed in any order, in any process, and
   recombined deterministically (the property :mod:`repro.service.
@@ -200,12 +203,13 @@ class ShardRouter:
         """How to repopulate every slot of ``bank`` from its peers.
 
         Returns one entry per live slot, in local-page order:
-        ``{"local", "op", "sources", "page"}`` where ``op`` is
-        ``"copy"`` (any one source slot holds the bytes — mirrors) or
-        ``"xor"`` (the bytes are the XOR of every source — parity data
-        and parity slots alike), ``sources`` are peer slots, and
-        ``page`` is the logical page served from the slot (``None``
-        for parity slots).  Raises :class:`~repro.service.redundancy.
+        ``{"local", "groups", "page"}`` where ``groups`` are candidate
+        source groups, each sufficient on its own (one per mirror copy,
+        or the whole rest of a parity stripe, XORed), and ``page`` is
+        the logical page served from the slot (``None`` for parity
+        slots).  The rebuild reads the first group whose banks are all
+        healthy (:meth:`~repro.service.redundancy.RebuildScheduler.
+        sources`).  Raises :class:`~repro.service.redundancy.
         DegradedModeError` under ``none`` — there is nothing to rebuild
         from.
         """
@@ -224,17 +228,15 @@ class ShardRouter:
                 page = self.page_of_slot((bank, local))
                 if page is None:
                     continue
-                sources = [slot for slot in self.placements(page)
-                           if slot != (bank, local)]
-                plan.append({"local": local, "op": "copy",
-                             "sources": sources, "page": page})
+                plan.append({"local": local, "groups": [
+                    [slot] for slot in self.placements(page)
+                    if slot != (bank, local)], "page": page})
         else:  # parity
             for local in range(pages):
-                sources = [(peer, local) for peer in range(num_banks)
-                           if peer != bank]
-                plan.append({"local": local, "op": "xor",
-                             "sources": sources,
-                             "page": self.page_of_slot((bank, local))})
+                plan.append({"local": local, "groups": [[
+                    (peer, local) for peer in range(num_banks)
+                    if peer != bank]],
+                    "page": self.page_of_slot((bank, local))})
         return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

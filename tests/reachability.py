@@ -416,6 +416,10 @@ def quick_roots(scratch: str) -> Dict[str, Callable[[], None]]:
                                      "--duration", "0.0004",
                                      "--redundancy", "mirror",
                                      "--kill-bank", "1", "--rate", "2e6"),
+        "serve --kill-bank (parity)": partial(
+            _cli, "serve", "--shards", "3", "--segments", "4", "--pages",
+            "16", "--duration", "0.0004", "--redundancy", "parity",
+            "--kill-bank", "1", "--rate", "2e6"),
         "backends": partial(_cli, "backends"),
         "backends --check": partial(_cli, "backends", "--check",
                                     "--record", trace_file),

@@ -9,18 +9,23 @@ stay bit-identical across reruns and ``--jobs``.  Both claims are
 property-tested here.
 """
 
+import collections
 import dataclasses
 
 import pytest
 
 from repro.core.costmodel import DRAM_READ_NS
+from repro.obs.events import CACHE_HIT, CACHE_MISS, HOST_WRITE
 from repro.obs.export import service_prometheus_text
 from repro.service import (AdmissionController, EnvyService, PageCache,
                            ServiceConfig, TenantSpec, attack_tenant,
                            run_attack_scenario)
 from repro.service.bench import scale_fleet
 from repro.service.chaos import run_redundancy_chaos, run_service_chaos
+from repro.service.executor import ShardExecutor
 from repro.service.loadgen import LoadGenerator
+
+from .test_service_executor import TENANTS, make_controller, mixed_slice
 
 PAGE_BYTES = 256
 
@@ -147,44 +152,37 @@ class TestPageCache:
 
 
 # ---------------------------------------------------------------------
-# Semantic transparency: cached bytes == uncached bytes
+# Transparency: no stale hit, and drills agree with the tier on or off
 # ---------------------------------------------------------------------
 
-def _twin_configs(**kwargs):
-    base = ServiceConfig(num_shards=2, num_segments=4,
-                         pages_per_segment=16, store_data=True, seed=11,
-                         **kwargs)
-    cached = dataclasses.replace(base, cache_pages=24)
-    return base, cached
-
-
-def _payload(step, page):
-    return bytes([(step * 31 + page * 7 + i) % 251 + 1
-                  for i in range(16)])
-
-
 class TestTransparency:
-    def test_reads_byte_identical_through_writes_and_cleaning(self):
-        """Interleaved reads/overwrites on twin services, one configured
-        with a cache tier; overwrite volume forces flushes and cleaner
-        migrations, and direct access serves the same bytes on both."""
-        plain_cfg, cached_cfg = _twin_configs()
-        plain = EnvyService(plain_cfg, [TenantSpec("t", rate_tps=1e5)])
-        cached = EnvyService(cached_cfg, [TenantSpec("t", rate_tps=1e5)])
-        pages = plain.router.num_pages
-        for step in range(6):
-            for page in range(pages):
-                data = _payload(step, page)
-                plain.write_page(page, data)
-                cached.write_page(page, data)
-                # Read a trailing window each step, ahead of the next
-                # overwrite of the same pages.
-                probe = (page * 3 + step) % pages
-                assert cached.read_page(probe) == plain.read_page(probe)
-        for page in range(pages):
-            assert cached.read_page(page) == plain.read_page(page)
-        report = cached.health_report()["cache"]
-        assert report["pages_per_shard"] == 24
+    @pytest.mark.parametrize("policy", ["clock", "lru"])
+    def test_no_hit_for_a_page_written_or_moved_since_its_miss(self,
+                                                               policy):
+        """A cached shard replay, walked in event order: served writes
+        (``host.write`` spans), the cleaner's relocations (the store's
+        ``copy_listeners``) and the ``cache.*`` marks.  A page is
+        servable from DRAM only between its miss and its next write or
+        move, so every ``cache.hit`` must fall inside such a stretch."""
+        controller = make_controller()
+        executor = ShardExecutor(controller, 3, tenant_names=TENANTS,
+                                 cache_pages=24, cache_policy=policy)
+        log = []
+        controller.events.subscribe(
+            lambda event: log.append((event.kind, event.data.get("page"))))
+        controller.store.copy_listeners.append(
+            lambda page: log.append(("moved", page)))
+        executor.run(mixed_slice(20260928, write_share=0.2))
+        servable, seen = set(), collections.Counter()
+        for kind, page in log:
+            seen[kind] += 1
+            if kind == CACHE_MISS:
+                servable.add(page)
+            elif kind in (HOST_WRITE, "moved"):
+                servable.discard(page)
+            elif kind == CACHE_HIT:
+                assert page in servable, (kind, page, seen)
+        assert seen[CACHE_HIT] and seen[HOST_WRITE] and seen["moved"]
 
     def test_degraded_rebuild_and_recovery_with_cache(self):
         """The full whole-bank-loss drill with the tier enabled: kill a

@@ -368,13 +368,18 @@ def reference_partition(service, requests, rid_base):
             rows = []
             if states[primary_bank] == "dead":
                 counters["degraded_writes"] += 1
-                if parity:
-                    rows += [((peer, primary_local), pseudo, False)
-                             for peer, state in enumerate(states)
-                             if peer not in (primary_bank, live[0][0])
-                             and state != "dead"]
-            elif parity and len(live) > 1:
-                rows += [(slot, pseudo, False) for slot in live]
+            parity_bank = placements[-1][0]
+            if parity and states[parity_bank] != "dead":
+                # Read-modify-write on two healthy banks, else
+                # reconstruct-write from the rest of the stripe.
+                folded = (placements if states[primary_bank] ==
+                          states[parity_bank] == "healthy" else
+                          [(peer, primary_local)
+                           for peer in range(len(states))
+                           if peer not in (primary_bank, parity_bank)])
+                if any(states[bank] != "healthy" for bank, _ in folded):
+                    raise DegradedModeError(f"page {page}: no fold")
+                rows += [(slot, pseudo, False) for slot in folded]
             rows += [(live[0], tenant, True)]
             rows += [(slot, pseudo, True) for slot in live[1:]]
         elif states[router.route(page)[0]] == "healthy":
@@ -452,3 +457,70 @@ class TestPartitionProperties:
         assert service.partition(requests, with_rids, rid_base) == slices
         assert service._last_rids == (rids if with_rids else None)
         assert service._last_expansion == counters
+
+
+BANK_STATES = st.lists(st.sampled_from(["healthy"] * 2 + ["dead",
+                                                          "rebuilding"]),
+                       min_size=4, max_size=4)
+
+
+class TestPathAgreement:
+    @given(st.sampled_from(ROUTINGS), BANK_STATES,
+           st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                    min_size=1, max_size=12))
+    # Parity with a rebuilding bank: writes whose data or parity bank
+    # rebuilds fold the rest of the stripe; with a dead bank beside it,
+    # a write that needs the rebuilding peer is refused on both paths.
+    @example(("parity", "striped"),
+             ["healthy", "rebuilding", "healthy", "healthy"],
+             [(True, page) for page in range(6)] + [(False, 0)])
+    @example(("parity", "striped"),
+             ["dead", "rebuilding", "healthy", "healthy"],
+             [(True, page) for page in range(9)] + [(False, 3)])
+    @example(("mirror:3", "ranged"),
+             ["dead", "rebuilding", "healthy", "healthy"],
+             [(True, 0), (False, 0), (False, 40)])
+    @settings(max_examples=60, **COMMON)
+    def test_direct_access_makes_the_flash_ops_partition_charges(
+            self, routing, states, ops):
+        """A whole-page ``write_page`` / ``read_page`` reads and programs
+        exactly the per-bank slots of the rows ``partition`` emits for
+        the same request, and the two paths refuse together."""
+        redundancy, placement = routing
+        config = ServiceConfig(num_shards=4, num_segments=4,
+                               pages_per_segment=16, store_data=True,
+                               prewarm_turnovers=0.0,
+                               redundancy=redundancy, placement=placement)
+        service = EnvyService(config, [TenantSpec("a")])
+        for bank, state in enumerate(states):
+            if state != "healthy":
+                service.kill_bank(bank)
+            if state == "rebuilding" and redundancy != "none":
+                service.replace_bank(bank)
+        page_bytes = config.page_bytes
+        flash = []
+        for bank in range(4):
+            if service.bank_state(bank) != "dead":
+                service.shard(bank).access_listeners.append(
+                    lambda kind, address, data, ns, count, bank=bank:
+                    flash.append((bank, kind == "w", address // page_bytes)))
+        for is_write, page in ops:
+            page %= service.router.num_pages
+            try:
+                slices = service.partition([(0, 0, 0, is_write, page)])
+            except DegradedModeError:
+                charged = None
+            else:
+                charged = sorted((bank, row[3], row[4])
+                                 for bank, rows in enumerate(slices)
+                                 for row in rows)
+            flash.clear()
+            try:
+                if is_write:
+                    service.write_page(page, bytes([page % 251]) * page_bytes)
+                else:
+                    service.read_page(page)
+            except DegradedModeError:
+                assert charged is None and flash == []
+            else:
+                assert sorted(flash) == charged

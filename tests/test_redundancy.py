@@ -187,6 +187,64 @@ class TestDegradedServing:
         with pytest.raises(DegradedModeError):
             service.read_page(doomed[0])
 
+    def test_parity_reads_nothing_from_a_rebuilding_bank(self):
+        """A parity write whose data or parity bank is rebuilding folds
+        the rest of the stripe: ``partition`` charges no read on the
+        rebuilding bank, only the program that keeps it current."""
+        service = EnvyService(PARITY, TENANTS)
+        service.kill_bank(1)
+        service.replace_bank(1)
+        router = service.router
+        touching = [page for page in range(router.num_pages)
+                    if 1 in (bank for bank, _ in router.placements(page))]
+        assert {router.route(page)[0] == 1 for page in touching} == {
+            True, False}
+        for page in touching:
+            rows = service.partition([(0, 0, 0, True, page)])[1]
+            assert [row[3] for row in rows] == [True]
+
+    def test_dead_primary_with_a_rebuilding_stripe_peer_is_refused(self):
+        """The reconstruct-write of a dead primary needs every other data
+        member of the stripe: with one rebuilding, both paths refuse."""
+        service = EnvyService(PARITY, TENANTS)
+        for page in range(service.router.num_pages):
+            service.write_page(page, payload(page, PARITY))
+        service.kill_bank(0)
+        service.kill_bank(1)
+        service.replace_bank(1)
+        router = service.router
+        page = next(page for page in range(router.num_pages)
+                    if [bank for bank, _ in router.placements(page)]
+                    == [0, 2])
+        with pytest.raises(DegradedModeError):
+            service.partition([(0, 0, 0, True, page)])
+        with pytest.raises(DegradedModeError):
+            service.write_page(page, payload(page, PARITY))
+
+    @pytest.mark.parametrize("config", [MIRROR, PARITY],
+                             ids=["mirror", "parity"])
+    def test_each_degraded_request_is_marked_once(self, config):
+        """A request served past an unhealthy primary emits exactly one
+        ``redundancy.degraded`` mark on either path — a parity write
+        reads no old content through the degraded-read path."""
+        service = EnvyService(config, TENANTS)
+        router = service.router
+        for page in range(router.num_pages):
+            service.write_page(page, payload(page, config))
+        service.kill_bank(1)
+        marks = []
+        service.events.subscribe(lambda event: marks.append(
+            (event.data["page"], event.data["source"])),
+            prefix="redundancy.degraded")
+        page = next(page for page in range(router.num_pages)
+                    if router.route(page)[0] == 1)
+        service.write_page(page, payload(page, config))
+        service.write_page(page, bytes(8))          # sub-page write
+        service.read_page(page)
+        service.partition([(0, 0, 0, True, page), (0, 0, 1, False, page)])
+        assert marks == [(page, "write"), (page, "write"), (page, "read"),
+                         (page, "write"), (page, "read")]
+
     def test_plain_service_cannot_survive(self):
         config = ServiceConfig(num_shards=2, num_segments=4,
                                pages_per_segment=16, store_data=True,
@@ -284,6 +342,24 @@ class TestOnlineRebuild:
         service.kill_bank(0)
         assert [page for page in range(pages)
                 if service.read_page(page) != payload(page, config)] == []
+
+    def test_a_rebuild_without_a_healthy_source_is_refused(self):
+        """A mirror slot whose only other copy is on a dead bank has
+        nothing to rebuild from: the in-process step and a scheduled run
+        both raise instead of charging a program from no source (the
+        tenant only writes, which a dead replica never refuses)."""
+        service = EnvyService(MIRROR, [TenantSpec("w", rate_tps=4e6,
+                                                  write_fraction=1.0)])
+        service.kill_bank(1)
+        scheduler = service.replace_bank(1)
+        service.kill_bank(2)
+        region = service.router.pages_per_shard // 2
+        assert scheduler.plan[0] == {"local": 0, "groups": [[(2, region)]],
+                                     "page": 1}
+        with pytest.raises(DegradedModeError):
+            service.run(DURATION)
+        with pytest.raises(DegradedModeError):
+            scheduler.step()
 
     def test_a_killed_bank_is_never_revived(self):
         """A killed bank missed every write made while it was dead: it
