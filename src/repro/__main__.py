@@ -1,49 +1,75 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Small front door for the library's experiments:
-
-* ``info``      — print the paper's configuration and cost tables.
-* ``policies``  — the Figure 8 cleaning-cost comparison.
-* ``tpca``      — one timed TPC-A point (throughput, latency, breakdown).
-* ``lifetime``  — the Section 5.5 lifetime calculation.
-* ``demo``      — a tiny end-to-end read/write/power-cycle demonstration.
-* ``faults``    — run a workload under injected device faults and print
-  the controller's health report.
-* ``recover``   — chaos demo: cut the power mid-TPC-A, rebuild the store
-  from Flash alone, verify against the committed prefix.
-* ``observe``   — run a timed TPC-A workload with the observability hub
-  attached and render the live-stats dashboard (latency histograms with
-  tails, time breakdown, wear heatmap), optionally exporting the
-  Perfetto trace / Prometheus metrics / JSONL events.
-* ``serve``     — run the sharded multi-tenant storage service
-  (``repro.service``): generate a deterministic tenant schedule, fan it
-  out over N eNVy shards, and print the service dashboard (per-tenant
-  tails, admission-control counters, per-shard summaries).  ``--smoke``
-  additionally proves run-to-run and across-``--jobs`` determinism.
-* ``trace``     — run the service with request-level tracing on: list
-  the slowest requests with their exact critical-path decomposition
-  (queue / redundancy / retry / throttle / flush / clean / service),
-  print per-tenant tail blame and SLO burn rates, and optionally export
-  the Perfetto trace with cross-shard flow links.
-* ``backends``  — list the pluggable storage backends and workload
-  generators in the plugin registry; ``--check`` runs the
-  cross-backend consistency matrix (one recorded TPC-A trace replayed
-  on every backend must produce one logical page-state digest);
-  ``--record`` saves the reference trace to versioned JSONL.
-* ``replay``    — re-drive a recorded run trace against any backend
-  (``--backend 'file:path=...'``) or the whole matrix (``--matrix``),
-  printing the logical state digest and simulated cost.
+The front door to the paper's experiments and the service demos:
+``python -m repro --help`` lists the commands, ``python -m repro COMMAND
+--help`` their flags.  Each command is one ``cmd_<name>`` function whose
+docstring is its help line; flags several commands take are declared once,
+in a flag group, and ``--smoke`` lays a preset of flag values over the
+command line when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .analysis import banner, format_table
 
 
+def _refuse(message: str):
+    """A usage error: one ``error:`` line on stderr, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+@contextlib.contextmanager
+def _refusals():
+    """Around building a command's config or tenant specs (never a run):
+    a value they refuse with ``ValueError`` is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        _refuse(str(exc))
+
+
+def _smoke(args: argparse.Namespace, preset: dict) -> argparse.Namespace:
+    """``args`` with the ``--smoke`` preset's flag values laid over them."""
+    return (argparse.Namespace(**{**vars(args), **preset}) if args.smoke
+            else args)
+
+
+def _verdict(failures, ok: str) -> int:
+    """A smoke check's report: every failure as ``FAIL ...`` (exit 1), or
+    the one ``ok`` line (exit 0)."""
+    for failure in failures:
+        print(f"FAIL {failure}")
+    if failures:
+        return 1
+    print(ok)
+    return 0
+
+
+def _reruns(run, baseline, what: str):
+    """Determinism: ``run(jobs)`` again at ``--jobs`` 1 and 2; each result
+    that differs from ``baseline`` is a failure."""
+    return [f"{label} changed the {what}"
+            for jobs, label in ((1, "rerun with the same seed"),
+                                (2, "--jobs 2"))
+            if run(jobs) != baseline]
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The ``--plan`` preset seeded with ``--seed`` (``none``: no plan)."""
+    from .faults import FaultPlan
+
+    if args.plan == "none":
+        return None
+    return getattr(FaultPlan, args.plan)(seed=args.seed)
+
+
 def cmd_info(args: argparse.Namespace) -> int:
+    """paper configuration and cost tables"""
     from .core import EnvyConfig, TpcParams, system_cost
 
     config = EnvyConfig.paper()
@@ -70,6 +96,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_policies(args: argparse.Namespace) -> int:
+    """Figure 8 cleaning-cost comparison"""
     from .perf import run_sweep
 
     localities = args.localities or ["50/50", "20/80", "10/90", "5/95"]
@@ -93,7 +120,23 @@ def cmd_policies(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_run_summary(stats, before_cost, after_cost) -> None:
+    """The Quantity/Value table ``tpca`` and ``observe`` print (throughput
+    first, then ``before_cost``, the cleaning cost and ``after_cost``
+    rows) and the time-breakdown line."""
+    rows = [["Throughput", f"{stats.throughput_tps:,.0f} TPS"
+             + (" (saturated)" if stats.saturated else "")],
+            *before_cost,
+            ["Cleaning cost", f"{stats.cleaning_cost:.2f}"],
+            *after_cost]
+    print(format_table(["Quantity", "Value"], rows))
+    shares = ", ".join(f"{k} {v:.0%}"
+                       for k, v in stats.time_breakdown().items())
+    print(f"\ntime breakdown: {shares}")
+
+
 def cmd_tpca(args: argparse.Namespace) -> int:
+    """one timed TPC-A simulation point"""
     from .sim import simulate_tpca
 
     print(f"simulating {args.rate:,.0f} TPS for {args.duration}s "
@@ -103,25 +146,18 @@ def cmd_tpca(args: argparse.Namespace) -> int:
                           utilization=args.utilization)
     print(banner(f"TPC-A at {args.rate:,.0f} requested TPS, "
                  f"{args.utilization:.0%} utilization"))
-    rows = [
-        ["Throughput", f"{stats.throughput_tps:,.0f} TPS"
-         + (" (saturated)" if stats.saturated else "")],
-        ["Read latency", f"{stats.read_latency.mean_ns:.0f} ns "
-         f"(p50 {stats.read_latency.p50}, p99 {stats.read_latency.p99})"],
-        ["Write latency", f"{stats.write_latency.mean_ns:.0f} ns "
-         f"(p50 {stats.write_latency.p50}, "
-         f"p99 {stats.write_latency.p99})"],
-        ["Pages flushed/s", f"{stats.page_flush_rate:,.0f}"],
-        ["Cleaning cost", f"{stats.cleaning_cost:.2f}"],
-    ]
-    print(format_table(["Quantity", "Value"], rows))
-    shares = ", ".join(f"{k} {v:.0%}"
-                       for k, v in stats.time_breakdown().items())
-    print(f"\ntime breakdown: {shares}")
+    read, write = stats.read_latency, stats.write_latency
+    _print_run_summary(stats, [
+        ["Read latency", f"{read.mean_ns:.0f} ns "
+         f"(p50 {read.p50}, p99 {read.p99})"],
+        ["Write latency", f"{write.mean_ns:.0f} ns "
+         f"(p50 {write.p50}, p99 {write.p99})"],
+        ["Pages flushed/s", f"{stats.page_flush_rate:,.0f}"]], [])
     return 0
 
 
 def cmd_lifetime(args: argparse.Namespace) -> int:
+    """Section 5.5 lifetime calculation"""
     from .core import EnvyConfig, estimate_lifetime
 
     estimate = estimate_lifetime(EnvyConfig.paper(),
@@ -135,6 +171,7 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
+    """verify the paper's fast claims"""
     from .paper import verify_claims
 
     print(banner("Paper-claim verification (fast checks)"))
@@ -156,6 +193,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    """tiny end-to-end demonstration"""
     from .core import EnvyConfig, EnvySystem
 
     system = EnvySystem(EnvyConfig.small())
@@ -170,17 +208,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
+    """workload under injected device faults"""
     import random
 
     from .core import EnvyConfig, EnvySystem
-    from .faults import FaultPlan
 
-    plan = {"light": FaultPlan.light, "harsh": FaultPlan.harsh}[
-        args.plan](seed=args.seed)
-    config = EnvyConfig.small(num_segments=args.segments,
-                              pages_per_segment=args.pages,
-                              fault_plan=plan,
-                              reserve_segments=args.reserves)
+    with _refusals():
+        config = EnvyConfig.small(num_segments=args.segments,
+                                  pages_per_segment=args.pages,
+                                  fault_plan=_fault_plan(args),
+                                  reserve_segments=args.reserves)
     system = EnvySystem(config)
     rng = random.Random(args.seed)
     page_bytes = config.page_bytes
@@ -207,22 +244,22 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
+    """chaos demo: power loss + recovery from flash"""
     from .core.chaos import run_chaos
     from .core.config import EnvyConfig
-    from .faults import FaultPlan
 
-    plan = None
-    if args.plan != "none":
-        plan = {"light": FaultPlan.light, "harsh": FaultPlan.harsh}[
-            args.plan](seed=args.seed)
-    config = EnvyConfig.small(num_segments=args.segments,
-                              pages_per_segment=args.pages,
-                              fault_plan=plan,
-                              checkpoint_interval_flushes=args.checkpoint)
+    with _refusals():
+        config = EnvyConfig.small(num_segments=args.segments,
+                                  pages_per_segment=args.pages,
+                                  fault_plan=_fault_plan(args),
+                                  checkpoint_interval_flushes=args.checkpoint)
     # Size the kill-point space with a dry run, then kill inside it.
     dry = run_chaos(config, transactions=args.transactions, kill_at=None,
                     seed=args.seed, recover=False)
-    kill_at = args.kill_at if args.kill_at else max(1, dry.ops_seen // 2)
+    kill_at = args.kill_at or max(1, dry.ops_seen // 2)
+    if not 1 <= kill_at <= dry.ops_seen:
+        _refuse(f"--kill-at {kill_at} is outside this run's flash ops "
+                f"1..{dry.ops_seen} (0 = midpoint)")
     print(f"replaying {args.transactions} TPC-A transactions "
           f"({dry.ops_seen} flash ops), cutting power at op {kill_at}"
           + (" (torn program)" if args.tear else "") + "...")
@@ -280,24 +317,16 @@ def _print_observe_dashboard(controller, hub, stats) -> None:
     read, write = metrics.read_latency, metrics.write_latency
     print(banner(f"observability dashboard "
                  f"({stats.simulated_seconds:.3f}s simulated)"))
-    rows = [
-        ["Throughput", f"{stats.throughput_tps:,.0f} TPS"
-         + (" (saturated)" if stats.saturated else "")],
+    _print_run_summary(stats, [
         ["Read latency (ns)",
          f"mean {read.mean_ns:.0f}  p50 {read.p50}  p90 {read.p90}  "
          f"p99 {read.p99}  p999 {read.p999}"],
         ["Write latency (ns)",
          f"mean {write.mean_ns:.0f}  p50 {write.p50}  p90 {write.p90}  "
-         f"p99 {write.p99}  p999 {write.p999}"],
-        ["Cleaning cost", f"{stats.cleaning_cost:.2f}"],
+         f"p99 {write.p99}  p999 {write.p999}"]], [
         ["Events observed", f"{hub.total_events():,} "
          f"({hub.dropped_events:,} dropped)"],
-        ["Sampler windows", f"{len(hub.sampler.windows)}"],
-    ]
-    print(format_table(["Quantity", "Value"], rows))
-    shares = ", ".join(f"{k} {v:.0%}"
-                       for k, v in stats.time_breakdown().items())
-    print(f"\ntime breakdown: {shares}")
+        ["Sampler windows", f"{len(hub.sampler.windows)}"]])
     by_kind = hub.time_by_kind()
     if by_kind:
         top = ", ".join(f"{kind} {ns / 1e6:,.1f}ms"
@@ -336,8 +365,8 @@ def _print_self_profile(profiler, stats, wall_s: float) -> None:
             print(f"  {line}")
 
 
-def _validate_exports(written: dict) -> int:
-    """Smoke-check the export files; returns a process exit code."""
+def _export_failures(written: dict):
+    """Smoke-check the export files: ``(failures, summary line)``."""
     import json
 
     failures = []
@@ -370,43 +399,34 @@ def _validate_exports(written: dict) -> int:
         windows = json.load(handle)
     if not isinstance(windows, list) or not windows:
         failures.append("timeseries.json: no windows")
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print(f"exports validated: {len(events)} trace events, "
-          f"{count} jsonl events, {len(windows)} windows.")
-    return 0
+    return failures, (f"exports validated: {len(events)} trace events, "
+                      f"{count} jsonl events, {len(windows)} windows.")
+
+
+#: ``observe --smoke``: a small fixed run whose exports are validated.
+OBSERVE_SMOKE = dict(segments=16, pages=64, rate=8000.0, duration=0.03,
+                     window_us=1000)
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
+    """instrumented run: dashboard + timeline exports"""
     import time
 
     from .obs import ObservabilityHub
     from .sim import build_tpca_system
 
-    if args.smoke:
-        segments, pages = 16, 64
-        rate, duration = 8000.0, 0.03
-        window_us = 1000
-        out = args.out or "observe-out"
-        prewarm = 5.0
-    else:
-        segments, pages = args.segments, args.pages
-        rate, duration = args.rate, args.duration
-        window_us = args.window_us
-        out = args.out
-        prewarm = 10.0
-    simulator = build_tpca_system(num_segments=segments,
-                                  pages_per_segment=pages,
-                                  utilization=args.utilization,
-                                  rate_tps=rate, policy=args.policy,
-                                  seed=args.seed)
-    print(f"observing {rate:,.0f} TPS for {duration}s simulated "
-          f"({segments}x{pages} pages, {args.policy})...")
-    simulator.prewarm(prewarm)
+    args = _smoke(args, OBSERVE_SMOKE)
+    with _refusals():
+        simulator = build_tpca_system(num_segments=args.segments,
+                                      pages_per_segment=args.pages,
+                                      utilization=args.utilization,
+                                      rate_tps=args.rate, policy=args.policy,
+                                      seed=args.seed)
+    print(f"observing {args.rate:,.0f} TPS for {args.duration}s simulated "
+          f"({args.segments}x{args.pages} pages, {args.policy})...")
+    simulator.prewarm(5.0 if args.smoke else 10.0)
     hub = ObservabilityHub(simulator.controller,
-                           sample_interval_ns=window_us * 1000)
+                           sample_interval_ns=args.window_us * 1000)
     profiler = None
     if args.self_profile:
         import cProfile
@@ -414,7 +434,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     wall0 = time.perf_counter()
-    stats = simulator.run(duration)
+    stats = simulator.run(args.duration)
     wall_s = time.perf_counter() - wall0
     if profiler is not None:
         profiler.disable()
@@ -422,28 +442,63 @@ def cmd_observe(args: argparse.Namespace) -> int:
     _print_observe_dashboard(simulator.controller, hub, stats)
     if args.self_profile:
         _print_self_profile(profiler, stats, wall_s)
+    # A smoke run always exports: the exports are what it validates.
+    out = args.out or ("observe-out" if args.smoke else "")
     if out:
         written = hub.write_exports(out)
         for path in written.values():
             print(f"wrote {path}")
         if args.smoke:
-            return _validate_exports(written)
+            return _verdict(*_export_failures(written))
     return 0
 
 
-def _parse_tenant(spec: str):
-    """``name=a,workload=zipf,rate_tps=1e6,...`` -> :class:`TenantSpec`.
+def _service(args: argparse.Namespace, smoke: dict, default_mix):
+    """``(args, config, tenants)`` of a ``serve`` / ``trace`` run: the
+    ``--smoke`` preset laid over the flags, each flag whose dest (or its
+    ``renamed`` name) is a :class:`ServiceConfig` field set on the config,
+    and the ``--tenant`` specs or else ``default_mix(args)``."""
+    import dataclasses
 
-    Thin CLI wrapper over :meth:`TenantSpec.parse` — the one tenant-spec
-    grammar shared with the benchmarks — translating ``ValueError`` to
-    the usage-error exit argparse callers expect.
-    """
+    from .service import ServiceConfig, TenantSpec
+
+    args = _smoke(args, smoke)
+    renamed = {"shards": "num_shards", "segments": "num_segments",
+               "pages": "pages_per_segment", "queue": "queue_capacity",
+               "cache": "cache_pages"}
+    fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+    with _refusals():
+        config = ServiceConfig(**{
+            renamed.get(dest, dest): value
+            for dest, value in vars(args).items()
+            if renamed.get(dest, dest) in fields})
+        config.validate()
+        tenants = ([TenantSpec.parse(spec) for spec in args.tenant]
+                   if args.tenant else default_mix(args))
+    return args, config, tenants
+
+
+def _serve_mix(args: argparse.Namespace):
     from .service import TenantSpec
 
-    try:
-        return TenantSpec.parse(spec)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    return [
+        TenantSpec("zipf-hot", rate_tps=args.rate / 2, skew=args.skew,
+                   write_fraction=0.3),
+        # A TPC-A transaction expands to ~17 accesses, so its quarter of
+        # the aggregate rate is divided down.
+        TenantSpec("tpca", rate_tps=args.rate / 68, workload="tpca"),
+        TenantSpec("limited", rate_tps=args.rate / 4, workload="uniform",
+                   rate_limit_tps=args.rate / 8),
+    ]
+
+
+#: ``serve --smoke``: a small fixed mix whose metrics (every admission
+#: rejection included) must repeat across reruns and ``--jobs``.  Rates
+#: are accesses/s for zipf/uniform but transactions/s for tpca.
+SERVE_SMOKE = dict(shards=2, segments=8, pages=32, duration=0.0003, tenant=[
+    "name=zipf-hot,rate_tps=8e6,skew=1.0,write_fraction=0.3",
+    "name=tpca,rate_tps=2e5,workload=tpca",
+    "name=limited,rate_tps=6e6,workload=uniform,rate_limit_tps=2e6"])
 
 
 def _print_service_dashboard(service, stats) -> None:
@@ -617,73 +672,31 @@ def _run_attack_demo(args, config, tenants) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import EnvyService, ServiceConfig, TenantSpec
+    """sharded multi-tenant eNVy storage service"""
+    from .service import EnvyService
 
     if args.attack and args.smoke:
-        raise SystemExit("--attack is not available with --smoke")
+        _refuse("--attack is not available with --smoke")
     if args.mitigate and not args.attack:
-        raise SystemExit("--mitigate needs --attack KIND")
+        _refuse("--mitigate needs --attack KIND")
     if args.kill_bank is not None:
-        if args.smoke:
-            raise SystemExit("--kill-bank is not available with --smoke")
+        if args.smoke or args.attack:
+            _refuse(f"--kill-bank is not available with "
+                    f"{'--smoke' if args.smoke else '--attack'}")
         if args.redundancy == "none":
-            raise SystemExit("--kill-bank needs --redundancy "
-                             "mirror|mirror:K|parity (a plain service "
-                             "cannot survive a bank loss)")
+            _refuse("--kill-bank needs --redundancy mirror|mirror:K|parity "
+                    "(a plain service cannot survive a bank loss)")
         if not 0 <= args.kill_bank < args.shards:
-            raise SystemExit(f"--kill-bank {args.kill_bank} out of range "
-                             f"for {args.shards} shards")
-
-    if args.smoke:
-        config = ServiceConfig(num_shards=2, num_segments=8,
-                               pages_per_segment=32, seed=args.seed)
-        # Rates are accesses/s for zipf/uniform but transactions/s for
-        # tpca (one transaction expands to ~17 accesses).
-        tenants = [
-            TenantSpec("zipf-hot", rate_tps=8e6, skew=1.0,
-                       write_fraction=0.3),
-            TenantSpec("tpca", rate_tps=2e5, workload="tpca"),
-            TenantSpec("limited", rate_tps=6e6, workload="uniform",
-                       rate_limit_tps=2e6),
-        ]
-        duration = 0.0003
-    else:
-        config = ServiceConfig(num_shards=args.shards,
-                               num_segments=args.segments,
-                               pages_per_segment=args.pages,
-                               utilization=args.utilization,
-                               policy=args.policy,
-                               queue_capacity=args.queue,
-                               redundancy=args.redundancy,
-                               placement=args.placement,
-                               retry_limit=args.retry_limit,
-                               cache_pages=args.cache,
-                               cache_policy=args.cache_policy,
-                               cache_tenant_cap=args.cache_tenant_cap,
-                               admission=args.admission,
-                               seed=args.seed)
-        if args.tenant:
-            tenants = [_parse_tenant(spec) for spec in args.tenant]
-        else:
-            tenants = [
-                TenantSpec("zipf-hot", rate_tps=args.rate / 2,
-                           skew=args.skew, write_fraction=0.3),
-                # A TPC-A transaction expands to ~17 accesses, so its
-                # quarter of the aggregate rate is divided down.
-                TenantSpec("tpca", rate_tps=args.rate / 68,
-                           workload="tpca"),
-                TenantSpec("limited", rate_tps=args.rate / 4,
-                           workload="uniform",
-                           rate_limit_tps=args.rate / 8),
-            ]
-        duration = args.duration
+            _refuse(f"--kill-bank {args.kill_bank} out of range "
+                    f"for {args.shards} shards")
+    args, config, tenants = _service(args, SERVE_SMOKE, _serve_mix)
     if args.attack:
         return _run_attack_demo(args, config, tenants)
     service = EnvyService(config, tenants)
     print(f"serving {len(tenants)} tenants over {config.num_shards} "
-          f"shards for {duration * 1e3:g} ms simulated "
+          f"shards for {args.duration * 1e3:g} ms simulated "
           f"(seed {config.seed})...")
-    stats = service.run(duration, jobs=args.jobs)
+    stats = service.run(args.duration, jobs=args.jobs)
     print(banner(f"eNVy service: {config.num_shards} shards, "
                  f"{len(tenants)} tenants"))
     _print_service_dashboard(service, stats)
@@ -696,14 +709,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print()
             print(banner(f"bank {bank} lost: serving degraded"))
             service.kill_bank(bank)
-            degraded = service.run(duration, jobs=args.jobs)
+            degraded = service.run(args.duration, jobs=args.jobs)
             _print_service_dashboard(service, degraded)
             print()
             _print_redundancy_dashboard(service, degraded)
             print()
             print(banner(f"bank {bank} replaced: rebuilding online"))
             scheduler = service.replace_bank(bank)
-            rebuilt = service.run(duration, jobs=args.jobs)
+            rebuilt = service.run(args.duration, jobs=args.jobs)
             _print_service_dashboard(service, rebuilt)
             if scheduler.done:
                 scheduler.finish(verify=True)
@@ -717,77 +730,47 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print()
             _print_redundancy_dashboard(service, rebuilt)
         return 0
-
-    # Smoke mode proves the determinism contract: identical metrics —
-    # including every admission-control rejection — across repeat runs
-    # and across --jobs settings.
-    baseline = stats.as_dict()
     health = service.health_report()
-    failures = []
-    for key in ("requests_rejected", "requests_throttled",
-                "requests_rejected_queue", "requests_rejected_shed"):
-        if key not in health:
-            failures.append(f"health_report missing {key}")
+    failures = [f"health_report missing {key}"
+                for key in ("requests_rejected", "requests_throttled",
+                            "requests_rejected_queue",
+                            "requests_rejected_shed")
+                if key not in health]
     if health.get("requests_throttled", 0) <= 0:
         failures.append("expected the rate-limited tenant to be throttled")
-    rerun = EnvyService(config, tenants).run(duration, jobs=1).as_dict()
-    if rerun != baseline:
-        failures.append("rerun with the same seed changed the metrics")
-    fanned = EnvyService(config, tenants).run(duration, jobs=2).as_dict()
-    if fanned != baseline:
-        failures.append("--jobs 2 changed the metrics")
+    failures += _reruns(lambda jobs: EnvyService(config, tenants).run(
+        args.duration, jobs=jobs).as_dict(), stats.as_dict(), "metrics")
     print()
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print("smoke ok: metrics identical across reruns and --jobs 1/2; "
-          f"{health['requests_rejected']:,} rejections reproduced.")
-    return 0
+    return _verdict(failures, "smoke ok: metrics identical across reruns "
+                    f"and --jobs 1/2; {health.get('requests_rejected', 0):,}"
+                    " rejections reproduced.")
 
 
-def _trace_scenario(args):
-    """The ``trace`` command's seeded multi-tenant mix.
+def _trace_mix(args: argparse.Namespace):
+    """A latency-sensitive ``online`` tenant with read/write p99 SLOs, a
+    write-heavy ``batch`` tenant with a write SLO, and a ``storm`` tenant
+    running the ``clean_amp`` sweep at full write fraction: the induced
+    cleaner storm whose interference the trace attributes (cleaner-debt
+    throttles, sheds, queueing behind the storm's writes)."""
+    from .service import TenantSpec
 
-    Three declared tenants — a latency-sensitive ``online`` tenant with
-    read/write p99 SLOs, a write-heavy ``batch`` tenant with a write
-    SLO — plus a ``storm`` tenant running the ``clean_amp`` sweep at
-    full write fraction: the induced cleaner storm whose interference
-    the trace attributes (cleaner-debt throttles, sheds, queueing
-    behind the storm's writes).
-    """
-    from .service import ServiceConfig, TenantSpec
+    rate = args.rate
+    return [
+        TenantSpec("online", rate_tps=rate / 2, skew=1.0, write_fraction=0.3,
+                   slo_read_p99_ns=100_000, slo_write_p99_ns=250_000,
+                   slo_throughput_tps=rate / 20),
+        TenantSpec("batch", rate_tps=rate / 4, workload="uniform",
+                   write_fraction=0.8, slo_write_p99_ns=500_000),
+        TenantSpec("storm", rate_tps=rate / 2, workload="clean_amp",
+                   write_fraction=1.0),
+    ]
 
-    if args.smoke:
-        config = ServiceConfig(num_shards=2, num_segments=8,
-                               pages_per_segment=32, seed=args.seed,
-                               retry_limit=2, queue_capacity=32)
-        rate, duration = 4e6, 0.0004
-    else:
-        config = ServiceConfig(num_shards=args.shards,
-                               num_segments=args.segments,
-                               pages_per_segment=args.pages,
-                               queue_capacity=args.queue,
-                               redundancy=args.redundancy,
-                               retry_limit=args.retry_limit,
-                               seed=args.seed)
-        rate, duration = args.rate, args.duration
-    if not args.smoke and args.tenant:
-        tenants = [_parse_tenant(spec) for spec in args.tenant]
-    else:
-        tenants = [
-            TenantSpec("online", rate_tps=rate / 2, skew=1.0,
-                       write_fraction=0.3,
-                       slo_read_p99_ns=100_000,
-                       slo_write_p99_ns=250_000,
-                       slo_throughput_tps=rate / 20),
-            TenantSpec("batch", rate_tps=rate / 4, workload="uniform",
-                       write_fraction=0.8,
-                       slo_write_p99_ns=500_000),
-            TenantSpec("storm", rate_tps=rate / 2,
-                       workload="clean_amp", write_fraction=1.0),
-        ]
-    return config, tenants, duration
+
+#: ``trace --smoke``: the default mix, small, whose decomposition must be
+#: exact, whose trace must repeat across reruns and ``--jobs``, and whose
+#: metrics must not move with tracing off.
+TRACE_SMOKE = dict(shards=2, segments=8, pages=32, queue=32, retry_limit=2,
+                   rate=4e6, duration=0.0004, tenant=None)
 
 
 def _print_trace_dashboard(report, slo, slowest, percentile) -> None:
@@ -841,17 +824,20 @@ def _print_trace_dashboard(report, slo, slowest, percentile) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    """request-level tracing: slowest requests with exact critical paths,
+    per-tenant tail blame, SLO burn rates"""
+    import json
     import os
 
     from .obs.export import service_prometheus_text
-    from .service.frontend import EnvyService
+    from .service import EnvyService
 
-    config, tenants, duration = _trace_scenario(args)
+    args, config, tenants = _service(args, TRACE_SMOKE, _trace_mix)
     service = EnvyService(config, tenants)
     print(f"tracing {len(tenants)} tenants over {config.num_shards} "
-          f"shards for {duration * 1e3:g} ms simulated "
+          f"shards for {args.duration * 1e3:g} ms simulated "
           f"(seed {config.seed})...")
-    stats = service.run(duration, jobs=args.jobs, trace=True)
+    stats = service.run(args.duration, jobs=args.jobs, trace=True)
     report = service.last_trace
     health = service.health_report()
     slo = health.get("slo", {})
@@ -859,9 +845,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
                  f"{len(report.served()):,} served foreground"))
     _print_trace_dashboard(report, slo, args.slowest, args.percentile)
     err = report.validate()
+    served = len(report.served(include_pseudo=True))
     print(f"\ndecomposition: worst |sum(components) - latency| = "
-          f"{err} ns over {len(report.served(include_pseudo=True)):,} "
-          f"served rows")
+          f"{err} ns over {served:,} served rows")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         written = {
@@ -869,12 +855,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "trace.jsonl": report.to_jsonl(),
             "service.prom": service_prometheus_text(
                 stats, security=health.get("security"), slo=slo),
+            "slo.json": json.dumps(
+                {"slo": slo, "blame": report.blame(args.percentile)},
+                indent=2, sort_keys=True) + "\n",
         }
-        import json
-
-        written["slo.json"] = json.dumps(
-            {"slo": slo, "blame": report.blame(args.percentile)},
-            indent=2, sort_keys=True) + "\n"
         for name, text in written.items():
             path = os.path.join(args.out, name)
             with open(path, "w") as handle:
@@ -882,48 +866,34 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
     if not args.smoke:
         return err and 1 or 0
-
-    # Smoke mode proves the tracing acceptance criteria: exact
-    # decomposition, blame identical across reruns and --jobs, and
-    # bit-identical metrics with tracing off.
-    failures = []
-    if err != 0:
-        failures.append(f"decomposition error {err} ns (expected 0)")
+    failures = [f"decomposition error {err} ns (expected 0)"] if err else []
     if not slo:
         failures.append("health_report has no slo section")
-    for name in ("online", "batch"):
-        if name not in slo:
-            failures.append(f"slo section missing tenant {name}")
-    baseline = report.as_dict()
-    rerun = EnvyService(config, tenants)
-    rerun.run(duration, jobs=1, trace=True)
-    if rerun.last_trace.as_dict() != baseline:
-        failures.append("rerun with the same seed changed the trace")
-    fanned = EnvyService(config, tenants)
-    fanned.run(duration, jobs=2, trace=True)
-    if fanned.last_trace.as_dict() != baseline:
-        failures.append("--jobs 2 changed the trace")
-    untraced = EnvyService(config, tenants)
-    if untraced.run(duration, jobs=1).as_dict() != stats.as_dict():
+    failures += [f"slo section missing tenant {name}"
+                 for name in ("online", "batch") if name not in slo]
+
+    def traced(jobs):
+        rerun = EnvyService(config, tenants)
+        rerun.run(args.duration, jobs=jobs, trace=True)
+        return rerun.last_trace.as_dict()
+
+    failures += _reruns(traced, report.as_dict(), "trace")
+    untraced = EnvyService(config, tenants).run(args.duration, jobs=1)
+    if untraced.as_dict() != stats.as_dict():
         failures.append("tracing perturbed the service metrics")
     print()
-    if failures:
-        for failure in failures:
-            print(f"FAIL {failure}")
-        return 1
-    print(f"smoke ok: 0 ns decomposition error on "
-          f"{len(report.served(include_pseudo=True)):,} rows; blame "
-          f"identical across reruns and --jobs 1/2; metrics "
-          f"bit-identical with tracing off.")
-    return 0
+    return _verdict(failures, f"smoke ok: 0 ns decomposition error on "
+                    f"{served:,} rows; blame identical across reruns and "
+                    f"--jobs 1/2; metrics bit-identical with tracing off.")
 
 
 def _backends_config(args: argparse.Namespace):
     from .backends import default_config
 
-    return default_config(num_segments=args.segments,
-                          pages_per_segment=args.pages,
-                          reserve_segments=args.reserves)
+    with _refusals():
+        return default_config(num_segments=args.segments,
+                              pages_per_segment=args.pages,
+                              reserve_segments=args.reserves)
 
 
 def _print_consistency_report(report) -> None:
@@ -950,8 +920,11 @@ def _print_consistency_report(report) -> None:
 
 
 def cmd_backends(args: argparse.Namespace) -> int:
+    """list pluggable storage backends / workloads; --check runs the
+    cross-backend consistency matrix"""
     from . import backends
 
+    config = _backends_config(args)
     print(banner("pluggable storage backends"))
     rows = [[info.name, info.summary, info.options or "-"]
             for info in (backends.backend_info(name)
@@ -967,7 +940,6 @@ def cmd_backends(args: argparse.Namespace) -> int:
           "'file:path=/tmp/envy.img' or 'zipf:skew=1.2'; "
           "EnvyConfig(backend=SPEC) or --backend SPEC selects one.")
     if args.record:
-        config = _backends_config(args)
         trace, reference = backends.record_tpca(
             config, transactions=args.transactions, seed=args.seed)
         trace.save(args.record)
@@ -981,7 +953,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
     print(banner(f"cross-backend consistency "
                  f"({args.transactions} TPC-A transactions, "
                  f"seed {args.seed})"))
-    report = backends.run_consistency(config=_backends_config(args),
+    report = backends.run_consistency(config=config,
                                       transactions=args.transactions,
                                       seed=args.seed)
     _print_consistency_report(report)
@@ -989,6 +961,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    """re-drive a recorded run trace against any backend"""
     from dataclasses import replace
 
     from .backends import RunTrace, replay_trace, run_consistency
@@ -1041,18 +1014,97 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+# Flag groups: each builds a fresh parser for ``parents=`` (argparse
+# shares the parent's actions with the child, so a ``set_defaults`` on one
+# command must not reach another's).
+
+def _fault_flags(*plans: str) -> argparse.ArgumentParser:
+    """``faults`` / ``recover``: a ``--plan`` of ``plans`` (the first by
+    default), its seed and the geometry."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--plan", choices=list(plans), default=plans[0],
+                       help="fault-plan preset")
+    flags.add_argument("--seed", type=int,
+                       help="workload/fault seed (deterministic)")
+    flags.add_argument("--segments", type=int)
+    flags.add_argument("--pages", type=int)
+    return flags
+
+
+def _service_flags() -> argparse.ArgumentParser:
+    """``serve`` / ``trace``: the service geometry, tenants and run."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--shards", type=int, default=4,
+                       help="independent eNVy banks (default: %(default)s)")
+    flags.add_argument("--segments", type=int, default=16,
+                       help="flash segments per shard")
+    flags.add_argument("--pages", type=int, default=64,
+                       help="pages per segment")
+    flags.add_argument("--duration", type=float, default=0.002,
+                       help="simulated seconds of tenant traffic")
+    flags.add_argument("--rate", type=float, default=4e6,
+                       help="aggregate offered accesses/s for the "
+                            "default tenant mix")
+    flags.add_argument("--queue", type=int, default=256,
+                       help="per-shard bounded queue capacity "
+                            "(default: %(default)s)")
+    flags.add_argument("--redundancy", default="none",
+                       help="cross-bank redundancy policy: none, mirror, "
+                            "mirror:K, or parity (default: %(default)s)")
+    flags.add_argument("--retry-limit", type=int, default=0,
+                       dest="retry_limit",
+                       help="bounded deterministic retries for queue-full "
+                            "rejections (default: %(default)s)")
+    flags.add_argument("--tenant", action="append", metavar="SPEC",
+                       help="tenant spec 'name=a,workload=zipf,"
+                            "rate_tps=1e6,...' (repeatable; replaces "
+                            "the default mix; slo=READ[:WRITE[:TGT]] or "
+                            "slo_read_p99_ns=... declares objectives, "
+                            "cache=true|false, arrive_s=/depart_s=/"
+                            "burst_every_s= for churn)")
+    flags.add_argument("--seed", type=int, default=0,
+                       help="service seed (schedule + shard prewarm)")
+    flags.add_argument("--jobs", type=int, default=None,
+                       help="shard fan-out workers (default: ENVY_JOBS "
+                            "or CPU count); never changes results")
+    flags.add_argument("--smoke", action="store_true",
+                       help="small preset geometry, mix and duration + "
+                            "determinism validation (CI)")
+    return flags
+
+
+def _geometry_flags() -> argparse.ArgumentParser:
+    """``backends`` / ``replay``: the config ``_backends_config`` builds."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=0)
+    flags.add_argument("--segments", type=int, default=12,
+                       help="logical segments (default: %(default)s)")
+    flags.add_argument("--pages", type=int, default=16,
+                       help="pages per segment")
+    flags.add_argument("--reserves", type=int, default=2,
+                       help="bad-block reserve segments")
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="eNVy (ASPLOS 1994) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="paper configuration and cost tables")
-    sub.add_parser("demo", help="tiny end-to-end demonstration")
-    sub.add_parser("claims", help="verify the paper's fast claims")
+    def command(func, *parents, **defaults):
+        """The subcommand ``func`` runs: named after it without ``cmd_``,
+        helped by its docstring, with per-command flag ``defaults``."""
+        child = sub.add_parser(func.__name__[4:], help=func.__doc__,
+                               parents=list(parents))
+        child.set_defaults(func=func, **defaults)
+        return child
 
-    policies = sub.add_parser("policies",
-                              help="Figure 8 cleaning-cost comparison")
+    command(cmd_info)
+    command(cmd_demo)
+    command(cmd_claims)
+
+    policies = command(cmd_policies)
     policies.add_argument("localities", nargs="*",
                           help="locality labels like 10/90")
     policies.add_argument("--segments", type=int, default=64)
@@ -1062,51 +1114,37 @@ def build_parser() -> argparse.ArgumentParser:
                           help="parallel sweep workers (default: "
                                "ENVY_JOBS or CPU count)")
 
-    tpca = sub.add_parser("tpca", help="one timed TPC-A simulation point")
+    tpca = command(cmd_tpca)
     tpca.add_argument("rate", type=float, help="request rate in TPS")
     tpca.add_argument("--duration", type=float, default=0.15,
                       help="simulated seconds to measure")
     tpca.add_argument("--utilization", type=float, default=0.8)
 
-    lifetime = sub.add_parser("lifetime",
-                              help="Section 5.5 lifetime calculation")
+    lifetime = command(cmd_lifetime)
     lifetime.add_argument("--flush-rate", type=float, default=10_376,
                           help="pages flushed per second")
     lifetime.add_argument("--cost", type=float, default=1.97,
                           help="cleaning cost")
 
-    faults = sub.add_parser(
-        "faults", help="workload under injected device faults")
-    faults.add_argument("--plan", choices=["light", "harsh"],
-                        default="light", help="fault-plan preset")
-    faults.add_argument("--seed", type=int, default=42,
-                        help="fault schedule seed (deterministic)")
+    faults = command(cmd_faults, _fault_flags("light", "harsh"),
+                     seed=42, segments=16, pages=32)
     faults.add_argument("--writes", type=int, default=5000,
                         help="page writes to issue")
-    faults.add_argument("--segments", type=int, default=16)
-    faults.add_argument("--pages", type=int, default=32)
     faults.add_argument("--reserves", type=int, default=4,
                         help="bad-block reserve segments")
 
-    recover = sub.add_parser(
-        "recover", help="chaos demo: power loss + recovery from flash")
-    recover.add_argument("--plan", choices=["none", "light", "harsh"],
-                         default="none", help="fault-plan preset")
-    recover.add_argument("--seed", type=int, default=0,
-                         help="workload/fault seed (deterministic)")
+    recover = command(cmd_recover, _fault_flags("none", "light", "harsh"),
+                      seed=0, segments=12, pages=16)
     recover.add_argument("--transactions", type=int, default=20,
                          help="TPC-A transactions to replay")
     recover.add_argument("--kill-at", type=int, default=0,
                          help="flash op to die at (0 = midpoint)")
     recover.add_argument("--tear", action="store_true",
                          help="tear the in-flight program (bad CRC)")
-    recover.add_argument("--segments", type=int, default=12)
-    recover.add_argument("--pages", type=int, default=16)
     recover.add_argument("--checkpoint", type=int, default=8,
                          help="checkpoint every N flushes (0 = off)")
 
-    observe = sub.add_parser(
-        "observe", help="instrumented run: dashboard + timeline exports")
+    observe = command(cmd_observe)
     observe.add_argument("--rate", type=float, default=30_000.0,
                          help="request rate in TPS")
     observe.add_argument("--duration", type=float, default=0.1,
@@ -1128,36 +1166,15 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="self_profile",
                          help="profile the host cost of simulated time")
 
-    serve = sub.add_parser(
-        "serve", help="sharded multi-tenant eNVy storage service")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="independent eNVy banks (default: %(default)s)")
-    serve.add_argument("--segments", type=int, default=16,
-                       help="flash segments per shard")
-    serve.add_argument("--pages", type=int, default=64,
-                       help="pages per segment")
+    serve = command(cmd_serve, _service_flags())
     serve.add_argument("--utilization", type=float, default=0.8)
     serve.add_argument("--policy", choices=["fifo", "greedy", "locality",
                                             "hybrid"], default="hybrid")
-    serve.add_argument("--duration", type=float, default=0.002,
-                       help="simulated seconds of tenant traffic")
-    serve.add_argument("--rate", type=float, default=4e6,
-                       help="aggregate offered accesses/s for the "
-                            "default tenant mix")
     serve.add_argument("--skew", type=float, default=1.0,
                        help="zipf skew of the hot default tenant")
-    serve.add_argument("--queue", type=int, default=256,
-                       help="per-shard bounded queue capacity")
-    serve.add_argument("--redundancy", default="none",
-                       help="cross-bank redundancy policy: none, mirror, "
-                            "mirror:K, or parity (default: %(default)s)")
     serve.add_argument("--placement", choices=["striped", "ranged"],
                        default="striped",
                        help="logical page placement across banks")
-    serve.add_argument("--retry-limit", type=int, default=0,
-                       dest="retry_limit",
-                       help="bounded deterministic retries for queue-full "
-                            "rejections (default: %(default)s)")
     serve.add_argument("--kill-bank", type=int, default=None,
                        dest="kill_bank", metavar="BANK",
                        help="availability demo: lose this whole bank after "
@@ -1179,12 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop admission: promote / throttle "
                             "/ shed tenants from their SLO burn "
                             "between runs")
-    serve.add_argument("--tenant", action="append", metavar="SPEC",
-                       help="tenant spec 'name=a,workload=zipf,"
-                            "rate_tps=1e6,...' (repeatable; replaces "
-                            "the default mix; slo=READ[:WRITE[:TGT]], "
-                            "cache=true|false, arrive_s=/depart_s=/"
-                            "burst_every_s= for churn)")
     serve.add_argument("--attack",
                        choices=["targeted-wear", "clean-amp", "squat"],
                        default=None,
@@ -1196,41 +1207,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --attack: run the full baseline/"
                             "attack/mitigated comparison (quarantine + "
                             "wear budget + hot-page scatter)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="service seed (schedule + shard prewarm)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="shard fan-out workers (default: ENVY_JOBS "
-                            "or CPU count); never changes results")
-    serve.add_argument("--smoke", action="store_true",
-                       help="small fixed run + determinism validation "
-                            "(CI)")
 
-    trace = sub.add_parser(
-        "trace", help="request-level tracing: slowest requests with "
-                      "exact critical paths, per-tenant tail blame, "
-                      "SLO burn rates")
-    trace.add_argument("--shards", type=int, default=4)
-    trace.add_argument("--segments", type=int, default=16,
-                       help="flash segments per shard")
-    trace.add_argument("--pages", type=int, default=64,
-                       help="pages per segment")
-    trace.add_argument("--duration", type=float, default=0.002,
-                       help="simulated seconds of tenant traffic")
-    trace.add_argument("--rate", type=float, default=4e6,
-                       help="aggregate offered accesses/s for the "
-                            "default online/batch/storm mix")
-    trace.add_argument("--queue", type=int, default=64,
-                       help="per-shard bounded queue capacity")
-    trace.add_argument("--redundancy", default="none",
-                       help="cross-bank redundancy policy: none, "
-                            "mirror, mirror:K, or parity")
-    trace.add_argument("--retry-limit", type=int, default=2,
-                       dest="retry_limit",
-                       help="bounded retries for queue-full rejections")
-    trace.add_argument("--tenant", action="append", metavar="SPEC",
-                       help="tenant spec (repeatable; replaces the "
-                            "default mix; slo_read_p99_ns=... declares "
-                            "objectives)")
+    trace = command(cmd_trace, _service_flags(), queue=64, retry_limit=2)
     trace.add_argument("--slowest", type=int, default=10,
                        help="list this many slowest requests "
                             "(default: %(default)s)")
@@ -1239,18 +1217,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None, metavar="DIR",
                        help="write trace.json (Perfetto), trace.jsonl, "
                             "service.prom and slo.json here")
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--jobs", type=int, default=None,
-                       help="shard fan-out workers; never changes "
-                            "results")
-    trace.add_argument("--smoke", action="store_true",
-                       help="small fixed run + tracing acceptance "
-                            "validation (CI)")
 
-    backends = sub.add_parser(
-        "backends", help="list pluggable storage backends / workloads; "
-                         "--check runs the cross-backend consistency "
-                         "matrix")
+    backends = command(cmd_backends, _geometry_flags())
     backends.add_argument("--check", action="store_true",
                           help="record one TPC-A trace and prove every "
                                "backend produces the same state digest")
@@ -1260,17 +1228,8 @@ def build_parser() -> argparse.ArgumentParser:
     backends.add_argument("--transactions", type=int, default=40,
                           help="TPC-A transactions to record "
                                "(default: %(default)s)")
-    backends.add_argument("--seed", type=int, default=0)
-    backends.add_argument("--segments", type=int, default=12,
-                          help="logical segments (default: %(default)s)")
-    backends.add_argument("--pages", type=int, default=16,
-                          help="pages per segment")
-    backends.add_argument("--reserves", type=int, default=2,
-                          help="bad-block reserve segments")
 
-    replay = sub.add_parser(
-        "replay", help="re-drive a recorded run trace against any "
-                       "backend")
+    replay = command(cmd_replay, _geometry_flags())
     replay.add_argument("trace", help="run-trace JSONL (from "
                                       "'backends --record')")
     replay.add_argument("--backend", default="flash",
@@ -1286,36 +1245,12 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--no-check", action="store_true",
                         dest="no_check",
                         help="skip the trace-header config validation")
-    replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--segments", type=int, default=12,
-                        help="logical segments of the replay config")
-    replay.add_argument("--pages", type=int, default=16,
-                        help="pages per segment")
-    replay.add_argument("--reserves", type=int, default=2,
-                        help="bad-block reserve segments")
     return parser
-
-
-COMMANDS = {
-    "info": cmd_info,
-    "claims": cmd_claims,
-    "policies": cmd_policies,
-    "tpca": cmd_tpca,
-    "lifetime": cmd_lifetime,
-    "demo": cmd_demo,
-    "faults": cmd_faults,
-    "recover": cmd_recover,
-    "observe": cmd_observe,
-    "serve": cmd_serve,
-    "trace": cmd_trace,
-    "backends": cmd_backends,
-    "replay": cmd_replay,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

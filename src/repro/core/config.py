@@ -368,8 +368,8 @@ class EnvyConfig:
         """
         paper = FlashParams()
         paper_pages_per_segment = paper.segment_bytes // 256
-        if num_segments % 2:
-            raise ValueError("num_segments must be even")
+        if num_segments < 2 or num_segments % 2:
+            raise ValueError("num_segments must be even and at least 2")
         segment_bytes = pages_per_segment * page_bytes
         erase_block_bytes = segment_bytes // chips_per_bank
         if erase_block_bytes < 1:

@@ -86,8 +86,6 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
         ("loader", "snapshot files: test_persistence.TestSnapshotErrors"),
     "repro.obs.hist:LatencyHistogram.from_state":
         ("loader", "test_observability.TestHostileHistogramState"),
-    "repro.service.tenant:TenantSpec.parse":
-        ("loader", "serve --tenant: test_adversary.TestTenantSpecParse"),
     "repro.core.tracing:RunTrace.roundtrip":
         ("loader", "trace files: test_tracing.TestHostileTraceFiles"),
     # ROADMAP item 1: the backend trace-replay wall path (record a
