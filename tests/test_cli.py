@@ -117,6 +117,17 @@ class TestCommands:
                ["recover", "--transactions", "6", "--plan", "light",
                 "--tear", "--seed", "2"])
 
+    def test_recover_reports_precut_tail(self, capsys):
+        assert main(["recover", "--transactions", "6"]) == 0
+        output = capsys.readouterr().out
+        assert "write_latency_p99_ns (pre-cut)" in output
+
+    def test_tpca_reports_percentiles(self, capsys):
+        assert main(["tpca", "3000", "--duration", "0.02"]) == 0
+        output = capsys.readouterr().out
+        assert "p50" in output
+        assert "p99" in output
+
     def test_observe_smoke(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["observe", "--smoke"]) == 0
