@@ -97,13 +97,20 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_policies(args: argparse.Namespace) -> int:
     """Figure 8 cleaning-cost comparison"""
+    from .cleaning import PolicySimulator, make_policy
     from .perf import run_sweep
 
     localities = args.localities or ["50/50", "20/80", "10/90", "5/95"]
-    print(banner(f"Figure 8: cleaning cost vs locality "
-                 f"({args.segments} segments x {args.pages} pages)"))
     policies = [("greedy", {}), ("locality", {}),
                 ("hybrid", {"partition_segments": args.partition})]
+    with _refusals():
+        # Each policy on the array the sweep's points build, before the
+        # sweep: a geometry a policy refuses is refused here.
+        for name, kwargs in policies:
+            PolicySimulator(make_policy(name, **kwargs), args.segments,
+                            args.pages, buffer_pages=0)
+    print(banner(f"Figure 8: cleaning cost vs locality "
+                 f"({args.segments} segments x {args.pages} pages)"))
     points = [dict(policy=name, policy_kwargs=kwargs, locality=label,
                    num_segments=args.segments, pages_per_segment=args.pages,
                    turnovers=3, warmup_turnovers=8)
@@ -137,13 +144,17 @@ def _print_run_summary(stats, before_cost, after_cost) -> None:
 
 def cmd_tpca(args: argparse.Namespace) -> int:
     """one timed TPC-A simulation point"""
-    from .sim import simulate_tpca
+    from .sim import build_tpca_system
 
+    with _refusals():
+        simulator = build_tpca_system(utilization=args.utilization,
+                                      rate_tps=args.rate)
     print(f"simulating {args.rate:,.0f} TPS for {args.duration}s "
           f"(plus warm-up)...")
-    stats = simulate_tpca(args.rate, duration_s=args.duration,
-                          warmup_s=args.duration / 3,
-                          utilization=args.utilization)
+    # As simulate_tpca: ten free-space turnovers of prewarm, a third of
+    # the run again as warm-up.
+    simulator.prewarm(10.0)
+    stats = simulator.run(args.duration, args.duration / 3)
     print(banner(f"TPC-A at {args.rate:,.0f} requested TPS, "
                  f"{args.utilization:.0%} utilization"))
     read, write = stats.read_latency, stats.write_latency
@@ -160,9 +171,10 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     """Section 5.5 lifetime calculation"""
     from .core import EnvyConfig, estimate_lifetime
 
-    estimate = estimate_lifetime(EnvyConfig.paper(),
-                                 page_flush_rate=args.flush_rate,
-                                 cleaning_cost=args.cost)
+    with _refusals():
+        estimate = estimate_lifetime(EnvyConfig.paper(),
+                                     page_flush_rate=args.flush_rate,
+                                     cleaning_cost=args.cost)
     print(banner("Section 5.5 lifetime model (2 GB, 1M-cycle parts)"))
     print(f"page flush rate : {args.flush_rate:,.0f}/s")
     print(f"cleaning cost   : {args.cost}")
@@ -1183,10 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache", type=int, default=0, metavar="PAGES",
                        help="DRAM read-cache pages per shard "
                             "(0 = no cache tier)")
-    serve.add_argument("--cache-policy", choices=["clock", "lru"],
-                       default="clock", dest="cache_policy",
-                       help="cache replacement policy "
-                            "(default: %(default)s)")
     serve.add_argument("--cache-tenant-cap", type=float, default=1.0,
                        dest="cache_tenant_cap", metavar="FRAC",
                        help="per-tenant cache occupancy cap as a "

@@ -16,7 +16,7 @@ service:
 * :class:`ShardExecutor` — bounded queue, admission control, bounded
   deterministic retry and write batching per shard
   (:mod:`repro.service.executor`);
-* :class:`PageCache` — the DRAM read-cache tier (CLOCK / LRU,
+* :class:`PageCache` — the DRAM read-cache tier (CLOCK,
   per-tenant occupancy caps) serving hot reads at DRAM speed
   (:mod:`repro.service.cache`);
 * :class:`AdmissionController` — closed-loop admission: promote /
@@ -47,7 +47,7 @@ Drive it from the CLI with ``python -m repro serve`` (see
 from .admission import ADMISSION_STATES, AdmissionController
 from .adversary import (ATTACK_KINDS, AttackDetector, attack_tenant,
                         project_lifetime, run_attack_scenario)
-from .cache import CACHE_POLICIES, PageCache
+from .cache import PageCache
 from .chaos import run_redundancy_chaos, run_service_chaos
 from .executor import ShardExecutor, service_shard_point
 from .frontend import EnvyService, ServiceConfig, ServiceStats
@@ -69,7 +69,6 @@ __all__ = [
     "ShardExecutor",
     "service_shard_point",
     "PageCache",
-    "CACHE_POLICIES",
     "AdmissionController",
     "ADMISSION_STATES",
     "EnvyService",

@@ -22,11 +22,11 @@ controller walks each SLO-bearing tenant through a four-state ladder:
   the tenant opted out with ``cache=False``, or when its traffic is
   write-dominated — the cache cannot help writes.)
 * **throttle** — next run the tenant's token bucket is replaced with
-  one at ``throttle_factor`` × its *observed served rate*, trading its
-  own throughput for its own tail (and everyone else's).
-* **shed** — a severe cut to ``shed_factor`` × the served rate for
-  tenants burning budget faster than ``burn_shed``; the tenant keeps a
-  trickle (``floor_tps``) so recovery can be observed.
+  one at 0.5 × its *observed served rate*, trading its own throughput
+  for its own tail (and everyone else's).
+* **shed** — a severe cut to 0.05 × the served rate for tenants
+  burning budget more than 4× faster than sustainable; the tenant
+  keeps a trickle (100 tps) so recovery can be observed.
 * **recover** — a healthy run (burn ≤ 1) relaxes one step per run;
   promoted tenants stay promoted, since the tier is usually *why* they
   are healthy.
@@ -49,29 +49,24 @@ __all__ = ["AdmissionController", "ADMISSION_STATES"]
 #: The ladder, mildest to harshest.
 ADMISSION_STATES = ("normal", "promoted", "throttled", "shed")
 
+#: SLO burn rate past which a tenant climbs one rung of the ladder.
+_BURN_HOT = 1.0
+#: Burn rate past which a tenant is shed outright.
+_BURN_SHED = 4.0
+#: Throttled and shed rates, as fractions of the observed served rate.
+_THROTTLE_FACTOR = 0.5
+_SHED_FACTOR = 0.05
+#: The trickle no throttled or shed tenant falls below (tps).
+_FLOOR_TPS = 100.0
+
 
 class AdmissionController:
     """Per-tenant state machine over SLO burn rates."""
 
-    def __init__(self, tenants: Sequence, cache_available: bool = False,
-                 burn_hot: float = 1.0, burn_shed: float = 4.0,
-                 throttle_factor: float = 0.5,
-                 shed_factor: float = 0.05,
-                 floor_tps: float = 100.0) -> None:
-        if burn_hot <= 0 or burn_shed < burn_hot:
-            raise ValueError("need 0 < burn_hot <= burn_shed")
-        if not 0 < shed_factor <= throttle_factor <= 1:
-            raise ValueError(
-                "need 0 < shed_factor <= throttle_factor <= 1")
-        if floor_tps <= 0:
-            raise ValueError("floor_tps must be positive")
+    def __init__(self, tenants: Sequence,
+                 cache_available: bool = False) -> None:
         self.tenants = list(tenants)
         self.cache_available = cache_available
-        self.burn_hot = burn_hot
-        self.burn_shed = burn_shed
-        self.throttle_factor = throttle_factor
-        self.shed_factor = shed_factor
-        self.floor_tps = floor_tps
         self._specs = {spec.name: spec for spec in self.tenants}
         #: Tenants the loop manages: those with a declared SLO.
         self.managed = [spec.name for spec in self.tenants
@@ -111,9 +106,9 @@ class AdmissionController:
                           and tstats.reads >= tstats.writes)
             can_promote = (self.cache_available
                            and spec.cache is not False and read_heavy)
-            if burn > self.burn_shed:
+            if burn > _BURN_SHED:
                 new_state = "shed"
-            elif burn > self.burn_hot:
+            elif burn > _BURN_HOT:
                 if state == "normal":
                     new_state = "promoted" if can_promote else "throttled"
                 elif state == "promoted":
@@ -133,11 +128,11 @@ class AdmissionController:
                 served_tps = (tstats.served / duration_s
                               if tstats is not None and duration_s > 0
                               else 0.0)
-                factor = (self.throttle_factor if new_state == "throttled"
-                          else self.shed_factor)
+                factor = (_THROTTLE_FACTOR if new_state == "throttled"
+                          else _SHED_FACTOR)
                 base = served_tps if served_tps > 0 else \
-                    self._rates.get(name, self.floor_tps)
-                rate = max(self.floor_tps, base * factor)
+                    self._rates.get(name, _FLOOR_TPS)
+                rate = max(_FLOOR_TPS, base * factor)
                 if spec.rate_limit_tps is not None:
                     rate = min(rate, spec.rate_limit_tps)
                 self._rates[name] = rate

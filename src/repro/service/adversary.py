@@ -68,6 +68,23 @@ ATTACK_KINDS = ("targeted-wear", "clean-amp", "squat")
 #: Writes a reference stream draws at most (keeps detection cheap).
 _REF_WRITE_CAP = 50_000
 
+#: The detector's thresholds, echoed by every report under
+#: ``thresholds``: the wear-concentration ratio over the declared
+#: shape's; the clean signal's write fraction, flushes per write and
+#: flush share; the squat signal's mean share of the aggregate buffer,
+#: residency z-score and write fraction; and the writes a tenant needs
+#: before the wear and clean signals judge it.
+_THRESHOLDS = {
+    "concentration_margin": 4.0,
+    "clean_write_fraction": 0.95,
+    "clean_flush_per_write": 0.85,
+    "clean_min_flush_share": 0.25,
+    "occupancy_threshold": 0.45,
+    "occupancy_z": 1.0,
+    "squat_write_fraction": 0.8,
+    "min_writes": 200,
+}
+
 
 def attack_tenant(kind: str, config: Optional[ServiceConfig] = None,
                   name: str = "attacker", rate_tps: float = 200_000.0,
@@ -132,26 +149,11 @@ class AttackDetector:
 
     The remaining quantities (induced cleaning cost vs peers, residency
     vs write share) are reported as evidence alongside the verdict.
+    The thresholds are the constants :data:`_THRESHOLDS`.
     """
 
-    def __init__(self, service: EnvyService,
-                 concentration_margin: float = 4.0,
-                 clean_write_fraction: float = 0.95,
-                 clean_flush_per_write: float = 0.85,
-                 clean_min_flush_share: float = 0.25,
-                 occupancy_threshold: float = 0.45,
-                 occupancy_z: float = 1.0,
-                 squat_write_fraction: float = 0.8,
-                 min_writes: int = 200) -> None:
+    def __init__(self, service: EnvyService) -> None:
         self.service = service
-        self.concentration_margin = concentration_margin
-        self.clean_write_fraction = clean_write_fraction
-        self.clean_flush_per_write = clean_flush_per_write
-        self.clean_min_flush_share = clean_min_flush_share
-        self.occupancy_threshold = occupancy_threshold
-        self.occupancy_z = occupancy_z
-        self.squat_write_fraction = squat_write_fraction
-        self.min_writes = min_writes
 
     # -- declared-shape reference ------------------------------------
 
@@ -213,6 +215,7 @@ class AttackDetector:
     def analyze(self, stats: Optional[ServiceStats] = None) -> dict:
         """The security report for one run's attributed stats."""
         service = self.service
+        limits = _THRESHOLDS
         stats = stats if stats is not None else service.last_stats
         if stats is None:
             raise ValueError("no run to analyze")
@@ -257,7 +260,7 @@ class AttackDetector:
                            in wear.get("page_writes", {}).items()
                            if isinstance(page, int)]
             writes = sum(page_writes)
-            if writes >= self.min_writes:
+            if writes >= limits["min_writes"]:
                 span = self._tenant_span(spec)
                 values = page_writes + [0] * (span - len(page_writes))
                 realized = wear_concentration(values)
@@ -268,7 +271,7 @@ class AttackDetector:
                 signals["wear_concentration"] = round(realized, 3)
                 signals["declared_concentration"] = round(reference, 3)
                 signals["concentration_ratio"] = round(ratio, 3)
-                if ratio > self.concentration_margin:
+                if ratio > limits["concentration_margin"]:
                     flags.append("wear")
 
             # Signal 2: uncoalesced flush pressure.
@@ -289,10 +292,10 @@ class AttackDetector:
                 signals["peer_clean_cost"] = round(peer_cost, 3)
                 signals["flush_per_write"] = round(per_write, 3)
                 signals["flush_share"] = round(flush_share, 3)
-                if (tstats.writes >= self.min_writes
-                        and own_wf > self.clean_write_fraction
-                        and per_write > self.clean_flush_per_write
-                        and flush_share > self.clean_min_flush_share):
+                if (tstats.writes >= limits["min_writes"]
+                        and own_wf > limits["clean_write_fraction"]
+                        and per_write > limits["clean_flush_per_write"]
+                        and flush_share > limits["clean_min_flush_share"]):
                     flags.append("clean")
 
             # Signal 3: buffer residency vs write share.
@@ -312,10 +315,10 @@ class AttackDetector:
             zscore = self._window_z(name, window_series)
             if zscore is not None:
                 signals["residency_z"] = round(zscore, 3)
-            if (occupancy > self.occupancy_threshold
-                    and own_wf > self.squat_write_fraction
+            if (occupancy > limits["occupancy_threshold"]
+                    and own_wf > limits["squat_write_fraction"]
                     and zscore is not None
-                    and zscore > self.occupancy_z):
+                    and zscore > limits["occupancy_z"]):
                 flags.append("squat")
 
             report_tenants[name] = {"flags": flags, "signals": signals}
@@ -329,16 +332,7 @@ class AttackDetector:
         return {
             "flagged": flagged,
             "tenants": report_tenants,
-            "thresholds": {
-                "concentration_margin": self.concentration_margin,
-                "clean_write_fraction": self.clean_write_fraction,
-                "clean_flush_per_write": self.clean_flush_per_write,
-                "clean_min_flush_share": self.clean_min_flush_share,
-                "occupancy_threshold": self.occupancy_threshold,
-                "occupancy_z": self.occupancy_z,
-                "squat_write_fraction": self.squat_write_fraction,
-                "min_writes": self.min_writes,
-            },
+            "thresholds": dict(limits),
         }
 
     @staticmethod
@@ -430,9 +424,7 @@ def run_attack_scenario(config: ServiceConfig,
                         honest: Sequence[TenantSpec],
                         attack: TenantSpec,
                         duration_s: float,
-                        jobs: Optional[int] = None,
-                        detector_kwargs: Optional[dict] = None
-                        ) -> dict:
+                        jobs: Optional[int] = None) -> dict:
     """Baseline -> attack -> mitigated, deterministically.
 
     1. **baseline** — honest tenants only; the no-attack p99/lifetime
@@ -448,21 +440,19 @@ def run_attack_scenario(config: ServiceConfig,
     lifetime projections and the security reports — the raw material
     for the detection and containment gates.
     """
-    detector_kwargs = detector_kwargs or {}
     honest = list(honest)
     honest_names = [spec.name for spec in honest]
     base_config = replace(config, attribute_wear=True)
 
     baseline_service = EnvyService(base_config, honest)
     baseline_stats = baseline_service.run(duration_s, jobs=jobs)
-    baseline_detect = AttackDetector(
-        baseline_service, **detector_kwargs).analyze(baseline_stats)
+    baseline_detect = AttackDetector(baseline_service).analyze(
+        baseline_stats)
     baseline_life = project_lifetime(baseline_service, baseline_stats)
 
     attack_service = EnvyService(base_config, honest + [attack])
     attack_stats = attack_service.run(duration_s, jobs=jobs)
-    attack_detect = AttackDetector(
-        attack_service, **detector_kwargs).analyze(attack_stats)
+    attack_detect = AttackDetector(attack_service).analyze(attack_stats)
     attack_life = project_lifetime(attack_service, attack_stats)
     flagged = list(attack_detect["flagged"])
 
@@ -479,8 +469,8 @@ def run_attack_scenario(config: ServiceConfig,
             name, stats=attack_stats)
         scatters[name] = len(scattered["swaps"])
     mitigated_stats = mitigated_service.run(duration_s, jobs=jobs)
-    mitigated_detect = AttackDetector(
-        mitigated_service, **detector_kwargs).analyze(mitigated_stats)
+    mitigated_detect = AttackDetector(mitigated_service).analyze(
+        mitigated_stats)
     mitigated_life = project_lifetime(mitigated_service,
                                       mitigated_stats)
 

@@ -9,11 +9,10 @@ without crossing the eNVy bus at all.
 
 :class:`PageCache` is that tier, as a deterministic data structure:
 
-* **Pluggable policy** — ``"clock"`` (default; one reference bit per
-  resident page, second-chance sweep with a persistent hand) or
-  ``"lru"`` (exact recency order).  Both are pure functions of the
-  access sequence, so cached runs stay bit-identical across reruns
-  and ``--jobs``.
+* **CLOCK replacement** — one reference bit per resident page and a
+  second-chance sweep with a persistent hand: a pure function of the
+  access sequence, so cached runs stay bit-identical across reruns and
+  ``--jobs``.
 * **Per-owner occupancy caps** — an owner at its cap evicts its *own*
   oldest page instead of someone else's, so a ``squat``-style tenant
   cycling through a huge footprint cannot pin the shared cache
@@ -27,8 +26,8 @@ without crossing the eNVy bus at all.
 * **Presence only** — the tier is a timing device: an entry records
   that a page is resident and who owns it, never its bytes, so a hit
   can change a latency but never a value.  The shard executor is its
-  one user and probes ``entries`` directly (a hit refreshes the page
-  through :meth:`PageCache.touch`).
+  one user and probes ``entries`` directly (a hit sets the entry's
+  ``REF`` bit).
 
 Everything is counted (hits, misses, evictions, invalidations) for
 ``health_report()`` and the ``envy_cache_*`` Prometheus series.
@@ -41,10 +40,7 @@ from typing import Dict, List, Mapping, Optional
 
 from ..core.costmodel import DRAM_READ_NS
 
-__all__ = ["PageCache", "CACHE_POLICIES", "DRAM_READ_NS", "REF"]
-
-#: Supported replacement policies.
-CACHE_POLICIES = ("clock", "lru")
+__all__ = ["PageCache", "DRAM_READ_NS", "REF"]
 
 #: Entry layout: [owner, referenced_bit].  A plain list keeps the hot
 #: probe path allocation-free and fast to mutate.
@@ -52,7 +48,7 @@ OWNER, REF = 0, 1
 
 
 class PageCache:
-    """A deterministic CLOCK/LRU page cache with per-owner caps.
+    """A deterministic CLOCK page cache with per-owner caps.
 
     ``capacity_pages`` bounds total residency; ``tenant_caps`` maps an
     owner id to the most pages that owner may hold at once (owners not
@@ -60,32 +56,26 @@ class PageCache:
     cache: it stays empty, admits are dropped.
     """
 
-    __slots__ = ("capacity", "policy", "hits", "misses", "evictions",
-                 "invalidations", "entries", "_order", "_ring", "_hand",
-                 "_owners", "_caps")
+    __slots__ = ("capacity", "hits", "misses", "evictions",
+                 "invalidations", "entries", "_ring", "_hand", "_owners",
+                 "_caps")
 
-    def __init__(self, capacity_pages: int, policy: str = "clock",
+    def __init__(self, capacity_pages: int,
                  tenant_caps: Optional[Mapping[int, int]] = None) -> None:
         if capacity_pages < 0:
             raise ValueError("cache capacity cannot be negative")
-        if policy not in CACHE_POLICIES:
-            raise ValueError(f"unknown cache policy {policy!r}; "
-                             f"choose from {CACHE_POLICIES}")
         self.capacity = capacity_pages
-        self.policy = policy
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        #: page -> [owner, ref]; read-only outside (see touch).
+        #: page -> [owner, ref]; outside, only a hit's ``REF`` bit is set.
         self.entries: Dict[int, list] = {}
-        #: LRU recency order (least recent first); unused under CLOCK.
-        self._order: "OrderedDict[int, None]" = OrderedDict()
         #: CLOCK ring in admission order; invalidated pages leave
         #: tombstones that the sweep discards lazily.
         self._ring: List[int] = []
         self._hand = 0
-        #: owner -> pages in admission/recency order (oldest first).
+        #: owner -> pages in admission order (oldest first).
         self._owners: Dict[int, "OrderedDict[int, None]"] = {}
         self._caps: Dict[int, int] = dict(tenant_caps or {})
 
@@ -93,28 +83,19 @@ class PageCache:
     # Hot path
     # ------------------------------------------------------------------
 
-    def touch(self, page: int, entry: list) -> None:
-        """Refresh resident ``page`` (its ``entry``): set its CLOCK
-        reference bit, or move it to the LRU recency tail."""
-        if self.policy == "lru":
-            self._order.move_to_end(page)
-            self._owners[entry[OWNER]].move_to_end(page)
-        else:
-            entry[REF] = 1
-
     def admit(self, page: int, owner: int = 0) -> Optional[int]:
         """Insert ``page`` for ``owner``, evicting if needed.
 
         Returns the evicted page (None when nothing was displaced).
         An owner at its occupancy cap evicts its own oldest page; the
-        shared policy only runs when the cache as a whole is full.
-        Re-admitting a resident page just refreshes it.
+        shared CLOCK sweep only runs when the cache as a whole is full.
+        Re-admitting a resident page just sets its reference bit.
         """
         if self.capacity == 0:
             return None
         entry = self.entries.get(page)
         if entry is not None:
-            self.touch(page, entry)
+            entry[REF] = 1
             return None
         evicted: Optional[int] = None
         owned = self._owners.get(owner)
@@ -129,8 +110,7 @@ class PageCache:
         elif cap is not None and cap <= 0:
             return None
         elif len(self.entries) >= self.capacity:
-            evicted = (self._evict_clock() if self.policy == "clock"
-                       else self._evict_lru())
+            evicted = self._evict_clock()
         # _drop may have unregistered the owner's (now-empty) map —
         # re-resolve instead of trusting the reference from above.
         owned = self._owners.get(owner)
@@ -138,10 +118,7 @@ class PageCache:
             owned = self._owners[owner] = OrderedDict()
         self.entries[page] = [owner, 0]
         owned[page] = None
-        if self.policy == "lru":
-            self._order[page] = None
-        else:
-            self._ring.append(page)
+        self._ring.append(page)
         return evicted
 
     # ------------------------------------------------------------------
@@ -166,15 +143,7 @@ class PageCache:
         del owned[page]
         if not owned:
             del self._owners[entry[OWNER]]
-        if self.policy == "lru":
-            del self._order[page]
-        # CLOCK: the ring slot becomes a tombstone, reclaimed in-sweep.
-
-    def _evict_lru(self) -> int:
-        victim = next(iter(self._order))
-        self._drop(victim)
-        self.evictions += 1
-        return victim
+        # The ring slot becomes a tombstone, reclaimed in-sweep.
 
     def _evict_clock(self) -> int:
         ring = self._ring
@@ -209,7 +178,7 @@ class PageCache:
         """Counter snapshot for shard results / ``health_report()``."""
         return {
             "capacity_pages": self.capacity,
-            "policy": self.policy,
+            "policy": "clock",
             "occupancy": len(self.entries),
             "hits": self.hits,
             "misses": self.misses,

@@ -5,12 +5,13 @@ Both drills return the core harness's one
 :func:`~repro.core.chaos.sweep_kill_points`.
 
 :func:`run_service_chaos` is :func:`~repro.core.chaos.drill` over the
-shards: they serve the multi-tenant schedule, routed by the service's
-router and executed by :class:`~repro.service.executor.ShardExecutor`
-with stamped payloads; the power dies on *one* shard in the middle of a
-coalesced write batch, and each bank's Flash array alone must rebuild
-that bank's committed state — shards share nothing, and neither does
-their recovery.
+shards: they serve the multi-tenant schedule, sliced by the service's
+``partition`` and executed by :class:`~repro.service.executor.
+ShardExecutor` from the service's config and per-run inputs (what
+``EnvyService.run`` would serve) with stamped payloads; the power dies
+on *one* shard in the middle of a coalesced write batch, and each
+bank's Flash array alone must rebuild that bank's committed state —
+shards share nothing, and neither does their recovery.
 
 :func:`run_redundancy_chaos`: the victim bank is not merely
 power-cycled but *lost* — declared dead mid-batch with its SRAM gone —
@@ -28,9 +29,8 @@ from typing import Dict, List, Optional, Sequence
 from ..core.chaos import ChaosReport, KillSwitch, attach_commit_oracle, drill
 from ..core.controller import EnvyController
 from ..core.recovery import SimulatedPowerFailure
-from .executor import ShardExecutor
+from .executor import ShardExecutor, build_shard_controller
 from .frontend import EnvyService, ServiceConfig
-from .loadgen import LoadGenerator
 from .redundancy import DegradedModeError
 from .tenant import TenantSpec
 
@@ -45,12 +45,10 @@ _WORD = 8
 _WRITER = TenantSpec("writer", rate_tps=2e6, write_fraction=0.9, skew=0.8)
 
 
-def _schedule(config: ServiceConfig, tenants, duration_s: float):
-    """The drill's tenants and their deterministic service schedule."""
-    specs = list(tenants) if tenants else [_WRITER]
-    generator = LoadGenerator(specs, config.make_router().num_pages,
-                              config.page_bytes, seed=config.seed)
-    return specs, generator.generate(duration_s)[0]
+def _service(config: ServiceConfig, tenants, duration_s: float):
+    """The drill's service and its deterministic schedule."""
+    service = EnvyService(config, list(tenants) if tenants else [_WRITER])
+    return service, service._load_generator().generate(duration_s)[0]
 
 
 def run_service_chaos(config: Optional[ServiceConfig] = None,
@@ -65,7 +63,9 @@ def run_service_chaos(config: Optional[ServiceConfig] = None,
     """One drill: service run, kill one shard, recover all shards.
 
     The schedule for ``(config.seed, tenants, duration_s)`` is split
-    across shards by the config's router and replayed on data-bearing,
+    across shards by the service's :meth:`~repro.service.frontend.
+    EnvyService.partition` and replayed, as :meth:`~repro.service.
+    frontend.EnvyService.run` would serve it, on data-bearing,
     un-prewarmed shards (committed state starts empty).  ``kill_at``
     is 1-based over shard ``kill_shard``'s Flash operations (see
     :func:`~repro.core.chaos.drill`).  ``record_to`` folds the
@@ -75,28 +75,16 @@ def run_service_chaos(config: Optional[ServiceConfig] = None,
     config = replace(config or ServiceConfig(num_shards=2, num_segments=4,
                                              pages_per_segment=16),
                      store_data=True, prewarm_turnovers=0.0)
-    config.validate()
-    specs, schedule = _schedule(config, tenants, duration_s)
-    router = config.make_router()
-    slices: List[list] = [[] for _ in range(config.num_shards)]
-    for arrival, tenant, seq, is_write, page in schedule:
-        shard, local = router.route(page)
-        slices[shard].append((arrival, tenant, seq, is_write, local))
-    tenant_names = [spec.name for spec in specs]
+    service, schedule = _service(config, tenants, duration_s)
+    slices = service.partition(schedule)
+    inputs = service.executor_inputs()
 
     def run_shard(index: int, ctrl: EnvyController) -> None:
-        ShardExecutor(ctrl, index, tenant_names,
-                      queue_capacity=config.queue_capacity,
-                      soft_watermark=config.soft_watermark,
-                      hard_watermark=config.hard_watermark,
-                      stamp_payloads=True,
-                      cache_pages=config.cache_pages,
-                      cache_policy=config.cache_policy
-                      ).run(slices[index])
+        ShardExecutor(ctrl, index, config=config, stamp_payloads=True,
+                      **inputs).run(slices[index])
 
-    shard_config = config.shard_config()
-    report = drill([EnvyController(shard_config, store_data=True)
-                    for _ in range(config.num_shards)],
+    report = drill([build_shard_controller(config, index)
+                    for index in range(config.num_shards)],
                    kill_shard, run_shard, kill_at, tear, recover)
     if recover and record_to is not None:
         record_to.record_chaos_report(report)
@@ -143,8 +131,7 @@ def run_redundancy_chaos(config: Optional[ServiceConfig] = None,
     config.validate()
     if not 0 <= victim < config.num_shards:
         raise IndexError(f"no bank {victim}")
-    specs, schedule = _schedule(config, tenants, duration_s)
-    service = EnvyService(config, specs)
+    service, schedule = _service(config, tenants, duration_s)
     router = service.router
     zeros = bytes(config.page_bytes)
     report = ChaosReport(victim=victim, kill_at=kill_at, tear=tear,

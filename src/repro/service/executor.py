@@ -37,6 +37,11 @@ stretch at a time as the schedule streams in (``start`` / ``feed`` /
   retries is rejected as before; latency is measured from the
   *original* arrival, so retried requests honestly fatten the tail.
 
+Every knob named above is the :class:`~repro.service.frontend.
+ServiceConfig` field of that name, declared, defaulted and checked
+there; an executor takes the config whole, plus the per-run inputs
+(tenant names, wear budgets, cache-tier flags and caps, tracing).
+
 Everything the executor returns is a plain picklable dict, because
 :func:`service_shard_point` is the ``"module:function"`` worker
 :func:`~repro.perf.sweep.run_sweep` dispatches to processes — shard
@@ -55,7 +60,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import compress, repeat
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core.controller import EnvyController
 from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
@@ -66,6 +72,9 @@ from ..obs.hist import LatencyHistogram
 from ..perf.sweep import derive_seed
 from .cache import DRAM_READ_NS, REF, PageCache
 from . import loadgen
+
+if TYPE_CHECKING:
+    from .frontend import ServiceConfig
 
 __all__ = ["ShardExecutor", "service_shard_point", "BATCH_PAGES",
            "THROTTLE_PENALTY_NS", "TENANT_COUNTERS"]
@@ -83,12 +92,6 @@ _STALLS = ("flush", "clean", "erase", "retry", "checkpoint")
 #: One tenant's served-latency histograms: (reads, writes).
 LatencyPair = Tuple[LatencyHistogram, LatencyHistogram]
 
-#: The optional :class:`ShardExecutor` arguments a sweep point may set.
-_POINT_OPTIONS = ("stamp_payloads", "retry_limit", "retry_backoff_ns",
-                  "attribute_wear", "attribution_window_ns", "wear_budgets",
-                  "trace", "cache_pages", "cache_policy", "cache_tenants",
-                  "cache_tenant_caps")
-
 #: The per-tenant counter columns of a shard result, each named as the
 #: :class:`~repro.service.tenant.TenantStats` attribute it sums into.
 #: ``rejected`` counts queue and shed refusals, not wear-budget ones.
@@ -101,78 +104,45 @@ class ShardExecutor:
     """Replays one shard's request slice against its controller."""
 
     def __init__(self, controller: EnvyController, shard_index: int,
-                 tenant_names: Sequence[str],
-                 queue_capacity: int = 256,
-                 soft_watermark: float = 0.85,
-                 hard_watermark: float = 0.97,
-                 stamp_payloads: bool = False,
-                 retry_limit: int = 0,
-                 retry_backoff_ns: int = 4000,
-                 attribute_wear: bool = False,
-                 attribution_window_ns: int = 50_000,
+                 tenant_names: Sequence[str], config: ServiceConfig, *,
                  wear_budgets: Optional[Sequence[Optional[int]]] = None,
-                 trace: bool = False,
-                 cache_pages: int = 0,
-                 cache_policy: str = "clock",
                  cache_tenants: Optional[Sequence[bool]] = None,
                  cache_tenant_caps: Optional[Sequence[Optional[int]]]
-                 = None) -> None:
-        if queue_capacity < 1:
-            raise ValueError("queue needs capacity for at least one request")
-        if not 0.0 < soft_watermark <= hard_watermark <= 1.0:
-            raise ValueError(
-                "watermarks must satisfy 0 < soft <= hard <= 1")
-        if retry_limit < 0:
-            raise ValueError("retry_limit cannot be negative")
-        if retry_limit and retry_backoff_ns < 1:
-            raise ValueError("retries need a positive backoff")
+                 = None,
+                 trace: bool = False,
+                 stamp_payloads: bool = False) -> None:
+        # The service-wide knobs — queue, watermarks, retries, wear
+        # attribution, cache size — are the config's, checked there.
+        config.validate()
         self.controller = controller
         self.shard_index = shard_index
         self.tenant_names = list(tenant_names)
-        self.queue_capacity = queue_capacity
-        self.soft_watermark = soft_watermark
-        self.hard_watermark = hard_watermark
+        self.config = config
         #: Stamp each write with a distinct 8-byte running count (the
         #: chaos oracle needs distinguishable committed payloads).
         self.stamp_payloads = stamp_payloads
-        #: Queue-full rejections each request may absorb as deferred
-        #: retries before it is surfaced as rejected (0 = off).
-        self.retry_limit = retry_limit
-        self.retry_backoff_ns = retry_backoff_ns
-        if attribution_window_ns < 1:
-            raise ValueError("attribution windows need positive length")
         for label, column in (("wear_budgets", wear_budgets),
                               ("cache_tenants", cache_tenants),
                               ("cache_tenant_caps", cache_tenant_caps)):
             if column is not None and len(column) != len(self.tenant_names):
                 raise ValueError(f"{label} must align with tenant_names")
-        if wear_budgets is not None and \
-                all(budget is None for budget in wear_budgets):
-            wear_budgets = None
-        #: Per-tenant wear attribution (repro.service.adversary): each
-        #: flush program, the cleaning it induces and buffer residency
-        #: (per ``attribution_window_ns``) go to the page's owner.
-        #: Observational: every other output is bit-identical.
-        self.attribute_wear = attribute_wear
-        self.attribution_window_ns = attribution_window_ns
         #: Per-tenant cap on admitted writes per logical page (aligned
         #: with ``tenant_names``; None entries are unlimited).  Enforced
         #: at admission: a write past the cap is rejected with reason
         #: ``wear_budget`` before it can reach Flash.
-        self.wear_budgets = (list(wear_budgets)
-                             if wear_budgets is not None else None)
-        if cache_pages < 0:
-            raise ValueError("cache_pages cannot be negative")
+        self.wear_budgets = (list(wear_budgets) if wear_budgets is not None
+                             and any(budget is not None
+                                     for budget in wear_budgets) else None)
         #: DRAM read-cache tier (repro.service.cache): hits cost
         #: ``DRAM_READ_NS`` off the eNVy bus, misses are admitted, host
         #: writes and cleaner relocations invalidate.  It holds page
         #: *presence*, not bytes, so transparency is structural.
-        self.cache = (PageCache(cache_pages, cache_policy,
+        self.cache = (PageCache(config.cache_pages,
                                 tenant_caps={
                                     i: cap for i, cap in enumerate(
                                         cache_tenant_caps or ())
                                     if cap is not None})
-                      if cache_pages > 0 else None)
+                      if config.cache_pages > 0 else None)
         #: Per-tenant cache-tier membership (aligned with tenant_names;
         #: None = every real tenant).  Pseudo-tenants (redundancy /
         #: rebuild traffic) are always excluded so replica reads and
@@ -253,20 +223,21 @@ class ShardExecutor:
         ``(rows, rids)`` stretch (``None`` ends the slice), so queue,
         batch, retry heap and trace state live across feeds as locals."""
         controller = self.controller
+        config = self.config
         metrics = controller.metrics
         bus = controller.events
         page_bytes = controller.config.page_bytes
         buffer = controller.buffer
         capacity = buffer.capacity_pages
-        soft_pages = int(capacity * self.soft_watermark)
-        hard_pages = int(capacity * self.hard_watermark)
+        soft_pages = int(capacity * config.soft_watermark)
+        hard_pages = int(capacity * config.hard_watermark)
         write = controller.write
         read_run_ns = controller.read_run_ns
         base_hits = metrics.buffer_hits
         # Constant for the whole replay: bind once, not once per row.
         names = self.tenant_names
         shard = self.shard_index
-        queue_capacity = self.queue_capacity
+        queue_capacity = config.queue_capacity
         batch_pages = BATCH_PAGES
         stamp_payloads = self.stamp_payloads
         throttle_penalty_ns = THROTTLE_PENALTY_NS
@@ -298,7 +269,11 @@ class ShardExecutor:
         clock = batches = batch_len = batch_start_ns = max_batch = 0
 
         # --- wear attribution / budgets (adversarial multi-tenancy) ---
-        attributing = self.attribute_wear
+        # Per-tenant wear attribution (repro.service.adversary): each
+        # flush program, the cleaning it induces and buffer residency
+        # (per ``attribution_window_ns``) go to the page's owner.
+        # Observational: every other output is bit-identical.
+        attributing = config.attribute_wear
         budgets = self.wear_budgets
         budget_writes: Dict[int, Dict[int, int]] = {
             t_index: {} for t_index, budget in enumerate(budgets or ())
@@ -307,7 +282,7 @@ class ShardExecutor:
         buffer_owner: Dict[int, int] = {}
         owner_count: Dict[int, int] = {}
         segment_programs: Dict[int, int] = {}
-        window_ns = self.attribution_window_ns
+        window_ns = config.attribution_window_ns
         current_window: List[int] = []
         accrue_clock = 0
         store = controller.store
@@ -318,9 +293,8 @@ class ShardExecutor:
         hit_ns = DRAM_READ_NS
         if cache is not None:
             # A hit is served here and counted at the end (reads less
-            # misses); under CLOCK its refresh is one reference bit.
+            # misses); its refresh is one CLOCK reference bit.
             cached = cache.entries.get
-            touch = None if cache.policy == "clock" else cache.touch
             cache_ok = [flag and not pseudo for flag, pseudo in zip(
                 self.cache_tenants or repeat(True), self._pseudo)]
             # A cleaner relocation physically moves a page's live copy;
@@ -449,8 +423,8 @@ class ShardExecutor:
             batch_len = 0
             batch_start_ns = clock
 
-        retry_limit = self.retry_limit
-        backoff_ns = self.retry_backoff_ns
+        retry_limit = config.retry_limit
+        backoff_ns = config.retry_backoff_ns
         threshold_pages = buffer.threshold_pages
         background_work = controller.background_work
         # Flush work overrunning the last idle gap, kept across replays.
@@ -653,10 +627,7 @@ class ShardExecutor:
                             # DRAM hit: served host-side, never crosses the
                             # eNVy bus or touches the array.
                             clock += hit_ns
-                            if touch is None:
-                                entry[REF] = 1
-                            else:
-                                touch(page, entry)
+                            entry[REF] = 1
                             if bus.active:
                                 tenant_mark(CACHE_HIT, tenant_index, page=page)
                         else:
@@ -787,33 +758,21 @@ class ShardExecutor:
         return result
 
 
-def build_shard_controller(spec: Mapping, shard_index: int,
-                           store_data: Optional[bool] = None
+def build_shard_controller(config: ServiceConfig, shard_index: int
                            ) -> EnvyController:
-    """One shard's controller from a picklable service spec.
+    """Shard ``shard_index`` of the service ``config`` describes.
 
-    ``spec`` carries the per-shard array geometry (``num_segments``,
-    ``pages_per_segment``, ``page_bytes``, ``utilization``, ``policy``)
-    plus the service seed; the shard is prewarmed to cleaning steady state with its own
+    The controller is built from :meth:`ServiceConfig.shard_config` and
+    prewarmed to cleaning steady state with its own
     :func:`~repro.perf.sweep.derive_seed` stream, so shard ``i`` of an
     N-shard service always starts from the same state regardless of
     which process builds it.
     """
-    from ..core.config import EnvyConfig
-
-    if store_data is None:
-        store_data = bool(spec.get("store_data", False))
-    config = EnvyConfig.scaled(
-        num_segments=spec["num_segments"],
-        pages_per_segment=spec["pages_per_segment"],
-        page_bytes=spec["page_bytes"],
-        max_utilization=spec["utilization"],
-        cleaning_policy=spec["policy"])
-    controller = EnvyController(config, store_data=store_data)
-    turnovers = spec.get("prewarm_turnovers", 3.0)
-    if turnovers > 0:
-        controller.prewarm(turnovers,
-                           seed=derive_seed(spec["seed"], 1000 + shard_index))
+    controller = EnvyController(config.shard_config(),
+                                store_data=config.store_data)
+    if config.prewarm_turnovers > 0:
+        controller.prewarm(config.prewarm_turnovers,
+                           seed=derive_seed(config.seed, 1000 + shard_index))
     return controller
 
 
@@ -834,11 +793,12 @@ def service_shard_point(point: Mapping) -> Dict:
 
 
 def shard_executor(point: Mapping) -> ShardExecutor:
-    """One shard, built and prewarmed from its sweep point, ready to
-    :meth:`~ShardExecutor.run` or to be fed window by window."""
-    shard_index = point["shard_index"]
-    return ShardExecutor(
-        build_shard_controller(point, shard_index), shard_index,
-        point["tenant_names"], point["queue_capacity"],
-        point["soft_watermark"], point["hard_watermark"],
-        **{key: point[key] for key in _POINT_OPTIONS if key in point})
+    """One shard, built and prewarmed from its sweep point — the
+    service's ``config``, the shard's index, the run's ``inputs``
+    (:meth:`~repro.service.frontend.EnvyService.executor_inputs`) and
+    ``trace`` — ready to :meth:`~ShardExecutor.run` or to be fed window
+    by window."""
+    config, shard_index = point["config"], point["shard_index"]
+    return ShardExecutor(build_shard_controller(config, shard_index),
+                         shard_index, config=config, trace=point["trace"],
+                         **point["inputs"])

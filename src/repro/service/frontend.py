@@ -71,7 +71,7 @@ from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
 from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
 from .admission import AdmissionController
-from .cache import CACHE_POLICIES, DRAM_READ_NS
+from .cache import DRAM_READ_NS
 from .executor import shard_executor
 from .loadgen import LoadGenerator, Request
 from .redundancy import (BANK_DEAD, BANK_HEALTHY, BANK_REBUILDING,
@@ -167,8 +167,6 @@ class ServiceConfig:
     #: tier).  Hits are served at :data:`~repro.core.costmodel.
     #: DRAM_READ_NS` without crossing the eNVy bus.
     cache_pages: int = 0
-    #: Cache replacement policy: ``clock`` (default) or ``lru``.
-    cache_policy: str = "clock"
     #: Per-tenant occupancy cap as a fraction of one shard's cache
     #: (1.0 = uncapped) — the squat defence: a tenant cycling a huge
     #: footprint evicts its own pages, never the whole tier.
@@ -199,10 +197,6 @@ class ServiceConfig:
             raise ValueError("quarantine_tps must be positive and finite")
         if self.cache_pages < 0:
             raise ValueError("cache_pages cannot be negative")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(f"unknown cache policy "
-                             f"{self.cache_policy!r}; choose from "
-                             f"{CACHE_POLICIES}")
         if not 0.0 < self.cache_tenant_cap <= 1.0:
             raise ValueError("cache_tenant_cap must be in (0, 1]")
         # Raises on malformed redundancy specs / placements, and on
@@ -228,28 +222,6 @@ class ServiceConfig:
         return ShardRouter(self.num_shards, self.pages_per_shard,
                            self.page_bytes, placement=self.placement,
                            policy=make_policy(self.redundancy))
-
-    def shard_point_base(self) -> Dict:
-        """The picklable spec shared by every shard's sweep point."""
-        return {
-            "num_segments": self.num_segments,
-            "pages_per_segment": self.pages_per_segment,
-            "page_bytes": self.page_bytes,
-            "utilization": self.utilization,
-            "policy": self.policy,
-            "queue_capacity": self.queue_capacity,
-            "soft_watermark": self.soft_watermark,
-            "hard_watermark": self.hard_watermark,
-            "prewarm_turnovers": self.prewarm_turnovers,
-            "store_data": self.store_data,
-            "seed": self.seed,
-            "retry_limit": self.retry_limit,
-            "retry_backoff_ns": self.retry_backoff_ns,
-            "attribute_wear": self.attribute_wear,
-            "attribution_window_ns": self.attribution_window_ns,
-            "cache_pages": self.cache_pages,
-            "cache_policy": self.cache_policy,
-        }
 
 
 @dataclass
@@ -500,9 +472,10 @@ class EnvyService:
 
     def _begin_expansion(self, duration_s: float) -> dict:
         """What one run's expansion carries across its windows: the
-        counters, and a ``[bank, scheduler, entries taken, next rid]``
-        cursor per bank whose rebuild the run charges at
-        ``rebuild_rate_pps``.  Rebuild rows serve no foreground request:
+        counters, and a ``[bank, scheduler, sources, entries taken, next
+        rid]`` cursor per bank whose rebuild the run charges at
+        ``rebuild_rate_pps`` (``sources``: each entry's the run may
+        take, decided once).  Rebuild rows serve no foreground request:
         unique negative rids, numbered bank by bank, keep them out of
         the trace's cross-shard flow links."""
         gap_ns = max(1, int(1e9 / self.config.rebuild_rate_pps))
@@ -511,10 +484,11 @@ class EnvyService:
         for bank, scheduler in sorted(self._rebuilds.items()):
             if scheduler.done or not budget:
                 continue
-            cursors.append([bank, scheduler, 0, rid])
             start = scheduler.position
-            rid -= sum(len(scheduler.sources(entry)) + 1
-                       for entry in scheduler.plan[start:start + budget])
+            sources = [scheduler.sources(entry)
+                       for entry in scheduler.plan[start:start + budget]]
+            cursors.append([bank, scheduler, sources, 0, rid])
+            rid -= sum(len(slots) + 1 for slots in sources)
         return {"counters": {"degraded_reads": 0, "degraded_writes": 0,
                              "replica_accesses": 0, "rebuild_accesses": 0},
                 "gap_ns": gap_ns, "budget": budget, "cursors": cursors}
@@ -532,14 +506,13 @@ class EnvyService:
         pseudo_reb = len(self.tenants) + 1   # __rebuild__
         bus = self.events
         for cursor in run["cursors"]:
-            bank, scheduler, taken, rid = cursor
+            bank, scheduler, sources, taken, rid = cursor
             entries = scheduler.take(due - taken)
             for index, entry in enumerate(entries, taken):
                 arrival = index * gap_ns
                 rows = [(src_bank, (arrival, pseudo_reb, index, False,
                                     src_local))
-                        for src_bank, src_local
-                        in scheduler.sources(entry)]
+                        for src_bank, src_local in sources[index]]
                 rows.append((bank, (arrival, pseudo_reb, index, True,
                                     entry["local"])))
                 counters["rebuild_accesses"] += len(rows)
@@ -548,10 +521,10 @@ class EnvyService:
                         row += (rid,)
                         rid -= 1
                     slices[row_bank].append(row)
-            cursor[2:] = (taken + len(entries), rid)
+            cursor[3:] = (taken + len(entries), rid)
             if until_ns is None and bus.active:
                 bus.mark(REDUNDANCY_REBUILD,
-                         {"bank": bank, "pages": cursor[2],
+                         {"bank": bank, "pages": cursor[3],
                           "done": scheduler.position,
                           "total": scheduler.total})
 
@@ -585,27 +558,11 @@ class EnvyService:
                                    "tenants": len(self.tenants)})
         windows, accounting = self._load_generator().stream(duration_s,
                                                              overrides)
-        # Pseudo-tenants follow the tenants, by number; a run routed as
-        # by the plain striped router, on healthy banks, has none.
-        pseudo = ([] if self.router.is_plain and not self.degraded
-                  else [_REDUNDANCY_TENANT, _REBUILD_TENANT])
-        tenant_names = [t.name for t in self.tenants] + pseudo
-        base = self.config.shard_point_base()
-        budgets = [spec.wear_budget if spec.wear_budget is not None
-                   else self.config.wear_budget for spec in self.tenants]
-        if budgets.count(None) < len(budgets):
-            # Pseudo-tenants carry redundancy overhead, never budgets.
-            base["wear_budgets"] = budgets + [None] * len(pseudo)
-        if self.config.cache_pages > 0:
-            base["cache_tenants"] = self._cache_tier_flags() + [False] * len(
-                pseudo)
-            caps = self._cache_tenant_caps()
-            if caps is not None:
-                base["cache_tenant_caps"] = caps + [None] * len(pseudo)
+        inputs = self.executor_inputs()
+        pseudo = len(inputs["tenant_names"]) - len(self.tenants)
         num_shards = self.router.num_shards
-        points = [dict(base, shard_index=index, tenant_names=tenant_names,
-                       trace=trace, requests=[],
-                       rids=[] if trace else None)
+        points = [dict(config=self.config, shard_index=index, inputs=inputs,
+                       trace=trace, requests=[], rids=[] if trace else None)
                   for index in range(num_shards)]
         stats = ServiceStats(num_shards=num_shards, duration_s=duration_s)
         tenant_stats = [TenantStats(spec.name) for spec in self.tenants]
@@ -620,7 +577,7 @@ class EnvyService:
             executors = [shard_executor(point) for point in points]
             for executor in executors:
                 # Pseudo-tenants' rows are counted, never recorded.
-                executor.start(latency + [None] * len(pseudo))
+                executor.start(latency + [None] * pseudo)
         admitted = 0
         run = self._run_expansion = self._begin_expansion(duration_s)
         # Rebuild copy rows due after the last arrival ride in one more,
@@ -722,8 +679,34 @@ class EnvyService:
         return stats
 
     # ------------------------------------------------------------------
-    # Cache tier inputs (per run)
+    # Executor inputs (per run)
     # ------------------------------------------------------------------
+
+    def executor_inputs(self) -> Dict[str, Optional[list]]:
+        """What every shard executor of the next run takes beside the
+        config, as :class:`~repro.service.executor.ShardExecutor`
+        keywords: ``tenant_names`` (pseudo-tenants last), and aligned
+        with them ``wear_budgets``, ``cache_tenants`` and
+        ``cache_tenant_caps`` (None: not in force)."""
+        # Pseudo-tenants follow the tenants, by number; a run routed as
+        # by the plain striped router, on healthy banks, has none.  They
+        # carry redundancy overhead: never budgeted, capped or cached.
+        pseudo = ([] if self.router.is_plain and not self.degraded
+                  else [_REDUNDANCY_TENANT, _REBUILD_TENANT])
+        pad = [None] * len(pseudo)
+        inputs = {"tenant_names": [t.name for t in self.tenants] + pseudo,
+                  "wear_budgets": [
+                      spec.wear_budget if spec.wear_budget is not None
+                      else self.config.wear_budget
+                      for spec in self.tenants] + pad,
+                  "cache_tenants": None, "cache_tenant_caps": None}
+        if self.config.cache_pages > 0:
+            inputs["cache_tenants"] = (self._cache_tier_flags()
+                                       + [False] * len(pseudo))
+            caps = self._cache_tenant_caps()
+            if caps is not None:
+                inputs["cache_tenant_caps"] = caps + pad
+        return inputs
 
     def _cache_tier_flags(self) -> List[bool]:
         """Per-tenant cache-tier membership for the next run.
@@ -1087,7 +1070,7 @@ class EnvyService:
         if self.config.cache_pages > 0:
             cache_section = {
                 "pages_per_shard": self.config.cache_pages,
-                "policy": self.config.cache_policy,
+                "policy": "clock",
                 "hit_ns": DRAM_READ_NS,
                 "tenant_cap": self.config.cache_tenant_cap,
             }

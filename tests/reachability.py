@@ -6,8 +6,7 @@ Usage (from the repository root)::
 
 A *root* is something this repository stands behind: ``python -m repro
 claims``, every CLI command at its CI/smoke arguments (plus the
-unmitigated ``serve --attack`` demo and ``serve`` under the LRU cache
-policy), the six
+unmitigated ``serve --attack`` demo), the six
 ``benchmarks/e2e`` workloads at scale 0.05 (traced and untraced, as
 ``run.py`` runs them), CI's inline chaos and redundancy steps, the
 ``examples/*.py`` README sends users to (but the slow
@@ -125,6 +124,7 @@ EXEMPT: Dict[str, Tuple[str, str]] = {
     "repro.ramdisk.blockdev:BlockDevice.size_bytes":
         ("bench", "bench_sec1_interface.py"),
     "repro.sim.analytic:CapacityModel": ("bench", "bench_analytic_model.py"),
+    "repro.sim.engine:simulate_tpca": ("bench", "bench_sec53_breakdown.py"),
     "repro.workloads.sequential:SequentialWorkload.next_page":
         ("bench", "bench_ext_workloads.py"),
     # One-line views that tests read the stack's state through; a test
@@ -400,9 +400,6 @@ def quick_roots(scratch: str) -> Dict[str, Callable[[], None]]:
         "trace": partial(_cli, "trace", "--smoke", "--out",
                          os.path.join(scratch, "trace-out")),
         "serve --smoke": partial(_cli, "serve", "--smoke"),
-        "serve --cache-policy lru": partial(_cli, "serve", "--cache", "64",
-                                            "--cache-policy", "lru",
-                                            "--duration", "0.0005"),
         "serve --attack": partial(_cli, "serve", "--attack",
                                   "targeted-wear", "--mitigate",
                                   "--duration", "0.002", "--rate", "2e6"),

@@ -21,6 +21,7 @@ from repro.service import (AdmissionController, EnvyService, PageCache,
                            ServiceConfig, TenantSpec, attack_tenant,
                            run_attack_scenario)
 from repro.service.bench import scale_fleet
+from repro.service.cache import REF
 from repro.service.chaos import run_redundancy_chaos, run_service_chaos
 from repro.service.executor import ShardExecutor
 from repro.service.loadgen import LoadGenerator
@@ -36,20 +37,29 @@ PAGE_BYTES = 256
 
 def probe_read(cache, page):
     """Serve one read as the shard executor does: a resident page is a
-    hit and is touched, anything else a miss; returns the entry."""
+    hit and gets its reference bit, anything else a miss; returns the
+    entry."""
     entry = cache.entries.get(page)
     if entry is None:
         cache.misses += 1
     else:
         cache.hits += 1
-        cache.touch(page, entry)
+        entry[REF] = 1
     return entry
 
 
+def clock_cache(policy, *args, **kwargs):
+    """A PageCache, checked to report ``policy`` — CLOCK, its one
+    policy, which every report prints and the test ids still name."""
+    cache = PageCache(*args, **kwargs)
+    assert cache.stats()["policy"] == policy == "clock"
+    return cache
+
+
 class TestPageCache:
-    @pytest.mark.parametrize("policy", ["clock", "lru"])
+    @pytest.mark.parametrize("policy", ["clock"])
     def test_hit_miss_evict(self, policy):
-        cache = PageCache(2, policy)
+        cache = clock_cache(policy, 2)
         assert probe_read(cache, 1) is None     # cold miss
         cache.admit(1)
         cache.admit(2)
@@ -61,19 +71,11 @@ class TestPageCache:
         assert cache.evictions == 1
 
     def test_clock_second_chance(self):
-        cache = PageCache(2, "clock")
+        cache = PageCache(2)
         cache.admit(1)
         cache.admit(2)
         probe_read(cache, 1)                    # ref bit on page 1
         assert cache.admit(3) == 2              # 1 gets a second chance
-        assert 1 in cache and 3 in cache
-
-    def test_lru_recency(self):
-        cache = PageCache(2, "lru")
-        cache.admit(1)
-        cache.admit(2)
-        probe_read(cache, 1)                    # 1 is now most recent
-        assert cache.admit(3) == 2
         assert 1 in cache and 3 in cache
 
     def test_zero_capacity_disables(self):
@@ -91,10 +93,10 @@ class TestPageCache:
         assert probe_read(cache, 7) is None
         assert cache.invalidations == 1
 
-    @pytest.mark.parametrize("policy", ["clock", "lru"])
+    @pytest.mark.parametrize("policy", ["clock"])
     def test_owner_cap_evicts_own_page(self, policy):
         """A capped owner at its cap displaces *its own* oldest page."""
-        cache = PageCache(8, policy, tenant_caps={1: 2})
+        cache = clock_cache(policy, 8, tenant_caps={1: 2})
         cache.admit(100, owner=0)
         cache.admit(1, owner=1)
         cache.admit(2, owner=1)
@@ -102,12 +104,12 @@ class TestPageCache:
         assert 100 in cache
         assert cache.owner_occupancy(1) == 2
 
-    @pytest.mark.parametrize("policy", ["clock", "lru"])
+    @pytest.mark.parametrize("policy", ["clock"])
     def test_owner_cap_one_readmit_cycle(self, policy):
         """cap=1 repeatedly evicts the owner's only page (regression:
         the owner map is unregistered when it empties and must be
         re-resolved on the next admit)."""
-        cache = PageCache(8, policy, tenant_caps={0: 1})
+        cache = clock_cache(policy, 8, tenant_caps={0: 1})
         for page in range(6):
             cache.admit(page, owner=0)
         assert cache.owner_occupancy(0) == 1
@@ -117,7 +119,7 @@ class TestPageCache:
     def test_squatter_cannot_pin_shared_cache(self):
         """A squat-style owner cycling a huge footprint stays under its
         cap; the small hot owner keeps hitting."""
-        cache = PageCache(16, "clock", tenant_caps={1: 4})
+        cache = PageCache(16, tenant_caps={1: 4})
         for page in range(4):                   # honest hot set
             cache.admit(page, owner=0)
         for page in range(1000, 1200):          # squatter churns
@@ -130,7 +132,7 @@ class TestPageCache:
 
     def test_determinism(self):
         def drive():
-            cache = PageCache(3, "clock", tenant_caps={2: 1})
+            cache = PageCache(3, tenant_caps={2: 1})
             trace = []
             for step in range(200):
                 page = (step * 7) % 11
@@ -147,8 +149,6 @@ class TestPageCache:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             PageCache(-1)
-        with pytest.raises(ValueError):
-            PageCache(4, "fifo")
 
 
 # ---------------------------------------------------------------------
@@ -156,7 +156,7 @@ class TestPageCache:
 # ---------------------------------------------------------------------
 
 class TestTransparency:
-    @pytest.mark.parametrize("policy", ["clock", "lru"])
+    @pytest.mark.parametrize("policy", ["clock"])
     def test_no_hit_for_a_page_written_or_moved_since_its_miss(self,
                                                                policy):
         """A cached shard replay, walked in event order: served writes
@@ -165,14 +165,15 @@ class TestTransparency:
         servable from DRAM only between its miss and its next write or
         move, so every ``cache.hit`` must fall inside such a stretch."""
         controller = make_controller()
-        executor = ShardExecutor(controller, 3, tenant_names=TENANTS,
-                                 cache_pages=24, cache_policy=policy)
+        executor = ShardExecutor(controller, 3, TENANTS,
+                                 ServiceConfig(cache_pages=24))
         log = []
         controller.events.subscribe(
             lambda event: log.append((event.kind, event.data.get("page"))))
         controller.store.copy_listeners.append(
             lambda page: log.append(("moved", page)))
-        executor.run(mixed_slice(20260928, write_share=0.2))
+        result = executor.run(mixed_slice(20260928, write_share=0.2))
+        assert result["cache"]["policy"] == policy
         servable, seen = set(), collections.Counter()
         for kind, page in log:
             seen[kind] += 1

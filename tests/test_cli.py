@@ -159,7 +159,12 @@ class TestCommands:
         pytest.param(["serve", "--segments", "0"], id="serve-segments-0"),
         pytest.param(["faults", "--segments", "0"], id="faults-segments-0"),
         pytest.param(["recover", "--segments", "0"],
-                     id="recover-segments-0")])
+                     id="recover-segments-0"),
+        pytest.param(["tpca", "100", "--utilization", "1.5"],
+                     id="tpca-utilization-1.5"),
+        pytest.param(["policies", "50/50", "--segments", "3"],
+                     id="policies-segments-3"),
+        pytest.param(["lifetime", "--cost", "-1"], id="lifetime-cost--1")])
     def test_a_config_value_refused_is_a_usage_error(self, capsys, argv):
         refused(capsys, argv)
 

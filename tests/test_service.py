@@ -229,7 +229,7 @@ class TestServiceConfig:
 
     def test_run_shards_are_built_from_the_shard_config(self):
         config = ServiceConfig(page_bytes=512, prewarm_turnovers=0.0)
-        shard = build_shard_controller(config.shard_point_base(), 0)
+        shard = build_shard_controller(config, 0)
         assert shard.config == config.shard_config()
 
 

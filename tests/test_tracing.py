@@ -239,6 +239,7 @@ class TestReplayDriversAreRecorded:
         and word writes: a recorded replay has a row per served row."""
         import random
 
+        from repro.service import ServiceConfig
         from repro.service.executor import ShardExecutor
 
         system = EnvySystem(EnvyConfig.small(num_segments=8,
@@ -252,7 +253,7 @@ class TestReplayDriversAreRecorded:
             requests.append((now, tenant, seqs[tenant], rng.random() < 0.3,
                              rng.randrange(system.config.logical_pages)))
             seqs[tenant] += 1
-        executor = ShardExecutor(system, 0, tenant_names=["a", "b"])
+        executor = ShardExecutor(system, 0, ["a", "b"], ServiceConfig())
         with RunTrace.of(system).recording(system) as trace:
             result = executor.run(requests)
         served = {op: sum(result["columns"][op]) for op in ("reads", "writes")}
