@@ -99,13 +99,16 @@ def cmd_policies(args: argparse.Namespace) -> int:
     """Figure 8 cleaning-cost comparison"""
     from .cleaning import PolicySimulator, make_policy
     from .perf import run_sweep
+    from .workloads import parse_locality
 
     localities = args.localities or ["50/50", "20/80", "10/90", "5/95"]
     policies = [("greedy", {}), ("locality", {}),
                 ("hybrid", {"partition_segments": args.partition})]
     with _refusals():
-        # Each policy on the array the sweep's points build, before the
-        # sweep: a geometry a policy refuses is refused here.
+        # Each label and each policy on the array the sweep's points
+        # build, before the sweep: what they refuse is refused here.
+        for label in localities:
+            parse_locality(label)
         for name, kwargs in policies:
             PolicySimulator(make_policy(name, **kwargs), args.segments,
                             args.pages, buffer_pages=0)
@@ -149,6 +152,7 @@ def cmd_tpca(args: argparse.Namespace) -> int:
     with _refusals():
         simulator = build_tpca_system(utilization=args.utilization,
                                       rate_tps=args.rate)
+        simulator.check_run(args.duration, args.duration / 3)
     print(f"simulating {args.rate:,.0f} TPS for {args.duration}s "
           f"(plus warm-up)...")
     # As simulate_tpca: ten free-space turnovers of prewarm, a third of

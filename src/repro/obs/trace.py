@@ -2,14 +2,14 @@
 
 Every service request admitted by the front-end carries a deterministic
 request id (its index in the merged schedule — a pure function of
-``(tenants, duration, seed)``).  When a run is traced, each
-:class:`~repro.service.executor.ShardExecutor` records, per request, an
-exact critical-path decomposition of its end-to-end latency plus the
-child spans the controller emitted while serving it (buffer flushes,
-cleaner copies, erases, fault retries).  This module aggregates those
-rows into a :class:`TraceReport`: slowest-N listings, per-tenant blame
-breakdowns for the p99+ tail, and a Perfetto export with flow events
-linking one request's spans across shard tracks.
+``(tenants, duration, seed)``).  When a run is traced, each shard
+replay's :class:`RequestTracer` records, per request, an exact
+critical-path decomposition of its end-to-end latency plus the child
+spans the controller emitted while serving it (buffer flushes, cleaner
+copies, erases, fault retries).  :class:`TraceReport` aggregates those
+rows: slowest-N listings, per-tenant blame breakdowns for the p99+
+tail, and a Perfetto export with flow events linking one request's
+spans across shard tracks.
 
 The decomposition is *exact integer arithmetic*, not sampling: every
 nanosecond of ``end - original_arrival`` lands in exactly one component,
@@ -41,18 +41,129 @@ untraced one (the test suite verifies both).
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import SERVICE_REQUEST, ObsEvent
+from .events import SERVICE_REQUEST, EventBus, ObsEvent
 from .export import chrome_trace
 
-__all__ = ["COMPONENTS", "TraceReport", "merge_shard_traces"]
+__all__ = ["COMPONENTS", "RequestTracer", "TraceReport",
+           "merge_shard_traces"]
 
 #: Critical-path components, in canonical display order.  Per traced
 #: request these are non-negative integers summing exactly to the
 #: request's end-to-end latency.
 COMPONENTS = ("queue", "redundancy", "retry_wait", "throttle",
               "flush_stall", "clean_stall", "fault_retry", "service")
+#: The controller busy buckets a traced request's stall is split over.
+_STALLS = ("flush", "clean", "erase", "retry", "checkpoint")
+
+
+class RequestTracer:
+    """One shard replay's request trace.  The replay reports refusals
+    (:meth:`refused`) and brackets each served access (:meth:`begin` /
+    :meth:`served`).  The tracer is also the replay's bus subscriber:
+    spans in a request are its children, spans between requests
+    (idle-gap background work) fold into a per-kind summary."""
+
+    def __init__(self, bus: EventBus, shard: int, names: Sequence[str],
+                 pseudo: Sequence[bool], busy_ns: Dict[str, int]) -> None:
+        self.bus, self.shard, self.names = bus, shard, names
+        self.pseudo = pseudo
+        self.busy = busy_ns
+        self.rows: List[dict] = []
+        self.background: Dict[str, List[int]] = {}
+        self.children: List[Tuple[str, int, int]] = []
+        #: Service footprints of pseudo-tenant rows, pruned as arrivals
+        #: pass them: a wait's exact overlap with them is "redundancy".
+        self.pseudo_busy: deque = deque()
+        #: The open request: its row so far and what :meth:`begin` read.
+        self.open: Optional[tuple] = None
+
+    def __call__(self, event: ObsEvent) -> None:
+        if event.kind == SERVICE_REQUEST:
+            return
+        if self.open is not None:
+            self.children.append((event.kind, event.t_ns, event.dur_ns))
+        elif event.dur_ns:
+            slot = self.background.setdefault(event.kind, [0, 0])
+            slot[0] += 1
+            slot[1] += event.dur_ns
+
+    def _row(self, rid, tenant: int, is_write: bool, outcome: str,
+             orig_arrival: int, start_ns: int) -> dict:
+        return {"rid": rid, "shard": self.shard, "tenant": self.names[tenant],
+                "op": "write" if is_write else "read", "outcome": outcome,
+                "arrival_ns": orig_arrival, "start_ns": start_ns}
+
+    def refused(self, outcome: str, rid, tenant: int, is_write: bool,
+                orig_arrival: int, arrival: int, attempt: int) -> None:
+        """A request refused at ``arrival``; ``outcome`` is the counter."""
+        self.rows.append({**self._row(rid, tenant, is_write, outcome,
+                                      orig_arrival, arrival),
+                          "end_ns": arrival, "latency_ns": 0,
+                          "attempts": attempt, "components": {}})
+
+    def begin(self, rid, tenant: int, is_write: bool, orig_arrival: int,
+              arrival: int, attempt: int, clock: int, delay: int,
+              overdraft: int) -> None:
+        """A request reaches the device at ``clock`` after ``delay`` of
+        throttle, with ``overdraft`` of background work in flight."""
+        red_wait = 0
+        if not self.pseudo[tenant]:
+            pseudo_busy = self.pseudo_busy
+            while pseudo_busy and pseudo_busy[0][1] <= arrival:
+                pseudo_busy.popleft()
+            for p_start, p_end in pseudo_busy:
+                red_wait += p_end - max(p_start, arrival)
+        busy = self.busy
+        self.open = (self._row(rid, tenant, is_write, "served", orig_arrival,
+                               clock - delay),
+                     tenant, arrival, attempt, delay, red_wait, overdraft,
+                     [busy.get(key, 0) for key in _STALLS])
+        self.bus.sync(clock)
+
+    def served(self, clock: int, overdraft: int) -> None:
+        """The open request is served by ``clock``: its row, with the
+        exact decomposition, and its ``service.request`` span."""
+        (row, tenant, arrival, attempt, delay, red_wait, overdraft0,
+         busy0) = self.open
+        self.open = None
+        busy = self.busy
+        deltas = [busy.get(key, 0) - before
+                  for key, before in zip(_STALLS, busy0)]
+        d_flush, d_clean, d_erase, d_retry, d_ckpt = deltas
+        overdraft_paid = overdraft0 - overdraft
+        start = row["start_ns"]
+        components = {
+            "queue": start - arrival - red_wait,
+            "redundancy": red_wait,
+            "retry_wait": arrival - row["arrival_ns"],
+            "throttle": delay,
+            "flush_stall": d_flush + d_ckpt + overdraft_paid,
+            "clean_stall": d_clean + d_erase,
+            "fault_retry": d_retry,
+            "service": (clock - start) - delay - overdraft_paid - sum(deltas),
+        }
+        row.update(end_ns=clock, latency_ns=clock - row["arrival_ns"],
+                   attempts=attempt, components=components,
+                   children=self.children)
+        self.rows.append(row)
+        self.children = []
+        self.bus.emit(_request_event(row, clock - start))
+        if self.pseudo[tenant]:
+            self.pseudo_busy.append((start, clock))
+
+    def payload(self) -> dict:
+        return {"rows": self.rows, "background": self.background}
+
+
+def _request_event(row: dict, dur_ns: int) -> ObsEvent:
+    """A served row's ``service.request`` span."""
+    return ObsEvent(SERVICE_REQUEST, row["start_ns"], dur_ns,
+                    {"rid": row["rid"], "tenant": row["tenant"],
+                     "shard": row["shard"], "op": row["op"],
+                     **row["components"]})
 
 
 def merge_shard_traces(shard_traces: Iterable[Optional[dict]]
@@ -185,12 +296,8 @@ class TraceReport:
         for row in self.rows:
             if row["outcome"] != "served":
                 continue
-            data = {"rid": row["rid"], "tenant": row["tenant"],
-                    "shard": row["shard"], "op": row["op"]}
-            data.update(row["components"])
-            events.append(ObsEvent(
-                SERVICE_REQUEST, row["start_ns"],
-                max(1, row["end_ns"] - row["start_ns"]), data))
+            events.append(_request_event(
+                row, max(1, row["end_ns"] - row["start_ns"])))
             for kind, t_ns, dur_ns in row.get("children", ()):
                 events.append(ObsEvent(kind, t_ns, dur_ns,
                                        {"shard": row["shard"],
@@ -207,21 +314,13 @@ class TraceReport:
 
     def to_jsonl(self) -> str:
         """One JSON object per traced row (ends with newline)."""
-        lines = []
-        for row in self.rows:
-            out = dict(row)
-            if "children" in out:
-                out["children"] = [list(child)
-                                   for child in out["children"]]
-            lines.append(json.dumps(out, sort_keys=True))
+        lines = [json.dumps(row, sort_keys=True) for row in self.rows]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def as_dict(self) -> dict:
         """Deterministic summary (the determinism tests compare this)."""
         served = self.served()
-        outcomes: Dict[str, int] = {}
-        for row in self.rows:
-            outcomes[row["outcome"]] = outcomes.get(row["outcome"], 0) + 1
+        outcomes = Counter(row["outcome"] for row in self.rows)
         return {
             "rows": len(self.rows),
             "served": len(served),

@@ -24,8 +24,8 @@ property every detection threshold and mitigation gate here relies on.
 
 Detection principle — *the attacker lies*.  A tenant's declared
 workload shape is a contract: the :class:`AttackDetector` compares the
-wear each tenant *actually* caused (the per-tenant attribution the
-shard executors collect when ``attribute_wear=True``) against a
+wear each tenant *actually* caused (what each shard replay's
+:class:`WearLedger` attributes when ``attribute_wear=True``) against a
 reference stream regenerated from the tenant's **declared** shape with
 a detector-owned seed.  Declared attack shapes are treated as declared
 ``uniform`` — a real attacker would not announce itself, and an honest
@@ -50,16 +50,22 @@ Mitigation composes three levers, all deterministic:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Dict, List, Mapping, MutableMapping,
+                    Optional, Sequence)
 
 from ..core.lifetime import LifetimeEstimate
 from ..core.metrics import wear_concentration
 from ..obs.events import SECURITY_FLAG
 from ..perf.sweep import derive_seed
-from .frontend import EnvyService, ServiceConfig, ServiceStats
-from .tenant import ATTACK_WORKLOADS, TenantSpec
+from .tenant import ATTACK_WORKLOADS, TenantSpec, TenantStats
 
-__all__ = ["ATTACK_KINDS", "attack_tenant", "AttackDetector",
+if TYPE_CHECKING:
+    from ..core.controller import EnvyController
+    from .frontend import EnvyService, ServiceConfig, ServiceStats
+    from .shard import ShardRouter
+
+__all__ = ["ATTACK_KINDS", "ATTRIBUTION_WINDOW_NS", "attack_tenant",
+           "AttackDetector", "WearLedger", "merge_shard_wear",
            "project_lifetime", "run_attack_scenario"]
 
 #: CLI-facing attack preset names (see :func:`attack_tenant`).
@@ -84,6 +90,119 @@ _THRESHOLDS = {
     "squat_write_fraction": 0.8,
     "min_writes": 200,
 }
+
+#: Length of a per-tenant buffer-residency window (the series the squat
+#: signal's z-score reads), in simulated ns.
+ATTRIBUTION_WINDOW_NS = 50_000
+
+
+class WearLedger:
+    """One shard replay's per-tenant wear attribution: each flush
+    program, the cleaning it induces and buffer residency (per
+    :data:`ATTRIBUTION_WINDOW_NS` window) go to the tenant whose write
+    put the page in SRAM.  The replay calls :meth:`accrue` before each
+    access and :meth:`wrote` after each write, and subscribes
+    :meth:`on_flush` to the controller's ``flush_listeners``.
+    """
+
+    def __init__(self, controller: EnvyController, tenants: int) -> None:
+        self.store, self.metrics = controller.store, controller.metrics
+        self.buffer = controller.buffer
+        self.slots = [{"flushes": 0, "induced_clean_copies": 0,
+                       "flush_segments": {}, "page_writes": {},
+                       "residency_ns": 0, "residency_windows": []}
+                      for _ in range(tenants)]
+        #: Residency of the window in progress, per tenant number.
+        self.window = [0] * tenants
+        #: Buffered page -> its owner; owner -> its buffered pages.
+        self.owner: Dict[int, int] = {}
+        self.owned: Dict[int, int] = {}
+        self.segment_programs: Dict[int, int] = {}
+        self.clock = 0
+
+    def accrue(self, now: int) -> None:
+        """Integrate buffered pages per owner up to ``now``, by window."""
+        clock, window_ns = self.clock, ATTRIBUTION_WINDOW_NS
+        slots, window = self.slots, self.window
+        while clock < now:
+            window_end = (clock // window_ns + 1) * window_ns
+            step_end = min(now, window_end)
+            dt = step_end - clock
+            for tenant, count in self.owned.items():
+                if count:
+                    slots[tenant]["residency_ns"] += count * dt
+                    window[tenant] += count * dt
+            clock = step_end
+            if step_end == window_end:
+                for tenant, slot in enumerate(slots):
+                    slot["residency_windows"].append(window[tenant])
+                    window[tenant] = 0
+        self.clock = clock
+
+    def wrote(self, page: int, tenant: int) -> None:
+        owner, owned = self.owner, self.owned
+        if page in self.buffer and owner.get(page) != tenant:
+            if page in owner:
+                owned[owner[page]] -= 1
+            owner[page] = tenant
+            owned[tenant] = owned.get(tenant, 0) + 1
+        writes = self.slots[tenant]["page_writes"]
+        writes[page] = writes.get(page, 0) + 1
+
+    def on_flush(self, page: int, clean_before: int) -> None:
+        owner = self.owner.pop(page, None)
+        if owner is not None:
+            self.owned[owner] -= 1
+        location = self.store.page_location[page]
+        if location is not None and location[0] >= 0:
+            phys = self.store.positions[location[0]].phys
+            programs = self.segment_programs
+            programs[phys] = programs.get(phys, 0) + 1
+            if owner is not None:
+                slot = self.slots[owner]
+                slot["flushes"] += 1
+                segments = slot["flush_segments"]
+                segments[phys] = segments.get(phys, 0) + 1
+                slot["induced_clean_copies"] += \
+                    self.metrics.clean_copies - clean_before
+
+    def payload(self, clock: int) -> dict:
+        """Close the replay at ``clock``: the shard result's ``wear`` (per
+        tenant number), ``segment_programs`` and buffer capacity."""
+        self.accrue(clock)
+        if any(self.window):
+            # Final partial window, appended for every tenant so the
+            # per-tenant window series stay index-aligned.
+            for tenant, slot in enumerate(self.slots):
+                slot["residency_windows"].append(self.window[tenant])
+        return {"wear": self.slots,
+                "segment_programs": self.segment_programs,
+                "buffer_capacity_pages": self.buffer.capacity_pages}
+
+
+def merge_shard_wear(result: Mapping, router: ShardRouter,
+                     tenants: Sequence[TenantStats],
+                     segment_programs: MutableMapping[str, int]) -> None:
+    """Fold one shard result's wear into ``tenants`` (pseudo-tenants'
+    dropped) and ``segment_programs`` in service-global terms (global
+    logical pages, ``s<bank>:p<phys>`` segments)."""
+    shard = result["shard"]
+    for tstats, wear in zip(tenants, result.get("wear", ())):
+        page_writes = {}
+        for local, count in wear["page_writes"].items():
+            try:
+                page_writes[router.global_page(shard, local)] = count
+            except IndexError:
+                # Non-primary slot (degraded redirect): no global
+                # primary inverse; keep a shard-scoped key instead.
+                page_writes[f"s{shard}:l{local}"] = count
+        wear["page_writes"] = page_writes
+        wear["flush_segments"] = {
+            f"s{shard}:p{phys}": count
+            for phys, count in wear["flush_segments"].items()}
+        tstats.merge_wear(wear)
+    for phys, count in sorted(result.get("segment_programs", {}).items()):
+        segment_programs[f"s{shard}:p{phys}"] = count
 
 
 def attack_tenant(kind: str, config: Optional[ServiceConfig] = None,
@@ -226,23 +345,17 @@ class AttackDetector:
         total_writes = sum(t.writes for t in stats.tenants.values())
         wears = {name: t.wear for name, t in stats.tenants.items()
                  if t.wear is not None}
-        total_flushes = sum(w.get("flushes", 0) for w in wears.values())
-        total_clean = sum(w.get("induced_clean_copies", 0)
-                          for w in wears.values())
-        total_residency = sum(w.get("residency_ns", 0)
-                              for w in wears.values())
+        total_flushes, total_clean, total_residency = (
+            sum(wear[key] for wear in wears.values())
+            for key in ("flushes", "induced_clean_copies", "residency_ns"))
         # Aggregate buffer capacity: every shard owns one segment-sized
         # SRAM buffer (pages_per_segment pages).
         capacity_pages = (service.config.num_shards
                           * service.config.pages_per_segment)
         simulated_ns = max(1, stats.simulated_ns)
-        window_series = {
-            name: list(w.get("residency_windows") or [])
-            for name, w in wears.items()}
-        depth = max((len(series) for series in window_series.values()),
-                    default=0)
-        for series in window_series.values():
-            series.extend([0] * (depth - len(series)))
+        # Index-aligned: every tenant has every window (WearLedger).
+        window_series = {name: w["residency_windows"]
+                         for name, w in wears.items()}
 
         report_tenants: Dict[str, dict] = {}
         flagged: List[str] = []
@@ -257,7 +370,7 @@ class AttackDetector:
 
             # Signal 1: wear concentration vs declared shape.
             page_writes = [count for page, count
-                           in wear.get("page_writes", {}).items()
+                           in wear["page_writes"].items()
                            if isinstance(page, int)]
             writes = sum(page_writes)
             if writes >= limits["min_writes"]:
@@ -275,8 +388,8 @@ class AttackDetector:
                     flags.append("wear")
 
             # Signal 2: uncoalesced flush pressure.
-            flushes = wear.get("flushes", 0)
-            induced = wear.get("induced_clean_copies", 0)
+            flushes = wear["flushes"]
+            induced = wear["induced_clean_copies"]
             peer_flushes = total_flushes - flushes
             peer_clean = total_clean - induced
             accesses = tstats.reads + tstats.writes
@@ -299,7 +412,7 @@ class AttackDetector:
                     flags.append("clean")
 
             # Signal 3: buffer residency vs write share.
-            residency = wear.get("residency_ns", 0)
+            residency = wear["residency_ns"]
             mean_pages = residency / simulated_ns
             occupancy = mean_pages / max(1, capacity_pages)
             write_share = (tstats.writes / total_writes
@@ -402,7 +515,7 @@ def _honest_budget(stats: ServiceStats, honest: Sequence[str]) -> int:
         tstats = stats.tenants.get(name)
         if tstats is None or tstats.wear is None:
             continue
-        for page, count in tstats.wear.get("page_writes", {}).items():
+        for page, count in tstats.wear["page_writes"].items():
             if isinstance(page, int) and count > peak:
                 peak = count
     return max(8, 2 * peak)
@@ -440,6 +553,8 @@ def run_attack_scenario(config: ServiceConfig,
     lifetime projections and the security reports — the raw material
     for the detection and containment gates.
     """
+    from .frontend import EnvyService
+
     honest = list(honest)
     honest_names = [spec.name for spec in honest]
     base_config = replace(config, attribute_wear=True)

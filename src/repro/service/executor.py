@@ -66,10 +66,11 @@ from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
 from ..core.controller import EnvyController
 from ..obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
                           CACHE_MISS, SERVICE_BATCH, SERVICE_REJECT,
-                          SERVICE_REQUEST, SERVICE_RETRY, SERVICE_THROTTLE,
-                          ObsEvent)
+                          SERVICE_RETRY, SERVICE_THROTTLE)
 from ..obs.hist import LatencyHistogram
+from ..obs.trace import RequestTracer
 from ..perf.sweep import derive_seed
+from .adversary import WearLedger
 from .cache import DRAM_READ_NS, REF, PageCache
 from . import loadgen
 
@@ -86,8 +87,6 @@ _WORD_PAYLOAD = b"\x00" * _WORD
 BATCH_PAGES = 16
 #: Delay charged to each write admitted past the soft watermark.
 THROTTLE_PENALTY_NS = 2000
-#: The controller busy buckets a traced request's stall is split over.
-_STALLS = ("flush", "clean", "erase", "retry", "checkpoint")
 
 #: One tenant's served-latency histograms: (reads, writes).
 LatencyPair = Tuple[LatencyHistogram, LatencyHistogram]
@@ -126,16 +125,12 @@ class ShardExecutor:
                               ("cache_tenant_caps", cache_tenant_caps)):
             if column is not None and len(column) != len(self.tenant_names):
                 raise ValueError(f"{label} must align with tenant_names")
-        #: Per-tenant cap on admitted writes per logical page (aligned
-        #: with ``tenant_names``; None entries are unlimited).  Enforced
-        #: at admission: a write past the cap is rejected with reason
-        #: ``wear_budget`` before it can reach Flash.
+        #: Per-tenant cap on admitted writes per logical page (None:
+        #: unlimited), enforced at admission (reason ``wear_budget``).
         self.wear_budgets = (list(wear_budgets) if wear_budgets is not None
                              and any(budget is not None
                                      for budget in wear_budgets) else None)
-        #: DRAM read-cache tier (repro.service.cache): hits cost
-        #: ``DRAM_READ_NS`` off the eNVy bus, misses are admitted, host
-        #: writes and cleaner relocations invalidate.  It holds page
+        #: DRAM read-cache tier (repro.service.cache): it holds page
         #: *presence*, not bytes, so transparency is structural.
         self.cache = (PageCache(config.cache_pages,
                                 tenant_caps={
@@ -143,16 +138,11 @@ class ShardExecutor:
                                         cache_tenant_caps or ())
                                     if cap is not None})
                       if config.cache_pages > 0 else None)
-        #: Per-tenant cache-tier membership (aligned with tenant_names;
-        #: None = every real tenant).  Pseudo-tenants (redundancy /
-        #: rebuild traffic) are always excluded so replica reads and
-        #: rebuild copies pay honest Flash timing.
+        #: Per-tenant cache-tier membership (None: every real tenant);
+        #: pseudo-tenants never cache: their reads pay Flash timing.
         self.cache_tenants = (list(cache_tenants)
                               if cache_tenants is not None else None)
-        #: Request-level tracing (repro.obs.trace): per request, an
-        #: exact critical-path split of its latency and the controller
-        #: spans it caused, published as a ``service.request`` span.
-        #: Observational: every other output is bit-identical.
+        #: Request-level tracing (repro.obs.trace.RequestTracer).
         self.trace = trace
         #: Which tenants are pseudo-tenants (``"__"`` names).
         self._pseudo = [name[:2] == "__" for name in self.tenant_names]
@@ -221,7 +211,7 @@ class ShardExecutor:
     def _replay_rows(self):
         """The replay as a coroutine: each ``yield`` waits for the next
         ``(rows, rids)`` stretch (``None`` ends the slice), so queue,
-        batch, retry heap and trace state live across feeds as locals."""
+        batch, retry heap and observer state live across feeds."""
         controller = self.controller
         config = self.config
         metrics = controller.metrics
@@ -268,39 +258,33 @@ class ShardExecutor:
         completions: deque = deque()
         clock = batches = batch_len = batch_start_ns = max_batch = 0
 
-        # --- wear attribution / budgets (adversarial multi-tenancy) ---
-        # Per-tenant wear attribution (repro.service.adversary): each
-        # flush program, the cleaning it induces and buffer residency
-        # (per ``attribution_window_ns``) go to the page's owner.
-        # Observational: every other output is bit-identical.
-        attributing = config.attribute_wear
+        # Admitted writes per (tenant, page) of each wear-capped tenant.
         budgets = self.wear_budgets
         budget_writes: Dict[int, Dict[int, int]] = {
             t_index: {} for t_index, budget in enumerate(budgets or ())
             if budget is not None}
-        wear_slots: List[Dict] = []
-        buffer_owner: Dict[int, int] = {}
-        owner_count: Dict[int, int] = {}
-        segment_programs: Dict[int, int] = {}
-        window_ns = config.attribution_window_ns
-        current_window: List[int] = []
-        accrue_clock = 0
-        store = controller.store
+
+        # The observers (their modules keep their records) bracket an
+        # access under one ``observing`` test a side; they change nothing.
+        tracing, attributing = self.trace, config.attribute_wear
+        observing = tracing or attributing
+        tracer = (RequestTracer(bus, shard, names, self._pseudo,
+                                metrics.busy_ns) if tracing else None)
+        ledger = WearLedger(controller, len(names)) if attributing else None
 
         # --- DRAM read-cache tier -------------------------------------
         cache = self.cache
         cache_ok: Optional[List[bool]] = None
         hit_ns = DRAM_READ_NS
+        store = controller.store
         if cache is not None:
             # A hit is served here and counted at the end (reads less
             # misses); its refresh is one CLOCK reference bit.
             cached = cache.entries.get
             cache_ok = [flag and not pseudo for flag, pseudo in zip(
                 self.cache_tenants or repeat(True), self._pseudo)]
-            # A cleaner relocation physically moves a page's live copy;
-            # a physically tagged cache entry is stale the moment that
-            # happens, so subscribe to the store's per-page relocation
-            # notification for the duration of the replay.
+            # A cleaner relocation moves a page's live copy: the cache
+            # entry, tagged by physical location, is stale from then on.
 
             def _on_cleaner_copy(page: int) -> None:
                 if cache.invalidate(page) and bus.active:
@@ -308,111 +292,23 @@ class ShardExecutor:
                              {"shard": shard, "page": page,
                               "reason": "clean"})
 
-        if attributing:
-            wear_slots = [
-                {"flushes": 0, "induced_clean_copies": 0,
-                 "flush_segments": {}, "page_writes": {},
-                 "residency_ns": 0, "residency_windows": []}
-                for _ in names]
-            current_window = [0] * len(names)
-
-            def accrue(now: int) -> None:
-                # Integrate per-tenant buffered-page counts over
-                # [accrue_clock, now), split at window boundaries.
-                nonlocal accrue_clock
-                while accrue_clock < now:
-                    window_end = (accrue_clock // window_ns + 1) * window_ns
-                    step_end = min(now, window_end)
-                    dt = step_end - accrue_clock
-                    for t_index, count in owner_count.items():
-                        if count:
-                            wear_slots[t_index]["residency_ns"] += \
-                                count * dt
-                            current_window[t_index] += count * dt
-                    accrue_clock = step_end
-                    if step_end == window_end:
-                        for t_index, slot_wear in enumerate(wear_slots):
-                            slot_wear["residency_windows"].append(
-                                current_window[t_index])
-                            current_window[t_index] = 0
-
-            def on_flush(page: int, clean_before: int) -> None:
-                # Attribute the program — and any cleaning it set off —
-                # to the tenant whose write put the page in SRAM.
-                owner = buffer_owner.pop(page, None)
-                if owner is not None:
-                    owner_count[owner] -= 1
-                    if not owner_count[owner]:
-                        del owner_count[owner]
-                location = store.page_location[page]
-                if location is not None and location[0] >= 0:
-                    phys = store.positions[location[0]].phys
-                    segment_programs[phys] = \
-                        segment_programs.get(phys, 0) + 1
-                    if owner is not None:
-                        slot_wear = wear_slots[owner]
-                        slot_wear["flushes"] += 1
-                        segments = slot_wear["flush_segments"]
-                        segments[phys] = segments.get(phys, 0) + 1
-                        slot_wear["induced_clean_copies"] += \
-                            metrics.clean_copies - clean_before
-
-        # --- request tracing (repro.obs.trace) ------------------------
-        tracing = self.trace
-        trace_rows: List[Dict] = []
-        background_spans: Dict[str, List[int]] = {}
-        children: List = []
-        collecting = [False]
-        busy = metrics.busy_ns
-        pseudo_mask = self._pseudo
-        track_pseudo = tracing and any(pseudo_mask)
-        #: Service footprints of pseudo-tenant (redundancy / rebuild)
-        #: rows, pruned as arrivals pass them — the exact overlap of a
-        #: request's wait with these intervals is its "redundancy" blame.
-        pseudo_busy: deque = deque()
-
-        if tracing:
-            def collect(event: ObsEvent) -> None:
-                # Controller spans inside the current request window
-                # become its children; spans between requests (idle-gap
-                # background flushing) fold into a per-kind summary.
-                if event.kind == SERVICE_REQUEST:
-                    return
-                if collecting[0]:
-                    children.append((event.kind, event.t_ns,
-                                     event.dur_ns))
-                elif event.dur_ns:
-                    slot_bg = background_spans.get(event.kind)
-                    if slot_bg is None:
-                        background_spans[event.kind] = [1, event.dur_ns]
-                    else:
-                        slot_bg[0] += 1
-                        slot_bg[1] += event.dur_ns
-
         def tenant_mark(kind: str, tenant_index: int, **fields) -> None:
             bus.mark(kind, {"shard": shard, "tenant": names[tenant_index],
                             **fields})
 
         def reject(outcome, reason, tenant_index, is_write, arrival,
                    orig_arrival, attempt, rid) -> None:
-            # ``outcome`` is the tenant counter; a wear-budget refusal is
-            # not counted as ``rejected``.
             columns[outcome][tenant_index] += 1
             if outcome != "rejected_wear":
                 rejected[tenant_index] += 1
             if bus.active:
                 tenant_mark(SERVICE_REJECT, tenant_index, reason=reason)
             if tracing:
-                trace_rows.append({
-                    "rid": rid, "shard": shard, "tenant": names[tenant_index],
-                    "op": "write" if is_write else "read",
-                    "outcome": outcome, "arrival_ns": orig_arrival,
-                    "start_ns": arrival, "end_ns": arrival, "latency_ns": 0,
-                    "attempts": attempt, "components": {}})
+                tracer.refused(outcome, rid, tenant_index, is_write,
+                               orig_arrival, arrival, attempt)
 
         def close_batch() -> None:
-            # Of an open batch; the idle-gap path spells this out.  The
-            # next batch starts now, unless a gap moves its start on.
+            # Spelt out on the idle-gap path; the next batch starts now.
             nonlocal batches, batch_len, max_batch, batch_start_ns
             batches += 1
             if batch_len > max_batch:
@@ -429,12 +325,9 @@ class ShardExecutor:
         background_work = controller.background_work
         # Flush work overrunning the last idle gap, kept across replays.
         overdraft = self._overdraft_ns
-        # Tracing and wear attribution bracket an access under one test of
-        # ``observing`` a side.
-        observing = tracing or attributing
-        # Deferred retries: (due_ns, tenant, seq, is_write, page,
-        # original_arrival, attempt, rid), merged with the arrival stream by
-        # (time, tenant, seq) so the replay order is schedule-determined.
+        # Deferred retries: (due_ns, tenant, seq, is_write, page, original
+        # arrival, attempt, rid), merged with the arrivals by (time, tenant,
+        # seq) so the replay order is schedule-determined.
         retries: List = []
         # With retries or tracing on, rows come through ``merged`` and
         # their original arrival, attempt and request id through ``extra``.
@@ -455,17 +348,15 @@ class ShardExecutor:
 
         fed = 0
         fold_at = fold_every = loadgen.WINDOW_ROWS
-        # The replay's three subscriptions go in together and — an
-        # interrupted or abandoned replay included (repro.service.chaos
-        # cuts the power on purpose) — come out together in the finally
-        # below.
+        # The replay's subscriptions go in together and come out together
+        # in the finally below, an interrupted or abandoned replay
+        # included (repro.service.chaos cuts the power on purpose).
         if cache is not None:
             store.copy_listeners.append(_on_cleaner_copy)
-        if attributing:
-            # Stall-path and background flushes alike report here.
-            controller.flush_listeners.append(on_flush)
+        if attributing:  # stall-path and background flushes alike
+            controller.flush_listeners.append(ledger.on_flush)
         if tracing:
-            bus.subscribe(collect)
+            bus.subscribe(tracer)
         try:
             while True:
                 if fed >= fold_at:
@@ -476,8 +367,7 @@ class ShardExecutor:
                     if tracing and rids is None:
                         rids = range(fed, fed + len(requests))
                     fed += len(requests)
-                    rows = (merged(requests, rids) if merging
-                            else requests)
+                    rows = merged(requests, rids) if merging else requests
                 elif retries:
                     rows = merged([None], None)
                 else:
@@ -496,19 +386,16 @@ class ShardExecutor:
                             if batch_len > max_batch:
                                 max_batch = batch_len
                             if bus.active:
-                                bus.emit_span(SERVICE_BATCH,
-                                              clock - batch_start_ns,
-                                              {"shard": shard,
-                                               "pages": batch_len})
+                                bus.emit_span(
+                                    SERVICE_BATCH, clock - batch_start_ns,
+                                    {"shard": shard, "pages": batch_len})
                             batch_len = 0
                         if attributing:
-                            # The gap accrues pre-flush ownership; background
-                            # flushes shrink the counts for what follows.
-                            accrue(arrival)
+                            # Pre-flush ownership; gap flushes shrink it.
+                            ledger.accrue(arrival)
                         if overdraft or len(buffer) > threshold_pages:
-                            # The gap pays the flush chain in flight, then
-                            # flushes while over the threshold; the last
-                            # flush may overrun it.
+                            # Pay the flush chain in flight, then flush while
+                            # over the threshold; the last may overrun.
                             overdraft = background_work(arrival - clock,
                                                         overdraft)
                             if overdraft < 0:
@@ -543,10 +430,9 @@ class ShardExecutor:
                     if is_write:
                         delay = 0
                         occupancy = len(buffer)
-                        # Wear budget: a tenant that has already spent its
-                        # per-page write allowance gets this write rejected
-                        # before it can touch SRAM, let alone Flash; one
-                        # that will not be shed below has spent one more.
+                        # Wear budget: a write past the tenant's per-page
+                        # allowance is refused before it touches SRAM; one
+                        # that will not be shed below spends one more.
                         if budgets is not None and \
                                 budgets[tenant_index] is not None:
                             counts = budget_writes[tenant_index]
@@ -574,28 +460,11 @@ class ShardExecutor:
                                             delay_ns=delay)
                     if observing:
                         if tracing:
-                            if not is_write:
-                                delay = 0
-                            # Critical-path capture: busy buckets and the
-                            # overdraft around the access put each stalled
-                            # ns in one component (see repro.obs.trace).
-                            service_t0 = clock - delay
-                            wait_ns = service_t0 - arrival
-                            red_wait = 0
-                            if track_pseudo and \
-                                    not pseudo_mask[tenant_index]:
-                                while pseudo_busy and \
-                                        pseudo_busy[0][1] <= arrival:
-                                    pseudo_busy.popleft()
-                                for p_start, p_end in pseudo_busy:
-                                    red_wait += p_end - max(p_start,
-                                                            arrival)
-                            busy0 = [busy.get(key, 0) for key in _STALLS]
-                            overdraft0 = overdraft
-                            collecting[0] = True
-                            bus.sync(clock)
+                            tracer.begin(rid, tenant_index, is_write,
+                                         orig_arrival, arrival, attempt, clock,
+                                         delay if is_write else 0, overdraft)
                         if attributing:
-                            accrue(clock)
+                            ledger.accrue(clock)
                     if is_write:
                         flushes_before = metrics.flushes
                         if stamp_payloads:
@@ -643,55 +512,9 @@ class ShardExecutor:
                         served_read[tenant_index](clock - orig_arrival)
                     if observing:
                         if attributing and is_write:
-                            if page in buffer:
-                                prev = buffer_owner.get(page)
-                                if prev != tenant_index:
-                                    if prev is not None:
-                                        owner_count[prev] -= 1
-                                        if not owner_count[prev]:
-                                            del owner_count[prev]
-                                    buffer_owner[page] = tenant_index
-                                    owner_count[tenant_index] = \
-                                        owner_count.get(tenant_index, 0) + 1
-                            writes_map = \
-                                wear_slots[tenant_index]["page_writes"]
-                            writes_map[page] = writes_map.get(page, 0) + 1
+                            ledger.wrote(page, tenant_index)
                         if tracing:
-                            collecting[0] = False
-                            deltas = [busy.get(key, 0) - before
-                                      for key, before in zip(_STALLS, busy0)]
-                            d_flush, d_clean, d_erase, d_retry, d_ckpt = deltas
-                            overdraft_paid = overdraft0 - overdraft
-                            op = "write" if is_write else "read"
-                            name = names[tenant_index]
-                            components = {
-                                "queue": wait_ns - red_wait,
-                                "redundancy": red_wait,
-                                "retry_wait": arrival - orig_arrival,
-                                "throttle": delay,
-                                "flush_stall":
-                                    d_flush + d_ckpt + overdraft_paid,
-                                "clean_stall": d_clean + d_erase,
-                                "fault_retry": d_retry,
-                                "service": (clock - service_t0) - delay
-                                           - overdraft_paid - sum(deltas),
-                            }
-                            trace_rows.append({
-                                "rid": rid, "shard": shard,
-                                "tenant": name, "op": op, "outcome": "served",
-                                "arrival_ns": orig_arrival,
-                                "start_ns": service_t0, "end_ns": clock,
-                                "latency_ns": clock - orig_arrival,
-                                "attempts": attempt, "components": components,
-                                "children": list(children)})
-                            children.clear()
-                            bus.emit(ObsEvent(
-                                SERVICE_REQUEST, service_t0,
-                                clock - service_t0,
-                                {"rid": rid, "tenant": name, "shard": shard,
-                                 "op": op, **components}))
-                            if track_pseudo and pseudo_mask[tenant_index]:
-                                pseudo_busy.append((service_t0, clock))
+                            tracer.served(clock, overdraft)
                     completions.append(clock)
                     batch_len += 1
                     if batch_len >= batch_pages:
@@ -707,18 +530,9 @@ class ShardExecutor:
             if cache is not None:
                 store.copy_listeners.remove(_on_cleaner_copy)
             if attributing:
-                controller.flush_listeners.remove(on_flush)
+                controller.flush_listeners.remove(ledger.on_flush)
             if tracing:
-                bus.unsubscribe(collect)
-
-        if attributing:
-            accrue(clock)
-            if any(current_window):
-                # Final partial window, appended for every tenant so the
-                # per-tenant window series stay index-aligned.
-                for t_index, slot_wear in enumerate(wear_slots):
-                    slot_wear["residency_windows"].append(
-                        current_window[t_index])
+                bus.unsubscribe(tracer)
 
         if cache_ok is not None:
             # Each read of a cache-tier tenant probed the tier once, and
@@ -749,12 +563,9 @@ class ShardExecutor:
             result["cache"] = cache.stats()
         if attributing:
             # Per tenant number, like the columns.
-            result["wear"] = wear_slots
-            result["segment_programs"] = segment_programs
-            result["buffer_capacity_pages"] = capacity
+            result.update(ledger.payload(clock))
         if tracing:
-            result["trace"] = {"rows": trace_rows,
-                               "background": background_spans}
+            result["trace"] = tracer.payload()
         return result
 
 

@@ -71,6 +71,7 @@ from ..obs.slo import SLOTracker
 from ..obs.trace import TraceReport, merge_shard_traces
 from ..perf.sweep import derive_seed, resolve_jobs, run_sweep
 from .admission import AdmissionController
+from .adversary import AttackDetector, merge_shard_wear
 from .cache import DRAM_READ_NS
 from .executor import shard_executor
 from .loadgen import LoadGenerator, Request
@@ -156,8 +157,6 @@ class ServiceConfig:
     #: cleaning each tenant induces and how long its pages squat in
     #: SRAM.  Observational only — metrics are bit-identical on or off.
     attribute_wear: bool = False
-    #: Window length for the per-tenant buffer-residency time series.
-    attribution_window_ns: int = 50_000
     #: Service-wide default cap on admitted writes per (tenant, page);
     #: a TenantSpec.wear_budget overrides it per tenant.  None = off.
     wear_budget: Optional[int] = None
@@ -189,8 +188,6 @@ class ServiceConfig:
             raise ValueError("retries need a positive backoff")
         if self.rebuild_rate_pps <= 0:
             raise ValueError("rebuild_rate_pps must be positive")
-        if self.attribution_window_ns < 1:
-            raise ValueError("attribution windows need positive length")
         if self.wear_budget is not None and self.wear_budget < 1:
             raise ValueError("wear_budget must allow at least one write")
         if not 0 < self.quarantine_tps < math.inf:
@@ -620,15 +617,9 @@ class EnvyService:
         real = len(tenant_stats)
         merge_columns(tenant_stats, [result["columns"] for result in results])
         for shard_result in results:
-            shard = shard_result["shard"]
             columns = shard_result["columns"]
-            for tstats, wear in zip(tenant_stats,
-                                    shard_result.get("wear", ())):
-                self._globalize_wear(wear, shard)
-                tstats.merge_wear(wear)
-            for phys, count in sorted(
-                    shard_result.get("segment_programs", {}).items()):
-                stats.segment_programs[f"s{shard}:p{phys}"] = count
+            merge_shard_wear(shard_result, self.router, tenant_stats,
+                             stats.segment_programs)
             stats.requests_rejected_queue += shard_result["rejected_queue"]
             stats.requests_rejected_shed += shard_result["rejected_shed"]
             stats.requests_retried += shard_result["retried"]
@@ -754,26 +745,6 @@ class EnvyService:
             caps.append(cap)
         return caps
 
-    def _globalize_wear(self, wear: Dict, shard: int) -> None:
-        """Rewrite one shard slice's wear keys into service-global terms
-        (in place, before the cross-shard merge): local page numbers
-        become global logical pages and physical segments become
-        ``s<bank>:p<phys>`` strings, so merging never conflates two
-        banks' resources."""
-        router = self.router
-        page_writes = {}
-        for local, count in wear["page_writes"].items():
-            try:
-                page_writes[router.global_page(shard, local)] = count
-            except IndexError:
-                # Non-primary slot (degraded redirect): no global
-                # primary inverse; keep a shard-scoped key instead.
-                page_writes[f"s{shard}:l{local}"] = count
-        wear["page_writes"] = page_writes
-        wear["flush_segments"] = {
-            f"s{shard}:p{phys}": count
-            for phys, count in wear["flush_segments"].items()}
-
     # ------------------------------------------------------------------
     # Bank lifecycle (redundancy layer)
     # ------------------------------------------------------------------
@@ -884,11 +855,8 @@ class EnvyService:
         the tenants would offer over ``duration_s`` (same generator,
         same seed — no sampling noise), attributed to banks through
         the current routing.  :func:`~repro.service.redundancy.
-        plan_rebalance` picks hot/cold swaps; each swap remaps both
-        pages (SoftWear-style — a table update, no hardware support)
-        and, when in-process data-bearing banks exist, migrates the
-        payloads through the normal write path so replicas and parity
-        stay consistent.
+        plan_rebalance` picks hot/cold swaps; each remaps both pages and,
+        on in-process data-bearing banks, moves their payloads too.
         """
         router = self.router
         windows, _ = self._load_generator().stream(duration_s, {})
@@ -909,18 +877,9 @@ class EnvyService:
         before = bank_loads()
         swaps = plan_rebalance(router, page_loads, max_moves=max_moves,
                                tolerance=tolerance)
-        migrate = (self._shards is not None
-                   and self.config.store_data)
         bus = self.events
         for hot, cold in swaps:
-            if migrate:
-                hot_bytes = self.read_page(hot)
-                cold_bytes = self.read_page(cold)
-                router.swap(hot, cold)
-                self.write_page(hot, hot_bytes)
-                self.write_page(cold, cold_bytes)
-            else:
-                router.swap(hot, cold)
+            self._swap_pages(hot, cold)
             if bus.active:
                 bus.mark(REDUNDANCY_REBALANCE,
                          {"page": hot, "from": router.route(cold)[0],
@@ -934,6 +893,19 @@ class EnvyService:
             "imbalance_before": round(imbalance(before), 4),
             "imbalance_after": round(imbalance(after), 4),
         }
+
+    def _swap_pages(self, page: int, peer: int) -> None:
+        """Remap ``page`` and ``peer`` onto each other's slots
+        (SoftWear-style: a table update); in-process data-bearing banks
+        migrate both payloads through the write path."""
+        if self._shards is None or not self.config.store_data:
+            self.router.swap(page, peer)
+            return
+        page_bytes = self.read_page(page)
+        peer_bytes = self.read_page(peer)
+        self.router.swap(page, peer)
+        self.write_page(page, page_bytes)
+        self.write_page(peer, peer_bytes)
 
     # ------------------------------------------------------------------
     # Security (adversarial multi-tenancy)
@@ -968,8 +940,6 @@ class EnvyService:
         signals (wear concentration, cleaning amplification, buffer
         residency) only exist when shards attributed them.
         """
-        from .adversary import AttackDetector
-
         if self.last_stats is None:
             raise ValueError("run the service before detecting attacks")
         report = AttackDetector(self).analyze(self.last_stats)
@@ -979,9 +949,8 @@ class EnvyService:
     def scatter_hot_pages(self, name: str, max_pages: int = 16,
                           stats: Optional[ServiceStats] = None) -> dict:
         """Remap a flagged tenant's hottest pages to seeded random
-        peers (SoftWear-style table swaps — no data moves in the
-        simulated hardware, the pages just land on other banks /
-        segments from the next run on).
+        peers, as :meth:`rebalance` swaps (payloads move with them on
+        in-process data-bearing banks), from the next run on.
 
         Needs a run with attributed wear to rank the tenant's pages by
         — the last run by default, or an explicit ``stats`` (e.g. the
@@ -994,14 +963,12 @@ class EnvyService:
         stats = stats if stats is not None else self.last_stats
         wear = (stats.tenants[name].wear
                 if stats is not None and name in stats.tenants else None)
-        if not wear or not wear.get("page_writes"):
+        if not wear or not wear["page_writes"]:
             raise ValueError(
                 f"no attributed wear for {name!r} — run with "
                 f"attribute_wear=True first")
-        page_writes = {page: count
-                       for page, count in wear["page_writes"].items()
-                       if isinstance(page, int)}
-        hot = sorted(page_writes.items(),
+        hot = sorted(((page, count) for page, count
+                      in wear["page_writes"].items() if isinstance(page, int)),
                      key=lambda item: (-item[1], item[0]))[:max_pages]
         rng = random.Random(
             derive_seed(self.config.seed, 7000 + names.index(name)))
@@ -1018,7 +985,7 @@ class EnvyService:
             if peer is None:
                 continue
             taken.add(peer)
-            router.swap(page, peer)
+            self._swap_pages(page, peer)
             swaps.append((page, peer))
             if bus.active:
                 bus.mark(SECURITY_REMAP,

@@ -458,14 +458,13 @@ class TenantStats:
             "write_p50_ns": self.write_latency.p50,
             "write_p99_ns": self.write_latency.p99,
         }
-        if self.wear is not None:
+        wear = self.wear
+        if wear is not None:
             summary["wear"] = {
-                "flushes": self.wear.get("flushes", 0),
-                "induced_clean_copies": self.wear.get(
-                    "induced_clean_copies", 0),
-                "segments_written": len(
-                    self.wear.get("flush_segments") or {}),
-                "residency_ns": self.wear.get("residency_ns", 0),
+                "flushes": wear["flushes"],
+                "induced_clean_copies": wear["induced_clean_copies"],
+                "segments_written": len(wear["flush_segments"]),
+                "residency_ns": wear["residency_ns"],
             }
         summary["rejected_queue"] = self.rejected_queue
         summary["rejected_shed"] = self.rejected_shed

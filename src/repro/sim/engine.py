@@ -74,13 +74,18 @@ class TimedSimulator:
         self._debt_ns = 0
         self._overdraft_ns = 0
 
-    def run(self, duration_s: float,
-            warmup_s: float = 0.0) -> SimStats:
-        """Simulate ``duration_s`` seconds (after ``warmup_s`` warm-up)."""
+    @staticmethod
+    def check_run(duration_s: float, warmup_s: float = 0.0) -> None:
+        """Raise ``ValueError`` on a :meth:`run` window it refuses."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         if warmup_s < 0:
             raise ValueError(f"warm-up cannot be negative, got {warmup_s}")
+
+    def run(self, duration_s: float,
+            warmup_s: float = 0.0) -> SimStats:
+        """Simulate ``duration_s`` seconds (after ``warmup_s`` warm-up)."""
+        self.check_run(duration_s, warmup_s)
         stats = SimStats(requested_tps=self.workload.rate_tps)
         warmup_ns = int(warmup_s * 1e9)
         end_ns = warmup_ns + int(duration_s * 1e9)

@@ -175,6 +175,27 @@ class TestMitigation:
         assert result["remapped_pages"] == service.router.remapped_pages > 0
         assert not service.router.is_plain
 
+    def test_scatter_moves_direct_access_payloads(self):
+        """On in-process, data-bearing banks a scattered page and its
+        peer keep their contents: every page reads back what was
+        written, as after ``rebalance``."""
+        config = ServiceConfig(num_shards=2, num_segments=8,
+                               pages_per_segment=16, store_data=True,
+                               attribute_wear=True, prewarm_turnovers=0)
+        service = EnvyService(config, [TenantSpec(
+            "t", rate_tps=1e6, workload="uniform", write_fraction=1.0)])
+        service.run(0.0005, jobs=1)
+        pages = service.router.num_pages
+        payload = {page: page.to_bytes(4, "little") * 2
+                   for page in range(pages)}
+        for page, data in payload.items():
+            service.write_page(page, data)
+        result = service.scatter_hot_pages("t", max_pages=8)
+        assert len(result["swaps"]) == 8
+        wrong = [page for page, data in payload.items()
+                 if service.read_page(page)[:len(data)] != data]
+        assert wrong == []
+
     def test_scenario_restores_honest_tenants(self):
         attacker = attack_tenant("targeted-wear", CONFIG, rate_tps=1.5e5)
         scenario = run_attack_scenario(CONFIG, HONEST, attacker,

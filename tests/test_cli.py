@@ -164,6 +164,9 @@ class TestCommands:
                      id="tpca-utilization-1.5"),
         pytest.param(["policies", "50/50", "--segments", "3"],
                      id="policies-segments-3"),
+        pytest.param(["policies", "bogus"], id="policies-bogus"),
+        pytest.param(["tpca", "100", "--duration", "-1"],
+                     id="tpca-duration--1"),
         pytest.param(["lifetime", "--cost", "-1"], id="lifetime-cost--1")])
     def test_a_config_value_refused_is_a_usage_error(self, capsys, argv):
         refused(capsys, argv)

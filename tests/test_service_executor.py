@@ -10,7 +10,9 @@ behaviour and are never updated.  ``bus_marks`` replays with a
 subscriber on the controller bus and digests the event stream too
 (batch spans, throttle / retry / reject / cache marks, the clock the
 replay syncs); it was recorded before the replay's per-row feature
-tests were grouped.
+tests were grouped.  ``observed_all`` crosses request tracing with wear
+attribution (and a subscriber); it was recorded before both observers
+moved out of the replay loop.
 """
 
 import collections
@@ -31,7 +33,7 @@ from repro.obs.events import (CACHE_EVICT, CACHE_HIT, CACHE_INVALIDATE,
                               SERVICE_BATCH, SERVICE_REJECT, SERVICE_RETRY,
                               SERVICE_THROTTLE)
 from repro.obs.hist import LatencyHistogram
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, adversary
 from repro.service.executor import ShardExecutor
 from repro.service.loadgen import WINDOW_ROWS
 
@@ -151,8 +153,7 @@ FEATURE_SETS = {
     "wear_budgets": (
         {}, {"wear_budgets": [3, None, 40]}, {}, TENANTS, False),
     "attribute_wear": (
-        {"attribute_wear": True, "attribution_window_ns": 20_000},
-        {}, {}, TENANTS, False),
+        {"attribute_wear": True}, {}, {}, TENANTS, False),
     "trace_pseudo": (
         {"queue_capacity": 6}, {"trace": True},
         {"tenants": 4}, TENANTS + ["__redundancy__"], False),
@@ -161,10 +162,23 @@ FEATURE_SETS = {
          "cache_pages": 24},
         {"wear_budgets": [3, None, 40]},
         {"write_share": 0.6}, TENANTS, False),
+    # Both observers on one replay, with every feature they bracket.
+    "observed_all": (
+        {"attribute_wear": True, "queue_capacity": 4, "retry_limit": 2,
+         "retry_backoff_ns": 700, "cache_pages": 24},
+        {"trace": True, "wear_budgets": [3, None, 40, None],
+         "cache_tenants": [True, True, False, False],
+         "cache_tenant_caps": [6, None, None, None]},
+        {"tenants": 4, "write_share": 0.5},
+        TENANTS + ["__redundancy__"], False),
 }
 
 #: Feature sets replayed with a subscriber on the controller bus.
-HEARD = {"bus_marks"}
+HEARD = {"bus_marks", "observed_all"}
+
+#: Feature sets pinned at another buffer-residency window than the wear
+#: ledger's (once a service knob, now its module constant).
+WINDOW_NS = {"attribute_wear": 20_000}
 
 
 def feature_replay(name):
@@ -191,7 +205,10 @@ def pinned_digest(name, cuts=None):
     if executor.trace:
         rids = [7 * i + 1 for i in range(len(requests))]
     events = heard_events(executor) if name in HEARD else None
-    return replay_digest(executor, requests, rids, cuts, events)
+    with mock.patch.object(adversary, "ATTRIBUTION_WINDOW_NS",
+                           WINDOW_NS.get(name,
+                                         adversary.ATTRIBUTION_WINDOW_NS)):
+        return replay_digest(executor, requests, rids, cuts, events)
 
 
 class TestPinnedReplay:
@@ -447,6 +464,15 @@ class TestPinnedReplay:
             {"queue_full", "wear_budget", "cleaner_behind"}
         assert {event["reason"] for event in events
                 if event["kind"] == CACHE_INVALIDATE} == {"write", "clean"}
+        both = run("observed_all")
+        assert both["retried"] and both["rejected_wear"]
+        assert both["cache"]["hits"] and both["segment_programs"]
+        assert any(slot["residency_windows"] for slot in both["wear"])
+        outcomes = {row["outcome"] for row in both["trace"]["rows"]}
+        assert outcomes == {"served", "rejected_queue", "rejected_wear",
+                            "rejected_shed"}
+        assert any(row["components"].get("redundancy")
+                   for row in both["trace"]["rows"])
 
 
 class TestServiceKnobs:
@@ -459,7 +485,6 @@ class TestServiceKnobs:
         {"hard_watermark": 1.5},
         {"retry_limit": -1},
         {"retry_limit": 2, "retry_backoff_ns": 0},
-        {"attribution_window_ns": 0},
         {"cache_pages": -1}])
     def test_a_config_validate_refuses_builds_no_executor(self, knobs):
         config = ServiceConfig(**knobs)
